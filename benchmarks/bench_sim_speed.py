@@ -62,8 +62,7 @@ SMOKE_DURATION_MS = 4_000.0
 #: post-deadline drain tail scales differently with the window.
 SMOKE_DRIFT_TOLERANCE = 0.35
 #: absolute wall-speed floor per scenario, events per wall second.
-#: After the calendar-queue engine and slab-lean fabric work a dev
-#: machine measures ~130-170k on every scenario (replicated_rf2 is the
+#: A dev machine measures ~130-170k on every scenario (replicated_rf2 is the
 #: slowest); the floor sits ~5x below that so it gates real regressions
 #: in the engine hot path while tolerating a noisy CI runner.
 MIN_EVENTS_PER_WALL_SEC = 25_000.0

@@ -32,7 +32,7 @@ class TabsCluster:
 
     def __init__(self, config: TabsConfig | None = None) -> None:
         self.config = config or TabsConfig()
-        self.ctx = SimContext(engine=Engine(self.config.engine),
+        self.ctx = SimContext(engine=Engine(),
                               profile=self.config.profile,
                               cpu_costs=self.config.cpu_costs,
                               seed=self.config.seed)

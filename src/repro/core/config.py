@@ -17,7 +17,6 @@ from repro.kernel.costs import (
     CostProfile,
     CpuCosts,
 )
-from repro.sim.engine import EngineConfig
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,6 @@ class CommitConfig:
     force_window_ms: float = 2.0
     #: force immediately once this many waiters are pending
     force_batch_cap: int = 64
-    #: batch same-target 2PC datagrams issued at the same instant
-    coalesce_datagrams: bool = True
     #: one physical log force in flight at a time (FIFO device queue)
     serial_log_device: bool = False
 
@@ -330,10 +327,6 @@ class TabsConfig:
     #: online reconfiguration (live join/retire, shard migration); the
     #: default (off) keeps membership and placement fixed at construction
     reconfig: ReconfigConfig = field(default_factory=ReconfigConfig)
-    #: event-queue implementation of the simulation engine ("calendar" by
-    #: default, "heap" as the reference fallback); both orders are
-    #: byte-identical, the selector trades constant factors only
-    engine: EngineConfig = field(default_factory=EngineConfig)
     seed: int = 1985
 
     @classmethod

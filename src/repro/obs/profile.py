@@ -23,8 +23,8 @@ Three layers:
   digits so two same-shape runs produce the same category set.
 - **Contention telemetry** -- :meth:`SimProfiler.record_lock_wait` feeds
   a per-``(node, key)`` heatmap of cumulative *simulated* lock wait (the
-  hottest keys are what a calendar-queue or lock-splitting optimisation
-  must attack first), and :meth:`SimProfiler.wait_for_graph` snapshots
+  hottest keys are what a lock-splitting optimisation must attack
+  first), and :meth:`SimProfiler.wait_for_graph` snapshots
   who-waits-behind-whom across every lock manager in the cluster.
 - **The meter** -- events per wall second and wall seconds per simulated
   second, the two numbers the ``bench_sim_speed`` meta-benchmark gates.
@@ -114,7 +114,7 @@ class SimProfiler:
     def run_step(self, callback: Callable[..., None], daemon: bool,
                  now: float, args: tuple = ()) -> None:
         """Execute ``callback(*args)`` under the wall clock (called by
-        ``Engine.step``; exceptions propagate unchanged)."""
+        the engine's dispatch loop; exceptions propagate unchanged)."""
         start = self._clock()
         if self._wall_first is None:
             self._wall_first = start

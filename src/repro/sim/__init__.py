@@ -12,9 +12,8 @@ The engine is fully deterministic: events scheduled for the same instant run
 in schedule order, and no wall-clock time or OS threads are involved.
 """
 
-from repro.sim.engine import CalendarQueue, Engine, EngineConfig, HeapQueue
+from repro.sim.engine import Engine
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 
-__all__ = ["Engine", "EngineConfig", "HeapQueue", "CalendarQueue", "Event",
-           "Timeout", "AnyOf", "AllOf", "Process"]
+__all__ = ["Engine", "Event", "Timeout", "AnyOf", "AllOf", "Process"]

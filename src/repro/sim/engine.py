@@ -1,19 +1,11 @@
 """The discrete-event simulation loop.
 
 Time is a float measured in *milliseconds* to match the units of the paper's
-Table 5-1 primitive-operation times.  The engine keeps a priority queue of
+Table 5-1 primitive-operation times.  The engine keeps one binary heap of
 ``(time, sequence, callback, args, daemon)`` entries; the sequence number
-makes same-time ordering deterministic (FIFO in schedule order).
-
-Two queue implementations exist behind the :class:`EngineConfig` selector,
-both yielding the exact same pop order (and therefore byte-identical runs):
-
-- ``"heap"`` -- a single binary heap, the reference implementation.
-- ``"calendar"`` -- a calendar queue (R. Brown, CACM 1988): a ring of
-  per-simulated-millisecond buckets plus a sorted overflow tier for entries
-  beyond the ring's horizon.  Most pushes and pops touch a tiny bucket heap
-  near the cursor instead of a log-N path through one big heap, which is
-  what makes it the default for the hot-path workloads this simulator runs.
+makes same-time ordering deterministic (FIFO in schedule order).  That
+``(time, seq)`` pop order is the whole determinism contract -- every golden
+digest and bench baseline rests on it and on nothing else about the queue.
 
 Daemon entries are background housekeeping -- failure-detector probe ticks,
 mainly -- that must never keep the simulation "busy": ``run()``, ``drain()``
@@ -25,262 +17,46 @@ deterministically with it.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
 from heapq import heappop as _heappop, heappush as _heappush
-from typing import Callable
+from math import inf as _INF
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:
+    from repro.obs.profile import SimProfiler
+    from repro.sim.events import Event
 
 #: the shared empty argument tuple for argument-free callbacks
 _NO_ARGS: tuple = ()
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Which event-queue implementation drives the simulation.
-
-    Mirrors :class:`~repro.core.config.CommitConfig`: an immutable
-    selector-plus-knobs block.  Both queues produce the exact same event
-    order -- the selector trades constant factors, not semantics -- so
-    every golden digest and bench baseline is identical under either.
-    """
-
-    #: "calendar" | "heap"
-    queue: str = "calendar"
-    #: ring size of the calendar queue, in 1-ms buckets.  Entries landing
-    #: beyond ``ring_buckets`` ms past the cursor wait in the sorted
-    #: overflow tier until the window advances over them.
-    ring_buckets: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.queue not in ("heap", "calendar"):
-            raise ValueError(f"unknown engine queue {self.queue!r}")
-        if self.ring_buckets < 1:
-            raise ValueError("ring_buckets must be >= 1")
-
-    @classmethod
-    def heap(cls) -> "EngineConfig":
-        """The reference binary-heap queue."""
-        return cls(queue="heap")
-
-    @classmethod
-    def calendar(cls, ring_buckets: int = 1024) -> "EngineConfig":
-        """The bucketed calendar queue (the default)."""
-        return cls(queue="calendar", ring_buckets=ring_buckets)
-
-
-class HeapQueue:
-    """The reference queue: one binary heap of entries.
-
-    Entries are ``(time, seq, callback, args, daemon)``; ``(time, seq)``
-    is unique, so comparisons never reach the callback.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[tuple] = []
-
-    def push(self, entry: tuple) -> None:
-        _heappush(self._heap, entry)
-
-    def pop(self) -> tuple:
-        return _heappop(self._heap)
-
-    def pop_before(self, deadline: float) -> tuple | None:
-        """Pop the front entry if it is due at or before ``deadline``."""
-        heap = self._heap
-        if not heap or heap[0][0] > deadline:
-            return None
-        return _heappop(heap)
-
-    def peek_time(self) -> float | None:
-        heap = self._heap
-        return heap[0][0] if heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-class CalendarQueue:
-    """A calendar queue bucketed by integer simulated millisecond.
-
-    The ring holds one bucket (a small heap) per sim-ms for the next
-    ``ring_buckets`` ms after the cursor; entries beyond that horizon wait
-    in a sorted overflow heap and migrate into the ring as the cursor
-    advances.  Exact ``(time, seq)`` order is preserved: buckets partition
-    entries by ``int(time)``, which is monotone in ``time``, and each
-    bucket is itself a heap ordered by ``(time, seq)``.
-
-    The cursor is an absolute bucket id that only ever advances, and only
-    inside :meth:`pop` -- committed to the popped entry's bucket, which is
-    safe because every remaining or future entry sorts at or after the
-    entry just popped (the engine never schedules into the past).
-    ``_front_bid`` is a scan hint (always <= the true front bucket id) so
-    repeated peeks do not rescan empty buckets.
-    """
-
-    __slots__ = ("_n", "_ring", "_cursor", "_ring_count", "_overflow",
-                 "_size", "_front_bid")
-
-    def __init__(self, ring_buckets: int = 1024) -> None:
-        self._n = ring_buckets
-        self._ring: list[list[tuple]] = [[] for _ in range(ring_buckets)]
-        self._cursor = 0
-        self._ring_count = 0
-        self._overflow: list[tuple] = []
-        self._size = 0
-        self._front_bid = 0
-
-    def push(self, entry: tuple) -> None:
-        bid = int(entry[0])
-        if bid - self._cursor < self._n:
-            _heappush(self._ring[bid % self._n], entry)
-            self._ring_count += 1
-            if bid < self._front_bid:
-                self._front_bid = bid
-        else:
-            _heappush(self._overflow, entry)
-        self._size += 1
-
-    def pop(self) -> tuple:
-        if self._ring_count == 0:
-            # Everything queued lives beyond the horizon: jump the window
-            # to the overflow front (a forward move -- overflow bids all
-            # exceed cursor + ring size) and migrate the near tier in.
-            self._cursor = int(self._overflow[0][0])
-            self._front_bid = self._cursor
-            self._migrate()
-        ring, n = self._ring, self._n
-        bid = self._front_bid
-        if bid < self._cursor:
-            bid = self._cursor
-        while True:
-            bucket = ring[bid % n]
-            if bucket:
-                break
-            bid += 1
-        entry = _heappop(bucket)
-        self._front_bid = bid
-        self._ring_count -= 1
-        self._size -= 1
-        if bid != self._cursor:
-            self._cursor = bid
-            self._migrate()
-        return entry
-
-    def pop_before(self, deadline: float) -> tuple | None:
-        """Pop the front entry if it is due at or before ``deadline``.
-
-        Unlike :meth:`pop` followed by a push-back, a refusal commits
-        nothing: the cursor only ever advances when an entry actually
-        leaves the queue, so a later external push (the engine's clock may
-        rest at ``deadline``, before the refused front) stays inside the
-        window invariant.
-        """
-        if self._size == 0:
-            return None
-        if self._ring_count == 0:
-            if self._overflow[0][0] > deadline:
-                return None
-            self._cursor = int(self._overflow[0][0])
-            self._front_bid = self._cursor
-            self._migrate()
-        ring, n = self._ring, self._n
-        bid = self._front_bid
-        if bid < self._cursor:
-            bid = self._cursor
-        while True:
-            bucket = ring[bid % n]
-            if bucket:
-                break
-            bid += 1
-        self._front_bid = bid
-        if bucket[0][0] > deadline:
-            return None
-        entry = _heappop(bucket)
-        self._ring_count -= 1
-        self._size -= 1
-        if bid != self._cursor:
-            self._cursor = bid
-            self._migrate()
-        return entry
-
-    def peek_time(self) -> float | None:
-        if self._size == 0:
-            return None
-        if self._ring_count == 0:
-            # Peek must not move the cursor: the engine's clock may still
-            # be rewound relative to this horizon jump (run(until=...)
-            # parks the clock before the next event), and later pushes
-            # must stay inside the committed window.
-            return self._overflow[0][0]
-        ring, n = self._ring, self._n
-        bid = self._front_bid
-        if bid < self._cursor:
-            bid = self._cursor
-        while True:
-            bucket = ring[bid % n]
-            if bucket:
-                self._front_bid = bid
-                return bucket[0][0]
-            bid += 1
-
-    def _migrate(self) -> None:
-        """Pull overflow entries now inside the window into the ring."""
-        overflow = self._overflow
-        if not overflow:
-            return
-        horizon = self._cursor + self._n
-        ring, n = self._ring, self._n
-        while overflow and overflow[0][0] < horizon:
-            entry = _heappop(overflow)
-            _heappush(ring[int(entry[0]) % n], entry)
-            self._ring_count += 1
-
-    def __len__(self) -> int:
-        return self._size
-
-
-def _make_queue(config: EngineConfig):
-    if config.queue == "heap":
-        return HeapQueue()
-    return CalendarQueue(config.ring_buckets)
-
-
 class Engine:
     """A deterministic event loop with a simulated millisecond clock."""
 
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config or EngineConfig()
+    def __init__(self) -> None:
         self._now = 0.0
-        self._queue = _make_queue(self.config)
-        #: pre-bound queue operations keep the per-event dispatch cost of
-        #: pluggability to one indirect call
-        self._push = self._queue.push
-        self._pop = self._queue.pop
-        self._pop_before = self._queue.pop_before
-        self._peek = self._queue.peek_time
-        self._seq = 0
-        #: total queued entries (drives ``heap_high_water``)
-        self._pending = 0
+        #: ``(time, seq, callback, args, daemon)`` entries; ``(time, seq)``
+        #: is unique, so comparisons never reach the callback
+        self._heap: list[tuple[float, int, Callable[..., None], tuple,
+                               bool]] = []
         #: queued entries that are *not* daemons; quiescence means zero
         self._real = 0
         self._running = False
         #: fabric churn accounting -- always on (plain integer bumps), read
         #: by the sim-speed meta-benchmark and the profiler snapshot.  Kept
         #: off the metrics registry so its snapshot (golden-hashed by the
-        #: determinism suite) is unchanged.
+        #: determinism suite) is unchanged.  ``events_scheduled`` doubles as
+        #: the next entry's sequence number.
         self.events_scheduled = 0
         self.daemon_scheduled = 0
         self.events_executed = 0
         self.daemon_executed = 0
         self.heap_high_water = 0
-        #: wall-clock profiler (:class:`repro.obs.profile.SimProfiler`) or
-        #: None; :meth:`step` guards on it so the disabled path costs one
-        #: attribute check, mirroring ``ctx.tracer``
-        self.profiler = None
+        #: wall-clock profiler or None; the dispatch loop guards on it so
+        #: the disabled path costs one attribute check, mirroring
+        #: ``ctx.tracer``
+        self.profiler: SimProfiler | None = None
 
     @property
     def now(self) -> float:
@@ -298,20 +74,20 @@ class Engine:
         and ``run_until()`` all ignore it when deciding whether the
         simulation has gone quiet.
         """
-        if delay < 0:
+        # Not ``delay < 0``: NaN must fail too, or its key would break the
+        # heap's total order without an error.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        seq = self._seq
-        self._seq = seq + 1
-        self._push((self._now + delay, seq, callback, args, daemon))
-        self.events_scheduled += 1
+        seq = self.events_scheduled
+        self.events_scheduled = seq + 1
+        heap = self._heap
+        _heappush(heap, (self._now + delay, seq, callback, args, daemon))
         if daemon:
             self.daemon_scheduled += 1
         else:
             self._real += 1
-        pending = self._pending + 1
-        self._pending = pending
-        if pending > self.heap_high_water:
-            self.heap_high_water = pending
+        if len(heap) > self.heap_high_water:
+            self.heap_high_water = len(heap)
 
     def schedule_now(self, callback: Callable[..., None],
                      args: tuple = _NO_ARGS) -> None:
@@ -321,39 +97,69 @@ class Engine:
         process resumption funnel through here, so the extra frame is
         measurable.
         """
-        seq = self._seq
-        self._seq = seq + 1
-        self._push((self._now, seq, callback, args, False))
-        self.events_scheduled += 1
+        seq = self.events_scheduled
+        self.events_scheduled = seq + 1
+        heap = self._heap
+        _heappush(heap, (self._now, seq, callback, args, False))
         self._real += 1
-        pending = self._pending + 1
-        self._pending = pending
-        if pending > self.heap_high_water:
-            self.heap_high_water = pending
+        if len(heap) > self.heap_high_water:
+            self.heap_high_water = len(heap)
+
+    def _dispatch(self, deadline: float = _INF, count_daemons: bool = False,
+                  event: Event | None = None, once: bool = False) -> None:
+        """The one dispatch loop: pop entries in ``(time, seq)`` order and
+        run them until the first of
+
+        - quiescence: no real entry is queued (no entry at all when
+          ``count_daemons``),
+        - the front entry lies beyond ``deadline``,
+        - ``event`` has been processed,
+        - one entry has run (``once``).
+
+        Every public entry point drives this loop, so the re-entrancy guard
+        lives here: a callback that re-enters the engine would nest two
+        loops over one clock.
+        """
+        if self._running:
+            raise SimulationError(
+                "engine is already running (re-entered from a callback)")
+        self._running = True
+        heap = self._heap
+        try:
+            # Re-checked every iteration: a callback chain may retire the
+            # last real entry mid-run, leaving a daemon-only queue that
+            # could otherwise spin the clock forever on probe ticks.
+            while heap if count_daemons else self._real:
+                if heap[0][0] > deadline or (event is not None
+                                             and event.processed):
+                    break
+                time, _seq, callback, args, daemon = _heappop(heap)
+                if daemon:
+                    self.daemon_executed += 1
+                else:
+                    self._real -= 1
+                self._now = time
+                self.events_executed += 1
+                # The profiler only *measures* the callback (wall clock never
+                # feeds back into simulated state), so both branches are
+                # equivalent to the simulation.
+                if self.profiler is None:
+                    if args:
+                        callback(*args)
+                    else:
+                        callback()
+                else:
+                    self.profiler.run_step(callback, daemon, time, args)
+                if once:
+                    break
+        finally:
+            self._running = False
 
     def step(self) -> bool:
         """Execute the next scheduled callback.  Returns False when idle."""
-        if not self._pending:
-            return False
-        time, _seq, callback, args, daemon = self._pop()
-        self._pending -= 1
-        if daemon:
-            self.daemon_executed += 1
-        else:
-            self._real -= 1
-        self._now = time
-        self.events_executed += 1
-        # The profiler only *measures* the callback (wall clock never feeds
-        # back into simulated state), so both branches are equivalent to the
-        # simulation.
-        if self.profiler is None:
-            if args:
-                callback(*args)
-            else:
-                callback()
-        else:
-            self.profiler.run_step(callback, daemon, time, args)
-        return True
+        executed = self.events_executed
+        self._dispatch(count_daemons=True, once=True)
+        return self.events_executed != executed
 
     def run(self, until: float | None = None) -> None:
         """Run until the event queue quiesces or the clock passes ``until``.
@@ -363,58 +169,13 @@ class Engine:
         ``until``, pending daemon entries do not count as work -- the loop
         stops once only housekeeping remains.
         """
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant run())")
-        self._running = True
-        # Both loops inline the body of step(): one callback dispatch per
-        # simulated event is the hottest loop in the repository, and the
-        # inlining removes a bound call plus a redundant queue probe per
-        # event (pop_before fuses the peek with the pop).
-        try:
-            if until is None:
-                pop = self._pop
-                while self._real:
-                    time, _seq, callback, args, daemon = pop()
-                    self._pending -= 1
-                    if daemon:
-                        self.daemon_executed += 1
-                    else:
-                        self._real -= 1
-                    self._now = time
-                    self.events_executed += 1
-                    if self.profiler is None:
-                        if args:
-                            callback(*args)
-                        else:
-                            callback()
-                    else:
-                        self.profiler.run_step(callback, daemon, time, args)
-                return
-            if until < self._now:
-                raise SimulationError(f"until={until} is before now={self._now}")
-            pop_before = self._pop_before
-            while True:
-                entry = pop_before(until)
-                if entry is None:
-                    break
-                time, _seq, callback, args, daemon = entry
-                self._pending -= 1
-                if daemon:
-                    self.daemon_executed += 1
-                else:
-                    self._real -= 1
-                self._now = time
-                self.events_executed += 1
-                if self.profiler is None:
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                else:
-                    self.profiler.run_step(callback, daemon, time, args)
-            self._now = until
-        finally:
-            self._running = False
+        if until is None:
+            self._dispatch()
+            return
+        if until < self._now:
+            raise SimulationError(f"until={until} is before now={self._now}")
+        self._dispatch(until, count_daemons=True)
+        self._now = until
 
     def drain(self, max_ms: float) -> bool:
         """Run until the queue quiesces, giving up ``max_ms`` from now.
@@ -428,36 +189,10 @@ class Engine:
         """
         if max_ms < 0:
             raise SimulationError(f"cannot drain for negative time ({max_ms})")
-        if self._running:
-            raise SimulationError("engine is already running (re-entrant drain())")
-        deadline = self._now + max_ms
-        self._running = True
-        try:
-            pop_before = self._pop_before
-            while self._real:
-                entry = pop_before(deadline)
-                if entry is None:
-                    return False
-                time, _seq, callback, args, daemon = entry
-                self._pending -= 1
-                if daemon:
-                    self.daemon_executed += 1
-                else:
-                    self._real -= 1
-                self._now = time
-                self.events_executed += 1
-                if self.profiler is None:
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                else:
-                    self.profiler.run_step(callback, daemon, time, args)
-            return True
-        finally:
-            self._running = False
+        self._dispatch(self._now + max_ms)
+        return not self._real
 
-    def run_until(self, event: "object") -> object:
+    def run_until(self, event: object) -> object:
         """Run until ``event`` has been processed; return its value.
 
         Raises the event's exception if it failed, and ``SimulationError`` if
@@ -469,22 +204,17 @@ class Engine:
 
         if not isinstance(event, Event):
             raise SimulationError(f"run_until() needs an Event, got {event!r}")
-        step = self.step
-        while not event.processed:
-            # Re-checked every iteration: a callback chain may retire the
-            # last real entry mid-run, leaving a daemon-only queue that
-            # could otherwise spin the clock forever on probe ticks.
-            if not self._real:
-                daemons = self._pending
-                detail = (
-                    f"only {daemons} daemon entr"
-                    f"{'y' if daemons == 1 else 'ies'} left"
-                    if daemons else "event queue drained")
-                raise SimulationError(
-                    f"{detail} while {event!r} was still pending "
-                    "(simulated deadlock)"
-                )
-            step()
+        self._dispatch(event=event)
+        if not event.processed:
+            daemons = len(self._heap)
+            detail = (
+                f"only {daemons} daemon entr"
+                f"{'y' if daemons == 1 else 'ies'} left"
+                if daemons else "event queue drained")
+            raise SimulationError(
+                f"{detail} while {event!r} was still pending "
+                "(simulated deadlock)"
+            )
         return event.result()
 
     def pending_count(self) -> int:

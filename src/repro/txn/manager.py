@@ -83,8 +83,7 @@ class TransactionManager:
         #: (the paper's accounting, byte-identical)
         self._coalescer: DatagramCoalescer | None = None
         if (commit is not None
-                and getattr(commit, "pipeline", "paper") == "grouped"
-                and getattr(commit, "coalesce_datagrams", True)):
+                and getattr(commit, "pipeline", "paper") == "grouped"):
             self._coalescer = DatagramCoalescer(node)
         self.port = node.create_port("tm")
         node.register_service(SERVICE, self.port)

@@ -113,29 +113,6 @@ def test_profiled_run_matches_goldens_byte_for_byte():
     assert profiler.handlers, "profiler attributed no handler categories"
 
 
-def test_heap_queue_fallback_matches_goldens_byte_for_byte():
-    """The pluggable event queue changes nothing observable.
-
-    The calendar queue is the default; this pins the ``heap`` fallback to
-    the *same* golden digests, proving the two queues pop in identical
-    ``(time, seq)`` order over a full chaos scenario -- crashes, restarts,
-    partitions, daemons, and all.
-    """
-    from repro.obs import metrics_json
-    from repro.sim import EngineConfig
-
-    run = run_scenario(PLAN, seed=2026, transfers=10, run_ms=4_000.0,
-                       trace_network=True, engine=EngineConfig.heap())
-    trace_sha = hashlib.sha256(
-        repr(run.controller.trace).encode()).hexdigest()
-    metrics_sha = hashlib.sha256(json.dumps(
-        metrics_json(run.cluster.metrics),
-        sort_keys=True).encode()).hexdigest()
-    assert run.cluster.engine.now == GOLDEN_FINAL_NOW
-    assert trace_sha == GOLDEN_TRACE_SHA
-    assert metrics_sha == GOLDEN_METRICS_SHA
-
-
 def test_different_seed_diverges():
     _, trace_a, _ = execute(seed=2026)
     _, trace_b, _ = execute(seed=2027)

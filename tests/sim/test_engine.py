@@ -1,9 +1,13 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Engine
+from repro.kernel.context import SimContext
+from repro.obs.profile import SimProfiler
+from repro.sim import Engine, Event
 
 
 def test_clock_starts_at_zero():
@@ -29,6 +33,30 @@ def test_same_time_events_run_in_schedule_order():
     assert seen == list(range(10))
 
 
+@settings(max_examples=60, deadline=None)
+@given(delays=st.lists(st.sampled_from([0.0, 1.0, 2.5]),
+                       min_size=1, max_size=40))
+def test_same_instant_fifo_property(delays):
+    """Entries scheduled for the same instant run in schedule order --
+    whatever mix of instants surrounds them."""
+    engine = Engine()
+    seen = []
+    for index, delay in enumerate(delays):
+        engine.schedule(delay, seen.append, args=((delay, index),))
+    engine.run()
+    assert seen == sorted(seen), "pop order broke (time, seq) sorting"
+
+
+def test_far_future_entries_run_in_time_order():
+    engine = Engine()
+    seen = []
+    for delay in [5_000.0, 1.5, 9_999.25, 2_500.0, 0.0, 9_999.75]:
+        engine.schedule(delay, seen.append, args=(delay,))
+    engine.run()
+    assert seen == [0.0, 1.5, 2_500.0, 5_000.0, 9_999.25, 9_999.75]
+    assert engine.now == 9_999.75
+
+
 def test_schedule_now_runs_after_pending_same_time_work():
     engine = Engine()
     seen = []
@@ -44,6 +72,15 @@ def test_negative_delay_rejected():
         engine.schedule(-1.0, lambda: None)
 
 
+def test_nan_delay_rejected():
+    """A NaN key compares false against everything: once in the heap it
+    would silently break the (time, seq) total order."""
+    engine = Engine()
+    with pytest.raises(SimulationError):
+        engine.schedule(float("nan"), lambda: None)
+    assert engine.events_scheduled == 0
+
+
 def test_run_until_time_stops_clock_exactly():
     engine = Engine()
     seen = []
@@ -53,6 +90,45 @@ def test_run_until_time_stops_clock_exactly():
     assert engine.now == 4.0
     engine.run()
     assert seen == ["late"]
+
+
+def test_event_at_exactly_until_runs():
+    """``run(until=t)`` is inclusive: an event at exactly ``t`` runs."""
+    engine = Engine()
+    seen = []
+    engine.schedule(10.0, seen.append, args=("at",))
+    engine.schedule(10.0 + 1e-9, seen.append, args=("after",))
+    engine.run(until=10.0)
+    assert seen == ["at"]
+    assert engine.now == 10.0
+    engine.run()
+    assert seen == ["at", "after"]
+
+
+def test_push_below_a_parked_far_future_front_pops_first():
+    """``run(until=t)`` parks the clock before a far-future entry; work
+    then scheduled *below* that entry must still run before it."""
+    engine = Engine()
+    seen = []
+    engine.schedule(5_000.0, seen.append, args=("far",))
+    engine.run(until=100.0)
+    assert seen == []
+    engine.schedule(1.0, seen.append, args=("near",))
+    engine.run()
+    assert seen == ["near", "far"]
+    assert engine.now == 5_000.0
+
+
+def test_run_until_repeatedly_across_idle_gaps():
+    """Successive bounded runs across empty stretches stay exact."""
+    engine = Engine()
+    seen = []
+    for delay in [50.0, 2_048.0, 7_000.5]:
+        engine.schedule(delay, seen.append, args=(delay,))
+    for until in [10.0, 60.0, 2_048.0, 6_000.0, 8_000.0]:
+        engine.run(until=until)
+        assert engine.now == until
+    assert seen == [50.0, 2_048.0, 7_000.5]
 
 
 def test_run_until_past_time_rejected():
@@ -103,20 +179,46 @@ def test_callback_scheduling_zero_delay_runs_after_same_time_peers():
     assert seen == ["first", "second", "child"]
 
 
-def test_reentrant_run_rejected():
-    """run() from inside a callback must fail loudly, not corrupt time."""
+#: every public way of driving the engine to quiescence, given an event
+#: that triggers before simulated ms 50
+DRIVERS = {
+    "run": lambda engine, event: engine.run(),
+    "run(until=)": lambda engine, event: engine.run(until=50.0),
+    "drain": lambda engine, event: engine.drain(50.0),
+    "run_until": lambda engine, event: engine.run_until(event),
+    "step": lambda engine, event: all(iter(engine.step, False)),
+}
+#: every way a callback might try to re-enter it
+NESTED = {
+    "run": lambda engine, event: engine.run(),
+    "drain": lambda engine, event: engine.drain(1.0),
+    "run_until": lambda engine, event: engine.run_until(event),
+    "step": lambda engine, event: engine.step(),
+}
+
+
+@pytest.mark.parametrize("nested", NESTED)
+@pytest.mark.parametrize("outer", DRIVERS)
+def test_reentering_the_engine_from_a_callback_rejected(outer, nested):
+    """One clock, one loop: a callback that drives the engine again must
+    fail loudly under every entry point, not nest a second loop."""
     engine = Engine()
+    event = Event(engine, "done")
     errors = []
 
     def reenter():
         try:
-            engine.run()
+            NESTED[nested](engine, event)
         except SimulationError as error:
             errors.append(error)
 
     engine.schedule(1.0, reenter)
-    engine.run()
+    engine.schedule(5.0, event.succeed)
+    DRIVERS[outer](engine, event)
     assert len(errors) == 1
+    # ... and the guard is released again once the outer call returns.
+    engine.run()
+    assert event.processed
 
 
 def test_interleaved_delays_keep_global_order():
@@ -212,6 +314,9 @@ def test_drain_quiesces_with_daemons_still_queued():
     engine.schedule(5.0, forever, daemon=True)
     engine.schedule(7.0, lambda: None)
     assert engine.drain(100.0) is True
+    assert engine.pending_count() == 0  # daemons excluded
+    # ... while the next tick is still queued
+    assert engine.events_scheduled - engine.events_executed == 1
 
 
 def test_run_with_until_executes_daemons_up_to_the_deadline():
@@ -229,8 +334,8 @@ def test_run_with_until_executes_daemons_up_to_the_deadline():
 
 
 def test_run_until_sees_daemon_only_queue_as_deadlock():
-    from repro.sim import Event
-
+    """A waited-on event that can never trigger (only daemon housekeeping
+    left) must raise a simulated-deadlock error, not spin forever."""
     engine = Engine()
 
     def forever():
@@ -238,7 +343,14 @@ def test_run_until_sees_daemon_only_queue_as_deadlock():
 
     engine.schedule(5.0, forever, daemon=True)
     event = Event(engine, "never")
-    with pytest.raises(SimulationError, match="deadlock"):
+    with pytest.raises(SimulationError, match="1 daemon entry.*deadlock"):
+        engine.run_until(event)
+
+
+def test_run_until_sees_empty_queue_as_deadlock():
+    engine = Engine()
+    event = Event(engine, "never")
+    with pytest.raises(SimulationError, match="drained.*deadlock"):
         engine.run_until(event)
 
 
@@ -252,3 +364,40 @@ def test_daemon_callback_can_create_real_work():
     engine.schedule(5.0, lambda: None)  # real work past the daemon
     engine.run()
     assert seen == [3.0]
+
+
+# -- counters and the profiler hook -----------------------------------------
+
+def fanout(engine, depth):
+    """Each call at depth d schedules three children at depth d-1."""
+    if depth:
+        for _ in range(3):
+            engine.schedule(float(depth), fanout, args=(engine, depth - 1))
+
+
+def test_counter_values():
+    engine = Engine()
+    engine.schedule(0.0, fanout, args=(engine, 4))
+    engine.schedule(10_000.0, lambda: None, daemon=True)
+    engine.run()
+    # 1 + 3 + 9 + 27 + 81 fanout calls, plus the daemon that never ran
+    assert engine.events_scheduled == 122
+    assert engine.events_executed == 121
+    assert (engine.daemon_scheduled, engine.daemon_executed) == (1, 0)
+    assert engine.heap_high_water == 82  # the 81 leaves + the daemon
+    assert engine.now == 10.0  # 4 + 3 + 2 + 1
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_profiler_sees_every_event_whichever_entry_point_drives(driver):
+    engine = Engine()
+    engine.profiler = SimProfiler(SimContext(engine))
+    event = Event(engine, "done")
+    engine.schedule(0.0, fanout, args=(engine, 3))
+    engine.schedule(2.0, lambda: None, daemon=True)
+    engine.schedule(20.0, event.succeed)
+    DRIVERS[driver](engine, event)
+    assert event.processed
+    assert engine.events_executed >= 42  # 40 fanout calls, daemon, succeed
+    assert engine.profiler.steps == engine.events_executed
+    assert engine.profiler.daemon_steps == engine.daemon_executed == 1

@@ -1,7 +1,5 @@
 """Unit tests for 2PC datagram coalescing (the grouped pipeline)."""
 
-import dataclasses
-
 import pytest
 
 from repro import TabsCluster
@@ -49,12 +47,6 @@ class TestInstallation:
     def test_grouped_config_installs_coalescer(self):
         cluster = build(CommitConfig.grouped())
         assert cluster.node("n1").tm._coalescer is not None
-
-    def test_coalescing_can_be_disabled(self):
-        commit = dataclasses.replace(CommitConfig.grouped(),
-                                     coalesce_datagrams=False)
-        cluster = build(commit)
-        assert cluster.node("n1").tm._coalescer is None
 
 
 class TestBatching:
