@@ -17,7 +17,6 @@ shortened variant whose gate also checks TPS against the committed
 baseline (CI uploads the smoke payload as an artifact).
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -26,33 +25,13 @@ if __package__ in (None, ""):  # running as a script, not under pytest
     sys.path.insert(0, str(_ROOT / "src"))
     sys.path.insert(0, str(_ROOT))
 
-import pytest
-
-from benchmarks.conftest import REPO_ROOT, baseline_main, write_result
-from repro.chaos import ChaosController, FaultPlan, crash_one_replica_per_shard
-from repro.core.cluster import TabsCluster
-from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
-from repro.workloads import DebitCreditWorkload
-
-#: two branches on two nodes; 70% of account traffic is remote, so most
-#: transactions exercise cross-node write fan-out
-BENCH_WORKLOAD = WorkloadConfig(branches=2, accounts_per_branch=200,
-                                tellers_per_branch=4, locality=0.3)
-REPLICATION = ReplicationConfig.available_copies()
-SEED = 1985
-SPACING_MS = 300.0
-FULL_DURATION_MS = 24_000.0
-#: long enough that the fixed-cost windows (1.5 s failure detection,
-#: 5 s in-doubt inquiry, catch-up retries) stay well under the gap bar,
-#: which scales with duration while those costs do not
-SMOKE_DURATION_MS = 18_000.0
-#: no commit gap may exceed this fraction of the run: the crash windows
-#: (detection + in-doubt resolution) bound it well below a full outage
-MAX_GAP_FRACTION = 0.4
-#: smoke TPS may drift this much from the committed full-run baseline
-#: (shorter window, same rolling schedule -> coarser quantization)
-SMOKE_TPS_TOLERANCE = 0.5
-BASELINE_PATH = REPO_ROOT / "BENCH_availability.json"
+from benchmarks.conftest import (
+    FAULT_FULL_DURATION_MS,
+    FaultBench,
+    FaultBenchTests,
+    FaultRun,
+)
+from repro.chaos import FaultPlan, crash_one_replica_per_shard
 
 
 def rolling_plan(placement, duration_ms: float) -> FaultPlan:
@@ -66,168 +45,43 @@ def rolling_plan(placement, duration_ms: float) -> FaultPlan:
 
 
 def run_availability(duration_ms: float) -> dict:
-    config = TabsConfig(seed=SEED, workload=BENCH_WORKLOAD,
-                        replication=REPLICATION)
-    cluster = TabsCluster(config)
-    topology = cluster.build_workload()
-    plan = rolling_plan(cluster.placement, duration_ms)
-    controller = ChaosController(cluster, plan, seed=SEED)
-    controller.install()
-    driver = DebitCreditWorkload(cluster, topology, controller=controller,
-                                 seed=SEED)
-    offered = int(duration_ms / SPACING_MS)
-    driver.schedule_traffic(txns=offered, spacing_ms=SPACING_MS)
-    driver.run(duration_ms)
-    quiet = driver.finale()
-    report = driver.check_invariants(quiet=quiet)
-
-    commit_times = sorted(event[0] for event in controller.trace
-                          if event[1] == "txn" and event[4] == "committed")
-    points = [0.0] + commit_times + [duration_ms]
-    max_gap = max(later - earlier
-                  for earlier, later in zip(points, points[1:]))
-
-    def counter_sum(name: str) -> int:
-        return sum(counter.value for (node, metric), counter
-                   in cluster.metrics.counters().items() if metric == name)
-
-    outcomes = driver.stats.outcomes()
-    return {
-        "duration_ms": duration_ms,
-        "plan": [{"node": action.node, "at_ms": action.at_ms,
-                  "restart_after_ms": action.restart_after_ms}
-                 for action in plan],
-        "offered": offered,
-        "committed": outcomes.get("committed", 0),
-        "aborted": outcomes.get("aborted", 0),
-        "skipped": outcomes.get("skipped", 0),
-        "unknown": outcomes.get("unknown", 0),
-        "tps": round(outcomes.get("committed", 0) / (duration_ms / 1000.0),
-                     3),
-        "max_commit_gap_ms": round(max_gap, 3),
-        "read_failovers": counter_sum("replication.read_failover"),
-        "degraded_writes": counter_sum("replication.write_all_degraded"),
-        "validation_aborts": counter_sum("replication.validation_abort"),
-        "catchup_pages": counter_sum("replica.catchup_pages"),
-        "audits_ok": report.ok,
-        "violations": [v.kind for v in report.violations],
-    }
+    run = FaultRun(duration_ms)
+    plan = rolling_plan(run.cluster.placement, duration_ms)
+    run.install(plan)
+    run.offer_traffic()
+    run.play()
+    return run.result(
+        {"plan": [{"node": action.node, "at_ms": action.at_ms,
+                   "restart_after_ms": action.restart_after_ms}
+                  for action in plan]},
+        {"read_failovers": run.counter_sum("replication.read_failover"),
+         "degraded_writes":
+             run.counter_sum("replication.write_all_degraded")})
 
 
-@pytest.fixture(scope="module")
-def availability_result():
-    return run_availability(FULL_DURATION_MS)
+BENCH = FaultBench(
+    "availability", run_availability,
+    description="Regenerate the replication availability baseline.",
+    title="DebitCredit under rolling replica crashes (rf=2, one replica "
+          "per shard)",
+    detail=lambda r: (f"read failovers {r['read_failovers']}  degraded "
+                      f"writes {r['degraded_writes']}  catchup pages "
+                      f"{r['catchup_pages']}"),
+    disturbance="under rolling crashes", headline="degraded_writes")
 
 
-def test_render_availability(availability_result, benchmark):
-    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
-    r = availability_result
-    lines = ["DebitCredit under rolling replica crashes (rf=2, "
-             "one replica per shard)", "=" * 72,
-             f"offered {r['offered']}  committed {r['committed']}  "
-             f"tps {r['tps']}",
-             f"max commit gap {r['max_commit_gap_ms']} ms of "
-             f"{r['duration_ms']} ms",
-             f"read failovers {r['read_failovers']}  degraded writes "
-             f"{r['degraded_writes']}  catchup pages {r['catchup_pages']}",
-             f"audits ok: {r['audits_ok']}"]
-    write_result("availability.txt", "\n".join(lines))
+class TestAvailability(FaultBenchTests):
+    bench = BENCH
 
+    def test_every_crash_lands_inside_the_run(self, result):
+        """The commits counted flowed *through* both crash windows."""
+        assert max(a["at_ms"] for a in result["plan"]) < \
+            FAULT_FULL_DURATION_MS
 
-def test_commits_flow_through_both_crashes(availability_result):
-    """The acceptance bar: the cluster keeps committing while each
-    shard's replica is down."""
-    assert availability_result["committed"] > 0
-    last_crash = max(a["at_ms"] for a in availability_result["plan"])
-    assert last_crash < FULL_DURATION_MS
-
-
-def test_no_full_outage_window(availability_result):
-    r = availability_result
-    assert r["max_commit_gap_ms"] < MAX_GAP_FRACTION * r["duration_ms"], \
-        f"commit gap {r['max_commit_gap_ms']} ms is an outage"
-
-
-def test_service_degraded_not_refused(availability_result):
-    assert availability_result["degraded_writes"] > 0
-    assert availability_result["catchup_pages"] > 0
-
-
-def test_audits_pass_after_repair(availability_result):
-    assert availability_result["audits_ok"], \
-        availability_result["violations"]
-
-
-def payload_from(result: dict) -> dict:
-    return {
-        "workload": {
-            "schema": BENCH_WORKLOAD.schema,
-            "branches": BENCH_WORKLOAD.branches,
-            "branches_per_node": BENCH_WORKLOAD.branches_per_node,
-            "tellers_per_branch": BENCH_WORKLOAD.tellers_per_branch,
-            "accounts_per_branch": BENCH_WORKLOAD.accounts_per_branch,
-            "locality": BENCH_WORKLOAD.locality,
-        },
-        "replication": {
-            "replication_factor": REPLICATION.replication_factor,
-            "prepared_inquiry_ms": REPLICATION.prepared_inquiry_ms,
-            "catchup_retry_ms": REPLICATION.catchup_retry_ms,
-        },
-        "seed": SEED,
-        "spacing_ms": SPACING_MS,
-        **result,
-    }
-
-
-def baseline_payload(duration_ms: float = FULL_DURATION_MS) -> dict:
-    """The committed baseline (timestamp-free: deterministic simulation,
-    so regenerating an unchanged tree is a no-op diff)."""
-    return payload_from(run_availability(duration_ms))
-
-
-def test_baseline_json_matches_current_tree(availability_result):
-    """BENCH_availability.json is regenerated, not hand-edited."""
-    committed = json.loads(BASELINE_PATH.read_text())
-    assert committed == payload_from(availability_result)
-
-
-def smoke_check(payload: dict) -> tuple[bool, str]:
-    """Gate the shortened CI run against the committed full baseline."""
-    problems = []
-    if payload["committed"] <= 0:
-        problems.append("no transaction committed under rolling crashes")
-    if not payload["audits_ok"]:
-        problems.append(f"audits failed: {payload['violations']}")
-    gap_limit = MAX_GAP_FRACTION * payload["duration_ms"]
-    if payload["max_commit_gap_ms"] >= gap_limit:
-        problems.append(
-            f"commit gap {payload['max_commit_gap_ms']} ms exceeds "
-            f"{gap_limit} ms: that is an outage window")
-    committed = json.loads(BASELINE_PATH.read_text())
-    if committed["tps"] > 0:
-        drift = abs(payload["tps"] - committed["tps"]) / committed["tps"]
-        if drift > SMOKE_TPS_TOLERANCE:
-            problems.append(
-                f"tps drifted {drift:.0%} from baseline "
-                f"({payload['tps']} vs {committed['tps']})")
-    summary = (f"tps={payload['tps']}, "
-               f"max_gap={payload['max_commit_gap_ms']}ms, "
-               f"degraded_writes={payload['degraded_writes']}")
-    if problems:
-        summary += "; " + "; ".join(problems)
-    return not problems, summary
-
-
-def main(argv: list[str] | None = None) -> int:
-    return baseline_main(
-        argv,
-        description="Regenerate the replication availability baseline.",
-        baseline_path=BASELINE_PATH,
-        payload_fn=baseline_payload,
-        full_duration_ms=FULL_DURATION_MS,
-        smoke_duration_ms=SMOKE_DURATION_MS,
-        smoke_check=smoke_check)
+    def test_service_degraded_not_refused(self, result):
+        assert result["degraded_writes"] > 0
+        assert result["catchup_pages"] > 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(BENCH.main())

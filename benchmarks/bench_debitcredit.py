@@ -25,7 +25,13 @@ if __package__ in (None, ""):  # running as a script, not under pytest
 
 import pytest
 
-from benchmarks.conftest import REPO_ROOT, baseline_main, write_result
+from benchmarks.conftest import (
+    REPO_ROOT,
+    baseline_main,
+    drift_problems,
+    workload_block,
+    write_result,
+)
 from repro.core.config import WorkloadConfig
 from repro.perf.debitcredit import compare_debitcredit_pipelines
 
@@ -129,14 +135,7 @@ def payload_from(results: dict, duration_ms: float) -> dict:
     paper_16 = results["paper"][2]
     grouped_16 = results["grouped"][2]
     return {
-        "workload": {
-            "schema": BENCH_WORKLOAD.schema,
-            "branches": BENCH_WORKLOAD.branches,
-            "branches_per_node": BENCH_WORKLOAD.branches_per_node,
-            "tellers_per_branch": BENCH_WORKLOAD.tellers_per_branch,
-            "accounts_per_branch": BENCH_WORKLOAD.accounts_per_branch,
-            "locality": BENCH_WORKLOAD.locality,
-        },
+        "workload": workload_block(BENCH_WORKLOAD),
         "duration_ms": duration_ms,
         "client_counts": list(CLIENT_COUNTS),
         "pipelines": {name: [row(r) for r in rows]
@@ -174,14 +173,9 @@ def smoke_check(payload: dict) -> tuple[bool, str]:
     for name in ("paper", "grouped"):
         for got, want in zip(payload["pipelines"][name],
                              committed["pipelines"][name]):
-            if want["tps"] == 0:
-                continue
-            drift = abs(got["tps"] - want["tps"]) / want["tps"]
-            if drift > SMOKE_TPS_TOLERANCE:
-                problems.append(
-                    f"{name} tps at {got['clients']} clients drifted "
-                    f"{drift:.0%} from baseline "
-                    f"({got['tps']} vs {want['tps']})")
+            problems += drift_problems(
+                f"{name} tps at {got['clients']} clients",
+                got["tps"], want["tps"], SMOKE_TPS_TOLERANCE)
     summary = (f"speedup@8={payload['speedup_at_8_clients']}x, "
                f"speedup@16={payload['speedup_at_16_clients']}x")
     if problems:

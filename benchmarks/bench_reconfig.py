@@ -17,7 +17,6 @@ shortened variant whose gate also checks TPS against the committed
 baseline (CI uploads the smoke payload as an artifact).
 """
 
-import json
 import sys
 from pathlib import Path
 
@@ -26,216 +25,75 @@ if __package__ in (None, ""):  # running as a script, not under pytest
     sys.path.insert(0, str(_ROOT / "src"))
     sys.path.insert(0, str(_ROOT))
 
-import pytest
-
-from benchmarks.conftest import REPO_ROOT, baseline_main, write_result
-from repro.chaos import ChaosController, FaultPlan
-from repro.core.cluster import TabsCluster
-from repro.core.config import (ReconfigConfig, ReplicationConfig, TabsConfig,
-                               WorkloadConfig)
+from benchmarks.conftest import (
+    FaultBench,
+    FaultBenchTests,
+    FaultRun,
+)
+from repro.chaos import FaultPlan
+from repro.core.config import ReconfigConfig
 from repro.reconfig import ReconfigManager
-from repro.workloads import DebitCreditWorkload
 
-#: two branches on two nodes; 70% of account traffic is remote, so most
-#: transactions exercise cross-node write fan-out
-BENCH_WORKLOAD = WorkloadConfig(branches=2, accounts_per_branch=200,
-                                tellers_per_branch=4, locality=0.3)
-REPLICATION = ReplicationConfig.available_copies()
 RECONFIG = ReconfigConfig.online()
-SEED = 1985
-SPACING_MS = 300.0
-FULL_DURATION_MS = 24_000.0
-SMOKE_DURATION_MS = 18_000.0
 #: the migration starts this far into the run -- late enough that the
 #: steady-state TPS is established, early enough that the copy, the
 #: barrier drop, and both epoch bumps land well inside the window
 MIGRATE_AT_FRACTION = 0.35
-#: no commit gap may exceed this fraction of the run: the epoch-bump
-#: abort windows and the copy fan-in bound it well below a full outage
-MAX_GAP_FRACTION = 0.4
-#: smoke TPS may drift this much from the committed full-run baseline
-SMOKE_TPS_TOLERANCE = 0.5
-BASELINE_PATH = REPO_ROOT / "BENCH_reconfig.json"
 
 
 def run_reconfig(duration_ms: float) -> dict:
-    config = TabsConfig(seed=SEED, workload=BENCH_WORKLOAD,
-                        replication=REPLICATION, reconfig=RECONFIG)
-    cluster = TabsCluster(config)
-    topology = cluster.build_workload()
-    manager = ReconfigManager(cluster, "bank0")
+    run = FaultRun(duration_ms, reconfig=RECONFIG)
+    manager = ReconfigManager(run.cluster, "bank0")
     # No faults: the controller rides along purely for its commit trace.
-    controller = ChaosController(cluster, FaultPlan(()), seed=SEED)
-    controller.install()
+    run.install(FaultPlan(()))
     manager.join("bank2")  # live join; hosts nothing until the migration
-    driver = DebitCreditWorkload(cluster, topology, controller=controller,
-                                 seed=SEED)
-    offered = int(duration_ms / SPACING_MS)
-    driver.schedule_traffic(txns=offered, spacing_ms=SPACING_MS)
-    keyspace = topology.account_server(1)
+    run.offer_traffic()
+    keyspace = run.topology.account_server(1)
     holder = {}
-    cluster.engine.schedule(
+    run.cluster.engine.schedule(
         MIGRATE_AT_FRACTION * duration_ms,
         lambda: holder.update(
             c=manager.spawn_migration(keyspace, "bank0", "bank2")))
-    driver.run(duration_ms)
-    quiet = driver.finale()
-    report = driver.check_invariants(quiet=quiet)
-
-    commit_times = sorted(event[0] for event in controller.trace
-                          if event[1] == "txn" and event[4] == "committed")
-    points = [0.0] + commit_times + [duration_ms]
-    max_gap = max(later - earlier
-                  for earlier, later in zip(points, points[1:]))
-
-    def counter_sum(name: str) -> int:
-        return sum(counter.value for (node, metric), counter
-                   in cluster.metrics.counters().items() if metric == name)
-
-    migration_events = [(round(t, 1), phase) for t, phase, *_
+    run.play()
+    # lists, not tuples: the result must equal its own JSON round trip
+    migration_events = [[round(t, 1), phase] for t, phase, *_
                         in manager.events]
-    outcomes = driver.stats.outcomes()
-    return {
-        "duration_ms": duration_ms,
-        "migrate_at_ms": MIGRATE_AT_FRACTION * duration_ms,
-        "keyspace": keyspace,
-        "offered": offered,
-        "committed": outcomes.get("committed", 0),
-        "aborted": outcomes.get("aborted", 0),
-        "skipped": outcomes.get("skipped", 0),
-        "unknown": outcomes.get("unknown", 0),
-        "tps": round(outcomes.get("committed", 0) / (duration_ms / 1000.0),
-                     3),
-        "max_commit_gap_ms": round(max_gap, 3),
-        "migration_committed": holder["c"].result is True,
-        "migration_events": migration_events,
-        "placement_epoch": cluster.placement_epoch,
-        "final_replicas": list(cluster.placement.replicas(keyspace)),
-        "copy_chunks": sum(1 for _, phase in migration_events
-                           if phase == "copy"),
-        "epoch_installs": counter_sum("reconfig.epoch_installs"),
-        "validation_aborts": counter_sum("replication.validation_abort"),
-        "catchup_pages": counter_sum("replica.catchup_pages"),
-        "audits_ok": report.ok,
-        "violations": [v.kind for v in report.violations],
-    }
+    return run.result(
+        {"migrate_at_ms": MIGRATE_AT_FRACTION * duration_ms,
+         "keyspace": keyspace},
+        {"migration_committed": holder["c"].result is True,
+         "migration_events": migration_events,
+         "placement_epoch": run.cluster.placement_epoch,
+         "final_replicas": list(run.cluster.placement.replicas(keyspace)),
+         "copy_chunks": sum(1 for _, phase in migration_events
+                            if phase == "copy"),
+         "epoch_installs": run.counter_sum("reconfig.epoch_installs")})
 
 
-@pytest.fixture(scope="module")
-def reconfig_result():
-    return run_reconfig(FULL_DURATION_MS)
+BENCH = FaultBench(
+    "reconfig", run_reconfig,
+    description="Regenerate the online-reconfiguration baseline.",
+    title="DebitCredit through a live shard migration (join + move, rf=2)",
+    detail=lambda r: (f"migration committed: {r['migration_committed']}  "
+                      f"epoch {r['placement_epoch']}  "
+                      f"copy chunks {r['copy_chunks']}"),
+    disturbance="through the migration", headline="migration_committed",
+    config_blocks={"reconfig": {
+        "copy_retry_ms": RECONFIG.copy_retry_ms,
+        "copy_max_retries": RECONFIG.copy_max_retries}},
+    own_problems=lambda payload: (
+        [] if payload["migration_committed"]
+        else ["the live migration did not commit"]))
 
 
-def test_render_reconfig(reconfig_result, benchmark):
-    benchmark.pedantic(lambda: None, iterations=1, rounds=1)
-    r = reconfig_result
-    lines = ["DebitCredit through a live shard migration (join + move, "
-             "rf=2)", "=" * 72,
-             f"offered {r['offered']}  committed {r['committed']}  "
-             f"tps {r['tps']}",
-             f"max commit gap {r['max_commit_gap_ms']} ms of "
-             f"{r['duration_ms']} ms",
-             f"migration committed: {r['migration_committed']}  "
-             f"epoch {r['placement_epoch']}  "
-             f"copy chunks {r['copy_chunks']}",
-             f"audits ok: {r['audits_ok']}"]
-    write_result("reconfig.txt", "\n".join(lines))
+class TestReconfig(FaultBenchTests):
+    bench = BENCH
 
-
-def test_migration_lands_and_commits_keep_flowing(reconfig_result):
-    """The acceptance bar: the shard moves while transactions commit."""
-    r = reconfig_result
-    assert r["migration_committed"] is True
-    assert r["final_replicas"][-1] == "bank2"
-    assert r["committed"] > 0
-
-
-def test_no_full_outage_window(reconfig_result):
-    r = reconfig_result
-    assert r["max_commit_gap_ms"] < MAX_GAP_FRACTION * r["duration_ms"], \
-        f"commit gap {r['max_commit_gap_ms']} ms is an outage"
-
-
-def test_audits_pass_after_the_move(reconfig_result):
-    assert reconfig_result["audits_ok"], reconfig_result["violations"]
-
-
-def payload_from(result: dict) -> dict:
-    return {
-        "workload": {
-            "schema": BENCH_WORKLOAD.schema,
-            "branches": BENCH_WORKLOAD.branches,
-            "branches_per_node": BENCH_WORKLOAD.branches_per_node,
-            "tellers_per_branch": BENCH_WORKLOAD.tellers_per_branch,
-            "accounts_per_branch": BENCH_WORKLOAD.accounts_per_branch,
-            "locality": BENCH_WORKLOAD.locality,
-        },
-        "replication": {
-            "replication_factor": REPLICATION.replication_factor,
-            "prepared_inquiry_ms": REPLICATION.prepared_inquiry_ms,
-            "catchup_retry_ms": REPLICATION.catchup_retry_ms,
-        },
-        "reconfig": {
-            "copy_retry_ms": RECONFIG.copy_retry_ms,
-            "copy_max_retries": RECONFIG.copy_max_retries,
-        },
-        "seed": SEED,
-        "spacing_ms": SPACING_MS,
-        **result,
-    }
-
-
-def baseline_payload(duration_ms: float = FULL_DURATION_MS) -> dict:
-    """The committed baseline (timestamp-free: deterministic simulation,
-    so regenerating an unchanged tree is a no-op diff)."""
-    return payload_from(run_reconfig(duration_ms))
-
-
-def test_baseline_json_matches_current_tree(reconfig_result):
-    """BENCH_reconfig.json is regenerated, not hand-edited."""
-    committed = json.loads(BASELINE_PATH.read_text())
-    assert committed == payload_from(reconfig_result)
-
-
-def smoke_check(payload: dict) -> tuple[bool, str]:
-    """Gate the shortened CI run against the committed full baseline."""
-    problems = []
-    if not payload["migration_committed"]:
-        problems.append("the live migration did not commit")
-    if payload["committed"] <= 0:
-        problems.append("no transaction committed through the migration")
-    if not payload["audits_ok"]:
-        problems.append(f"audits failed: {payload['violations']}")
-    gap_limit = MAX_GAP_FRACTION * payload["duration_ms"]
-    if payload["max_commit_gap_ms"] >= gap_limit:
-        problems.append(
-            f"commit gap {payload['max_commit_gap_ms']} ms exceeds "
-            f"{gap_limit} ms: that is an outage window")
-    committed = json.loads(BASELINE_PATH.read_text())
-    if committed["tps"] > 0:
-        drift = abs(payload["tps"] - committed["tps"]) / committed["tps"]
-        if drift > SMOKE_TPS_TOLERANCE:
-            problems.append(
-                f"tps drifted {drift:.0%} from baseline "
-                f"({payload['tps']} vs {committed['tps']})")
-    summary = (f"tps={payload['tps']}, "
-               f"max_gap={payload['max_commit_gap_ms']}ms, "
-               f"migration_committed={payload['migration_committed']}")
-    if problems:
-        summary += "; " + "; ".join(problems)
-    return not problems, summary
-
-
-def main(argv: list[str] | None = None) -> int:
-    return baseline_main(
-        argv,
-        description="Regenerate the online-reconfiguration baseline.",
-        baseline_path=BASELINE_PATH,
-        payload_fn=baseline_payload,
-        full_duration_ms=FULL_DURATION_MS,
-        smoke_duration_ms=SMOKE_DURATION_MS,
-        smoke_check=smoke_check)
+    def test_migration_lands(self, result):
+        """The acceptance bar: the shard moves while transactions commit."""
+        assert result["migration_committed"] is True
+        assert result["final_replicas"][-1] == "bank2"
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(BENCH.main())

@@ -37,7 +37,12 @@ if __package__ in (None, ""):  # running as a script, not under pytest
 
 import pytest
 
-from benchmarks.conftest import REPO_ROOT, baseline_main, write_result
+from benchmarks.conftest import (
+    REPO_ROOT,
+    baseline_main,
+    drift_problems,
+    write_result,
+)
 from repro.core.cluster import TabsCluster
 from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
 from repro.perf.debitcredit import run_debitcredit
@@ -105,7 +110,7 @@ def run_replicated(duration_ms: float):
     driver.schedule_traffic(txns=offered,
                             spacing_ms=REPLICATED_SPACING_MS)
     driver.run(duration_ms)
-    driver.drain()
+    cluster.settle()
     return cluster, driver.stats.outcomes().get("committed", 0)
 
 
@@ -220,12 +225,8 @@ def smoke_check(payload: dict) -> tuple[bool, str]:
     for name, det in payload["scenarios"].items():
         want = committed["scenarios"][name]["events_per_commit"]
         got = det["events_per_commit"]
-        if want > 0:
-            drift = abs(got - want) / want
-            if drift > SMOKE_DRIFT_TOLERANCE:
-                problems.append(
-                    f"{name} events/commit drifted {drift:.0%} from "
-                    f"baseline ({got} vs {want})")
+        problems += drift_problems(f"{name} events/commit", got, want,
+                                   SMOKE_DRIFT_TOLERANCE)
         if det["committed"] <= 0:
             problems.append(f"{name} committed nothing")
     for name, wall in payload["wall"].items():

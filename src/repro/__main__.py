@@ -127,8 +127,7 @@ def _run_chaos_target(seed: int, traced: bool,
     workload.setup()
     controller.install()
     workload.schedule_traffic(transfers=10)
-    workload.run(4_000.0)
-    workload.finale()
+    workload.play(4_000.0)
     return cluster
 
 

@@ -40,12 +40,8 @@ from repro.chaos.plan import (
     isolate_replica,
     random_plan,
 )
-from repro.chaos.workload import (
-    ChaosWorkload,
-    TxnRecord,
-    WorkloadStats,
-    build_cluster,
-)
+from repro.chaos.workload import ChaosWorkload, TxnRecord, build_cluster
+from repro.workloads.harness import WorkloadStats
 
 __all__ = [
     "BitRotAt",

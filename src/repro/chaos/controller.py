@@ -30,6 +30,7 @@ from repro.chaos.plan import (
     TornWriteAt,
 )
 from repro.errors import TabsError
+from repro.recovery.audit import watch_terminal_statuses
 from repro.sim import Process, Timeout
 from repro.wal.records import TransactionStatusRecord, TxnStatus
 
@@ -46,7 +47,7 @@ class ChaosController:
         self.trace: list[tuple] = []
         #: every terminal status ever durably logged, per node -- immune to
         #: log truncation, for the post-run audits: {node: {tid: {status}}}
-        self.status_history: dict[str, dict] = {}
+        self.status_history = watch_terminal_statuses(cluster)
         self._installed = False
         self._watchers: list[Process] = []
         if trace_network:
@@ -61,9 +62,6 @@ class ChaosController:
     def _wire_node(self, name: str, tabs_node) -> None:
         tabs_node.node.on_crash.append(self._node_crashed)
         tabs_node.node.on_restart.append(self._node_restarted)
-        self.status_history[name] = {}
-        tabs_node.log_store.observers.append(
-            lambda record, node=name: self._observe(node, record))
         # The observer list survives rebuilds, so detections keep
         # landing in the trace across crash/recovery cycles.
         tabs_node.fd_observers.append(self._detector_event)
@@ -92,13 +90,6 @@ class ChaosController:
     def _detector_event(self, time_ms: float, local: str, event: str,
                         peer: str) -> None:
         self.trace.append((time_ms, "fd", local, event, peer))
-
-    def _observe(self, node: str, record) -> None:
-        if (isinstance(record, TransactionStatusRecord)
-                and record.status in (TxnStatus.COMMITTED,
-                                      TxnStatus.ABORTED)):
-            self.status_history[node].setdefault(
-                record.tid, set()).add(record.status.value)
 
     @property
     def engine(self):

@@ -1,54 +1,33 @@
-"""Invariant-checking workloads for the chaos harness.
+"""The invariant-checking workload of the chaos harness.
 
 :class:`ChaosWorkload` drives randomized multi-node transfer (and
 optionally queue) traffic against a cluster while a
 :class:`~repro.chaos.controller.ChaosController` injects faults, then
 checks -- after repair, quiescence, and a final crash-all/recover-all --
-that the TABS guarantees held:
+that the TABS guarantees held.  It is a subclass of the shared client
+harness (:mod:`repro.workloads.harness`), which supplies the arrival
+schedule, the outcome taxonomy and the standard audit list
+(``docs/CHAOS.md``); what lives here is what a transfer or an enqueue
+*is*, and this workload's own two invariants:
 
 - **conservation**: transfers move money between integer-array cells, so
   the total across every account is invariant whatever committed or
   aborted;
-- **atomicity**: no transaction is durably COMMITTED at one node and
-  ABORTED at another (:func:`repro.recovery.audit.audit_atomicity`);
-- **no lost commits**: every commit acknowledged to the application has a
-  durable COMMITTED record (:func:`audit_client_commits`);
-- **no lost writes**: the final disk image matches the values the logs
-  decided (:func:`audit_committed_values`);
-- **drainage**: no lock, lock waiter, or service-port backlog survives
-  quiescence (:func:`audit_drainage`);
-- **storage integrity**: after repair, every disk sector passes its
-  payload checksum and the duplexed log media verifies on both copies
-  (:func:`audit_storage_integrity`) -- injected corruption never
-  survives latently;
 - **queue integrity** (when enabled): a committed enqueue's item is
   drained exactly once; an aborted enqueue's item never appears.
-
-Client transactions are spawned as processes *owned by their node*, so a
-node crash kills its in-flight applications -- their outcomes become
-``unknown`` and the audits treat them accordingly (an unknown outcome may
-legitimately be either committed or aborted, but never both).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.chaos.controller import ChaosController
 from repro.core.cluster import TabsCluster
 from repro.core.config import TabsConfig
-from repro.recovery.audit import (
-    AuditReport,
-    AuditViolation,
-    audit_atomicity,
-    audit_client_commits,
-    audit_committed_values,
-    audit_drainage,
-    audit_storage_integrity,
-)
+from repro.recovery.audit import AuditViolation
 from repro.servers.int_array import IntegerArrayServer
 from repro.servers.weak_queue import QueueEmpty, WeakQueueServer
+from repro.workloads import harness
 
 #: server name of the shared queue (lives on the first node)
 QUEUE_NAME = "mailq"
@@ -73,41 +52,23 @@ def build_cluster(node_count: int = 3, with_queue: bool = False,
 
 
 @dataclass
-class TxnRecord:
-    """One client transaction's fate, as the application saw it."""
+class TxnRecord(harness.TxnRecord):
+    """A transfer between two bank cells, or an enqueue on the queue."""
 
-    index: int
     kind: str  # "transfer" | "enqueue"
     client: str
     detail: tuple
-    outcome: str = "unknown"  # committed | aborted | failed | unknown | skipped
-    tid: object = None
-    error: str = ""
 
 
-@dataclass
-class WorkloadStats:
-    records: list[TxnRecord] = field(default_factory=list)
-
-    def outcomes(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for record in self.records:
-            counts[record.outcome] = counts.get(record.outcome, 0) + 1
-        return counts
-
-    def committed(self) -> list[TxnRecord]:
-        return [r for r in self.records if r.outcome == "committed"]
-
-
-class ChaosWorkload:
+class ChaosWorkload(harness.SeededWorkload):
     """Randomized transfers (+ optional enqueues) under fault injection."""
+
+    PROCESS_PREFIX = "chaos-txn"
 
     def __init__(self, cluster: TabsCluster, controller: ChaosController,
                  seed: int = 0, accounts_per_server: int = 4,
                  initial_balance: int = 100) -> None:
-        self.cluster = cluster
-        self.controller = controller
-        self.rng = random.Random(seed)
+        super().__init__(cluster, controller, seed)
         self.accounts = accounts_per_server
         self.initial_balance = initial_balance
         self.banks = sorted(name for node in cluster.nodes.values()
@@ -117,11 +78,6 @@ class ChaosWorkload:
                              for node in cluster.nodes.values())
         self.expected_total = (len(self.banks) * self.accounts
                                * self.initial_balance)
-        self.stats = WorkloadStats()
-
-    @property
-    def engine(self):
-        return self.cluster.engine
 
     # -- setup ---------------------------------------------------------------------
 
@@ -177,18 +133,15 @@ class ChaosWorkload:
                          first_at_ms: float = 5.0,
                          spacing_ms: float = 120.0,
                          max_amount: int = 25) -> None:
-        """Schedule the whole client mix at seeded, jittered instants.
+        """Schedule the whole client mix at seeded, jittered instants."""
+        self._schedule(self._draw_mix(transfers, enqueues, max_amount),
+                       first_at_ms, spacing_ms)
 
-        Every random decision is drawn here, up front, from this
-        workload's own :class:`random.Random` -- the schedule (and hence
-        the run) is a pure function of the seed.
-        """
+    def _draw_mix(self, transfers: int, enqueues: int, max_amount: int):
         nodes = sorted(self.cluster.nodes)
-        at_ms = first_at_ms
-        index = 0
         mix = (["transfer"] * transfers + ["enqueue"] * enqueues)
         self.rng.shuffle(mix)
-        for kind in mix:
+        for index, kind in enumerate(mix):
             client = self.rng.choice(nodes)
             if kind == "transfer":
                 src, dst = self.rng.sample(self.banks, 2)
@@ -196,143 +149,44 @@ class ChaosWorkload:
                 dst_cell = self.rng.randint(1, self.accounts)
                 amount = self.rng.randint(1, max_amount)
                 detail = (src, src_cell, dst, dst_cell, amount)
-                generator = self._transfer
             else:
                 detail = (f"item-{index}",)
-                generator = self._enqueue
-            record = TxnRecord(index, kind, client, detail)
-            self.stats.records.append(record)
-            self.engine.schedule(
-                at_ms, lambda r=record, g=generator: self._spawn(r, g))
-            at_ms += self.rng.uniform(0.3, 1.0) * spacing_ms
-            index += 1
+            yield TxnRecord(index, kind, client, detail)
 
-    def _spawn(self, record: TxnRecord, generator) -> None:
-        node = self.cluster.node(record.client).node
-        if not node.alive:
-            record.outcome = "skipped"
-            self._trace(record)
-            return
-        node.spawn(generator(record), name=f"chaos-txn-{record.index}",
-                   defused=True)
+    def client_node(self, record: TxnRecord) -> str:
+        return record.client
 
-    def _trace(self, record: TxnRecord) -> None:
-        self.controller.record("txn", record.index, record.kind,
-                               record.client, record.outcome,
-                               *record.detail)
+    def trace_fields(self, record: TxnRecord) -> tuple:
+        return (record.index, record.kind, record.client, record.outcome,
+                *record.detail)
 
-    def _transfer(self, record: TxnRecord):
-        src, src_cell, dst, dst_cell, amount = record.detail
-        app = self.cluster.application(record.client)
-        try:
-            tid = yield from app.begin_transaction()
-            record.tid = tid
-            src_ref = yield from app.lookup_one(src)
-            dst_ref = yield from app.lookup_one(dst)
-            src_val = yield from app.call(src_ref, "get_cell",
-                                          {"cell": src_cell}, tid)
-            dst_val = yield from app.call(dst_ref, "get_cell",
-                                          {"cell": dst_cell}, tid)
-            yield from app.call(src_ref, "set_cell",
-                                {"cell": src_cell,
-                                 "value": src_val["value"] - amount}, tid)
-            yield from app.call(dst_ref, "set_cell",
-                                {"cell": dst_cell,
-                                 "value": dst_val["value"] + amount}, tid)
-            committed = yield from app.end_transaction(tid)
-            record.outcome = "committed" if committed else "aborted"
-        except Exception as error:  # noqa: BLE001 - faults hit anywhere
-            record.error = repr(error)
-            # Before end_transaction returns, the outcome is unknowable
-            # from the client's seat: the crash may have hit either side
-            # of the commit point.
-            record.outcome = "unknown"
-            yield from self._try_abort(app, record)
-        self._trace(record)
-
-    def _enqueue(self, record: TxnRecord):
-        (item,) = record.detail
-        app = self.cluster.application(record.client)
-        try:
-            tid = yield from app.begin_transaction()
-            record.tid = tid
+    def body(self, app, record: TxnRecord, tid):
+        if record.kind == "enqueue":
+            (item,) = record.detail
             ref = yield from app.lookup_one(QUEUE_NAME)
             yield from app.call(ref, "enqueue", {"data": item}, tid)
-            committed = yield from app.end_transaction(tid)
-            record.outcome = "committed" if committed else "aborted"
-        except Exception as error:  # noqa: BLE001
-            record.error = repr(error)
-            record.outcome = "unknown"
-            yield from self._try_abort(app, record)
-        self._trace(record)
-
-    def _try_abort(self, app, record: TxnRecord):
-        """Best-effort abort so the coordinator need not time the txn out."""
-        if record.tid is None:
-            record.outcome = "failed"  # never began: definitely no effects
             return
-        try:
-            yield from app.abort_transaction(record.tid, reason=record.error)
-            record.outcome = "aborted"
-        except Exception:  # noqa: BLE001 - node/TM may be gone
-            pass
-
-    # -- driving -----------------------------------------------------------------
-
-    def run(self, until_ms: float) -> None:
-        """Advance the simulation ``until_ms`` past the current instant."""
-        self.engine.run(until=self.engine.now + until_ms)
-
-    def finale(self, quiesce_ms: float = 900_000.0) -> bool:
-        """Repair everything and force the cluster to a checkable state.
-
-        1. Heal partitions/link faults, restart downed nodes, quiesce --
-           in-doubt transactions resolve once their coordinators answer.
-        2. Crash *every* node and recover it, twice.  The first round
-           turns any straggling resolution into durable log state; the
-           second round's recovery rebuilds the disk image from those
-           logs and flushes it, making the disk audit meaningful.  (It
-           also exercises recovery idempotency.)
-
-        Returns True iff the simulation reached full quiescence.
-        """
-        self.controller.repair_all()
-        quiet = self.controller.quiesce(max_ms=quiesce_ms)
-        for _ in range(2):
-            for tabs_node in self.cluster.nodes.values():
-                tabs_node.crash()
-            self.controller.repair_all()
-            quiet = self.controller.quiesce(max_ms=quiesce_ms) and quiet
-        return quiet
+        src, src_cell, dst, dst_cell, amount = record.detail
+        src_ref = yield from app.lookup_one(src)
+        dst_ref = yield from app.lookup_one(dst)
+        src_val = yield from app.call(src_ref, "get_cell",
+                                      {"cell": src_cell}, tid)
+        dst_val = yield from app.call(dst_ref, "get_cell",
+                                      {"cell": dst_cell}, tid)
+        yield from app.call(src_ref, "set_cell",
+                            {"cell": src_cell,
+                             "value": src_val["value"] - amount}, tid)
+        yield from app.call(dst_ref, "set_cell",
+                            {"cell": dst_cell,
+                             "value": dst_val["value"] + amount}, tid)
 
     # -- invariants ----------------------------------------------------------------
 
-    def check_invariants(self, quiet: bool = True) -> AuditReport:
-        """Run every audit; returns the combined report.
-
-        Order matters: the disk-image audit must run before the queue
-        drain, whose own committed writes legitimately live in volatile
-        memory until the next flush.
-        """
-        history = self.controller.status_history
-        report = audit_atomicity(self.cluster, history=history)
-        if not quiet:
-            report.violations.append(AuditViolation(
-                "no-quiescence",
-                detail="simulation still busy after repair deadline"))
-        report.extend(audit_client_commits(
-            self.cluster,
-            [r.tid for r in self.stats.committed() if r.tid is not None],
-            history=history))
-        for tabs_node in self.cluster.nodes.values():
-            report.extend(audit_committed_values(tabs_node))
-            report.extend(audit_storage_integrity(tabs_node))
-        report.extend(self._check_conservation())
+    def workload_audits(self) -> list[AuditViolation]:
+        violations = self._check_conservation()
         if self.has_queue:
-            report.extend(self._check_queue())
-        self.cluster.settle()
-        report.extend(audit_drainage(self.cluster))
-        return report
+            violations.extend(self._check_queue())
+        return violations
 
     def _check_conservation(self) -> list[AuditViolation]:
         """The sum over every account must equal the funded total."""

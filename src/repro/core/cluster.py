@@ -162,15 +162,15 @@ class TabsCluster:
     def build_workload(self):
         """Build the nodes and servers of ``config.workload``.
 
-        Lays the configured workload schema (see
+        Lays the DebitCredit schema (scaled by
         :class:`~repro.core.config.WorkloadConfig`) over this cluster --
         one node per branch, each hosting its branch/teller/account/
         history servers -- starts every node, and returns the topology
         object the load generators and audits navigate by.
         """
-        from repro.workloads import build_workload
+        from repro.workloads.debitcredit import build_debitcredit
 
-        return build_workload(self)
+        return build_debitcredit(self)
 
     def start(self) -> None:
         """Bring every node's servers up (runs the simulation)."""

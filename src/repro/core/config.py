@@ -203,12 +203,11 @@ class ReconfigConfig:
 class WorkloadConfig:
     """The banking schema a workload-driven cluster is built around.
 
-    Mirrors :class:`CommitConfig`: an immutable selector-plus-knobs block
-    hanging off :class:`TabsConfig`, consumed by
-    :meth:`~repro.core.cluster.TabsCluster.build_workload`.  The one
-    schema today is ``"debitcredit"`` -- Jim Gray's DebitCredit / TPC-B
-    banking workload (*Thousands of DebitCredit Transactions-Per-Second
-    in Low-Cost Systems*): each branch comprises the branch balance row
+    An immutable block of scale knobs hanging off :class:`TabsConfig`,
+    consumed by :meth:`~repro.core.cluster.TabsCluster.build_workload`.
+    The schema is Jim Gray's DebitCredit / TPC-B banking workload
+    (*Thousands of DebitCredit Transactions-Per-Second in Low-Cost
+    Systems*): each branch comprises the branch balance row
     (the hot row every local transaction updates), its tellers, its
     account partition, and its history strands, with
     ``branches_per_node`` branches co-hosted per cluster node.
@@ -229,8 +228,6 @@ class WorkloadConfig:
     remote branch, making the transaction a cross-node 2PC.
     """
 
-    #: workload schema; only "debitcredit" exists today
-    schema: str = "debitcredit"
     branches: int = 2
     #: branches co-hosted on one cluster node (ceil-divided; the last
     #: node may hold fewer)
@@ -246,8 +243,6 @@ class WorkloadConfig:
     history_slots_per_teller: int = 4096
 
     def __post_init__(self) -> None:
-        if self.schema != "debitcredit":
-            raise ValueError(f"unknown workload schema {self.schema!r}")
         if self.branches < 1:
             raise ValueError("need at least one branch")
         if self.branches_per_node < 1:
@@ -281,11 +276,6 @@ class WorkloadConfig:
     def nodes(self) -> int:
         """Cluster nodes needed to host every branch."""
         return -(-self.branches // self.branches_per_node)
-
-    @classmethod
-    def debitcredit(cls, **overrides) -> "WorkloadConfig":
-        """The default two-branch schema (hot row + cross-node traffic)."""
-        return cls(**overrides)
 
     @classmethod
     def millions(cls) -> "WorkloadConfig":

@@ -28,8 +28,7 @@ from typing import Callable
 from repro.core.cluster import TabsCluster
 from repro.core.config import CommitConfig, TabsConfig, WorkloadConfig
 from repro.obs.metrics import Histogram
-from repro.perf.throughput import PIPELINE_CONFIGS
-from repro.sim import Timeout
+from repro.perf.throughput import PIPELINE_CONFIGS, run_closed_loop
 from repro.workloads.debitcredit import debitcredit_txn, draw_spec
 
 
@@ -89,77 +88,37 @@ def run_debitcredit(clients: int, duration_ms: float = 30_000.0,
     if instrument is not None:
         instrument(cluster)
     schema = base.workload
-    forces_before = sum(node.rm.wal.forces
-                       for node in cluster.nodes.values())
-
-    committed = [0]
-    aborted = [0]
+    homes = [topology.client_home(index) for index in range(clients)]
+    nodes = [topology.node_name(home) for home in homes]
     remote_committed = [0]
     latency = Histogram()
-    deadline = cluster.engine.now + duration_ms
 
-    def worker(index: int):
-        home = topology.client_home(index)
-        node_name = topology.node_name(home)
+    def client(index: int, app):
+        yield from ()  # nothing to look up before the first transaction
         rng = random.Random((base.seed * 1_000_003) ^ (index * 7919))
-        app = cluster.application(node_name)
-        while cluster.engine.now < deadline:
-            spec = draw_spec(rng, schema, home)
-            started = cluster.engine.now
-            tid = yield from app.begin_transaction()
-            try:
-                yield from debitcredit_txn(app, topology, spec, tid)
-            except Exception:
-                yield from app.abort_transaction(tid)
-                aborted[0] += 1
-                continue
-            ok = yield from app.end_transaction(tid)
-            if ok and cluster.engine.now <= deadline:
-                committed[0] += 1
-                if spec.remote:
-                    remote_committed[0] += 1
-                elapsed = cluster.engine.now - started
-                latency.observe(elapsed)
-                cluster.ctx.metrics.histogram(
-                    node_name, "debitcredit.txn_ms").observe(elapsed)
-            elif not ok:
-                aborted[0] += 1
 
-    workers = [cluster.spawn_on(
-                   topology.node_name(topology.client_home(index)),
-                   worker(index), name=f"client{index}")
-               for index in range(clients)]
+        def next_txn():
+            spec = draw_spec(rng, schema, homes[index])
+            return spec, lambda tid: debitcredit_txn(app, topology, spec,
+                                                     tid)
 
-    def sentinel():
-        # Keeps time advancing even if every client blocks on a lock.
-        yield Timeout(cluster.engine, duration_ms)
+        return next_txn
 
-    cluster.spawn_on(topology.node_name(0), sentinel(), name="sentinel")
-    for process in workers:
-        cluster.engine.run_until(process)
-    forces = sum(node.rm.wal.forces
-                 for node in cluster.nodes.values()) - forces_before
+    def on_commit(index: int, spec, elapsed: float) -> None:
+        if spec.remote:
+            remote_committed[0] += 1
+        latency.observe(elapsed)
+        cluster.ctx.metrics.histogram(
+            nodes[index], "debitcredit.txn_ms").observe(elapsed)
+
+    committed, aborted, forces = run_closed_loop(
+        cluster, clients, duration_ms, home_node=nodes.__getitem__,
+        client=client, process_name="client{}", on_commit=on_commit)
     return DebitCreditResult(clients=clients, duration_ms=duration_ms,
-                             committed=committed[0], aborted=aborted[0],
+                             committed=committed, aborted=aborted,
                              remote_committed=remote_committed[0],
                              forces=forces, pipeline=base.commit.pipeline,
                              latency=latency)
-
-
-def debitcredit_sweep(client_counts: list[int],
-                      duration_ms: float = 30_000.0,
-                      config: TabsConfig | None = None,
-                      workers: int = 1) -> list[DebitCreditResult]:
-    """One result per client count, fanned over ``workers`` processes.
-
-    Delegates to :mod:`repro.perf.runner`; results come back in client-
-    count order whatever the worker count.
-    """
-    from repro.perf.runner import debitcredit_sweep_cells, run_cells
-
-    return run_cells(debitcredit_sweep_cells(client_counts, duration_ms,
-                                             config=config),
-                     workers=workers)
 
 
 def compare_debitcredit_pipelines(client_counts: list[int],

@@ -22,10 +22,10 @@ and fall back to ``spawn`` elsewhere -- cells and their parameters must
 therefore be module-level and picklable.
 
 The high-level sweeps (:func:`throughput_sweep_cells`,
-:func:`debitcredit_sweep_cells`, :func:`chaos_soak_cells`) mirror the
-sequential sweeps in :mod:`repro.perf.throughput`,
-:mod:`repro.perf.debitcredit`, and the chaos soak suite; the ``sweep``
-CLI subcommand (``python -m repro sweep``) drives them.
+:func:`debitcredit_sweep_cells`, :func:`chaos_soak_cells`) build the
+cells behind the pipeline comparisons in :mod:`repro.perf.throughput`
+and :mod:`repro.perf.debitcredit` and the chaos soak suite; the
+``sweep`` CLI subcommand (``python -m repro sweep``) drives them.
 """
 
 from __future__ import annotations
@@ -112,9 +112,7 @@ def _cell_chaos_soak(params: dict, seed: int) -> dict:
     workload.setup()
     controller.install()
     workload.schedule_traffic(transfers=params.get("transfers", 24))
-    workload.run(params.get("run_ms", 10_000.0))
-    quiet = workload.finale()
-    report = workload.check_invariants(quiet=quiet)
+    quiet, report = workload.play(params.get("run_ms", 10_000.0))
     return {
         "seed": seed,
         "quiet": quiet,

@@ -27,6 +27,7 @@ transactions per second keep scaling and forces-per-commit drop below 1.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,6 +58,66 @@ class ThroughputResult:
         return self.forces / self.committed if self.committed else 0.0
 
 
+def run_closed_loop(cluster: TabsCluster, clients: int, duration_ms: float,
+                    home_node: Callable[[int], str], client: Callable,
+                    process_name: str, on_commit: Callable | None = None,
+                    ) -> tuple[int, int, int]:
+    """Drive ``clients`` closed-loop clients for ``duration_ms``; returns
+    ``(committed, aborted, forces)`` counted inside the window.
+
+    Each client starts its next transaction the moment the last one
+    ends.  Client ``index`` runs on ``home_node(index)`` as process
+    ``process_name.format(index)``; ``client(index, app)`` is a generator
+    run once (it may look servers up) that returns ``next_txn``, and each
+    ``next_txn()`` returns ``(tag, body)`` with ``body(tid)`` the
+    generator run between begin and end.  A body that raises aborts; a
+    commit landing after the deadline counts as neither outcome.
+    ``on_commit(index, tag, elapsed_ms)`` sees each in-window commit.
+    """
+    engine = cluster.engine
+    committed = aborted = 0
+    forces_before = sum(node.rm.wal.forces
+                        for node in cluster.nodes.values())
+    deadline = engine.now + duration_ms
+
+    def worker(index: int):
+        nonlocal committed, aborted
+        app = cluster.application(home_node(index))
+        next_txn = yield from client(index, app)
+        while engine.now < deadline:
+            tag, body = next_txn()
+            started = engine.now
+            tid = yield from app.begin_transaction()
+            try:
+                yield from body(tid)
+            except Exception:
+                yield from app.abort_transaction(tid)
+                aborted += 1
+                continue
+            ok = yield from app.end_transaction(tid)
+            if ok and engine.now <= deadline:
+                committed += 1
+                if on_commit is not None:
+                    on_commit(index, tag, engine.now - started)
+            elif not ok:
+                aborted += 1
+
+    workers = [cluster.spawn_on(home_node(index), worker(index),
+                                name=process_name.format(index))
+               for index in range(clients)]
+
+    def sentinel():
+        # Keeps time advancing even if every client blocks on a lock.
+        yield Timeout(engine, duration_ms)
+
+    cluster.spawn_on(min(cluster.nodes), sentinel(), name="sentinel")
+    for process in workers:
+        engine.run_until(process)
+    forces = sum(node.rm.wal.forces
+                 for node in cluster.nodes.values()) - forces_before
+    return committed, aborted, forces
+
+
 def run_throughput(concurrency: int, workload: str = "disjoint",
                    duration_ms: float = 60_000.0,
                    config: TabsConfig | None = None,
@@ -83,65 +144,26 @@ def run_throughput(concurrency: int, workload: str = "disjoint",
     cluster.start()
     if instrument is not None:
         instrument(cluster)
-    forces_before = cluster.nodes["n1"].rm.wal.forces
 
-    committed = [0]
-    aborted = [0]
-    deadline = cluster.engine.now + duration_ms
-
-    def worker(index: int):
-        app = cluster.application("n1")
+    def client(index: int, app):
         ref = yield from app.lookup_one("array")
         cell = 1 if workload == "shared" else index + 1
-        iteration = 0
-        while cluster.engine.now < deadline:
-            iteration += 1
-            tid = yield from app.begin_transaction()
-            try:
-                yield from app.call(ref, "set_cell",
-                                    {"cell": cell, "value": iteration},
-                                    tid)
-            except Exception:
-                yield from app.abort_transaction(tid)
-                aborted[0] += 1
-                continue
-            ok = yield from app.end_transaction(tid)
-            if ok and cluster.engine.now <= deadline:
-                committed[0] += 1
-            elif not ok:
-                aborted[0] += 1
+        iterations = itertools.count(1)
 
-    workers = [cluster.spawn_on("n1", worker(index), name=f"app{index}")
-               for index in range(concurrency)]
+        def next_txn():
+            value = next(iterations)
+            return None, lambda tid: app.call(
+                ref, "set_cell", {"cell": cell, "value": value}, tid)
 
-    def sentinel():
-        # Keeps time advancing even if every worker blocks on a lock.
-        yield Timeout(cluster.engine, duration_ms)
+        return next_txn
 
-    cluster.spawn_on("n1", sentinel(), name="sentinel")
-    for process in workers:
-        cluster.engine.run_until(process)
-    forces = cluster.nodes["n1"].rm.wal.forces - forces_before
+    committed, aborted, forces = run_closed_loop(
+        cluster, concurrency, duration_ms, home_node=lambda index: "n1",
+        client=client, process_name="app{}")
     return ThroughputResult(concurrency=concurrency, workload=workload,
-                            duration_ms=duration_ms,
-                            committed=committed[0], aborted=aborted[0],
-                            forces=forces,
+                            duration_ms=duration_ms, committed=committed,
+                            aborted=aborted, forces=forces,
                             pipeline=base.commit.pipeline)
-
-
-def throughput_sweep(concurrencies: list[int], workload: str,
-                     duration_ms: float = 60_000.0,
-                     workers: int = 1) -> list[ThroughputResult]:
-    """One result per concurrency, fanned over ``workers`` processes.
-
-    Delegates to :mod:`repro.perf.runner`; results come back in
-    concurrency order whatever the worker count.
-    """
-    from repro.perf.runner import run_cells, throughput_sweep_cells
-
-    return run_cells(throughput_sweep_cells(concurrencies, workload,
-                                            duration_ms),
-                     workers=workers)
 
 
 #: the two pipeline configurations compared by :func:`compare_pipelines`;

@@ -74,16 +74,42 @@ def durable_records(tabs_node) -> list[LogRecord]:
     return store.read_forward(store.truncated_before)
 
 
+def _note_terminal(statuses: dict, record: LogRecord) -> None:
+    """File ``record`` under its tid if it is a COMMITTED/ABORTED status."""
+    if (isinstance(record, TransactionStatusRecord)
+            and record.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED)):
+        statuses.setdefault(record.tid, set()).add(record.status.value)
+
+
 def terminal_statuses(records: list[LogRecord]) -> dict[TransactionID,
                                                         set[str]]:
     """Every COMMITTED/ABORTED status logged, keyed by exact tid."""
     statuses: dict[TransactionID, set[str]] = {}
     for record in records:
-        if not isinstance(record, TransactionStatusRecord):
-            continue
-        if record.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED):
-            statuses.setdefault(record.tid, set()).add(record.status.value)
+        _note_terminal(statuses, record)
     return statuses
+
+
+def watch_terminal_statuses(cluster) -> dict[str, dict]:
+    """Accumulate every terminal status ever durably logged, per node.
+
+    Returns the live ``{node: {tid: {status}}}`` history the audits take:
+    log observers keep filling it, so it is immune to log truncation
+    (a checkpoint may reclaim COMMITTED records the audits still need).
+    Nodes that join the running cluster later (online reconfiguration)
+    are watched from the moment they appear.
+    """
+    history: dict[str, dict] = {}
+
+    def watch(tabs_node) -> None:
+        statuses = history[tabs_node.name] = {}
+        tabs_node.log_store.observers.append(
+            lambda record: _note_terminal(statuses, record))
+
+    for tabs_node in cluster.nodes.values():
+        watch(tabs_node)
+    cluster.node_join_hooks.append(watch)
+    return history
 
 
 # -- atomicity across nodes -----------------------------------------------------

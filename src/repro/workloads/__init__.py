@@ -2,14 +2,16 @@
 
 A *workload* is a complete banking-style schema -- data servers, node
 topology, a seeded load generator, and the invariant audits that make its
-results credible -- selected by :class:`~repro.core.config.WorkloadConfig`
+results credible -- scaled by :class:`~repro.core.config.WorkloadConfig`
 and built over a :class:`~repro.core.cluster.TabsCluster` via
 :meth:`~repro.core.cluster.TabsCluster.build_workload`.
 
-The first (and canonical) workload is Gray's DebitCredit / TPC-B banking
-benchmark (:mod:`repro.workloads.debitcredit`): the "heavy traffic"
-stressor whose hot branch row punishes two-phase locking and whose
-history append rewards group commit.
+The workload is Gray's DebitCredit / TPC-B banking benchmark
+(:mod:`repro.workloads.debitcredit`): the "heavy traffic" stressor whose
+hot branch row punishes two-phase locking and whose history append
+rewards group commit.  Its seeded driver sits on
+:mod:`repro.workloads.harness`, the client harness it shares with the
+chaos transfer workload.
 """
 
 from repro.workloads.debitcredit import (
@@ -25,23 +27,10 @@ from repro.workloads.debitcredit import (
     TellerServer,
     TxnSpec,
     build_debitcredit,
-    build_replicated_debitcredit,
     debitcredit_txn,
     draw_spec,
     replicated_debitcredit_txn,
 )
-
-#: schema name -> builder(cluster) -> topology
-_BUILDERS = {
-    "debitcredit": build_debitcredit,
-}
-
-
-def build_workload(cluster):
-    """Build the workload selected by ``cluster.config.workload``."""
-    schema = cluster.config.workload.schema
-    return _BUILDERS[schema](cluster)
-
 
 __all__ = [
     "AccountServer",
@@ -56,8 +45,6 @@ __all__ = [
     "TellerServer",
     "TxnSpec",
     "build_debitcredit",
-    "build_replicated_debitcredit",
-    "build_workload",
     "debitcredit_txn",
     "draw_spec",
     "replicated_debitcredit_txn",

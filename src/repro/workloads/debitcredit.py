@@ -41,21 +41,12 @@ address space, not memory.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ServerError
 from repro.kernel.disk import PAGE_SIZE
 from repro.locking.modes import READ, WRITE
-from repro.recovery.audit import (
-    AuditReport,
-    AuditViolation,
-    audit_atomicity,
-    audit_client_commits,
-    audit_committed_values,
-    audit_drainage,
-    audit_storage_integrity,
-)
-from repro.replication.audit import audit_replica_convergence
+from repro.recovery.audit import AuditViolation
 from repro.replication.placement import PlacementMap
 from repro.replication.router import ReplicatedApp
 from repro.replication.server import (
@@ -65,6 +56,7 @@ from repro.replication.server import (
 )
 from repro.servers.base import BaseDataServer
 from repro.txn.ids import TransactionID
+from repro.workloads.harness import SeededWorkload, TxnRecord
 
 #: cells are one word, as in the integer array server
 WORD_SIZE = 4
@@ -425,43 +417,13 @@ def build_debitcredit(cluster) -> DebitCreditTopology:
 
     ``branches_per_node`` branches per node; each branch contributes its
     balance row, teller array, (sparse) account partition, and
-    per-teller history strands.  Reads the scale from
-    ``cluster.config.workload``; with ``config.replication.enabled`` the
-    schema is built replicated instead (see
-    :func:`build_replicated_debitcredit`).
-    """
-    if cluster.config.replication.enabled:
-        return build_replicated_debitcredit(cluster)
-    workload = cluster.config.workload
-    topology = DebitCreditTopology(
-        branches=workload.branches,
-        branches_per_node=workload.branches_per_node)
-    for node in topology.node_names:
-        cluster.add_node(node)
-    for branch in range(workload.branches):
-        node = topology.node_name(branch)
-        cluster.add_server(node, BranchServer.factory(
-            topology.branch_server(branch), rows=1))
-        cluster.add_server(node, TellerServer.factory(
-            topology.teller_server(branch),
-            rows=workload.tellers_per_branch))
-        cluster.add_server(node, AccountServer.factory(
-            topology.account_server(branch),
-            rows=workload.accounts_per_branch))
-        cluster.add_server(node, HistoryServer.factory(
-            topology.history_server(branch),
-            strands=workload.tellers_per_branch,
-            slots_per_strand=workload.history_slots_per_teller))
-    cluster.start()
-    return topology
-
-
-def build_replicated_debitcredit(cluster) -> DebitCreditTopology:
-    """The available-copies variant: every branch's four key-spaces are
-    placed on ``replication_factor`` nodes by ring placement, anchored
-    at the branch's home node.  The same server name recurs on each
-    replica node (segment ids ``{node}:{name}`` stay unique), which is
-    what lets the Name Server scope lookups per replica.
+    per-teller history strands, all on the branch's home node.  Reads
+    the scale from ``cluster.config.workload``.  With
+    ``config.replication.enabled`` (available copies) each of those four
+    key-spaces is instead placed on ``replication_factor`` nodes by ring
+    placement anchored at the home node: the same server name recurs on
+    each replica node (segment ids ``{node}:{name}`` stay unique), which
+    is what lets the Name Server scope lookups per replica.
     """
     workload = cluster.config.workload
     replication = cluster.config.replication
@@ -470,38 +432,34 @@ def build_replicated_debitcredit(cluster) -> DebitCreditTopology:
         branches_per_node=workload.branches_per_node)
     for node in topology.node_names:
         cluster.add_node(node)
-    keyspaces: list[str] = []
-    anchors: dict[str, int] = {}
+    branch_cls, teller_cls, account_cls, history_cls = (
+        (ReplicatedBranchServer, ReplicatedTellerServer,
+         ReplicatedAccountServer, ReplicatedHistoryServer)
+        if replication.enabled else
+        (BranchServer, TellerServer, AccountServer, HistoryServer))
+    anchors: dict[str, int] = {}  # key-space -> index of its home node
     factories: dict[str, object] = {}
     for branch in range(workload.branches):
-        anchor = branch // workload.branches_per_node
-        for name, factory in (
-                (topology.branch_server(branch),
-                 ReplicatedBranchServer.factory(
-                     topology.branch_server(branch), rows=1)),
-                (topology.teller_server(branch),
-                 ReplicatedTellerServer.factory(
-                     topology.teller_server(branch),
-                     rows=workload.tellers_per_branch)),
-                (topology.account_server(branch),
-                 ReplicatedAccountServer.factory(
-                     topology.account_server(branch),
-                     rows=workload.accounts_per_branch)),
-                (topology.history_server(branch),
-                 ReplicatedHistoryServer.factory(
-                     topology.history_server(branch),
-                     strands=workload.tellers_per_branch,
-                     slots_per_strand=workload
-                     .history_slots_per_teller))):
-            keyspaces.append(name)
-            anchors[name] = anchor
-            factories[name] = factory
-    placement = PlacementMap.ring(keyspaces, topology.node_names,
-                                  replication.replication_factor, anchors)
-    cluster.set_placement(placement)
-    for name in keyspaces:
-        for node in placement.replicas(name):
-            cluster.add_server(node, factories[name])
+        for name, server_cls, scale in (
+                (topology.branch_server(branch), branch_cls, {"rows": 1}),
+                (topology.teller_server(branch), teller_cls,
+                 {"rows": workload.tellers_per_branch}),
+                (topology.account_server(branch), account_cls,
+                 {"rows": workload.accounts_per_branch}),
+                (topology.history_server(branch), history_cls,
+                 {"strands": workload.tellers_per_branch,
+                  "slots_per_strand": workload.history_slots_per_teller})):
+            anchors[name] = branch // workload.branches_per_node
+            factories[name] = server_cls.factory(name, **scale)
+    if replication.enabled:
+        placement = PlacementMap.ring(
+            list(factories), topology.node_names,
+            replication.replication_factor, anchors)
+        cluster.set_placement(placement)
+    for name, factory in factories.items():
+        for node in (placement.replicas(name) if replication.enabled
+                     else [topology.node_names[anchors[name]]]):
+            cluster.add_server(node, factory)
     cluster.start()
     return topology
 
@@ -626,204 +584,70 @@ def replicated_debitcredit_txn(rapp: ReplicatedApp,
 
 
 @dataclass
-class DebitCreditRecord:
-    """One scheduled transaction's fate, as the client saw it."""
+class DebitCreditRecord(TxnRecord):
+    """One scheduled DebitCredit transaction and its fate."""
 
-    index: int
     spec: TxnSpec
-    outcome: str = "unknown"  # committed | aborted | failed | unknown | skipped
-    tid: object = None
-    error: str = ""
 
 
-@dataclass
-class DebitCreditStats:
-    records: list[DebitCreditRecord] = field(default_factory=list)
-
-    def outcomes(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for record in self.records:
-            counts[record.outcome] = counts.get(record.outcome, 0) + 1
-        return counts
-
-    def committed(self) -> list[DebitCreditRecord]:
-        return [r for r in self.records if r.outcome == "committed"]
-
-    def unknown(self) -> list[DebitCreditRecord]:
-        return [r for r in self.records if r.outcome == "unknown"]
-
-
-class DebitCreditWorkload:
+class DebitCreditWorkload(SeededWorkload):
     """Seeded DebitCredit traffic plus the conservation audits.
 
-    Mirrors :class:`~repro.chaos.workload.ChaosWorkload`: every random
-    decision is drawn up front from one seeded RNG, transactions are
-    spawned as processes owned by their home-branch node (a node crash
-    kills its in-flight clients, whose outcomes become ``unknown``), and
-    :meth:`check_invariants` audits the durable state afterwards.  The
-    ``controller`` is optional -- fault-free runs (the property suite)
-    audit the same invariants without one.
+    An **open, pre-drawn arrival schedule** on the shared
+    :class:`~repro.workloads.harness.SeededWorkload` harness: every
+    transaction's home branch, spec and arrival instant is drawn up
+    front from one seeded RNG, and each runs as a process owned by its
+    home-branch node.  (The *closed-loop* driver -- N clients, each
+    starting its next transaction when the last one ends -- is
+    :func:`repro.perf.debitcredit.run_debitcredit`.)  The ``controller``
+    is optional: fault-free runs (the property suite) audit the same
+    invariants without one.
     """
+
+    PROCESS_PREFIX = "debitcredit"
 
     def __init__(self, cluster, topology: DebitCreditTopology,
                  controller=None, seed: int = 0) -> None:
-        self.cluster = cluster
+        super().__init__(cluster, controller, seed)
         self.topology = topology
-        self.controller = controller
         self.workload = cluster.config.workload
-        #: route through the available-copies protocol and audit replica
-        #: convergence when the cluster was built replicated
+        #: route through the available-copies protocol when the cluster
+        #: was built replicated
         self.replicated = cluster.config.replication.enabled
-        self.rng = random.Random(seed)
-        self.stats = DebitCreditStats()
-        #: set once every node has been crashed and recovered, which
-        #: rebuilds and flushes the disk image -- the point after which
-        #: the disk-versus-log audits are meaningful
-        self._disk_checkable = False
-        #: durable terminal statuses, immune to log truncation; kept by
-        #: the controller when one is attached, by our own log observers
-        #: otherwise (checkpoints may reclaim COMMITTED records the
-        #: audits still need to see)
-        if controller is None:
-            self.status_history: dict[str, dict] = {}
-            for name, tabs_node in cluster.nodes.items():
-                self._watch_node(name, tabs_node)
-            # Nodes that join the running cluster later (online
-            # reconfiguration) need the same observer or their terminal
-            # statuses would be invisible to the audits.
-            cluster.node_join_hooks.append(
-                lambda tabs_node: self._watch_node(tabs_node.name,
-                                                   tabs_node))
-        else:
-            self.status_history = controller.status_history
-
-    def _watch_node(self, name: str, tabs_node) -> None:
-        self.status_history[name] = {}
-        tabs_node.log_store.observers.append(
-            lambda record, node=name: self._observe(node, record))
-
-    def _observe(self, node: str, record) -> None:
-        from repro.wal.records import TransactionStatusRecord, TxnStatus
-
-        if (isinstance(record, TransactionStatusRecord)
-                and record.status in (TxnStatus.COMMITTED,
-                                      TxnStatus.ABORTED)):
-            self.status_history[node].setdefault(
-                record.tid, set()).add(record.status.value)
-
-    @property
-    def engine(self):
-        return self.cluster.engine
 
     # -- traffic -------------------------------------------------------------
 
     def schedule_traffic(self, txns: int = 20, first_at_ms: float = 5.0,
                          spacing_ms: float = 120.0) -> None:
         """Schedule ``txns`` DebitCredit transactions at jittered instants."""
-        at_ms = first_at_ms
+        self._schedule(self._draw(txns), first_at_ms, spacing_ms)
+
+    def _draw(self, txns: int):
         for index in range(txns):
             home = self.rng.randrange(self.workload.branches)
-            spec = draw_spec(self.rng, self.workload, home)
-            record = DebitCreditRecord(index, spec)
-            self.stats.records.append(record)
-            self.engine.schedule(at_ms,
-                                 lambda r=record: self._spawn(r))
-            at_ms += self.rng.uniform(0.3, 1.0) * spacing_ms
+            yield DebitCreditRecord(
+                index, draw_spec(self.rng, self.workload, home))
 
-    def _spawn(self, record: DebitCreditRecord) -> None:
-        node = self.cluster.node(
-            self.topology.node_name(record.spec.home_branch)).node
-        if not node.alive:
-            record.outcome = "skipped"
-            self._trace(record)
-            return
-        node.spawn(self._transaction(record),
-                   name=f"debitcredit-{record.index}", defused=True)
+    def client_node(self, record: DebitCreditRecord) -> str:
+        return self.topology.node_name(record.spec.home_branch)
 
-    def _trace(self, record: DebitCreditRecord) -> None:
-        if self.controller is not None:
-            spec = record.spec
-            self.controller.record(
-                "txn", record.index, "debitcredit", record.outcome,
+    def open_app(self, record: DebitCreditRecord):
+        if self.replicated:
+            return ReplicatedApp(self.cluster, self.client_node(record))
+        return super().open_app(record)
+
+    def body(self, app, record: DebitCreditRecord, tid):
+        body_fn = (replicated_debitcredit_txn if self.replicated
+                   else debitcredit_txn)
+        return body_fn(app, self.topology, record.spec, tid)
+
+    def trace_fields(self, record: DebitCreditRecord) -> tuple:
+        spec = record.spec
+        return (record.index, "debitcredit", record.outcome,
                 spec.home_branch, spec.teller, spec.account_branch,
                 spec.account, spec.amount)
 
-    def _transaction(self, record: DebitCreditRecord):
-        spec = record.spec
-        home = self.topology.node_name(spec.home_branch)
-        if self.replicated:
-            app = ReplicatedApp(self.cluster, home)
-            body_fn = replicated_debitcredit_txn
-        else:
-            app = self.cluster.application(home)
-            body_fn = debitcredit_txn
-        try:
-            tid = yield from app.begin_transaction()
-            record.tid = tid
-            yield from body_fn(app, self.topology, spec, tid)
-            committed = yield from app.end_transaction(tid)
-            record.outcome = "committed" if committed else "aborted"
-        except Exception as error:  # noqa: BLE001 - faults hit anywhere
-            record.error = repr(error)
-            record.outcome = "unknown"
-            yield from self._try_abort(app, record)
-        self._trace(record)
-
-    def _try_abort(self, app, record: DebitCreditRecord):
-        if record.tid is None:
-            record.outcome = "failed"  # never began: definitely no effects
-            return
-        try:
-            yield from app.abort_transaction(record.tid, reason=record.error)
-            record.outcome = "aborted"
-        except Exception:  # noqa: BLE001 - node/TM may be gone
-            pass
-
-    # -- driving -------------------------------------------------------------
-
-    def run(self, until_ms: float) -> None:
-        self.engine.run(until=self.engine.now + until_ms)
-
-    def drain(self) -> None:
-        """Fault-free drain: run the simulation to quiescence."""
-        self.cluster.settle()
-
-    def crash_and_recover_all(self) -> None:
-        """Controller-free finale: power-cycle every node, twice.
-
-        The first round turns straggling resolution into durable log
-        state; the second rebuilds the disk image from those logs, after
-        which the disk-versus-log audits apply (and recovery idempotency
-        got exercised for free).
-        """
-        for _ in range(2):
-            for name in sorted(self.cluster.nodes):
-                if not self.cluster.node(name).retired:
-                    self.cluster.crash_node(name)
-            for name in sorted(self.cluster.nodes):
-                if not self.cluster.node(name).retired:
-                    self.cluster.restart_node(name)
-            self.cluster.settle()
-        self._disk_checkable = True
-
-    def finale(self, quiesce_ms: float = 900_000.0) -> bool:
-        """Repair, quiesce, then crash/recover everything twice (see
-        :meth:`ChaosWorkload.finale`); needs a controller."""
-        self.controller.repair_all()
-        quiet = self.controller.quiesce(max_ms=quiesce_ms)
-        for _ in range(2):
-            for tabs_node in self.cluster.nodes.values():
-                if not tabs_node.retired:
-                    tabs_node.crash()
-            self.controller.repair_all()
-            quiet = self.controller.quiesce(max_ms=quiesce_ms) and quiet
-        self._disk_checkable = True
-        return quiet
-
     # -- audits --------------------------------------------------------------
-
-    def _read_only(self, node_name: str, body_fn):
-        return self.cluster.run_transaction(node_name, body_fn)
 
     def _audit_home(self, branch: int) -> str:
         """The node to run a branch's audit reads from: its home node,
@@ -836,108 +660,68 @@ class DebitCreditWorkload:
         return min(name for name, candidate in self.cluster.nodes.items()
                    if not candidate.retired)
 
+    def _reader(self, node: str):
+        """``read(server, op, body, tid)`` for audit reads fronted by
+        ``node``: any available copy under replication, else the one
+        copy on ``node`` (looked up once per server, on first use)."""
+        if self.replicated:
+            return ReplicatedApp(self.cluster, node).read
+        app = self.cluster.application(node)
+        refs: dict[str, object] = {}
+
+        def read(server: str, op: str, body: dict, tid: TransactionID):
+            if server not in refs:
+                refs[server] = yield from app.lookup_one(server,
+                                                         node_name=node)
+            reply = yield from app.call(refs[server], op, body, tid)
+            return reply
+
+        return read
+
     def _tier_sums(self) -> dict[str, int]:
         """Per-tier totals, reading only rows the traffic could touch."""
-        if self.replicated:
-            return self._tier_sums_replicated()
         touched_accounts: dict[int, set[int]] = {}
         for record in self.stats.records:
             touched_accounts.setdefault(
                 record.spec.account_branch, set()).add(record.spec.account)
         sums = {"branches": 0, "tellers": 0, "accounts": 0, "history": 0,
                 "history_rows": 0}
-        for branch in range(self.workload.branches):
-            node = self.topology.node_name(branch)
-
-            def read_branch(tid, branch=branch, node=node):
-                app = self.cluster.application(node)
-                branch_ref = yield from app.lookup_one(
-                    self.topology.branch_server(branch), node_name=node)
-                reply = yield from app.call(branch_ref, "get_balance",
-                                            {"row": 1}, tid)
-                totals = [reply["balance"], 0, 0, 0, 0]
-                teller_ref = yield from app.lookup_one(
-                    self.topology.teller_server(branch), node_name=node)
-                for row in range(1, self.workload.tellers_per_branch + 1):
-                    reply = yield from app.call(teller_ref, "get_balance",
-                                                {"row": row}, tid)
-                    totals[1] += reply["balance"]
-                account_ref = yield from app.lookup_one(
-                    self.topology.account_server(branch), node_name=node)
-                for row in sorted(touched_accounts.get(branch, ())):
-                    reply = yield from app.call(account_ref, "get_balance",
-                                                {"row": row}, tid)
-                    totals[2] += reply["balance"]
-                history_ref = yield from app.lookup_one(
-                    self.topology.history_server(branch), node_name=node)
-                for strand in range(self.workload.tellers_per_branch):
-                    reply = yield from app.call(history_ref, "strand_count",
-                                                {"strand": strand}, tid)
-                    count = reply["count"]
-                    totals[4] += count
-                    for slot in range(count):
-                        reply = yield from app.call(
-                            history_ref, "read_row",
-                            {"strand": strand, "slot": slot}, tid)
-                        totals[3] += reply["row"][0]
-                return totals
-
-            branch_total, tellers, accounts, history, rows = \
-                self._read_only(node, read_branch)
-            sums["branches"] += branch_total
-            sums["tellers"] += tellers
-            sums["accounts"] += accounts
-            sums["history"] += history
-            sums["history_rows"] += rows
-        return sums
-
-    def _tier_sums_replicated(self) -> dict[str, int]:
-        """The replicated audit read: any available copy of each tier."""
-        touched_accounts: dict[int, set[int]] = {}
-        for record in self.stats.records:
-            touched_accounts.setdefault(
-                record.spec.account_branch, set()).add(record.spec.account)
-        sums = {"branches": 0, "tellers": 0, "accounts": 0, "history": 0,
-                "history_rows": 0}
+        topology = self.topology
         for branch in range(self.workload.branches):
             node = self._audit_home(branch)
 
             def read_branch(tid, branch=branch, node=node):
-                rapp = ReplicatedApp(self.cluster, node)
-                reply = yield from rapp.read(
-                    self.topology.branch_server(branch), "get_balance",
-                    {"row": 1}, tid)
-                totals = [reply["balance"], 0, 0, 0, 0]
-                tellers = self.topology.teller_server(branch)
+                read = self._reader(node)
+                reply = yield from read(topology.branch_server(branch),
+                                        "get_balance", {"row": 1}, tid)
+                totals = {"branches": reply["balance"], "tellers": 0,
+                          "accounts": 0, "history": 0, "history_rows": 0}
+                tellers = topology.teller_server(branch)
                 for row in range(1, self.workload.tellers_per_branch + 1):
-                    reply = yield from rapp.read(tellers, "get_balance",
-                                                 {"row": row}, tid)
-                    totals[1] += reply["balance"]
-                accounts = self.topology.account_server(branch)
+                    reply = yield from read(tellers, "get_balance",
+                                            {"row": row}, tid)
+                    totals["tellers"] += reply["balance"]
+                accounts = topology.account_server(branch)
                 for row in sorted(touched_accounts.get(branch, ())):
-                    reply = yield from rapp.read(accounts, "get_balance",
-                                                 {"row": row}, tid)
-                    totals[2] += reply["balance"]
-                history = self.topology.history_server(branch)
+                    reply = yield from read(accounts, "get_balance",
+                                            {"row": row}, tid)
+                    totals["accounts"] += reply["balance"]
+                history = topology.history_server(branch)
                 for strand in range(self.workload.tellers_per_branch):
-                    reply = yield from rapp.read(history, "strand_count",
-                                                 {"strand": strand}, tid)
+                    reply = yield from read(history, "strand_count",
+                                            {"strand": strand}, tid)
                     count = reply["count"]
-                    totals[4] += count
+                    totals["history_rows"] += count
                     for slot in range(count):
-                        reply = yield from rapp.read(
+                        reply = yield from read(
                             history, "read_row",
                             {"strand": strand, "slot": slot}, tid)
-                        totals[3] += reply["row"][0]
+                        totals["history"] += reply["row"][0]
                 return totals
 
-            branch_total, tellers, accounts, history, rows = \
-                self._read_only(node, read_branch)
-            sums["branches"] += branch_total
-            sums["tellers"] += tellers
-            sums["accounts"] += accounts
-            sums["history"] += history
-            sums["history_rows"] += rows
+            for tier, total in self.cluster.run_transaction(
+                    node, read_branch).items():
+                sums[tier] += total
         return sums
 
     def check_conservation(self) -> list[AuditViolation]:
@@ -975,33 +759,5 @@ class DebitCreditWorkload:
                        f"amounts sum to {committed_total}"))
         return violations
 
-    def check_invariants(self, quiet: bool = True) -> AuditReport:
-        """Conservation plus the standard durable-state audits."""
-        history = self.status_history
-        report = audit_atomicity(self.cluster, history=history)
-        if not quiet:
-            report.violations.append(AuditViolation(
-                "no-quiescence",
-                detail="simulation still busy after repair deadline"))
-        report.extend(audit_client_commits(
-            self.cluster,
-            [r.tid for r in self.stats.committed() if r.tid is not None],
-            history=history))
-        if self._disk_checkable:
-            # Before a crash-all/recover-all, committed values may still
-            # (legitimately) live only in volatile page frames.  Retired
-            # nodes are excluded: their shards migrated away, so their
-            # disks legitimately froze at the pre-migration state.
-            for tabs_node in self.cluster.nodes.values():
-                if tabs_node.retired:
-                    continue
-                report.extend(audit_committed_values(tabs_node))
-                report.extend(audit_storage_integrity(tabs_node))
-            if self.replicated:
-                # Single-copy serializability at the cell level: every
-                # replica of every key-space agrees on every value.
-                report.extend(audit_replica_convergence(self.cluster))
-        report.extend(self.check_conservation())
-        self.cluster.settle()
-        report.extend(audit_drainage(self.cluster))
-        return report
+    def workload_audits(self) -> list[AuditViolation]:
+        return self.check_conservation()

@@ -67,7 +67,5 @@ def run_scenario(plan: FaultPlan, seed: int, node_count: int = 3,
         workload.schedule_archive_dumps(archive_dump_at_ms)
     workload.schedule_traffic(transfers=transfers, enqueues=enqueues,
                               spacing_ms=spacing_ms)
-    workload.run(run_ms)
-    quiet = workload.finale()
-    report = workload.check_invariants(quiet=quiet)
+    quiet, report = workload.play(run_ms)
     return ScenarioRun(cluster, controller, workload, report, quiet)

@@ -104,9 +104,7 @@ def test_corruption_spans_and_counters_surface_in_exports():
     controller.install()
     workload.schedule_archive_dumps(400.0)
     workload.schedule_traffic(transfers=14)
-    workload.run(6_000.0)
-    quiet = workload.finale()
-    report = workload.check_invariants(quiet=quiet)
+    quiet, report = workload.play(6_000.0)
     assert quiet and report.ok, "\n".join(
         str(v) for v in report.violations)
     span_names = {span.name for span in tracer.spans}

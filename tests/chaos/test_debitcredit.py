@@ -32,9 +32,7 @@ def run_debitcredit_chaos(plan: FaultPlan, seed: int, txns: int = 16,
     driver = DebitCreditWorkload(cluster, topology, controller=controller,
                                  seed=seed)
     driver.schedule_traffic(txns=txns, spacing_ms=400.0)
-    driver.run(run_ms)
-    quiet = driver.finale()
-    report = driver.check_invariants(quiet=quiet)
+    _, report = driver.play(run_ms)
     return driver, controller, report
 
 

@@ -175,7 +175,7 @@ def execute_debitcredit(seed: int):
     driver = DebitCreditWorkload(cluster, topology, seed=seed)
     driver.schedule_traffic(txns=10)
     driver.run(60_000.0)
-    driver.drain()
+    cluster.settle()
     outcomes = [(r.index, r.outcome, r.spec) for r in driver.stats.records]
     metrics_sha = hashlib.sha256(json.dumps(
         metrics_json(cluster.metrics), sort_keys=True).encode()).hexdigest()

@@ -37,9 +37,7 @@ def run_replicated_chaos(plan: FaultPlan, seed: int, txns: int = 24,
     driver = DebitCreditWorkload(cluster, topology, controller=controller,
                                  seed=seed)
     driver.schedule_traffic(txns=txns, spacing_ms=400.0)
-    driver.run(run_ms)
-    quiet = driver.finale()
-    report = driver.check_invariants(quiet=quiet)
+    _, report = driver.play(run_ms)
     return driver, controller, report
 
 

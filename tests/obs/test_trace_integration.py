@@ -40,8 +40,7 @@ def traced_chaos_run(seed: int = 2026):
     workload.setup()
     controller.install()
     workload.schedule_traffic(transfers=8, spacing_ms=100.0)
-    workload.run(2_500.0)
-    workload.finale()
+    workload.play(2_500.0)
     return cluster, tracer
 
 

@@ -30,7 +30,7 @@ def run_workload(seed: int, txns: int, workload: WorkloadConfig,
     driver = DebitCreditWorkload(cluster, topology, seed=seed)
     driver.schedule_traffic(txns=txns)
     driver.run(until_ms=1_000_000.0)
-    driver.drain()
+    cluster.settle()
     if power_cycle:
         driver.crash_and_recover_all()
     return driver

@@ -20,7 +20,7 @@ def run_once(seed: int = 7):
     cluster.engine.schedule(
         400.0,
         lambda: manager.spawn_migration(keyspace, "bank0", "bank2"))
-    workload.finale()
+    workload.play()
     return (tuple(manager.events), tuple(controller.trace),
             tuple(sorted(workload.stats.outcomes().items())))
 

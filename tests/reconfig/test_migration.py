@@ -53,7 +53,7 @@ class TestHappyPath:
         cluster.engine.schedule(
             200.0,
             lambda: manager.spawn_migration(keyspace, "bank0", "bank2"))
-        workload.drain()
+        cluster.settle()
         workload.crash_and_recover_all()
         report = workload.check_invariants()
         assert report.violations == []

@@ -1,12 +1,16 @@
-"""Unit tests for the DebitCredit schema, servers, and topology."""
+"""Unit tests for the DebitCredit schema, servers, topology and oracle."""
 
 import pytest
 
 from repro.core.cluster import TabsCluster
-from repro.core.config import TabsConfig, WorkloadConfig
+from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
 from repro.core.facility import SEGMENT_VA_STRIDE
 from repro.kernel.costs import ZERO_COST, ZERO_CPU
-from repro.workloads import DebitCreditTopology, draw_spec
+from repro.workloads import (
+    DebitCreditTopology,
+    DebitCreditWorkload,
+    draw_spec,
+)
 from repro.workloads.debitcredit import pages_for
 
 
@@ -21,10 +25,6 @@ def build(workload: WorkloadConfig):
 
 
 class TestWorkloadConfig:
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError):
-            WorkloadConfig(schema="tpcc")
-
     @pytest.mark.parametrize("kwargs", [
         {"branches": 0},
         {"branches_per_node": 0},
@@ -208,3 +208,69 @@ class TestBuild:
         for branch in range(4):
             assert {f"branch{branch}", f"tellers{branch}",
                     f"accounts{branch}", f"history{branch}"} <= names
+
+
+class TestConservationOracle:
+    """The audits must be able to *fail*: plant one defect after a clean
+    fault-free run and the matching violation has to surface.  Both read
+    paths of the merged tier walk (single-copy ``app.call`` and rf=2
+    ``rapp.read``) are pinned."""
+
+    @pytest.fixture(params=[False, True], ids=["single-copy", "rf2"])
+    def clean_run(self, request):
+        replication = (ReplicationConfig.available_copies() if request.param
+                       else ReplicationConfig())
+        cluster = TabsCluster(TabsConfig(
+            seed=31, replication=replication,
+            workload=WorkloadConfig(branches=2, accounts_per_branch=50,
+                                    tellers_per_branch=2)))
+        driver = DebitCreditWorkload(cluster, cluster.build_workload(),
+                                     seed=31)
+        driver.schedule_traffic(txns=6)
+        driver.run(until_ms=1_000_000.0)
+        cluster.settle()
+        assert driver.stats.outcomes() == {"committed": 6}
+        assert driver.check_conservation() == []
+        return driver
+
+    def test_a_stray_teller_update_breaks_conservation(self, clean_run):
+        driver = clean_run
+        cluster = driver.cluster
+        if driver.replicated:
+            rapp = cluster.replicated_application("bank0")
+
+            def stray(tid):
+                reply = yield from rapp.read(
+                    "tellers0", "get_balance_for_update", {"row": 1}, tid,
+                    for_update=True)
+                yield from rapp.write_all(
+                    "tellers0", "put_balance",
+                    {"row": 1, "balance": reply["balance"] + 7}, tid)
+
+            cluster.run_on("bank0", rapp.run_transaction(stray))
+        else:
+            def stray(tid):
+                app = cluster.application("bank0")
+                ref = yield from app.lookup_one("tellers0",
+                                                node_name="bank0")
+                yield from app.call(ref, "add_to_balance",
+                                    {"row": 1, "amount": 7}, tid)
+
+            cluster.run_transaction("bank0", stray)
+        assert [v.kind for v in driver.check_conservation()] == \
+            ["conservation"]
+
+    def test_a_misreported_commit_breaks_the_history_checks(self, clean_run):
+        driver = clean_run
+        driver.stats.records[0].outcome = "aborted"
+        assert [v.kind for v in driver.check_conservation()] == \
+            ["history-count", "history-amounts"]
+
+
+def test_controller_free_finale_names_crash_and_recover_all():
+    """``controller`` defaults to None; finale() used to die on it with
+    an AttributeError instead of saying what to call."""
+    cluster, topology = build(WorkloadConfig(branches=1,
+                                             accounts_per_branch=10))
+    with pytest.raises(ValueError, match="crash_and_recover_all"):
+        DebitCreditWorkload(cluster, topology).finale()
