@@ -66,10 +66,9 @@ SMOKE_DURATION_MS = 4_000.0
 #: simulated second is *not* gated across window sizes because the
 #: post-deadline drain tail scales differently with the window.
 SMOKE_DRIFT_TOLERANCE = 0.35
-#: absolute wall-speed floor per scenario, events per wall second.
-#: A dev machine measures ~130-170k on every scenario (replicated_rf2 is the
-#: slowest); the floor sits ~5x below that so it gates real regressions
-#: in the engine hot path while tolerating a noisy CI runner.
+#: absolute wall-speed floor per scenario, events per wall second: it
+#: trips only on an order-of-magnitude engine regression.  Measured wall
+#: speed, with its spread, is tabsbench's job (benchmarks/tabsbench).
 MIN_EVENTS_PER_WALL_SEC = 25_000.0
 BASELINE_PATH = REPO_ROOT / "BENCH_sim_speed.json"
 

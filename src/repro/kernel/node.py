@@ -1,12 +1,14 @@
 """The simulated workstation: one Accent node.
 
 A node owns a disk (non-volatile), a virtual-memory page cache (volatile),
-its processes, and its ports.  :meth:`Node.crash` models a Perq power
+its live processes, and its ports.  :meth:`Node.crash` models a Perq power
 failure: every process is killed, every port dies, and all volatile state
 is lost, while the disk (recoverable segments and the non-volatile log)
 survives.  :meth:`Node.restart` brings the node back with a new *epoch*;
 the facility layer then re-creates the TABS system processes and runs
-crash recovery.
+crash recovery.  The node keeps no list of its ports: each is alive only
+while the node is up in the epoch the port was made in, so a crash kills
+them all and no restart brings one back.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from repro.kernel.disk import Disk
 from repro.kernel.ports import Port
 from repro.kernel.vm import VirtualMemory
 from repro.sim import Process
+
+#: smallest process-table size worth compacting
+_MIN_COMPACT = 64
 
 
 class Node:
@@ -34,8 +39,10 @@ class Node:
         self.disk = Disk(ctx, name=f"{name}.disk", node_name=name)
         self.vm_capacity_pages = vm_capacity_pages
         self.vm = VirtualMemory(ctx, self.disk, vm_capacity_pages)
+        #: live processes in spawn order, plus those finished since the
+        #: last compaction in :meth:`spawn`
         self._processes: list[Process] = []
-        self._ports: list[Port] = []
+        self._compact_at = _MIN_COMPACT
         #: well-known local services (e.g. "transaction_manager" -> Port)
         self.services: dict[str, Port] = {}
         #: total power failures suffered (diagnostic)
@@ -55,27 +62,19 @@ class Node:
         process = Process(self.ctx.engine, generator,
                           name=f"{self.name}:{name or 'proc'}")
         process.defused = defused
-        self._processes.append(process)
+        processes = self._processes
+        if len(processes) >= self._compact_at:
+            # Drop the finished once the table has doubled: amortised O(1)
+            # per spawn, and the survivors keep their spawn order.
+            processes[:] = [p for p in processes if p.alive]
+            self._compact_at = max(_MIN_COMPACT, 2 * len(processes))
+        processes.append(process)
         return process
 
     def create_port(self, name: str = "") -> Port:
         if not self.alive:
             raise NodeDown(f"cannot create port on crashed node {self.name!r}")
         return Port(self.ctx, node=self, name=f"{self.name}:{name or 'port'}")
-
-    def register_port(self, port: Port) -> None:
-        self._ports.append(port)
-
-    def release_port(self, port: Port) -> None:
-        """Drop a destroyed port from the node's port table.
-
-        Short-lived reply ports (RPC) deallocate themselves this way so the
-        table does not grow with every timed-out call.
-        """
-        try:
-            self._ports.remove(port)
-        except ValueError:
-            pass
 
     def register_service(self, name: str, port: Port) -> None:
         """Publish a well-known local service port (TM, RM, CM, NS)."""
@@ -99,9 +98,6 @@ class Node:
         for process in self._processes:
             process.kill(f"node {self.name} crashed")
         self._processes.clear()
-        for port in self._ports:
-            port.destroy()
-        self._ports.clear()
         self.services.clear()
         self.vm.clear_volatile()
         self.crashes += 1

@@ -1,11 +1,11 @@
 """Ports: Accent's addressed message queues.
 
 Many processes may hold send rights to a port; exactly one holds receive
-rights.  Our ports belong to a :class:`~repro.kernel.node.Node`; when the
-node crashes, the port dies and subsequent sends are silently dropped (a
-crashed Accent node neither receives nor acknowledges anything -- senders
-discover the failure through time-outs or through the Communication
-Manager's failure detector).
+rights.  Our ports belong to one incarnation (epoch) of a
+:class:`~repro.kernel.node.Node`; when the node crashes, the port dies for
+good and subsequent sends are silently dropped (a crashed Accent node
+neither receives nor acknowledges anything -- senders discover the failure
+through time-outs or through the Communication Manager's failure detector).
 
 Sending charges the message's primitive cost as *delivery latency*: the
 message is enqueued at the receiver after the primitive time elapses, and
@@ -36,6 +36,8 @@ class Port:
                  name: str = "") -> None:
         self.ctx = ctx
         self.node = node
+        #: the node incarnation this port lives and dies with
+        self._epoch = node.epoch if node is not None else 0
         self.port_id = next(_port_ids)
         self.name = name or f"port-{self.port_id}"
         #: receive-event label, computed once -- receive() is hot
@@ -45,17 +47,18 @@ class Port:
         self._waiters: collections.deque[Event] = collections.deque()
         #: messages dropped because the port was dead (diagnostic)
         self.dropped = 0
-        if node is not None:
-            node.register_port(self)
 
     @property
     def alive(self) -> bool:
-        return not self.dead and (self.node is None or self.node.alive)
+        """Not destroyed, and the node is still up in the port's epoch."""
+        node = self.node
+        return not self.dead and (
+            node is None or (node.alive and node.epoch == self._epoch))
 
     @property
     def queued(self) -> int:
-        """Messages delivered but not yet received (diagnostic)."""
-        return len(self._queue)
+        """Messages delivered but not yet received; a dead port has none."""
+        return len(self._queue) if self.alive else 0
 
     def send(self, message: Message, charged: bool = True) -> None:
         """Send asynchronously; delivery after the message's primitive time.
@@ -101,13 +104,13 @@ class Port:
 
     def try_receive(self) -> Message | None:
         """Dequeue a message if one is waiting; never blocks."""
-        if self._queue:
+        if self._queue and self.alive:
             return self._queue.popleft()
         return None
 
     def pending(self) -> int:
         """Messages queued but not yet received."""
-        return len(self._queue)
+        return self.queued
 
     def destroy(self) -> None:
         """Kill the port: drop its queue, future sends are discarded."""

@@ -197,10 +197,8 @@ def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
                     f"{timeout_ms} ms (node crashed?)")
     finally:
         # Deallocate whatever the outcome: a dead reply port silently
-        # drops any stale late reply, and releasing it keeps the node's
-        # port table from growing under repeated timeouts.
+        # drops any stale late reply.
         reply_port.destroy()
-        client.release_port(reply_port)
     yield Timeout(ctx.engine, total_ms / 2)  # response transport
 
     if "error" in response.body:

@@ -1,8 +1,12 @@
 """End-to-end single-node transactions on the integer array server."""
 
+import gc
+
 import pytest
 
 from repro import TabsCluster, TabsConfig, TransactionAborted
+from repro.kernel.ports import Port
+from repro.sim import Process
 from repro.servers.int_array import IntegerArrayServer
 
 
@@ -182,3 +186,35 @@ def test_write_conflict_serializes(cluster):
         return result["value"]
 
     assert cluster.run_transaction("n1", reader) == 2
+
+
+def test_node_tables_stay_bounded_over_many_transactions(cluster):
+    """Cost per transaction must not grow with the transactions already
+    run: the node keeps live processes only, and finished transactions
+    leave no Port or Process object behind anywhere."""
+    app = cluster.application("n1")
+    node = cluster.node("n1").node
+    refs = []
+
+    def body(tid):
+        if not refs:
+            refs.append((yield from app.lookup_one("array")))
+        yield from set_cell(app, refs[0], tid, 1, 7)
+
+    def census():
+        gc.collect()
+        objects = gc.get_objects()
+        return (sum(isinstance(o, Port) for o in objects),
+                sum(isinstance(o, Process) for o in objects))
+
+    for _ in range(1000):
+        cluster.run_transaction("n1", body)
+    ports_1k, processes_1k = census()
+    for _ in range(1000):
+        cluster.run_transaction("n1", body)
+    ports_2k, processes_2k = census()
+
+    live = sum(process.alive for process in node._processes)
+    assert len(node._processes) <= 2 * live + 64
+    assert ports_2k <= ports_1k + 16
+    assert processes_2k <= processes_1k + 2 * live + 64

@@ -1,5 +1,7 @@
 """Unit tests for the RPC runtime (local and inter-node calls)."""
 
+import gc
+
 import pytest
 
 from repro.comm.manager import CommunicationManager
@@ -8,6 +10,7 @@ from repro.errors import ServerError, SessionBroken
 from repro.kernel.context import SimContext
 from repro.kernel.costs import MEASURED_1985, Primitive, ZERO_CPU
 from repro.kernel.node import Node
+from repro.kernel.ports import Port
 from repro.rpc.stubs import ServiceRef, call, respond, respond_error
 from repro.sim import Process
 from repro.txn.ids import TransactionID
@@ -206,17 +209,22 @@ def test_post_dispatch_timeout_is_never_retried(world):
     assert ctx.meter.counter("rpc_retries") == 0
 
 
-def test_reply_ports_deallocated_after_timeouts(world):
-    """Repeated timed-out calls must not grow the caller's port table."""
+def test_timed_out_calls_leave_no_reply_port_behind(world):
+    """Repeated timed-out calls must leave no per-call state on the
+    caller: once each call has returned, its reply port is garbage."""
     ctx, network, nodes = world
     silent = nodes["b"].create_port("silent")
     ref = ServiceRef("b", silent, epoch=0)
-    before = len(nodes["a"]._ports)
-    for _ in range(3):
+    for _ in range(20):
         with pytest.raises(SessionBroken):
             run(ctx, call(network, nodes["a"], ref, "op", {},
                           timeout_ms=200.0))
-    assert len(nodes["a"]._ports) == before
+    while silent.try_receive() is not None:
+        pass  # each unanswered request holds its reply_to
+    gc.collect()
+    assert [port for port in gc.get_objects()
+            if isinstance(port, Port) and port.node is nodes["a"]
+            and port.name.startswith("rpc-reply:")] == []
 
 
 def test_stale_reference_re_resolved_after_server_restart():
