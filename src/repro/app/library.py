@@ -23,9 +23,8 @@ from typing import Callable
 from repro.comm.network import Network
 from repro.errors import LockTimeout, TransactionAborted
 from repro.kernel.costs import Phase
-from repro.kernel.messages import Message
 from repro.kernel.node import Node
-from repro.kernel.ports import Port
+from repro.kernel.service import request
 from repro.nameserver.library import NameServerLibrary
 from repro.rpc import stubs
 from repro.rpc.stubs import ServiceRef
@@ -95,13 +94,8 @@ class ApplicationLibrary:
                                 committed=False, aborted=True)
 
     def _tm_request(self, op: str, body: dict):
-        reply_port = Port(self.ctx, node=self.node, name=f"app:{op}")
-        self.node.service(TM_SERVICE).send(Message(op=op, body=body,
-                                                   reply_to=reply_port))
-        response = yield reply_port.receive()
-        if "error" in response.body:
-            raise response.body["error"]
-        return response.body
+        return request(self.node, self.node.service(TM_SERVICE), op, body,
+                       reply=f"app:{op}")
 
     # -- operations on objects ---------------------------------------------------
 

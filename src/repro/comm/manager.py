@@ -34,6 +34,7 @@ from repro.comm.sessions import SessionTable
 from repro.kernel.costs import Primitive
 from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
+from repro.kernel.service import Service, handlers_of
 from repro.sim import Timeout
 from repro.txn.ids import TransactionID
 
@@ -72,19 +73,10 @@ class CommunicationManager:
         self._trees: dict[TransactionID, SpanningRecord] = {}
         #: attached by the facility layer when failure detection is enabled
         self.failure_detector = None
-        node.spawn(self._loop(), name="communication-manager", defused=True)
+        Service(node, self.port, "cm", handlers_of(self),
+                "communication-manager")
 
-    # -- request loop -------------------------------------------------------
-
-    def _loop(self):
-        while True:
-            message = yield self.port.receive()
-            handler = getattr(self, "_handle_" + message.op.split(".")[-1],
-                              None)
-            if handler is None:
-                continue  # unknown requests are dropped, like bad datagrams
-            self.node.spawn(handler(message),
-                            name=f"cm:{message.op}", defused=True)
+    # -- requests -----------------------------------------------------------
 
     def _handle_send_datagram(self, message: Message):
         yield self.ctx.cpu("CM", self.ctx.cpu_costs.cm_datagram)
@@ -122,9 +114,8 @@ class CommunicationManager:
                                     sender_node=self.node.name),
             time_ms / 2)
 
-    def _handle_ack_remote(self, message: Message):
-        return  # pure bookkeeping: the notice/ack pair is now complete
-        yield  # pragma: no cover
+    def _handle_ack_remote(self, message: Message) -> None:
+        """Pure bookkeeping: the notice/ack pair is now complete."""
 
     # -- inbound datagrams -----------------------------------------------------
 

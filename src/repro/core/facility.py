@@ -18,6 +18,7 @@ from repro.comm.network import Network
 from repro.errors import TabsError
 from repro.kernel.context import SimContext
 from repro.kernel.node import Node
+from repro.kernel.service import request
 from repro.nameserver.server import NameServer
 from repro.recovery.archive import Archive
 from repro.recovery.driver import RecoveryReport, recover_node
@@ -27,6 +28,7 @@ from repro.recovery.manager import (
     RmPagerClient,
 )
 from repro.recovery.supervisor import RecoverySupervisor
+from repro.txn.manager import SERVICE as TM_SERVICE
 from repro.txn.manager import TransactionManager
 from repro.wal.store import LogStore
 
@@ -299,8 +301,6 @@ class TabsNode:
         are gone), and re-acquires write locks for its in-doubt prepared
         transactions from the durable log.
         """
-        from repro.kernel.messages import Message
-        from repro.kernel.ports import Port
         from repro.recovery.analysis import analyze
         from repro.wal.records import (
             OperationRecord,
@@ -338,13 +338,10 @@ class TabsNode:
 
         # Everything else this server had joined lost its locks: abort.
         for tid in self.tm.transactions_with_server(name):
-            reply_port = Port(self.ctx, node=self.node, name="sr-abort")
-            self.node.service("transaction_manager").send(Message(
-                op="tm.abort",
-                body={"tid": tid,
-                      "reason": f"data server {name!r} failed"},
-                reply_to=reply_port))
-            yield reply_port.receive()
+            yield from request(
+                self.node, self.node.service(TM_SERVICE), "tm.abort",
+                {"tid": tid, "reason": f"data server {name!r} failed"},
+                reply="sr-abort")
 
         yield from server.on_recovered()
         return server

@@ -18,6 +18,7 @@ from repro.kernel.costs import (
     Primitive,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import NO_SPAN, SpanScope, Tracer
 from repro.sim import Engine, Timeout
 
 
@@ -36,10 +37,10 @@ class SimContext:
         #: operational metrics (lock waits, log-force latency, commit paths);
         #: always on -- recording is passive and cannot perturb the run
         self.metrics = MetricsRegistry()
-        #: causal span tracer (:class:`repro.obs.Tracer`), or None.  Every
-        #: instrumentation site guards on ``ctx.tracer is not None`` so the
-        #: disabled path costs one attribute check.
-        self.tracer = None
+        #: causal span tracer (:class:`repro.obs.Tracer`), or None.
+        #: Instrumentation sites open spans through :meth:`span`, which
+        #: hands back one shared no-op scope while this is None.
+        self.tracer: Tracer | None = None
         #: wall-clock self-profiler (:class:`repro.obs.profile.SimProfiler`),
         #: or None; same one-attribute-check pattern as ``tracer``.  The
         #: profiler only ever reads the wall clock -- it never feeds a
@@ -61,6 +62,21 @@ class SimContext:
     @property
     def now(self) -> float:
         return self.engine.now
+
+    def span(self, name: str, node: str, component: str,
+             **where) -> SpanScope:
+        """A ``with`` scope around one trace span (``as span`` to
+        ``span.set(...)`` its end attributes).
+
+        ``where`` is :meth:`Tracer.span`'s ``tid``, ``parent_id`` and
+        attributes; pass an attribute that costs something to build
+        (``",".join(children)``, ``str(key)``) as a zero-argument
+        callable, which is only called when a tracer is attached.
+        """
+        tracer = self.tracer
+        if tracer is None:
+            return NO_SPAN
+        return tracer.span(name, node, component, **where)
 
     def charge(self, primitive: Primitive, fraction: float = 1.0) -> Timeout:
         """Record a primitive execution and return its latency as an event.

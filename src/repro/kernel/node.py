@@ -95,6 +95,10 @@ class Node:
         if not self.alive:
             return
         self.alive = False
+        if self.ctx.tracer is not None:
+            # Before the kills: a killed process closes its own spans as
+            # merely "killed"; these are truncated by the crash.
+            self.ctx.tracer.node_crashed(self.name)
         for process in self._processes:
             process.kill(f"node {self.name} crashed")
         self._processes.clear()
@@ -102,8 +106,6 @@ class Node:
         self.vm.clear_volatile()
         self.crashes += 1
         self.ctx.metrics.counter(self.name, "node.crashes").inc()
-        if self.ctx.tracer is not None:
-            self.ctx.tracer.node_crashed(self.name)
         for callback in list(self.on_crash):
             callback(self)
 

@@ -167,25 +167,18 @@ class LockManager:
         copy's availability.
         """
         if self.try_lock(tid, key, mode):
-            if self.ctx.tracer is not None:
-                # Zero-duration span: granted without waiting, but still a
-                # node in the transaction's span tree.
-                acquired = self.ctx.tracer.begin(
-                    "lock.acquire", self.node_name, "LOCK", tid=tid,
-                    key=str(key), mode=mode.name)
-                self.ctx.tracer.end(acquired)
-            return
+            # Zero-duration span: granted without waiting, but still a
+            # node in the transaction's span tree.
+            with self.ctx.span("lock.acquire", self.node_name, "LOCK",
+                               tid=tid, key=lambda: str(key),
+                               mode=mode.name):
+                return
         self.waits += 1
         metrics = self.ctx.metrics
         metrics.counter(self.node_name, "lock.waits").inc()
         depth = metrics.gauge(self.node_name, "lock.wait_depth")
         depth.inc()
         started = self.ctx.now
-        span_id = 0
-        if self.ctx.tracer is not None:
-            span_id = self.ctx.tracer.begin(
-                "lock.wait", self.node_name, "LOCK", tid=tid,
-                key=str(key), mode=mode.name)
         entry = self._locks[key]
         waiter = _Waiter(tid, mode, Event(self.ctx.engine,
                                           name=f"lock:{key}"))
@@ -197,39 +190,40 @@ class LockManager:
             self.ctx.engine,
             self.default_timeout_ms if timeout_ms is None else timeout_ms)
         outcome = "granted"
-        try:
-            which, _value = yield AnyOf(self.ctx.engine,
-                                        [waiter.event, deadline])
-            if which == 1 and not waiter.event.triggered:
-                entry.queue.remove(waiter)
-                self.timeouts += 1
-                metrics.counter(self.node_name, "lock.timeouts").inc()
-                outcome = "timeout"
-                raise LockTimeout(
-                    f"transaction {tid} timed out waiting for {mode} on "
-                    f"{key!r} (holders: {list(entry.holders)})")
-            # Granted -- but ``release_all`` may have revoked the grant
-            # between ``_wake`` succeeding the event and this coroutine
-            # resuming (the transaction finished while it was queued,
-            # and a concurrent release let it reach the head first).
-            # Proceeding would read or write with no lock held.
-            current = self._locks.get(key)
-            if current is None or tid not in current.holders:
-                outcome = "revoked"
-                raise TransactionAborted(
-                    tid, f"lock on {key!r} revoked: transaction finished "
-                    f"while the request was queued")
-        finally:
-            depth.dec()
-            metrics.histogram(self.node_name, "lock.wait_ms").observe(
-                self.ctx.now - started)
-            if self.ctx.profiler is not None:
-                # Simulated ms, not wall -- the heatmap ranks keys by how
-                # much workload time they serialized, deterministically.
-                self.ctx.profiler.record_lock_wait(
-                    self.node_name, key, self.ctx.now - started)
-            if span_id and self.ctx.tracer is not None:
-                self.ctx.tracer.end(span_id, outcome=outcome)
+        with self.ctx.span("lock.wait", self.node_name, "LOCK", tid=tid,
+                           key=lambda: str(key), mode=mode.name) as span:
+            try:
+                which, _value = yield AnyOf(self.ctx.engine,
+                                            [waiter.event, deadline])
+                if which == 1 and not waiter.event.triggered:
+                    entry.queue.remove(waiter)
+                    self.timeouts += 1
+                    metrics.counter(self.node_name, "lock.timeouts").inc()
+                    outcome = "timeout"
+                    raise LockTimeout(
+                        f"transaction {tid} timed out waiting for {mode} on "
+                        f"{key!r} (holders: {list(entry.holders)})")
+                # Granted -- but ``release_all`` may have revoked the grant
+                # between ``_wake`` succeeding the event and this coroutine
+                # resuming (the transaction finished while it was queued,
+                # and a concurrent release let it reach the head first).
+                # Proceeding would read or write with no lock held.
+                current = self._locks.get(key)
+                if current is None or tid not in current.holders:
+                    outcome = "revoked"
+                    raise TransactionAborted(
+                        tid, f"lock on {key!r} revoked: transaction finished "
+                        f"while the request was queued")
+            finally:
+                depth.dec()
+                metrics.histogram(self.node_name, "lock.wait_ms").observe(
+                    self.ctx.now - started)
+                if self.ctx.profiler is not None:
+                    # Simulated ms, not wall -- the heatmap ranks keys by how
+                    # much workload time they serialized, deterministically.
+                    self.ctx.profiler.record_lock_wait(
+                        self.node_name, key, self.ctx.now - started)
+                span.set(outcome=outcome)
 
     # -- release ---------------------------------------------------------------
 

@@ -10,9 +10,9 @@ message latencies.
 from __future__ import annotations
 
 from repro.errors import LookupFailed
-from repro.kernel.messages import Message
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
+from repro.kernel.service import request
 from repro.rpc.stubs import ServiceRef
 from repro.nameserver.server import SERVICE
 
@@ -25,22 +25,19 @@ class NameServerLibrary:
         self.ctx = node.ctx
 
     def _request(self, op: str, body: dict):
-        reply_port = Port(self.ctx, node=self.node, name=f"ns-reply:{op}")
-        self.node.service(SERVICE).send(
-            Message(op=op, body=body, reply_to=reply_port))
-        response = yield reply_port.receive()
-        return response.body
+        return request(self.node, self.node.service(SERVICE), op, body,
+                       reply=f"ns-reply:{op}")
 
     def register(self, name: str, type_name: str, port: Port,
                  object_id: object = None):
         """Publish ``name`` -> <port, object id> on this node (generator)."""
-        yield from self._request("ns.register", {
+        return self._request("ns.register", {
             "name": name, "type": type_name, "port": port,
             "object_id": object_id})
 
     def deregister(self, name: str, port: Port, object_id: object = None):
         """Withdraw one mapping (generator)."""
-        yield from self._request("ns.deregister", {
+        return self._request("ns.deregister", {
             "name": name, "port": port, "object_id": object_id})
 
     def lookup(self, name: str, node_name: str = "", desired: int = 1,

@@ -25,6 +25,7 @@ from repro.comm.manager import SERVICE as CM_SERVICE
 from repro.comm.network import Network
 from repro.kernel.messages import Message
 from repro.kernel.node import Node
+from repro.kernel.service import Service, handlers_of
 from repro.rpc.stubs import ServiceRef, respond
 from repro.sim import AnyOf, Event, Timeout
 
@@ -60,21 +61,11 @@ class NameServer:
         self._names: dict[str, list[_Registration]] = {}
         self._pending: dict[int, _PendingLookup] = {}
         self.broadcasts = 0
-        node.spawn(self._loop(), name="name-server", defused=True)
-
-    def _loop(self):
-        while True:
-            message = yield self.port.receive()
-            handler = getattr(self, "_handle_" + message.op.split(".")[-1],
-                              None)
-            if handler is None:
-                continue
-            self.node.spawn(handler(message), name=f"ns:{message.op}",
-                            defused=True)
+        Service(node, self.port, "ns", handlers_of(self), "name-server")
 
     # -- registration ------------------------------------------------------------
 
-    def _handle_register(self, message: Message):
+    def _handle_register(self, message: Message) -> None:
         body = message.body
         ref = ServiceRef(node_name=self.node.name, port=body["port"],
                          object_id=body.get("object_id"),
@@ -82,10 +73,8 @@ class NameServer:
         self._names.setdefault(body["name"], []).append(
             _Registration(body["name"], body.get("type", ""), ref))
         respond(message, {"ok": True})
-        return
-        yield  # pragma: no cover
 
-    def _handle_deregister(self, message: Message):
+    def _handle_deregister(self, message: Message) -> None:
         body = message.body
         entries = self._names.get(body["name"], [])
         self._names[body["name"]] = [
@@ -93,8 +82,6 @@ class NameServer:
             if not (r.ref.port is body["port"]
                     and r.ref.object_id == body.get("object_id"))]
         respond(message, {"ok": True})
-        return
-        yield  # pragma: no cover
 
     def _local_refs(self, name: str) -> list[ServiceRef]:
         # Entries whose port died (a failed data-server process) are
@@ -143,7 +130,7 @@ class NameServer:
         del self._pending[lookup_id]
         return pending.collected
 
-    def _handle_lookup_remote(self, message: Message):
+    def _handle_lookup_remote(self, message: Message) -> None:
         """A broadcast query arrived from another node's Name Server."""
         refs = self._local_refs(message.body["name"])
         if not refs:
@@ -156,10 +143,8 @@ class NameServer:
             Message(op="cm.send_datagram",
                     body={"target": message.body["origin"],
                           "payload": payload}))
-        return
-        yield  # pragma: no cover
 
-    def _handle_lookup_reply(self, message: Message):
+    def _handle_lookup_reply(self, message: Message) -> None:
         pending = self._pending.get(message.body["lookup_id"])
         if pending is None:
             return  # the lookup already completed or timed out
@@ -167,5 +152,3 @@ class NameServer:
         if (len(pending.collected) >= pending.wanted
                 and not pending.done.triggered):
             pending.done.succeed()
-        return
-        yield  # pragma: no cover

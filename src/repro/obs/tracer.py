@@ -83,6 +83,57 @@ def family_of(tid) -> str:
     return str(toplevel)
 
 
+class SpanScope:
+    """One open span as a context manager, usable inside a generator.
+
+    The span closes when the block is left: by falling off the end or
+    ``return``, by an exception (its type lands in the ``error`` end
+    attribute), or by ``Process.kill`` closing the suspended generator
+    (``truncated="killed"``; a node crash has already closed the node's
+    spans with ``truncated="crash"`` by then, and closing is idempotent).
+    """
+
+    __slots__ = ("_tracer", "span_id", "_end_attrs")
+
+    def __init__(self, tracer: "Tracer", span_id: int) -> None:
+        self._tracer = tracer
+        self.span_id = span_id
+        self._end_attrs: dict = {}
+
+    def set(self, **attrs) -> None:
+        """Attributes recorded when the span closes."""
+        self._end_attrs.update(attrs)
+
+    def __enter__(self) -> "SpanScope":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is GeneratorExit:
+            self._end_attrs["truncated"] = "killed"
+        elif exc_type is not None:
+            self._end_attrs["error"] = exc_type.__name__
+        self._tracer.end(self.span_id, **self._end_attrs)
+
+
+class _NoSpan(SpanScope):
+    """What :meth:`SimContext.span` hands out when no tracer is attached."""
+
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        self.span_id = 0
+
+    def set(self, **attrs) -> None:
+        pass
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        pass
+
+
+#: the one shared no-op scope
+NO_SPAN = _NoSpan()
+
+
 class Tracer:
     """Collects spans and events for one simulated cluster run."""
 
@@ -124,6 +175,21 @@ class Tracer:
         self._open[span.span_id] = span
         stack.append(span)
         return span.span_id
+
+    def span(self, name: str, node: str, component: str, tid=None,
+             parent_id: int | None = None, **attrs) -> "SpanScope":
+        """Open a span as a ``with`` scope that closes it on every exit.
+
+        Parent resolution is :meth:`begin`'s.  An attribute value may be
+        a zero-argument callable; it is called here, so sites reached
+        through :meth:`SimContext.span` build costly values only when a
+        tracer is attached.
+        """
+        for key, value in attrs.items():
+            if callable(value):
+                attrs[key] = value()
+        return SpanScope(self, self.begin(name, node, component, tid,
+                                          parent_id, **attrs))
 
     def begin_root(self, tid, node: str, component: str = "APP",
                    name: str = "txn") -> int:

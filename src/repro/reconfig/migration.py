@@ -190,22 +190,18 @@ class MigrationCoordinator:
         ctx = self._ctx
         local = self.manager.originator
         ctx.metrics.counter(local, "reconfig.migrations_started").inc()
-        span_id = 0
-        if ctx.tracer is not None:
-            span_id = ctx.tracer.begin(
-                "reconfig.migrate", local, "RECONFIG",
-                keyspace=self.keyspace,
-                source=self.source_role.node_name,
-                dest=self.dest_role.node_name)
-        try:
-            committed = yield from self._attempt()
-        except _RETRYABLE_ERRORS + (MigrationRollback,):
-            yield from self._rollback()
-            committed = False
-        self.result = committed
-        if span_id and ctx.tracer is not None:
-            ctx.tracer.end(span_id, committed=committed)
-        return committed
+        with ctx.span("reconfig.migrate", local, "RECONFIG",
+                      keyspace=self.keyspace,
+                      source=self.source_role.node_name,
+                      dest=self.dest_role.node_name) as span:
+            try:
+                committed = yield from self._attempt()
+            except _RETRYABLE_ERRORS + (MigrationRollback,):
+                yield from self._rollback()
+                committed = False
+            self.result = committed
+            span.set(committed=committed)
+            return committed
 
     def _attempt(self):
         manager = self.manager

@@ -109,110 +109,106 @@ def recover_node(rm: RecoveryManager, tm: TransactionManager,
     """
     node = rm.node
     ctx = node.ctx
-    span_id = 0
-    if ctx.tracer is not None:
-        span_id = ctx.tracer.begin("recovery.replay", node.name, "RECOVERY",
-                                   epoch=node.epoch)
     report = RecoveryReport()
+    with ctx.span("recovery.replay", node.name, "RECOVERY",
+                  epoch=node.epoch) as span:
 
-    # -- storage integrity: salvage the log, scrub the data pages -------------
-    salvage = rm.wal.store.salvage()
-    report.log_duplex_repairs = salvage.repairs
-    report.log_records_salvaged = salvage.dropped_records
-    scrubbed = scrub_media(node, archive, segment_ids or [])
-    report.pages_scrubbed = len(scrubbed)
-    if scrubbed:
-        for _ in scrubbed:
-            ctx.metrics.counter(node.name, "disk.corruption_detected").inc()
-            ctx.metrics.counter(node.name, "media.page_repairs").inc()
-        # The scrubbed bases are archive images (or empty): replay must
-        # roll forward over the whole retained log, not just past the
-        # archive position -- the dump's flush steals uncommitted dirty
-        # pages into the archive, and the undo records of those in-flight
-        # transactions sit *below* ``archive_lsn``.  Retention pins every
-        # unresolved transaction's first record, so ``truncated_before``
-        # always reaches back far enough.
-        scrub_bound = rm.wal.store.truncated_before
-        media_bound = (scrub_bound if media_bound is None
-                       else min(media_bound, scrub_bound))
+        # -- storage integrity: salvage the log, scrub the data pages -------------
+        salvage = rm.wal.store.salvage()
+        report.log_duplex_repairs = salvage.repairs
+        report.log_records_salvaged = salvage.dropped_records
+        scrubbed = scrub_media(node, archive, segment_ids or [])
+        report.pages_scrubbed = len(scrubbed)
+        if scrubbed:
+            for _ in scrubbed:
+                ctx.metrics.counter(node.name, "disk.corruption_detected").inc()
+                ctx.metrics.counter(node.name, "media.page_repairs").inc()
+            # The scrubbed bases are archive images (or empty): replay must
+            # roll forward over the whole retained log, not just past the
+            # archive position -- the dump's flush steals uncommitted dirty
+            # pages into the archive, and the undo records of those in-flight
+            # transactions sit *below* ``archive_lsn``.  Retention pins every
+            # unresolved transaction's first record, so ``truncated_before``
+            # always reaches back far enough.
+            scrub_bound = rm.wal.store.truncated_before
+            media_bound = (scrub_bound if media_bound is None
+                           else min(media_bound, scrub_bound))
 
-    records = rm.wal.read_forward(rm.wal.store.truncated_before)
-    plan = analyze(records)
-    report.log_records_scanned = len(records)
+        records = rm.wal.read_forward(rm.wal.store.truncated_before)
+        plan = analyze(records)
+        report.log_records_scanned = len(records)
 
-    # -- restore object state ------------------------------------------------
-    decided = yield from run_value_pass(node.vm, plan,
-                                        bound=media_bound)
-    report.values_restored = len(decided)
-    appliers = {name: library.recovery_applier
-                for name, library in server_libraries.items()}
-    redone, undone = yield from run_operation_passes(
-        node.vm, node.disk, plan, appliers)
-    report.operations_redone = redone
-    report.operations_undone = undone
+        # -- restore object state ------------------------------------------------
+        decided = yield from run_value_pass(node.vm, plan,
+                                            bound=media_bound)
+        report.values_restored = len(decided)
+        appliers = {name: library.recovery_applier
+                    for name, library in server_libraries.items()}
+        redone, undone = yield from run_operation_passes(
+            node.vm, node.disk, plan, appliers)
+        report.operations_redone = redone
+        report.operations_undone = undone
 
-    # -- in-doubt transactions -------------------------------------------------
-    # Collect each prepared family's write sets (per server) and record
-    # chain so locks can be re-acquired and a later abort can still undo.
-    write_sets: dict[TransactionID, dict[str, set]] = {}
-    chains: dict[TransactionID, list[int]] = {}
-    for record in records:
-        if isinstance(record, ServerPrepareRecord):
-            root = _prepared_root(plan, record.tid)
-            if root is not None:
+        # -- in-doubt transactions -------------------------------------------------
+        # Collect each prepared family's write sets (per server) and record
+        # chain so locks can be re-acquired and a later abort can still undo.
+        write_sets: dict[TransactionID, dict[str, set]] = {}
+        chains: dict[TransactionID, list[int]] = {}
+        for record in records:
+            if isinstance(record, ServerPrepareRecord):
+                root = _prepared_root(plan, record.tid)
+                if root is not None:
+                    write_sets.setdefault(root, {}).setdefault(
+                        record.server, set()).update(record.oids)
+            elif isinstance(record, (ValueUpdateRecord, OperationRecord)):
+                root = _prepared_root(plan, record.tid)
+                if root is None:
+                    continue
+                oids = ([record.oid] if isinstance(record, ValueUpdateRecord)
+                        else list(record.oids))
                 write_sets.setdefault(root, {}).setdefault(
-                    record.server, set()).update(record.oids)
-        elif isinstance(record, (ValueUpdateRecord, OperationRecord)):
-            root = _prepared_root(plan, record.tid)
-            if root is None:
-                continue
-            oids = ([record.oid] if isinstance(record, ValueUpdateRecord)
-                    else list(record.oids))
-            write_sets.setdefault(root, {}).setdefault(
-                record.server, set()).update(o for o in oids if o)
-            chains.setdefault(root, []).append(record.lsn)
+                    record.server, set()).update(o for o in oids if o)
+                chains.setdefault(root, []).append(record.lsn)
 
-    for tid, status_record in plan.prepared.items():
-        # Rebuild the Recovery Manager's backward chain (prev_lsn relink).
-        lsns = chains.get(tid, [])
-        previous = 0
-        for lsn in lsns:
-            chained = rm.wal.record_at(lsn)
-            chained.prev_lsn = previous
-            chained.tid = tid  # the family resolves into this root
-            previous = lsn
-        if previous:
-            rm._chains[tid] = previous
-            rm._first_lsn[tid] = lsns[0]
-        # Re-acquire write locks so the in-doubt data stays restricted
-        # (two-phase commit's blocking window).
-        server_ports = {}
-        for server in status_record.servers:
-            library = server_libraries.get(server)
-            if library is None:
-                continue
-            library.relock_prepared(
-                tid, tuple(sorted(write_sets.get(tid, {}).get(server, ()))))
-            server_ports[server] = library.port
-        tm.restore_prepared(tid, status_record.coordinator,
-                            status_record.servers, server_ports,
-                            children=status_record.children)
-        report.prepared_restored.append(tid)
+        for tid, status_record in plan.prepared.items():
+            # Rebuild the Recovery Manager's backward chain (prev_lsn relink).
+            lsns = chains.get(tid, [])
+            previous = 0
+            for lsn in lsns:
+                chained = rm.wal.record_at(lsn)
+                chained.prev_lsn = previous
+                chained.tid = tid  # the family resolves into this root
+                previous = lsn
+            if previous:
+                rm._chains[tid] = previous
+                rm._first_lsn[tid] = lsns[0]
+            # Re-acquire write locks so the in-doubt data stays restricted
+            # (two-phase commit's blocking window).
+            server_ports = {}
+            for server in status_record.servers:
+                library = server_libraries.get(server)
+                if library is None:
+                    continue
+                library.relock_prepared(
+                    tid, tuple(sorted(write_sets.get(tid, {}).get(server, ()))))
+                server_ports[server] = library.port
+            tm.restore_prepared(tid, status_record.coordinator,
+                                status_record.servers, server_ports,
+                                children=status_record.children)
+            report.prepared_restored.append(tid)
 
-    for tid, status_record in plan.committed_unacked.items():
-        tm.restore_committed_unacked(tid, status_record.children)
-        report.phase_two_redriven.append(tid)
+        for tid, status_record in plan.committed_unacked.items():
+            tm.restore_committed_unacked(tid, status_record.children)
+            report.phase_two_redriven.append(tid)
 
-    # -- clean point --------------------------------------------------------------
-    yield from node.vm.flush_all()
-    yield from rm.take_checkpoint(tm.active_transactions())
-    rm.wal.store.truncate_before(rm.truncation_bound())
-    ctx.metrics.counter(node.name, "recovery.replays").inc()
-    ctx.metrics.histogram(node.name, "recovery.records_scanned").observe(
-        report.log_records_scanned)
-    if span_id and ctx.tracer is not None:
-        ctx.tracer.end(
-            span_id,
+        # -- clean point --------------------------------------------------------------
+        yield from node.vm.flush_all()
+        yield from rm.take_checkpoint(tm.active_transactions())
+        rm.wal.store.truncate_before(rm.truncation_bound())
+        ctx.metrics.counter(node.name, "recovery.replays").inc()
+        ctx.metrics.histogram(node.name, "recovery.records_scanned").observe(
+            report.log_records_scanned)
+        span.set(
             records_scanned=report.log_records_scanned,
             values_restored=report.values_restored,
             operations_redone=report.operations_redone,

@@ -38,6 +38,7 @@ from repro.errors import RecoveryError
 from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
+from repro.kernel.service import Service, handlers_of, request
 from repro.kernel.vm import PagerClient
 from repro.rpc.stubs import respond
 from repro.txn.ids import TransactionID
@@ -113,22 +114,13 @@ class RecoveryManager:
         self.media_retention_lsn: int | None = None
         self.checkpoints_taken = 0
         self.reclamations = 0
-        node.spawn(self._loop(), name="recovery-manager", defused=True)
+        Service(node, self.port, "rm", handlers_of(self),
+                "recovery-manager")
 
     # -- plumbing ---------------------------------------------------------------
 
     def _media_event(self, kind: str, count: int = 1) -> None:
         self.ctx.metrics.counter(self.node.name, kind).inc(count)
-
-    def _loop(self):
-        while True:
-            message = yield self.port.receive()
-            handler = getattr(self, "_handle_" + message.op.split(".")[-1],
-                              None)
-            if handler is None:
-                continue
-            self.node.spawn(handler(message), name=f"rm:{message.op}",
-                            defused=True)
 
     def _append_chained(self, record: LogRecord) -> int:
         """Append with the per-transaction backward chain maintained."""
@@ -143,13 +135,11 @@ class RecoveryManager:
 
     # -- attachment ---------------------------------------------------------------
 
-    def _handle_attach(self, message: Message):
+    def _handle_attach(self, message: Message) -> None:
         body = message.body
         self._servers[body["server"]] = ServerAttachment(
             body["server"], body["segment_id"], body["port"])
         respond(message, {"ok": True})
-        return
-        yield  # pragma: no cover
 
     def attachment(self, server: str) -> ServerAttachment:
         try:
@@ -163,46 +153,40 @@ class RecoveryManager:
 
     def _handle_spool(self, message: Message):
         record: LogRecord = message.body["record"]
-        span_id = 0
-        if self.ctx.tracer is not None:
-            span_id = self.ctx.tracer.begin(
-                "rm.spool", self.node.name, "RM", tid=record.tid,
-                parent_id=message.trace_parent,
-                record=type(record).__name__)
-        # Spooling runs on the shared CPU while the data server waits for
-        # the ack, so it is squarely on the transaction's critical path
-        # (10 ms per record in the Section 5.2 accounting).
-        yield self.ctx.cpu("RM", self.ctx.cpu_costs.rm_spool_record)
-        lsn = self._append_chained(record)
-        for oid in _oids_of(record):
-            for page in oid.pages():
-                self._page_rec_lsn.setdefault((oid.segment_id, page), lsn)
-        if record.tid in self._aborted_tids:
-            # A zombie write racing its own abort: the undo walk already
-            # ran, so neutralize the record now -- restore the old value
-            # and log the compensation -- *before* acking the spool, so
-            # the data server's write cycle cannot complete (and its
-            # locks cannot be released) around a value the abort missed.
-            yield from self._instruct_undo(record, zombie=True)
-        respond(message, {"lsn": lsn})
-        if span_id and self.ctx.tracer is not None:
-            self.ctx.tracer.end(span_id, lsn=lsn)
+        with self.ctx.span("rm.spool", self.node.name, "RM", tid=record.tid,
+                           parent_id=message.trace_parent,
+                           record=type(record).__name__) as span:
+            # Spooling runs on the shared CPU while the data server waits
+            # for the ack, so it is squarely on the transaction's critical
+            # path (10 ms per record in the Section 5.2 accounting).
+            yield self.ctx.cpu("RM", self.ctx.cpu_costs.rm_spool_record)
+            lsn = self._append_chained(record)
+            for oid in _oids_of(record):
+                for page in oid.pages():
+                    self._page_rec_lsn.setdefault((oid.segment_id, page),
+                                                  lsn)
+            if record.tid in self._aborted_tids:
+                # A zombie write racing its own abort: the undo walk
+                # already ran, so neutralize the record now -- restore the
+                # old value and log the compensation -- *before* acking
+                # the spool, so the data server's write cycle cannot
+                # complete (and its locks cannot be released) around a
+                # value the abort missed.
+                yield from self._instruct_undo(record, zombie=True)
+            respond(message, {"lsn": lsn})
+            span.set(lsn=lsn)
         self._maybe_reclaim()
 
-    def _handle_prepare_record(self, message: Message):
+    def _handle_prepare_record(self, message: Message) -> None:
         self._append_chained(message.body["record"])
-        return
-        yield  # pragma: no cover
 
     # -- kernel conversation (write-ahead-log gating) ----------------------------------
 
-    def _handle_first_modified(self, message: Message):
+    def _handle_first_modified(self, message: Message) -> None:
         key = (message.body["segment_id"], message.body["page"])
         lsn = self.wal.append(PageDirtyRecord(
             segment_id=key[0], page=key[1]))
         self._page_rec_lsn.setdefault(key, lsn)
-        return
-        yield  # pragma: no cover
 
     def _handle_write_permission(self, message: Message):
         page_lsn = message.body["page_lsn"]
@@ -210,11 +194,9 @@ class RecoveryManager:
         respond(message, {"sequence_number": page_lsn})
         self._maybe_reclaim()
 
-    def _handle_page_written(self, message: Message):
+    def _handle_page_written(self, message: Message) -> None:
         key = (message.body["segment_id"], message.body["page"])
         self._page_rec_lsn.pop(key, None)
-        return
-        yield  # pragma: no cover
 
     # -- transaction management records ----------------------------------------------
 
@@ -228,26 +210,23 @@ class RecoveryManager:
             merged_into=body.get("merged_into"))
         self._append_chained(record)
         if body.get("force"):
-            span_id = 0
-            if self.ctx.tracer is not None:
-                span_id = self.ctx.tracer.begin(
-                    "rm.force_status", self.node.name, "RM",
-                    tid=body["tid"], status=body["status"])
-            # Commit-record processing: the 8 ms extra overlaps the stable
-            # write (the paper itself notes this double-counting), while the
-            # 5 ms per-transaction bookkeeping is recorded alongside.
-            self.ctx.meter.record_cpu(
-                "RM", self.ctx.cpu_costs.rm_commit_write_extra)
-            self.ctx.meter.record_cpu("RM", self.ctx.cpu_costs.rm_read_txn)
-            yield from self.wal.force()
-            if span_id and self.ctx.tracer is not None:
-                self.ctx.tracer.end(span_id)
+            with self.ctx.span("rm.force_status", self.node.name, "RM",
+                               tid=body["tid"], status=body["status"]):
+                # Commit-record processing: the 8 ms extra overlaps the
+                # stable write (the paper itself notes this
+                # double-counting), while the 5 ms per-transaction
+                # bookkeeping is recorded alongside.
+                self.ctx.meter.record_cpu(
+                    "RM", self.ctx.cpu_costs.rm_commit_write_extra)
+                self.ctx.meter.record_cpu("RM",
+                                          self.ctx.cpu_costs.rm_read_txn)
+                yield from self.wal.force()
             respond(message, {"ok": True})
             self._maybe_reclaim()
         if record.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED):
             self._retire(body["tid"])
 
-    def _handle_txn_done(self, message: Message):
+    def _handle_txn_done(self, message: Message) -> None:
         # One-way message: the CPU is recorded here, while the serialization
         # delay it imposes on the shared CPU is modelled at the Transaction
         # Manager's reply point (single-CPU Perq approximation).
@@ -256,10 +235,8 @@ class RecoveryManager:
         self._append_chained(TransactionStatusRecord(
             tid=tid, status=TxnStatus.ENDED))
         self._retire(tid)
-        return
-        yield  # pragma: no cover
 
-    def _handle_merge_chain(self, message: Message):
+    def _handle_merge_chain(self, message: Message) -> None:
         child: TransactionID = message.body["child"]
         parent: TransactionID = message.body["parent"]
         self._append_chained(TransactionStatusRecord(
@@ -282,8 +259,6 @@ class RecoveryManager:
                 parent, self._first_lsn.get(child, child_head))
         self._first_lsn.pop(child, None)
         respond(message, {"ok": True})
-        return
-        yield  # pragma: no cover
 
     def _retire(self, tid: TransactionID) -> None:
         self._chains.pop(tid, None)
@@ -340,9 +315,8 @@ class RecoveryManager:
         attachment = self._servers.get(server)
         if attachment is None:
             return  # pragma: no cover - server withdrew; nothing to undo
-        reply_port = Port(self.ctx, node=self.node, name="rm-undo-reply")
-        attachment.port.send(Message(op=op, body=body, reply_to=reply_port))
-        response = yield reply_port.receive()
+        yield from request(self.node, attachment.port, op, body,
+                           reply="rm-undo-reply")
         if isinstance(record, ValueUpdateRecord):
             # The undo write bypasses the write-ahead gate, so log the
             # compensation: without it, a checkpoint taken before this
@@ -375,7 +349,6 @@ class RecoveryManager:
                 for page in oid.pages():
                     self._page_rec_lsn.setdefault(
                         (oid.segment_id, page), clr_lsn)
-        del response
 
     # -- checkpoints and reclamation -------------------------------------------------------
 
@@ -511,16 +484,12 @@ class RmPagerClient(PagerClient):
         yield  # pragma: no cover
 
     def write_permission(self, segment_id: str, page: int, page_lsn: int):
-        reply_port = Port(self.ctx, node=self.node, name="pager-reply")
-        self._rm_port().send(Message(
-            op="rm.write_permission",
-            body={"segment_id": segment_id, "page": page,
-                  "page_lsn": page_lsn},
-            reply_to=reply_port,
-            free_reply=not self._charged),
-            charged=self._charged)
-        response = yield reply_port.receive()
-        return response.body["sequence_number"]
+        body = yield from request(
+            self.node, self._rm_port(), "rm.write_permission",
+            {"segment_id": segment_id, "page": page, "page_lsn": page_lsn},
+            reply="pager-reply", charged=self._charged,
+            free_reply=not self._charged)
+        return body["sequence_number"]
 
     def page_written(self, segment_id: str, page: int):
         self._rm_port().send(Message(
@@ -532,7 +501,11 @@ class RmPagerClient(PagerClient):
 
 
 class RecoveryManagerClient:
-    """Message-level stubs for the Transaction Manager and server library."""
+    """Message-level stubs for the Transaction Manager and server library.
+
+    Each request/reply stub returns the kit's generator for the caller to
+    ``yield from``.
+    """
 
     def __init__(self, node: Node) -> None:
         self.node = node
@@ -544,17 +517,13 @@ class RecoveryManagerClient:
     def spool(self, record: LogRecord):
         """Send one recovery record; returns its LSN (generator).
 
-        Charged as a large local message when the record's payload is large
-        (old/new page values), per the paper's message classification.
+        Old-value/new-value pairs average ~1100 bytes in the paper's
+        measurements, so spools are always charged as large messages.
         """
-        reply_port = Port(self.ctx, node=self.node, name="spool-reply")
-        # Old-value/new-value pairs average ~1100 bytes in the paper's
-        # measurements, so spools are always charged as large messages.
-        self._port().send(Message(op="rm.spool", body={"record": record},
-                                  reply_to=reply_port,
-                                  kind=MessageKind.LARGE))
-        response = yield reply_port.receive()
-        return response.body["lsn"]
+        body = yield from request(self.node, self._port(), "rm.spool",
+                                  {"record": record}, reply="spool-reply",
+                                  kind=MessageKind.LARGE)
+        return body["lsn"]
 
     def send_prepare_record(self, tid: TransactionID, server: str,
                             oids: tuple) -> None:
@@ -575,61 +544,39 @@ class RecoveryManagerClient:
         # both are merged into the kernel (Section 5.3).
         return not self.ctx.merged_architecture
 
-    def append_status_via_message(self, node: Node, tid: TransactionID,
-                                  status: str, servers: tuple = (),
-                                  children: tuple = (),
-                                  coordinator: str = "",
-                                  force: bool = False,
-                                  merged_into: TransactionID | None = None):
-        body = {"tid": tid, "status": status, "servers": servers,
-                "children": children, "coordinator": coordinator,
-                "force": force, "merged_into": merged_into}
-        if not force:
-            self._port().send(Message(op="rm.append_status", body=body),
-                              charged=self._tm_charged)
-            return
-        reply_port = Port(self.ctx, node=node, name="status-reply")
-        self._port().send(Message(op="rm.append_status", body=body,
-                                  reply_to=reply_port,
-                                  free_reply=not self._tm_charged),
-                          charged=self._tm_charged)
-        yield reply_port.receive()
+    def _tm_request(self, op: str, body: dict, reply: str):
+        return request(self.node, self._port(), op, body, reply=reply,
+                       charged=self._tm_charged,
+                       free_reply=not self._tm_charged)
 
-    def note_txn_done(self, node: Node, tid: TransactionID) -> None:
-        del node
+    def append_status_via_message(self, tid: TransactionID, status: str,
+                                  servers: tuple = (), children: tuple = (),
+                                  coordinator: str = ""):
+        """Append a forced status record; done when it is durable."""
+        return self._tm_request("rm.append_status", {
+            "tid": tid, "status": status, "servers": servers,
+            "children": children, "coordinator": coordinator,
+            "force": True}, "status-reply")
+
+    def note_txn_done(self, tid: TransactionID) -> None:
         self._port().send(Message(op="rm.txn_done", body={"tid": tid}),
                           charged=self._tm_charged)
 
-    def merge_chain_via_message(self, node: Node, child: TransactionID,
+    def merge_chain_via_message(self, child: TransactionID,
                                 parent: TransactionID):
-        reply_port = Port(self.ctx, node=node, name="merge-reply")
-        self._port().send(Message(op="rm.merge_chain",
-                                  body={"child": child, "parent": parent},
-                                  reply_to=reply_port,
-                                  free_reply=not self._tm_charged),
-                          charged=self._tm_charged)
-        yield reply_port.receive()
+        return self._tm_request("rm.merge_chain",
+                                {"child": child, "parent": parent},
+                                "merge-reply")
 
-    def abort_via_message(self, node: Node, tid: TransactionID):
-        reply_port = Port(self.ctx, node=node, name="abort-reply")
-        self._port().send(Message(op="rm.abort", body={"tid": tid},
-                                  reply_to=reply_port,
-                                  free_reply=not self._tm_charged),
-                          charged=self._tm_charged)
-        yield reply_port.receive()
+    def abort_via_message(self, tid: TransactionID):
+        return self._tm_request("rm.abort", {"tid": tid}, "abort-reply")
 
     def attach(self, server: str, segment_id: str, port: Port):
-        reply_port = Port(self.ctx, node=self.node, name="attach-reply")
-        self._port().send(Message(
-            op="rm.attach", body={"server": server, "segment_id": segment_id,
-                                  "port": port},
-            reply_to=reply_port))
-        yield reply_port.receive()
+        return request(self.node, self._port(), "rm.attach",
+                       {"server": server, "segment_id": segment_id,
+                        "port": port}, reply="attach-reply")
 
     def checkpoint(self, active_transactions: dict | None = None):
-        reply_port = Port(self.ctx, node=self.node, name="ckpt-reply")
-        self._port().send(Message(
-            op="rm.checkpoint",
-            body={"active_transactions": active_transactions or {}},
-            reply_to=reply_port))
-        yield reply_port.receive()
+        return request(self.node, self._port(), "rm.checkpoint",
+                       {"active_transactions": active_transactions or {}},
+                       reply="ckpt-reply")

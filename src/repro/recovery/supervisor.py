@@ -101,21 +101,17 @@ class RecoverySupervisor:
             return self.repair_outcomes.get(key) == "repaired"
         self._repairing.add(key)
         node = self.tabs_node.node
-        span_id = 0
-        if self.ctx.tracer is not None:
-            span_id = self.ctx.tracer.begin(
-                "media.page_repair", node.name, "RECOVERY",
-                segment=segment_id, page=page)
         status = "failed"
-        try:
-            status = yield from repair_page(
-                self.tabs_node.rm, self.tabs_node.archive, node.disk,
-                segment_id, page)
-        finally:
-            self._repairing.discard(key)
-            self.repair_outcomes[key] = status
-            if span_id and self.ctx.tracer is not None:
-                self.ctx.tracer.end(span_id, status=status)
+        with self.ctx.span("media.page_repair", node.name, "RECOVERY",
+                           segment=segment_id, page=page) as span:
+            try:
+                status = yield from repair_page(
+                    self.tabs_node.rm, self.tabs_node.archive, node.disk,
+                    segment_id, page)
+            finally:
+                self._repairing.discard(key)
+                self.repair_outcomes[key] = status
+                span.set(status=status)
         if status == "repaired":
             self.page_repairs += 1
             self.ctx.metrics.counter(node.name, "media.page_repairs").inc()

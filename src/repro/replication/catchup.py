@@ -86,37 +86,34 @@ def catchup_server(runtime, server):
     peers = [node for node in placement.replicas(server.name)
              if node != local]
     started = ctx.now
-    span_id = 0
-    if ctx.tracer is not None:
-        span_id = ctx.tracer.begin("replica.catchup", local, "REPL",
-                                   server=server.name)
-    app = ApplicationLibrary(tabs_node.node, tabs_node.network)
-    merged_peers = 0
-    applied_pages = 0
-    for peer in sorted(peers):
-        pages = yield from _merge_from_peer(runtime, app, server, peer)
-        if pages is None:
+    with ctx.span("replica.catchup", local, "REPL",
+                  server=server.name) as span:
+        app = ApplicationLibrary(tabs_node.node, tabs_node.network)
+        merged_peers = 0
+        applied_pages = 0
+        for peer in sorted(peers):
+            pages = yield from _merge_from_peer(runtime, app, server, peer)
+            if pages is None:
+                ctx.metrics.counter(local,
+                                    "replication.catchup_skipped_peer").inc()
+            else:
+                merged_peers += 1
+                applied_pages += pages
+        if merged_peers == 0:
+            # No fresher copy reachable: serve from the recovered local
+            # state.  A known window -- if a fresher peer was merely
+            # unreachable, reads here may be stale until it returns and the
+            # next recovery merges it.  The convergence audit bounds it.
+            ctx.metrics.counter(local, "replication.catchup_selfserve").inc()
+        server.catchup_pending = False
+        # How long this shard's read barrier stayed up -- the per-shard
+        # degraded-service window the availability bench cares about.
+        ctx.metrics.histogram(local, "replica.catchup_wait_ms").observe(
+            ctx.now - started)
+        if applied_pages:
             ctx.metrics.counter(local,
-                                "replication.catchup_skipped_peer").inc()
-        else:
-            merged_peers += 1
-            applied_pages += pages
-    if merged_peers == 0:
-        # No fresher copy reachable: serve from the recovered local
-        # state.  A known window -- if a fresher peer was merely
-        # unreachable, reads here may be stale until it returns and the
-        # next recovery merges it.  The convergence audit bounds it.
-        ctx.metrics.counter(local, "replication.catchup_selfserve").inc()
-    server.catchup_pending = False
-    # How long this shard's read barrier stayed up -- the per-shard
-    # degraded-service window the availability bench cares about.
-    ctx.metrics.histogram(local, "replica.catchup_wait_ms").observe(
-        ctx.now - started)
-    if applied_pages:
-        ctx.metrics.counter(local,
-                            "replica.catchup_pages").inc(applied_pages)
-    if span_id and ctx.tracer is not None:
-        ctx.tracer.end(span_id, pages=applied_pages, peers=merged_peers)
+                                "replica.catchup_pages").inc(applied_pages)
+        span.set(pages=applied_pages, peers=merged_peers)
 
 
 def _merge_from_peer(runtime, app, server, peer):

@@ -88,12 +88,10 @@ def call(network: Network, client: Node, ref: ServiceRef, op: str,
     """
     ctx = client.ctx
     attempt = 0
-    span_id = 0
-    if ctx.tracer is not None:
-        span_id = ctx.tracer.begin(f"rpc:{op}", client.name, "RPC", tid=tid,
-                                   target=ref.node_name,
-                                   local=ref.node_name == client.name)
-    try:
+    with ctx.span(f"rpc:{op}", client.name, "RPC", tid=tid,
+                  target=ref.node_name,
+                  local=ref.node_name == client.name) as span:
+        span.set(attempts=1)
         while True:
             try:
                 result = yield from _call_once(network, client, ref, op, body,
@@ -101,6 +99,7 @@ def call(network: Network, client: Node, ref: ServiceRef, op: str,
                 return result
             except _Retriable as failure:
                 attempt += 1
+                span.set(attempts=attempt + 1)
                 if attempt > retries:
                     raise failure.error
                 ctx.meter.bump("rpc_retries")
@@ -115,9 +114,6 @@ def call(network: Network, client: Node, ref: ServiceRef, op: str,
                     fresh = yield from _re_resolve(client, ref)
                     if fresh is not None:
                         ref = fresh
-    finally:
-        if span_id and ctx.tracer is not None:
-            ctx.tracer.end(span_id, attempts=attempt + 1)
 
 
 def _re_resolve(client: Node, ref: ServiceRef):

@@ -38,7 +38,7 @@ from typing import Callable, Hashable
 from repro.errors import ServerError, TransactionAborted
 from repro.kernel.messages import Message
 from repro.kernel.node import Node
-from repro.kernel.ports import Port
+from repro.kernel.service import Service, request
 from repro.kernel.vm import ObjectID, RecoverableSegment
 from repro.locking.manager import LockManager
 from repro.locking.modes import (
@@ -50,6 +50,7 @@ from repro.locking.modes import (
 )
 from repro.recovery.manager import RecoveryManagerClient
 from repro.rpc.stubs import respond, respond_error
+from repro.sim import Process
 from repro.txn.ids import NULL_TID, TransactionID
 from repro.txn.manager import SERVICE as TM_SERVICE
 from repro.wal.records import OperationRecord, ValueUpdateRecord
@@ -97,6 +98,7 @@ class DataServerLibrary:
         self._aborted_tombstones: set[TransactionID] = set()
         self._dispatch: Callable | None = None
         self._recovery_ops: dict[str, Callable] = {}
+        self._loop_process: Process | None = None
         self.requests_served = 0
 
     # -- startup (Table 3-1 "Startup" group) --------------------------------------
@@ -129,8 +131,11 @@ class DataServerLibrary:
         """Start serving.  ``dispatch(op, body, tid)`` is a generator
         returning the response body for user-defined operations."""
         self._dispatch = dispatch
-        self._loop_process = self.node.spawn(
-            self._loop(), name=f"ds:{self.server_id}", defused=True)
+        # Each request is a separate coroutine invocation; switches
+        # happen only when the operation waits.
+        self._loop_process = Service(
+            self.node, self.port, self.server_id, lambda op: self._serve,
+            f"ds:{self.server_id}").process
 
     def fail(self) -> None:
         """Kill this data server process without taking the node down.
@@ -141,57 +146,35 @@ class DataServerLibrary:
         server is driven by :meth:`TabsNode.recover_server`.
         """
         self.port.destroy()
-        process = getattr(self, "_loop_process", None)
-        if process is not None:
-            process.kill(f"data server {self.server_id} failed")
+        if self._loop_process is not None:
+            self._loop_process.kill(f"data server {self.server_id} failed")
         self.crash_volatile_state()
 
-    def _loop(self):
-        while True:
-            message = yield self.port.receive()
-            # Each request is a separate coroutine invocation; switches
-            # happen only when the operation waits.  The _serve wrapper
-            # exists only to open/close a trace span, and every
-            # ``yield from`` layer costs a frame per suspend/resume, so
-            # the untraced path spawns the body directly.
-            body = (self._serve(message) if self.ctx.tracer is not None
-                    else self._serve_traced(message))
-            self.node.spawn(body, name=f"{self.server_id}:{message.op}",
-                            defused=True)
-
     def _serve(self, message: Message):
-        span_id = 0
-        if self.ctx.tracer is not None:
-            span_tid = (message.tid if message.tid is not None
-                        else message.body.get("tid"))
-            span_id = self.ctx.tracer.begin(
-                f"ds:{message.op}", self.node.name, "DS", tid=span_tid,
-                parent_id=message.trace_parent, server=self.server_id)
-        try:
-            yield from self._serve_traced(message)
-        finally:
-            if span_id and self.ctx.tracer is not None:
-                self.ctx.tracer.end(span_id)
-
-    def _serve_traced(self, message: Message):
-        if message.op.startswith("ds."):
-            yield from self._serve_system(message)
-            return
         tid = message.tid
-        try:
-            if tid is not None:
-                if (tid in self._aborted_tombstones
-                        or self._local(tid).aborted):
-                    raise TransactionAborted(tid, "aborted before this "
-                                                  "operation arrived")
-                yield from self._ensure_joined(tid)
-            assert self._dispatch is not None, "accept_requests not called"
-            result = yield from self._dispatch(message.op, message.body, tid)
-            self.requests_served += 1
-            respond(message, result or {})
-        except Exception as error:  # noqa: BLE001 - marshalled to the caller
-            self._release_pins_after_failure(tid)
-            respond_error(message, error)
+        with self.ctx.span(
+                f"ds:{message.op}", self.node.name, "DS",
+                tid=tid if tid is not None else message.body.get("tid"),
+                parent_id=message.trace_parent, server=self.server_id):
+            if message.op.startswith("ds."):
+                yield from self._serve_system(message)
+                return
+            try:
+                if tid is not None:
+                    if (tid in self._aborted_tombstones
+                            or self._local(tid).aborted):
+                        raise TransactionAborted(
+                            tid, "aborted before this operation arrived")
+                    yield from self._ensure_joined(tid)
+                assert self._dispatch is not None, \
+                    "accept_requests not called"
+                result = yield from self._dispatch(message.op, message.body,
+                                                   tid)
+                self.requests_served += 1
+                respond(message, result or {})
+            except Exception as error:  # noqa: BLE001 - marshalled to caller
+                self._release_pins_after_failure(tid)
+                respond_error(message, error)
 
     def _release_pins_after_failure(self, tid: TransactionID | None) -> None:
         """A failed operation must not leave buffered pins behind."""
@@ -214,14 +197,10 @@ class DataServerLibrary:
         local = self._local(tid)
         if local.joined:
             return
-        reply_port = Port(self.ctx, node=self.node, name="join-reply")
-        self.node.service(TM_SERVICE).send(Message(
-            op="tm.join", body={"tid": tid, "server": self.server_id,
-                                "port": self.port},
-            reply_to=reply_port))
-        response = yield reply_port.receive()
-        if "error" in response.body:
-            raise response.body["error"]
+        yield from request(
+            self.node, self.node.service(TM_SERVICE), "tm.join",
+            {"tid": tid, "server": self.server_id, "port": self.port},
+            reply="join-reply")
         local.joined = True
 
     # -- address arithmetic ----------------------------------------------------------
@@ -454,8 +433,8 @@ class DataServerLibrary:
         need transactions of their own while serving a client transaction
         (the I/O server's permanent-but-not-failure-atomic output).
         """
-        tid = yield from self._tm_request("tm.begin", {"parent": NULL_TID},
-                                          key="tid")
+        tid = (yield from self._tm_request("tm.begin",
+                                           {"parent": NULL_TID}))["tid"]
         # The procedure will operate on this server's own data without an
         # incoming request to trigger the first-operation notice, so join
         # the Transaction Manager explicitly -- otherwise commit would never
@@ -464,20 +443,14 @@ class DataServerLibrary:
         try:
             result = yield from procedure(tid)
         except Exception:
-            yield from self._tm_request("tm.abort", {"tid": tid},
-                                        key="aborted")
+            yield from self._tm_request("tm.abort", {"tid": tid})
             raise
-        yield from self._tm_request("tm.end", {"tid": tid}, key="committed")
+        yield from self._tm_request("tm.end", {"tid": tid})
         return result
 
-    def _tm_request(self, op: str, body: dict, key: str):
-        reply_port = Port(self.ctx, node=self.node, name=f"ds-tm:{op}")
-        self.node.service(TM_SERVICE).send(Message(op=op, body=body,
-                                                   reply_to=reply_port))
-        response = yield reply_port.receive()
-        if "error" in response.body:
-            raise response.body["error"]
-        return response.body[key]
+    def _tm_request(self, op: str, body: dict):
+        return request(self.node, self.node.service(TM_SERVICE), op, body,
+                       reply=f"ds-tm:{op}")
 
     # -- two-phase-commit participation (automated by the library) ----------------------------------------
 
@@ -494,7 +467,8 @@ class DataServerLibrary:
             respond_error(message, ServerError(f"unknown system op "
                                                f"{message.op!r}"))
             return
-        yield from handler(message)
+        # A system op that never waits is a plain method.
+        yield from handler(message) or ()
 
     def _sys_prepare(self, message: Message):
         tid: TransactionID = message.body["tid"]
@@ -566,7 +540,7 @@ class DataServerLibrary:
                                          message.body["args"])
         respond(message, {"ok": True})
 
-    def _sys_subtxn_commit(self, message: Message):
+    def _sys_subtxn_commit(self, message: Message) -> None:
         """A subtransaction committed: its parent inherits everything."""
         child: TransactionID = message.body["child"]
         parent: TransactionID = message.body["parent"]
@@ -581,8 +555,6 @@ class DataServerLibrary:
             for oid, value in child_local.pre_images.items():
                 parent_local.pre_images.setdefault(oid, value)
         respond(message, {"ok": True})
-        return
-        yield  # pragma: no cover
 
     # -- recovery support ------------------------------------------------------------------------------------
 

@@ -42,6 +42,8 @@ from repro.errors import InvalidTransaction, TransactionAborted
 from repro.kernel.messages import Message
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
+from repro.kernel.service import Service, handlers_of, request
+from repro.recovery.manager import SERVICE as RM_SERVICE
 from repro.rpc.stubs import respond, respond_error
 from repro.sim import AnyOf, Event, Timeout
 from repro.txn.coalesce import DatagramCoalescer
@@ -68,6 +70,12 @@ class _Votes:
     received: dict[str, str] = field(default_factory=dict)
     done: Event | None = None
 
+    def record(self, sender: str, response: str) -> None:
+        """Note one response; the last expected one completes ``done``."""
+        self.received[sender] = response
+        if set(self.received) >= self.expected and not self.done.triggered:
+            self.done.succeed()
+
 
 class TransactionManager:
     """One per node."""
@@ -82,8 +90,7 @@ class TransactionManager:
         #: under the grouped commit pipeline; None sends each individually
         #: (the paper's accounting, byte-identical)
         self._coalescer: DatagramCoalescer | None = None
-        if (commit is not None
-                and getattr(commit, "pipeline", "paper") == "grouped"):
+        if commit is not None and commit.grouped_pipeline:
             self._coalescer = DatagramCoalescer(node)
         self.port = node.create_port("tm")
         node.register_service(SERVICE, self.port)
@@ -119,24 +126,13 @@ class TransactionManager:
         self.aborts = 0
         #: family aborts driven by peer-failure notifications
         self.aborts_on_failure = 0
-        #: crash-recovery gate: while set, inbound messages wait in the
-        #: port queue so protocol traffic cannot race log replay
-        self._recovery_gate: Event | None = None
-        node.spawn(self._loop(), name="transaction-manager", defused=True)
+        #: the request loop; its gate is the crash-recovery gate: while
+        #: set, inbound messages wait in the port queue so protocol traffic
+        #: cannot race log replay
+        self._service = Service(node, self.port, "tm", handlers_of(self),
+                                "transaction-manager")
 
     # -- plumbing ---------------------------------------------------------------
-
-    def _loop(self):
-        while True:
-            message = yield self.port.receive()
-            if self._recovery_gate is not None:
-                yield self._recovery_gate
-            handler = getattr(self, "_handle_" + message.op.split(".")[-1],
-                              None)
-            if handler is None:
-                continue
-            self.node.spawn(handler(message), name=f"tm:{message.op}",
-                            defused=True)
 
     def hold_messages_until_recovered(self) -> None:
         """Close the message gate until :meth:`recovery_complete`.
@@ -149,12 +145,12 @@ class TransactionManager:
         effects.  While the gate is closed, inbound messages simply wait
         in the port queue; nothing is dropped.
         """
-        self._recovery_gate = Event(self.ctx.engine,
-                                    name=f"tm-recovered:{self.node.name}")
+        self._service.gate = Event(self.ctx.engine,
+                                   name=f"tm-recovered:{self.node.name}")
 
     def recovery_complete(self) -> None:
         """Open the message gate: this node's state is consistent again."""
-        gate, self._recovery_gate = self._recovery_gate, None
+        gate, self._service.gate = self._service.gate, None
         if gate is not None and not gate.triggered:
             gate.succeed()
 
@@ -202,7 +198,7 @@ class TransactionManager:
         self._server_ports[tid] = {}
         respond(message, {"tid": tid})
 
-    def _handle_join(self, message: Message):
+    def _handle_join(self, message: Message) -> None:
         tid: TransactionID = message.body["tid"]
         state = self._states.get(tid)
         if state is None and not tid.is_toplevel:
@@ -215,17 +211,13 @@ class TransactionManager:
         state.servers.add(message.body["server"])
         self._server_ports[tid][message.body["server"]] = message.body["port"]
         respond(message, {"ok": True})
-        return
-        yield  # pragma: no cover
 
-    def _handle_remote_sites(self, message: Message):
+    def _handle_remote_sites(self, message: Message) -> None:
         state = self._states.get(message.body["tid"])
         if state is not None:
             state.has_remote_sites = True
-        return
-        yield  # pragma: no cover
 
-    def _handle_remote_arrived(self, message: Message):
+    def _handle_remote_arrived(self, message: Message) -> None:
         tid: TransactionID = message.body["tid"]
         if tid not in self._states:
             state = TransactionState(tid)
@@ -235,15 +227,11 @@ class TransactionManager:
         # Ack back to the Communication Manager (counted small message).
         self.node.service(CM_SERVICE).send(
             Message(op="cm.ack_remote", body={"tid": tid}))
-        return
-        yield  # pragma: no cover
 
-    def _handle_query_status(self, message: Message):
+    def _handle_query_status(self, message: Message) -> None:
         state = self._states.get(message.body["tid"])
         respond(message, {
             "phase": state.phase.value if state else "unknown"})
-        return
-        yield  # pragma: no cover
 
     # -- subtransaction merge ------------------------------------------------------
 
@@ -266,8 +254,7 @@ class TransactionManager:
                 {"child": child, "parent": parent_tid})
             parent_state.servers.add(server)
             self._server_ports[parent_tid].setdefault(server, port)
-        yield from self.rm.merge_chain_via_message(
-            self.node, child, parent_tid)
+        yield from self.rm.merge_chain_via_message(child, parent_tid)
         parent_state.children.discard(child)
         parent_state.read_only = (parent_state.read_only
                                   and child_state.read_only)
@@ -306,8 +293,7 @@ class TransactionManager:
                 target_state.servers.add(server)
                 self._server_ports.setdefault(target, {}).setdefault(
                     server, port)
-            yield from self.rm.merge_chain_via_message(self.node, member,
-                                                       target)
+            yield from self.rm.merge_chain_via_message(member, target)
             target_state.children.discard(member)
             target_state.read_only = (target_state.read_only
                                       and member_state.read_only)
@@ -316,14 +302,20 @@ class TransactionManager:
                 or member_state.has_remote_sites)
             self._forget(member)
 
-    def _call_port(self, port: Port, op: str, body: dict):
-        """Small-message request/response with a local process."""
-        reply_port = Port(self.ctx, node=self.node, name=f"tm-reply:{op}")
-        port.send(Message(op=op, body=body, reply_to=reply_port))
-        response = yield reply_port.receive()
-        if "error" in response.body:
-            raise response.body["error"]
-        return response.body
+    def _children(self, state: TransactionState, *others: str):
+        """This node's children in ``state``'s commit spanning tree, minus
+        itself and ``others`` (the node that asked) -- generator.
+
+        An interior node fetches them from the Communication Manager;
+        a transaction with no remote sites below here skips the query.
+        """
+        if not state.has_remote_sites:
+            return []
+        info = yield from request(
+            self.node, self.node.service(CM_SERVICE), "cm.spanning_info",
+            {"tid": state.tid}, reply="tm-reply:cm.spanning_info")
+        skip = (self.node.name, *others)
+        return [child for child in info["children"] if child not in skip]
 
     def _call_server(self, tid: TransactionID, server: str, op: str,
                      body: dict, retries: int = 30,
@@ -381,13 +373,7 @@ class TransactionManager:
             if reason is not None:
                 self.ctx.metrics.counter(
                     self.node.name, "replication.validation_abort").inc()
-                children: list[str] = []
-                if state.has_remote_sites:
-                    info = yield from self._call_port(
-                        self.node.service(CM_SERVICE), "cm.spanning_info",
-                        {"tid": tid})
-                    children = [c for c in info["children"]
-                                if c != self.node.name]
+                children = yield from self._children(state)
                 yield from self._merge_family_into(tid)
                 yield from self._abort_subtree(state, children, reason=reason)
                 respond(message, {"committed": False,
@@ -408,57 +394,51 @@ class TransactionManager:
             # client's EndTransaction and here.
             return state.phase is TxnPhase.COMMITTED
         started = self.ctx.now
-        span_id = 0
-        if self.ctx.tracer is not None:
-            span_id = self.ctx.tracer.begin("2pc.commit", self.node.name,
-                                            "TM", tid=tid)
-        children: list[str] = []
-        if state.has_remote_sites:
-            info = yield from self._call_port(
-                self.node.service(CM_SERVICE), "cm.spanning_info",
-                {"tid": tid})
-            children = [c for c in info["children"] if c != self.node.name]
+        with self.ctx.span("2pc.commit", self.node.name, "TM",
+                           tid=tid) as span:
+            children = yield from self._children(state)
+            vote = yield from self._prepare_subtree(state, children)
+            if vote == "abort":
+                yield from self._abort_subtree(state, children)
+                self.aborts += 1
+                span.set(outcome="abort")
+                return False
+            if vote == "read_only":
+                # No updates anywhere: note completion (unforced) and
+                # finish.
+                self.rm.note_txn_done(tid)
+                # Single-CPU serialization: the Recovery Manager's
+                # bookkeeping delays the application's next request on a
+                # real Perq.
+                yield Timeout(self.ctx.engine,
+                              self.ctx.cpu_costs.rm_read_txn)
+                self.commits += 1
+                self._forget(tid)
+                self._maybe_checkpoint()
+                self._observe_commit(started, 1 + len(children), "read")
+                span.set(outcome="read_only")
+                return True
 
-        vote = yield from self._prepare_subtree(state, children)
-        if vote == "abort":
-            yield from self._abort_subtree(state, children)
-            self.aborts += 1
-            if span_id and self.ctx.tracer is not None:
-                self.ctx.tracer.end(span_id, outcome="abort")
-            return False
-        if vote == "read_only":
-            # No updates anywhere: note completion (unforced) and finish.
-            self.rm.note_txn_done(self.node, tid)
-            # Single-CPU serialization: the Recovery Manager's bookkeeping
-            # delays the application's next request on a real Perq.
-            yield Timeout(self.ctx.engine, self.ctx.cpu_costs.rm_read_txn)
+            # Update transaction: force the commit record, then phase two.
+            yield from self.rm.append_status_via_message(
+                tid, "committed", servers=tuple(state.servers),
+                children=tuple(children))
+            yield self.ctx.cpu("TM",
+                               self.ctx.cpu_costs.tm_commit_write_extra)
+            state.advance(TxnPhase.COMMITTED)
+            if self.ctx.merged_architecture:
+                # Improved architecture: phase two overlaps succeeding
+                # transactions; the application's reply does not wait for
+                # it.
+                self.node.spawn(self._finish_phase_two(state, children),
+                                name=f"tm:lazy-p2:{tid}", defused=True)
+            else:
+                yield from self._finish_phase_two(state, children)
             self.commits += 1
-            self._forget(tid)
             self._maybe_checkpoint()
-            self._observe_commit(started, 1 + len(children), "read")
-            if span_id and self.ctx.tracer is not None:
-                self.ctx.tracer.end(span_id, outcome="read_only")
+            self._observe_commit(started, 1 + len(children), "write")
+            span.set(outcome="committed")
             return True
-
-        # Update transaction: force the commit record, then phase two.
-        yield from self.rm.append_status_via_message(
-            self.node, tid, "committed", servers=tuple(state.servers),
-            children=tuple(children), force=True)
-        yield self.ctx.cpu("TM", self.ctx.cpu_costs.tm_commit_write_extra)
-        state.advance(TxnPhase.COMMITTED)
-        if self.ctx.merged_architecture:
-            # Improved architecture: phase two overlaps succeeding
-            # transactions; the application's reply does not wait for it.
-            self.node.spawn(self._finish_phase_two(state, children),
-                            name=f"tm:lazy-p2:{tid}", defused=True)
-        else:
-            yield from self._finish_phase_two(state, children)
-        self.commits += 1
-        self._maybe_checkpoint()
-        self._observe_commit(started, 1 + len(children), "write")
-        if span_id and self.ctx.tracer is not None:
-            self.ctx.tracer.end(span_id, outcome="committed")
-        return True
 
     def _observe_commit(self, started: float, nodes: int,
                         kind: str) -> None:
@@ -481,7 +461,7 @@ class TransactionManager:
         if children:
             # The unforced end record stops recovery from re-driving phase
             # two; a purely local commit needs none.
-            self.rm.note_txn_done(self.node, tid)
+            self.rm.note_txn_done(tid)
         self._forget(tid)
 
     def _maybe_checkpoint(self) -> None:
@@ -492,7 +472,7 @@ class TransactionManager:
         if self._commits_since_checkpoint < self.checkpoint_every_commits:
             return
         self._commits_since_checkpoint = 0
-        self.node.service("recovery_manager").send(Message(
+        self.node.service(RM_SERVICE).send(Message(
             op="rm.checkpoint",
             body={"active_transactions": self.active_transactions()}))
 
@@ -507,45 +487,42 @@ class TransactionManager:
             # caller was off gathering spanning info.
             return "abort"
         state.advance(TxnPhase.PREPARING)
-        span_id = 0
-        if self.ctx.tracer is not None:
-            span_id = self.ctx.tracer.begin(
-                "2pc.prepare", self.node.name, "TM", tid=tid,
-                children=",".join(children))
-        collection = None
-        if children:
-            collection = self._open_collection("vote", tid, children)
-            for child in children:
-                self._send_datagram(child, "tm.prepare_req", {}, tid)
+        with self.ctx.span("2pc.prepare", self.node.name, "TM", tid=tid,
+                           children=lambda: ",".join(children)) as span:
+            collection = None
+            if children:
+                collection = self._open_collection("vote", tid, children)
+                for child in children:
+                    self._send_datagram(child, "tm.prepare_req", {}, tid)
 
-        local_vote = "read_only"
-        for server in list(self._server_ports.get(tid, {})):
-            try:
-                reply = yield from self._call_server(tid, server,
-                                                     "ds.prepare",
-                                                     {"tid": tid})
-            except Exception:
-                local_vote = "abort"
-                break
-            if reply["vote"] == "abort":
-                local_vote = "abort"
-                break
-            if reply["vote"] == "update":
-                local_vote = "update"
+            local_vote = "read_only"
+            for server in list(self._server_ports.get(tid, {})):
+                try:
+                    reply = yield from self._call_server(tid, server,
+                                                         "ds.prepare",
+                                                         {"tid": tid})
+                except Exception:
+                    local_vote = "abort"
+                    break
+                if reply["vote"] == "abort":
+                    local_vote = "abort"
+                    break
+                if reply["vote"] == "update":
+                    local_vote = "update"
 
-        combined = local_vote
-        if collection is not None:
-            remote_votes = yield from self._await_collection(
-                "vote", tid, self.vote_timeout_ms)
-            if remote_votes is None or "abort" in remote_votes.values():
-                combined = "abort"
-            elif "update" in remote_votes.values() and combined != "abort":
-                combined = "update"
-        if combined != "abort":
-            state.read_only = combined == "read_only"
-        if span_id and self.ctx.tracer is not None:
-            self.ctx.tracer.end(span_id, vote=combined)
-        return combined
+            combined = local_vote
+            if collection is not None:
+                remote_votes = yield from self._await_collection(
+                    "vote", tid, self.vote_timeout_ms)
+                if remote_votes is None or "abort" in remote_votes.values():
+                    combined = "abort"
+                elif ("update" in remote_votes.values()
+                      and combined != "abort"):
+                    combined = "update"
+            if combined != "abort":
+                state.read_only = combined == "read_only"
+            span.set(vote=combined)
+            return combined
 
     def _live_children(self, children: list[str]) -> list[str]:
         """The children worth awaiting: all of them, minus any a
@@ -573,58 +550,40 @@ class TransactionManager:
             return None
         return votes.received
 
-    def _handle_vote(self, message: Message):
-        if self.ctx.tracer is not None:
-            # Zero-duration span with an explicit cross-node parent: the
-            # subordinate's prepare span caused this vote's arrival.
-            span_id = self.ctx.tracer.begin(
-                "2pc.vote", self.node.name, "TM", tid=message.body["tid"],
-                parent_id=message.trace_parent, voter=message.body["from"],
-                vote=message.body.get("vote", ""))
-            self.ctx.tracer.end(span_id)
-        self._record_response("vote", message)
-        return
-        yield  # pragma: no cover
+    def _handle_vote(self, message: Message) -> None:
+        self._record_response("vote", "voter", message)
 
-    def _handle_ack(self, message: Message):
-        if self.ctx.tracer is not None:
-            span_id = self.ctx.tracer.begin(
-                "2pc.ack", self.node.name, "TM", tid=message.body["tid"],
-                parent_id=message.trace_parent, acker=message.body["from"],
-                ack=message.body.get("ack", ""))
-            self.ctx.tracer.end(span_id)
-        self._record_response("ack", message)
-        return
-        yield  # pragma: no cover
+    def _handle_ack(self, message: Message) -> None:
+        self._record_response("ack", "acker", message)
 
-    def _handle_batch(self, message: Message):
+    def _handle_batch(self, message: Message) -> None:
         """Unpack a coalesced ``tm.batch`` datagram into its payloads.
 
         Each inner payload dispatches exactly as if it had arrived alone
         (own handler process, own trace parent); only the wire crossing
-        was shared.
+        was shared.  A batch is never nested.
         """
         for payload in message.body.get("payloads", ()):
-            handler = getattr(self, "_handle_" + payload.op.split(".")[-1],
-                              None)
-            if handler is None or payload.op == "tm.batch":
-                continue  # never nested; unknown inner ops drop like datagrams
-            self.node.spawn(handler(payload), name=f"tm:{payload.op}",
-                            defused=True)
-        return
-        yield  # pragma: no cover
+            if payload.op != "tm.batch":
+                self._service.dispatch(payload)
 
-    def _record_response(self, kind: str, message: Message) -> None:
+    def _record_response(self, kind: str, sender_attr: str,
+                         message: Message) -> None:
         tid: TransactionID = message.body["tid"]
+        sender: str = message.body["from"]
+        response: str = message.body.get(kind, "")
+        # Zero-duration span with an explicit cross-node parent: the
+        # subordinate's prepare / phase-two span caused this arrival.
+        with self.ctx.span("2pc." + kind, self.node.name, "TM", tid=tid,
+                           parent_id=message.trace_parent,
+                           **{sender_attr: sender, kind: response}):
+            pass
         votes = self._collections.get((kind, tid.toplevel))
-        if votes is None:
-            if kind == "ack":
-                self._stray_ack(tid, message.body["from"])
-            return  # otherwise: stale response after a timeout-driven abort
-        votes.received[message.body["from"]] = message.body.get(kind, "")
-        if (set(votes.received) >= votes.expected
-                and not votes.done.triggered):
-            votes.done.succeed()
+        if votes is not None:
+            votes.record(sender, response)
+        elif kind == "ack":
+            self._stray_ack(tid, sender)
+        # otherwise: a stale vote after a timeout-driven abort
 
     def _stray_ack(self, tid: TransactionID, child: str) -> None:
         """A late phase-two ack from a child that crashed mid-protocol and
@@ -634,7 +593,7 @@ class TransactionManager:
             return
         state.pending_acks.discard(child)
         if not state.pending_acks:
-            self.rm.note_txn_done(self.node, tid)
+            self.rm.note_txn_done(tid)
             self._forget(tid)
 
     # -- peer-failure notifications (from the Communication Manager) --------------
@@ -657,10 +616,7 @@ class TransactionManager:
         votes = self._collections.get(("vote", tid.toplevel))
         if (votes is not None and peer in votes.expected
                 and peer not in votes.received):
-            votes.received[peer] = "abort"
-            if (set(votes.received) >= votes.expected
-                    and not votes.done.triggered):
-                votes.done.succeed()
+            votes.record(peer, "abort")
         members = sorted(
             (other for other in self._states if other.toplevel == tid.toplevel),
             key=lambda t: len(t.path), reverse=True)
@@ -685,135 +641,105 @@ class TransactionManager:
     # -- subordinate side ---------------------------------------------------------------
 
     def _handle_prepare_req(self, message: Message):
-        span_id = 0
-        if self.ctx.tracer is not None:
-            span_id = self.ctx.tracer.begin(
-                "2pc.prepare_req", self.node.name, "TM",
-                tid=message.body["tid"], parent_id=message.trace_parent,
-                coordinator=message.body["from"])
-        try:
-            yield from self._prepare_req_traced(message)
-        finally:
-            if span_id and self.ctx.tracer is not None:
-                self.ctx.tracer.end(span_id)
-
-    def _prepare_req_traced(self, message: Message):
         tid: TransactionID = message.body["tid"]
         coordinator: str = message.body["from"]
-        state = self._states.get(tid)
-        if state is not None and state.phase is TxnPhase.ABORTED:
-            # Already aborted here (e.g. a peer-failure notification beat
-            # the coordinator's prepare): the vote must be abort.
-            self._send_datagram(coordinator, "tm.vote", {"vote": "abort"},
-                                tid)
-            return
-        if state is None:
-            # A fragment aborted on a failure notification leaves a flagged
-            # tombstone: its locks are gone and its effects undone, so the
-            # family must not commit.
-            if any(other.toplevel == tid
-                   and known.phase is TxnPhase.ABORTED
-                   and known.aborted_by_failure
-                   for other, known in self._states.items()):
+        with self.ctx.span("2pc.prepare_req", self.node.name, "TM", tid=tid,
+                           parent_id=message.trace_parent,
+                           coordinator=coordinator):
+            state = self._states.get(tid)
+            if state is not None and state.phase is TxnPhase.ABORTED:
+                # Already aborted here (e.g. a peer-failure notification
+                # beat the coordinator's prepare): the vote must be abort.
                 self._send_datagram(coordinator, "tm.vote",
                                     {"vote": "abort"}, tid)
                 return
-            # The top level itself never operated here, but one of its
-            # subtransactions may have (tracked under its own id): give
-            # the family a root to merge into.
-            family_here = any(
-                other.toplevel == tid and not known.phase.terminal
-                for other, known in self._states.items())
-            if family_here:
-                state = TransactionState(tid)
-                state.parent_node = coordinator
-                self._states[tid] = state
-                self._server_ports.setdefault(tid, {})
-            else:
-                # We never saw the transaction (or already forgot a
-                # read-only participation): vote read-only.
-                self._send_datagram(coordinator, "tm.vote",
-                                    {"vote": "read_only"}, tid)
-                return
+            if state is None:
+                # A fragment aborted on a failure notification leaves a
+                # flagged tombstone: its locks are gone and its effects
+                # undone, so the family must not commit.
+                if any(other.toplevel == tid
+                       and known.phase is TxnPhase.ABORTED
+                       and known.aborted_by_failure
+                       for other, known in self._states.items()):
+                    self._send_datagram(coordinator, "tm.vote",
+                                        {"vote": "abort"}, tid)
+                    return
+                # The top level itself never operated here, but one of its
+                # subtransactions may have (tracked under its own id): give
+                # the family a root to merge into.
+                family_here = any(
+                    other.toplevel == tid and not known.phase.terminal
+                    for other, known in self._states.items())
+                if family_here:
+                    state = TransactionState(tid)
+                    state.parent_node = coordinator
+                    self._states[tid] = state
+                    self._server_ports.setdefault(tid, {})
+                else:
+                    # We never saw the transaction (or already forgot a
+                    # read-only participation): vote read-only.
+                    self._send_datagram(coordinator, "tm.vote",
+                                        {"vote": "read_only"}, tid)
+                    return
 
-        yield self.ctx.cpu("TM", self.ctx.cpu_costs.tm_commit_read)
-        yield from self._merge_family_into(tid)
-        yield self.ctx.cpu("other", self.ctx.cpu_costs.tm_dispatch_slop)
-        children: list[str] = []
-        if state.has_remote_sites:
-            # Interior node of the spanning tree: fetch our children from
-            # the Communication Manager.  Leaves skip the query.
-            info = self.node.service(CM_SERVICE)
-            spanning = yield from self._call_port(info, "cm.spanning_info",
-                                                  {"tid": tid})
-            children = [c for c in spanning["children"]
-                        if c not in (self.node.name, coordinator)]
-        try:
-            vote = yield from self._prepare_subtree(state, children)
-        except Exception:
-            vote = "abort"
-        if state.abort_on_prepare and vote != "abort":
-            # A peer failure arrived while we were preparing: we may still
-            # abort unilaterally (nothing durable was promised yet).
-            yield from self._abort_subtree(state, children,
-                                           reason=state.abort_on_prepare)
-            vote = "abort"
+            yield self.ctx.cpu("TM", self.ctx.cpu_costs.tm_commit_read)
+            yield from self._merge_family_into(tid)
+            yield self.ctx.cpu("other", self.ctx.cpu_costs.tm_dispatch_slop)
+            children = yield from self._children(state, coordinator)
+            try:
+                vote = yield from self._prepare_subtree(state, children)
+            except Exception:
+                vote = "abort"
+            if state.abort_on_prepare and vote != "abort":
+                # A peer failure arrived while we were preparing: we may
+                # still abort unilaterally (nothing durable was promised
+                # yet).
+                yield from self._abort_subtree(
+                    state, children, reason=state.abort_on_prepare)
+                vote = "abort"
+                self._send_datagram(coordinator, "tm.vote", {"vote": vote},
+                                    tid)
+                return
+            if vote == "update":
+                yield from self.rm.append_status_via_message(
+                    tid, "prepared", servers=tuple(state.servers),
+                    children=tuple(children), coordinator=coordinator)
+                state.advance(TxnPhase.PREPARED)
+                # Watchdog: if the outcome never arrives (lost datagram,
+                # coordinator hiccup), inquire rather than block forever.
+                self.node.spawn(self._watch_prepared(state),
+                                name=f"tm:watch:{tid}", defused=True)
+            elif vote == "read_only":
+                # Read-only optimization: locks are already released
+                # (servers release at prepare); drop out of phase two
+                # entirely.
+                self._forget(tid)
+            else:
+                yield from self._abort_subtree(state, children)
             self._send_datagram(coordinator, "tm.vote", {"vote": vote}, tid)
-            return
-        if vote == "update":
-            yield from self.rm.append_status_via_message(
-                self.node, tid, "prepared", servers=tuple(state.servers),
-                children=tuple(children), coordinator=coordinator,
-                force=True)
-            state.advance(TxnPhase.PREPARED)
-            # Watchdog: if the outcome never arrives (lost datagram,
-            # coordinator hiccup), inquire rather than block forever.
-            self.node.spawn(self._watch_prepared(state),
-                            name=f"tm:watch:{tid}", defused=True)
-        elif vote == "read_only":
-            # Read-only optimization: locks are already released (servers
-            # release at prepare); drop out of phase two entirely.
-            self._forget(tid)
-        else:
-            yield from self._abort_subtree(state, children)
-        self._send_datagram(coordinator, "tm.vote", {"vote": vote}, tid)
 
     def _handle_commit_req(self, message: Message):
-        span_id = 0
-        if self.ctx.tracer is not None:
-            span_id = self.ctx.tracer.begin(
-                "2pc.commit_req", self.node.name, "TM",
-                tid=message.body["tid"], parent_id=message.trace_parent,
-                coordinator=message.body["from"])
-        try:
-            yield from self._commit_req_traced(message)
-        finally:
-            if span_id and self.ctx.tracer is not None:
-                self.ctx.tracer.end(span_id)
-
-    def _commit_req_traced(self, message: Message):
         tid: TransactionID = message.body["tid"]
         coordinator: str = message.body["from"]
-        state = self._states.get(tid)
-        if state is not None:
-            yield self.ctx.cpu("TM", self.ctx.cpu_costs.tm_commit_write_extra)
-            yield from self._finish_prepared(state, commit=True)
-        # Ack even for unknown transactions: we may have committed and
-        # forgotten already, and commit_req datagrams can be retried.
-        self._send_datagram(coordinator, "tm.ack", {"ack": "committed"}, tid)
+        with self.ctx.span("2pc.commit_req", self.node.name, "TM", tid=tid,
+                           parent_id=message.trace_parent,
+                           coordinator=coordinator):
+            state = self._states.get(tid)
+            if state is not None:
+                yield self.ctx.cpu("TM",
+                                   self.ctx.cpu_costs.tm_commit_write_extra)
+                yield from self._finish_prepared(state, commit=True)
+            # Ack even for unknown transactions: we may have committed and
+            # forgotten already, and commit_req datagrams can be retried.
+            self._send_datagram(coordinator, "tm.ack", {"ack": "committed"},
+                                tid)
 
     def _handle_abort_req(self, message: Message):
         tid: TransactionID = message.body["tid"]
         state = self._states.get(tid)
         if state is not None:
-            children: list[str] = []
-            if state.has_remote_sites:
-                spanning = self.node.service(CM_SERVICE)
-                info = yield from self._call_port(
-                    spanning, "cm.spanning_info", {"tid": tid})
-                children = [c for c in info["children"]
-                            if c not in (self.node.name,
-                                         message.body["from"])]
+            children = yield from self._children(state,
+                                                 message.body["from"])
             yield from self._abort_subtree(state, children)
         self._send_datagram(message.body["from"], "tm.ack",
                             {"ack": "aborted"}, tid)
@@ -821,25 +747,18 @@ class TransactionManager:
     def _finish_prepared(self, state: TransactionState, commit: bool):
         """Phase two at a prepared subordinate (also used after recovery)."""
         tid = state.tid
-        children: list[str] = []
-        if state.has_remote_sites:
-            spanning = self.node.service(CM_SERVICE)
-            info = yield from self._call_port(spanning, "cm.spanning_info",
-                                              {"tid": tid})
-            children = [c for c in info["children"]
-                        if c not in (self.node.name, state.parent_node)]
-        if commit:
-            # Force our COMMITTED record before acknowledging (presumed
-            # abort: once we ack, the coordinator may forget the outcome).
-            yield from self.rm.append_status_via_message(
-                self.node, tid, "committed", servers=tuple(state.servers),
-                children=tuple(children), force=True)
-            state.advance(TxnPhase.COMMITTED)
-            yield from self._phase_two(state, children, "commit")
-        else:
+        children = yield from self._children(state, state.parent_node)
+        if not commit:
             yield from self._abort_subtree(state, children)
             return
-        self.rm.note_txn_done(self.node, tid)
+        # Force our COMMITTED record before acknowledging (presumed
+        # abort: once we ack, the coordinator may forget the outcome).
+        yield from self.rm.append_status_via_message(
+            tid, "committed", servers=tuple(state.servers),
+            children=tuple(children))
+        state.advance(TxnPhase.COMMITTED)
+        yield from self._phase_two(state, children, "commit")
+        self.rm.note_txn_done(tid)
         self._forget(tid)
 
     # -- phase two ----------------------------------------------------------------------
@@ -854,57 +773,47 @@ class TransactionManager:
         transaction's state so the child's recovery-time outcome query can
         be answered -- completion then arrives as a stray ack.
         """
-        span_id = 0
-        if self.ctx.tracer is not None:
-            span_id = self.ctx.tracer.begin(
-                "2pc.phase2", self.node.name, "TM", tid=state.tid,
-                outcome=outcome)
-        try:
-            yield from self._phase_two_traced(state, children, outcome)
-        finally:
-            if span_id and self.ctx.tracer is not None:
-                self.ctx.tracer.end(span_id,
-                                    pending=len(state.pending_acks))
-
-    def _phase_two_traced(self, state: TransactionState,
-                          children: list[str], outcome: str):
         tid = state.tid
-        state.pending_acks = set(children)
-        awaited = self._live_children(children)
-        collection = None
-        if awaited:
-            collection = self._open_collection("ack", tid, awaited)
-        for child in children:
-            self._send_datagram(child, f"tm.{outcome}_req", {}, tid)
-        for server in list(self._server_ports.get(tid, {})):
-            try:
-                yield from self._call_server(tid, server, f"ds.{outcome}",
-                                             {"tid": tid})
-            except Exception:
-                # An unreachable server lost its volatile state with its
-                # process; there is nothing left to release there.
-                continue
-        if collection is None:
-            return
-        acks = yield from self._await_collection("ack", tid,
-                                                 self.ack_timeout_ms)
-        state.pending_acks -= set(acks or {})
-        retries = 0
-        while state.pending_acks and retries < self.max_ack_retries:
-            retries += 1
-            pending = self._live_children(sorted(state.pending_acks))
-            if not pending:
-                # Every silent child is a known-down peer: its recovery's
-                # outcome query will complete us as a stray ack.
-                break
-            self.ctx.metrics.counter(
-                self.node.name, "tm.commit_retransmits").inc(len(pending))
-            self._open_collection("ack", tid, pending)
-            for child in pending:
+        with self.ctx.span("2pc.phase2", self.node.name, "TM", tid=tid,
+                           outcome=outcome) as span:
+            state.pending_acks = set(children)
+            awaited = self._live_children(children)
+            if awaited:
+                self._open_collection("ack", tid, awaited)
+            for child in children:
                 self._send_datagram(child, f"tm.{outcome}_req", {}, tid)
-            acks = yield from self._await_collection("ack", tid,
-                                                     self.ack_timeout_ms)
-            state.pending_acks -= set(acks or {})
+            for server in list(self._server_ports.get(tid, {})):
+                try:
+                    yield from self._call_server(tid, server,
+                                                 f"ds.{outcome}", {"tid": tid})
+                except Exception:
+                    # An unreachable server lost its volatile state with
+                    # its process; there is nothing left to release there.
+                    continue
+            if awaited:
+                acks = yield from self._await_collection(
+                    "ack", tid, self.ack_timeout_ms)
+                state.pending_acks -= set(acks or {})
+            retries = 0
+            while (awaited and state.pending_acks
+                   and retries < self.max_ack_retries):
+                retries += 1
+                awaited = self._live_children(sorted(state.pending_acks))
+                if not awaited:
+                    # Every silent child is a known-down peer: its
+                    # recovery's outcome query will complete us as a
+                    # stray ack.
+                    break
+                self.ctx.metrics.counter(
+                    self.node.name,
+                    "tm.commit_retransmits").inc(len(awaited))
+                self._open_collection("ack", tid, awaited)
+                for child in awaited:
+                    self._send_datagram(child, f"tm.{outcome}_req", {}, tid)
+                acks = yield from self._await_collection(
+                    "ack", tid, self.ack_timeout_ms)
+                state.pending_acks -= set(acks or {})
+            span.set(pending=len(state.pending_acks))
 
     # -- abort ---------------------------------------------------------------------------
 
@@ -914,15 +823,10 @@ class TransactionManager:
         if state is None or state.phase.terminal:
             respond(message, {"aborted": True})
             return
-        children: list[str] = []
-        if state.has_remote_sites:
-            # The spanning tree is kept per family; an aborting
-            # subtransaction ships its own tid to the same children, and
-            # nodes that never served it simply acknowledge.
-            info = yield from self._call_port(
-                self.node.service(CM_SERVICE), "cm.spanning_info",
-                {"tid": tid})
-            children = [c for c in info["children"] if c != self.node.name]
+        # The spanning tree is kept per family; an aborting subtransaction
+        # ships its own tid to the same children, and nodes that never
+        # served it simply acknowledge.
+        children = yield from self._children(state)
         yield from self._abort_subtree(state, children,
                                        reason=message.body.get("reason", ""))
         respond(message, {"aborted": True})
@@ -959,7 +863,7 @@ class TransactionManager:
             self._send_datagram(child, "tm.abort_req", {}, tid)
         # The Recovery Manager follows the transaction's backward chain and
         # instructs servers to undo their effects (Section 3.2.2) ...
-        yield from self.rm.abort_via_message(self.node, tid)
+        yield from self.rm.abort_via_message(tid)
         # ... then the servers drop the transaction and release its locks.
         for server in list(self._server_ports.get(tid, {})):
             try:
@@ -1020,7 +924,7 @@ class TransactionManager:
 
         def rerun():
             yield from self._phase_two(state, list(children), "commit")
-            self.rm.note_txn_done(self.node, tid)
+            self.rm.note_txn_done(tid)
             self._forget(tid)
 
         self.node.spawn(rerun(), name=f"tm:reship:{tid}", defused=True)
@@ -1064,7 +968,7 @@ class TransactionManager:
                                     {"ack": outcome}, tid)
                 return
 
-    def _handle_outcome_query(self, message: Message):
+    def _handle_outcome_query(self, message: Message) -> None:
         tid: TransactionID = message.body["tid"]
         state = self._states.get(tid)
         if state is not None and state.phase is TxnPhase.COMMITTED:
@@ -1077,19 +981,12 @@ class TransactionManager:
             outcome = "aborted"  # presumed abort: no state means no commit
         self._send_datagram(message.body["from"], "tm.outcome_reply",
                             {"outcome": outcome}, tid)
-        return
-        yield  # pragma: no cover
 
-    def _handle_outcome_reply(self, message: Message):
+    def _handle_outcome_reply(self, message: Message) -> None:
         tid: TransactionID = message.body["tid"]
         votes = self._collections.get(("outcome", tid.toplevel))
-        if votes is None:
-            return
-        votes.received[message.body["from"]] = message.body["outcome"]
-        if not votes.done.triggered:
-            votes.done.succeed()
-        return
-        yield  # pragma: no cover
+        if votes is not None:
+            votes.record(message.body["from"], message.body["outcome"])
 
     # -- single-server recovery support ----------------------------------------------------
 

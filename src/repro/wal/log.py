@@ -60,8 +60,8 @@ class WriteAheadLog:
         #: model the log disk as a serial resource (one force in flight at
         #: a time); off by default so the paper's overlapping accounting --
         #: and every historical seed -- is preserved exactly
-        self.serial_log_device: bool = bool(
-            getattr(commit, "serial_log_device", False))
+        self.serial_log_device: bool = (commit is not None
+                                        and commit.serial_log_device)
         self._device_free_at: float = 0.0
         # Force-path metrics, resolved once (the registry get-or-create
         # lookup is per-force otherwise; the objects are stable).
@@ -144,39 +144,38 @@ class WriteAheadLog:
         :meth:`force`.
         """
         started = self.ctx.now
-        span_id = 0
-        if self.ctx.tracer is not None:
-            span_id = self.ctx.tracer.begin(
-                "wal.force", self.node_name, "WAL",
-                target_lsn=target, buffered=len(self._buffer))
-        if self.serial_log_device:
-            # The log disk does one force at a time: queue FIFO behind the
-            # in-flight force, then hold the device for the write.
-            time_ms = self.ctx.delay_of(Primitive.STABLE_STORAGE_WRITE)
-            begin = max(self.ctx.now, self._device_free_at)
-            self._device_free_at = begin + time_ms
-            yield Timeout(self.ctx.engine, self._device_free_at - self.ctx.now,
-                          name=Primitive.STABLE_STORAGE_WRITE.value)
-        else:
-            yield self.ctx.charge(Primitive.STABLE_STORAGE_WRITE)
-        # Recompute after the I/O wait: a concurrent force may have drained
-        # part of the buffer while this one slept, and appending an already
-        # durable record would corrupt the LSN order.
-        to_flush = [r for r in self._buffer
-                    if self.flushed_lsn < r.lsn <= target]
-        if to_flush:
-            self.store.append(to_flush)
-            self._buffer = [r for r in self._buffer if r.lsn > target]
-            self.forces += 1
-        if self._forces_counter is None:
-            self._forces_counter = self.ctx.metrics.counter(
-                self.node_name, "wal.forces")
-            self._force_ms_histogram = self.ctx.metrics.histogram(
-                self.node_name, "wal.force_ms")
-        self._forces_counter.inc()
-        self._force_ms_histogram.observe(self.ctx.now - started)
-        if span_id and self.ctx.tracer is not None:
-            self.ctx.tracer.end(span_id, flushed=len(to_flush))
+        with self.ctx.span("wal.force", self.node_name, "WAL",
+                           target_lsn=target,
+                           buffered=len(self._buffer)) as span:
+            if self.serial_log_device:
+                # The log disk does one force at a time: queue FIFO behind
+                # the in-flight force, then hold the device for the write.
+                time_ms = self.ctx.delay_of(Primitive.STABLE_STORAGE_WRITE)
+                begin = max(self.ctx.now, self._device_free_at)
+                self._device_free_at = begin + time_ms
+                yield Timeout(self.ctx.engine,
+                              self._device_free_at - self.ctx.now,
+                              name=Primitive.STABLE_STORAGE_WRITE.value)
+            else:
+                yield self.ctx.charge(Primitive.STABLE_STORAGE_WRITE)
+            # Recompute after the I/O wait: a concurrent force may have
+            # drained part of the buffer while this one slept, and
+            # appending an already durable record would corrupt the LSN
+            # order.
+            to_flush = [r for r in self._buffer
+                        if self.flushed_lsn < r.lsn <= target]
+            if to_flush:
+                self.store.append(to_flush)
+                self._buffer = [r for r in self._buffer if r.lsn > target]
+                self.forces += 1
+            if self._forces_counter is None:
+                self._forces_counter = self.ctx.metrics.counter(
+                    self.node_name, "wal.forces")
+                self._force_ms_histogram = self.ctx.metrics.histogram(
+                    self.node_name, "wal.force_ms")
+            self._forces_counter.inc()
+            self._force_ms_histogram.observe(self.ctx.now - started)
+            span.set(flushed=len(to_flush))
 
     # -- reading (durable prefix only) ----------------------------------------
 

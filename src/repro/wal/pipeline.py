@@ -137,20 +137,16 @@ class GroupCommitPipeline:
         self.batches += 1
         self.ctx.metrics.histogram(
             self.wal.node_name, "wal.group_force_batch").observe(len(batch))
-        span_id = 0
-        if self.ctx.tracer is not None:
-            span_id = self.ctx.tracer.begin(
-                "wal.group_force", self.wal.node_name, "WAL",
-                target_lsn=target, batch=len(batch))
-        for hook in list(self.on_group_force):
-            hook(self.wal.node_name, len(batch), target)
-        if epoch != self._epoch:
-            # A hook crashed the node inside the window: nothing was
-            # forced, no waiter completes, the batch atomically aborts.
-            return
-        yield from self.wal.physical_force(target)
-        if span_id and self.ctx.tracer is not None:
-            self.ctx.tracer.end(span_id, waiters=len(batch))
+        with self.ctx.span("wal.group_force", self.wal.node_name, "WAL",
+                           target_lsn=target, batch=len(batch)) as span:
+            for hook in list(self.on_group_force):
+                hook(self.wal.node_name, len(batch), target)
+            if epoch != self._epoch:
+                # A hook crashed the node inside the window: nothing was
+                # forced, no waiter completes, the batch atomically aborts.
+                return
+            yield from self.wal.physical_force(target)
+            span.set(waiters=len(batch))
         if epoch != self._epoch:
             # Crashed during the stable write: the volatile buffer is gone,
             # nothing landed (physical_force re-reads the buffer after the

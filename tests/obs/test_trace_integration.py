@@ -135,3 +135,48 @@ class TestSpanTreeCompleteness:
         assert by_id[prepare_req.parent_id].node == "node0"
         vote = next(s for s in family if s.name == "2pc.vote")
         assert by_id[vote.parent_id].node == "node1"
+
+
+# -- every span closes ---------------------------------------------------------
+
+def open_spans_on_live_nodes(cluster):
+    return [(span.name, span.node, span.start_ms)
+            for span in cluster.ctx.tracer.spans
+            if span.open and cluster.nodes[span.node].node.alive]
+
+
+class TestNoSpanLeftOpen:
+    """Spans open through one ``with`` scope, so every exit path closes
+    them: at quiescence nothing on a live node is still open."""
+
+    def test_debitcredit_with_lock_timeout_aborts(self):
+        from repro.core.cluster import TabsCluster
+        from repro.core.config import WorkloadConfig
+        from repro.workloads import DebitCreditWorkload
+
+        # One hot branch row, arrivals far faster than a transaction, and
+        # a lock time-out shorter than one: waiters time out and abort.
+        cluster = TabsCluster(TabsConfig(
+            seed=7, lock_timeout_ms=300.0,
+            workload=WorkloadConfig(branches=1, accounts_per_branch=20,
+                                    tellers_per_branch=2)))
+        cluster.enable_tracing()
+        driver = DebitCreditWorkload(cluster, cluster.build_workload(),
+                                     seed=7)
+        driver.schedule_traffic(txns=12, spacing_ms=20.0)
+        driver.run(until_ms=1_000_000.0)
+        cluster.settle()
+        outcomes = driver.stats.outcomes()
+        assert outcomes.get("committed") and outcomes.get("aborted")
+        waits = [span for span in cluster.ctx.tracer.spans
+                 if span.name == "lock.wait"]
+        assert any(span.attrs.get("error") == "LockTimeout"
+                   for span in waits)
+        assert open_spans_on_live_nodes(cluster) == []
+
+    def test_canned_chaos_scenario(self):
+        from repro.__main__ import _run_chaos_target
+
+        cluster = _run_chaos_target(2026, traced=True)
+        assert len(cluster.ctx.tracer.spans) > 100
+        assert open_spans_on_live_nodes(cluster) == []
