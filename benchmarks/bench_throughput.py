@@ -8,7 +8,7 @@ writers.
 
 The pipeline-comparison half measures the group-commit payoff: the
 ``paper`` pipeline (one log force per commit record) against the
-``grouped`` pipeline (batched forces + coalesced 2PC datagrams), both
+``grouped`` pipeline (batched forces), both
 over a serial log device.  ``python benchmarks/bench_throughput.py
 --json`` regenerates ``BENCH_throughput.json`` at the repository root;
 ``--smoke`` runs a shortened variant for CI.

@@ -21,19 +21,18 @@ from repro.kernel.costs import (
 
 @dataclass(frozen=True)
 class CommitConfig:
-    """The commit/logging pipeline in force on every node.
+    """How log-force requests become physical log forces on every node.
 
     ``pipeline="paper"`` (the default) reproduces the system exactly as
-    measured: every prepare and commit record is forced individually and
-    every 2PC vote/ack travels as its own datagram, so Tables 5-1 through
-    5-5 and all historical chaos seeds replay byte-identically.
+    measured: every prepare and commit record is forced individually, so
+    Tables 5-1 through 5-5 and all historical chaos seeds replay
+    byte-identically.
 
     ``pipeline="grouped"`` is the Section 7 scale-out direction (Gray's
     group commit): log forces arriving within ``force_window_ms`` of each
-    other -- or up to ``force_batch_cap`` of them -- are coalesced into a
-    single physical log force that completes all waiters at once, and the
-    Transaction Manager batches 2PC datagrams destined for the same node
-    (acks piggyback on the next outbound datagram at the same instant).
+    other are coalesced into a single physical log force that completes
+    all waiters at once.  The two-phase-commit messages are the paper's
+    under either value: one datagram per prepare, vote, commit and ack.
 
     ``serial_log_device`` models the log disk as a serial resource (one
     force in flight at a time, FIFO).  It is off by default because the
@@ -46,8 +45,6 @@ class CommitConfig:
     pipeline: str = "paper"
     #: group-commit accumulation window in simulated milliseconds
     force_window_ms: float = 2.0
-    #: force immediately once this many waiters are pending
-    force_batch_cap: int = 64
     #: one physical log force in flight at a time (FIFO device queue)
     serial_log_device: bool = False
 
@@ -56,24 +53,11 @@ class CommitConfig:
             raise ValueError(f"unknown commit pipeline {self.pipeline!r}")
         if self.force_window_ms < 0:
             raise ValueError("force_window_ms must be >= 0")
-        if self.force_batch_cap < 1:
-            raise ValueError("force_batch_cap must be >= 1")
-
-    @property
-    def grouped_pipeline(self) -> bool:
-        return self.pipeline == "grouped"
 
     @classmethod
-    def paper(cls) -> "CommitConfig":
-        """Byte-identical to the system as measured."""
-        return cls()
-
-    @classmethod
-    def grouped(cls, force_window_ms: float = 2.0,
-                force_batch_cap: int = 64) -> "CommitConfig":
-        """Group commit + datagram coalescing over a serial log device."""
+    def grouped(cls, force_window_ms: float = 2.0) -> "CommitConfig":
+        """Group commit over a serial log device."""
         return cls(pipeline="grouped", force_window_ms=force_window_ms,
-                   force_batch_cap=force_batch_cap,
                    serial_log_device=True)
 
 
@@ -295,19 +279,17 @@ class TabsConfig:
     #: than the 5000-page benchmark array on a real Perq)
     vm_capacity_pages: int = 1500
     log_capacity_records: int = 100_000
-    log_buffer_records: int = 512
     lock_timeout_ms: float = 10_000.0
     datagram_loss_rate: float = 0.0
     #: proactive failure detection (Section 3.2: the Communication Manager
     #: reports node failures).  Probes are uncharged background daemons, so
-    #: enabling this does not perturb the paper's cost accounting.
-    failure_detection: bool = True
+    #: they do not perturb the paper's cost accounting.
     probe_interval_ms: float = 250.0
     suspicion_timeout_ms: float = 1500.0
     #: TM-driven checkpoint cadence (Section 3.2.2), in commits; None = off
     checkpoint_every_commits: int | None = None
-    #: commit/logging pipeline (group commit, datagram coalescing); the
-    #: default reproduces the paper's per-record forces exactly
+    #: log-force pipeline (group commit); the default reproduces the
+    #: paper's per-record forces exactly
     commit: CommitConfig = field(default_factory=CommitConfig)
     #: banking schema built by :meth:`TabsCluster.build_workload`
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)

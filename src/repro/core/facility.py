@@ -91,20 +91,16 @@ class TabsNode:
             self.node = Node(self.ctx, self.name,
                              vm_capacity_pages=self.config.vm_capacity_pages)
         self.cm = CommunicationManager(self.node, self.network)
-        if self.config.failure_detection:
-            self.cm.failure_detector = FailureDetector(
-                self.cm,
-                probe_interval_ms=self.config.probe_interval_ms,
-                suspicion_timeout_ms=self.config.suspicion_timeout_ms,
-                observers=self.fd_observers)
+        self.cm.failure_detector = FailureDetector(
+            self.cm,
+            probe_interval_ms=self.config.probe_interval_ms,
+            suspicion_timeout_ms=self.config.suspicion_timeout_ms,
+            observers=self.fd_observers)
         self.ns = NameServer(self.node, self.network)
         self.rm = RecoveryManager(self.node, store=self.log_store,
-                                  buffer_capacity=self.config
-                                  .log_buffer_records,
                                   commit=self.config.commit)
         self.tm = TransactionManager(self.node,
-                                     RecoveryManagerClient(self.node),
-                                     commit=self.config.commit)
+                                     RecoveryManagerClient(self.node))
         # Inbound protocol traffic (a peer's prompt abort, an outcome
         # query) must not race the log replay below; the gate opens at
         # the end of setup_generator once the node is consistent.

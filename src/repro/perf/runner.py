@@ -31,7 +31,7 @@ and :mod:`repro.perf.debitcredit` and the chaos soak suite; the
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import TabsError

@@ -17,7 +17,7 @@ Two workload shapes expose the first-order locking effect:
 
 :func:`compare_pipelines` runs the same multi-client workload under the
 ``paper`` commit pipeline (one log force per commit record) and the
-``grouped`` pipeline (group commit + coalesced 2PC datagrams), both over
+``grouped`` pipeline (group commit), both over
 a *serial* log device -- one force in flight at a time, which is what a
 real log disk does.  Under that device model the paper pipeline saturates
 at 1000/79 ms ≈ 12.7 commits/second however many clients run, while group

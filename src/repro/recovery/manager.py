@@ -74,12 +74,10 @@ class RecoveryManager:
     """One per node; owns the node's common write-ahead log."""
 
     def __init__(self, node: Node, store: LogStore | None = None,
-                 buffer_capacity: int = 512,
                  commit: "CommitConfig | None" = None) -> None:
         self.node = node
         self.ctx = node.ctx
         self.wal = WriteAheadLog(node.ctx, store=store,
-                                 buffer_capacity=buffer_capacity,
                                  node_name=node.name, commit=commit)
         self.wal.on_buffer_full = self._on_buffer_full
         # Log-media events (duplex repairs, salvage truncations) land on

@@ -46,12 +46,10 @@ from repro.kernel.service import Service, handlers_of, request
 from repro.recovery.manager import SERVICE as RM_SERVICE
 from repro.rpc.stubs import respond, respond_error
 from repro.sim import AnyOf, Event, Timeout
-from repro.txn.coalesce import DatagramCoalescer
 from repro.txn.ids import NULL_TID, TidFactory, TransactionID
 from repro.txn.status import TransactionState, TxnPhase
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.config import CommitConfig
     from repro.recovery.manager import RecoveryManagerClient
 
 SERVICE = "transaction_manager"
@@ -81,23 +79,14 @@ class TransactionManager:
     """One per node."""
 
     def __init__(self, node: Node,
-                 recovery_manager: "RecoveryManagerClient",
-                 commit: "CommitConfig | None" = None) -> None:
+                 recovery_manager: "RecoveryManagerClient") -> None:
         self.node = node
         self.ctx = node.ctx
         self.rm = recovery_manager
-        #: same-instant, same-target 2PC datagrams ride one batch datagram
-        #: under the grouped commit pipeline; None sends each individually
-        #: (the paper's accounting, byte-identical)
-        self._coalescer: DatagramCoalescer | None = None
-        if commit is not None and commit.grouped_pipeline:
-            self._coalescer = DatagramCoalescer(node)
         self.port = node.create_port("tm")
         node.register_service(SERVICE, self.port)
         self.tids = TidFactory(node.name, epoch=node.epoch)
         self._states: dict[TransactionID, TransactionState] = {}
-        #: per-transaction {server name: request port} for 2PC messages
-        self._server_ports: dict[TransactionID, dict[str, Port]] = {}
         #: open vote/ack collections keyed by (kind, toplevel tid)
         self._collections: dict[tuple[str, TransactionID], _Votes] = {}
         self.vote_timeout_ms = DEFAULT_VOTE_TIMEOUT_MS
@@ -172,9 +161,6 @@ class TransactionManager:
                           body={**body, "service": SERVICE,
                                 "from": self.node.name, "tid": tid},
                           trace_parent=trace_parent)
-        if self._coalescer is not None:
-            self._coalescer.send(target, payload)
-            return
         self.node.service(CM_SERVICE).send(Message(
             op="cm.send_datagram", body={"target": target,
                                          "payload": payload}))
@@ -195,7 +181,6 @@ class TransactionManager:
             tid = self.tids.new_subtransaction(parent_tid)
             parent.children.add(tid)
         self._states[tid] = TransactionState(tid)
-        self._server_ports[tid] = {}
         respond(message, {"tid": tid})
 
     def _handle_join(self, message: Message) -> None:
@@ -204,12 +189,16 @@ class TransactionManager:
         if state is None and not tid.is_toplevel:
             # A remote subtransaction operating here: track under its own id.
             state = self._states[tid] = TransactionState(tid)
-            self._server_ports[tid] = {}
         if state is None:
             respond_error(message, InvalidTransaction(str(tid)))
             return
+        if state.phase is TxnPhase.ABORTED:
+            # A zombie operation's first call reached its server after the
+            # abort.  Unanswered, it stays parked: were it let through, its
+            # locks would belong to a transaction nobody will ever end.
+            return
         state.servers.add(message.body["server"])
-        self._server_ports[tid][message.body["server"]] = message.body["port"]
+        state.server_ports[message.body["server"]] = message.body["port"]
         respond(message, {"ok": True})
 
     def _handle_remote_sites(self, message: Message) -> None:
@@ -223,7 +212,6 @@ class TransactionManager:
             state = TransactionState(tid)
             state.parent_node = message.body["parent_node"]
             self._states[tid] = state
-            self._server_ports[tid] = {}
         # Ack back to the Communication Manager (counted small message).
         self.node.service(CM_SERVICE).send(
             Message(op="cm.ack_remote", body={"tid": tid}))
@@ -238,29 +226,16 @@ class TransactionManager:
     def _merge_child_into_parent(self, child: TransactionID):
         """Commit a subtransaction: fold its locks, write set, and undo
         chain into its parent; the real commit happens with the top level."""
-        parent_tid = child.parent
-        assert parent_tid is not None
+        assert child.parent is not None
         child_state = self._state(child)
-        parent_state = self._state(parent_tid)
+        parent_state = self._state(child.parent)
         # Deepest first: live grandchildren merge into the child before the
         # child merges into the parent.
         for grandchild in sorted(child_state.children,
                                  key=lambda t: len(t.path), reverse=True):
             if grandchild in self._states:
                 yield from self._merge_child_into_parent(grandchild)
-        for server, port in list(self._server_ports.get(child, {}).items()):
-            yield from self._call_server(
-                child, server, "ds.subtxn_commit",
-                {"child": child, "parent": parent_tid})
-            parent_state.servers.add(server)
-            self._server_ports[parent_tid].setdefault(server, port)
-        yield from self.rm.merge_chain_via_message(child, parent_tid)
-        parent_state.children.discard(child)
-        parent_state.read_only = (parent_state.read_only
-                                  and child_state.read_only)
-        parent_state.has_remote_sites = (parent_state.has_remote_sites
-                                         or child_state.has_remote_sites)
-        self._forget(child)
+        yield from self._fold(child_state, parent_state)
 
     def _merge_family_into(self, root_tid: TransactionID):
         """Fold every live family member into the (top-level) root.
@@ -283,24 +258,24 @@ class TransactionManager:
                       and parent_tid != member else root_tid)
             if target == member:  # pragma: no cover - defensive
                 continue
-            member_state = self._states[member]
-            target_state = self._states[target]
-            for server, port in list(
-                    self._server_ports.get(member, {}).items()):
-                yield from self._call_server(
-                    member, server, "ds.subtxn_commit",
-                    {"child": member, "parent": target})
-                target_state.servers.add(server)
-                self._server_ports.setdefault(target, {}).setdefault(
-                    server, port)
-            yield from self.rm.merge_chain_via_message(member, target)
-            target_state.children.discard(member)
-            target_state.read_only = (target_state.read_only
-                                      and member_state.read_only)
-            target_state.has_remote_sites = (
-                target_state.has_remote_sites
-                or member_state.has_remote_sites)
-            self._forget(member)
+            yield from self._fold(self._states[member], self._states[target])
+
+    def _fold(self, child: TransactionState, into: TransactionState):
+        """Make ``into`` the owner of everything ``child`` did here: each
+        server re-files the locks and write set, the Recovery Manager
+        splices the undo chains, and ``child`` is forgotten."""
+        for server, port in list(child.server_ports.items()):
+            yield from self._call_server(
+                child.tid, server, "ds.subtxn_commit",
+                {"child": child.tid, "parent": into.tid})
+            into.servers.add(server)
+            into.server_ports.setdefault(server, port)
+        yield from self.rm.merge_chain_via_message(child.tid, into.tid)
+        into.children.discard(child.tid)
+        into.read_only = into.read_only and child.read_only
+        into.has_remote_sites = (into.has_remote_sites
+                                 or child.has_remote_sites)
+        self._forget(child.tid)
 
     def _children(self, state: TransactionState, *others: str):
         """This node's children in ``state``'s commit spanning tree, minus
@@ -326,7 +301,8 @@ class TransactionManager:
         are exhausted."""
         attempt = 0
         while True:
-            port = self._server_ports.get(tid, {}).get(server)
+            state = self._states.get(tid)
+            port = state.server_ports.get(server) if state else None
             if port is None:
                 raise InvalidTransaction(
                     f"no port for server {server!r} under {tid}")
@@ -496,7 +472,7 @@ class TransactionManager:
                     self._send_datagram(child, "tm.prepare_req", {}, tid)
 
             local_vote = "read_only"
-            for server in list(self._server_ports.get(tid, {})):
+            for server in list(state.server_ports):
                 try:
                     reply = yield from self._call_server(tid, server,
                                                          "ds.prepare",
@@ -555,17 +531,6 @@ class TransactionManager:
 
     def _handle_ack(self, message: Message) -> None:
         self._record_response("ack", "acker", message)
-
-    def _handle_batch(self, message: Message) -> None:
-        """Unpack a coalesced ``tm.batch`` datagram into its payloads.
-
-        Each inner payload dispatches exactly as if it had arrived alone
-        (own handler process, own trace parent); only the wire crossing
-        was shared.  A batch is never nested.
-        """
-        for payload in message.body.get("payloads", ()):
-            if payload.op != "tm.batch":
-                self._service.dispatch(payload)
 
     def _record_response(self, kind: str, sender_attr: str,
                          message: Message) -> None:
@@ -674,7 +639,6 @@ class TransactionManager:
                     state = TransactionState(tid)
                     state.parent_node = coordinator
                     self._states[tid] = state
-                    self._server_ports.setdefault(tid, {})
                 else:
                     # We never saw the transaction (or already forgot a
                     # read-only participation): vote read-only.
@@ -782,7 +746,7 @@ class TransactionManager:
                 self._open_collection("ack", tid, awaited)
             for child in children:
                 self._send_datagram(child, f"tm.{outcome}_req", {}, tid)
-            for server in list(self._server_ports.get(tid, {})):
+            for server in list(state.server_ports):
                 try:
                     yield from self._call_server(tid, server,
                                                  f"ds.{outcome}", {"tid": tid})
@@ -865,7 +829,7 @@ class TransactionManager:
         # instructs servers to undo their effects (Section 3.2.2) ...
         yield from self.rm.abort_via_message(tid)
         # ... then the servers drop the transaction and release its locks.
-        for server in list(self._server_ports.get(tid, {})):
+        for server in list(state.server_ports):
             try:
                 yield from self._call_server(tid, server, "ds.abort",
                                              {"tid": tid})
@@ -890,12 +854,16 @@ class TransactionManager:
         self._forget(tid, keep_tombstone=True)
 
     def _forget(self, tid: TransactionID, keep_tombstone: bool = False) -> None:
-        self._server_ports.pop(tid, None)
-        if keep_tombstone:
-            # Keep the aborted state so late arrivals (ops, EndTransaction)
-            # get TransactionIsAborted rather than InvalidTransaction.
+        state = self._states.get(tid)
+        if state is None:
             return
-        self._states.pop(tid, None)
+        # A protocol step still holding the state finds no server to call.
+        state.server_ports.clear()
+        if not keep_tombstone:
+            # An aborted state is kept so late arrivals (ops,
+            # EndTransaction) get TransactionIsAborted rather than
+            # InvalidTransaction.
+            del self._states[tid]
 
     # -- recovery resolution ------------------------------------------------------------
 
@@ -908,9 +876,9 @@ class TransactionManager:
         state = TransactionState(tid, phase=TxnPhase.PREPARED)
         state.parent_node = coordinator
         state.servers = set(servers)
+        state.server_ports = dict(server_ports)
         state.has_remote_sites = bool(children)
         self._states[tid] = state
-        self._server_ports[tid] = dict(server_ports)
         self.node.spawn(self._resolve_in_doubt(state),
                         name=f"tm:resolve:{tid}", defused=True)
 
@@ -920,7 +888,6 @@ class TransactionManager:
         may not have completed; repeat it (idempotent at the children)."""
         state = TransactionState(tid, phase=TxnPhase.COMMITTED)
         self._states[tid] = state
-        self._server_ports[tid] = {}
 
         def rerun():
             yield from self._phase_two(state, list(children), "commit")
@@ -993,9 +960,9 @@ class TransactionManager:
     def rebind_server_port(self, server: str, port: Port) -> None:
         """A data server was re-created: point its pending transactions'
         2PC messages at the new request port."""
-        for ports in self._server_ports.values():
-            if server in ports:
-                ports[server] = port
+        for state in self._states.values():
+            if server in state.server_ports:
+                state.server_ports[server] = port
 
     def transactions_with_server(self, server: str) -> list[TransactionID]:
         """Non-terminal, non-prepared transactions this server joined.

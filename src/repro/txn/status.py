@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import TransactionError
+from repro.kernel.ports import Port
 from repro.txn.ids import TransactionID
 
 
@@ -51,6 +52,9 @@ class TransactionState:
     phase: TxnPhase = TxnPhase.ACTIVE
     #: local data servers that performed operations for this transaction
     servers: set[str] = field(default_factory=set)
+    #: request port of each such server, for the commit protocol's calls;
+    #: a server restored from the log is in ``servers`` before it has one
+    server_ports: dict[str, Port] = field(default_factory=dict)
     #: True once the Communication Manager reported remote involvement
     has_remote_sites: bool = False
     #: node that shipped this transaction here (empty at the root/birth node)

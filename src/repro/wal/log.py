@@ -10,12 +10,11 @@ single stable-storage write -- this matches the paper's accounting, where a
 one-page log force costs one ``Stable Storage Write`` primitive (79 ms
 measured, 32 ms achievable with dedicated logging disks).
 
-*How* force requests map onto physical forces is pluggable (see
-:mod:`repro.wal.pipeline`): the default ``paper`` pipeline performs one
-physical force per request, exactly as measured; the ``grouped`` pipeline
-coalesces requests arriving within a window into a single force (group
-commit).  :meth:`WriteAheadLog.force` is the only entry point either way --
-callers enqueue a force request and get a completion.
+By default every force request is one physical force, exactly as
+measured; under ``CommitConfig(pipeline="grouped")`` the requests arriving
+within a window share a single force (group commit, see
+:mod:`repro.wal.pipeline`).  :meth:`WriteAheadLog.force` is the only entry
+point either way -- callers request a force and get a completion.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from repro.errors import WriteAheadLogError
 from repro.kernel.context import SimContext
 from repro.kernel.costs import Primitive
 from repro.sim import Timeout
-from repro.wal.pipeline import GroupCommitPipeline, make_force_pipeline
+from repro.wal.pipeline import GroupCommitPipeline
 from repro.wal.records import LogRecord
 from repro.wal.store import LogStore
 
@@ -55,8 +54,11 @@ class WriteAheadLog:
         #: called when an append finds the buffer full; the Recovery Manager
         #: hooks reclamation checks here.
         self.on_buffer_full: Callable[[], None] | None = None
-        #: how force requests become physical forces (paper | grouped)
-        self.pipeline = make_force_pipeline(self, commit)
+        #: the group-commit scheduler; None forces once per request
+        self.group_pipeline: GroupCommitPipeline | None = None
+        if commit is not None and commit.pipeline == "grouped":
+            self.group_pipeline = GroupCommitPipeline(
+                self, commit.force_window_ms)
         #: model the log disk as a serial resource (one force in flight at
         #: a time); off by default so the paper's overlapping accounting --
         #: and every historical seed -- is preserved exactly
@@ -96,12 +98,6 @@ class WriteAheadLog:
     def buffered_count(self) -> int:
         return len(self._buffer)
 
-    @property
-    def group_pipeline(self) -> GroupCommitPipeline | None:
-        """The group-commit scheduler, when one is in force."""
-        pipeline = self.pipeline
-        return pipeline if isinstance(pipeline, GroupCommitPipeline) else None
-
     # -- writing ---------------------------------------------------------------
 
     def append(self, record: LogRecord) -> int:
@@ -124,24 +120,27 @@ class WriteAheadLog:
         """Make records up to ``up_to_lsn`` durable (generator; charges I/O).
 
         Forces the whole buffer when ``up_to_lsn`` is None.  A no-op (and
-        free) when everything requested is already durable.  The request is
-        routed through the force pipeline: the paper pipeline forces
-        immediately; the grouped pipeline enqueues the request and the
-        completion arrives when its batch's single physical force lands.
+        free) when everything requested is already durable.  Without a
+        group pipeline the force happens immediately; with one the request
+        is enqueued and the completion arrives when its batch's single
+        physical force lands.
         """
         target = self.last_lsn if up_to_lsn is None else up_to_lsn
         if target <= self.flushed_lsn or not self._buffer:
             return
         if not any(r.lsn <= target for r in self._buffer):
             return
-        yield from self.pipeline.force(target)
+        if self.group_pipeline is None:
+            yield from self.physical_force(target)
+        else:
+            yield from self.group_pipeline.force(target)
 
     def physical_force(self, target: int) -> Iterator:
         """One physical log force through ``target`` (generator).
 
         Owns the stable-storage write, the optional serial-device queue,
-        and the metrics.  Pipelines call this; everyone else goes through
-        :meth:`force`.
+        and the metrics.  The group pipeline calls this; everyone else
+        goes through :meth:`force`.
         """
         started = self.ctx.now
         with self.ctx.span("wal.force", self.node_name, "WAL",
@@ -201,12 +200,13 @@ class WriteAheadLog:
     def crash(self) -> None:
         """Drop the volatile buffer (the durable prefix survives).
 
-        The force pipeline is fenced too: queued group-commit waiters are
+        A group pipeline is fenced too: queued group-commit waiters are
         dropped (their processes died with the node) and any scheduled
         window callback or in-flight flush becomes inert.
         """
         self._buffer.clear()
-        self.pipeline.crash()
+        if self.group_pipeline is not None:
+            self.group_pipeline.crash()
 
     def tear_inflight_force(self) -> int | None:
         """Power fails mid-force: the oldest buffered record reaches the

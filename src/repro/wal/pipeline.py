@@ -1,19 +1,18 @@
-"""Pluggable log-force pipelines: per-record forces versus group commit.
+"""Group commit: one physical log force for every request in a window.
 
 The paper's commit path forces every prepare and commit record
 individually -- one ``Stable Storage Write`` per record, exactly as
-Tables 5-2/5-3 account for it.  :class:`PaperForcePipeline` preserves that
-behaviour byte for byte.
+Tables 5-2/5-3 account for it; :meth:`repro.wal.log.WriteAheadLog.force`
+does that itself when no pipeline is installed.
 
 :class:`GroupCommitPipeline` is the classic group-commit lever (Gray &
 Levine, "Thousands of DebitCredit Transactions-Per-Second"): a force
 request enqueues and waits; all requests that arrive within a configurable
-window -- or up to a batch-size cap -- are coalesced into one physical log
-force that completes every waiter at once.  Under concurrent commit
+window are completed by one physical log force.  Under concurrent commit
 traffic this drops forces-per-commit below 1.0, which is what turns a
 log-force-bound system into a throughput machine.
 
-Both pipelines drive :meth:`repro.wal.log.WriteAheadLog.physical_force`,
+The pipeline drives :meth:`repro.wal.log.WriteAheadLog.physical_force`,
 which owns the storage write, the (optional) serial log-device queue, and
 the paper's cost accounting.
 """
@@ -25,7 +24,6 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.sim import Event, Process
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.config import CommitConfig
     from repro.wal.log import WriteAheadLog
 
 #: ``(node_name, batch_size, target_lsn) -> None`` -- observers invoked at
@@ -33,27 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover
 GroupForceHook = Callable[[str, int, int], None]
 
 
-class PaperForcePipeline:
-    """One physical force per request -- the system as measured."""
-
-    grouped = False
-
-    def __init__(self, wal: "WriteAheadLog") -> None:
-        self.wal = wal
-
-    def force(self, target: int) -> Iterator:
-        yield from self.wal.physical_force(target)
-
-    def crash(self) -> None:
-        """Nothing queued outside the WAL's own volatile buffer."""
-
-
 class GroupCommitPipeline:
     """Coalesce force requests inside a window into one physical force.
 
     A request opens an accumulation window (``window_ms``); every request
-    arriving before it expires joins the batch.  The batch is forced early
-    when ``batch_cap`` requests are pending.  One stable-storage write
+    arriving before it expires joins the batch.  One stable-storage write
     completes all waiters at once.
 
     Over a *serial* log device the window is additionally device-aware:
@@ -71,14 +53,10 @@ class GroupCommitPipeline:
     process inert after a crash.
     """
 
-    grouped = True
-
-    def __init__(self, wal: "WriteAheadLog", window_ms: float = 2.0,
-                 batch_cap: int = 64) -> None:
+    def __init__(self, wal: "WriteAheadLog", window_ms: float) -> None:
         self.wal = wal
         self.ctx = wal.ctx
         self.window_ms = window_ms
-        self.batch_cap = batch_cap
         self._pending: list[tuple[int, Event]] = []
         self._window_open = False
         self._epoch = 0
@@ -88,18 +66,12 @@ class GroupCommitPipeline:
         self.coalesced = 0
         self.on_group_force: list[GroupForceHook] = []
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def force(self, target: int) -> Iterator:
         """Enqueue a force request and wait for its batch (generator)."""
         waiter = Event(self.ctx.engine,
                        name=f"wal.group_force_wait:{self.wal.node_name}")
         self._pending.append((target, waiter))
-        if len(self._pending) >= self.batch_cap:
-            self._begin_flush()
-        elif not self._window_open:
+        if not self._window_open:
             self._window_open = True
             epoch = self._epoch
             self.ctx.engine.schedule(
@@ -109,9 +81,6 @@ class GroupCommitPipeline:
     def _window_expired(self, epoch: int) -> None:
         if epoch != self._epoch:
             return  # the node crashed; a new incarnation owns the log now
-        if not self._pending:
-            self._window_open = False
-            return
         busy_for = self.wal.device_busy_for()
         if busy_for > 0.0:
             # A force is occupying the serial log device: flushing now
@@ -122,10 +91,6 @@ class GroupCommitPipeline:
             self.ctx.engine.schedule(
                 busy_for, lambda: self._window_expired(epoch))
             return
-        self._window_open = False
-        self._begin_flush()
-
-    def _begin_flush(self) -> None:
         batch, self._pending = self._pending, []
         self._window_open = False
         Process(self.ctx.engine, self._flush(batch),
@@ -161,19 +126,3 @@ class GroupCommitPipeline:
         self._epoch += 1
         self._pending = []
         self._window_open = False
-
-
-def make_force_pipeline(wal: "WriteAheadLog",
-                        commit: "CommitConfig | None"
-                        ) -> PaperForcePipeline | GroupCommitPipeline:
-    """Build the pipeline a commit config asks for.
-
-    ``commit`` is duck-typed (any object with the :class:`CommitConfig`
-    attributes, or None for the paper pipeline) so the WAL layer does not
-    import the cluster configuration package.
-    """
-    if commit is not None and getattr(commit, "pipeline", "paper") == "grouped":
-        return GroupCommitPipeline(
-            wal, window_ms=getattr(commit, "force_window_ms", 2.0),
-            batch_cap=getattr(commit, "force_batch_cap", 64))
-    return PaperForcePipeline(wal)

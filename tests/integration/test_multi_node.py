@@ -3,11 +3,12 @@
 import pytest
 
 from repro import SessionBroken, TabsCluster, TabsConfig
+from repro.core.config import CommitConfig
 from repro.servers.int_array import IntegerArrayServer
 
 
-def make_cluster(node_count=2):
-    cluster = TabsCluster(TabsConfig())
+def make_cluster(node_count=2, config=None):
+    cluster = TabsCluster(config or TabsConfig())
     for index in range(node_count):
         name = f"n{index}"
         cluster.add_node(name)
@@ -60,6 +61,33 @@ def test_two_node_write_commits_atomically():
         return first, second
 
     assert cluster.run_transaction("n0", check) == (100, 200)
+
+
+@pytest.mark.parametrize("commit", [CommitConfig(), CommitConfig.grouped()],
+                         ids=["paper", "grouped"])
+def test_two_node_write_sends_the_papers_four_datagrams(commit):
+    """Table 5-3: prepare, vote, commit and ack each travel as a datagram
+    of their own -- group commit changes the log forces, not the wire."""
+    cluster = make_cluster(2, TabsConfig(commit=commit))
+    sent = []
+
+    def on_network(now, event, source, target, op):
+        if event == "send" and op.startswith("tm."):
+            sent.append((source, target, op))
+
+    cluster.network.add_trace_hook(on_network)
+    app = cluster.application("n0")
+
+    def transfer(tid):
+        local = yield from app.lookup_one("array0")
+        remote = yield from app.lookup_one("array1")
+        yield from set_cell(app, local, tid, 1, 100)
+        yield from set_cell(app, remote, tid, 1, 200)
+
+    cluster.run_transaction("n0", transfer)
+    cluster.settle()
+    assert sent == [("n0", "n1", "tm.prepare_req"), ("n1", "n0", "tm.vote"),
+                    ("n0", "n1", "tm.commit_req"), ("n1", "n0", "tm.ack")]
 
 
 def test_two_node_abort_undoes_both_nodes():

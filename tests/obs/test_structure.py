@@ -1,9 +1,11 @@
-"""Structural guards: the plumbing the service kit owns stays in the kit.
+"""Structural guards: the plumbing the service kit owns stays in the kit,
+and no module imports a name it does not use.
 
 Text checks over ``src/repro``; a new match fails with the file and line,
 and the fix is to use the kit (or, with a reason, to add the site below).
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -55,3 +57,31 @@ def test_reply_ports_are_built_only_by_the_kit_and_its_named_exceptions():
     others = {(path, function)
               for path, function, _ in sites(r"\bPort\(")} - found
     assert others == {("kernel/node.py", "create_port")}
+
+
+def test_every_imported_name_is_used():
+    """The unused-import half of ``ruff`` F401, for where ruff is not
+    installed: outside ``__init__.py`` (re-exports), a name an ``import``
+    binds must occur as a word elsewhere in the file -- in code, in a
+    quoted annotation or in ``__all__``."""
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        bound = []
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            bound += [(alias.asname or alias.name.partition(".")[0],
+                       node.lineno) for alias in node.names]
+            for number in range(node.lineno, node.end_lineno + 1):
+                lines[number - 1] = ""
+        rest = "\n".join(lines)
+        unused += [f"{path.relative_to(SRC).as_posix()}:{line} {name}"
+                   for name, line in bound
+                   if not re.search(rf"\b{re.escape(name)}\b", rest)]
+    assert unused == []

@@ -7,7 +7,7 @@ from repro.kernel.messages import Message
 from repro.kernel.ports import Port
 from repro.servers.int_array import IntegerArrayServer
 from repro.txn.ids import TransactionID
-from repro.txn.status import TxnPhase
+from repro.txn.status import TransactionState, TxnPhase
 from tests.property.conftest import fast_config
 
 
@@ -83,8 +83,6 @@ def test_abort_unknown_transaction_is_acknowledged(env):
 
 def test_transactions_with_server_filters_prepared_and_terminal(env):
     cluster, tm, app = env
-    from repro.txn.status import TransactionState
-
     active = TransactionState(TransactionID("n1", 1))
     active.servers.add("srv")
     prepared = TransactionState(TransactionID("n1", 2),
@@ -103,10 +101,12 @@ def test_rebind_server_port_updates_every_transaction(env):
     old_port = Port(cluster.ctx, node=cluster.node("n1").node)
     new_port = Port(cluster.ctx, node=cluster.node("n1").node)
     for seq in (1, 2):
-        tm._server_ports[TransactionID("n1", seq)] = {"srv": old_port}
+        tid = TransactionID("n1", seq)
+        tm._states[tid] = TransactionState(tid,
+                                           server_ports={"srv": old_port})
     tm.rebind_server_port("srv", new_port)
-    assert all(ports["srv"] is new_port
-               for ports in tm._server_ports.values())
+    assert all(state.server_ports["srv"] is new_port
+               for state in tm._states.values())
 
 
 def test_commit_request_for_unknown_transaction_acks_blindly(env):

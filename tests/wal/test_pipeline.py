@@ -1,4 +1,4 @@
-"""Unit tests for the pluggable log-force pipelines (group commit)."""
+"""Unit tests for the group-commit log-force pipeline."""
 
 import pytest
 
@@ -7,11 +7,7 @@ from repro.kernel.context import SimContext
 from repro.kernel.costs import MEASURED_1985, Primitive
 from repro.sim import Process, Timeout
 from repro.wal.log import WriteAheadLog
-from repro.wal.pipeline import (
-    GroupCommitPipeline,
-    PaperForcePipeline,
-    make_force_pipeline,
-)
+from repro.wal.pipeline import GroupCommitPipeline
 from repro.wal.records import ValueUpdateRecord
 
 STABLE_WRITE_MS = MEASURED_1985.time_of(Primitive.STABLE_STORAGE_WRITE)
@@ -30,28 +26,24 @@ def make_record(tid="t"):
     return ValueUpdateRecord(tid=tid, old_value=0, new_value=1)
 
 
-def grouped_log(ctx, window_ms=2.0, batch_cap=64, node_name=""):
-    commit = CommitConfig(pipeline="grouped", force_window_ms=window_ms,
-                          force_batch_cap=batch_cap)
+def grouped_log(ctx, window_ms=2.0, node_name=""):
+    commit = CommitConfig(pipeline="grouped", force_window_ms=window_ms)
     return WriteAheadLog(ctx, node_name=node_name, commit=commit)
 
 
 class TestPipelineSelection:
     def test_default_is_paper(self, ctx):
-        assert isinstance(WriteAheadLog(ctx).pipeline, PaperForcePipeline)
-        assert WriteAheadLog(ctx).group_pipeline is None
+        log = WriteAheadLog(ctx, commit=CommitConfig())
+        assert log.group_pipeline is None
 
     def test_none_config_is_paper(self, ctx):
-        log = WriteAheadLog(ctx)
-        assert isinstance(make_force_pipeline(log, None),
-                          PaperForcePipeline)
+        assert WriteAheadLog(ctx).group_pipeline is None
 
     def test_grouped_config_installs_group_pipeline(self, ctx):
-        log = grouped_log(ctx, window_ms=3.5, batch_cap=7)
+        log = grouped_log(ctx, window_ms=3.5)
         pipeline = log.group_pipeline
         assert isinstance(pipeline, GroupCommitPipeline)
         assert pipeline.window_ms == 3.5
-        assert pipeline.batch_cap == 7
 
 
 class TestGroupCommit:
@@ -72,16 +64,6 @@ class TestGroupCommit:
         log.append(make_record())
         run(ctx, log.force())
         assert ctx.engine.now == pytest.approx(2.0 + STABLE_WRITE_MS)
-
-    def test_batch_cap_flushes_without_waiting_for_window(self, ctx):
-        log = grouped_log(ctx, window_ms=1_000.0, batch_cap=3)
-        lsns = [log.append(make_record()) for _ in range(3)]
-        processes = [Process(ctx.engine, log.force(lsn)) for lsn in lsns]
-        for process in processes:
-            ctx.engine.run_until(process)
-        # Flushed at the cap: well before the huge window would expire.
-        assert ctx.engine.now == pytest.approx(STABLE_WRITE_MS)
-        assert log.forces == 1
 
     def test_forces_after_first_batch_keep_working(self, ctx):
         log = grouped_log(ctx)
@@ -179,12 +161,8 @@ class TestCommitConfigValidation:
         with pytest.raises(ValueError):
             CommitConfig(force_window_ms=-1.0)
 
-    def test_batch_cap_floor(self):
-        with pytest.raises(ValueError):
-            CommitConfig(force_batch_cap=0)
-
     def test_grouped_factory(self):
         commit = CommitConfig.grouped(force_window_ms=9.0)
-        assert commit.grouped_pipeline
+        assert commit.pipeline == "grouped"
         assert commit.force_window_ms == 9.0
         assert commit.serial_log_device
