@@ -123,6 +123,12 @@ class ApplicationLibrary:
         return refs
 
     def lookup_one(self, name: str, node_name: str = ""):
+        """Bind to a server (generator returning one ServiceRef).
+
+        The *node* keeps what this resolves (``Node.bindings``), not the
+        application object: a new library per transaction still binds
+        once.  See :meth:`NameServerLibrary.lookup_one`.
+        """
         ref = yield from self.names.lookup_one(name, node_name=node_name)
         return ref
 

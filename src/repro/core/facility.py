@@ -225,7 +225,7 @@ class TabsNode:
         self._pending_media_restore = None
         self._build()
         if not self.archive.empty:
-            self.rm.media_retention_lsn = self.archive.archive_lsn + 1
+            self.rm.media_retention_lsn = self.archive.retain_from_lsn
         for factory in self._server_factories.values():
             server = factory(self)
             self.servers[server.name] = server
@@ -250,15 +250,19 @@ class TabsNode:
 
         "Systems infrequently dump the contents of non-volatile storage
         into an off-line archive" (Section 2.1.3).  Forces dirty pages and
-        the log first, so the dump is consistent at ``archive_lsn``.
+        the log first, so the dump is complete up to ``archive_lsn``.
         """
+        # Read before the flush: it steals the uncommitted values of
+        # whatever is in flight from here on into the page images, and
+        # a transaction that aborts while it runs is in no table after.
+        retain_from = self.rm.undo_horizon()
         yield from self.node.vm.flush_all()
         yield from self.rm.wal.force()
         segment_ids = [server.segment_id
                        for server in self.servers.values()]
         self.archive.dump(self.node.disk, segment_ids,
-                          self.rm.wal.flushed_lsn)
-        self.rm.media_retention_lsn = self.archive.archive_lsn + 1
+                          self.rm.wal.flushed_lsn, retain_from)
+        self.rm.media_retention_lsn = self.archive.retain_from_lsn
         return self.archive.archive_lsn
 
     def media_failure(self, segment_ids: list[str]) -> int:

@@ -13,7 +13,7 @@ them all and no restart brings one back.
 
 from __future__ import annotations
 
-from typing import Callable, Generator
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.errors import NodeDown
 from repro.kernel.context import SimContext
@@ -21,6 +21,9 @@ from repro.kernel.disk import Disk
 from repro.kernel.ports import Port
 from repro.kernel.vm import VirtualMemory
 from repro.sim import Process
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.rpc.stubs import ServiceRef
 
 #: smallest process-table size worth compacting
 _MIN_COMPACT = 64
@@ -45,6 +48,10 @@ class Node:
         self._compact_at = _MIN_COMPACT
         #: well-known local services (e.g. "transaction_manager" -> Port)
         self.services: dict[str, Port] = {}
+        #: (name, node filter) -> the ServiceRef this node last resolved
+        #: for it; the Name Server library's ``lookup_one`` answers from
+        #: here while the reference's port is alive.  Volatile.
+        self.bindings: dict[tuple[str, str], ServiceRef] = {}
         #: total power failures suffered (diagnostic)
         self.crashes = 0
         #: observers notified on crash/restart (fault-injection tracing);
@@ -103,6 +110,7 @@ class Node:
             process.kill(f"node {self.name} crashed")
         self._processes.clear()
         self.services.clear()
+        self.bindings.clear()
         self.vm.clear_volatile()
         self.crashes += 1
         self.ctx.metrics.counter(self.name, "node.crashes").inc()

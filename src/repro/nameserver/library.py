@@ -5,6 +5,10 @@ Three routines: ``Register(Name, Type, Port, ObjectID)``,
 DesiredNumberOfPortIDs, MaxWait)``.  They exchange small messages with the
 local Name Server's port; all are generators so callers pay the real
 message latencies.
+
+The paper's applications look a server up once and keep the port.
+:meth:`NameServerLibrary.lookup_one` does that keeping for every caller on
+the node: what it resolved stays in ``Node.bindings`` until the port dies.
 """
 
 from __future__ import annotations
@@ -36,7 +40,11 @@ class NameServerLibrary:
             "object_id": object_id})
 
     def deregister(self, name: str, port: Port, object_id: object = None):
-        """Withdraw one mapping (generator)."""
+        """Withdraw one mapping, and this node's bindings to it (generator)."""
+        bindings = self.node.bindings
+        for key in [key for key, ref in bindings.items()
+                    if key[0] == name and ref.port is port]:
+            del bindings[key]
         return self._request("ns.deregister", {
             "name": name, "port": port, "object_id": object_id})
 
@@ -46,8 +54,10 @@ class NameServerLibrary:
 
         Generator returning a list of :class:`ServiceRef`.  Raises
         :class:`LookupFailed` when nothing was found anywhere (within
-        ``max_wait_ms`` for the broadcast phase).
+        ``max_wait_ms`` for the broadcast phase).  Table 3-3's ``LookUp``:
+        it asks the Name Server every time and keeps nothing.
         """
+        self.ctx.metrics.counter(self.node.name, "ns.lookups").inc()
         body = yield from self._request("ns.lookup", {
             "name": name, "node_name": node_name, "desired": desired,
             "max_wait_ms": max_wait_ms})
@@ -59,7 +69,22 @@ class NameServerLibrary:
 
     def lookup_one(self, name: str, node_name: str = "",
                    max_wait_ms: float = 1000.0):
-        """Convenience: the first reference for ``name`` (generator)."""
+        """Bind to ``name``: one reference, resolved once (generator).
+
+        Returns the reference this node already holds for
+        ``(name, node_name)`` while its port is alive -- no message, no
+        simulated time -- and otherwise does one :meth:`lookup` and keeps
+        the answer in ``Node.bindings``.  A destroyed server port, a
+        crashed or restarted serving node (ports die with their node's
+        epoch) and a crash of this node (the table is volatile) all lead
+        back to the Name Server; a failed lookup binds nothing.
+        """
+        bindings = self.node.bindings
+        ref = bindings.get((name, node_name))
+        if ref is not None and ref.port.alive:
+            self.ctx.metrics.counter(self.node.name, "ns.bind_hits").inc()
+            return ref
         refs = yield from self.lookup(name, node_name=node_name,
                                       desired=1, max_wait_ms=max_wait_ms)
+        bindings[(name, node_name)] = refs[0]
         return refs[0]

@@ -119,6 +119,7 @@ class NameServer:
                                             name=f"lookup:{name}"))
         self._pending[lookup_id] = pending
         self.broadcasts += 1
+        self.ctx.metrics.counter(self.node.name, "ns.broadcasts").inc()
         payload = Message(op="ns.lookup_remote",
                           body={"service": SERVICE, "name": name,
                                 "lookup_id": lookup_id,

@@ -11,8 +11,12 @@ dump, plus the log position (``archive_lsn``) up to which the dump is
 complete.  Media recovery after a disk failure restores the archived
 pages, then replays the log *from the archive position* -- not from the
 last checkpoint, whose bound assumes the non-volatile image survived.
-Log reclamation respects the archive: records newer than ``archive_lsn``
-must be retained or the archive could never be rolled forward.
+Log reclamation respects the archive: records from ``retain_from_lsn`` on
+must be retained or the archive could never be rolled forward.  That is
+everything newer than ``archive_lsn`` *and* the whole history of every
+transaction in flight while the dump ran -- the dump's flush steals their
+uncommitted values into the page images, and only their undo records,
+which sit at or below ``archive_lsn``, can take them out again.
 """
 
 from __future__ import annotations
@@ -33,23 +37,30 @@ class Archive:
     headers: dict[str, dict[int, int]] = field(default_factory=dict)
     #: log records at or below this LSN are fully reflected in the dump
     archive_lsn: int = 0
+    #: oldest log record a roll-forward from this dump still needs (see
+    #: the module docstring); log reclamation stops here until the next dump
+    retain_from_lsn: int = 1
     dumps_taken: int = 0
 
     @property
     def empty(self) -> bool:
         return self.dumps_taken == 0
 
-    def dump(self, disk: Disk, segment_ids: list[str],
-             flushed_lsn: int) -> None:
+    def dump(self, disk: Disk, segment_ids: list[str], flushed_lsn: int,
+             retain_from_lsn: int | None = None) -> None:
         """Copy the named segments' non-volatile images into the archive.
 
-        Caller must have forced dirty pages to disk first, so the dump at
-        ``flushed_lsn`` is transaction-consistent with the log.
+        Caller must have forced dirty pages to disk first, so the dump
+        holds every record up to ``flushed_lsn``; ``retain_from_lsn`` is
+        the first record of the oldest transaction whose uncommitted
+        values that flush may have written (default: none were in flight).
         """
         for segment_id in segment_ids:
             self.pages[segment_id] = disk.pages_of_segment(segment_id)
             self.headers[segment_id] = disk.headers_of_segment(segment_id)
         self.archive_lsn = flushed_lsn
+        self.retain_from_lsn = (flushed_lsn + 1 if retain_from_lsn is None
+                                else min(retain_from_lsn, flushed_lsn + 1))
         self.dumps_taken += 1
 
     def restore(self, disk: Disk, segment_ids: list[str]) -> None:

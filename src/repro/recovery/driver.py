@@ -127,9 +127,12 @@ def recover_node(rm: RecoveryManager, tm: TransactionManager,
             # roll forward over the whole retained log, not just past the
             # archive position -- the dump's flush steals uncommitted dirty
             # pages into the archive, and the undo records of those in-flight
-            # transactions sit *below* ``archive_lsn``.  Retention pins every
-            # unresolved transaction's first record, so ``truncated_before``
-            # always reaches back far enough.
+            # transactions sit *below* ``archive_lsn``.  The archive pins
+            # the first record of every transaction that was in flight at
+            # its dump (``Archive.retain_from_lsn``) until the next dump --
+            # past the transaction's own resolution, which is when ordinary
+            # retention lets go -- so ``truncated_before`` always reaches
+            # back far enough.
             scrub_bound = rm.wal.store.truncated_before
             media_bound = (scrub_bound if media_bound is None
                            else min(media_bound, scrub_bound))
@@ -256,7 +259,7 @@ def repair_page(rm: RecoveryManager, archive, disk, segment_id: str,
     # Roll forward over the whole retained log, not just past the archive
     # position: the archived base may hold uncommitted values stolen by
     # the dump's flush, whose undo records sit below ``archive_lsn``
-    # (retention pins every unresolved transaction's first record).
+    # (``Archive.retain_from_lsn`` keeps them until the next dump).
     records = store.read_forward(store.truncated_before)
     plan = analyze(records)
 

@@ -106,9 +106,9 @@ class RecoveryManager:
         #: value -- for a second write cycle that old value is the
         #: transaction's first, equally-aborted write
         self._undone_values: dict[TransactionID, dict] = {}
-        #: log position the off-line archive is current to; records above
-        #: it are never reclaimed (media recovery needs them).  None until
-        #: the first archive dump.
+        #: oldest record the off-line archive still needs
+        #: (``Archive.retain_from_lsn``); nothing from it on is reclaimed.
+        #: None until the first archive dump.
         self.media_retention_lsn: int | None = None
         self.checkpoints_taken = 0
         self.reclamations = 0
@@ -397,17 +397,22 @@ class RecoveryManager:
     def truncation_bound(self) -> int:
         """The LSN below which no record can matter for crash recovery.
 
-        When an archive dump exists, records newer than the dump are also
+        When an archive dump exists, the records it needs are also
         retained: media recovery rolls the archive forward through them.
         """
         dirty_now = set(self.node.vm.dirty_pages())
-        bounds = [self.wal.flushed_lsn + 1]
+        bounds = [self.undo_horizon()]
         bounds.extend(lsn for key, lsn in self._page_rec_lsn.items()
                       if key in dirty_now)
-        bounds.extend(self._first_lsn.values())
         if self.media_retention_lsn is not None:
             bounds.append(self.media_retention_lsn)
         return min(bounds)
+
+    def undo_horizon(self) -> int:
+        """The oldest record that may still have to be undone: the first
+        record of every transaction in flight, else the next one to reach
+        the log."""
+        return min([self.wal.flushed_lsn + 1, *self._first_lsn.values()])
 
     def _on_buffer_full(self) -> None:
         self.node.spawn(self._drain_buffer(), name="rm:drain", defused=True)

@@ -51,11 +51,13 @@ class ServiceRef:
     node_name: str
     port: Port
     object_id: object = None
-    #: epoch of the serving node when the reference was minted; a restarted
-    #: server invalidates old references, forcing a fresh lookup.
+    #: epoch of the serving node when the reference was minted.  A restart
+    #: invalidates every copy of it: the port is dead, so the client node's
+    #: binding (``Node.bindings``) misses and ``lookup_one`` asks again; a
+    #: caller still holding the old copy is sent through ``_re_resolve``.
     epoch: int = field(default=0, compare=False)
-    #: registered name the reference resolved from; lets the RPC layer
-    #: re-resolve a stale reference after the serving node restarts.
+    #: registered name the reference resolved from; with ``node_name`` it
+    #: is the key ``_re_resolve`` binds the replacement under.
     name: str = field(default="", compare=False)
 
 
@@ -119,6 +121,12 @@ def call(network: Network, client: Node, ref: ServiceRef, op: str,
 def _re_resolve(client: Node, ref: ServiceRef):
     """A fresh reference for ``ref.name`` after a peer restart (generator).
 
+    The caller keeps ``ref``, a copy minted before the restart; the client
+    node keeps the replacement, bound under ``(ref.name, ref.node_name)``.
+    So the first stale caller on a node asks the Name Server, and every
+    later one -- and the node's next ``lookup_one`` -- is answered from
+    ``Node.bindings``: one re-resolve per restarted peer, not one per call.
+
     Returns None when the reference carries no name or the lookup fails;
     the caller then retries with the old reference and surfaces the
     original error when attempts run out.
@@ -128,11 +136,10 @@ def _re_resolve(client: Node, ref: ServiceRef):
     # Local import: the nameserver library itself depends on ServiceRef.
     from repro.nameserver.library import NameServerLibrary
     try:
-        refs = yield from NameServerLibrary(client).lookup(
-            ref.name, node_name=ref.node_name)
+        return (yield from NameServerLibrary(client).lookup_one(
+            ref.name, node_name=ref.node_name))
     except Exception:
         return None
-    return refs[0] if refs else None
 
 
 def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,

@@ -397,7 +397,7 @@ class TransactionManager:
 
             # Update transaction: force the commit record, then phase two.
             yield from self.rm.append_status_via_message(
-                tid, "committed", servers=tuple(state.servers),
+                tid, "committed", servers=tuple(sorted(state.servers)),
                 children=tuple(children))
             yield self.ctx.cpu("TM",
                                self.ctx.cpu_costs.tm_commit_write_extra)
@@ -665,8 +665,12 @@ class TransactionManager:
                                     tid)
                 return
             if vote == "update":
+                # Sorted, here and in the committed records: recovery
+                # rebuilds ``server_ports`` from this tuple and phase two
+                # releases locks in its order, which must not be a set's
+                # (string hashes change from one process to the next).
                 yield from self.rm.append_status_via_message(
-                    tid, "prepared", servers=tuple(state.servers),
+                    tid, "prepared", servers=tuple(sorted(state.servers)),
                     children=tuple(children), coordinator=coordinator)
                 state.advance(TxnPhase.PREPARED)
                 # Watchdog: if the outcome never arrives (lost datagram,
@@ -718,7 +722,7 @@ class TransactionManager:
         # Force our COMMITTED record before acknowledging (presumed
         # abort: once we ack, the coordinator may forget the outcome).
         yield from self.rm.append_status_via_message(
-            tid, "committed", servers=tuple(state.servers),
+            tid, "committed", servers=tuple(sorted(state.servers)),
             children=tuple(children))
         state.advance(TxnPhase.COMMITTED)
         yield from self._phase_two(state, children, "commit")

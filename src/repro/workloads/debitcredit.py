@@ -663,17 +663,14 @@ class DebitCreditWorkload(SeededWorkload):
     def _reader(self, node: str):
         """``read(server, op, body, tid)`` for audit reads fronted by
         ``node``: any available copy under replication, else the one
-        copy on ``node`` (looked up once per server, on first use)."""
+        copy on ``node``."""
         if self.replicated:
             return ReplicatedApp(self.cluster, node).read
         app = self.cluster.application(node)
-        refs: dict[str, object] = {}
 
         def read(server: str, op: str, body: dict, tid: TransactionID):
-            if server not in refs:
-                refs[server] = yield from app.lookup_one(server,
-                                                         node_name=node)
-            reply = yield from app.call(refs[server], op, body, tid)
+            ref = yield from app.lookup_one(server, node_name=node)
+            reply = yield from app.call(ref, op, body, tid)
             return reply
 
         return read

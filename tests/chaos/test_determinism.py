@@ -53,15 +53,22 @@ def test_same_seed_reproduces_run_exactly():
     assert outcomes_a == outcomes_b
 
 
-# Digests of the canonical (PLAN, seed=2026) run, captured before the
-# commit-pipeline refactor landed.  The default ``pipeline="paper"``
-# configuration must keep reproducing them byte for byte: the pluggable
-# pipeline is opt-in, and every historical chaos seed replays unchanged.
+# Digests of the canonical (PLAN, seed=2026) run under the default
+# ``pipeline="paper"`` configuration.  A refactor keeps them byte for
+# byte; a deliberate change to default behaviour re-pins them once and
+# says what moved.  Last re-pinned when ``lookup_one`` became a binding
+# (a chaos transfer stops paying two Name Server lookups once its node
+# has resolved the two banks): trace 4c3f21a6... -> 078ee47f..., metrics
+# 47928850... -> d63f6747... (the ``ns.*`` counters are new), final
+# clock 125577.72 -> 125571.72, i.e. 6.0 sim-ms earlier.  The run kept
+# all ten outcomes (5 aborted, 3 unknown, 2 skipped, index for index)
+# and all 12 025 trace entries by kind (11 998 net, 7 crash, 7 restart,
+# 7 txn, 2 fd, 1 each partition / heal / link-fault / link-heal).
 GOLDEN_TRACE_SHA = \
-    "4c3f21a68d959efe7accdb784dd6f445e16f6753d6804ef9de83b5f84e081050"
+    "078ee47fe3b52801b6f410cc93a57d429eaedbdbfd36f1996fb4d20c5162bf3e"
 GOLDEN_METRICS_SHA = \
-    "47928850e2812f64fae5f7fe6c984c7375b1efb99d6887c4e42a4a19b3d36843"
-GOLDEN_FINAL_NOW = 125577.71966982371
+    "d63f67473370d941c303a439d01d40d06c8fa5c15ecd258ddee4c4de23a6d974"
+GOLDEN_FINAL_NOW = 125571.71966982371
 
 
 def test_paper_pipeline_matches_prerefactor_goldens():

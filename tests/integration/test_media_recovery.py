@@ -126,3 +126,35 @@ def test_repeated_dumps_advance_the_archive(cluster):
     assert second > first
     fail_and_recover(cluster)
     assert read(cluster, 1) == 2
+
+
+def test_uncommitted_value_stolen_by_a_dump_never_becomes_durable(cluster):
+    """The dump's flush writes an in-flight transaction's value into the
+    archive.  Its undo record sits below ``archive_lsn`` and must outlive
+    the transaction's own resolution: here recovery undoes the loser, the
+    disk drops the write-back, reclamation runs, and the *next* recovery's
+    scrub restores the archived page -- which only that record can fix."""
+    tabs = cluster.node("n1")
+    write(cluster, 1, 100)
+    app = cluster.application("n1")
+
+    def left_open():
+        tid = yield from app.begin_transaction()
+        ref = yield from app.lookup_one("array")
+        yield from app.call(ref, "set_cell", {"cell": 1, "value": 92}, tid)
+
+    cluster.run_on("n1", left_open())
+    dump(cluster)
+    assert tabs.archive.pages["n1:array"][0] == {0: 92}
+    first_record = tabs.archive.retain_from_lsn
+    assert first_record <= tabs.archive.archive_lsn
+
+    cluster.crash_node("n1")
+    tabs.node.disk.arm_lost_write("n1:array", 0)  # swallows the undo
+    cluster.restart_node("n1")  # undoes the loser, checkpoints, truncates
+    assert tabs.rm.wal.store.truncated_before <= first_record
+
+    cluster.crash_node("n1")
+    report = cluster.restart_node("n1")
+    assert report.pages_scrubbed == 1  # the archived 92 came back
+    assert read(cluster, 1) == 100

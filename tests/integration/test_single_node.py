@@ -218,3 +218,33 @@ def test_node_tables_stay_bounded_over_many_transactions(cluster):
     assert len(node._processes) <= 2 * live + 64
     assert ports_2k <= ports_1k + 16
     assert processes_2k <= processes_1k + 2 * live + 64
+
+
+def test_status_records_name_their_servers_in_sorted_order():
+    """Recovery rebuilds a prepared transaction's server table from its
+    status record and phase two walks that table, so the order locks are
+    released in after a restart is the record's.  It must not be a set's
+    iteration order: string hashes differ from one process to the next,
+    and a run would stop being a function of its seeds."""
+    from repro.wal.records import TransactionStatusRecord
+
+    names = ["walnut", "fig", "quince", "apple", "medlar", "damson"]
+    cluster = TabsCluster(TabsConfig())
+    cluster.add_node("n1")
+    for name in names:
+        cluster.add_server("n1", IntegerArrayServer.factory(name))
+    cluster.start()
+    app = cluster.application("n1")
+
+    def body(tid):
+        for name in names:
+            ref = yield from app.lookup_one(name)
+            yield from set_cell(app, ref, tid, 1, 7)
+
+    cluster.run_transaction("n1", body)
+    wal = cluster.node("n1").rm.wal
+    (committed,) = [record for record
+                    in wal.read_forward(wal.store.truncated_before)
+                    if isinstance(record, TransactionStatusRecord)
+                    and record.status.value == "committed"]
+    assert committed.servers == tuple(sorted(names))

@@ -257,3 +257,45 @@ def test_stale_reference_re_resolved_after_server_restart():
 
     assert cluster.run_transaction("n0", after) == 7
     assert cluster.meter.counter("rpc_retries") >= 1
+
+
+def test_re_resolved_reference_becomes_the_nodes_binding():
+    """One re-resolve per restarted peer, not one per call: the caller
+    keeps its pre-restart copy, the client node keeps the replacement,
+    and both a second stale caller and the next ``lookup_one`` are
+    answered from it without asking the Name Server."""
+    from repro import TabsCluster, TabsConfig
+    from repro.servers.int_array import IntegerArrayServer
+
+    cluster = TabsCluster(TabsConfig())
+    cluster.add_node("n0")
+    cluster.add_node("n1")
+    cluster.add_server("n1", IntegerArrayServer.factory("arr"))
+    cluster.start()
+    app = cluster.application("n0")
+    name_server = cluster.node("n0").ns
+    lookups = cluster.metrics.counter("n0", "ns.lookups")
+
+    def bind(tid):
+        ref = yield from app.lookup_one("arr", node_name="n1")
+        return ref
+
+    stale_ref = cluster.run_transaction("n0", bind)
+    cluster.crash_node("n1")
+    cluster.restart_node("n1")
+    asked, broadcast = lookups.value, name_server.broadcasts
+
+    def through_the_stale_copy(tid):
+        result = yield from app.call(stale_ref, "get_cell", {"cell": 1}, tid)
+        return result["value"]
+
+    for _ in range(2):
+        assert cluster.run_transaction("n0", through_the_stale_copy) == 0
+    assert cluster.meter.counter("rpc_retries") == 2   # each caller retried
+    assert lookups.value == asked + 1                  # only the first asked
+    assert name_server.broadcasts == broadcast + 1
+
+    fresh_ref = cluster.run_transaction("n0", bind)
+    assert fresh_ref.epoch == stale_ref.epoch + 1 and fresh_ref.port.alive
+    assert lookups.value == asked + 1
+    assert name_server.broadcasts == broadcast + 1
