@@ -21,6 +21,13 @@ Parent resolution, in priority order:
 4. the family's registered root span;
 5. no parent (a top-level span on the node's track).
 
+Rule 2 assumes a family runs one thread of control per node.  Where it
+runs a second one -- a write-behind replica copy beside the client's
+next call -- that thread's span is opened *detached*
+(:meth:`Tracer.detach_next`): recorded, timed and closed like any other,
+but never on the node's stack, so rules 2 and 3 never pick it and
+:meth:`Tracer.current_span_id` never returns it.
+
 Determinism: span ids are a plain counter, timestamps come exclusively
 from the engine's simulated clock, and recording draws no randomness and
 schedules no events.  Two same-seed runs therefore produce identical
@@ -147,6 +154,8 @@ class Tracer:
         self._node_stacks: dict[str, list[Span]] = {}
         #: family key -> root span id (the application's ``txn`` span)
         self._family_roots: dict[str, int] = {}
+        #: (family key, node) pairs whose next span opens detached
+        self._detach_next: set[tuple[str, str]] = set()
 
     # -- span lifecycle ------------------------------------------------------
 
@@ -155,7 +164,11 @@ class Tracer:
         """Open a span; returns its id (pass to :meth:`end`)."""
         family = family_of(tid)
         stack = self._node_stacks.setdefault(node, [])
-        if parent_id is None or parent_id == 0:
+        detached = (family, node) in self._detach_next
+        if detached:
+            self._detach_next.discard((family, node))
+            parent_id = self._family_roots.get(family, 0)
+        elif parent_id is None or parent_id == 0:
             parent_id = 0
             if family:
                 for open_span in reversed(stack):
@@ -173,8 +186,21 @@ class Tracer:
         self._next_id += 1
         self.spans.append(span)
         self._open[span.span_id] = span
-        stack.append(span)
+        if not detached:
+            stack.append(span)
         return span.span_id
+
+    def detach_next(self, tid, node: str) -> None:
+        """Open the next span of ``tid``'s family on ``node`` detached.
+
+        For a process that runs beside the family's main thread of
+        control on one node: call it immediately before the call that
+        opens the span (nothing may wait in between).  The span's parent
+        is the family's root, and it is never an implicit parent nor the
+        :meth:`current_span_id` -- whoever opened it passes its id on
+        explicitly.
+        """
+        self._detach_next.add((family_of(tid), node))
 
     def span(self, name: str, node: str, component: str, tid=None,
              parent_id: int | None = None, **attrs) -> "SpanScope":
@@ -210,7 +236,7 @@ class Tracer:
         if stack is not None:
             try:
                 stack.remove(span)
-            except ValueError:  # pragma: no cover - defensive
+            except ValueError:  # a detached span was never on it
                 pass
 
     def current_span_id(self, tid, node: str) -> int:
@@ -250,7 +276,9 @@ class Tracer:
 
     def node_crashed(self, node: str) -> None:
         """Close every open span on a crashing node (volatile state gone)."""
-        for open_span in list(self._node_stacks.get(node, ())):
+        # From the open table, not the node's stack: detached spans too.
+        for open_span in [span for span in self._open.values()
+                          if span.node == node]:
             self.end(open_span.span_id, truncated="crash")
         self.event("node.crash", node, "KERNEL")
 

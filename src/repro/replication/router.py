@@ -14,7 +14,12 @@
   site failure would erase that write lock;
 - **writes** fan out to *all* available copies (``write_all``); writing
   fewer copies than the placement lists counts
-  ``replication.write_all_degraded``.
+  ``replication.write_all_degraded``.  Only the first copy in placement
+  order is written synchronously -- its lock is what serialises
+  same-cell writers; the other copies are *write-behind*: home-node
+  processes, FIFO per replica server, that overlap the transaction's
+  next operations and are all joined before ``tm.end`` / ``tm.abort``
+  is sent (docs/REPLICATION.md "Write-behind copies").
 
 The router records a *footprint* per transaction -- which nodes
 received writes, which nodes served plain reads (each with the failure
@@ -37,6 +42,7 @@ from repro.errors import (
     ReplicaUnavailable,
     TransactionAborted,
 )
+from repro.sim import Process
 from repro.txn.ids import TransactionID
 
 #: per-target failures that mean "try another copy", not "give up"
@@ -58,6 +64,9 @@ class ReplicatedApp:
         self.node_name = node_name
         self.app = cluster.application(node_name)
         self.ctx = self.app.ctx
+        #: write-behind copies are processes of the home node, so a
+        #: home-node crash kills them with the client
+        self._node = tabs_node.node
         self._runtime = tabs_node.replication
         self.view = tabs_node.replication.view
         #: stamp transactions with the placement epoch they route under
@@ -67,6 +76,10 @@ class ReplicatedApp:
         #: tid -> {"written": {node: fail_count},
         #:         "read": {node: fail_count}, "keyspaces": {ks: set}}
         self._footprints: dict[TransactionID, dict] = {}
+        #: tid -> [(node, key-space, process)] in issue order: the
+        #: transaction's write-behind copies, finished or not
+        self._behind: dict[TransactionID,
+                           list[tuple[str, str, Process]]] = {}
 
     @property
     def placement(self):
@@ -93,6 +106,13 @@ class ReplicatedApp:
 
     def end_transaction(self, tid: TransactionID):
         footprint = self._footprints.pop(tid, None)
+        # Every copy's write has executed before the outcome is asked
+        # for.  A copy that failed aborts the transaction exactly as a
+        # failed ``write_all`` does: the caller turns the exception into
+        # ``abort_transaction``.
+        failure = yield from self._join_behind(tid)
+        if failure is not None:
+            raise failure
         extra = None
         if footprint and (footprint["written"] or footprint["read"]):
             shipped = {
@@ -108,6 +128,9 @@ class ReplicatedApp:
 
     def abort_transaction(self, tid: TransactionID, reason: str = ""):
         self._footprints.pop(tid, None)
+        # The router leaves no operation in flight behind an abort; what
+        # the copies answered no longer matters.
+        yield from self._join_behind(tid)
         yield from self.app.abort_transaction(tid, reason=reason)
 
     def run_transaction(self, body_fn: Callable, retries: int = 0,
@@ -121,6 +144,10 @@ class ReplicatedApp:
             tid = yield from self.begin_transaction()
             try:
                 result = yield from body_fn(tid)
+                # Inside the handler: a write-behind copy that failed
+                # surfaces here, and the transaction must be aborted, not
+                # left holding its first-copy locks until a time-out.
+                committed = yield from self.end_transaction(tid)
             except Exception as error:
                 yield from self.abort_transaction(tid, reason=repr(error))
                 retryable = isinstance(error, (TransactionAborted,
@@ -133,7 +160,6 @@ class ReplicatedApp:
                                       0.0, backoff_ms * attempt))
                     continue
                 raise
-            committed = yield from self.end_transaction(tid)
             if committed:
                 return result
             if attempt >= retries:
@@ -197,6 +223,9 @@ class ReplicatedApp:
             candidates = list(replicas)
         last_error: Exception | None = None
         for node in candidates:
+            # Read your writes: nothing of this transaction is still on
+            # its way to the copy about to be asked.
+            yield from self._join_behind(tid, node)
             try:
                 ref = yield from self.app.lookup_one(keyspace,
                                                      node_name=node)
@@ -218,8 +247,20 @@ class ReplicatedApp:
                   tid: TransactionID):
         """Invoke a write op on *all* available copies of ``keyspace``.
 
-        Returns the last copy's reply (they are deterministic writes of
-        the same value).  A copy that fails mid-call raises -- per the
+        Waits for the **first** available copy in placement order only,
+        and returns that copy's reply (they are deterministic writes of
+        the same value).  That call takes or re-enters the write lock at
+        the one site where same-cell writers serialise, which is what
+        keeps the fan-out deadlock-free: two blind writers issuing every
+        copy at once could each win one copy and sit out a lock
+        time-out.  Every other copy is *write-behind*: recorded in the
+        footprint now, written by a home-node process after the previous
+        write-behind call of this transaction to the same replica server
+        ``(node, key-space)`` has finished, and joined by
+        :meth:`end_transaction` / :meth:`abort_transaction`.
+
+        A copy that fails raises -- here for the first copy, out of
+        ``end_transaction`` for a write-behind one; per the
         available-copies rule the transaction must abort anyway, and
         commit-time validation backstops the case where the failure is
         only noticed later.
@@ -237,11 +278,63 @@ class ReplicatedApp:
             targets = list(replicas)
         if len(targets) < len(replicas):
             self._counter("replication.write_all_degraded").inc()
-        footprint = self._footprint(tid)
-        result = None
-        for node in targets:
-            ref = yield from self.app.lookup_one(keyspace, node_name=node)
-            result = yield from self.app.call(ref, op, body, tid)
+        first, *behind = targets
+        yield from self._join_behind(tid, first)
+        ref = yield from self.app.lookup_one(keyspace, node_name=first)
+        result = yield from self.app.call(ref, op, body, tid)
+        self._record_write(tid, first)
+        written = self._footprint(tid)["keyspaces"].setdefault(keyspace,
+                                                               set())
+        written.add(first)
+        copies = self._behind.setdefault(tid, []) if behind else []
+        for node in behind:
+            # Footprint at issue: commit-time rules 1 and 2 see every
+            # copy the transaction tried to write, with the failure
+            # count from before the call, even if the join fails.
             self._record_write(tid, node)
-            footprint["keyspaces"].setdefault(keyspace, set()).add(node)
+            written.add(node)
+            previous = next((copy for at, space, copy in reversed(copies)
+                             if (at, space) == (node, keyspace)), None)
+            copies.append((node, keyspace, self._node.spawn(
+                self._copy_behind(previous, keyspace, node, op, dict(body),
+                                  tid),
+                name=f"write-behind:{tid}:{keyspace}@{node}",
+                defused=True)))
         return result
+
+    def _copy_behind(self, previous: Process | None, keyspace: str,
+                     node: str, op: str, body: dict, tid: TransactionID):
+        """One write-behind copy (generator; a home-node process).
+
+        ``previous`` is this transaction's preceding copy to the same
+        replica server: waiting for it keeps two writes of one cell in
+        issue order at the copy whatever the link does, and its failure
+        is this copy's too -- the transaction is lost either way.
+        """
+        if previous is not None:
+            yield previous
+        ref = yield from self.app.lookup_one(keyspace, node_name=node)
+        if self.ctx.tracer is not None:
+            # A second thread of control of the family on this node: its
+            # rpc span hangs off the root and adopts nothing.
+            self.ctx.tracer.detach_next(tid, self.node_name)
+        yield from self.app.call(ref, op, body, tid)
+
+    def _join_behind(self, tid: TransactionID, node: str | None = None):
+        """Wait for the transaction's write-behind copies -- those to
+        ``node``, or all of them, which also drops the table (generator).
+
+        Returns the first failure in issue order, once every awaited
+        copy has finished, or None.
+        """
+        copies = (self._behind.pop(tid, ()) if node is None
+                  else self._behind.get(tid, ()))
+        failure: Exception | None = None
+        for at, _, copy in copies:
+            if node is None or at == node:
+                try:
+                    yield copy
+                except Exception as error:  # noqa: BLE001 - returned
+                    if failure is None:
+                        failure = error
+        return failure

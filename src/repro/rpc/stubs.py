@@ -97,7 +97,7 @@ def call(network: Network, client: Node, ref: ServiceRef, op: str,
         while True:
             try:
                 result = yield from _call_once(network, client, ref, op, body,
-                                               tid, timeout_ms)
+                                               tid, timeout_ms, span.span_id)
                 return result
             except _Retriable as failure:
                 attempt += 1
@@ -144,7 +144,7 @@ def _re_resolve(client: Node, ref: ServiceRef):
 
 def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
                body: dict | None, tid: TransactionID | None,
-               timeout_ms: float):
+               timeout_ms: float, trace_parent: int):
     ctx = client.ctx
     local = ref.node_name == client.name
     if local:
@@ -178,8 +178,6 @@ def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
             f"node {ref.node_name!r} became unreachable mid-call "
             "(crashed or partitioned away)"))
     reply_port = Port(ctx, node=client, name=f"rpc-reply:{op}")
-    trace_parent = (ctx.tracer.current_span_id(tid, client.name)
-                    if ctx.tracer is not None else 0)
     try:
         ref.port.send(Message(op=op, body=dict(body or {}),
                               reply_to=reply_port, tid=tid,

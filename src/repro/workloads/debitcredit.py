@@ -503,11 +503,12 @@ def debitcredit_txn(app, topology: DebitCreditTopology, spec: TxnSpec,
                     tid: TransactionID):
     """The transaction body: account, teller, branch (hot row), history.
 
-    The hot branch row is updated *last*, Gray's standard trick: the
-    exclusive lock on the row every sibling wants is held only across
-    the final update and commit, not the whole transaction.  The
-    ordering (accounts < tellers < branches < history) is also a global
-    lock order, so the workload is deadlock-free by construction.
+    The hot branch row is updated last of the three balances, Gray's
+    standard trick: the exclusive lock on the row every sibling wants
+    is held only across the history append and commit, not the whole
+    transaction.  The ordering (accounts < tellers < branches <
+    history) is also a global lock order, so the workload is
+    deadlock-free by construction.
     """
     account_ref = yield from app.lookup_one(
         topology.account_server(spec.account_branch),

@@ -5,12 +5,16 @@ default CI lane).  Every seed is an independent torture run; a failure
 message names the seed, which reproduces the run exactly.
 """
 
+import random
+
 import pytest
 
-from repro.chaos import random_plan
+from repro.chaos import CrashAt, FaultPlan, random_plan
 from tests.chaos.conftest import run_scenario
+from tests.chaos.test_replication import run_replicated_chaos
 
 NODES = ["n0", "n1", "n2"]
+BANK_NODES = ["bank0", "bank1"]
 
 
 @pytest.mark.slow
@@ -55,3 +59,31 @@ def test_soak_bigger_cluster(seed):
     assert run.quiet and run.report.ok, (
         f"seed {seed} violations:\n" + "\n".join(
             f"  {v}" for v in run.report.violations))
+
+
+def rolling_two_crash_plan(seed):
+    """One copy of every shard down at a time, never both: a victim, an
+    instant and an outage drawn from the seed, then the other node once
+    the first has been back for four to seven seconds."""
+    rng = random.Random(seed)
+    first = rng.choice(BANK_NODES)
+    (second,) = set(BANK_NODES) - {first}
+    crash_at = rng.uniform(800.0, 6_000.0)
+    outage = rng.uniform(1_500.0, 5_000.0)
+    return FaultPlan.of(
+        CrashAt(crash_at, first, restart_after_ms=outage),
+        CrashAt(crash_at + outage + rng.uniform(4_000.0, 7_000.0), second,
+                restart_after_ms=rng.uniform(1_500.0, 5_000.0)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(200, 224))
+def test_soak_replicated_rolling_crashes(seed):
+    """rf=2 DebitCredit inside available-copies' envelope: whatever the
+    instants, write-behind copies in flight included, every audit --
+    conservation, atomicity, replica convergence -- comes back green."""
+    driver, _, report = run_replicated_chaos(rolling_two_crash_plan(seed),
+                                             seed=seed, txns=48)
+    assert report.ok, f"seed {seed} violations:\n" + "\n".join(
+        f"  {violation}" for violation in report.violations)
+    assert driver.stats.outcomes().get("committed", 0) > 0

@@ -180,3 +180,77 @@ class TestNoSpanLeftOpen:
         cluster = _run_chaos_target(2026, traced=True)
         assert len(cluster.ctx.tracer.spans) > 100
         assert open_spans_on_live_nodes(cluster) == []
+
+    def test_replicated_chaos_with_write_behind_copies_in_flight(self):
+        """Detached spans are on no node stack; a crash (the home node's
+        or the copy's) and the join must still close every one."""
+        from tests.chaos.test_replication import ROLLING_PLAN, WORKLOAD
+
+        from repro.core.cluster import TabsCluster
+        from repro.core.config import ReplicationConfig
+        from repro.workloads import DebitCreditWorkload
+
+        cluster = TabsCluster(TabsConfig(
+            seed=515, workload=WORKLOAD,
+            replication=ReplicationConfig.available_copies()))
+        topology = cluster.build_workload()
+        cluster.enable_tracing()
+        controller = ChaosController(cluster, ROLLING_PLAN, seed=515)
+        controller.install()
+        driver = DebitCreditWorkload(cluster, topology,
+                                     controller=controller, seed=515)
+        driver.schedule_traffic(txns=40, spacing_ms=400.0)
+        _, report = driver.play(24_000.0)
+        assert report.ok, report.violations
+        spans = cluster.ctx.tracer.spans
+        roots = {span.span_id for span in spans if span.name == "txn"}
+        assert any(span.attrs.get("truncated") == "crash"
+                   and span.name.startswith("rpc:")
+                   and span.attrs["target"] != span.node
+                   and span.parent_id in roots for span in spans)
+        assert open_spans_on_live_nodes(cluster) == []
+
+
+class TestWriteBehindSpans:
+    """One family, two calls in flight on the home node: the spans stay
+    a tree (tests/replication/test_write_behind.py has the mechanism)."""
+
+    def test_rf2_transaction_parents_every_call_where_it_was_made(self):
+        from tests.replication.conftest import build_replicated
+
+        from repro.workloads.debitcredit import (
+            TxnSpec,
+            replicated_debitcredit_txn,
+        )
+
+        cluster, topology = build_replicated(seed=41)
+        tracer = cluster.enable_tracing()
+        rapp = cluster.replicated_application("bank0")
+        spec = TxnSpec(home_branch=0, teller=1, account_branch=0, account=1,
+                       amount=5)
+        cluster.run_on("bank0", rapp.run_transaction(
+            lambda tid: replicated_debitcredit_txn(rapp, topology, spec,
+                                                   tid)))
+        cluster.settle()
+        (root,) = [span for span in tracer.spans if span.name == "txn"
+                   and span.node == "bank0" and span.attrs.get("committed")]
+        by_id = {span.span_id: span for span in tracer.spans}
+        family = [span for span in tracer.spans if span.family == root.family]
+        calls = [span for span in family if span.name.startswith("rpc:")]
+        # Five writes, each to both copies; four for-update reads.
+        assert len(calls) == 14
+        assert sum(span.attrs["target"] == "bank1" for span in calls) == 5
+        for call in calls:
+            assert call.parent_id == root.span_id, call.name
+        overlapped = [call for call in calls if any(
+            other is not call and other.start_ms < call.end_ms
+            and call.start_ms < other.end_ms for other in calls)]
+        assert overlapped, "no write-behind call overlapped a foreground one"
+        operations = [span for span in family if span.name.startswith("ds:")
+                      and not span.name.startswith("ds:ds.")]
+        assert len(operations) == 14
+        for operation in operations:
+            call = by_id[operation.parent_id]
+            assert call.name == "rpc:" + operation.name[len("ds:"):]
+            assert call.attrs["target"] == operation.node
+        assert open_spans_on_live_nodes(cluster) == []

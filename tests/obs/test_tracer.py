@@ -107,6 +107,57 @@ class TestCurrentSpanId:
         assert tracer.current_span_id(None, "b") == 0
 
 
+class TestDetachedSpans:
+    """A family's second thread of control on a node: its span is
+    recorded and closed like any other but never adopts anything."""
+
+    def test_parent_is_the_root_and_it_is_never_an_implicit_parent(self):
+        engine, tracer = make()
+        root = tracer.begin_root("T1", "a")
+        foreground = tracer.begin("rpc:read", "a", "RPC", tid="T1")
+        tracer.detach_next("T1", "a")
+        behind = tracer.begin("rpc:put", "a", "RPC", tid="T1")
+        assert tracer.spans[2].parent_id == root   # not the open rpc:read
+        assert tracer.current_span_id("T1", "a") == foreground
+        tracer.end(foreground)
+        # With only the detached span open the family is back at its root,
+        # for same-family and family-less spans alike.
+        assert tracer.current_span_id("T1", "a") == root
+        tracer.begin("lock.acquire", "a", "LOCK", tid="T1")
+        tracer.begin("wal.force", "a", "WAL")
+        assert tracer.spans[3].parent_id == root
+        assert tracer.spans[4].parent_id == tracer.spans[3].span_id
+        engine.now = 4.0
+        tracer.end(behind, attempts=1)
+        assert (tracer.spans[2].end_ms, tracer.spans[2].attrs) == \
+            (4.0, {"attempts": 1})
+
+    def test_the_mark_is_one_shot_and_scoped_to_family_and_node(self):
+        _, tracer = make()
+        root = tracer.begin_root("T1", "a")
+        tracer.begin_root("T2", "a")
+        tracer.detach_next("T1", "a")
+        elsewhere = tracer.begin("ds:op", "b", "DS", tid="T1")
+        other = tracer.begin("rpc:x", "a", "RPC", tid="T2")
+        assert tracer.current_span_id("T1", "b") == elsewhere
+        assert tracer.current_span_id("T2", "a") == other
+        tracer.begin("rpc:put", "a", "RPC", tid="T1")        # consumes it
+        attached = tracer.begin("rpc:next", "a", "RPC", tid="T1")
+        assert tracer.spans[4].parent_id == root
+        assert tracer.spans[5].parent_id == root
+        assert tracer.current_span_id("T1", "a") == attached
+
+    def test_node_crash_truncates_a_detached_span_too(self):
+        engine, tracer = make()
+        tracer.begin_root("T1", "a")
+        tracer.detach_next("T1", "a")
+        tracer.begin("rpc:put", "a", "RPC", tid="T1")
+        engine.now = 6.0
+        tracer.node_crashed("a")
+        assert [(span.end_ms, span.attrs.get("truncated"))
+                for span in tracer.spans] == [(6.0, "crash")] * 2
+
+
 class TestFailureAndEvents:
     def test_node_crash_truncates_open_spans(self):
         engine, tracer = make()

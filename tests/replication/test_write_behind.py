@@ -1,0 +1,348 @@
+"""Write-behind replica copies: ``write_all`` waits for the first copy
+only; the other copies run as home-node processes and are joined before
+``tm.end`` / ``tm.abort`` (docs/REPLICATION.md "Write-behind copies").
+
+One test per rule the mechanism keeps: the overlap is real, first copy
+synchronous, FIFO per replica server, footprint at issue, join before
+the outcome, read-your-writes, a failed copy aborts, nothing leaks.
+"""
+
+import pytest
+
+from tests.reconfig.conftest import counter
+from tests.replication.conftest import build_replicated
+
+from repro.chaos import ChaosController, FaultPlan, LinkFaultWindow
+from repro.errors import CommunicationError
+from repro.replication import audit_replica_convergence
+from repro.sim import Timeout
+from repro.workloads.debitcredit import TxnSpec, replicated_debitcredit_txn
+
+
+def broadcasts(cluster):
+    return sum(tabs.ns.broadcasts for tabs in cluster.nodes.values())
+
+
+class SpyApp:
+    """The router's inner library, recording the transaction-control
+    calls that reach it (the router only ever goes through ``.app``)."""
+
+    def __init__(self, app):
+        self._app = app
+        self.ctx = app.ctx
+        self.control = []
+
+    def __getattr__(self, name):
+        return getattr(self._app, name)
+
+    def end_transaction(self, tid, extra=None):
+        self.control.append(("end", extra))
+        committed = yield from self._app.end_transaction(tid, extra=extra)
+        return committed
+
+    def abort_transaction(self, tid, reason=""):
+        self.control.append(("abort", self.ctx.engine.now))
+        yield from self._app.abort_transaction(tid, reason=reason)
+
+
+def spied(cluster, home):
+    rapp = cluster.replicated_application(home)
+    rapp.app = SpyApp(rapp.app)
+    return rapp
+
+
+def copy_processes(cluster, home, tid):
+    return [process for process in cluster.node(home).node._processes
+            if process.name.startswith(f"{home}:write-behind:{tid}:")]
+
+
+def locks(cluster, node, keyspace):
+    return cluster.node(node).servers[keyspace].library.locks
+
+
+def committed_balance(cluster, node, keyspace, row):
+    """The row as the copy at ``node`` holds it, read there directly."""
+    app = cluster.application(node)
+
+    def txn():
+        tid = yield from app.begin_transaction()
+        ref = yield from app.lookup_one(keyspace, node_name=node)
+        reply = yield from app.call(ref, "get_balance", {"row": row}, tid)
+        yield from app.end_transaction(tid)
+        return reply["balance"]
+
+    return cluster.run_on(node, txn())
+
+
+def put(rapp, keyspace, row, balance, tid):
+    yield from rapp.write_all(keyspace, "put_balance",
+                              {"row": row, "balance": balance}, tid)
+
+
+def test_overlap_is_real_and_bounded():
+    """An idle warm rf=2 DebitCredit transaction, begin to commit reply:
+    1 699.2 sim-ms with the copies written in sequence (the parent of
+    this change), 1 298.5 with them written behind -- and the same name
+    lookups and RPC attempts either way."""
+    cluster, topology = build_replicated(seed=41)
+    spec = TxnSpec(home_branch=0, teller=1, account_branch=0, account=1,
+                   amount=5)
+
+    def run():
+        rapp = cluster.replicated_application("bank0")
+        started = cluster.engine.now
+        cluster.run_on("bank0", rapp.run_transaction(
+            lambda tid: replicated_debitcredit_txn(rapp, topology, spec,
+                                                   tid)))
+        return cluster.engine.now - started
+
+    run()   # binds bank1's copies
+    warm, retries = broadcasts(cluster), counter(cluster, "bank0",
+                                                 "rpc.retries")
+    elapsed = run()
+    assert elapsed < 1699.2 - 300.0
+    assert elapsed == pytest.approx(1298.5)
+    assert broadcasts(cluster) == warm
+    assert counter(cluster, "bank0", "rpc.retries") == retries == 0
+    assert audit_replica_convergence(cluster) == []
+
+
+def test_two_writes_of_one_cell_land_in_issue_order_on_every_copy():
+    cluster, topology = build_replicated(seed=43)
+    controller = ChaosController(cluster, FaultPlan.of(LinkFaultWindow(
+        0.0, 60_000.0, "bank0", "bank1", reorder=0.9,
+        reorder_delay_ms=400.0)), seed=43)
+    controller.install()
+    rapp = cluster.replicated_application("bank0")
+    keyspace = topology.account_server(0)
+    assert cluster.placement.replicas(keyspace) == ("bank0", "bank1")
+
+    def body(tid):
+        yield from put(rapp, keyspace, 7, 111, tid)
+        yield from put(rapp, keyspace, 7, 222, tid)
+
+    cluster.run_on("bank0", rapp.run_transaction(body))
+    cluster.settle()
+    assert committed_balance(cluster, "bank0", keyspace, 7) == 222
+    assert committed_balance(cluster, "bank1", keyspace, 7) == 222
+    assert audit_replica_convergence(cluster) == []
+
+
+def hold_row_at(cluster, node, keyspace, row, for_ms):
+    """Another transaction takes ``row``'s write lock at the copy on
+    ``node`` and aborts ``for_ms`` later; returns [release instant]."""
+    app = cluster.application(node)
+    released_at = []
+
+    def holder():
+        tid = yield from app.begin_transaction()
+        ref = yield from app.lookup_one(keyspace, node_name=node)
+        yield from app.call(ref, "get_balance_for_update", {"row": row}, tid)
+        yield Timeout(cluster.engine, for_ms)
+        released_at.append(cluster.engine.now)
+        yield from app.abort_transaction(tid)
+
+    cluster.spawn_on(node, holder())
+    return released_at
+
+
+def test_a_later_copy_never_overtakes_an_earlier_one_to_the_same_server():
+    """The copy of row 7 is parked on a foreign lock at bank1; the copy
+    of row 8, free to go, still waits its turn behind it."""
+    cluster, topology = build_replicated(seed=45)
+    rapp = cluster.replicated_application("bank0")
+    keyspace = topology.account_server(0)
+    released_at = hold_row_at(cluster, "bank1", keyspace, 7, 2_000.0)
+
+    def body(tid):
+        yield Timeout(cluster.engine, 200.0)   # the holder has row 7
+        yield from put(rapp, keyspace, 7, 111, tid)
+        yield from put(rapp, keyspace, 8, 222, tid)
+        first, second = copy_processes(cluster, "bank0", tid)
+        yield Timeout(cluster.engine, 1_000.0)
+        assert not released_at and first.alive and second.alive
+        assert locks(cluster, "bank1", keyspace).held_keys(tid) == []
+        yield first
+        assert second.alive
+
+    cluster.run_on("bank0", rapp.run_transaction(body))
+    cluster.settle()
+    assert committed_balance(cluster, "bank1", keyspace, 7) == 111
+    assert committed_balance(cluster, "bank1", keyspace, 8) == 222
+    assert audit_replica_convergence(cluster) == []
+
+
+def test_a_copy_that_dies_mid_call_aborts_the_transaction():
+    """Also ``run_transaction``'s handler: ``end_transaction`` raises out
+    of the join, and the transaction is aborted rather than left holding
+    its first-copy lock until a time-out."""
+    cluster, topology = build_replicated(seed=47)
+    rapp = spied(cluster, "bank0")
+    keyspace = topology.account_server(0)
+    before = committed_balance(cluster, "bank0", keyspace, 3)
+    # Bind bank1's copy first, so the copy below is a call in flight and
+    # not a name lookup.
+    cluster.run_on("bank0", rapp.run_transaction(
+        lambda tid: put(rapp, keyspace, 3, before, tid)))
+    rapp.app.control.clear()
+    tids = []
+
+    def body(tid):
+        tids.append(tid)
+        yield from put(rapp, keyspace, 3, before + 50, tid)
+        # The first copy holds the lock and the new value; bank1 dies
+        # with the write-behind request already dispatched to it.
+        assert locks(cluster, "bank0", keyspace).held_keys(tid)
+        yield Timeout(cluster.engine, 60.0)
+        cluster.crash_node("bank1")
+
+    with pytest.raises(CommunicationError):
+        cluster.run_on("bank0", rapp.run_transaction(body))
+    (tid,) = tids
+    assert [op for op, _ in rapp.app.control] == ["abort"]   # no tm.end
+    assert locks(cluster, "bank0", keyspace).held_keys(tid) == []
+    assert not any(process.alive
+                   for process in copy_processes(cluster, "bank0", tid))
+    assert rapp._behind == {} and rapp._footprints == {}
+    assert committed_balance(cluster, "bank0", keyspace, 3) == before
+
+
+def test_abort_returns_only_after_every_copy_has_finished():
+    """The write-behind call is parked on a lock another transaction
+    holds at the copy; the abort waits for it instead of racing it."""
+    cluster, topology = build_replicated(seed=53)
+    rapp = spied(cluster, "bank0")
+    keyspace = topology.account_server(0)
+    released_at = hold_row_at(cluster, "bank1", keyspace, 5, 2_000.0)
+
+    def txn():
+        tid = yield from rapp.begin_transaction()
+        yield Timeout(cluster.engine, 200.0)   # the holder has row 5
+        yield from put(rapp, keyspace, 5, 999, tid)
+        yield from rapp.abort_transaction(tid)
+        return tid
+
+    served = cluster.node("bank1").servers[keyspace].library.requests_served
+    tid = cluster.run_on("bank0", txn())
+    # tm.abort was sent after the holder let go and the copy's handler
+    # ran to completion -- nothing of the transaction is still executing.
+    (abort,) = rapp.app.control
+    assert abort[0] == "abort" and abort[1] > released_at[0]
+    library = cluster.node("bank1").servers[keyspace].library
+    assert library.requests_served == served + 2   # the holder's read too
+    assert not any(process.alive and process.name.endswith(":put_balance")
+                   for process in cluster.node("bank1").node._processes)
+    assert not any(process.alive
+                   for process in copy_processes(cluster, "bank0", tid))
+    cluster.settle()
+    for node in ("bank0", "bank1"):
+        assert locks(cluster, node, keyspace).held_keys(tid) == []
+    assert rapp._behind == {}
+    assert audit_replica_convergence(cluster) == []
+
+
+def test_read_your_writes_when_the_view_changes_between_write_and_read():
+    cluster, topology = build_replicated(seed=59)
+    rapp = cluster.replicated_application("bank0")
+    keyspace = topology.account_server(1)
+    assert cluster.placement.replicas(keyspace) == ("bank1", "bank0")
+    before = committed_balance(cluster, "bank0", keyspace, 2)
+    view = cluster.node("bank0").replication.view
+
+    def txn():
+        tid = yield from rapp.begin_transaction()
+        yield from put(rapp, keyspace, 2, before + 77, tid)
+        # bank1 served the synchronous copy; the local copy is still
+        # being written behind when the detector speaks.
+        (copy,) = copy_processes(cluster, "bank0", tid)
+        assert copy.alive
+        view.observe(cluster.engine.now, "bank0", "suspect", "bank1")
+        reply = yield from rapp.read(keyspace, "get_balance", {"row": 2},
+                                     tid)
+        assert not copy.alive
+        yield from rapp.abort_transaction(tid)
+        return reply["balance"]
+
+    assert cluster.run_on("bank0", txn()) == before + 77
+
+
+def test_home_node_crash_takes_the_copy_processes_with_it():
+    cluster, topology = build_replicated(seed=61)
+    rapp = cluster.replicated_application("bank0")
+    keyspace = topology.account_server(0)
+    before = committed_balance(cluster, "bank0", keyspace, 4)
+    seen = {}
+
+    def txn():
+        tid = yield from rapp.begin_transaction()
+        reply = yield from rapp.read(keyspace, "get_balance_for_update",
+                                     {"row": 4}, tid, for_update=True)
+        yield from put(rapp, keyspace, 4, reply["balance"] + 9, tid)
+        seen["tid"] = tid
+        seen["copies"] = copy_processes(cluster, "bank0", tid)
+        # From the engine, as a fault plan would: a process cannot pull
+        # the plug on its own node.
+        cluster.engine.schedule(10.0, lambda: cluster.crash_node("bank0"))
+        yield Timeout(cluster.engine, 20.0)
+        raise AssertionError("the client outlived its node")
+
+    client = cluster.spawn_on("bank0", txn())
+    cluster.settle()
+    assert not client.alive
+    (copy,) = seen["copies"]
+    assert not copy.alive and not copy.ok
+    assert copy_processes(cluster, "bank0", seen["tid"]) == []
+    cluster.restart_node("bank0")
+    cluster.settle(extra_ms=30_000.0)
+    assert audit_replica_convergence(cluster) == []
+    for node in ("bank0", "bank1"):
+        assert locks(cluster, node, keyspace).held_keys(seen["tid"]) == []
+        assert committed_balance(cluster, node, keyspace, 4) == before
+
+
+def test_single_target_spawns_nothing():
+    cluster, topology = build_replicated(seed=67)
+    cluster.crash_node("bank1")
+    cluster.node("bank0").replication.view.observe(0.0, "bank0", "suspect",
+                                                   "bank1")
+    rapp = cluster.replicated_application("bank0")
+    keyspace = topology.account_server(0)
+    degraded = counter(cluster, "bank0", "replication.write_all_degraded")
+
+    def body(tid):
+        yield from put(rapp, keyspace, 6, 123, tid)
+        assert copy_processes(cluster, "bank0", tid) == []
+        assert rapp._behind == {}
+
+    cluster.run_on("bank0", rapp.run_transaction(body))
+    assert counter(cluster, "bank0", "replication.write_all_degraded") \
+        == degraded + 1
+    assert committed_balance(cluster, "bank0", keyspace, 6) == 123
+
+
+def test_footprint_lists_a_write_behind_target_as_of_its_issue():
+    """bank1 flaps (suspect, then recovered) while its copy is in flight:
+    the footprint keeps the failure count from *before* the call, so
+    rule 1 refuses the commit; counted after the call it would pass."""
+    cluster, topology = build_replicated(seed=71)
+    rapp = spied(cluster, "bank0")
+    keyspace = topology.account_server(0)
+    view = cluster.node("bank0").replication.view
+
+    def txn():
+        tid = yield from rapp.begin_transaction()
+        yield from put(rapp, keyspace, 8, 321, tid)
+        view.observe(cluster.engine.now, "bank0", "suspect", "bank1")
+        view.observe(cluster.engine.now, "bank0", "recovered", "bank1")
+        committed = yield from rapp.end_transaction(tid)
+        return committed
+
+    assert cluster.run_on("bank0", txn()) is False
+    ((op, extra),) = rapp.app.control
+    assert op == "end"
+    shipped = extra["replication"]
+    assert shipped["written"] == {"bank0": 0, "bank1": 0}
+    assert shipped["keyspaces"] == {keyspace: ["bank0", "bank1"]}
+    assert view.fail_count("bank1") == 1
+    assert counter(cluster, "bank0", "replication.validation_abort") == 1
+    assert rapp._behind == {} and rapp._footprints == {}
