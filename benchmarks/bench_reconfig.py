@@ -33,6 +33,8 @@ from benchmarks.conftest import (
 from repro.chaos import FaultPlan
 from repro.core.config import ReconfigConfig
 from repro.reconfig import ReconfigManager
+from repro.reconfig.migration import COPY_MAX_RETRIES
+from repro.replication.catchup import RETRY_MS
 
 RECONFIG = ReconfigConfig.online()
 #: the migration starts this far into the run -- late enough that the
@@ -79,8 +81,8 @@ BENCH = FaultBench(
                       f"copy chunks {r['copy_chunks']}"),
     disturbance="through the migration", headline="migration_committed",
     config_blocks={"reconfig": {
-        "copy_retry_ms": RECONFIG.copy_retry_ms,
-        "copy_max_retries": RECONFIG.copy_max_retries}},
+        "copy_retry_ms": RETRY_MS,
+        "copy_max_retries": COPY_MAX_RETRIES}},
     own_problems=lambda payload: (
         [] if payload["migration_committed"]
         else ["the live migration did not commit"]))

@@ -31,6 +31,8 @@ from repro.core.cluster import TabsCluster
 from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
 from repro.perf.benchmarks import BENCHMARKS, run_benchmark
 from repro.perf.projections import run_table_5_4
+from repro.replication.catchup import RETRY_MS
+from repro.replication.runtime import PREPARED_INQUIRY_MS
 from repro.workloads import DebitCreditWorkload
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -241,9 +243,8 @@ class FaultBench:
             "workload": workload_block(FAULT_WORKLOAD),
             "replication": {
                 "replication_factor": FAULT_REPLICATION.replication_factor,
-                "prepared_inquiry_ms":
-                    FAULT_REPLICATION.prepared_inquiry_ms,
-                "catchup_retry_ms": FAULT_REPLICATION.catchup_retry_ms,
+                "prepared_inquiry_ms": PREPARED_INQUIRY_MS,
+                "catchup_retry_ms": RETRY_MS,
             },
             **self.config_blocks,
             "seed": FAULT_SEED,

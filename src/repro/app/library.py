@@ -28,6 +28,7 @@ from repro.kernel.service import request
 from repro.nameserver.library import NameServerLibrary
 from repro.rpc import stubs
 from repro.rpc.stubs import ServiceRef
+from repro.sim import Timeout
 from repro.txn.ids import NULL_TID, TransactionID
 from repro.txn.manager import SERVICE as TM_SERVICE
 
@@ -136,34 +137,61 @@ class ApplicationLibrary:
 
     def run_transaction(self, body_fn: Callable, retries: int = 0,
                         backoff_ms: float = 200.0):
-        """Begin, run ``body_fn(tid)`` (a generator), and commit.
+        """Begin, run ``body_fn(tid)`` (a generator), and commit
+        (generator): the module's :func:`run_transaction` over this
+        library."""
+        return run_transaction(self, body_fn, retries, backoff_ms)
 
-        Aborts on exception and re-raises.  With ``retries`` > 0, a
-        transaction that aborts (a deadlock time-out, say) is retried
-        after a randomized backoff -- without the jitter, deterministic
-        contenders would re-create the same deadlock forever.
-        """
-        from repro.sim import Timeout
 
-        attempt = 0
-        while True:
-            tid = yield from self.begin_transaction()
-            try:
-                result = yield from body_fn(tid)
-            except Exception as error:
-                yield from self.abort_transaction(tid, reason=repr(error))
-                retryable = isinstance(error, (TransactionAborted,
-                                               LockTimeout))
-                if retryable and attempt < retries:
-                    attempt += 1
-                    yield Timeout(self.ctx.engine,
-                                  self.ctx.random.uniform(
-                                      0.0, backoff_ms * attempt))
-                    continue
-                raise
-            committed = yield from self.end_transaction(tid)
-            if committed:
-                return result
-            if attempt >= retries:
-                raise TransactionAborted(tid, "commit failed")
-            attempt += 1
+def run_transaction(app, body_fn: Callable, retries: int = 0,
+                    backoff_ms: float = 200.0,
+                    retryable: tuple = (TransactionAborted, LockTimeout)):
+    """The transaction bracket, written once (generator): begin on
+    ``app``, run ``body_fn(tid)`` (a generator), commit, return the
+    body's result.
+
+    Aborts on exception and re-raises; a refused commit raises
+    :class:`~repro.errors.TransactionAborted`.  ``end_transaction`` sits
+    inside the handler because it can raise too (a replicated
+    transaction's write-behind copy that failed surfaces there), and the
+    transaction must then be aborted, not left holding its locks until a
+    time-out.  With ``retries`` > 0, a transaction that aborts with one
+    of ``retryable`` (a deadlock time-out, say) is retried after a
+    randomized backoff -- without the jitter, deterministic contenders
+    would re-create the same deadlock forever.
+    """
+    attempt = 0
+    while True:
+        tid = yield from app.begin_transaction()
+        try:
+            result = yield from body_fn(tid)
+            committed = yield from app.end_transaction(tid)
+        except Exception as error:
+            yield from app.abort_transaction(tid, reason=repr(error))
+            if isinstance(error, retryable) and attempt < retries:
+                attempt += 1
+                yield Timeout(app.ctx.engine,
+                              app.ctx.random.uniform(0.0,
+                                                     backoff_ms * attempt))
+                continue
+            raise
+        if committed:
+            return result
+        if attempt >= retries:
+            raise TransactionAborted(tid, "commit failed")
+        attempt += 1
+
+
+def call_in_transaction(app, name: str, node_name: str, op: str,
+                        body: dict, timeout_ms: float | None = None):
+    """One operation on ``node_name``'s server ``name`` as a transaction
+    of its own (generator returning the reply) -- the shape of every
+    maintenance transaction: replica catch-up, shard copy, the
+    reconfiguration registry."""
+    def one_call(tid):
+        ref = yield from app.lookup_one(name, node_name=node_name)
+        reply = yield from app.call(ref, op, body, tid,
+                                    timeout_ms=timeout_ms)
+        return reply
+
+    return run_transaction(app, one_call)

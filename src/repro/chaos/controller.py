@@ -414,10 +414,6 @@ class ChaosController:
                    and record.tid.toplevel == tid.toplevel
                    for record in store.read_forward(store.truncated_before))
 
-    def triggers_pending(self) -> int:
-        """Watchers still armed (diagnostic for scenario assertions)."""
-        return sum(1 for watcher in self._watchers if watcher.alive)
-
     # -- repair / quiescence ----------------------------------------------------------
 
     def repair_all(self) -> list[Process]:

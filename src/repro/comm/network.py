@@ -239,11 +239,6 @@ class Network:
         """Subscribe to network events; hooks fire in subscription order."""
         self.trace_hooks.append(hook)
 
-    def remove_trace_hook(
-            self, hook: Callable[[float, str, str, str, str], None]) -> None:
-        if hook in self.trace_hooks:
-            self.trace_hooks.remove(hook)
-
     def _trace(self, event: str, source: str, target: str, op: str) -> None:
         node = target if event in ("recv", "undeliverable") else \
             (source or target)

@@ -78,49 +78,22 @@ class ReplicationConfig:
     existing 2PC/2PL facility.
 
     A recovering replica observes a read barrier: it refuses reads until
-    a catch-up pass has merged current versions from its live peers
-    (``catchup_retry_ms``/``catchup_max_retries`` bound the per-peer
-    retry loop when peers are still down or contended).
+    a catch-up pass has merged current versions from its live peers.
+    The bounds of that pass (chunk size, back-off, lock and call
+    time-outs, retry budget) are constants in
+    :mod:`repro.replication.catchup`, and the prepared-inquiry interval
+    replication tightens is ``PREPARED_INQUIRY_MS`` in
+    :mod:`repro.replication.runtime` -- no workload ever set them, so
+    they are not configuration.
     """
 
     enabled: bool = False
     #: copies of each key-space (clamped to the node count at build time)
     replication_factor: int = 2
-    #: base backoff between catch-up attempts against one peer
-    catchup_retry_ms: float = 400.0
-    #: per-peer catch-up attempts before skipping that peer
-    catchup_max_retries: int = 8
-    #: lock wait bound for catch-up snapshot/apply cell locks.  Much
-    #: shorter than the workload's lock time-out: a catch-up chunk that
-    #: hits a convoyed hot cell should fail fast and retry in a gap,
-    #: not park behind the convoy while the read barrier stays up.
-    catchup_lock_timeout_ms: float = 1_500.0
-    #: RPC bound for catch-up calls to the peer.  The default RPC
-    #: time-out (30 s) outlives a whole failover window; a peer that
-    #: dies mid-snapshot must fail the chunk quickly so the retry loop
-    #: can notice the peer is gone and move on.
-    catchup_call_timeout_ms: float = 6_000.0
-    #: how long a prepared 2PC subordinate waits before inquiring about
-    #: the outcome itself.  Replication tightens the single-copy default
-    #: (30 s): a crashed coordinator's in-doubt transactions hold write
-    #: locks on the *surviving* copies of everything they touched, and
-    #: those shards stay frozen until the inquiry resolves them --
-    #: exactly the outage-by-blocking this subsystem exists to shrink.
-    prepared_inquiry_ms: float = 5_000.0
 
     def __post_init__(self) -> None:
         if self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
-        if self.catchup_retry_ms < 0:
-            raise ValueError("catchup_retry_ms must be >= 0")
-        if self.catchup_max_retries < 1:
-            raise ValueError("catchup_max_retries must be >= 1")
-        if self.catchup_lock_timeout_ms <= 0:
-            raise ValueError("catchup_lock_timeout_ms must be > 0")
-        if self.catchup_call_timeout_ms <= 0:
-            raise ValueError("catchup_call_timeout_ms must be > 0")
-        if self.prepared_inquiry_ms <= 0:
-            raise ValueError("prepared_inquiry_ms must be > 0")
 
     @classmethod
     def off(cls) -> "ReplicationConfig":
@@ -128,11 +101,10 @@ class ReplicationConfig:
         return cls()
 
     @classmethod
-    def available_copies(cls, replication_factor: int = 2,
-                         **overrides) -> "ReplicationConfig":
+    def available_copies(cls,
+                         replication_factor: int = 2) -> "ReplicationConfig":
         """Write-all-available / read-any-available replication."""
-        return cls(enabled=True, replication_factor=replication_factor,
-                   **overrides)
+        return cls(enabled=True, replication_factor=replication_factor)
 
 
 @dataclass(frozen=True)
@@ -153,24 +125,14 @@ class ReconfigConfig:
     the originator's WAL, chunked copy behind a read barrier, epoch
     install as the commit action, presumed-abort rollback).
 
-    The copy loop reuses the replication catch-up knobs
-    (``catchup_call_timeout_ms``, ``catchup_lock_timeout_ms``) for its
-    RPCs; ``copy_retry_ms``/``copy_max_retries`` bound how long a
-    migration keeps retrying a failing source or destination before
-    rolling back to the old epoch.
+    The copy is :func:`repro.replication.catchup.copy_shard`, the loop
+    replica catch-up runs, under that module's constants;
+    ``COPY_MAX_RETRIES`` in :mod:`repro.reconfig.migration` bounds how
+    long a migration keeps retrying a failing source or destination
+    before rolling back to the old epoch.
     """
 
     enabled: bool = False
-    #: base backoff between retries of a failed copy chunk
-    copy_retry_ms: float = 400.0
-    #: consecutive chunk failures before the migration rolls back
-    copy_max_retries: int = 6
-
-    def __post_init__(self) -> None:
-        if self.copy_retry_ms < 0:
-            raise ValueError("copy_retry_ms must be >= 0")
-        if self.copy_max_retries < 1:
-            raise ValueError("copy_max_retries must be >= 1")
 
     @classmethod
     def off(cls) -> "ReconfigConfig":
@@ -178,9 +140,9 @@ class ReconfigConfig:
         return cls()
 
     @classmethod
-    def online(cls, **overrides) -> "ReconfigConfig":
+    def online(cls) -> "ReconfigConfig":
         """Live join/retire and transactional shard migration."""
-        return cls(enabled=True, **overrides)
+        return cls(enabled=True)
 
 
 @dataclass(frozen=True)

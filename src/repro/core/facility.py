@@ -28,6 +28,7 @@ from repro.recovery.manager import (
     RmPagerClient,
 )
 from repro.recovery.supervisor import RecoverySupervisor
+from repro.replication.runtime import PREPARED_INQUIRY_MS, ReplicaRuntime
 from repro.txn.manager import SERVICE as TM_SERVICE
 from repro.txn.manager import TransactionManager
 from repro.wal.store import LogStore
@@ -75,10 +76,7 @@ class TabsNode:
         #: survives rebuilds (the availability view is knowledge about
         #: peers, not volatile local state).  None when replication is off.
         self.replication = None
-        if getattr(config, "replication", None) is not None \
-                and config.replication.enabled:
-            from repro.replication.runtime import ReplicaRuntime
-
+        if config.replication.enabled:
             self.replication = ReplicaRuntime(self)
         self._build()
         #: self-healing: recovery now runs off Node.on_restart, unattended
@@ -111,8 +109,7 @@ class TabsNode:
             self.tm.replication_validator = self.replication.validate
             # A dead coordinator's in-doubt locks freeze the surviving
             # replica copies it wrote; inquire early to unfreeze them.
-            self.tm.prepared_inquiry_ms = \
-                self.config.replication.prepared_inquiry_ms
+            self.tm.prepared_inquiry_ms = PREPARED_INQUIRY_MS
             # Don't await 2PC acks from peers the availability view has
             # down: they cannot answer, and the wait freezes the client.
             view = self.replication.view

@@ -46,10 +46,6 @@ class InvalidPort(KernelError):
     """A message was sent to a dead or unknown port."""
 
 
-class PageFault(KernelError):
-    """Internal signal: a referenced page is not resident."""
-
-
 class PageCorruption(KernelError):
     """A disk page failed its payload-checksum verification on read.
 

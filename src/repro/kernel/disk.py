@@ -69,14 +69,14 @@ def checksum_page(segment_id: str, page: int,
     value encoding (imported lazily; the codec depends on the kernel).
     """
     from repro.errors import WalCodecError
-    from repro.wal.codec import _encode_value
+    from repro.wal.codec import encode_value
 
     parts = [segment_id.encode(), page.to_bytes(8, "big", signed=True)]
     for offset in sorted(data):
         parts.append(offset.to_bytes(8, "big", signed=True))
         value = data[offset]
         try:
-            parts.append(_encode_value(value))
+            parts.append(encode_value(value))
         except WalCodecError:
             # Deterministic fallback for exotic values; still catches any
             # fault that changes the value's type or the page's shape.

@@ -164,7 +164,7 @@ class SimProfiler:
         tables simply contribute no edges).
         """
         edges: list[dict] = []
-        for manager in getattr(self.ctx, "lock_managers", []):
+        for manager in self.ctx.lock_managers:
             edges.extend(manager.wait_graph())
         return edges
 

@@ -59,9 +59,6 @@ class DebitCreditResult:
     def forces_per_commit(self) -> float:
         return self.forces / self.committed if self.committed else 0.0
 
-    def latency_summary(self) -> dict:
-        return self.latency.snapshot()
-
 
 def run_debitcredit(clients: int, duration_ms: float = 30_000.0,
                     config: TabsConfig | None = None,

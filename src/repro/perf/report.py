@@ -42,27 +42,6 @@ def render_table(title: str, header: list[str],
     return "\n".join(lines)
 
 
-#: the robustness counters surfaced alongside the paper tables, in a
-#: stable rendering order
-ROBUSTNESS_COUNTERS = ("failures_detected", "false_suspicions",
-                       "aborts_on_failure", "rpc_retries",
-                       "self_recoveries")
-
-
-def render_robustness_counters(meter) -> str:
-    """The failure-detection / self-healing counters of one run.
-
-    Reads :attr:`repro.kernel.costs.CostMeter.counters`; counters that
-    never fired render as 0 so the report shape is stable.
-    """
-    rows = [[name.replace("_", " "), str(meter.counter(name))]
-            for name in ROBUSTNESS_COUNTERS]
-    extras = sorted(set(meter.counters) - set(ROBUSTNESS_COUNTERS))
-    rows.extend([name.replace("_", " "), str(meter.counter(name))]
-                for name in extras)
-    return render_table("Robustness counters", ["event", "count"], rows)
-
-
 def render_metrics(registry) -> str:
     """Per-node counters, gauges, and latency histograms of one run.
 

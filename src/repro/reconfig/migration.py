@@ -2,20 +2,18 @@
 
 Modeled on dist_zero's ``TransactionRole`` pattern: the invariant
 ("every key-space's committed data is readable at its placed replicas")
-is briefly weakened while per-node roles cooperate to change the
-topology, and every exit path -- commit, abort, or a crash of any
-participant -- restores it.  Three roles move one shard:
-
-- :class:`MigrationCoordinator` (on the *originator* node) drives the
-  protocol and owns its durable state via the
-  :class:`~repro.reconfig.registry.ReconfigRegistryServer`;
-- :class:`SourceRole` (the node shedding the shard) keeps serving reads
-  and writes throughout and answers the chunked snapshot reads -- it is
-  the authoritative copy until the shrink epoch drops it;
-- :class:`DestinationRole` (the node gaining the shard) materializes
-  the key-space's server behind the catch-up read barrier, absorbs the
-  copy and the live write fan-out, and starts serving only when the
-  barrier drops.
+is briefly weakened while one shard's topology changes, and every exit
+path -- commit, abort, or a crash of any participant -- restores it.
+One object runs it, :class:`MigrationCoordinator` on the *originator*
+node, owning the durable state via the
+:class:`~repro.reconfig.registry.ReconfigRegistryServer`.  The other two
+parties need no code of their own: the *source* (the node shedding the
+shard) keeps serving reads and writes throughout and answers the
+chunked snapshot reads -- it is the authoritative copy until the shrink
+epoch drops it; the *destination* (the node gaining it) gets the
+key-space's server behind the catch-up read barrier, absorbs the copy
+and the live write fan-out, and starts serving only when the barrier
+drops.
 
 The phase machine (each boundary fires the manager's phase hooks, which
 is where chaos faults land)::
@@ -25,8 +23,8 @@ is where chaos faults land)::
                 tuple; its server exists, barrier up; write_all now fans
                 to source AND destination; reads still fail over past
                 the barrier to the source
-    copy     -- chunked snapshot/apply loop reusing the replication
-                catch-up machinery (versioned cells make re-applies
+    copy     -- :func:`~repro.replication.catchup.copy_shard`, the loop
+                replica catch-up runs (versioned cells make re-applies
                 no-ops); each applied chunk fires a "copy" hook
     barrier  -- destination read barrier drops (it is now current:
                 copied prefix + fanned-out live writes)
@@ -51,83 +49,22 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.app.library import ApplicationLibrary
-from repro.replication.catchup import (
-    CATCHUP_CHUNK_CELLS,
-    _RETRYABLE_ERRORS,
-    _apply_local,
-    _list_peer,
-    _snapshot_peer,
-)
+from repro.core.cluster import bring_up_server
+from repro.errors import TabsError
 from repro.reconfig.registry import pack_intent, registry_call
-from repro.sim import Timeout
+from repro.replication.catchup import (
+    RETRYABLE_ERRORS,
+    CopyExhausted,
+    copy_shard,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.reconfig.manager import ReconfigManager
 
-
-class MigrationRollback(Exception):
-    """Internal: the migration cannot proceed and must roll back."""
-
-
-class SourceRole:
-    """The shedding node: authoritative until the shrink epoch."""
-
-    def __init__(self, manager: "ReconfigManager", keyspace: str,
-                 node_name: str) -> None:
-        self.manager = manager
-        self.keyspace = keyspace
-        self.node_name = node_name
-
-    def server_exists(self) -> bool:
-        tabs_node = self.manager.cluster.node(self.node_name)
-        return self.keyspace in tabs_node.servers
-
-    def factory(self):
-        """The key-space's server factory (re-used to materialize the
-        destination copy with identical schema and scale)."""
-        tabs_node = self.manager.cluster.node(self.node_name)
-        return tabs_node._server_factories[self.keyspace]
-
-
-class DestinationRole:
-    """The gaining node: barrier up until the copy completes."""
-
-    def __init__(self, manager: "ReconfigManager", keyspace: str,
-                 node_name: str) -> None:
-        self.manager = manager
-        self.keyspace = keyspace
-        self.node_name = node_name
-
-    @property
-    def tabs_node(self):
-        return self.manager.cluster.node(self.node_name)
-
-    def server(self):
-        return self.tabs_node.servers.get(self.keyspace)
-
-    def ensure_server(self, source: SourceRole):
-        """Materialize the key-space's server behind the read barrier
-        (generator).  Re-entrant: a re-migration to a node that already
-        holds an orphaned copy just re-raises the barrier -- the
-        versioned copy loop brings it current again."""
-        tabs_node = self.tabs_node
-        if self.keyspace not in tabs_node._server_factories:
-            tabs_node.add_server(source.factory())
-            server = tabs_node.servers[self.keyspace]
-            server.catchup_pending = True
-            yield from server.setup()
-            yield from server.on_recovered()
-            server.start()
-        else:
-            server = self.server()
-            if server is not None:
-                server.catchup_pending = True
-        return self.server()
-
-    def set_barrier(self, pending: bool) -> None:
-        server = self.server()
-        if server is not None:
-            server.catchup_pending = pending
+#: consecutive failures of one copy chunk (or of the destination probe)
+#: before the migration rolls back to the old epoch: how long it keeps
+#: retrying a source or destination that stays down
+COPY_MAX_RETRIES = 6
 
 
 class MigrationCoordinator:
@@ -136,10 +73,7 @@ class MigrationCoordinator:
     def __init__(self, manager: "ReconfigManager", keyspace: str,
                  source: str, dest: str) -> None:
         cluster = manager.cluster
-        placement = cluster.placement
-        replicas = placement.replicas(keyspace)
-        from repro.errors import TabsError
-
+        replicas = cluster.placement.replicas(keyspace)
         if source not in replicas:
             raise TabsError(f"{source!r} holds no copy of {keyspace!r}")
         if dest in replicas:
@@ -148,8 +82,8 @@ class MigrationCoordinator:
             raise TabsError(f"cannot migrate to retired node {dest!r}")
         self.manager = manager
         self.keyspace = keyspace
-        self.source_role = SourceRole(manager, keyspace, source)
-        self.dest_role = DestinationRole(manager, keyspace, dest)
+        self.source = source
+        self.dest = dest
         self.old_replicas = replicas
         # The destination takes the source's position in the ordered
         # tuple, inheriting anchor duty if the source was the anchor --
@@ -159,26 +93,50 @@ class MigrationCoordinator:
         self.seq = 0  # assigned from the registry when the run starts
         #: None while running; True committed; False rolled back
         self.result: bool | None = None
-        originator = manager.originator
-        self._tabs = cluster.node(originator)
+        self._tabs = cluster.node(manager.originator)
         self._app = ApplicationLibrary(self._tabs.node, cluster.network)
         self._ctx = self._tabs.ctx
-
-    # -- registry transactions ---------------------------------------------------
 
     def _registry(self, op: str, body: dict):
         """One WAL-logged transaction against the originator's registry
         (generator)."""
-        reply = yield from registry_call(self._app, self.manager.originator,
-                                         op, body)
-        return reply
+        return registry_call(self._app, self.manager.originator, op, body)
+
+    # -- the destination copy ----------------------------------------------------
+
+    def _dest_server(self):
+        """The destination's server for the key-space, or None (not yet
+        materialized, or the node is mid-restart)."""
+        return self.manager.cluster.node(self.dest).servers.get(
+            self.keyspace)
+
+    def _set_barrier(self, pending: bool) -> None:
+        server = self._dest_server()
+        if server is not None:
+            server.catchup_pending = pending
+
+    def _ensure_dest_server(self):
+        """Materialize the key-space's server on the destination behind
+        the read barrier (generator), from the source's factory --
+        identical schema and scale.  Re-entrant: a re-migration to a
+        node that already holds an orphaned copy just re-raises the
+        barrier -- the versioned copy loop brings it current again."""
+        cluster = self.manager.cluster
+        tabs_node = cluster.node(self.dest)
+        if self.keyspace in tabs_node._server_factories:
+            self._set_barrier(True)
+            return
+        tabs_node.add_server(
+            cluster.node(self.source)._server_factories[self.keyspace])
+        self._set_barrier(True)
+        yield from bring_up_server(self._dest_server())
 
     # -- the protocol ------------------------------------------------------------
 
     def _info(self, **extra) -> dict:
         info = {"keyspace": self.keyspace,
-                "source": self.source_role.node_name,
-                "dest": self.dest_role.node_name,
+                "source": self.source,
+                "dest": self.dest,
                 "originator": self.manager.originator,
                 "seq": self.seq}
         info.update(extra)
@@ -191,12 +149,11 @@ class MigrationCoordinator:
         local = self.manager.originator
         ctx.metrics.counter(local, "reconfig.migrations_started").inc()
         with ctx.span("reconfig.migrate", local, "RECONFIG",
-                      keyspace=self.keyspace,
-                      source=self.source_role.node_name,
-                      dest=self.dest_role.node_name) as span:
+                      keyspace=self.keyspace, source=self.source,
+                      dest=self.dest) as span:
             try:
                 committed = yield from self._attempt()
-            except _RETRYABLE_ERRORS + (MigrationRollback,):
+            except RETRYABLE_ERRORS + (CopyExhausted,):
                 yield from self._rollback()
                 committed = False
             self.result = committed
@@ -207,22 +164,20 @@ class MigrationCoordinator:
         manager = self.manager
         state = yield from self._registry("reconfig_state", {})
         self.seq = int(state["seq"]) + 1
-        intent = pack_intent(self.keyspace, self.source_role.node_name,
-                             self.dest_role.node_name, self.old_replicas,
-                             self.new_replicas, self.seq)
+        intent = pack_intent(self.keyspace, self.source, self.dest,
+                             self.old_replicas, self.new_replicas, self.seq)
         yield from self._registry("reconfig_set_intent", {"intent": intent})
         manager.phase("intent", self._info())
 
         # Extend: the destination's server must exist (barrier up)
         # before the epoch that fans writes to it is installed.
-        yield from self.dest_role.ensure_server(self.source_role)
+        yield from self._ensure_dest_server()
         manager.install_epoch(manager.current_epoch().with_replicas(
-            self.keyspace, self.old_replicas
-            + (self.dest_role.node_name,)))
+            self.keyspace, self.old_replicas + (self.dest,)))
         manager.phase("extend", self._info())
 
         yield from self._copy()
-        self.dest_role.set_barrier(False)
+        self._set_barrier(False)
         manager.phase("barrier", self._info())
 
         # Commit: the durable decision, then the shrink epoch.
@@ -238,78 +193,33 @@ class MigrationCoordinator:
         return True
 
     def _copy(self):
-        """Chunked snapshot/apply from source into the destination copy,
-        reusing the replication catch-up helpers.  Retries transient
-        failures; past the budget the migration rolls back.
+        """The shard copy, source into destination (generator): the
+        catch-up loop, twice over and probing.  Past the retry budget
+        it raises and the migration rolls back.
 
-        The copy runs *two* full passes.  During the first, writers that
-        cannot reach the destination (crashed, partitioned away, or
-        simply suspected by the writer's failure detector) may commit on
-        the source alone -- write-all-*available* semantics.  Those
-        cells are newer on the source than anywhere else, and the shrink
-        epoch is about to drop the source from the map; without a second
-        pass they would be durably committed yet unreachable.  The
-        second pass re-lists the source and re-copies (versioned cells
-        make already-current chunks cheap no-ops), and every pass ends
-        with a listing round trip *to the destination* -- an empty
-        key-space copies zero chunks, so without the probe a dead
-        destination would never be noticed and the barrier would drop on
-        a copy nobody can serve.
+        *Two* full passes: during the first, writers that cannot reach
+        the destination (crashed, partitioned away, or simply suspected
+        by the writer's failure detector) may commit on the source alone
+        -- write-all-*available* semantics.  Those cells are newer on
+        the source than anywhere else, and the shrink epoch is about to
+        drop the source from the map; without a second pass they would
+        be durably committed yet unreachable.  And every pass ends with
+        a listing round trip *to the destination* -- an empty key-space
+        copies zero chunks, so without the probe a dead destination
+        would never be noticed and the barrier would drop on a copy
+        nobody can serve.
         """
-        manager = self.manager
-        ctx = self._ctx
-        config = manager.cluster.config
-        reconfig = config.reconfig
-        replication = config.replication
-        source = self.source_role.node_name
-        dest = self.dest_role.node_name
         view = self._tabs.replication.view
-        attempt = 0
-        passes = 0
-        offsets: list[int] | None = None
-        start = 0
-        chunk_index = 0
-        while True:
-            if attempt:
-                if attempt >= reconfig.copy_max_retries:
-                    raise MigrationRollback(
-                        f"copy of {self.keyspace!r} from {source!r} "
-                        f"exhausted {attempt} retries")
-                yield Timeout(ctx.engine,
-                              ctx.random.uniform(0.5, 1.0)
-                              * reconfig.copy_retry_ms * attempt)
-            dest_server = self.dest_role.server()
-            if not view.available(source) or dest_server is None:
-                # A suspected source may be a false suspicion (partition
-                # healing), and a crashed destination may restart: burn a
-                # retry rather than rolling back outright.
-                attempt += 1
-                continue
-            try:
-                if offsets is None:
-                    offsets = yield from _list_peer(
-                        self._app, self.keyspace, source, replication)
-                while start < len(offsets):
-                    chunk = offsets[start:start + CATCHUP_CHUNK_CELLS]
-                    cells = yield from _snapshot_peer(
-                        self._app, self.keyspace, source, chunk,
-                        replication)
-                    yield from _apply_local(self._app, dest_server, cells,
-                                            replication)
-                    start += CATCHUP_CHUNK_CELLS
-                    attempt = 0  # forward progress refreshes the budget
-                    chunk_index += 1
-                    manager.phase("copy", self._info(chunk=chunk_index))
-                yield from _list_peer(self._app, self.keyspace, dest,
-                                      replication)
-            except _RETRYABLE_ERRORS:
-                attempt += 1
-                continue
-            passes += 1
-            if passes >= 2:
-                return
-            offsets = None  # second pass: pick up writes the fan-out missed
-            start = 0
+        return copy_shard(
+            self._app, self.keyspace, self.source, self.dest,
+            # A suspected source may be a false suspicion (partition
+            # healing), and a crashed destination may restart: not
+            # ready burns a retry rather than rolling back outright.
+            ready=lambda: (view.available(self.source)
+                           and self._dest_server() is not None),
+            max_retries=COPY_MAX_RETRIES, passes=2, probe=True,
+            on_chunk=lambda chunk: self.manager.phase(
+                "copy", self._info(chunk=chunk)))
 
     def _rollback(self):
         """Restore the pre-migration map (as a fresh epoch) and clear the
@@ -317,7 +227,7 @@ class MigrationCoordinator:
         barrier up -- nothing routes to it, and a retried migration
         re-uses it as a warm start (versioned cells merge safely)."""
         manager = self.manager
-        self.dest_role.set_barrier(True)
+        self._set_barrier(True)
         manager.install_epoch(manager.current_epoch().with_replicas(
             self.keyspace, self.old_replicas))
         self._ctx.metrics.counter(self.manager.originator,

@@ -28,6 +28,7 @@ the last one resolves when it recovers -- the same blocking contract
 
 from __future__ import annotations
 
+from repro.app.library import call_in_transaction
 from repro.locking.modes import READ, WRITE
 from repro.servers.base import BaseDataServer
 from repro.txn.ids import TransactionID
@@ -44,21 +45,11 @@ _INTENT_CELL = 2
 
 def registry_call(app, node_name: str, op: str, body: dict):
     """One WAL-logged transaction against ``node_name``'s registry
-    (generator).  A refused commit raises ``RuntimeError`` -- durable
-    migration state must never be assumed written.  Shared by the
-    migration coordinator and the crash-resume path."""
-    tid = yield from app.begin_transaction()
-    try:
-        ref = yield from app.lookup_one(REGISTRY_SERVER,
-                                        node_name=node_name)
-        reply = yield from app.call(ref, op, body, tid)
-    except Exception:
-        yield from app.abort_transaction(tid, reason=f"reconfig {op}")
-        raise
-    committed = yield from app.end_transaction(tid)
-    if not committed:
-        raise RuntimeError(f"reconfig {op} transaction aborted")
-    return reply
+    (generator).  A refused commit raises
+    :class:`~repro.errors.TransactionAborted` -- durable migration state
+    must never be assumed written.  Shared by the migration coordinator
+    and the crash-resume path."""
+    return call_in_transaction(app, REGISTRY_SERVER, node_name, op, body)
 
 
 def pack_intent(keyspace: str, source: str, dest: str,

@@ -81,9 +81,6 @@ class Archive:
         """Is the segment in the archive at all?"""
         return segment_id in self.pages
 
-    def has_page(self, segment_id: str, page: int) -> bool:
-        return page in self.pages.get(segment_id, {})
-
     def page_image(self, segment_id: str,
                    page: int) -> tuple[dict[int, object], int]:
         """One archived page's (data, header) -- the base image that

@@ -13,8 +13,8 @@ Local request port (``recovery_manager`` service):
                          through the page's LSN, replies with the sequence
                          number to stamp
 ``rm.page_written``      kernel: the page reached its segment
-``rm.append_status``     Transaction Manager status record (optionally
-                         forced; forced appends get a reply)
+``rm.append_status``     Transaction Manager status record, forced; reply
+                         when it is durable
 ``rm.txn_done``          unforced completion record (read-only commit /
                          coordinator end record)
 ``rm.merge_chain``       subtransaction commit: fold child chain into parent
@@ -112,6 +112,8 @@ class RecoveryManager:
         self.media_retention_lsn: int | None = None
         self.checkpoints_taken = 0
         self.reclamations = 0
+        #: a log-reclamation process is running (one at a time)
+        self._reclaiming = False
         Service(node, self.port, "rm", handlers_of(self),
                 "recovery-manager")
 
@@ -204,23 +206,21 @@ class RecoveryManager:
             tid=body["tid"], status=TxnStatus(body["status"]),
             servers=tuple(body.get("servers", ())),
             coordinator=body.get("coordinator", ""),
-            children=tuple(body.get("children", ())),
-            merged_into=body.get("merged_into"))
+            children=tuple(body.get("children", ())))
         self._append_chained(record)
-        if body.get("force"):
-            with self.ctx.span("rm.force_status", self.node.name, "RM",
-                               tid=body["tid"], status=body["status"]):
-                # Commit-record processing: the 8 ms extra overlaps the
-                # stable write (the paper itself notes this
-                # double-counting), while the 5 ms per-transaction
-                # bookkeeping is recorded alongside.
-                self.ctx.meter.record_cpu(
-                    "RM", self.ctx.cpu_costs.rm_commit_write_extra)
-                self.ctx.meter.record_cpu("RM",
-                                          self.ctx.cpu_costs.rm_read_txn)
-                yield from self.wal.force()
-            respond(message, {"ok": True})
-            self._maybe_reclaim()
+        with self.ctx.span("rm.force_status", self.node.name, "RM",
+                           tid=body["tid"], status=body["status"]):
+            # Commit-record processing: the 8 ms extra overlaps the
+            # stable write (the paper itself notes this
+            # double-counting), while the 5 ms per-transaction
+            # bookkeeping is recorded alongside.
+            self.ctx.meter.record_cpu(
+                "RM", self.ctx.cpu_costs.rm_commit_write_extra)
+            self.ctx.meter.record_cpu("RM",
+                                      self.ctx.cpu_costs.rm_read_txn)
+            yield from self.wal.force()
+        respond(message, {"ok": True})
+        self._maybe_reclaim()
         if record.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED):
             self._retire(body["tid"])
 
@@ -424,7 +424,7 @@ class RecoveryManager:
     def _maybe_reclaim(self) -> None:
         if self.wal.store.free_records >= RECLAIM_THRESHOLD_RECORDS:
             return
-        if getattr(self, "_reclaiming", False):
+        if self._reclaiming:
             return
         self._reclaiming = True
         self.node.spawn(self._reclaim(), name="rm:reclaim", defused=True)
@@ -558,8 +558,8 @@ class RecoveryManagerClient:
         """Append a forced status record; done when it is durable."""
         return self._tm_request("rm.append_status", {
             "tid": tid, "status": status, "servers": servers,
-            "children": children, "coordinator": coordinator,
-            "force": True}, "status-reply")
+            "children": children, "coordinator": coordinator},
+            "status-reply")
 
     def note_txn_done(self, tid: TransactionID) -> None:
         self._port().send(Message(op="rm.txn_done", body={"tid": tid}),

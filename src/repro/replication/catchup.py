@@ -6,18 +6,18 @@ is missing.  Until it has merged current versions it refuses reads (the
 ``catchup_pending`` barrier in
 :class:`~repro.replication.server.ReplicatedServerMixin`).
 
-The merge runs as a *stream of small transaction pairs* per peer, never
-one big one:
+The merge is one :func:`copy_shard` per peer -- the same loop a shard
+migration runs once from its source (:mod:`repro.reconfig.migration`) --
+a *stream of small transactions*, never one big one:
 
-1. a *listing* transaction asks the peer which cells it has written
+1. a *listing* transaction asks the source which cells it has written
    (``repl_cells`` -- a catalogue read, no data locks);
-2. for each chunk of at most :data:`CATCHUP_CHUNK_CELLS` offsets, a
-   *snapshot* transaction on the peer copies the raw (versioned)
-   values cell by cell under short read locks (each released as soon
-   as the value is copied), followed by an *apply* transaction on the
-   recovering node only, which write-locks the local cells and
-   overwrites each iff the peer's version is newer
-   (``repl_apply_batch``).
+2. for each chunk of at most :data:`CHUNK_CELLS` offsets, a *snapshot*
+   transaction on the source copies the raw (versioned) values cell by
+   cell under short read locks (each released as soon as the value is
+   copied), followed by one *apply* transaction per cell on the
+   destination only, which write-locks the cell and overwrites it iff
+   the source's version is newer (``repl_apply_batch``).
 
 Chunking matters for liveness, not just politeness: a snapshot that
 read-locked the whole key-space in one transaction would collide with
@@ -47,11 +47,16 @@ A peer that stays unreachable past the retry budget is skipped
 all the replica serves from its own recovered state
 (``replication.catchup_selfserve``) -- with every copy freshly
 recovered there is no fresher site to defer to.
+
+The loop's bounds are the constants below, not configuration: no
+workload, benchmark or example ever ran with other values.
 """
 
 from __future__ import annotations
 
-from repro.app.library import ApplicationLibrary
+from functools import partial
+
+from repro.app.library import ApplicationLibrary, call_in_transaction
 from repro.errors import (
     CommunicationError,
     LockTimeout,
@@ -62,18 +67,40 @@ from repro.errors import (
 from repro.kernel.disk import PAGE_SIZE
 from repro.sim import Timeout
 
-#: cells per snapshot/apply transaction pair: small enough that a chunk
-#: only ever waits on a handful of concurrent writers
-CATCHUP_CHUNK_CELLS = 32
+#: cells per snapshot/apply chunk: small enough that a chunk only ever
+#: waits on a handful of concurrent writers
+CHUNK_CELLS = 32
 
-#: failures a merge chunk retries: the peer dying or unreachable
-#: mid-call, a lock timed out behind a hot-cell convoy, a catch-up
-#: transaction aborted (RuntimeError is the helpers' own
-#: commit-refused signal).  Anything else is a code defect and
+#: base back-off before retrying a failed chunk, scaled by the number of
+#: consecutive failures and jittered to [0.5, 1.0) of that
+RETRY_MS = 400.0
+
+#: lock wait bound for the snapshot's cell locks.  Much shorter than the
+#: workload's lock time-out: a chunk that hits a convoyed hot cell
+#: should fail fast and retry in a gap, not park behind the convoy while
+#: the read barrier stays up.
+LOCK_TIMEOUT_MS = 1_500.0
+
+#: RPC bound for the calls to the source (and the destination probe).
+#: The default RPC time-out (30 s) outlives a whole fail-over window; a
+#: peer that dies mid-snapshot must fail the chunk quickly so the loop
+#: can notice it is gone and move on.
+CALL_TIMEOUT_MS = 6_000.0
+
+#: consecutive failures of one chunk before catch-up skips that peer
+CATCHUP_MAX_RETRIES = 8
+
+#: failures a chunk retries: the peer dying or unreachable mid-call, a
+#: lock timed out behind a hot-cell convoy, a maintenance transaction
+#: aborted or refused at commit.  Anything else is a code defect and
 #: propagates -- silently skipping the peer and dropping the read
 #: barrier would degrade a bug into serving stale data.
-_RETRYABLE_ERRORS = (CommunicationError, LookupFailed, LockTimeout,
-                     ReplicaUnavailable, TransactionAborted, RuntimeError)
+RETRYABLE_ERRORS = (CommunicationError, LookupFailed, LockTimeout,
+                    ReplicaUnavailable, TransactionAborted)
+
+
+class CopyExhausted(Exception):
+    """One chunk of a shard copy failed its whole retry budget."""
 
 
 def catchup_server(runtime, server):
@@ -92,13 +119,15 @@ def catchup_server(runtime, server):
         merged_peers = 0
         applied_pages = 0
         for peer in sorted(peers):
-            pages = yield from _merge_from_peer(runtime, app, server, peer)
-            if pages is None:
+            try:
+                applied_pages += yield from copy_shard(
+                    app, server.name, peer, local,
+                    ready=partial(runtime.view.available, peer),
+                    max_retries=CATCHUP_MAX_RETRIES)
+                merged_peers += 1
+            except CopyExhausted:
                 ctx.metrics.counter(local,
                                     "replication.catchup_skipped_peer").inc()
-            else:
-                merged_peers += 1
-                applied_pages += pages
         if merged_peers == 0:
             # No fresher copy reachable: serve from the recovered local
             # state.  A known window -- if a fresher peer was merely
@@ -116,98 +145,81 @@ def catchup_server(runtime, server):
         span.set(pages=applied_pages, peers=merged_peers)
 
 
-def _merge_from_peer(runtime, app, server, peer):
-    """Snapshot ``peer`` and apply locally; returns pages applied, or
-    None if the peer stayed unmergeable past the retry budget.
+def copy_shard(app, keyspace: str, source: str, dest: str, ready,
+               max_retries: int, passes: int = 1, probe: bool = False,
+               on_chunk=None):
+    """Copy ``keyspace``'s written cells from the copy on node ``source``
+    into the copy on node ``dest`` (generator; returns pages applied).
 
     Progress survives failures: a chunk that dies (a lock time-out
-    behind a hot-row convoy, the peer crashing mid-merge) is retried
-    from *that chunk*, not from the top, and every completed chunk
-    resets the attempt counter.  The budget therefore bounds
-    consecutive failures on one chunk rather than the whole merge --
-    restarting a large key-space from scratch under live write traffic
-    could otherwise thrash forever and pin the read barrier up.
+    behind a hot-row convoy, the source crashing mid-copy, ``ready()``
+    saying a party is not there) is retried from *that chunk*, not from
+    the listing, and every completed chunk resets the attempt counter
+    and is reported to ``on_chunk(chunks so far)``.  The budget
+    therefore bounds consecutive failures on one chunk rather than the
+    whole copy -- restarting a large key-space from scratch under live
+    write traffic could otherwise thrash forever and pin the read
+    barrier up.  Past it: :class:`CopyExhausted`.
+
+    Each further pass of ``passes`` re-lists the source and re-copies
+    (versioned cells make already-current cells cheap no-ops).  With
+    ``probe`` every pass ends with a listing round trip to ``dest``,
+    under the same budget: an empty key-space copies zero chunks, so
+    nothing else would notice a remote destination that died.
     """
-    ctx = runtime.tabs_node.ctx
-    config = runtime.config
+    ctx = app.ctx
     attempt = 0
     offsets: list[int] | None = None
     start = 0
+    chunks = 0
     pages = 0
     while True:
         if attempt:
-            if attempt >= config.catchup_max_retries:
-                return None
+            if attempt >= max_retries:
+                raise CopyExhausted(
+                    f"copy of {keyspace!r} from {source!r} to {dest!r} "
+                    f"failed {attempt} times in a row")
             yield Timeout(ctx.engine,
-                          ctx.random.uniform(0.5, 1.0)
-                          * config.catchup_retry_ms * attempt)
-        if not runtime.view.available(peer):
+                          ctx.random.uniform(0.5, 1.0) * RETRY_MS * attempt)
+        if not ready():
             attempt += 1
             continue
         try:
             if offsets is None:
-                offsets = yield from _list_peer(app, server.name, peer,
-                                                config)
+                listing = yield from call_in_transaction(
+                    app, keyspace, source, "repl_cells", {},
+                    timeout_ms=CALL_TIMEOUT_MS)
+                offsets = listing["offsets"]
             while start < len(offsets):
-                chunk = offsets[start:start + CATCHUP_CHUNK_CELLS]
-                cells = yield from _snapshot_peer(app, server.name, peer,
-                                                  chunk, config)
-                pages += yield from _apply_local(app, server, cells, config)
-                start += CATCHUP_CHUNK_CELLS
+                snapshot = yield from call_in_transaction(
+                    app, keyspace, source, "repl_read_batch",
+                    {"offsets": offsets[start:start + CHUNK_CELLS],
+                     "lock_timeout_ms": LOCK_TIMEOUT_MS},
+                    timeout_ms=CALL_TIMEOUT_MS)
+                pages += yield from _apply_cells(app, keyspace, dest,
+                                                 snapshot["cells"])
+                start += CHUNK_CELLS
                 attempt = 0  # forward progress refreshes the budget
-        except _RETRYABLE_ERRORS:
+                chunks += 1
+                if on_chunk is not None:
+                    on_chunk(chunks)
+            if probe:
+                yield from call_in_transaction(
+                    app, keyspace, dest, "repl_cells", {},
+                    timeout_ms=CALL_TIMEOUT_MS)
+        except RETRYABLE_ERRORS:
             attempt += 1
             continue
-        return pages
+        passes -= 1
+        if passes <= 0:
+            return pages
+        offsets = None
+        start = 0
 
 
-def _list_peer(app, server_name, peer, config):
-    """The catalogue read: which cells has the peer written?"""
-    tid = yield from app.begin_transaction()
-    try:
-        ref = yield from app.lookup_one(server_name, node_name=peer)
-        listing = yield from app.call(
-            ref, "repl_cells", {}, tid,
-            timeout_ms=config.catchup_call_timeout_ms)
-    except Exception:
-        yield from app.abort_transaction(tid, reason="catchup listing")
-        raise
-    committed = yield from app.end_transaction(tid)
-    if not committed:
-        raise RuntimeError(f"catchup listing of {server_name!r} on "
-                           f"{peer!r} aborted")
-    return listing["offsets"]
-
-
-def _snapshot_peer(app, server_name, peer, offsets, config):
-    """Copy one chunk of the peer's written cells.
-
-    Both bounds are deliberately tight: the snapshot's cell locks time
-    out at ``catchup_lock_timeout_ms`` (fail fast behind a convoyed hot
-    cell, retry in a gap) and the call itself at
-    ``catchup_call_timeout_ms`` (a peer dying mid-snapshot must not
-    leave the barrier up while a 30 s RPC time-out runs down).
-    """
-    tid = yield from app.begin_transaction()
-    try:
-        ref = yield from app.lookup_one(server_name, node_name=peer)
-        reply = yield from app.call(
-            ref, "repl_read_batch",
-            {"offsets": offsets,
-             "lock_timeout_ms": config.catchup_lock_timeout_ms}, tid,
-            timeout_ms=config.catchup_call_timeout_ms)
-    except Exception:
-        yield from app.abort_transaction(tid, reason="catchup snapshot")
-        raise
-    committed = yield from app.end_transaction(tid)
-    if not committed:
-        raise RuntimeError(f"catchup snapshot of {server_name!r} on "
-                           f"{peer!r} aborted")
-    return reply["cells"]
-
-
-def _apply_local(app, server, cells, config):
-    """Transaction 2: versioned conditional merge into the local copy.
+def _apply_cells(app, keyspace: str, dest: str, cells: dict):
+    """Versioned conditional merge of one snapshot chunk into ``dest``'s
+    copy (generator; returns distinct pages changed).
 
     One cell per transaction, with a priority (head-of-queue) write
     lock: the apply never holds one cell while waiting on another, and
@@ -219,19 +231,9 @@ def _apply_local(app, server, cells, config):
     for offset in sorted(cells):
         if cells[offset] is None:
             continue
-        tid = yield from app.begin_transaction()
-        try:
-            ref = yield from app.lookup_one(server.name,
-                                            node_name=server.node.name)
-            reply = yield from app.call(
-                ref, "repl_apply_batch",
-                {"cells": {offset: cells[offset]}, "priority": True}, tid)
-        except Exception:
-            yield from app.abort_transaction(tid, reason="catchup apply")
-            raise
-        committed = yield from app.end_transaction(tid)
-        if not committed:
-            raise RuntimeError(f"catchup apply into {server.name!r} aborted")
+        reply = yield from call_in_transaction(
+            app, keyspace, dest, "repl_apply_batch",
+            {"cells": {offset: cells[offset]}, "priority": True})
         if reply["applied"]:
             pages.add(offset // PAGE_SIZE)
     return len(pages)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.app.library import run_transaction
 from repro.errors import (
     CommunicationError,
     LockTimeout,
@@ -136,35 +137,11 @@ class ReplicatedApp:
     def run_transaction(self, body_fn: Callable, retries: int = 0,
                         backoff_ms: float = 200.0):
         """Begin, run ``body_fn(tid)``, commit; jittered retries on abort
-        (mirrors :meth:`ApplicationLibrary.run_transaction`)."""
-        from repro.sim import Timeout
-
-        attempt = 0
-        while True:
-            tid = yield from self.begin_transaction()
-            try:
-                result = yield from body_fn(tid)
-                # Inside the handler: a write-behind copy that failed
-                # surfaces here, and the transaction must be aborted, not
-                # left holding its first-copy locks until a time-out.
-                committed = yield from self.end_transaction(tid)
-            except Exception as error:
-                yield from self.abort_transaction(tid, reason=repr(error))
-                retryable = isinstance(error, (TransactionAborted,
-                                               LockTimeout,
-                                               ReplicaUnavailable))
-                if retryable and attempt < retries:
-                    attempt += 1
-                    yield Timeout(self.ctx.engine,
-                                  self.ctx.random.uniform(
-                                      0.0, backoff_ms * attempt))
-                    continue
-                raise
-            if committed:
-                return result
-            if attempt >= retries:
-                raise TransactionAborted(tid, "commit failed")
-            attempt += 1
+        (generator): :func:`repro.app.library.run_transaction` over the
+        routed bracket, with a refusing copy retryable too."""
+        return run_transaction(
+            self, body_fn, retries, backoff_ms,
+            retryable=(TransactionAborted, LockTimeout, ReplicaUnavailable))
 
     # -- routed operations ------------------------------------------------------
 
@@ -215,12 +192,11 @@ class ReplicatedApp:
         does not fail over -- shopping past a held lock is exactly the
         two-writers-two-sites race the protocol exists to prevent.
         """
-        replicas = self.placement.replicas(keyspace)
-        candidates = [node for node in replicas if self.view.available(node)]
-        if not candidates:
-            # The view can be stale (e.g. every peer suspected during a
-            # partition that just healed): try them all before giving up.
-            candidates = list(replicas)
+        placement = self.placement
+        # The view can be stale (e.g. every peer suspected during a
+        # partition that just healed): try them all before giving up.
+        candidates = (self.view.available_replicas(placement, keyspace)
+                      or list(placement.replicas(keyspace)))
         last_error: Exception | None = None
         for node in candidates:
             # Read your writes: nothing of this transaction is still on
@@ -265,17 +241,16 @@ class ReplicatedApp:
         commit-time validation backstops the case where the failure is
         only noticed later.
         """
-        replicas = self.placement.replicas(keyspace)
-        targets = [node for node in replicas if self.view.available(node)]
-        if not targets:
-            # Mirror read(): the view can be stale (every peer suspected
-            # during a partition that just healed), so try every
-            # placement replica rather than refusing outright.  Safe
-            # either way -- a copy that is truly down raises mid-call
-            # and aborts the transaction, and one that was merely
-            # suspected records its current fail count, which rule 1
-            # re-checks at commit.
-            targets = list(replicas)
+        placement = self.placement
+        replicas = placement.replicas(keyspace)
+        # Mirror read(): the view can be stale (every peer suspected
+        # during a partition that just healed), so try every placement
+        # replica rather than refusing outright.  Safe either way -- a
+        # copy that is truly down raises mid-call and aborts the
+        # transaction, and one that was merely suspected records its
+        # current fail count, which rule 1 re-checks at commit.
+        targets = (self.view.available_replicas(placement, keyspace)
+                   or list(replicas))
         if len(targets) < len(replicas):
             self._counter("replication.write_all_degraded").inc()
         first, *behind = targets

@@ -20,13 +20,21 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.facility import TabsNode
     from repro.replication.placement import PlacementMap
 
+#: how long a prepared 2PC subordinate of a replicated cluster waits
+#: before inquiring about the outcome itself.  Tighter than the
+#: single-copy default (30 s): a crashed coordinator's in-doubt
+#: transactions hold write locks on the *surviving* copies of everything
+#: they touched, and those shards stay frozen until the inquiry resolves
+#: them -- exactly the outage-by-blocking this subsystem exists to
+#: shrink.
+PREPARED_INQUIRY_MS = 5_000.0
+
 
 class ReplicaRuntime:
     """Replication state and hooks for one TABS node."""
 
     def __init__(self, tabs_node: "TabsNode") -> None:
         self.tabs_node = tabs_node
-        self.config = tabs_node.config.replication
         self.view = AvailabilityView(tabs_node.name)
         #: assigned by TabsCluster.set_placement once the workload builder
         #: has decided the sharding (property: installing it also primes
@@ -134,7 +142,8 @@ class ReplicaRuntime:
         from repro.replication.catchup import catchup_server
 
         for server in self.tabs_node.servers.values():
-            if getattr(server, "catchup_pending", False):
+            if (isinstance(server, ReplicatedServerMixin)
+                    and server.catchup_pending):
                 self.tabs_node.node.spawn(
                     catchup_server(self, server),
                     name=f"catchup:{server.name}", defused=True)

@@ -22,7 +22,6 @@ hold string chunks of at most :data:`CHUNK_CHARS` characters.
 from __future__ import annotations
 
 from repro.errors import ServerError
-from repro.kernel.disk import PAGE_SIZE
 from repro.servers.btree import BTreeServer, KeyNotFound, META_PAGE
 from repro.txn.ids import TransactionID
 
@@ -66,10 +65,6 @@ class TransactionalFileSystemServer(BTreeServer):
     SEGMENT_PAGES = 1024
 
     # -- helpers over the B-tree substrate ------------------------------------
-
-    def _content_oid(self, page: int):
-        return self.library.create_object_id(
-            self.base_va + page * PAGE_SIZE, 8)
 
     def _lookup_entry(self, overlay, path: str):
         root = self._root_of(overlay, FS_DIRECTORY)

@@ -183,9 +183,6 @@ class _Condition(Event):
     def _on_child(self, index: int, event: Event) -> None:
         raise NotImplementedError
 
-    def _values(self) -> list[object]:
-        return [e._value for e in self._events if e.triggered and e.ok]
-
 
 class AnyOf(_Condition):
     """Succeeds when the first child event is processed.

@@ -125,7 +125,7 @@ def _encode_into(out: bytearray, value) -> None:
     raise WalCodecError(f"cannot encode {type(value).__name__}: {value!r}")
 
 
-def _encode_value(value) -> bytes:
+def encode_value(value) -> bytes:
     """One value's encoding as standalone bytes (non-WAL callers)."""
     out = bytearray()
     _encode_into(out, value)

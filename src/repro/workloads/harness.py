@@ -214,6 +214,10 @@ class SeededWorkload:
            second round's recovery rebuilds the disk image from those
            logs and flushes it, making the disk audit meaningful.  (It
            also exercises recovery idempotency.)
+        3. Flush every node once more.  What commits *after* the last
+           recovery -- a replica's catch-up applying its peer's newer
+           versions -- is in the log and in memory only, and the disk
+           audit is a strict log-versus-disk comparison.
 
         Returns True iff the simulation reached full quiescence.
         """
@@ -229,6 +233,11 @@ class SeededWorkload:
                 tabs_node.crash()
             self.controller.repair_all()
             quiet = self.controller.quiesce(max_ms=quiesce_ms) and quiet
+        for tabs_node in self._live_nodes():
+            if tabs_node.node.alive:  # a node still down has no frames
+                tabs_node.node.spawn(tabs_node.node.vm.flush_all(),
+                                     name="finale-flush")
+        quiet = self.controller.quiesce(max_ms=quiesce_ms) and quiet
         self._disk_checkable = True
         return quiet
 

@@ -55,7 +55,7 @@ MID_2PC_PLAN = FaultPlan.of(
 @pytest.fixture(scope="module")
 def mid_2pc_run():
     # Traffic extends well past the restart: the commits that prove
-    # liveness come once the in-doubt locks resolve (prepared_inquiry_ms)
+    # liveness come once the in-doubt locks resolve (PREPARED_INQUIRY_MS)
     # and the crashed replica is back in the write set.
     return run_replicated_chaos(MID_2PC_PLAN, seed=2306, txns=48,
                                 run_ms=28_000.0)
@@ -129,16 +129,21 @@ def test_replica_killed_mid_catchup_recovers_cleanly():
     assert driver.stats.outcomes().get("committed", 0) > 0
 
 
-def test_replicated_chaos_runs_are_deterministic():
-    """Same (seed, plan) -> identical outcomes, counters, and clock."""
-    config = TabsConfig(seed=77, workload=WORKLOAD,
+def replica_fault_plan(seed: int) -> FaultPlan:
+    """Three episodes over 18 s, crashes and replication faults only."""
+    config = TabsConfig(seed=seed, workload=WORKLOAD,
                         replication=ReplicationConfig.available_copies())
     probe = TabsCluster(config)
     probe.build_workload()
-    plan = random_plan(77, ["bank0", "bank1"], 18_000.0, episodes=3,
+    return random_plan(seed, ["bank0", "bank1"], 18_000.0, episodes=3,
                        crash_weight=1, partition_weight=0, link_weight=0,
                        disk_weight=0, replication_weight=3,
                        placement=probe.placement)
+
+
+def test_replicated_chaos_runs_are_deterministic():
+    """Same (seed, plan) -> identical outcomes, counters, and clock."""
+    plan = replica_fault_plan(77)
 
     def fingerprint():
         driver, _, report = run_replicated_chaos(plan, seed=77, txns=20,
@@ -153,3 +158,13 @@ def test_replicated_chaos_runs_are_deterministic():
     second = fingerprint()
     assert first == second
     assert first[1], "replicated chaos run failed its audits"
+
+
+@pytest.mark.parametrize("seed", [320, 323])
+def test_catchup_after_the_last_recovery_is_on_disk_when_audited(seed):
+    """One node crashes again during its own recovery.  The finale's
+    last recovery is followed by a catch-up whose committed apply
+    transactions would sit in the log and in memory only; the disk audit
+    (a strict log-versus-disk comparison) must not call them lost."""
+    _, _, report = run_replicated_chaos(replica_fault_plan(seed), seed=seed)
+    assert report.ok, report.violations

@@ -1,5 +1,6 @@
 """Structural guards: the plumbing the service kit owns stays in the kit,
-and no module imports a name it does not use.
+no module imports a name it does not use or another module's private
+name, and nothing is defined that nothing refers to.
 
 Text checks over ``src/repro``; a new match fails with the file and line,
 and the fix is to use the kit (or, with a reason, to add the site below).
@@ -7,9 +8,19 @@ and the fix is to use the kit (or, with a reason, to add the site below).
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
+
+#: where a reference to a definition under ``src/repro`` may live
+REFERENCE_TREES = ("src", "tests", "benchmarks", "examples", "docs")
+
+#: definitions reached by building their name, never by spelling it:
+#: dunders, data-server operations (``op_<name>``), service-kit handlers
+#: (``_handle_<op>``) and kernel system calls (``_sys_<name>``)
+DISPATCHED_BY_NAME = re.compile(r"__\w+__|op_\w+|_handle_\w+|_sys_\w+")
 
 #: where ``tracer.begin(`` may appear
 SPAN_BEGIN_HOMES = {
@@ -85,3 +96,44 @@ def test_every_imported_name_is_used():
                    for name, line in bound
                    if not re.search(rf"\b{re.escape(name)}\b", rest)]
     assert unused == []
+
+
+def test_every_definition_is_referenced():
+    """A function or class defined under ``src/repro`` is spelled
+    somewhere besides its own ``def`` / ``class`` line: in code, a test,
+    a benchmark, an example or a doc.  Word counts, so a method defined
+    in three classes needs a fourth mention."""
+    mentions: Counter = Counter()
+    for tree in REFERENCE_TREES:
+        for path in (ROOT / tree).rglob("*"):
+            if path.suffix in (".py", ".md") and path.is_file():
+                mentions.update(re.findall(r"\w+", path.read_text()))
+    defined: Counter = Counter()
+    first_seen = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined[node.name] += 1
+                first_seen.setdefault(
+                    node.name,
+                    f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
+    dead = sorted(f"{first_seen[name]} {name}"
+                  for name, count in defined.items()
+                  if not DISPATCHED_BY_NAME.fullmatch(name)
+                  and mentions[name] <= count)
+    assert dead == [], "defined but never referenced: delete it"
+
+
+def test_no_module_imports_another_modules_private_name():
+    """An underscore-prefixed name is its module's own business; a
+    second module that needs it means it should lose the underscore."""
+    private = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                private += [
+                    f"{path.relative_to(SRC).as_posix()}:{node.lineno} "
+                    f"{node.module}.{alias.name}"
+                    for alias in node.names if alias.name.startswith("_")]
+    assert private == []

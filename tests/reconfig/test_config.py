@@ -1,86 +1,9 @@
-"""ReconfigConfig validation and the catch-up timeout knobs the copy
-loop inherits."""
+"""ReconfigConfig: one switch, off by default."""
 
-import pytest
-
-from repro.core.config import ReconfigConfig, ReplicationConfig, TabsConfig
-from repro.replication.catchup import _list_peer, _snapshot_peer
+from repro.core.config import ReconfigConfig, TabsConfig
 
 
 class TestReconfigConfig:
     def test_off_by_default(self):
         assert TabsConfig().reconfig.enabled is False
         assert ReconfigConfig.off().enabled is False
-
-    def test_online_enables_with_overrides(self):
-        config = ReconfigConfig.online(copy_max_retries=3)
-        assert config.enabled is True
-        assert config.copy_max_retries == 3
-
-    def test_negative_retry_backoff_rejected(self):
-        with pytest.raises(ValueError):
-            ReconfigConfig(copy_retry_ms=-1.0)
-
-    def test_zero_retry_budget_rejected(self):
-        with pytest.raises(ValueError):
-            ReconfigConfig(copy_max_retries=0)
-
-
-class SpyApp:
-    """Records the timeout each catch-up RPC is issued with."""
-
-    def __init__(self):
-        self.calls = []
-
-    def begin_transaction(self):
-        yield from ()
-        return 1
-
-    def lookup_one(self, name, node_name=""):
-        yield from ()
-        return (name, node_name)
-
-    def call(self, ref, op, body, tid, timeout_ms=None):
-        self.calls.append((op, timeout_ms))
-        yield from ()
-        if op == "repl_cells":
-            return {"offsets": [1, 2]}
-        return {"cells": {1: None, 2: None}}
-
-    def end_transaction(self, tid):
-        yield from ()
-        return True
-
-    def abort_transaction(self, tid, reason=""):
-        yield from ()
-
-
-def drive(gen):
-    try:
-        while True:
-            next(gen)
-    except StopIteration as stop:
-        return stop.value
-
-
-class TestCatchupCallTimeoutThreading:
-    """The migration copy loop reuses `_list_peer`/`_snapshot_peer`; a
-    peer dying mid-RPC must fail at ``catchup_call_timeout_ms``, not the
-    default RPC timeout -- so the knob must actually reach the calls."""
-
-    CONFIG = ReplicationConfig.available_copies(
-        2, catchup_call_timeout_ms=123.0)
-
-    def test_listing_rpc_carries_the_catchup_timeout(self):
-        app = SpyApp()
-        offsets = drive(_list_peer(app, "accounts0", "bank1", self.CONFIG))
-        assert offsets == [1, 2]
-        assert app.calls == [("repl_cells", 123.0)]
-
-    def test_snapshot_rpc_carries_the_catchup_timeout(self):
-        app = SpyApp()
-        cells = drive(_snapshot_peer(app, "accounts0", "bank1", [1, 2],
-                                     self.CONFIG))
-        assert set(cells) == {1, 2}
-        assert app.calls == [("repl_read_batch", 123.0)]
-        assert self.CONFIG.catchup_call_timeout_ms == 123.0
