@@ -21,7 +21,11 @@ from repro.kernel.node import Node
 from repro.kernel.service import request
 from repro.nameserver.server import NameServer
 from repro.recovery.archive import Archive
-from repro.recovery.driver import RecoveryReport, recover_node
+from repro.recovery.driver import (
+    RecoveryReport,
+    in_doubt_footprint,
+    recover_node,
+)
 from repro.recovery.manager import (
     RecoveryManager,
     RecoveryManagerClient,
@@ -295,15 +299,10 @@ class TabsNode:
         was its volatile state.  Recovery therefore: re-creates the
         process at the same segment address, aborts every non-prepared
         transaction that had joined it (their locks and buffered state
-        are gone), and re-acquires write locks for its in-doubt prepared
+        are gone), and re-acquires the locks of its in-doubt prepared
         transactions from the durable log.
         """
         from repro.recovery.analysis import analyze
-        from repro.wal.records import (
-            OperationRecord,
-            ServerPrepareRecord,
-            ValueUpdateRecord,
-        )
 
         server = self._server_factories[name](self)
         self.servers[name] = server
@@ -314,20 +313,12 @@ class TabsNode:
         records = self.rm.wal.read_forward(
             self.rm.wal.store.truncated_before)
         plan = analyze(records)
+        held, _chains = in_doubt_footprint(plan, records,
+                                           {name: server.library})
         for tid, status_record in plan.prepared.items():
-            if name not in status_record.servers:
-                continue
-            oids = set()
-            for record in records:
-                if getattr(record, "server", None) != name:
-                    continue
-                if isinstance(record, ServerPrepareRecord):
-                    oids.update(record.oids)
-                elif isinstance(record, ValueUpdateRecord) and record.oid:
-                    oids.add(record.oid)
-                elif isinstance(record, OperationRecord):
-                    oids.update(record.oids)
-            server.library.relock_prepared(tid, tuple(sorted(oids)))
+            if name in status_record.servers:
+                server.library.relock_prepared(
+                    tid, held.get(tid, {}).get(name, {}))
 
         # The request loop must run before the aborts: the Recovery
         # Manager's undo instructions arrive on the new port.

@@ -271,11 +271,13 @@ class VirtualMemory:
         assert first_frame is not None
         return first_frame.data.get(oid.offset)
 
-    def write_object(self, oid: ObjectID, value: object) -> Iterator:
-        """Overwrite an object's value in the page cache.
+    def _frames_to_modify(self, oid: ObjectID) -> Iterator:
+        """Fault in every covered page, mark it dirty and send the
+        Recovery Manager the first-modified notice for pages not yet
+        reported this pin epoch; returns the frame holding the value.
 
-        Marks every covered page dirty and sends the Recovery Manager the
-        first-modified notice for pages not yet reported this pin epoch.
+        Every wait of a store happens in here, so what the caller does
+        with the frame next is atomic with respect to other coroutines.
         """
         frames = []
         for page in oid.pages():
@@ -287,7 +289,26 @@ class VirtualMemory:
                 frame.modify_notified = True
                 yield from self.pager_client.first_modified(
                     frame.segment_id, frame.page)
-        frames[0].data[oid.offset] = value
+        return frames[0]
+
+    def write_object(self, oid: ObjectID, value: object) -> Iterator:
+        """Overwrite an object's value in the page cache."""
+        frame = yield from self._frames_to_modify(oid)
+        frame.data[oid.offset] = value
+
+    def add_to_object(self, oid: ObjectID, delta: int) -> Iterator:
+        """Add ``delta`` to an integer object; returns the new value.
+
+        The read, the add and the store happen with no wait between
+        them.  ``read_object`` followed by ``write_object`` does not
+        promise that -- either may fault a page in -- and under a
+        commuting lock mode (several transactions updating one object at
+        once) a wait between the two loses an update.
+        """
+        frame = yield from self._frames_to_modify(oid)
+        value = int(frame.data.get(oid.offset) or 0) + delta
+        frame.data[oid.offset] = value
+        return value
 
     # -- pin control (Table 3-1 paging-control semantics) ---------------------
 

@@ -27,6 +27,9 @@ class LockMode:
 
 READ = LockMode("READ")
 WRITE = LockMode("WRITE")
+#: a commuting update (``x += delta``): any number of transactions may
+#: hold it together, nobody may read or overwrite beneath them
+INCREMENT = LockMode("INCREMENT")
 
 
 class CompatibilityMatrix:
@@ -108,3 +111,13 @@ def make_protocol(name: str, mode_names: tuple[str, ...],
     pairs = [(modes[a], modes[b]) for a, b in compatible_pairs]
     closure = _symmetric(*pairs) if symmetric else frozenset(pairs)
     return CompatibilityMatrix(name, tuple(modes.values()), closure)
+
+
+#: Shared/exclusive plus commuting increments (Section 2.1.3's "type-
+#: specific locking"): increments of one object commute, so INCREMENT is
+#: compatible with itself -- and with nothing else, because a reader
+#: would see, and a writer would bury, an uncommitted sum.  INCREMENT
+#: covers neither READ nor WRITE; WRITE covers all three.
+READ_WRITE_INCREMENT_PROTOCOL = make_protocol(
+    "read/write/increment", ("READ", "WRITE", "INCREMENT"),
+    (("READ", "READ"), ("INCREMENT", "INCREMENT")))

@@ -13,9 +13,10 @@ servers re-map their segments and re-attach, and then this driver runs:
 2. **Value pass** (backward) restoring value-logged objects.
 3. **Operation passes** (redo history, undo losers) for operation-logged
    objects -- both algorithms co-exist over the common log.
-4. **In-doubt restoration**: re-acquire write locks for prepared
-   transactions, rebuild their undo chains in the Recovery Manager, and
-   hand them to the Transaction Manager for coordinator resolution.
+4. **In-doubt restoration**: re-acquire the update locks of prepared
+   transactions in the modes they were held in, rebuild their undo
+   chains in the Recovery Manager, and hand them to the Transaction
+   Manager for coordinator resolution.
    Coordinator-side committed-but-unacknowledged transactions get their
    phase two re-driven.
 5. **Clean point**: flush every recovered page, checkpoint, truncate.
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.locking.modes import WRITE
 from repro.recovery.analysis import RecoveryPlan, analyze
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.operation_recovery import run_operation_passes
@@ -71,6 +73,50 @@ def _prepared_root(plan: RecoveryPlan, tid: TransactionID):
             return current
         current = plan.merges.get(current)
     return None
+
+
+def in_doubt_footprint(plan: RecoveryPlan, records: list,
+                       server_libraries: dict):
+    """What each prepared family must get back: its update locks and its
+    undo chain.
+
+    Returns ``(held, chains)``: ``held[tid][server]`` maps every object
+    the family updated at ``server`` to the mode it was locked in, and
+    ``chains[tid]`` lists the family's update records oldest first, so a
+    later abort can still undo.  A value record overwrote its object
+    under WRITE; an operation record covered its objects in the mode the
+    server registered for the operation -- commuting increments of one
+    object by two in-doubt families were held together and are re-locked
+    together.  Anything listed only in a server's prepare record, or
+    updated under two different modes, is held in WRITE.
+    """
+    held: dict[TransactionID, dict[str, dict]] = {}
+    chains: dict[TransactionID, list[int]] = {}
+    for record in records:
+        if not isinstance(record, (ServerPrepareRecord, ValueUpdateRecord,
+                                   OperationRecord)):
+            continue
+        root = _prepared_root(plan, record.tid)
+        if root is None:
+            continue
+        modes = held.setdefault(root, {}).setdefault(record.server, {})
+        if isinstance(record, ServerPrepareRecord):
+            # A server's update records precede its prepare record.
+            for oid in record.oids:
+                modes.setdefault(oid, WRITE)
+            continue
+        chains.setdefault(root, []).append(record.lsn)
+        if isinstance(record, ValueUpdateRecord):
+            oids, mode = [record.oid], WRITE
+        else:
+            library = server_libraries.get(record.server)
+            oids = record.oids
+            mode = (WRITE if library is None
+                    else library.operation_lock_mode(record.operation))
+        for oid in oids:
+            if oid:
+                modes[oid] = mode if modes.get(oid, mode) == mode else WRITE
+    return held, chains
 
 
 def scrub_media(node, archive, segment_ids: list[str]) -> list[tuple]:
@@ -148,31 +194,12 @@ def recover_node(rm: RecoveryManager, tm: TransactionManager,
         appliers = {name: library.recovery_applier
                     for name, library in server_libraries.items()}
         redone, undone = yield from run_operation_passes(
-            node.vm, node.disk, plan, appliers)
+            node.vm, node.disk, plan, appliers, rm.wal.append)
         report.operations_redone = redone
         report.operations_undone = undone
 
         # -- in-doubt transactions -------------------------------------------------
-        # Collect each prepared family's write sets (per server) and record
-        # chain so locks can be re-acquired and a later abort can still undo.
-        write_sets: dict[TransactionID, dict[str, set]] = {}
-        chains: dict[TransactionID, list[int]] = {}
-        for record in records:
-            if isinstance(record, ServerPrepareRecord):
-                root = _prepared_root(plan, record.tid)
-                if root is not None:
-                    write_sets.setdefault(root, {}).setdefault(
-                        record.server, set()).update(record.oids)
-            elif isinstance(record, (ValueUpdateRecord, OperationRecord)):
-                root = _prepared_root(plan, record.tid)
-                if root is None:
-                    continue
-                oids = ([record.oid] if isinstance(record, ValueUpdateRecord)
-                        else list(record.oids))
-                write_sets.setdefault(root, {}).setdefault(
-                    record.server, set()).update(o for o in oids if o)
-                chains.setdefault(root, []).append(record.lsn)
-
+        held, chains = in_doubt_footprint(plan, records, server_libraries)
         for tid, status_record in plan.prepared.items():
             # Rebuild the Recovery Manager's backward chain (prev_lsn relink).
             lsns = chains.get(tid, [])
@@ -185,15 +212,15 @@ def recover_node(rm: RecoveryManager, tm: TransactionManager,
             if previous:
                 rm._chains[tid] = previous
                 rm._first_lsn[tid] = lsns[0]
-            # Re-acquire write locks so the in-doubt data stays restricted
+            # Re-acquire its locks so the in-doubt data stays restricted
             # (two-phase commit's blocking window).
             server_ports = {}
             for server in status_record.servers:
                 library = server_libraries.get(server)
                 if library is None:
                     continue
-                library.relock_prepared(
-                    tid, tuple(sorted(write_sets.get(tid, {}).get(server, ()))))
+                library.relock_prepared(tid,
+                                        held.get(tid, {}).get(server, {}))
                 server_ports[server] = library.port
             tm.restore_prepared(tid, status_record.coordinator,
                                 status_record.servers, server_ports,
@@ -201,6 +228,8 @@ def recover_node(rm: RecoveryManager, tm: TransactionManager,
             report.prepared_restored.append(tid)
 
         for tid, status_record in plan.committed_unacked.items():
+            # Keep the commit record until the children have all answered.
+            rm._first_lsn[tid] = status_record.lsn
             tm.restore_committed_unacked(tid, status_record.children)
             report.phase_two_redriven.append(tid)
 

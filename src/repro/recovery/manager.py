@@ -40,6 +40,7 @@ from repro.kernel.node import Node
 from repro.kernel.ports import Port
 from repro.kernel.service import Service, handlers_of, request
 from repro.kernel.vm import PagerClient
+from repro.recovery.operation_recovery import compensation_for
 from repro.rpc.stubs import respond
 from repro.txn.ids import TransactionID
 from repro.wal.log import WriteAheadLog
@@ -221,7 +222,11 @@ class RecoveryManager:
             yield from self.wal.force()
         respond(message, {"ok": True})
         self._maybe_reclaim()
-        if record.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED):
+        # A commit with remote children stays pinned until its end record:
+        # a child that missed phase two learns the outcome by asking, and
+        # after a crash the commit record is all that remembers it.
+        if record.status is TxnStatus.ABORTED or (
+                record.status is TxnStatus.COMMITTED and not record.children):
             self._retire(body["tid"])
 
     def _handle_txn_done(self, message: Message) -> None:
@@ -336,14 +341,13 @@ class RecoveryManager:
                             > record.lsn:
                         self._page_rec_lsn[key] = record.lsn
         if isinstance(record, OperationRecord):
-            # Log the compensation so recovery never undoes this twice.
-            clr = OperationRecord(
-                tid=record.tid, server=record.server,
-                operation=record.undo_operation,
-                redo_args=record.undo_args, oids=record.oids,
-                compensates_lsn=record.lsn)
-            clr_lsn = self._append_chained(clr)
+            # Log the compensation so recovery never undoes this twice,
+            # and stamp the pages with it: they carry the inverse now, so
+            # a page that reached its segment under the original record's
+            # LSN would have the compensation redone on top of it.
+            clr_lsn = self._append_chained(compensation_for(record))
             for oid in record.oids:
+                self.node.vm.set_page_lsn(oid, clr_lsn)
                 for page in oid.pages():
                     self._page_rec_lsn.setdefault(
                         (oid.segment_id, page), clr_lsn)

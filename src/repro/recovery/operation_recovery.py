@@ -14,7 +14,13 @@ needed for the value-based algorithm" (Section 2.1.3).  The three passes:
    sequence number is older than the record's LSN.
 3. **Undo losers** (backward): operations of aborted and crash-active
    transactions are inverted via their logged undo operations, skipping
-   records already compensated during pre-crash abort processing.
+   records already compensated -- by pre-crash abort processing or by an
+   earlier recovery.  Each inversion is itself logged as a compensation
+   record, exactly as a live abort logs it: an inverse is not idempotent,
+   and the loser's record can outlive this recovery (an in-doubt
+   transaction or the archive pins the log) while the clean point makes
+   the inverted page durable, so the next recovery must find the evidence
+   that the undo already happened.
 
 Redo and undo run through handlers the data server registers for recovery
 ("This procedure ... calls the server library's undo/redo code",
@@ -38,11 +44,14 @@ RecoveryApplier = Callable[[str, tuple], Iterator]
 
 
 def run_operation_passes(vm: VirtualMemory, disk: Disk, plan: RecoveryPlan,
-                         appliers: dict[str, RecoveryApplier]):
+                         appliers: dict[str, RecoveryApplier],
+                         log_compensation: Callable[[OperationRecord],
+                                                    object]):
     """Run redo-history then undo-losers (generator).
 
-    ``appliers`` maps server names to their recovery-apply callables.
-    Returns ``(redone, undone)`` counts.
+    ``appliers`` maps server names to their recovery-apply callables;
+    ``log_compensation`` appends one compensation record to the log,
+    which assigns its LSN.  Returns ``(redone, undone)`` counts.
     """
     # Lazily-loaded view of each page's on-disk sequence number, advanced
     # in memory as records are replayed.
@@ -59,7 +68,7 @@ def run_operation_passes(vm: VirtualMemory, disk: Disk, plan: RecoveryPlan,
             for page in oid.pages():
                 key = (oid.segment_id, page)
                 page_seq[key] = max(page_seq.get(key, 0), record.lsn)
-                vm.set_page_lsn(oid, record.lsn)
+            vm.set_page_lsn(oid, record.lsn)
 
     def applier_for(record: OperationRecord) -> RecoveryApplier:
         try:
@@ -98,8 +107,20 @@ def run_operation_passes(vm: VirtualMemory, disk: Disk, plan: RecoveryPlan,
             continue
         yield from applier_for(record)(record.undo_operation,
                                        record.undo_args)
-        advance_lsn = record.lsn  # undo re-dirties the pages
-        for oid in record.oids:
-            vm.set_page_lsn(oid, advance_lsn)
+        clr = compensation_for(record)
+        log_compensation(clr)
+        # The pages carry the inverse now: stamped with the compensation's
+        # LSN, the write-ahead gate forces it out before any of them.
+        advance(clr)
         undone += 1
     return redone, undone
+
+
+def compensation_for(record: OperationRecord) -> OperationRecord:
+    """The record that says ``record``'s inverse was applied: redone like
+    any operation, never undone, and it takes ``record`` out of every
+    later undo pass."""
+    return OperationRecord(
+        tid=record.tid, server=record.server,
+        operation=record.undo_operation, redo_args=record.undo_args,
+        oids=record.oids, compensates_lsn=record.lsn)

@@ -98,6 +98,7 @@ class DataServerLibrary:
         self._aborted_tombstones: set[TransactionID] = set()
         self._dispatch: Callable | None = None
         self._recovery_ops: dict[str, Callable] = {}
+        self._operation_modes: dict[str, LockMode] = {}
         self._loop_process: Process | None = None
         self.requests_served = 0
 
@@ -295,11 +296,30 @@ class DataServerLibrary:
         """Assign to a pinned object (the ``obj.ptr := value`` of the
         paper's SetCell listing).  Pinning first is mandatory: it is what
         keeps the un-logged new value off the disk."""
+        self._require_pinned(oid)
+        yield from self.node.vm.write_object(oid, value)
+
+    def add_to_object(self, tid: TransactionID, oid: ObjectID, delta: int):
+        """``obj.ptr := obj.ptr + delta`` on a pinned integer object, with
+        no wait between the read and the store; returns the new value.
+
+        The forward half of a commuting operation (lock in a mode that is
+        compatible with itself, add, :meth:`log_operation` the add and its
+        inverse): other holders of the lock may add between any two of
+        this coroutine's waits, so there must be none inside the add.
+        """
+        self._require_pinned(oid)
+        # The pin may have waited for a page fault, and an abort in that
+        # wait released the lock this add relies on.
+        self._refuse_zombie(tid)
+        value = yield from self.node.vm.add_to_object(oid, delta)
+        return value
+
+    def _require_pinned(self, oid: ObjectID) -> None:
         if not self.node.vm.is_pinned(oid):
             raise ServerError(
                 f"{self.server_id}: write to unpinned object {oid} "
-                "(call pin_and_buffer first)")
-        yield from self.node.vm.write_object(oid, value)
+                "(pin it first)")
 
     # -- value logging (pin/buffer/log cycle) --------------------------------------------------
 
@@ -379,15 +399,27 @@ class DataServerLibrary:
 
     # -- operation logging (the paper's future-work extension) --------------------------------------
 
-    def register_recovery_operation(self, name: str,
-                                    applier: Callable) -> None:
+    def register_recovery_operation(self, name: str, applier: Callable,
+                                    lock_mode: LockMode = WRITE) -> None:
         """Register the undo/redo code for a logged operation name.
 
         ``applier(args)`` must be a generator applying the operation's
         effect directly (no locking, no logging) -- it runs during abort
-        processing and crash recovery.
+        processing and crash recovery.  An abort's undo runs while other
+        holders of a commuting lock are live, so an applier for such an
+        operation must not wait between reading and storing
+        (:meth:`VirtualMemory.add_to_object`).
+
+        ``lock_mode`` is the mode the forward operation holds its objects
+        in; recovery re-locks an in-doubt transaction's objects in it.
         """
         self._recovery_ops[name] = applier
+        self._operation_modes[name] = lock_mode
+
+    def operation_lock_mode(self, operation: str) -> LockMode:
+        """The mode objects covered by ``operation``'s records are held
+        in (WRITE for a name never registered)."""
+        return self._operation_modes.get(operation, WRITE)
 
     def recovery_applier(self, operation: str, args: tuple):
         """Dispatch one recovery instruction (used by the recovery driver)."""
@@ -559,16 +591,19 @@ class DataServerLibrary:
     # -- recovery support ------------------------------------------------------------------------------------
 
     def relock_prepared(self, tid: TransactionID,
-                        oids: tuple[ObjectID, ...]) -> None:
-        """After a crash, re-acquire write locks for an in-doubt transaction
-        so its data stays restricted until the coordinator resolves it."""
+                        held: dict[ObjectID, LockMode]) -> None:
+        """After a crash, re-acquire an in-doubt transaction's update
+        locks, each in the mode it was held in (``held``: object ->
+        mode), so its data stays restricted until the coordinator
+        resolves it.  Two in-doubt transactions that both incremented
+        one object held it together before the crash and do again."""
         local = self._local(tid)
         local.joined = True
         local.wrote = True
         local.prepared = True
-        local.write_set.update(oids)
-        for oid in oids:
-            granted = self.locks.try_lock(tid, oid, WRITE)
+        local.write_set.update(held)
+        for oid in sorted(held):
+            granted = self.locks.try_lock(tid, oid, held[oid])
             assert granted, "recovery re-locking found a conflicting holder"
 
     def crash_volatile_state(self) -> None:

@@ -68,9 +68,7 @@ class OperationArrayServer(BaseDataServer):
 
     def _apply_add(self, args):
         cell, delta = args
-        oid = self._cell_oid(cell)
-        value = yield from self.node.vm.read_object(oid)
-        yield from self.node.vm.write_object(oid, int(value or 0) + delta)
+        yield from self.node.vm.add_to_object(self._cell_oid(cell), delta)
 
     def _apply_fill_range(self, args):
         start, count, value = args
@@ -99,14 +97,13 @@ class OperationArrayServer(BaseDataServer):
         yield from lib.lock_object(tid, oid, WRITE)
         yield from lib.pin_object(oid)
         try:
-            value = yield from lib.read_object(oid)
-            yield from lib.write_object(oid, int(value or 0) + delta)
+            value = yield from lib.add_to_object(tid, oid, delta)
             yield from lib.log_operation(
                 tid, "add_cell", (cell, delta), "add_cell", (cell, -delta),
                 (oid,))
         finally:
             lib.unpin_object(oid)
-        return {"value": int(value or 0) + delta}
+        return {"value": value}
 
     def op_fill_range(self, body: dict, tid: TransactionID):
         """Set ``count`` cells from ``start``: one record, many pages."""

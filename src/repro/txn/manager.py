@@ -889,16 +889,13 @@ class TransactionManager:
     def restore_committed_unacked(self, tid: TransactionID,
                                   children: tuple[str, ...]) -> None:
         """A coordinator's commit record without an end record: phase two
-        may not have completed; repeat it (idempotent at the children)."""
+        may not have completed; repeat it (idempotent at the children).
+        As the first time round, a child that stays silent keeps the
+        state -- ending here would answer its outcome query "aborted"."""
         state = TransactionState(tid, phase=TxnPhase.COMMITTED)
         self._states[tid] = state
-
-        def rerun():
-            yield from self._phase_two(state, list(children), "commit")
-            self.rm.note_txn_done(tid)
-            self._forget(tid)
-
-        self.node.spawn(rerun(), name=f"tm:reship:{tid}", defused=True)
+        self.node.spawn(self._finish_phase_two(state, list(children)),
+                        name=f"tm:reship:{tid}", defused=True)
 
     def _watch_prepared(self, state: TransactionState):
         """Self-inquiry for a subordinate stuck in PREPARED: after the

@@ -49,7 +49,12 @@ class WriteAheadLog:
         self.store = LogStore() if store is None else store
         self.buffer_capacity = buffer_capacity
         self._buffer: list[LogRecord] = []
-        self._next_lsn: int = max(self.store.last_lsn + 1, 1)
+        # Past everything ever durable, reclaimed records included: page
+        # sequence numbers on disk are old LSNs, and operation recovery
+        # redoes a record iff its LSN is newer than its page's.  A log
+        # truncated to empty must not start over from 1.
+        self._next_lsn: int = max(self.store.last_lsn + 1,
+                                  self.store.truncated_before)
         self.forces = 0
         #: called when an append finds the buffer full; the Recovery Manager
         #: hooks reclamation checks here.

@@ -31,10 +31,15 @@ from repro.wal.records import LogRecord
 
 
 class _MediaEntry:
-    """One record's image on one log disk: frame bytes + stored CRC.
+    """One record's image on a log disk: frame bytes + stored CRC.
 
     ``verified`` caches the CRC check so the hot path (every log read)
-    costs a flag test; fault injection clears it.
+    costs a flag test.  While the two disks agree -- always, until a
+    fault is injected -- both mirror dicts hold the *same* entry (a run
+    retains two images per record; a second object apiece would be the
+    largest single item in the heap a window grows).  Damage therefore
+    never mutates an entry, it replaces the damaged copy's with a new
+    one, and a repair points that copy back at the good one.
     """
 
     __slots__ = ("payload", "checksum", "verified")
@@ -117,8 +122,9 @@ class LogStore:
     def _write_media(self, record: LogRecord) -> None:
         frame = encode_record(record)
         checksum = frame_checksum(frame)
+        entry = _MediaEntry(frame, checksum, verified=True)
         for copy in self._media:
-            copy[record.lsn] = _MediaEntry(frame, checksum, verified=True)
+            copy[record.lsn] = entry
 
     def _repair_suspects(self) -> None:
         """Duplexed read path: re-verify flagged LSNs, repair from the
@@ -145,13 +151,16 @@ class LogStore:
                              "tail or accept log loss")
                 remaining.add(lsn)  # torn tail: salvage truncates it
                 continue
-            good = entries[states.index(True)]
-            bad_index = states.index(False)
-            self._media[bad_index][lsn] = _MediaEntry(
-                good.payload, good.checksum, verified=True)
-            self.duplex_repairs += 1
-            self._media_event("wal.duplex_repairs")
+            self._repair_from_mirror(lsn, entries, states)
         self._suspect = remaining
+
+    def _repair_from_mirror(self, lsn: int, entries: list,
+                            states: list[bool]) -> None:
+        """One disk's image of ``lsn`` is bad: point it back at the good
+        disk's (the two share one entry again)."""
+        self._media[states.index(False)][lsn] = entries[states.index(True)]
+        self.duplex_repairs += 1
+        self._media_event("wal.duplex_repairs")
 
     # -- writing ----------------------------------------------------------------
 
@@ -185,9 +194,10 @@ class LogStore:
         """
         frame = encode_record(record)
         checksum = frame_checksum(frame)
-        torn = frame[:max(1, len(frame) // 2)]
+        torn = _MediaEntry(frame[:max(1, len(frame) // 2)], checksum,
+                           verified=False)
         for copy in self._media:
-            copy[record.lsn] = _MediaEntry(torn, checksum, verified=False)
+            copy[record.lsn] = torn
         self._suspect.add(record.lsn)
 
     def rot_media(self, lsn: int, copy: int = 0,
@@ -207,8 +217,10 @@ class LogStore:
                 continue
             payload = bytearray(entry.payload)
             payload[len(payload) // 2] ^= 0xFF
-            entry.payload = bytes(payload)
-            entry.verified = False
+            # A new entry for this disk only: the mirror may share the
+            # old one, and rot on one disk must not reach the other.
+            self._media[index][lsn] = _MediaEntry(
+                bytes(payload), entry.checksum, verified=False)
             hit = True
         if hit:
             self._suspect.add(lsn)
@@ -236,13 +248,8 @@ class LogStore:
             if all(states):
                 continue
             if any(states):
-                good = entries[states.index(True)]
-                bad_index = states.index(False)
-                self._media[bad_index][lsn] = _MediaEntry(
-                    good.payload, good.checksum, verified=True)
+                self._repair_from_mirror(lsn, entries, states)
                 report.repairs += 1
-                self.duplex_repairs += 1
-                self._media_event("wal.duplex_repairs")
                 continue
             cut = lsn
             break

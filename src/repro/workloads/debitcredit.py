@@ -16,13 +16,16 @@ Branches are packed ``branches_per_node`` to a cluster node (``bank0``,
 another node -- up to ``1 - locality`` of the traffic -- becomes a
 cross-node two-phase commit.  The branch balance row is the canonical
 hot spot: under strict two-phase locking it is held from the branch
-update until commit completes, so commit-path latency (log forces, 2PC
-datagrams) translates directly into lost throughput.  Within a branch
-that serializes commits outright; across co-hosted branches the commits
-are independent but share one serial log device.  That combination is
-exactly the regime where the ``grouped`` commit pipeline earns its
-keep: one physical force completes every co-hosted branch's commit
-queued in the window.
+update until commit completes, so under an exclusive lock commit-path
+latency (log forces, 2PC datagrams) would translate directly into lost
+throughput and a branch would commit one transaction at a time.  Adds
+to a balance commute, though, and no DebitCredit transaction reads the
+branch or teller total back -- so those rows take a type-specific
+INCREMENT lock (:class:`CommutingBalanceServer`) that a branch's
+transactions hold together, and what they share is the node's one
+serial log device.  That is exactly the regime where the ``grouped``
+commit pipeline earns its keep: one physical force completes every
+commit queued in the window, of one branch or of several.
 
 Money conservation is the workload's master invariant: branches,
 tellers, and accounts are three redundant ledgers of the same flows, so
@@ -45,7 +48,12 @@ from dataclasses import dataclass
 
 from repro.errors import ServerError
 from repro.kernel.disk import PAGE_SIZE
-from repro.locking.modes import READ, WRITE
+from repro.locking.modes import (
+    INCREMENT,
+    READ,
+    READ_WRITE_INCREMENT_PROTOCOL,
+    WRITE,
+)
 from repro.recovery.audit import AuditViolation
 from repro.replication.placement import PlacementMap
 from repro.replication.router import ReplicatedApp
@@ -72,14 +80,15 @@ class RowOutOfRange(ServerError):
 
 
 class BalanceServer(BaseDataServer):
-    """A recoverable array of balance rows with read-modify-write ops.
+    """A recoverable array of balance rows.
 
-    The DebitCredit tiers (branch, teller, account) differ only in scale
-    and in which rows are hot; the operations are shared.  Unlike the
-    integer array's GetCell/SetCell, the update is a single
-    ``add_to_balance`` operation -- one RPC locks, reads, adjusts, and
-    logs the row, which is both how the original workload is written and
-    what keeps the per-transaction message count at one per tier.
+    The DebitCredit tiers (branch, teller, account) differ in scale, in
+    which rows are hot, and in whether the transaction reads the balance
+    back.  Unlike the integer array's GetCell/SetCell, each tier's
+    update is a single ``add_to_balance`` operation -- one RPC locks,
+    adjusts, and logs the row, which is both how the original workload
+    is written and what keeps the per-transaction message count at one
+    per tier.
     """
 
     TYPE_NAME = "balance_server"
@@ -102,8 +111,22 @@ class BalanceServer(BaseDataServer):
         value = yield from self.library.read_object(oid)
         return {"balance": int(value) if value is not None else 0}
 
+    def _count_update(self) -> None:
+        self.node.ctx.metrics.counter(self.node.name,
+                                      f"{self.TYPE_NAME}.updates").inc()
+
+
+class AccountServer(BalanceServer):
+    """The branch's account partition -- sparse, possibly millions.
+
+    The transaction hands the customer the new balance, so it must own
+    the row outright: WRITE lock, value logging.
+    """
+
+    TYPE_NAME = "account_server"
+
     def op_add_to_balance(self, body: dict, tid: TransactionID):
-        """Lock, read, add ``amount``, log -- the DebitCredit update."""
+        """Lock, read, add ``amount``, log; returns the new balance."""
         oid = self._row_oid(body["row"])
         amount = int(body["amount"])
         lib = self.library
@@ -113,27 +136,68 @@ class BalanceServer(BaseDataServer):
         balance = (int(old) if old is not None else 0) + amount
         yield from lib.write_object(oid, balance)
         yield from lib.log_and_unpin(tid, oid)
-        self.node.ctx.metrics.counter(self.node.name,
-                                      f"{self.TYPE_NAME}.updates").inc()
+        self._count_update()
         return {"balance": balance}
 
 
-class BranchServer(BalanceServer):
+class CommutingBalanceServer(BalanceServer):
+    """Balance rows a DebitCredit transaction adds to and never reads:
+    the branch and teller totals.
+
+    Adds to one row commute, so they take the type-specific INCREMENT
+    lock (compatible with itself only) and any number of transactions
+    hold the hot row together, from their update through their commit;
+    a reader (an inquiry, the audit) still waits for all of them.  With
+    several uncommitted holders there is no single old value to restore,
+    so the update is logged as an *operation* -- ``add_balance(row,
+    amount)``, undone by ``add_balance(row, -amount)`` -- the case
+    operation logging exists for (Section 2.1.3; Schwarz & Spector).
+    """
+
+    PROTOCOL = READ_WRITE_INCREMENT_PROTOCOL
+
+    def configure(self) -> None:
+        self.library.register_recovery_operation(
+            "add_balance", self._apply_add, lock_mode=INCREMENT)
+
+    def _apply_add(self, args):
+        row, amount = args
+        yield from self.node.vm.add_to_object(self._row_oid(row), amount)
+
+    def op_add_to_balance(self, body: dict, tid: TransactionID):
+        """Lock in INCREMENT, add ``amount``, log the add.  The reply
+        carries no balance: the sum includes uncommitted amounts."""
+        row, amount = body["row"], int(body["amount"])
+        oid = self._row_oid(row)
+        lib = self.library
+        yield from lib.lock_object(tid, oid, INCREMENT)
+        yield from lib.pin_object(oid)
+        try:
+            yield from lib.add_to_object(tid, oid, amount)
+            # Formatting the record costs what it costs the value-logged
+            # account tier, so an uncontended update takes as long there
+            # as here.
+            yield self.node.ctx.cpu("DS",
+                                    self.node.ctx.cpu_costs.ds_log_format)
+            yield from lib.log_operation(
+                tid, "add_balance", (row, amount),
+                "add_balance", (row, -amount), (oid,))
+        finally:
+            lib.unpin_object(oid)
+        self._count_update()
+        return {}
+
+
+class BranchServer(CommutingBalanceServer):
     """One row: the branch balance, the workload's hot spot."""
 
     TYPE_NAME = "branch_server"
 
 
-class TellerServer(BalanceServer):
+class TellerServer(CommutingBalanceServer):
     """The branch's teller balances (row = teller number)."""
 
     TYPE_NAME = "teller_server"
-
-
-class AccountServer(BalanceServer):
-    """The branch's account partition -- sparse, possibly millions."""
-
-    TYPE_NAME = "account_server"
 
 
 class HistoryServer(BaseDataServer):
@@ -141,8 +205,8 @@ class HistoryServer(BaseDataServer):
 
     A global append pointer would be a *second* hot row, which Gray's
     paper avoids by partitioning the history file; here each teller owns
-    a strand (its transactions already serialize on the teller balance
-    row, so the strand's cursor cell adds no new contention).  Cell
+    a strand; its cursor cell is where two transactions of one teller
+    serialize (the teller balance row admits them together).  Cell
     layout: cells ``1..strands`` are the per-strand cursors, then strand
     ``s`` (0-based) stores row ``k`` at cell
     ``strands + s * slots + k + 1``.  An aborted transaction's cursor
@@ -263,8 +327,7 @@ class ReplicatedBalanceServer(ReplicatedServerMixin, BalanceServer):
         yield from lib.write_object(oid, pack_cell(self.node.ctx.now,
                                                    balance))
         yield from lib.log_and_unpin(tid, oid)
-        self.node.ctx.metrics.counter(self.node.name,
-                                      f"{self.TYPE_NAME}.updates").inc()
+        self._count_update()
         return {"balance": balance}
 
 
@@ -504,11 +567,12 @@ def debitcredit_txn(app, topology: DebitCreditTopology, spec: TxnSpec,
     """The transaction body: account, teller, branch (hot row), history.
 
     The hot branch row is updated last of the three balances, Gray's
-    standard trick: the exclusive lock on the row every sibling wants
-    is held only across the history append and commit, not the whole
-    transaction.  The ordering (accounts < tellers < branches <
-    history) is also a global lock order, so the workload is
-    deadlock-free by construction.
+    standard trick: the lock on the row every sibling wants is held
+    only across the history append and commit, not the whole
+    transaction -- sibling updates share it (INCREMENT), the inquiries
+    that read it wait that long.  The ordering
+    (accounts < tellers < branches < history) is also a global lock
+    order, so the workload is deadlock-free by construction.
     """
     account_ref = yield from app.lookup_one(
         topology.account_server(spec.account_branch),

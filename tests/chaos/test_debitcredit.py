@@ -23,7 +23,8 @@ WORKLOAD = WorkloadConfig(branches=2, accounts_per_branch=200,
 
 
 def run_debitcredit_chaos(plan: FaultPlan, seed: int, txns: int = 16,
-                          run_ms: float = 20_000.0):
+                          run_ms: float = 20_000.0,
+                          spacing_ms: float = 400.0):
     config = TabsConfig(seed=seed, workload=WORKLOAD)
     cluster = TabsCluster(config)
     topology = cluster.build_workload()
@@ -31,7 +32,7 @@ def run_debitcredit_chaos(plan: FaultPlan, seed: int, txns: int = 16,
     controller.install()
     driver = DebitCreditWorkload(cluster, topology, controller=controller,
                                  seed=seed)
-    driver.schedule_traffic(txns=txns, spacing_ms=400.0)
+    driver.schedule_traffic(txns=txns, spacing_ms=spacing_ms)
     _, report = driver.play(run_ms)
     return driver, controller, report
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.chaos import CrashAt, FaultPlan, random_plan
 from tests.chaos.conftest import run_scenario
+from tests.chaos.test_debitcredit import run_debitcredit_chaos
 from tests.chaos.test_replication import run_replicated_chaos
 
 NODES = ["n0", "n1", "n2"]
@@ -84,6 +85,26 @@ def test_soak_replicated_rolling_crashes(seed):
     conservation, atomicity, replica convergence -- comes back green."""
     driver, _, report = run_replicated_chaos(rolling_two_crash_plan(seed),
                                              seed=seed, txns=48)
+    assert report.ok, f"seed {seed} violations:\n" + "\n".join(
+        f"  {violation}" for violation in report.violations)
+    assert driver.stats.outcomes().get("committed", 0) > 0
+
+
+@pytest.mark.parametrize("seed", [
+    *range(500, 504),  # the four every lane runs
+    *(pytest.param(seed, marks=pytest.mark.slow)
+      for seed in range(504, 512))])
+def test_soak_debitcredit_overlapping_incrementers(seed):
+    """Single-copy DebitCredit, two branches, arrivals 80 ms apart -- a
+    sixth of a transaction, so several incrementers hold each branch and
+    teller row whenever a fault lands: crashes catch operation records
+    of winners, losers and in-doubt transactions interleaved on one
+    page, partitions abort one holder beside live ones.  Three-pass
+    operation recovery has to leave all four ledgers agreeing."""
+    plan = random_plan(seed=seed, nodes=BANK_NODES, duration_ms=8_000.0,
+                       episodes=5)
+    driver, _, report = run_debitcredit_chaos(plan, seed=seed, txns=40,
+                                              spacing_ms=80.0)
     assert report.ok, f"seed {seed} violations:\n" + "\n".join(
         f"  {violation}" for violation in report.violations)
     assert driver.stats.outcomes().get("committed", 0) > 0

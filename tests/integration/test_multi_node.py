@@ -233,6 +233,62 @@ def test_committed_distributed_write_survives_participant_crash():
     assert cluster.run_transaction("n0", check) == 43
 
 
+def test_coordinator_remembers_a_commit_its_child_never_heard():
+    """The coordinator forces COMMITTED and dies before the child hears;
+    it comes back behind a partition, so the re-driven phase two reaches
+    nobody; then it dies again.  Neither giving up on the child nor the
+    clean point of a recovery may let go of the commit record: the child
+    is in doubt, and presumed abort would answer its query "aborted"."""
+    from repro.sim import Process, Timeout
+    from repro.wal.records import TransactionStatusRecord, TxnStatus
+
+    cluster = make_cluster(2)
+    app = cluster.application("n0")
+
+    def transfer(tid):
+        local = yield from app.lookup_one("array0")
+        remote = yield from app.lookup_one("array1")
+        yield from set_cell(app, local, tid, 1, 7)
+        yield from set_cell(app, remote, tid, 1, 8)
+
+    def logged(node, status):
+        wal = cluster.node(node).rm.wal
+        return any(isinstance(r, TransactionStatusRecord)
+                   and r.status is status
+                   for r in wal.read_forward(wal.store.truncated_before))
+
+    def cut_off_the_coordinator():
+        while not (logged("n0", TxnStatus.COMMITTED)
+                   and logged("n1", TxnStatus.PREPARED)):
+            yield Timeout(cluster.engine, 0.5)
+        assert not logged("n1", TxnStatus.COMMITTED)
+        cluster.partition(("n0",), ("n1",))
+        cluster.crash_node("n0")
+
+    cluster.spawn_on("n0", app.run_transaction(transfer), name="txn")
+    cluster.engine.run_until(
+        Process(cluster.engine, cut_off_the_coordinator(), name="watcher"))
+
+    report = cluster.restart_node("n0")
+    assert len(report.phase_two_redriven) == 1
+    cluster.engine.run(until=cluster.engine.now + 20_000.0)  # retries spent
+    cluster.crash_node("n0")
+    report = cluster.restart_node("n0")
+    assert len(report.phase_two_redriven) == 1  # still on record
+    assert not logged("n1", TxnStatus.COMMITTED)
+
+    cluster.heal_partition()
+    cluster.settle(extra_ms=30_000.0)
+    assert logged("n1", TxnStatus.COMMITTED)
+
+    def check(tid):
+        remote = yield from app.lookup_one("array1")
+        value = yield from get_cell(app, remote, tid, 1)
+        return value
+
+    assert cluster.run_transaction("n0", check) == 8
+
+
 def test_participant_crash_while_prepared_blocks_then_resolves():
     """Two-phase commit's blocking window: a participant that crashes
     after voting finds the PREPARED record at recovery, re-locks the data,

@@ -13,7 +13,7 @@ from repro.kernel.vm import (
     RecoverableSegment,
     VirtualMemory,
 )
-from repro.sim import Process
+from repro.sim import Process, Timeout
 
 
 @pytest.fixture
@@ -294,6 +294,53 @@ class TestWalGate:
         assert vm.dirty_pages() == []
         assert vm.disk.peek_page("seg", 0) == {0: 1}
         assert vm.disk.peek_page("seg", 1) == {PAGE_SIZE: 2}
+
+
+class SlowNoticePager(NullPagerClient):
+    """A pager whose first-modified notice takes a millisecond."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def first_modified(self, segment_id, page):
+        yield Timeout(self.ctx.engine, 1.0)
+
+
+class TestAddToObject:
+    def test_adds_and_returns_the_sum(self, ctx):
+        vm, _ = make_vm(ctx)
+        oid = ObjectID("seg", 8, 4)
+
+        def body():
+            first = yield from vm.add_to_object(oid, 5)  # empty cell is 0
+            second = yield from vm.add_to_object(oid, -2)
+            value = yield from vm.read_object(oid)
+            return first, second, value
+
+        assert run(ctx, body()) == (5, 3, 3)
+        assert vm.dirty_pages() == [("seg", 0)]
+
+    def test_no_wait_between_the_read_and_the_store(self, ctx):
+        """Two coroutines add to one cold cell at the same instant, and
+        the store's own waits (page fault, first-modified notice) fall
+        between them.  Read-then-write loses one of the two; the add
+        does its waiting first and keeps both."""
+        vm, _ = make_vm(ctx)
+        vm.pager_client = SlowNoticePager(ctx)
+        added, rewritten = ObjectID("seg", 0, 4), ObjectID("seg", PAGE_SIZE, 4)
+
+        def add():
+            yield from vm.add_to_object(added, 1)
+
+        def read_then_write():
+            value = yield from vm.read_object(rewritten)
+            yield from vm.write_object(rewritten, (value or 0) + 1)
+
+        for body in (add, add, read_then_write, read_then_write):
+            Process(ctx.engine, body())
+        ctx.engine.run()
+        assert vm.frame("seg", 0).data == {0: 2}
+        assert vm.frame("seg", 1).data == {PAGE_SIZE: 1}
 
 
 class TestCrash:

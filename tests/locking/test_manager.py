@@ -6,7 +6,12 @@ from repro.errors import LockTimeout, TabsError
 from repro.kernel.context import SimContext
 from repro.kernel.costs import ZERO_COST
 from repro.locking.manager import LockManager
-from repro.locking.modes import READ, WRITE
+from repro.locking.modes import (
+    INCREMENT,
+    READ,
+    READ_WRITE_INCREMENT_PROTOCOL,
+    WRITE,
+)
 from repro.sim import Process, Timeout
 
 
@@ -122,6 +127,60 @@ class TestWaiting:
         locks.release_all("t1")
         ctx.engine.run(until=2.0)
         assert sorted(granted) == ["t2", "t3"]
+
+
+class TestCommutingIncrements:
+    @pytest.fixture
+    def locks(self, ctx):
+        return LockManager(ctx, protocol=READ_WRITE_INCREMENT_PROTOCOL)
+
+    def test_incrementers_hold_together(self, ctx, locks):
+        for tid in ("t1", "t2", "t3"):
+            run(ctx, locks.lock(tid, "row", INCREMENT))
+        assert locks.waits == 0
+        assert all(locks.holds(tid, "row", INCREMENT)
+                   for tid in ("t1", "t2", "t3"))
+        assert not locks.try_lock("t4", "row", READ)
+        assert not locks.try_lock("t4", "row", WRITE)
+
+    def test_reader_queues_behind_incrementers_and_fifo_holds_the_rest(
+            self, ctx, locks):
+        """An inquiry's READ waits for every incrementer ahead of it; an
+        incrementer arriving later is compatible with the holders but
+        does not overtake the reader."""
+        run(ctx, locks.lock("t1", "row", INCREMENT))
+        run(ctx, locks.lock("t2", "row", INCREMENT))
+        order = []
+
+        def waiter(tid, mode):
+            yield from locks.lock(tid, "row", mode)
+            order.append(tid)
+
+        reader = Process(ctx.engine, waiter("reader", READ))
+        ctx.engine.run(until=1.0)
+        late = Process(ctx.engine, waiter("t3", INCREMENT))
+        ctx.engine.run(until=2.0)
+        assert order == []
+        locks.release_all("t1")
+        ctx.engine.run(until=3.0)
+        assert order == []  # t2 still holds INCREMENT
+        locks.release_all("t2")
+        ctx.engine.run_until(reader)
+        assert order == ["reader"] and late.alive
+        locks.release_all("reader")
+        ctx.engine.run_until(late)
+        assert order == ["reader", "t3"]
+
+    def test_a_transaction_reads_what_it_incremented_once_alone(
+            self, ctx, locks):
+        """INCREMENT does not cover READ, so the read is a real request:
+        granted beside the transaction's own INCREMENT, refused while
+        another incrementer is there."""
+        assert locks.try_lock("t1", "row", INCREMENT)
+        assert locks.try_lock("t2", "row", INCREMENT)
+        assert not locks.try_lock("t1", "row", READ)
+        locks.release_all("t2")
+        assert locks.try_lock("t1", "row", READ)
 
 
 class TestTimeouts:

@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import TabsError
 from repro.locking.modes import (
+    INCREMENT,
     READ,
+    READ_WRITE_INCREMENT_PROTOCOL,
     READ_WRITE_PROTOCOL,
     WRITE,
     LockMode,
@@ -56,3 +58,35 @@ def test_asymmetric_protocol():
     give, take = LockMode("GIVE"), LockMode("TAKE")
     assert protocol.compatible(give, take)
     assert not protocol.compatible(take, give)
+
+
+class TestReadWriteIncrement:
+    """The branch/teller protocol: increments commute with each other
+    and with nothing else."""
+
+    MODES = (READ, WRITE, INCREMENT)
+
+    def test_compatibility_table(self):
+        compatible = {(held, requested)
+                      for held in self.MODES for requested in self.MODES
+                      if READ_WRITE_INCREMENT_PROTOCOL.compatible(
+                          held, requested)}
+        assert compatible == {(READ, READ), (INCREMENT, INCREMENT)}
+
+    def test_covers_table(self):
+        """WRITE grants everything; INCREMENT grants neither a read (the
+        sum holds other transactions' uncommitted amounts) nor an
+        overwrite; READ grants only itself."""
+        covers = {(held, requested)
+                  for held in self.MODES for requested in self.MODES
+                  if READ_WRITE_INCREMENT_PROTOCOL.covers(held, requested)}
+        assert covers == {(READ, READ), (INCREMENT, INCREMENT),
+                          (WRITE, READ), (WRITE, WRITE), (WRITE, INCREMENT)}
+
+    def test_shares_the_standard_modes(self):
+        """Built from names, yet READ and WRITE are the library's own:
+        a server on this protocol keeps using the shared constants."""
+        READ_WRITE_INCREMENT_PROTOCOL.check_mode(READ)
+        READ_WRITE_INCREMENT_PROTOCOL.check_mode(WRITE)
+        with pytest.raises(TabsError):
+            READ_WRITE_PROTOCOL.check_mode(INCREMENT)

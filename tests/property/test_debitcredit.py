@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cluster import TabsCluster
-from repro.core.config import WorkloadConfig
+from repro.core.config import TabsConfig, WorkloadConfig
+from repro.sim import Timeout
 from repro.workloads import DebitCreditWorkload
 from tests.property.conftest import fast_config
 
@@ -85,6 +86,59 @@ def test_conservation_survives_a_power_cycle(seed: int):
         branches=2, accounts_per_branch=200), power_cycle=True)
     report = driver.check_invariants()
     assert report.ok, report.violations
+
+
+@given(fates=st.lists(
+    st.tuples(st.integers(min_value=-50, max_value=50).filter(bool),
+              st.floats(min_value=0.0, max_value=40.0),   # starts at
+              st.floats(min_value=0.0, max_value=80.0),   # holds for
+              st.booleans()),                             # commits
+    min_size=2, max_size=6),
+    power_cycle=st.booleans())
+@SETTINGS
+def test_concurrent_incrementers_leave_the_committed_sum(fates,
+                                                         power_cycle):
+    """Any interleaving of commits and aborts of k transactions holding
+    one teller row in INCREMENT together: every abort takes out exactly
+    its own amount (an inverse operation, not an old value -- there is
+    no single old value under concurrent holders), so the row ends at
+    the committers' sum, before and after a power cycle."""
+    cluster = TabsCluster(TabsConfig(workload=WorkloadConfig(
+        branches=1, tellers_per_branch=1, accounts_per_branch=1)))
+    cluster.build_workload()
+    app = cluster.application("bank0")
+
+    def incrementer(amount, start_ms, hold_ms, commits):
+        yield Timeout(cluster.engine, start_ms)
+        tid = yield from app.begin_transaction()
+        ref = yield from app.lookup_one("tellers0", node_name="bank0")
+        yield from app.call(ref, "add_to_balance",
+                            {"row": 1, "amount": amount}, tid)
+        yield Timeout(cluster.engine, hold_ms)
+        if commits:
+            assert (yield from app.end_transaction(tid))
+        else:
+            yield from app.abort_transaction(tid)
+
+    workers = [cluster.spawn_on("bank0", incrementer(*fate))
+               for fate in fates]
+    for worker in workers:
+        cluster.engine.run_until(worker)
+    cluster.settle()
+    tellers = cluster.node("bank0").servers["tellers0"]
+    assert tellers.library.locks.waits == 0
+    if power_cycle:
+        cluster.crash_node("bank0")
+        cluster.restart_node("bank0")
+
+    def read(tid):
+        app = cluster.application("bank0")
+        ref = yield from app.lookup_one("tellers0", node_name="bank0")
+        reply = yield from app.call(ref, "get_balance", {"row": 1}, tid)
+        return reply["balance"]
+
+    assert cluster.run_transaction("bank0", read) == sum(
+        amount for amount, _, _, commits in fates if commits)
 
 
 def test_sparse_accounts_scale_to_millions():

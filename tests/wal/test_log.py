@@ -145,6 +145,21 @@ class TestWriteAheadLog:
         run(ctx, fresh.force())
         assert fresh.flushed_lsn == 3
 
+    def test_lsns_continue_past_a_log_reclaimed_to_empty(self, ctx):
+        """Recovery's clean point can truncate every record.  Pages on
+        disk still carry the old LSNs as sequence numbers, and operation
+        recovery redoes a record iff its LSN is the newer: starting over
+        from 1 would make every new record look already applied."""
+        log = WriteAheadLog(ctx)
+        for _ in range(5):
+            log.append(make_record())
+        run(ctx, log.force())
+        log.store.truncate_before(6)
+        assert len(log.store) == 0
+        log.crash()
+        fresh = WriteAheadLog.after_restart(ctx, log.store)
+        assert fresh.append(make_record()) == 6
+
     def test_buffer_full_hook_fires(self, ctx):
         log = WriteAheadLog(ctx, buffer_capacity=2)
         fired = []

@@ -4,8 +4,11 @@ from repro.kernel.messages import MessageKind, classify_size
 from repro.kernel.vm import ObjectID
 from repro.wal.records import (
     CheckpointRecord,
+    LogRecord,
     OperationRecord,
+    PageDirtyRecord,
     RecordKind,
+    ServerPrepareRecord,
     TransactionStatusRecord,
     TxnStatus,
     ValueUpdateRecord,
@@ -62,3 +65,12 @@ def test_checkpoint_record_contents():
 def test_lsn_defaults_to_unassigned():
     assert ValueUpdateRecord().lsn == 0
     assert ValueUpdateRecord().prev_lsn == 0
+
+
+def test_records_are_slotted():
+    """A run retains every record until truncation: no per-record
+    ``__dict__``, on the base class or any subclass."""
+    for cls in (LogRecord, ValueUpdateRecord, OperationRecord,
+                TransactionStatusRecord, PageDirtyRecord,
+                ServerPrepareRecord, CheckpointRecord):
+        assert not hasattr(cls(), "__dict__"), cls.__name__

@@ -49,6 +49,23 @@ def test_both_copy_rot_of_durable_record_raises():
         store.read_forward()
 
 
+def test_rot_on_one_disk_never_reaches_its_mirror():
+    """The two disks share one image per record while they agree.  Damage
+    replaces the damaged disk's image instead of touching the shared one,
+    and a repair shares the good image again -- so each is again
+    damageable on its own, and two separate hits are real log loss."""
+    store = filled_store()
+    store.rot_media(2, copy=0)
+    store.read_forward()  # repaired: the disks agree again
+    store.rot_media(2, copy=1)
+    assert [r.lsn for r in store.read_forward()] == [1, 2, 3, 4]
+    assert store.duplex_repairs == 2 and store.media_intact()
+    store.rot_media(2, copy=0)
+    store.rot_media(2, copy=1)
+    with pytest.raises(LogMediaCorruption):
+        store.read_forward()
+
+
 def test_rot_media_without_media_returns_false():
     store = filled_store()
     assert not store.rot_media(99)

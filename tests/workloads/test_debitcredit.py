@@ -5,13 +5,17 @@ import pytest
 from repro.core.cluster import TabsCluster
 from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
 from repro.core.facility import SEGMENT_VA_STRIDE
+from repro.errors import TransactionAborted
 from repro.kernel.costs import ZERO_COST, ZERO_CPU
+from repro.sim import Timeout
+from repro.wal.records import OperationRecord, TransactionStatusRecord
 from repro.workloads import (
     DebitCreditTopology,
     DebitCreditWorkload,
+    debitcredit_txn,
     draw_spec,
 )
-from repro.workloads.debitcredit import pages_for
+from repro.workloads.debitcredit import TxnSpec, pages_for
 
 
 def zero_cost_config(**overrides) -> TabsConfig:
@@ -116,16 +120,38 @@ class TestServers:
                                     accounts_per_branch=50))
 
     def test_add_to_balance_accumulates(self, bank):
+        """The account tier owns its row and hands the balance back."""
         cluster, topology = bank
 
         def txn(tid):
             app = cluster.application("bank0")
-            ref = yield from app.lookup_one("tellers0", node_name="bank0")
+            ref = yield from app.lookup_one("accounts0", node_name="bank0")
             reply = yield from app.call(ref, "add_to_balance",
                                         {"row": 1, "amount": 70}, tid)
             assert reply["balance"] == 70
             reply = yield from app.call(ref, "add_to_balance",
                                         {"row": 1, "amount": -30}, tid)
+            return reply["balance"]
+
+        assert cluster.run_transaction("bank0", txn) == 40
+
+    @pytest.mark.parametrize("server", ["tellers0", "branch0"])
+    def test_commuting_tiers_accumulate_without_reporting(self, bank, server):
+        """Branch and teller rows are added to under INCREMENT: the reply
+        carries no balance (the sum may include other transactions'
+        uncommitted amounts); a read in the same transaction needs READ,
+        which INCREMENT does not cover, and takes it."""
+        cluster, topology = bank
+
+        def txn(tid):
+            app = cluster.application("bank0")
+            ref = yield from app.lookup_one(server, node_name="bank0")
+            reply = yield from app.call(ref, "add_to_balance",
+                                        {"row": 1, "amount": 70}, tid)
+            assert reply == {}
+            yield from app.call(ref, "add_to_balance",
+                                {"row": 1, "amount": -30}, tid)
+            reply = yield from app.call(ref, "get_balance", {"row": 1}, tid)
             return reply["balance"]
 
         assert cluster.run_transaction("bank0", txn) == 40
@@ -190,6 +216,149 @@ class TestServers:
 
         with pytest.raises(Exception, match="full"):
             cluster.run_transaction("bank0", fill)
+
+
+class TestCommutingRows:
+    """Branch and teller rows under concurrent incrementers (real
+    costs: the interleavings below depend on the page fault and the
+    spool taking time)."""
+
+    @pytest.fixture
+    def bank(self):
+        cluster = TabsCluster(TabsConfig(workload=WorkloadConfig(
+            branches=1, tellers_per_branch=2, accounts_per_branch=10)))
+        cluster.build_workload()
+        app = cluster.application("bank0")
+        ref = cluster.run_on("bank0",
+                             app.lookup_one("branch0", node_name="bank0"))
+        return cluster, app, ref
+
+    @staticmethod
+    def balance(cluster, app, ref):
+        def read(tid):
+            reply = yield from app.call(ref, "get_balance", {"row": 1}, tid)
+            return reply["balance"]
+        return cluster.run_transaction("bank0", read)
+
+    def test_two_adds_to_a_cold_row_at_one_instant_both_land(self, bank):
+        """Both fault the never-touched page in, both hold INCREMENT,
+        both commit: the row is their sum and nobody waited."""
+        cluster, app, ref = bank
+
+        def incrementer(amount):
+            tid = yield from app.begin_transaction()
+            yield from app.call(ref, "add_to_balance",
+                                {"row": 1, "amount": amount}, tid)
+            return (yield from app.end_transaction(tid))
+
+        workers = [cluster.spawn_on("bank0", incrementer(amount))
+                   for amount in (50, 7)]
+        assert [cluster.engine.run_until(w) for w in workers] == [True, True]
+        branch = cluster.node("bank0").servers["branch0"]
+        assert branch.library.locks.waits == 0
+        assert self.balance(cluster, app, ref) == 57
+
+    @pytest.mark.parametrize("abort_after_ms, add_ran", [
+        (20.0, False),  # abort lands in the page fault: the add is refused
+        (40.0, True),   # abort lands between the add and its log record
+    ])
+    def test_an_add_aborted_mid_flight_leaves_the_others_amount(
+            self, bank, abort_after_ms, add_ran):
+        """The victim's abort arrives while its operation is in flight
+        and another incrementer holds the row.  Either the add never
+        runs, or its record reaches the Recovery Manager after the undo
+        walk and is neutralised on arrival (compensation logged before
+        the spool is acknowledged); both ways the row ends at the other
+        transaction's amount."""
+        cluster, app, ref = bank
+        started = {}
+
+        def victim():
+            tid = started["victim"] = yield from app.begin_transaction()
+            try:
+                yield from app.call(ref, "add_to_balance",
+                                    {"row": 1, "amount": 50}, tid)
+            except TransactionAborted:
+                assert not add_ran
+            return (yield from app.end_transaction(tid))
+
+        def other():
+            tid = yield from app.begin_transaction()
+            yield from app.call(ref, "add_to_balance",
+                                {"row": 1, "amount": 7}, tid)
+            yield Timeout(cluster.engine, 300.0)
+            return (yield from app.end_transaction(tid))
+
+        def killer():
+            while "victim" not in started:
+                yield Timeout(cluster.engine, 0.25)
+            yield Timeout(cluster.engine, abort_after_ms)
+            yield from app.abort_transaction(started["victim"])
+
+        victim, other, _ = [cluster.spawn_on("bank0", body())
+                            for body in (victim, other, killer)]
+        assert cluster.engine.run_until(victim) is False
+        assert cluster.engine.run_until(other) is True
+        cluster.settle()
+        assert self.balance(cluster, app, ref) == 7
+
+        tabs = cluster.node("bank0")
+        log = tabs.rm.wal.read_forward(tabs.rm.wal.store.truncated_before)
+        adds = [r for r in log if isinstance(r, OperationRecord)
+                and r.tid == started["victim"]]
+        (aborted,) = [r.lsn for r in log
+                      if isinstance(r, TransactionStatusRecord)
+                      and r.tid == started["victim"]]
+        if add_ran:
+            late, compensation = adds
+            assert aborted < late.lsn  # the undo walk never saw it
+            assert compensation.compensates_lsn == late.lsn
+        else:
+            assert adds == []
+
+    def test_two_clients_of_one_branch_overlap(self):
+        """Closed-loop clients homed on one branch, different tellers and
+        accounts: the only row they share is the branch balance, and
+        under INCREMENT they hold it together -- the branch server never
+        makes anyone wait (under WRITE every transaction but the first
+        did, from the branch update through the other's commit)."""
+        workload = WorkloadConfig(branches=1, tellers_per_branch=2,
+                                  accounts_per_branch=10)
+        cluster = TabsCluster(TabsConfig(workload=workload))
+        topology = cluster.build_workload()
+        app = cluster.application("bank0")
+        branch = cluster.node("bank0").servers["branch0"]
+        row = branch._row_oid(1)
+        most_holders = 0
+
+        def client(number):
+            nonlocal most_holders
+            for round_ in range(6):
+                spec = TxnSpec(home_branch=0, teller=number,
+                               account_branch=0, account=number,
+                               amount=number * 10 + round_)
+                tid = yield from app.begin_transaction()
+                yield from debitcredit_txn(app, topology, spec, tid)
+                most_holders = max(
+                    most_holders,
+                    len(branch.library.locks._locks[row].holders))
+                assert (yield from app.end_transaction(tid))
+
+        clients = [cluster.spawn_on("bank0", client(number))
+                   for number in (1, 2)]
+        for process in clients:
+            cluster.engine.run_until(process)
+        cluster.settle()
+        assert most_holders == 2
+        assert branch.library.locks.waits == 0
+        driver = DebitCreditWorkload(cluster, topology)
+        sums = driver._tier_sums()
+        expected = sum(number * 10 + round_
+                       for number in (1, 2) for round_ in range(6))
+        # (the account walk covers only accounts a driver's own traffic
+        # touched, and this driver scheduled none)
+        assert sums["branches"] == sums["tellers"] == sums["history"] \
+            == expected
 
 
 class TestBuild:
