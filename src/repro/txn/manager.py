@@ -151,16 +151,21 @@ class TransactionManager:
                 f"transaction {tid} is unknown on node "
                 f"{self.node.name!r}") from None
 
+    def _trace_parent(self, tid: TransactionID) -> int:
+        """What an outgoing message carries as ``Message.trace_parent``:
+        this node's innermost open span of ``tid``'s family (0 untraced).
+        Explicit, because the spans the message causes may open beside
+        others of the family and must not adopt each other."""
+        if self.ctx.tracer is None:
+            return 0
+        return self.ctx.tracer.current_span_id(tid, self.node.name)
+
     def _send_datagram(self, target: str, op: str, body: dict,
                        tid: TransactionID) -> None:
-        trace_parent = 0
-        if self.ctx.tracer is not None:
-            trace_parent = self.ctx.tracer.current_span_id(tid,
-                                                           self.node.name)
         payload = Message(op=op, tid=tid,
                           body={**body, "service": SERVICE,
                                 "from": self.node.name, "tid": tid},
-                          trace_parent=trace_parent)
+                          trace_parent=self._trace_parent(tid))
         self.node.service(CM_SERVICE).send(Message(
             op="cm.send_datagram", body={"target": target,
                                          "payload": payload}))
@@ -264,12 +269,15 @@ class TransactionManager:
         """Make ``into`` the owner of everything ``child`` did here: each
         server re-files the locks and write set, the Recovery Manager
         splices the undo chains, and ``child`` is forgotten."""
-        for server, port in list(child.server_ports.items()):
-            yield from self._call_server(
-                child.tid, server, "ds.subtxn_commit",
-                {"child": child.tid, "parent": into.tid})
+        ports = dict(child.server_ports)
+        replies, errors = yield from self._call_servers(
+            child.tid, list(ports), "ds.subtxn_commit",
+            {"child": child.tid, "parent": into.tid})
+        for server in replies:
             into.servers.add(server)
-            into.server_ports.setdefault(server, port)
+            into.server_ports.setdefault(server, ports[server])
+        if errors:
+            raise next(iter(errors.values()))
         yield from self.rm.merge_chain_via_message(child.tid, into.tid)
         into.children.discard(child.tid)
         into.read_only = into.read_only and child.read_only
@@ -292,34 +300,60 @@ class TransactionManager:
         skip = (self.node.name, *others)
         return [child for child in info["children"] if child not in skip]
 
-    def _call_server(self, tid: TransactionID, server: str, op: str,
-                     body: dict, retries: int = 30,
-                     retry_ms: float = 1_000.0):
-        """Request/response with a data server, resilient to the server
-        process failing and being recovered mid-protocol: each retry
-        re-reads the (possibly rebound) port.  Raises after the retries
-        are exhausted."""
-        attempt = 0
-        while True:
+    def _call_servers(self, tid: TransactionID, servers: list[str], op: str,
+                      body: dict, retries: int = 30,
+                      retry_ms: float = 1_000.0):
+        """Request/response with a node's data servers, all at once: post
+        ``op`` to every one of ``servers`` (sends are asynchronous), then
+        collect the replies in the order given, so the exchange costs one
+        round trip whatever the server count.
+
+        Resilient to a server process failing and being recovered
+        mid-protocol: a server silent for ``retry_ms`` is posted to again
+        at its (possibly rebound) port, up to ``retries`` times in all;
+        servers that answered are not asked twice.  Returns ``(replies,
+        errors)``, both keyed by server -- the reply body, or the
+        exception that stands in for it: the server's own error, no port
+        under ``tid``, or retries exhausted.  Every reply is collected
+        before returning; what an error means is the caller's decision.
+        """
+        # The servers' spans open at the same instant: siblings under
+        # the caller's span, not each other's parent.
+        trace_parent = self._trace_parent(tid)
+        replies: dict[str, dict] = {}
+        errors: dict[str, Exception] = {}
+        silent = list(servers)
+        for _ in range(retries):
             state = self._states.get(tid)
-            port = state.server_ports.get(server) if state else None
-            if port is None:
-                raise InvalidTransaction(
-                    f"no port for server {server!r} under {tid}")
-            reply_port = Port(self.ctx, node=self.node,
-                              name=f"tm-reply:{op}")
-            port.send(Message(op=op, body=body, reply_to=reply_port))
-            deadline = Timeout(self.ctx.engine, retry_ms)
-            which, response = yield AnyOf(self.ctx.engine,
-                                          [reply_port.receive(), deadline])
-            if which == 0:
-                if "error" in response.body:
-                    raise response.body["error"]
-                return response.body
-            attempt += 1
-            if attempt >= retries:
-                raise TransactionAborted(
-                    tid, f"data server {server!r} unreachable for {op!r}")
+            posted = []
+            for server in silent:
+                port = state.server_ports.get(server) if state else None
+                if port is None:
+                    errors[server] = InvalidTransaction(
+                        f"no port for server {server!r} under {tid}")
+                    continue
+                reply_port = Port(self.ctx, node=self.node,
+                                  name=f"tm-reply:{op}")
+                port.send(Message(op=op, body=body, reply_to=reply_port,
+                                  trace_parent=trace_parent))
+                posted.append((server, reply_port))
+            silent = []
+            for server, reply_port in posted:
+                deadline = Timeout(self.ctx.engine, retry_ms)
+                which, response = yield AnyOf(
+                    self.ctx.engine, [reply_port.receive(), deadline])
+                if which != 0:
+                    silent.append(server)
+                elif "error" in response.body:
+                    errors[server] = response.body["error"]
+                else:
+                    replies[server] = response.body
+            if not silent:
+                break
+        for server in silent:
+            errors[server] = TransactionAborted(
+                tid, f"data server {server!r} unreachable for {op!r}")
+        return replies, errors
 
     # -- commit: application entry point --------------------------------------------
 
@@ -471,22 +505,16 @@ class TransactionManager:
                 for child in children:
                     self._send_datagram(child, "tm.prepare_req", {}, tid)
 
-            local_vote = "read_only"
-            for server in list(state.server_ports):
-                try:
-                    reply = yield from self._call_server(tid, server,
-                                                         "ds.prepare",
-                                                         {"tid": tid})
-                except Exception:
-                    local_vote = "abort"
-                    break
-                if reply["vote"] == "abort":
-                    local_vote = "abort"
-                    break
-                if reply["vote"] == "update":
-                    local_vote = "update"
-
-            combined = local_vote
+            replies, errors = yield from self._call_servers(
+                tid, list(state.server_ports), "ds.prepare", {"tid": tid})
+            votes = {reply["vote"] for reply in replies.values()}
+            if errors or "abort" in votes:
+                # A server that cannot be reached cannot promise anything.
+                combined = "abort"
+            elif "update" in votes:
+                combined = "update"
+            else:
+                combined = "read_only"
             if collection is not None:
                 remote_votes = yield from self._await_collection(
                     "vote", tid, self.vote_timeout_ms)
@@ -750,14 +778,10 @@ class TransactionManager:
                 self._open_collection("ack", tid, awaited)
             for child in children:
                 self._send_datagram(child, f"tm.{outcome}_req", {}, tid)
-            for server in list(state.server_ports):
-                try:
-                    yield from self._call_server(tid, server,
-                                                 f"ds.{outcome}", {"tid": tid})
-                except Exception:
-                    # An unreachable server lost its volatile state with
-                    # its process; there is nothing left to release there.
-                    continue
+            # Errors are dropped: an unreachable server lost its volatile
+            # state with its process; there is nothing left to release there.
+            yield from self._call_servers(tid, list(state.server_ports),
+                                          f"ds.{outcome}", {"tid": tid})
             if awaited:
                 acks = yield from self._await_collection(
                     "ack", tid, self.ack_timeout_ms)
@@ -833,12 +857,9 @@ class TransactionManager:
         # instructs servers to undo their effects (Section 3.2.2) ...
         yield from self.rm.abort_via_message(tid)
         # ... then the servers drop the transaction and release its locks.
-        for server in list(state.server_ports):
-            try:
-                yield from self._call_server(tid, server, "ds.abort",
-                                             {"tid": tid})
-            except Exception:
-                continue  # a dead server has no locks left to release
+        # (errors dropped: a dead server has no locks left to release)
+        yield from self._call_servers(tid, list(state.server_ports),
+                                      "ds.abort", {"tid": tid})
         if collection is not None:
             timeout_ms = self.vote_timeout_ms
             if self.peer_down_probe is not None:

@@ -344,8 +344,9 @@ class ReplicatedAccountServer(ReplicatedBalanceServer):
 
 
 class ReplicatedHistoryServer(ReplicatedServerMixin, HistoryServer):
-    """History strands as versioned cells, with the append split into
-    cursor-read / row-put / cursor-put so it can fan out to replicas."""
+    """History strands as versioned cells, with the append split into a
+    cursor read and one put (row and cursor) so it can fan out to
+    replicas."""
 
     GATED_READS = ("strand_count", "read_row", "strand_count_for_update")
 
@@ -395,6 +396,8 @@ class ReplicatedHistoryServer(ReplicatedServerMixin, HistoryServer):
         yield from lib.log_and_unpin(tid, oid)
 
     def op_put_row(self, body: dict, tid: TransactionID):
+        """Store the row at ``slot`` and move the strand's cursor past
+        it (the client read the cursor for update)."""
         strand, slot = int(body["strand"]), int(body["slot"])
         self._check_strand(strand)
         if not 0 <= slot < self.slots:
@@ -404,15 +407,10 @@ class ReplicatedHistoryServer(ReplicatedServerMixin, HistoryServer):
                int(body["teller"]), int(body["account"]))
         yield from self._put_cell(self.strands + strand * self.slots
                                   + slot + 1, row, tid)
+        yield from self._put_cell(1 + strand, slot + 1, tid)
         self.node.ctx.metrics.counter(self.node.name,
                                       "history_server.appends").inc()
         return {"slot": slot}
-
-    def op_put_strand_count(self, body: dict, tid: TransactionID):
-        strand = int(body["strand"])
-        self._check_strand(strand)
-        yield from self._put_cell(1 + strand, int(body["count"]), tid)
-        return {"count": int(body["count"])}
 
 
 # -- topology ------------------------------------------------------------------
@@ -641,8 +639,6 @@ def replicated_debitcredit_txn(rapp: ReplicatedApp,
                                "branch": spec.home_branch,
                                "teller": spec.teller,
                                "account": spec.account}, tid)
-    yield from rapp.write_all(history, "put_strand_count",
-                              {"strand": strand, "count": slot + 1}, tid)
 
 
 # -- the seeded workload driver ------------------------------------------------

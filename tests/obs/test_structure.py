@@ -35,9 +35,9 @@ REPLY_PORT_HOMES = {
     ("rpc/stubs.py", "_call_once"):
         "remote call: the receive races a time-out, and the port is "
         "destroyed so a late reply is dropped",
-    ("txn/manager.py", "_call_server"):
-        "retry loop against a data-server port that recovery may rebind "
-        "between attempts",
+    ("txn/manager.py", "_call_servers"):
+        "scatter/gather with a retry loop against data-server ports that "
+        "recovery may rebind between attempts",
 }
 
 

@@ -216,6 +216,10 @@ class TestWriteBehindSpans:
     a tree (tests/replication/test_write_behind.py has the mechanism)."""
 
     def test_rf2_transaction_parents_every_call_where_it_was_made(self):
+        """Twelve ``rpc:`` spans: four for-update reads at one copy and
+        four puts to both.  (Fourteen while the history append ended
+        with a separate ``put_strand_count``; ``put_row`` now stores the
+        cursor too.)"""
         from tests.replication.conftest import build_replicated
 
         from repro.workloads.debitcredit import (
@@ -237,9 +241,9 @@ class TestWriteBehindSpans:
         by_id = {span.span_id: span for span in tracer.spans}
         family = [span for span in tracer.spans if span.family == root.family]
         calls = [span for span in family if span.name.startswith("rpc:")]
-        # Five writes, each to both copies; four for-update reads.
-        assert len(calls) == 14
-        assert sum(span.attrs["target"] == "bank1" for span in calls) == 5
+        # Four writes, each to both copies; four for-update reads.
+        assert len(calls) == 12
+        assert sum(span.attrs["target"] == "bank1" for span in calls) == 4
         for call in calls:
             assert call.parent_id == root.span_id, call.name
         overlapped = [call for call in calls if any(
@@ -248,9 +252,49 @@ class TestWriteBehindSpans:
         assert overlapped, "no write-behind call overlapped a foreground one"
         operations = [span for span in family if span.name.startswith("ds:")
                       and not span.name.startswith("ds:ds.")]
-        assert len(operations) == 14
+        assert len(operations) == 12
         for operation in operations:
             call = by_id[operation.parent_id]
             assert call.name == "rpc:" + operation.name[len("ds:"):]
             assert call.attrs["target"] == operation.node
+        assert open_spans_on_live_nodes(cluster) == []
+
+
+class TestScatteredServerSpans:
+    """One family, four data-server calls in flight on one node: the
+    Transaction Manager stamps ``trace_parent`` on each, so the
+    ``ds:ds.*`` spans are siblings under the phase that sent them, not
+    a chain picked off the per-(family, node) stack."""
+
+    def test_local_debitcredit_servers_are_siblings_under_their_phase(self):
+        from repro.core.cluster import TabsCluster
+        from repro.core.config import WorkloadConfig
+        from repro.workloads import DebitCreditWorkload
+
+        cluster = TabsCluster(TabsConfig(seed=11, workload=WorkloadConfig(
+            branches=1, accounts_per_branch=50, tellers_per_branch=2)))
+        tracer = cluster.enable_tracing()
+        driver = DebitCreditWorkload(cluster, cluster.build_workload(),
+                                     seed=11)
+        driver.schedule_traffic(txns=6, spacing_ms=40.0)
+        driver.run(until_ms=1_000_000.0)
+        cluster.settle()
+        assert driver.stats.outcomes() == {"committed": 6}
+        by_id = {span.span_id: span for span in tracer.spans}
+        for op, phase in (("ds:ds.prepare", "2pc.prepare"),
+                          ("ds:ds.commit", "2pc.phase2")):
+            by_parent: dict[int, list] = {}
+            for span in tracer.spans:
+                if span.name == op:
+                    by_parent.setdefault(span.parent_id, []).append(span)
+            assert len(by_parent) == 6
+            for parent_id, siblings in by_parent.items():
+                parent = by_id[parent_id]
+                assert parent.name == phase
+                # account, teller, branch, history
+                assert len(siblings) == 4
+                assert len({span.attrs["server"] for span in siblings}) == 4
+                assert {span.node for span in siblings} == {parent.node}
+                assert {span.family for span in siblings} == {parent.family}
+                assert len({span.start_ms for span in siblings}) == 1
         assert open_spans_on_live_nodes(cluster) == []

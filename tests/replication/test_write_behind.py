@@ -81,9 +81,15 @@ def put(rapp, keyspace, row, balance, tid):
 
 def test_overlap_is_real_and_bounded():
     """An idle warm rf=2 DebitCredit transaction, begin to commit reply:
-    1 699.2 sim-ms with the copies written in sequence (the parent of
-    this change), 1 298.5 with them written behind -- and the same name
-    lookups and RPC attempts either way."""
+    1 699.2 sim-ms with the copies written in sequence, 1 298.5 with
+    them written behind -- and the same name lookups and RPC attempts
+    either way.  Today 1 171.9: the Transaction Manager prepares and
+    finishes each node's four servers in one exchange instead of four
+    (-60.0: -30 at the subordinate before its vote, -30 before its
+    ack), and the history append is one ``put_row`` that moves the
+    cursor too, where it was a put and a ``put_strand_count`` to the
+    same server (-66.6: one first-copy call, and one link less in the
+    write-behind chain the commit waits out)."""
     cluster, topology = build_replicated(seed=41)
     spec = TxnSpec(home_branch=0, teller=1, account_branch=0, account=1,
                    amount=5)
@@ -101,7 +107,7 @@ def test_overlap_is_real_and_bounded():
                                                  "rpc.retries")
     elapsed = run()
     assert elapsed < 1699.2 - 300.0
-    assert elapsed == pytest.approx(1298.5)
+    assert elapsed == pytest.approx(1171.9)
     assert broadcasts(cluster) == warm
     assert counter(cluster, "bank0", "rpc.retries") == retries == 0
     assert audit_replica_convergence(cluster) == []
