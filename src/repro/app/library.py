@@ -187,8 +187,13 @@ def call_in_transaction(app, name: str, node_name: str, op: str,
     """One operation on ``node_name``'s server ``name`` as a transaction
     of its own (generator returning the reply) -- the shape of every
     maintenance transaction: replica catch-up, shard copy, the
-    reconfiguration registry."""
+    reconfiguration registry.  Its root ``txn`` span says so
+    (``kind="maintenance"``), so a trace can tell the workload's commits
+    and log forces from the housekeeping's."""
     def one_call(tid):
+        tracer = app.ctx.tracer
+        if tracer is not None:
+            tracer.annotate(tracer.family_root(tid), kind="maintenance")
         ref = yield from app.lookup_one(name, node_name=node_name)
         reply = yield from app.call(ref, op, body, tid,
                                     timeout_ms=timeout_ms)

@@ -225,6 +225,12 @@ class Tracer:
         self._family_roots.setdefault(family, span_id)
         return span_id
 
+    def annotate(self, span_id: int, **attrs) -> None:
+        """Add attributes to a span that is still open (else ignored)."""
+        span = self._open.get(span_id)
+        if span is not None:
+            span.attrs.update(attrs)
+
     def end(self, span_id: int, **attrs) -> None:
         """Close a span (idempotent; unknown/closed ids are ignored)."""
         span = self._open.pop(span_id, None)

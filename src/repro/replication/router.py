@@ -7,19 +7,16 @@
   placement order when a replica is down, unreachable, or refuses with
   the post-recovery read barrier (each hop counts
   ``replication.read_failover``);
-- **read-for-update** (the read half of a read-modify-write) always
-  locks the *first* available copy in placement order, so two
-  transactions updating the same cell serialize at one site; the
-  touched node is recorded in the transaction's footprint because a
-  site failure would erase that write lock;
-- **writes** fan out to *all* available copies (``write_all``); writing
+- **writes** reach *all* available copies (``write_all``); writing
   fewer copies than the placement lists counts
-  ``replication.write_all_degraded``.  Only the first copy in placement
-  order is written synchronously -- its lock is what serialises
-  same-cell writers; the other copies are *write-behind*: home-node
-  processes, FIFO per replica server, that overlap the transaction's
-  next operations and are all joined before ``tm.end`` / ``tm.abort``
-  is sent (docs/REPLICATION.md "Write-behind copies").
+  ``replication.write_all_degraded``.  The op -- a blind write or a
+  whole read-modify-write -- executes at the *first* available copy in
+  placement order, failing over like a read, so two transactions
+  updating the same cell serialize at one site; its reply names the
+  absolute write the other copies store.  Those are *write-behind*:
+  home-node processes, FIFO per replica server, that overlap the
+  transaction's next operations and are all joined before ``tm.end`` /
+  ``tm.abort`` is sent (docs/REPLICATION.md "Write-behind copies").
 
 The router records a *footprint* per transaction -- which nodes
 received writes, which nodes served plain reads (each with the failure
@@ -174,29 +171,34 @@ class ReplicatedApp:
         self._footprint(tid)["read"].setdefault(
             node, self.view.fail_count(node))
 
-    def read(self, keyspace: str, op: str, body: dict,
-             tid: TransactionID, for_update: bool = False):
-        """Invoke a read op on any available copy of ``keyspace``.
+    def _available(self, keyspace: str) -> list[str]:
+        """The copies to address, in placement order.
 
-        The serving node is always recorded in the footprint: a site
-        failure erases read locks too, so a since-failed copy's read
-        must abort at commit or a concurrent writer committing at the
-        surviving copies would give the reader read skew.  With
-        ``for_update`` the op is expected to take a *write* lock and
-        the node is recorded in the written set instead -- an erased
-        write lock would permit a lost update, and rule 1 covers both
-        maps identically.  Serialization survives failover because every
-        contender walks the same placement order and sees the same
-        refusals, so same-cell writers lock at the same site; a lock
-        *conflict* (:class:`~repro.errors.LockTimeout`) deliberately
-        does not fail over -- shopping past a held lock is exactly the
-        two-writers-two-sites race the protocol exists to prevent.
+        The view can be stale (e.g. every peer suspected during a
+        partition that just healed): with none listed, try them all
+        rather than refusing outright.  Safe either way -- a copy that
+        is truly down raises mid-call, and one that was merely suspected
+        records its current fail count, which rule 1 re-checks at
+        commit.
         """
         placement = self.placement
-        # The view can be stale (e.g. every peer suspected during a
-        # partition that just healed): try them all before giving up.
-        candidates = (self.view.available_replicas(placement, keyspace)
-                      or list(placement.replicas(keyspace)))
+        return (self.view.available_replicas(placement, keyspace)
+                or list(placement.replicas(keyspace)))
+
+    def _first_to_answer(self, keyspace: str, op: str, body: dict,
+                         tid: TransactionID):
+        """Invoke ``op`` at the available copies of ``keyspace`` in
+        placement order until one answers (generator returning ``(node,
+        reply)``).
+
+        Failing over keeps serialization because every contender walks
+        the same placement order and sees the same refusals, so
+        same-cell writers lock at the same site; a lock *conflict*
+        (:class:`~repro.errors.LockTimeout`) deliberately does not fail
+        over -- shopping past a held lock is exactly the
+        two-writers-two-sites race the protocol exists to prevent.
+        """
+        candidates = self._available(keyspace)
         last_error: Exception | None = None
         for node in candidates:
             # Read your writes: nothing of this transaction is still on
@@ -205,62 +207,72 @@ class ReplicatedApp:
             try:
                 ref = yield from self.app.lookup_one(keyspace,
                                                      node_name=node)
-                result = yield from self.app.call(ref, op, body, tid)
+                reply = yield from self.app.call(ref, op, body, tid)
             except _FAILOVER_ERRORS as error:
                 self._counter("replication.read_failover").inc()
                 last_error = error
                 continue
-            if for_update:
-                self._record_write(tid, node)
-            else:
-                self._record_read(tid, node)
-            return result
+            return node, reply
         raise ReplicaUnavailable(
             f"no available copy of {keyspace!r} could serve {op!r} "
             f"(tried {candidates!r})") from last_error
+
+    def read(self, keyspace: str, op: str, body: dict,
+             tid: TransactionID):
+        """Invoke a read op on any available copy of ``keyspace``.
+
+        The serving node is always recorded in the footprint: a site
+        failure erases read locks too, so a since-failed copy's read
+        must abort at commit or a concurrent writer committing at the
+        surviving copies would give the reader read skew.
+        """
+        node, reply = yield from self._first_to_answer(keyspace, op, body,
+                                                       tid)
+        self._record_read(tid, node)
+        return reply
 
     def write_all(self, keyspace: str, op: str, body: dict,
                   tid: TransactionID):
         """Invoke a write op on *all* available copies of ``keyspace``.
 
-        Waits for the **first** available copy in placement order only,
-        and returns that copy's reply (they are deterministic writes of
-        the same value).  That call takes or re-enters the write lock at
-        the one site where same-cell writers serialise, which is what
-        keeps the fan-out deadlock-free: two blind writers issuing every
-        copy at once could each win one copy and sit out a lock
-        time-out.  Every other copy is *write-behind*: recorded in the
-        footprint now, written by a home-node process after the previous
+        ``op`` executes at the **first** available copy in placement
+        order that answers -- the one site where same-cell writers
+        serialise, whether ``op`` is a blind write or a
+        read-modify-write -- and that copy's reply is returned.  Taking
+        or re-entering the write lock there first is what keeps the
+        fan-out deadlock-free: two writers issuing every copy at once
+        could each win one copy and sit out a lock time-out.  A reply
+        may name, under ``"copy"``, the deterministic ``(op, body)`` the
+        other copies are to store instead (the absolute value a
+        read-modify-write computed); without it they get the same op.
+        Every other copy is *write-behind*: recorded in the footprint
+        now, written by a home-node process after the previous
         write-behind call of this transaction to the same replica server
         ``(node, key-space)`` has finished, and joined by
         :meth:`end_transaction` / :meth:`abort_transaction`.
 
-        A copy that fails raises -- here for the first copy, out of
-        ``end_transaction`` for a write-behind one; per the
+        A copy that fails raises -- here if none executes ``op``, out of
+        ``end_transaction`` for a write-behind one (a copy the walk
+        passed over and the view still lists is written behind like the
+        rest: catching up, it stores the value; dead, it fails the
+        join); per the
         available-copies rule the transaction must abort anyway, and
         commit-time validation backstops the case where the failure is
         only noticed later.
         """
-        placement = self.placement
-        replicas = placement.replicas(keyspace)
-        # Mirror read(): the view can be stale (every peer suspected
-        # during a partition that just healed), so try every placement
-        # replica rather than refusing outright.  Safe either way -- a
-        # copy that is truly down raises mid-call and aborts the
-        # transaction, and one that was merely suspected records its
-        # current fail count, which rule 1 re-checks at commit.
-        targets = (self.view.available_replicas(placement, keyspace)
-                   or list(replicas))
-        if len(targets) < len(replicas):
-            self._counter("replication.write_all_degraded").inc()
-        first, *behind = targets
-        yield from self._join_behind(tid, first)
-        ref = yield from self.app.lookup_one(keyspace, node_name=first)
-        result = yield from self.app.call(ref, op, body, tid)
+        first, reply = yield from self._first_to_answer(keyspace, op, body,
+                                                        tid)
+        op, body = reply.pop("copy", (op, body))
         self._record_write(tid, first)
         written = self._footprint(tid)["keyspaces"].setdefault(keyspace,
                                                                set())
         written.add(first)
+        # Asked again: a walk past a dead copy can outlast the detector's
+        # time-out, and the copies to write are those available *now*.
+        behind = [node for node in self._available(keyspace)
+                  if node != first]
+        if 1 + len(behind) < len(self.placement.replicas(keyspace)):
+            self._counter("replication.write_all_degraded").inc()
         copies = self._behind.setdefault(tid, []) if behind else []
         for node in behind:
             # Footprint at issue: commit-time rules 1 and 2 see every
@@ -275,7 +287,7 @@ class ReplicatedApp:
                                   tid),
                 name=f"write-behind:{tid}:{keyspace}@{node}",
                 defused=True)))
-        return result
+        return reply
 
     def _copy_behind(self, previous: Process | None, keyspace: str,
                      node: str, op: str, body: dict, tid: TransactionID):

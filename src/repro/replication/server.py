@@ -14,12 +14,13 @@ regress a cell.
 :class:`~repro.servers.base.BaseDataServer` subclass:
 
 - the post-recovery *read barrier*: while ``catchup_pending`` is set the
-  ops named in ``GATED_READS`` are refused with
+  ops named in ``GATED_OPS`` -- everything that reads a cell, the
+  read-modify-write ops included -- are refused with
   :class:`~repro.errors.ReplicaUnavailable`, so clients fail over to a
-  current copy.  Writes are *not* gated (a recovering copy must observe
-  new writes or it would recover forever behind), and neither are the
-  ``repl_*`` catch-up ops (two pending replicas may merge from each
-  other after a total shard outage).
+  current copy.  Absolute writes are *not* gated (a recovering copy must
+  observe new writes or it would recover forever behind), and neither
+  are the ``repl_*`` catch-up ops (two pending replicas may merge from
+  each other after a total shard outage).
 - ``repl_cells`` / ``repl_read_batch``: enumerate and copy the last
   committed value of each written cell (without queueing behind active
   writers), used by a peer's catch-up snapshot transaction.
@@ -58,8 +59,8 @@ def unpack_cell(raw: object) -> tuple[float, object]:
 class ReplicatedServerMixin:
     """Mix into a data server (before the base class) to make it a replica."""
 
-    #: user ops refused while this copy is catching up
-    GATED_READS: tuple[str, ...] = ()
+    #: user ops refused while this copy is catching up: they read
+    GATED_OPS: tuple[str, ...] = ()
     #: cell width in segment bytes (offset granularity)
     CELL_SIZE = 4
 
@@ -69,8 +70,8 @@ class ReplicatedServerMixin:
         self.catchup_pending = False
 
     def dispatch(self, op: str, body: dict, tid: TransactionID | None):
-        if self.catchup_pending and op in self.GATED_READS:
-            oid = self.for_update_oid(op, body)
+        if self.catchup_pending and op in self.GATED_OPS:
+            oid = self.serialising_oid(op, body)
             if oid is not None and tid is not None:
                 # Serialization must survive the barrier.  Same-row
                 # writers all lock the row at the first *up* copy in
@@ -87,11 +88,12 @@ class ReplicatedServerMixin:
         result = yield from super().dispatch(op, body, tid)
         return result
 
-    def for_update_oid(self, op: str, body: dict):
-        """The cell a ``*_for_update`` op would write-lock, or None.
+    def serialising_oid(self, op: str, body: dict):
+        """The cell a read-modify-write ``op`` would write-lock, or None.
 
-        Subclasses map their for-update ops here so the read barrier can
-        keep the lock-site order consistent while refusing the read.
+        Subclasses map the ops that serialise same-cell writers here so
+        the read barrier can keep the lock-site order consistent while
+        refusing the op.
         """
         return None
 

@@ -281,44 +281,48 @@ class HistoryServer(BaseDataServer):
 
 # -- replicated servers --------------------------------------------------------
 #
-# Under available-copies replication the read-modify-write moves to the
-# client: ``add_to_balance`` computes a different result on a stale copy,
-# so the replicated tiers expose a for-update read (write-locks the row
-# on *one* replica, via the router's first-available routing) and an
-# absolute ``put`` that fans out the computed value to every available
-# copy.  Cells become versioned tuples so a recovering replica's
-# catch-up can merge without regressing fresher local writes.
+# Under available-copies replication a read-modify-write computes a
+# different result on a stale copy, so it *executes* at one copy only --
+# the first available in placement order, where same-cell writers
+# serialise (``ReplicatedApp.write_all``) -- and its reply names, under
+# ``"copy"``, the absolute ``put`` every other available copy stores.
+# Cells become versioned tuples so a recovering replica's catch-up can
+# merge without regressing fresher local writes.
 
 
 class ReplicatedBalanceServer(ReplicatedServerMixin, BalanceServer):
     """A balance tier whose rows are replicated versioned cells."""
 
-    GATED_READS = ("get_balance", "get_balance_for_update")
+    GATED_OPS = ("get_balance", "add_to_balance")
 
-    def for_update_oid(self, op: str, body: dict):
-        if op == "get_balance_for_update":
+    def serialising_oid(self, op: str, body: dict):
+        if op == "add_to_balance":
             return self._row_oid(body["row"])
         return None
 
-    def _read_balance(self, body: dict, tid: TransactionID, mode):
-        oid = self._row_oid(body["row"])
+    def _read_balance(self, row: int, tid: TransactionID, mode):
+        oid = self._row_oid(row)
         yield from self.library.lock_object(tid, oid, mode)
         raw = yield from self.library.read_object(oid)
         _, value = unpack_cell(raw)
-        return {"balance": int(value) if value is not None else 0}
+        return int(value) if value is not None else 0
 
     def op_get_balance(self, body: dict, tid: TransactionID):
-        result = yield from self._read_balance(body, tid, READ)
-        return result
+        balance = yield from self._read_balance(body["row"], tid, READ)
+        return {"balance": balance}
 
-    def op_get_balance_for_update(self, body: dict, tid: TransactionID):
-        """The read half of the RMW: write-locks the row here, so
-        same-row contenders serialize at this replica."""
-        result = yield from self._read_balance(body, tid, WRITE)
-        return result
+    def op_add_to_balance(self, body: dict, tid: TransactionID):
+        """The read-modify-write, at the copy where same-row contenders
+        serialise: write-lock, add ``amount``, store.  ``"copy"`` is the
+        write the other copies store."""
+        old = yield from self._read_balance(body["row"], tid, WRITE)
+        put = {"row": body["row"], "balance": old + int(body["amount"])}
+        reply = yield from self.op_put_balance(put, tid)
+        reply["copy"] = ("put_balance", put)
+        return reply
 
     def op_put_balance(self, body: dict, tid: TransactionID):
-        """Store an absolute balance (the client computed the sum)."""
+        """Store an absolute balance (another copy computed the sum)."""
         oid = self._row_oid(body["row"])
         balance = int(body["balance"])
         lib = self.library
@@ -344,14 +348,13 @@ class ReplicatedAccountServer(ReplicatedBalanceServer):
 
 
 class ReplicatedHistoryServer(ReplicatedServerMixin, HistoryServer):
-    """History strands as versioned cells, with the append split into a
-    cursor read and one put (row and cursor) so it can fan out to
-    replicas."""
+    """History strands as versioned cells: ``append`` picks the slot at
+    one copy, ``put_row`` stores row and cursor at the others."""
 
-    GATED_READS = ("strand_count", "read_row", "strand_count_for_update")
+    GATED_OPS = ("strand_count", "read_row", "append")
 
-    def for_update_oid(self, op: str, body: dict):
-        if op == "strand_count_for_update":
+    def serialising_oid(self, op: str, body: dict):
+        if op == "append":
             return self._cell_oid(1 + int(body["strand"]))
         return None
 
@@ -361,26 +364,32 @@ class ReplicatedHistoryServer(ReplicatedServerMixin, HistoryServer):
         yield from self.library.lock_object(tid, oid, mode)
         raw = yield from self.library.read_object(oid)
         _, value = unpack_cell(raw)
-        return {"count": int(value) if value is not None else 0}
+        return int(value) if value is not None else 0
 
     def op_strand_count(self, body: dict, tid: TransactionID):
-        result = yield from self._read_count(int(body["strand"]), tid, READ)
-        return result
+        count = yield from self._read_count(int(body["strand"]), tid, READ)
+        return {"count": count}
 
-    def op_strand_count_for_update(self, body: dict, tid: TransactionID):
-        """Write-locks the strand cursor: appends to one strand
-        serialize at this replica."""
-        result = yield from self._read_count(int(body["strand"]), tid,
-                                             WRITE)
-        return result
+    def op_append(self, body: dict, tid: TransactionID):
+        """Append at the copy where one strand's appends serialise:
+        write-lock the cursor, store the row at the slot it names.
+        ``"copy"`` is the write the other copies store."""
+        slot = yield from self._read_count(int(body["strand"]), tid, WRITE)
+        put = {**body, "slot": slot}
+        reply = yield from self.op_put_row(put, tid)
+        reply["copy"] = ("put_row", put)
+        return reply
 
-    def op_read_row(self, body: dict, tid: TransactionID):
-        strand, slot = int(body["strand"]), int(body["slot"])
+    def _row_cell(self, strand: int, slot: int) -> int:
         self._check_strand(strand)
         if not 0 <= slot < self.slots:
-            raise RowOutOfRange(f"{self.name}: slot {slot} outside "
-                                f"0..{self.slots - 1}")
-        oid = self._cell_oid(self.strands + strand * self.slots + slot + 1)
+            raise RowOutOfRange(f"{self.name}: slot {slot} of strand "
+                                f"{strand} outside 0..{self.slots - 1}")
+        return self.strands + strand * self.slots + slot + 1
+
+    def op_read_row(self, body: dict, tid: TransactionID):
+        oid = self._cell_oid(self._row_cell(int(body["strand"]),
+                                            int(body["slot"])))
         yield from self.library.lock_object(tid, oid, READ)
         raw = yield from self.library.read_object(oid)
         _, row = unpack_cell(raw)
@@ -397,16 +406,12 @@ class ReplicatedHistoryServer(ReplicatedServerMixin, HistoryServer):
 
     def op_put_row(self, body: dict, tid: TransactionID):
         """Store the row at ``slot`` and move the strand's cursor past
-        it (the client read the cursor for update)."""
+        it (``append`` at another copy chose the slot); a slot past the
+        strand's end is the strand-full error."""
         strand, slot = int(body["strand"]), int(body["slot"])
-        self._check_strand(strand)
-        if not 0 <= slot < self.slots:
-            raise ServerError(f"{self.name}: strand {strand} full "
-                              f"({self.slots} rows)")
         row = (int(body["amount"]), int(body["branch"]),
                int(body["teller"]), int(body["account"]))
-        yield from self._put_cell(self.strands + strand * self.slots
-                                  + slot + 1, row, tid)
+        yield from self._put_cell(self._row_cell(strand, slot), row, tid)
         yield from self._put_cell(1 + strand, slot + 1, tid)
         self.node.ctx.metrics.counter(self.node.name,
                                       "history_server.appends").inc()
@@ -596,45 +601,28 @@ def debitcredit_txn(app, topology: DebitCreditTopology, spec: TxnSpec,
                          "account": spec.account}, tid)
 
 
-def _replicated_rmw(rapp: ReplicatedApp, keyspace: str, row: int,
-                    amount: int, tid: TransactionID):
-    """One replicated tier update: for-update read at the first
-    available copy, absolute put to all available copies."""
-    reply = yield from rapp.read(keyspace, "get_balance_for_update",
-                                 {"row": row}, tid, for_update=True)
-    yield from rapp.write_all(keyspace, "put_balance",
-                              {"row": row,
-                               "balance": reply["balance"] + amount}, tid)
-
-
 def replicated_debitcredit_txn(rapp: ReplicatedApp,
                                topology: DebitCreditTopology,
                                spec: TxnSpec, tid: TransactionID):
     """The transaction body over replicated tiers.
 
-    Same shape and global lock order as :func:`debitcredit_txn`
-    (accounts < tellers < branches < history, hot branch row last), but
-    each update is a client-side read-modify-write: the for-update read
-    locks the row at one replica (serializing same-row contenders
-    there), the computed absolute value fans out to every available
-    copy.  If any written copy fails before commit, commit-time
-    validation aborts the transaction.
+    Same four operations, same shape and global lock order as
+    :func:`debitcredit_txn` (accounts < tellers < branches < history,
+    hot branch row last): each update executes at the first available
+    copy of its key-space, which serialises same-row contenders, and the
+    absolute value it computed is written behind to every other
+    available copy.  If any written copy fails before commit,
+    commit-time validation aborts the transaction.
     """
-    yield from _replicated_rmw(
-        rapp, topology.account_server(spec.account_branch), spec.account,
-        spec.amount, tid)
-    yield from _replicated_rmw(
-        rapp, topology.teller_server(spec.home_branch), spec.teller,
-        spec.amount, tid)
-    yield from _replicated_rmw(
-        rapp, topology.branch_server(spec.home_branch), 1, spec.amount, tid)
-    history = topology.history_server(spec.home_branch)
-    strand = spec.teller - 1
-    reply = yield from rapp.read(history, "strand_count_for_update",
-                                 {"strand": strand}, tid, for_update=True)
-    slot = reply["count"]
-    yield from rapp.write_all(history, "put_row",
-                              {"strand": strand, "slot": slot,
+    for keyspace, row in (
+            (topology.account_server(spec.account_branch), spec.account),
+            (topology.teller_server(spec.home_branch), spec.teller),
+            (topology.branch_server(spec.home_branch), 1)):
+        yield from rapp.write_all(keyspace, "add_to_balance",
+                                  {"row": row, "amount": spec.amount}, tid)
+    yield from rapp.write_all(topology.history_server(spec.home_branch),
+                              "append",
+                              {"strand": spec.teller - 1,
                                "amount": spec.amount,
                                "branch": spec.home_branch,
                                "teller": spec.teller,

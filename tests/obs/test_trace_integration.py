@@ -183,8 +183,14 @@ class TestNoSpanLeftOpen:
 
     def test_replicated_chaos_with_write_behind_copies_in_flight(self):
         """Detached spans are on no node stack; a crash (the home node's
-        or the copy's) and the join must still close every one."""
-        from tests.chaos.test_replication import ROLLING_PLAN, WORKLOAD
+        or the copy's) and the join must still close every one.
+
+        The rolling plan of tests/chaos/test_replication.py with both
+        crashes 100 ms earlier: since each tier is one serialising call
+        and one copy (not a read, a put and a copy), bank1 has nothing
+        in flight at 2 000 ms; at 1 900 ms it dies with a remote
+        ``add_to_balance`` and a write-behind ``put_balance`` open."""
+        from tests.chaos.test_replication import WORKLOAD
 
         from repro.core.cluster import TabsCluster
         from repro.core.config import ReplicationConfig
@@ -195,7 +201,10 @@ class TestNoSpanLeftOpen:
             replication=ReplicationConfig.available_copies()))
         topology = cluster.build_workload()
         cluster.enable_tracing()
-        controller = ChaosController(cluster, ROLLING_PLAN, seed=515)
+        plan = FaultPlan.of(
+            CrashAt(1_900.0, "bank1", restart_after_ms=5_000.0),
+            CrashAt(10_900.0, "bank0", restart_after_ms=5_000.0))
+        controller = ChaosController(cluster, plan, seed=515)
         controller.install()
         driver = DebitCreditWorkload(cluster, topology,
                                      controller=controller, seed=515)
@@ -205,7 +214,7 @@ class TestNoSpanLeftOpen:
         spans = cluster.ctx.tracer.spans
         roots = {span.span_id for span in spans if span.name == "txn"}
         assert any(span.attrs.get("truncated") == "crash"
-                   and span.name.startswith("rpc:")
+                   and span.name.startswith("rpc:put_")
                    and span.attrs["target"] != span.node
                    and span.parent_id in roots for span in spans)
         assert open_spans_on_live_nodes(cluster) == []
@@ -216,10 +225,11 @@ class TestWriteBehindSpans:
     a tree (tests/replication/test_write_behind.py has the mechanism)."""
 
     def test_rf2_transaction_parents_every_call_where_it_was_made(self):
-        """Twelve ``rpc:`` spans: four for-update reads at one copy and
-        four puts to both.  (Fourteen while the history append ended
-        with a separate ``put_strand_count``; ``put_row`` now stores the
-        cursor too.)"""
+        """Eight ``rpc:`` spans: four serialising calls at the home
+        copy (three ``add_to_balance``, one ``append``) and the four
+        puts they name at the other.  (Twelve while each tier was a
+        for-update read at one copy and a put to both; fourteen while
+        the history append ended with a separate ``put_strand_count``.)"""
         from tests.replication.conftest import build_replicated
 
         from repro.workloads.debitcredit import (
@@ -241,8 +251,8 @@ class TestWriteBehindSpans:
         by_id = {span.span_id: span for span in tracer.spans}
         family = [span for span in tracer.spans if span.family == root.family]
         calls = [span for span in family if span.name.startswith("rpc:")]
-        # Four writes, each to both copies; four for-update reads.
-        assert len(calls) == 12
+        # Four serialising calls here, the four copies they name there.
+        assert len(calls) == 8
         assert sum(span.attrs["target"] == "bank1" for span in calls) == 4
         for call in calls:
             assert call.parent_id == root.span_id, call.name
@@ -252,11 +262,18 @@ class TestWriteBehindSpans:
         assert overlapped, "no write-behind call overlapped a foreground one"
         operations = [span for span in family if span.name.startswith("ds:")
                       and not span.name.startswith("ds:ds.")]
-        assert len(operations) == 12
+        assert len(operations) == 8
         for operation in operations:
             call = by_id[operation.parent_id]
             assert call.name == "rpc:" + operation.name[len("ds:"):]
             assert call.attrs["target"] == operation.node
+            # The update executes where the client is; only the
+            # absolute value it computed travels.
+            assert operation.node == (
+                "bank1" if operation.name.startswith("ds:put_") else "bank0")
+        assert sorted(operation.name for operation in operations) == (
+            ["ds:add_to_balance"] * 3 + ["ds:append"]
+            + ["ds:put_balance"] * 3 + ["ds:put_row"])
         assert open_spans_on_live_nodes(cluster) == []
 
 

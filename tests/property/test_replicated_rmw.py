@@ -1,0 +1,130 @@
+"""Property test: the serialising call counts every committed add once.
+
+Under rf=2 a DebitCredit update executes at the first available copy of
+its key-space and the absolute value it computed is written behind to
+the other (docs/REPLICATION.md "Write-behind copies").  Whatever the
+interleaving of a handful of transactions on ONE account, teller, branch
+row and history strand, issued from two home nodes -- one holding the
+first copy, one holding none -- and whichever copy is out of service:
+
+- every caught-up copy of every tier ends at the sum of the committed
+  amounts (nothing lost, nothing applied twice),
+- the history strand holds exactly the committed rows, and
+- the replica-convergence audit is clean.
+"""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.cluster import TabsCluster
+from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
+from repro.errors import (
+    CommunicationError,
+    LockTimeout,
+    LookupFailed,
+    ReplicaUnavailable,
+    TransactionAborted,
+)
+from repro.replication import audit_replica_convergence
+from repro.sim import Timeout
+from repro.workloads.debitcredit import TxnSpec, replicated_debitcredit_txn
+
+HOMES = ("bank0", "bank2")   # first copy here / no copy here
+COPIES = ("bank0", "bank1")  # branch 0's key-spaces, in placement order
+
+
+def state_at(cluster, topology, node):
+    """(account, teller, branch, history amounts) of the contended rows
+    as the copies on ``node`` hold them."""
+    app = cluster.application(node)
+
+    def txn():
+        tid = yield from app.begin_transaction()
+        balances = []
+        for keyspace in (topology.account_server(0),
+                         topology.teller_server(0),
+                         topology.branch_server(0)):
+            ref = yield from app.lookup_one(keyspace, node_name=node)
+            reply = yield from app.call(ref, "get_balance", {"row": 1}, tid)
+            balances.append(reply["balance"])
+        ref = yield from app.lookup_one(topology.history_server(0),
+                                        node_name=node)
+        reply = yield from app.call(ref, "strand_count", {"strand": 0}, tid)
+        amounts = []
+        for slot in range(reply["count"]):
+            row = yield from app.call(ref, "read_row",
+                                      {"strand": 0, "slot": slot}, tid)
+            amounts.append(row["row"][0])
+        yield from app.end_transaction(tid)
+        return (*balances, amounts)
+
+    return cluster.run_on(node, txn())
+
+
+@given(adds=st.lists(
+    st.tuples(st.sampled_from(HOMES),
+              st.integers(min_value=-50, max_value=50).filter(bool),
+              st.floats(min_value=0.0, max_value=1_500.0),   # starts at
+              st.floats(min_value=0.0, max_value=100.0),     # holds for
+              st.booleans()),                                # commits
+    min_size=1, max_size=6),
+    outage=st.sampled_from(["none", "first catching up", "second down"]),
+    barrier_ms=st.floats(min_value=0.0, max_value=3_000.0))
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_every_committed_add_is_counted_once_on_every_caught_up_copy(
+        adds, outage, barrier_ms):
+    cluster = TabsCluster(TabsConfig(
+        replication=ReplicationConfig.available_copies(),
+        workload=WorkloadConfig(branches=3, accounts_per_branch=10,
+                                tellers_per_branch=1)))
+    topology = cluster.build_workload()
+    keyspaces = [topology.account_server(0), topology.teller_server(0),
+                 topology.branch_server(0), topology.history_server(0)]
+    for keyspace in keyspaces:
+        assert cluster.placement.replicas(keyspace) == COPIES
+    engine = cluster.engine
+    if outage == "first catching up":
+        servers = [cluster.node("bank0").servers[keyspace]
+                   for keyspace in keyspaces]
+        for server in servers:
+            server.catchup_pending = True
+        engine.schedule(barrier_ms, lambda: [
+            setattr(server, "catchup_pending", False) for server in servers])
+    elif outage == "second down":
+        cluster.crash_node("bank1")
+        for home in HOMES:
+            cluster.node(home).replication.view.observe(
+                engine.now, home, "suspect", "bank1")
+    committed = []
+
+    def client(home, amount, start_ms, hold_ms, commits):
+        rapp = cluster.replicated_application(home)
+        spec = TxnSpec(home_branch=0, teller=1, account_branch=0, account=1,
+                       amount=amount)
+        yield Timeout(engine, start_ms)
+        tid = yield from rapp.begin_transaction()
+        try:
+            yield from replicated_debitcredit_txn(rapp, topology, spec, tid)
+            yield Timeout(engine, hold_ms)
+            if commits:
+                if (yield from rapp.end_transaction(tid)):
+                    committed.append(amount)
+                return
+        except (LockTimeout, ReplicaUnavailable, TransactionAborted,
+                CommunicationError, LookupFailed):
+            pass
+        yield from rapp.abort_transaction(tid)
+
+    for add in adds:
+        cluster.spawn_on(add[0], client(*add))
+    cluster.settle(extra_ms=barrier_ms)
+    if outage == "second down":
+        cluster.restart_node("bank1")
+        cluster.settle(extra_ms=30_000.0)
+    total = sum(committed)
+    for node in COPIES:
+        account, teller, branch, history = state_at(cluster, topology, node)
+        assert account == teller == branch == total, (node, committed)
+        assert sorted(history) == sorted(committed), (node, committed)
+    assert audit_replica_convergence(cluster) == []

@@ -93,12 +93,8 @@ class TestDegradedWrites:
             0.0, "bank0", "suspect", "bank1")
 
         def update(tid):
-            reply = yield from rapp.read(keyspace, "get_balance_for_update",
-                                         {"row": 1}, tid, for_update=True)
-            yield from rapp.write_all(keyspace, "put_balance",
-                                      {"row": 1,
-                                       "balance": reply["balance"] + 100},
-                                      tid)
+            yield from rapp.write_all(keyspace, "add_to_balance",
+                                      {"row": 1, "amount": 100}, tid)
 
         cluster.run_on("bank0", rapp.run_transaction(update))
         after = cluster.run_on("bank0", read_balance())

@@ -26,10 +26,12 @@ def run_txn(cluster, topology, home, spec):
 
 
 def test_second_transaction_on_a_warm_node_broadcasts_nothing():
-    """Twelve ``lookup_one`` calls per transaction: four for-update
-    reads and four puts to two copies each.  (Fourteen while the history
-    append was a ``put_row`` and a ``put_strand_count``; the row put now
-    moves the cursor itself.)"""
+    """Eight ``lookup_one`` calls per transaction: four serialising
+    calls (three ``add_to_balance``, one ``append``) and the four copies
+    they name.  (Twelve while each tier was a for-update read and a put
+    to two copies -- the read carried a number to the client only for
+    the client to send it straight back; fourteen while the history
+    append was a ``put_row`` and a ``put_strand_count``.)"""
     cluster, topology = build_replicated(seed=41)
     spec = TxnSpec(home_branch=0, teller=1, account_branch=0, account=1,
                    amount=5)
@@ -42,8 +44,8 @@ def test_second_transaction_on_a_warm_node_broadcasts_nothing():
     run_txn(cluster, topology, "bank0", spec)
     assert broadcasts(cluster) == warm
     assert counter(cluster, "bank0", "ns.lookups") == asked
-    # all twelve lookup_one calls of an rf=2 DebitCredit transaction
-    assert counter(cluster, "bank0", "ns.bind_hits") - hits == 12
+    # all eight lookup_one calls of an rf=2 DebitCredit transaction
+    assert counter(cluster, "bank0", "ns.bind_hits") - hits == 8
     assert audit_replica_convergence(cluster) == []
 
 

@@ -59,12 +59,8 @@ class TestReadBarrier:
         rapp = cluster.replicated_application("bank0")
 
         def seed_write(tid):
-            reply = yield from rapp.read(keyspace, "get_balance_for_update",
-                                         {"row": 1}, tid, for_update=True)
-            yield from rapp.write_all(keyspace, "put_balance",
-                                      {"row": 1,
-                                       "balance": reply["balance"] + 1},
-                                      tid)
+            yield from rapp.write_all(keyspace, "add_to_balance",
+                                      {"row": 1, "amount": 1}, tid)
 
         cluster.run_on("bank0", rapp.run_transaction(seed_write))
         cluster.node("bank1").servers[keyspace].catchup_pending = True

@@ -46,7 +46,8 @@ class ScriptedApp:
     commit is refused."""
 
     def __init__(self, cells=0, fail=None, refuse=()):
-        self.ctx = SimpleNamespace(engine=Engine(), random=ScriptedRandom())
+        self.ctx = SimpleNamespace(engine=Engine(), random=ScriptedRandom(),
+                                   tracer=None)
         self.offsets = list(range(0, 4 * cells, 4))
         self.fail = fail or (lambda op, node, body: None)
         self.refuse = set(refuse)

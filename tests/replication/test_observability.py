@@ -8,10 +8,17 @@ Two signals ride on the metrics registry when replication is enabled:
   dashboard shows redundancy eroding before anything fails outright.
 - ``replica.catchup_wait_ms`` -- a histogram of how long each recovering
   shard's read barrier stayed up: the per-shard degraded-service window.
+
+And the commit's own account (ROADMAP item 7(a)): which log forces and
+datagrams are the workload transaction's, and which spans say a
+transaction is housekeeping.
 """
 
+from tests.reconfig.conftest import counter
 from tests.replication.conftest import build_replicated
 
+from repro.kernel.costs import Primitive
+from repro.perf.pathmodel import commit_path
 from repro.workloads.debitcredit import TxnSpec, replicated_debitcredit_txn
 
 
@@ -109,3 +116,76 @@ class TestCatchupWaitHistogram:
         snapshot = cluster.metrics.snapshot()
         assert not any("catchup_wait" in name
                        for name in snapshot["histograms"])
+
+
+class TestWhoseForcesTheyAre:
+    def test_idle_rf2_commit_is_three_forces_and_four_datagrams(self):
+        """The two-node update row of Table 5-3, ``commit_path(2,
+        update=True)``: PREPARED forced at the subordinate, COMMITTED at
+        both; prepare, vote, commit, ack.  Everything a loaded run counts
+        above that per commit is other transactions' -- aborted attempts,
+        three-node commits, maintenance -- not this one's."""
+        cluster, topology = build_replicated(seed=41)
+        rapp = cluster.replicated_application("bank0")
+        spec = TxnSpec(home_branch=0, teller=1, account_branch=0,
+                       account=1, amount=5)
+
+        def run():
+            cluster.run_on("bank0", rapp.run_transaction(
+                lambda tid: replicated_debitcredit_txn(rapp, topology, spec,
+                                                       tid)))
+            cluster.settle()
+
+        def counts():
+            return (counter(cluster, "bank0", "wal.forces"),
+                    counter(cluster, "bank1", "wal.forces"),
+                    cluster.meter.count(Primitive.DATAGRAM))
+
+        run()   # warm: binds bank1's copies
+        before = counts()
+        run()
+        home, subordinate, datagrams = (
+            now - then for now, then in zip(counts(), before))
+        assert (home, subordinate) == (1, 2)
+        assert datagrams == 4
+        path = commit_path(2, update=True)
+        assert (home + subordinate, datagrams) == (path.stable_writes,
+                                                   path.datagrams)
+
+    def test_maintenance_transactions_say_so_on_their_root_span(self):
+        """Catch-up runs a stream of one-call transactions
+        (``call_in_transaction``); their ``txn`` roots carry
+        ``kind="maintenance"``, the workload's carry nothing."""
+        cluster, topology = build_replicated(seed=67)
+        tracer = cluster.enable_tracing()
+        rapp = cluster.replicated_application("bank0")
+
+        def run_txn(spec):
+            cluster.run_on("bank0", rapp.run_transaction(
+                lambda tid: replicated_debitcredit_txn(rapp, topology, spec,
+                                                       tid)))
+
+        run_txn(TxnSpec(home_branch=0, teller=1, account_branch=0,
+                        account=1, amount=25))
+        cluster.crash_node("bank1")
+        cluster.node("bank0").replication.view.observe(
+            0.0, "bank0", "suspect", "bank1")
+        run_txn(TxnSpec(home_branch=0, teller=2, account_branch=0,
+                        account=2, amount=40))
+        cluster.restart_node("bank1")
+        cluster.settle(extra_ms=5_000.0)
+
+        by_id = {span.span_id: span for span in tracer.spans}
+        roots = [span for span in tracer.spans if span.name == "txn"]
+        maintenance = [span for span in roots
+                       if span.attrs.get("kind") == "maintenance"]
+        assert len(roots) - len(maintenance) == 2   # the two run_txn
+        assert maintenance and {span.node for span in maintenance} \
+            == {"bank1"}
+        # Every repl_* call hangs off a maintenance root, and nothing
+        # else does.
+        for span in tracer.spans:
+            if span.name.startswith("rpc:"):
+                root = by_id[span.parent_id]
+                assert (root.attrs.get("kind") == "maintenance") \
+                    == span.name.startswith("rpc:repl_"), span.name

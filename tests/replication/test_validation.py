@@ -12,7 +12,6 @@ refuses the commit.
 from tests.replication.conftest import build_replicated
 
 from repro.replication import AvailabilityView, PlacementMap, validate_footprint
-from repro.workloads.debitcredit import _replicated_rmw
 
 
 def make_view(down=(), counts=None):
@@ -102,8 +101,9 @@ def flap_transaction(cluster, topology, events):
 
     def txn():
         tid = yield from rapp.begin_transaction()
-        yield from _replicated_rmw(rapp, topology.account_server(0), 1, 7,
-                                   tid)
+        yield from rapp.write_all(topology.account_server(0),
+                                  "add_to_balance",
+                                  {"row": 1, "amount": 7}, tid)
         for event in events:
             view.observe(0.0, "bank0", event, "bank1")
         committed = yield from rapp.end_transaction(tid)
@@ -152,8 +152,9 @@ class TestCommitTimeValidation:
         rapp = cluster.replicated_application("bank0")
 
         def retry(tid):
-            yield from _replicated_rmw(rapp, topology.account_server(0),
-                                       1, 7, tid)
+            yield from rapp.write_all(topology.account_server(0),
+                                      "add_to_balance",
+                                      {"row": 1, "amount": 7}, tid)
 
         cluster.run_on("bank0", rapp.run_transaction(retry))
         assert validation_aborts(cluster) == 1

@@ -89,7 +89,12 @@ def test_overlap_is_real_and_bounded():
     ack), and the history append is one ``put_row`` that moves the
     cursor too, where it was a put and a ``put_strand_count`` to the
     same server (-66.6: one first-copy call, and one link less in the
-    write-behind chain the commit waits out)."""
+    write-behind chain the commit waits out).  Then 1 067.5: each tier
+    is one call to the copy that serialises it -- ``add_to_balance``
+    (54.5) where it was ``get_balance_for_update`` + ``put_balance``
+    (32.1 + 48.5), ``append`` (76.9) where it was
+    ``strand_count_for_update`` + ``put_row`` (32.1 + 70.9) -- so one
+    26.1 sim-ms local data-server call less per tier (-104.4)."""
     cluster, topology = build_replicated(seed=41)
     spec = TxnSpec(home_branch=0, teller=1, account_branch=0, account=1,
                    amount=5)
@@ -107,7 +112,7 @@ def test_overlap_is_real_and_bounded():
                                                  "rpc.retries")
     elapsed = run()
     assert elapsed < 1699.2 - 300.0
-    assert elapsed == pytest.approx(1171.9)
+    assert elapsed == pytest.approx(1067.5)
     assert broadcasts(cluster) == warm
     assert counter(cluster, "bank0", "rpc.retries") == retries == 0
     assert audit_replica_convergence(cluster) == []
@@ -143,7 +148,8 @@ def hold_row_at(cluster, node, keyspace, row, for_ms):
     def holder():
         tid = yield from app.begin_transaction()
         ref = yield from app.lookup_one(keyspace, node_name=node)
-        yield from app.call(ref, "get_balance_for_update", {"row": row}, tid)
+        yield from app.call(ref, "add_to_balance",
+                            {"row": row, "amount": 0}, tid)
         yield Timeout(cluster.engine, for_ms)
         released_at.append(cluster.engine.now)
         yield from app.abort_transaction(tid)
@@ -281,9 +287,8 @@ def test_home_node_crash_takes_the_copy_processes_with_it():
 
     def txn():
         tid = yield from rapp.begin_transaction()
-        reply = yield from rapp.read(keyspace, "get_balance_for_update",
-                                     {"row": 4}, tid, for_update=True)
-        yield from put(rapp, keyspace, 4, reply["balance"] + 9, tid)
+        yield from rapp.write_all(keyspace, "add_to_balance",
+                                  {"row": 4, "amount": 9}, tid)
         seen["tid"] = tid
         seen["copies"] = copy_processes(cluster, "bank0", tid)
         # From the engine, as a fault plan would: a process cannot pull

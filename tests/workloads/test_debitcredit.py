@@ -409,12 +409,9 @@ class TestConservationOracle:
             rapp = cluster.replicated_application("bank0")
 
             def stray(tid):
-                reply = yield from rapp.read(
-                    "tellers0", "get_balance_for_update", {"row": 1}, tid,
-                    for_update=True)
                 yield from rapp.write_all(
-                    "tellers0", "put_balance",
-                    {"row": 1, "balance": reply["balance"] + 7}, tid)
+                    "tellers0", "add_to_balance", {"row": 1, "amount": 7},
+                    tid)
 
             cluster.run_on("bank0", rapp.run_transaction(stray))
         else:
