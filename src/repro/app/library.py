@@ -44,6 +44,9 @@ class ApplicationLibrary:
         self.names = NameServerLibrary(node)
         #: when True, begin/end flip the cost meter's phase markers
         self.measured = measured
+        #: the reason the Transaction Manager gave for the last
+        #: EndTransaction it refused through this library
+        self.refusal = ""
 
     # -- Table 3-2 --------------------------------------------------------------
 
@@ -81,6 +84,8 @@ class ApplicationLibrary:
             if self.measured:
                 self.ctx.meter.phase = Phase.PRE_COMMIT
         committed = body["committed"]
+        if not committed:
+            self.refusal = body["reason"]
         if self.ctx.tracer is not None and tid.is_toplevel:
             self.ctx.tracer.end(self.ctx.tracer.family_root(tid),
                                 committed=committed)
@@ -151,12 +156,14 @@ def run_transaction(app, body_fn: Callable, retries: int = 0,
     body's result.
 
     Aborts on exception and re-raises; a refused commit raises
-    :class:`~repro.errors.TransactionAborted`.  ``end_transaction`` sits
-    inside the handler because it can raise too (a replicated
-    transaction's write-behind copy that failed surfaces there), and the
-    transaction must then be aborted, not left holding its locks until a
-    time-out.  With ``retries`` > 0, a transaction that aborts with one
-    of ``retryable`` (a deadlock time-out, say) is retried after a
+    :class:`~repro.errors.TransactionAborted` with the reason the
+    Transaction Manager gave (``app.refusal``, where ``app`` keeps it).
+    A replicated transaction's write-behind copy that failed is such a
+    refusal, not an exception out of ``end_transaction``; that still
+    sits inside the handler because, should it raise, the transaction
+    must be aborted, not left holding its locks until a time-out.  With
+    ``retries`` > 0, a transaction that aborts with one of
+    ``retryable`` (a deadlock time-out, say) is retried after a
     randomized backoff -- without the jitter, deterministic contenders
     would re-create the same deadlock forever.
     """
@@ -178,7 +185,9 @@ def run_transaction(app, body_fn: Callable, retries: int = 0,
         if committed:
             return result
         if attempt >= retries:
-            raise TransactionAborted(tid, "commit failed")
+            # (a stand-in for the library need not keep a reason)
+            raise TransactionAborted(
+                tid, getattr(app, "refusal", "") or "commit failed")
         attempt += 1
 
 

@@ -45,6 +45,8 @@ class _Registration:
 class _PendingLookup:
     name: str
     wanted: int
+    #: only references on this node count ("" = any node)
+    node_name: str = ""
     collected: list[ServiceRef] = field(default_factory=list)
     done: Event | None = None
 
@@ -105,16 +107,18 @@ class NameServer:
             # The broadcast also serves node-filtered lookups: the name may
             # live on another node (e.g. re-resolving a stale reference
             # after the serving node restarted).
-            refs.extend(r for r in (yield from self._broadcast_lookup(
-                body["name"], wanted - len(refs), max_wait_ms))
-                if not node_filter or r.node_name == node_filter)
+            refs.extend((yield from self._broadcast_lookup(
+                body["name"], wanted - len(refs), max_wait_ms,
+                node_filter)))
         respond(message, {"refs": refs[:wanted]})
 
     def _broadcast_lookup(self, name: str, wanted: int,
-                          max_wait_ms: float):
-        """Ask every other Name Server; wait for answers or the deadline."""
+                          max_wait_ms: float, node_name: str):
+        """Ask every other Name Server; wait for ``wanted`` references
+        (on ``node_name``, if given) or the deadline."""
         lookup_id = next(_lookup_ids)
         pending = _PendingLookup(name=name, wanted=wanted,
+                                 node_name=node_name,
                                  done=Event(self.ctx.engine,
                                             name=f"lookup:{name}"))
         self._pending[lookup_id] = pending
@@ -149,7 +153,11 @@ class NameServer:
         pending = self._pending.get(message.body["lookup_id"])
         if pending is None:
             return  # the lookup already completed or timed out
-        pending.collected.extend(message.body["refs"])
+        # A filtered lookup completes on the named node's answer, not on
+        # the first holder's: another copy answering sooner is no answer.
+        pending.collected.extend(
+            ref for ref in message.body["refs"]
+            if not pending.node_name or ref.node_name == pending.node_name)
         if (len(pending.collected) >= pending.wanted
                 and not pending.done.triggered):
             pending.done.succeed()

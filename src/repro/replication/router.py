@@ -15,8 +15,11 @@
   updating the same cell serialize at one site; its reply names the
   absolute write the other copies store.  Those are *write-behind*:
   home-node processes, FIFO per replica server, that overlap the
-  transaction's next operations and are all joined before ``tm.end`` /
-  ``tm.abort`` is sent (docs/REPLICATION.md "Write-behind copies").
+  transaction's next operations.  ``tm.abort`` is sent once they have
+  all finished; ``tm.end`` carries the ones still running to the
+  coordinator -- the home node's Transaction Manager -- which joins
+  them just before it prepares (docs/REPLICATION.md "Write-behind
+  copies").
 
 The router records a *footprint* per transaction -- which nodes
 received writes, which nodes served plain reads (each with the failure
@@ -40,7 +43,7 @@ from repro.errors import (
     ReplicaUnavailable,
     TransactionAborted,
 )
-from repro.sim import Process
+from repro.sim import Process, join_all
 from repro.txn.ids import TransactionID
 
 #: per-target failures that mean "try another copy", not "give up"
@@ -103,14 +106,16 @@ class ReplicatedApp:
         return tid
 
     def end_transaction(self, tid: TransactionID):
+        """Ask for the outcome at once (generator; True iff committed).
+
+        The write-behind copies still running go with the footprint, in
+        issue order, to the coordinator: it overlaps them with its own
+        EndTransaction bookkeeping and joins them just before it
+        prepares.  A copy that failed aborts the transaction there, and
+        this returns False with a reason naming the copy's error.
+        """
         footprint = self._footprints.pop(tid, None)
-        # Every copy's write has executed before the outcome is asked
-        # for.  A copy that failed aborts the transaction exactly as a
-        # failed ``write_all`` does: the caller turns the exception into
-        # ``abort_transaction``.
-        failure = yield from self._join_behind(tid)
-        if failure is not None:
-            raise failure
+        copies = self._behind.pop(tid, ())
         extra = None
         if footprint and (footprint["written"] or footprint["read"]):
             shipped = {
@@ -120,9 +125,15 @@ class ReplicatedApp:
                               in footprint["keyspaces"].items()}}
             if "epoch" in footprint:
                 shipped["epoch"] = footprint["epoch"]
-            extra = {"replication": shipped}
+            extra = {"replication": shipped,
+                     "copies": [copy for _, _, copy in copies]}
         committed = yield from self.app.end_transaction(tid, extra=extra)
         return committed
+
+    @property
+    def refusal(self) -> str:
+        """Why the last refused EndTransaction was refused."""
+        return self.app.refusal
 
     def abort_transaction(self, tid: TransactionID, reason: str = ""):
         self._footprints.pop(tid, None)
@@ -248,17 +259,17 @@ class ReplicatedApp:
         Every other copy is *write-behind*: recorded in the footprint
         now, written by a home-node process after the previous
         write-behind call of this transaction to the same replica server
-        ``(node, key-space)`` has finished, and joined by
-        :meth:`end_transaction` / :meth:`abort_transaction`.
+        ``(node, key-space)`` has finished, and joined by the coordinator
+        before it prepares (:meth:`end_transaction`) or by
+        :meth:`abort_transaction`.
 
-        A copy that fails raises -- here if none executes ``op``, out of
-        ``end_transaction`` for a write-behind one (a copy the walk
-        passed over and the view still lists is written behind like the
-        rest: catching up, it stores the value; dead, it fails the
-        join); per the
-        available-copies rule the transaction must abort anyway, and
-        commit-time validation backstops the case where the failure is
-        only noticed later.
+        A copy that fails aborts the transaction -- raising here if none
+        executes ``op``; for a write-behind one, the coordinator refuses
+        the commit (a copy the walk passed over and the view still lists
+        is written behind like the rest: catching up, it stores the
+        value; dead, it fails the join).  Per the available-copies rule
+        the transaction must abort anyway, and commit-time validation
+        backstops the case where the failure is only noticed later.
         """
         first, reply = yield from self._first_to_answer(keyspace, op, body,
                                                         tid)
@@ -310,18 +321,9 @@ class ReplicatedApp:
     def _join_behind(self, tid: TransactionID, node: str | None = None):
         """Wait for the transaction's write-behind copies -- those to
         ``node``, or all of them, which also drops the table (generator).
-
-        Returns the first failure in issue order, once every awaited
-        copy has finished, or None.
-        """
+        What they answered is dropped: both callers only need them
+        finished."""
         copies = (self._behind.pop(tid, ()) if node is None
                   else self._behind.get(tid, ()))
-        failure: Exception | None = None
-        for at, _, copy in copies:
-            if node is None or at == node:
-                try:
-                    yield copy
-                except Exception as error:  # noqa: BLE001 - returned
-                    if failure is None:
-                        failure = error
-        return failure
+        yield from join_all([copy for at, _, copy in copies
+                             if node is None or at == node])

@@ -122,3 +122,19 @@ class Process(Event):
             # the simulation loudly rather than losing the error.
             assert isinstance(self._value, BaseException)
             raise self._value
+
+
+def join_all(processes) -> Generator:
+    """Wait until every one of ``processes`` has finished (generator).
+
+    Returns ``(process, error)`` for the first of them, in the order
+    given, that failed -- or None.
+    """
+    failed = None
+    for process in processes:
+        try:
+            yield process
+        except Exception as error:  # noqa: BLE001 - returned
+            if failed is None:
+                failed = (process, error)
+    return failed

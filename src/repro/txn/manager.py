@@ -45,7 +45,7 @@ from repro.kernel.ports import Port
 from repro.kernel.service import Service, handlers_of, request
 from repro.recovery.manager import SERVICE as RM_SERVICE
 from repro.rpc.stubs import respond, respond_error
-from repro.sim import AnyOf, Event, Timeout
+from repro.sim import AnyOf, Event, Timeout, join_all
 from repro.txn.ids import NULL_TID, TidFactory, TransactionID
 from repro.txn.status import TransactionState, TxnPhase
 
@@ -365,6 +365,9 @@ class TransactionManager:
             respond_error(message, error)
             return
         if state.phase is TxnPhase.ABORTED:
+            # Nothing the client sent on its way is still running when
+            # it hears the outcome.
+            yield from join_all(message.body.get("copies", ()))
             respond(message, {"committed": False,
                               "reason": state.abort_reason})
             return
@@ -374,30 +377,61 @@ class TransactionManager:
             yield from self._merge_child_into_parent(tid)
             respond(message, {"committed": True})
             return
-        footprint = message.body.get("replication")
-        if footprint is not None and self.replication_validator is not None:
-            # Available-copies validation: a site failure erased its
-            # in-memory CC state, so a write that touched a since-failed
-            # replica cannot be trusted -- abort before prepare fans out.
-            reason = self.replication_validator(footprint)
-            if reason is not None:
-                self.ctx.metrics.counter(
-                    self.node.name, "replication.validation_abort").inc()
-                children = yield from self._children(state)
-                yield from self._merge_family_into(tid)
-                yield from self._abort_subtree(state, children, reason=reason)
-                respond(message, {"committed": False,
-                                  "reason": state.abort_reason})
-                return
         yield self.ctx.cpu("TM", self.ctx.cpu_costs.tm_commit_read)
         yield self.ctx.cpu("other", self.ctx.cpu_costs.tm_dispatch_slop)
         # Live subtransactions commit with their parent.
         yield from self._merge_family_into(tid)
-        committed = yield from self._commit_root(state)
+        children = None
+        footprint = message.body.get("replication")
+        if footprint is not None:
+            children, reason = yield from self._settle_replicated(
+                state, footprint, message.body["copies"])
+            if reason is not None:
+                yield from self._abort_subtree(state, children, reason=reason)
+                respond(message, {"committed": False,
+                                  "reason": state.abort_reason})
+                return
+        committed = yield from self._commit_root(state, children)
         respond(message, {"committed": committed,
                           "reason": state.abort_reason})
 
-    def _commit_root(self, state: TransactionState):
+    def _settle_replicated(self, state: TransactionState, footprint: dict,
+                           copies: list):
+        """Everything a replicated transaction must settle before it
+        prepares (generator returning ``(children, abort reason or
+        None)``).
+
+        The spanning tree is asked for while ``copies`` -- the client's
+        write-behind copies still running, processes of this node -- are
+        in flight, then they are joined: the first failure in issue order
+        aborts the transaction.  A copy's first message may leave after
+        that answer, so a footprint node missing from it means asking
+        again.  Then available-copies validation: a site failure erased
+        its in-memory CC state, so a write that touched a since-failed
+        replica cannot be trusted -- abort before prepare fans out.
+        """
+        children = yield from self._children(state)
+        failed = yield from join_all(copies)
+        touched = (set(footprint["written"]) | set(footprint["read"])) \
+            - {self.node.name}
+        if not touched <= set(children):
+            children = yield from self._children(state)
+        if failed is not None:
+            copy, error = failed
+            return children, f"{copy.name} failed: {error!r}"
+        if state.phase.terminal or self.replication_validator is None:
+            return children, None
+        reason = self.replication_validator(footprint)
+        if reason is not None:
+            self.ctx.metrics.counter(
+                self.node.name, "replication.validation_abort").inc()
+        return children, reason
+
+    def _commit_root(self, state: TransactionState,
+                     children: list[str] | None = None):
+        """Commit a top-level transaction at its birth node (generator;
+        True iff committed).  ``children`` is the spanning tree's answer
+        if the caller already has it."""
         tid = state.tid
         if state.phase.terminal:
             # A peer-failure notification aborted the family between the
@@ -406,7 +440,8 @@ class TransactionManager:
         started = self.ctx.now
         with self.ctx.span("2pc.commit", self.node.name, "TM",
                            tid=tid) as span:
-            children = yield from self._children(state)
+            if children is None:
+                children = yield from self._children(state)
             vote = yield from self._prepare_subtree(state, children)
             if vote == "abort":
                 yield from self._abort_subtree(state, children)

@@ -604,20 +604,26 @@ def debitcredit_txn(app, topology: DebitCreditTopology, spec: TxnSpec,
 def replicated_debitcredit_txn(rapp: ReplicatedApp,
                                topology: DebitCreditTopology,
                                spec: TxnSpec, tid: TransactionID):
-    """The transaction body over replicated tiers.
+    """The transaction body over replicated tiers: account, teller,
+    history, branch.
 
-    Same four operations, same shape and global lock order as
-    :func:`debitcredit_txn` (accounts < tellers < branches < history,
-    hot branch row last): each update executes at the first available
-    copy of its key-space, which serialises same-row contenders, and the
-    absolute value it computed is written behind to every other
-    available copy.  If any written copy fails before commit,
-    commit-time validation aborts the transaction.
+    The same four operations as :func:`debitcredit_txn`, but the
+    branch row goes *after* the history append -- Gray's hot-spot-last
+    rule.  Here every same-branch writer queues on that row (replicated
+    tiers take WRITE locks, not INCREMENT): last, it is taken an append
+    later, and its write-behind copy -- shorter than the history row's
+    -- is the tail the coordinator joins before it prepares, so the
+    commit, and the row's release, come sooner too.  The global lock
+    order is accounts < tellers < history < branches, one order, so
+    still deadlock-free.  Each update executes at the first available
+    copy of its key-space, which serialises same-row contenders, and
+    the absolute value it computed is written behind to every other
+    available copy.  A written copy that fails before commit aborts the
+    transaction at the coordinator's join or by commit-time validation.
     """
     for keyspace, row in (
             (topology.account_server(spec.account_branch), spec.account),
-            (topology.teller_server(spec.home_branch), spec.teller),
-            (topology.branch_server(spec.home_branch), 1)):
+            (topology.teller_server(spec.home_branch), spec.teller)):
         yield from rapp.write_all(keyspace, "add_to_balance",
                                   {"row": row, "amount": spec.amount}, tid)
     yield from rapp.write_all(topology.history_server(spec.home_branch),
@@ -627,6 +633,9 @@ def replicated_debitcredit_txn(rapp: ReplicatedApp,
                                "branch": spec.home_branch,
                                "teller": spec.teller,
                                "account": spec.account}, tid)
+    yield from rapp.write_all(topology.branch_server(spec.home_branch),
+                              "add_to_balance",
+                              {"row": 1, "amount": spec.amount}, tid)
 
 
 # -- the seeded workload driver ------------------------------------------------

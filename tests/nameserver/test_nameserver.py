@@ -98,6 +98,23 @@ def test_node_filter(world):
     assert [r.node_name for r in refs] == ["a"]
 
 
+def test_node_filter_waits_for_the_named_node_to_answer(world):
+    """Three holders; the one asked for answers last.  The other copies'
+    answers must not complete the lookup -- filtered afterwards they
+    would leave nothing and the lookup would fail."""
+    ctx, network, nodes = world
+    for name in ("a", "b", "c"):
+        library = NameServerLibrary(nodes[name])
+        run(ctx, library.register("shard", "t", nodes[name].create_port()))
+    network.set_link_fault("c", "a", reorder=1.0, reorder_delay_ms=50.0,
+                           both_ways=False)
+    library = NameServerLibrary(nodes["a"])
+    refs = run(ctx, library.lookup("shard", node_name="c",
+                                   max_wait_ms=500.0))
+    assert [ref.node_name for ref in refs] == ["c"]
+    assert ctx.now >= 50.0
+
+
 def test_deregister_withdraws_mapping(world):
     ctx, _, nodes = world
     library = NameServerLibrary(nodes["a"])

@@ -4,6 +4,7 @@ import pytest
 
 from tests.reconfig.conftest import build_reconfig, counter, phases
 
+from repro.core.config import WorkloadConfig
 from repro.errors import TabsError
 from repro.reconfig.registry import registry_call
 from repro.workloads.debitcredit import DebitCreditWorkload
@@ -41,6 +42,30 @@ class TestHappyPath:
             "bank0", registry_call(app, "bank0", "reconfig_state", {}))
         assert state["seq"] == 1
         assert state["intent"] == 0
+
+    def test_destination_answering_last_is_still_found(self):
+        """The originator holds no copy of ``accounts1``: its lookups of
+        the destination's copy are broadcasts that the source and the
+        other copy answer too, and here both answer first.  A
+        node-filtered lookup completes on the destination's answer, so
+        the copy's calls reach it and the migration commits; completed
+        on the first answer, every one of them failed and the migration
+        rolled back."""
+        cluster, topology, manager = build_reconfig(
+            seed=103, workload=WorkloadConfig(branches=3,
+                                              accounts_per_branch=10,
+                                              tellers_per_branch=2))
+        keyspace = topology.account_server(1)
+        assert cluster.placement.replicas(keyspace) == ("bank1", "bank2")
+        manager.join("bank3")
+        cluster.network.set_link_fault("bank3", "bank0", reorder=1.0,
+                                       reorder_delay_ms=50.0,
+                                       both_ways=False)
+
+        assert manager.run_migration(keyspace, "bank1", "bank3") is True
+        assert cluster.placement.replicas(keyspace) == ("bank3", "bank2")
+        assert counter(cluster, "bank0",
+                       "reconfig.migrations_rolled_back") == 0
 
     def test_migrated_copy_serves_the_committed_balances(self):
         """Move a shard, then read every account through the new

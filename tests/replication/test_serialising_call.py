@@ -22,7 +22,7 @@ from tests.replication.test_write_behind import (
 
 from repro.core.cluster import TabsCluster
 from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
-from repro.errors import LockTimeout, LookupFailed
+from repro.errors import LockTimeout, TransactionAborted
 from repro.replication import audit_replica_convergence
 from repro.sim import Timeout
 from repro.workloads.debitcredit import RowOutOfRange
@@ -215,9 +215,11 @@ def test_first_copy_crashing_after_it_executed_never_commits():
 def test_second_execution_after_a_crashed_first_aborts_at_the_join():
     """The same crash with a detector slower than the call's deadline,
     so the fail-over is served: bank1 executes the add too, the put it
-    names cannot reach the dead copy, ``end_transaction`` raises out of
-    the join and the transaction aborts -- one execution died with
-    bank0, the other is rolled back."""
+    names cannot reach the dead copy, and the coordinator's join before
+    prepare aborts the transaction -- one execution died with bank0, the
+    other is rolled back.  ``end_transaction`` reports the refusal
+    instead of raising the copy's error, so ``run_transaction`` raises
+    ``TransactionAborted`` carrying it."""
     cluster = TabsCluster(TabsConfig(
         seed=83, workload=WORKLOAD, suspicion_timeout_ms=120_000.0,
         replication=ReplicationConfig.available_copies()))
@@ -236,11 +238,13 @@ def test_second_execution_after_a_crashed_first_aborts_at_the_join():
         (copy,) = copy_processes(cluster, "bank1", tid)
         assert copy.name.endswith(f"{keyspace}@bank0")
 
-    with pytest.raises(LookupFailed):   # the dead copy's binding is gone
+    # the dead copy's binding is gone
+    with pytest.raises(TransactionAborted,
+                       match="write-behind:.*@bank0 failed: LookupFailed"):
         cluster.run_on("bank1", rapp.run_transaction(body))
     assert executions == [before + 500, before + 500]
     assert cluster.node("bank1").tm.aborts_on_failure == 0
-    assert [op for op, _ in rapp.app.control] == ["abort"]   # no tm.end
+    assert [op for op, _ in rapp.app.control] == ["end"]     # no tm.abort
     assert rapp._behind == {} and rapp._footprints == {}
     assert locks(cluster, "bank1", keyspace).held_keys(tids[0]) == []
     assert_old_balance_everywhere(cluster, keyspace, 2, before)

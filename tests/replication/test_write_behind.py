@@ -1,6 +1,8 @@
 """Write-behind replica copies: ``write_all`` waits for the first copy
-only; the other copies run as home-node processes and are joined before
-``tm.end`` / ``tm.abort`` (docs/REPLICATION.md "Write-behind copies").
+only; the other copies run as home-node processes, joined by the
+coordinator before it prepares or by the client before ``tm.abort``
+(docs/REPLICATION.md "Write-behind copies";
+``test_end_transaction.py`` has the coordinator's side).
 
 One test per rule the mechanism keeps: the overlap is real, first copy
 synchronous, FIFO per replica server, footprint at issue, join before
@@ -13,7 +15,7 @@ from tests.reconfig.conftest import counter
 from tests.replication.conftest import build_replicated
 
 from repro.chaos import ChaosController, FaultPlan, LinkFaultWindow
-from repro.errors import CommunicationError
+from repro.errors import CommunicationError, TransactionAborted
 from repro.replication import audit_replica_convergence
 from repro.sim import Timeout
 from repro.workloads.debitcredit import TxnSpec, replicated_debitcredit_txn
@@ -94,7 +96,14 @@ def test_overlap_is_real_and_bounded():
     (54.5) where it was ``get_balance_for_update`` + ``put_balance``
     (32.1 + 48.5), ``append`` (76.9) where it was
     ``strand_count_for_update`` + ``put_row`` (32.1 + 70.9) -- so one
-    26.1 sim-ms local data-server call less per tier (-104.4)."""
+    26.1 sim-ms local data-server call less per tier (-104.4).  Now
+    973.8, two changes that each stand alone: ``end_transaction`` no
+    longer waits for the last copy before it sends ``tm.end`` -- the
+    coordinator's commit read, dispatch and spanning-tree query run
+    under the copy's tail and it joins the copies just before it
+    prepares (-71.3) -- and the branch row goes after the history
+    append, so the tail is the 117.4 sim-ms branch copy instead of the
+    139.8 history-row copy (-22.4)."""
     cluster, topology = build_replicated(seed=41)
     spec = TxnSpec(home_branch=0, teller=1, account_branch=0, account=1,
                    amount=5)
@@ -112,7 +121,7 @@ def test_overlap_is_real_and_bounded():
                                                  "rpc.retries")
     elapsed = run()
     assert elapsed < 1699.2 - 300.0
-    assert elapsed == pytest.approx(1067.5)
+    assert elapsed == pytest.approx(973.8)
     assert broadcasts(cluster) == warm
     assert counter(cluster, "bank0", "rpc.retries") == retries == 0
     assert audit_replica_convergence(cluster) == []
@@ -185,9 +194,14 @@ def test_a_later_copy_never_overtakes_an_earlier_one_to_the_same_server():
 
 
 def test_a_copy_that_dies_mid_call_aborts_the_transaction():
-    """Also ``run_transaction``'s handler: ``end_transaction`` raises out
-    of the join, and the transaction is aborted rather than left holding
-    its first-copy lock until a time-out."""
+    """The copy goes to the coordinator with ``tm.end``, which joins it
+    before it prepares; ``end_transaction`` no longer raises the copy's
+    error but reports the refusal, and ``run_transaction`` raises
+    ``TransactionAborted`` with the reason.  Here that reason names the
+    copy's node: the failure detector (1.5 s) aborts the family on
+    bank1's crash long before the call's 30 s deadline fails the copy,
+    and the first abort is the one the coordinator reports.  Either
+    way nothing is prepared and no lock is left behind."""
     cluster, topology = build_replicated(seed=47)
     rapp = spied(cluster, "bank0")
     keyspace = topology.account_server(0)
@@ -197,6 +211,7 @@ def test_a_copy_that_dies_mid_call_aborts_the_transaction():
     cluster.run_on("bank0", rapp.run_transaction(
         lambda tid: put(rapp, keyspace, 3, before, tid)))
     rapp.app.control.clear()
+    validation = counter(cluster, "bank0", "replication.validation_abort")
     tids = []
 
     def body(tid):
@@ -208,10 +223,15 @@ def test_a_copy_that_dies_mid_call_aborts_the_transaction():
         yield Timeout(cluster.engine, 60.0)
         cluster.crash_node("bank1")
 
-    with pytest.raises(CommunicationError):
+    with pytest.raises(TransactionAborted, match="peer bank1 failed"):
         cluster.run_on("bank0", rapp.run_transaction(body))
     (tid,) = tids
-    assert [op for op, _ in rapp.app.control] == ["abort"]   # no tm.end
+    assert [op for op, _ in rapp.app.control] == ["end"]     # no tm.abort
+    (copy,) = rapp.app.control[0][1]["copies"]
+    with pytest.raises(CommunicationError):
+        copy.result()
+    assert counter(cluster, "bank0", "replication.validation_abort") \
+        == validation
     assert locks(cluster, "bank0", keyspace).held_keys(tid) == []
     assert not any(process.alive
                    for process in copy_processes(cluster, "bank0", tid))
