@@ -34,7 +34,7 @@ from repro.comm.sessions import SessionTable
 from repro.kernel.costs import Primitive
 from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
-from repro.kernel.service import Service, handlers_of
+from repro.kernel.service import Service, handlers_of, spawn_handler
 from repro.sim import Timeout
 from repro.txn.ids import TransactionID
 
@@ -130,8 +130,8 @@ class CommunicationManager:
             if self.failure_detector is not None:
                 self.failure_detector.on_datagram(message)
             return
-        self.node.spawn(self._forward_inbound(message),
-                        name="cm:inbound", defused=True)
+        spawn_handler(self.node, message, self._forward_inbound(message),
+                      "cm:inbound")
 
     def _forward_inbound(self, message: Message):
         yield self.ctx.cpu("CM", self.ctx.cpu_costs.cm_datagram)

@@ -68,8 +68,9 @@ class SimContext:
         """A ``with`` scope around one trace span (``as span`` to
         ``span.set(...)`` its end attributes).
 
-        ``where`` is :meth:`Tracer.span`'s ``tid``, ``parent_id`` and
-        attributes; pass an attribute that costs something to build
+        ``where`` is :meth:`Tracer.span`'s ``tid`` and attributes; the
+        parent is the running process's (:mod:`repro.obs.tracer`).  Pass
+        an attribute that costs something to build
         (``",".join(children)``, ``str(key)``) as a zero-argument
         callable, which is only called when a tracer is attached.
         """

@@ -80,9 +80,9 @@ class Message:
     #: kernel/TM/RM component and must not be charged as a message
     #: (Section 5.3's improved-architecture projection).
     free_reply: bool = False
-    #: span id of the sender's innermost open span for this message's
-    #: transaction family; lets the receiving node parent its spans across
-    #: the wire.  0 when tracing is off or the sender had no open span.
+    #: the sending process's causal context, stamped by the port at send
+    #: (:meth:`repro.obs.tracer.Tracer.context`): the process that handles
+    #: the message opens its spans under it.  0 untraced or context-less.
     trace_parent: int = 0
     msg_id: int = field(default_factory=lambda: next(_message_ids))
 

@@ -10,6 +10,8 @@ through time-outs or through the Communication Manager's failure detector).
 Sending charges the message's primitive cost as *delivery latency*: the
 message is enqueued at the receiver after the primitive time elapses, and
 the sender continues immediately, matching Accent's asynchronous sends.
+With a tracer attached, a send also stamps the sending process's causal
+context into the message (:meth:`repro.obs.tracer.Tracer.context`).
 """
 
 from __future__ import annotations
@@ -73,6 +75,14 @@ class Port:
             return
         if message.sender_node == "" and self.node is not None:
             message.sender_node = self.node.name
+        tracer = self.ctx.tracer
+        if tracer is not None:
+            message.trace_parent = tracer.context()
+            # A datagram rides to the Communication Manager inside a
+            # request; it leaves in the context the request does.
+            payload = message.body.get("payload")
+            if isinstance(payload, Message):
+                payload.trace_parent = message.trace_parent
         delay = 0.0
         if charged:
             primitive = message.kind.primitive

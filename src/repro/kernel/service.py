@@ -5,7 +5,9 @@ in TABS that plumbing was generated (Matchmaker stubs), not written per
 component.  This module is the one hand-written copy:
 
 - :class:`Service` is the server side -- receive a message, find its
-  handler, run the handler in a process of its own;
+  handler, run the handler in a process of its own
+  (:func:`spawn_handler`), which starts in the causal context the message
+  carried;
 - :func:`request` is the client side of a local request/reply -- make a
   reply port, send, wait, unmarshal an error.
 
@@ -81,8 +83,17 @@ class Service:
         # body still first runs inside the spawned process.
         waits = handler.__code__.co_flags & CO_GENERATOR  # type: ignore
         body = handler(message) if waits else _run(handler, message)
-        self.node.spawn(body, name=f"{self.prefix}:{message.op}",
-                        defused=True)
+        spawn_handler(self.node, message, body, f"{self.prefix}:{message.op}")
+
+
+def spawn_handler(node: Node, message: Message, body: Generator,
+                  name: str) -> None:
+    """Run ``body``, the handling of ``message``, in a process of its own
+    that starts in the causal context ``message`` carried: its spans
+    parent under the span that sent it (:mod:`repro.obs.tracer`)."""
+    process = node.spawn(body, name=name, defused=True)
+    if message.trace_parent:
+        process.trace_stack = [message.trace_parent]
 
 
 def request(node: Node, port: Port, op: str, body: dict, *, reply: str,

@@ -9,24 +9,25 @@ log forces on every participant, the 2PC prepare/vote/commit/ack exchange
 -- stitches into a single cross-node tree rooted at the application's
 ``txn`` span.
 
-Parent resolution, in priority order:
+A span's parent is, in order:
 
-1. an explicit ``parent_id`` (used when span context crosses nodes: RPC
-   stubs and the Transaction Manager's protocol datagrams carry the
-   sender's current span id in ``Message.trace_parent``);
-2. the innermost open span *of the same transaction family on the same
-   node* (so a lock wait inside a data-server operation nests under it);
-3. for family-less spans (a WAL force issued for page cleaning, say), the
-   innermost open span on the node, whose family is inherited;
-4. the family's registered root span;
-5. no parent (a top-level span on the node's track).
+1. the innermost open span of the *process* that opens it (a lock wait
+   inside a data-server operation nests under the operation);
+2. else the causal context that process started in: the span its
+   starting message carried in ``Message.trace_parent``, which the port
+   stamps from the sending process's own context;
+3. else the registered root of the span's transaction family;
+4. else nothing (a top-level span on the node's track).
 
-Rule 2 assumes a family runs one thread of control per node.  Where it
-runs a second one -- a write-behind replica copy beside the client's
-next call -- that thread's span is opened *detached*
-(:meth:`Tracer.detach_next`): recorded, timed and closed like any other,
-but never on the node's stack, so rules 2 and 3 never pick it and
-:meth:`Tracer.current_span_id` never returns it.
+TABS components are processes that talk only by messages, so this one
+rule follows every cause, within a node and across the wire.  Two
+threads of control of one family on one node -- a write-behind replica
+copy beside the client's next call, four data servers preparing at once
+-- are two processes, and their spans cannot adopt each other's.  A
+process spawned rather than started by a message (the write-behind copy,
+a group-commit flush) starts in no context: its spans hang off their
+family's root, or off nothing.  A span with no family of its own (a WAL
+force) takes its parent's.
 
 Determinism: span ids are a plain counter, timestamps come exclusively
 from the engine's simulated clock, and recording draws no randomness and
@@ -149,73 +150,66 @@ class Tracer:
         self.spans: list[Span] = []
         self.events: list[TraceEvent] = []
         self._next_id = 1
-        self._open: dict[int, Span] = {}
-        #: innermost-last open spans per node (all families interleaved)
-        self._node_stacks: dict[str, list[Span]] = {}
+        #: every span by id (a context may outlive the span it names)
+        self._by_id: dict[int, Span] = {}
+        #: open span id -> the trace stack of the process that opened it,
+        #: or None when a plain callback did
+        self._open: dict[int, list[int] | None] = {}
         #: family key -> root span id (the application's ``txn`` span)
         self._family_roots: dict[str, int] = {}
-        #: (family key, node) pairs whose next span opens detached
-        self._detach_next: set[tuple[str, str]] = set()
 
     # -- span lifecycle ------------------------------------------------------
 
+    def context(self) -> int:
+        """The running process's causal context: its innermost open span,
+        else the span the message that started it carried; 0 outside a
+        process or with neither.  Ports stamp it into every message they
+        send (``Message.trace_parent``)."""
+        process = self.engine.active_process
+        stack = process.trace_stack if process is not None else None
+        return stack[-1] if stack else 0
+
     def begin(self, name: str, node: str, component: str, tid=None,
               parent_id: int | None = None, **attrs) -> int:
-        """Open a span; returns its id (pass to :meth:`end`)."""
+        """Open a span; returns its id (pass to :meth:`end`).
+
+        The parent is the module's rule unless ``parent_id`` names one
+        (0: a root)."""
         family = family_of(tid)
-        stack = self._node_stacks.setdefault(node, [])
-        detached = (family, node) in self._detach_next
-        if detached:
-            self._detach_next.discard((family, node))
-            parent_id = self._family_roots.get(family, 0)
-        elif parent_id is None or parent_id == 0:
-            parent_id = 0
-            if family:
-                for open_span in reversed(stack):
-                    if open_span.family == family:
-                        parent_id = open_span.span_id
-                        break
-                if not parent_id:
-                    parent_id = self._family_roots.get(family, 0)
-            elif stack:
-                parent = stack[-1]
-                parent_id = parent.span_id
-                family = parent.family
+        process = self.engine.active_process
+        stack = None
+        if process is not None:
+            stack = process.trace_stack
+            if stack is None:
+                stack = process.trace_stack = [0]
+        if parent_id is None:
+            parent_id = ((stack[-1] if stack is not None else 0)
+                         or self._family_roots.get(family, 0))
+        if not family and parent_id in self._by_id:
+            family = self._by_id[parent_id].family
         span = Span(self._next_id, name, node, component, self.engine.now,
                     parent_id=parent_id, family=family, attrs=dict(attrs))
         self._next_id += 1
         self.spans.append(span)
-        self._open[span.span_id] = span
-        if not detached:
-            stack.append(span)
+        self._by_id[span.span_id] = span
+        self._open[span.span_id] = stack
+        if stack is not None:
+            stack.append(span.span_id)
         return span.span_id
 
-    def detach_next(self, tid, node: str) -> None:
-        """Open the next span of ``tid``'s family on ``node`` detached.
-
-        For a process that runs beside the family's main thread of
-        control on one node: call it immediately before the call that
-        opens the span (nothing may wait in between).  The span's parent
-        is the family's root, and it is never an implicit parent nor the
-        :meth:`current_span_id` -- whoever opened it passes its id on
-        explicitly.
-        """
-        self._detach_next.add((family_of(tid), node))
-
     def span(self, name: str, node: str, component: str, tid=None,
-             parent_id: int | None = None, **attrs) -> "SpanScope":
+             **attrs) -> "SpanScope":
         """Open a span as a ``with`` scope that closes it on every exit.
 
-        Parent resolution is :meth:`begin`'s.  An attribute value may be
-        a zero-argument callable; it is called here, so sites reached
-        through :meth:`SimContext.span` build costly values only when a
-        tracer is attached.
+        An attribute value may be a zero-argument callable; it is called
+        here, so sites reached through :meth:`SimContext.span` build
+        costly values only when a tracer is attached.
         """
         for key, value in attrs.items():
             if callable(value):
                 attrs[key] = value()
         return SpanScope(self, self.begin(name, node, component, tid,
-                                          parent_id, **attrs))
+                                          **attrs))
 
     def begin_root(self, tid, node: str, component: str = "APP",
                    name: str = "txn") -> int:
@@ -227,39 +221,19 @@ class Tracer:
 
     def annotate(self, span_id: int, **attrs) -> None:
         """Add attributes to a span that is still open (else ignored)."""
-        span = self._open.get(span_id)
-        if span is not None:
-            span.attrs.update(attrs)
+        if span_id in self._open:
+            self._by_id[span_id].attrs.update(attrs)
 
     def end(self, span_id: int, **attrs) -> None:
         """Close a span (idempotent; unknown/closed ids are ignored)."""
-        span = self._open.pop(span_id, None)
-        if span is None:
+        if span_id not in self._open:
             return
+        stack = self._open.pop(span_id)
+        span = self._by_id[span_id]
         span.end_ms = self.engine.now
         span.attrs.update(attrs)
-        stack = self._node_stacks.get(span.node)
         if stack is not None:
-            try:
-                stack.remove(span)
-            except ValueError:  # a detached span was never on it
-                pass
-
-    def current_span_id(self, tid, node: str) -> int:
-        """The innermost open span of ``tid``'s family at ``node``.
-
-        Falls back to the family root; 0 when the family is untraced.
-        This is what message senders stamp into ``Message.trace_parent``
-        so the receiving node's spans parent across the wire.
-        """
-        family = family_of(tid)
-        stack = self._node_stacks.get(node, ())
-        if not family:
-            return stack[-1].span_id if stack else 0
-        for open_span in reversed(stack):
-            if open_span.family == family:
-                return open_span.span_id
-        return self._family_roots.get(family, 0)
+            stack.remove(span_id)
 
     # -- instant events ------------------------------------------------------
 
@@ -282,10 +256,9 @@ class Tracer:
 
     def node_crashed(self, node: str) -> None:
         """Close every open span on a crashing node (volatile state gone)."""
-        # From the open table, not the node's stack: detached spans too.
-        for open_span in [span for span in self._open.values()
-                          if span.node == node]:
-            self.end(open_span.span_id, truncated="crash")
+        for span_id in [span_id for span_id in self._open
+                        if self._by_id[span_id].node == node]:
+            self.end(span_id, truncated="crash")
         self.event("node.crash", node, "KERNEL")
 
     # -- introspection -------------------------------------------------------

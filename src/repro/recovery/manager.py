@@ -155,7 +155,6 @@ class RecoveryManager:
     def _handle_spool(self, message: Message):
         record: LogRecord = message.body["record"]
         with self.ctx.span("rm.spool", self.node.name, "RM", tid=record.tid,
-                           parent_id=message.trace_parent,
                            record=type(record).__name__) as span:
             # Spooling runs on the shared CPU while the data server waits
             # for the ack, so it is squarely on the transaction's critical

@@ -312,10 +312,6 @@ class ReplicatedApp:
         if previous is not None:
             yield previous
         ref = yield from self.app.lookup_one(keyspace, node_name=node)
-        if self.ctx.tracer is not None:
-            # A second thread of control of the family on this node: its
-            # rpc span hangs off the root and adopts nothing.
-            self.ctx.tracer.detach_next(tid, self.node_name)
         yield from self.app.call(ref, op, body, tid)
 
     def _join_behind(self, tid: TransactionID, node: str | None = None):

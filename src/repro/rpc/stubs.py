@@ -97,7 +97,7 @@ def call(network: Network, client: Node, ref: ServiceRef, op: str,
         while True:
             try:
                 result = yield from _call_once(network, client, ref, op, body,
-                                               tid, timeout_ms, span.span_id)
+                                               tid, timeout_ms)
                 return result
             except _Retriable as failure:
                 attempt += 1
@@ -144,7 +144,7 @@ def _re_resolve(client: Node, ref: ServiceRef):
 
 def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
                body: dict | None, tid: TransactionID | None,
-               timeout_ms: float, trace_parent: int):
+               timeout_ms: float):
     ctx = client.ctx
     local = ref.node_name == client.name
     if local:
@@ -182,8 +182,7 @@ def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
         ref.port.send(Message(op=op, body=dict(body or {}),
                               reply_to=reply_port, tid=tid,
                               kind=MessageKind.UNCHARGED,
-                              sender_node=client.name,
-                              trace_parent=trace_parent),
+                              sender_node=client.name),
                       charged=False)
 
         if local:

@@ -156,7 +156,7 @@ class DataServerLibrary:
         with self.ctx.span(
                 f"ds:{message.op}", self.node.name, "DS",
                 tid=tid if tid is not None else message.body.get("tid"),
-                parent_id=message.trace_parent, server=self.server_id):
+                server=self.server_id):
             if message.op.startswith("ds."):
                 yield from self._serve_system(message)
                 return
@@ -198,10 +198,15 @@ class DataServerLibrary:
         local = self._local(tid)
         if local.joined:
             return
-        yield from request(
-            self.node, self.node.service(TM_SERVICE), "tm.join",
-            {"tid": tid, "server": self.server_id, "port": self.port},
-            reply="join-reply")
+        try:
+            yield from request(
+                self.node, self.node.service(TM_SERVICE), "tm.join",
+                {"tid": tid, "server": self.server_id, "port": self.port},
+                reply="join-reply")
+        except TransactionAborted:
+            # The family ended first: nothing here will ever abort it.
+            self._txns.pop(tid, None)
+            raise
         local.joined = True
 
     # -- address arithmetic ----------------------------------------------------------

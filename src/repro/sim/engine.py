@@ -26,6 +26,7 @@ from repro.errors import SimulationError
 if TYPE_CHECKING:
     from repro.obs.profile import SimProfiler
     from repro.sim.events import Event
+    from repro.sim.process import Process
 
 #: the shared empty argument tuple for argument-free callbacks
 _NO_ARGS: tuple = ()
@@ -57,6 +58,9 @@ class Engine:
         #: the disabled path costs one attribute check, mirroring
         #: ``ctx.tracer``
         self.profiler: SimProfiler | None = None
+        #: the process whose generator is running right now, or None while
+        #: a plain callback runs; set by :class:`repro.sim.Process`
+        self.active_process: Process | None = None
 
     @property
     def now(self) -> float:

@@ -10,7 +10,8 @@ Two forms of asynchronous termination exist, mirroring what the TABS
 substrate needs:
 
 - :meth:`Process.interrupt` throws :class:`repro.errors.Interrupt` into the
-  generator at its current suspension point (used for lock time-outs).
+  generator at its current suspension point (nothing in the system calls
+  it yet: lock and call time-outs race a :class:`Timeout` instead).
 - :meth:`Process.kill` destroys the process without resuming it (used when a
   node crashes: its processes simply cease to exist).
 """
@@ -27,7 +28,7 @@ from repro.sim.events import Event
 class Process(Event):
     """A lightweight simulated process driving a generator."""
 
-    __slots__ = ("_gen", "_alive", "_waiting_on", "defused")
+    __slots__ = ("_gen", "_alive", "_waiting_on", "defused", "trace_stack")
 
     def __init__(self, engine: Engine, generator: Generator,
                  name: str = "") -> None:
@@ -42,6 +43,11 @@ class Process(Event):
         #: Set True to suppress the unhandled-failure crash (e.g. for
         #: processes whose failure is expected and observed elsewhere).
         self.defused = False
+        #: the causal context this process opens trace spans in: the span
+        #: id the message that started it carried (0 for none), then the
+        #: spans it has open, innermost last; None until traced
+        #: (:mod:`repro.obs.tracer`)
+        self.trace_stack: list[int] | None = None
         engine.schedule_now(self._advance, args=("send", None))
 
     # -- lifecycle ----------------------------------------------------------
@@ -82,6 +88,8 @@ class Process(Event):
         if not self._alive:
             return
         self._waiting_on = None
+        engine = self.engine
+        engine.active_process = self
         try:
             if mode == "send":
                 target = self._gen.send(value)
@@ -96,6 +104,8 @@ class Process(Event):
             self._alive = False
             self.fail(exc)
             return
+        finally:
+            engine.active_process = None
         if not isinstance(target, Event):
             self._alive = False
             self.fail(SimulationError(

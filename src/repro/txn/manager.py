@@ -62,6 +62,13 @@ DEFAULT_ACK_TIMEOUT_MS = 10_000.0
 RESOLVE_RETRY_MS = 5_000.0
 
 
+def _deepest_first(tid: TransactionID) -> tuple:
+    """Sort key for walking a set of subtransactions: descendants before
+    their ancestors, siblings by identifier (not by set order, which
+    follows the string hash)."""
+    return -len(tid.path), tid
+
+
 @dataclass
 class _Votes:
     expected: set[str] = field(default_factory=set)
@@ -151,21 +158,11 @@ class TransactionManager:
                 f"transaction {tid} is unknown on node "
                 f"{self.node.name!r}") from None
 
-    def _trace_parent(self, tid: TransactionID) -> int:
-        """What an outgoing message carries as ``Message.trace_parent``:
-        this node's innermost open span of ``tid``'s family (0 untraced).
-        Explicit, because the spans the message causes may open beside
-        others of the family and must not adopt each other."""
-        if self.ctx.tracer is None:
-            return 0
-        return self.ctx.tracer.current_span_id(tid, self.node.name)
-
     def _send_datagram(self, target: str, op: str, body: dict,
                        tid: TransactionID) -> None:
         payload = Message(op=op, tid=tid,
                           body={**body, "service": SERVICE,
-                                "from": self.node.name, "tid": tid},
-                          trace_parent=self._trace_parent(tid))
+                                "from": self.node.name, "tid": tid})
         self.node.service(CM_SERVICE).send(Message(
             op="cm.send_datagram", body={"target": target,
                                          "payload": payload}))
@@ -199,8 +196,10 @@ class TransactionManager:
             return
         if state.phase is TxnPhase.ABORTED:
             # A zombie operation's first call reached its server after the
-            # abort.  Unanswered, it stays parked: were it let through, its
-            # locks would belong to a transaction nobody will ever end.
+            # abort: refused, or its locks would belong to a transaction
+            # nobody will ever end.
+            respond_error(message, TransactionAborted(tid,
+                                                      state.abort_reason))
             return
         state.servers.add(message.body["server"])
         state.server_ports[message.body["server"]] = message.body["port"]
@@ -236,8 +235,7 @@ class TransactionManager:
         parent_state = self._state(child.parent)
         # Deepest first: live grandchildren merge into the child before the
         # child merges into the parent.
-        for grandchild in sorted(child_state.children,
-                                 key=lambda t: len(t.path), reverse=True):
+        for grandchild in sorted(child_state.children, key=_deepest_first):
             if grandchild in self._states:
                 yield from self._merge_child_into_parent(grandchild)
         yield from self._fold(child_state, parent_state)
@@ -317,9 +315,6 @@ class TransactionManager:
         under ``tid``, or retries exhausted.  Every reply is collected
         before returning; what an error means is the caller's decision.
         """
-        # The servers' spans open at the same instant: siblings under
-        # the caller's span, not each other's parent.
-        trace_parent = self._trace_parent(tid)
         replies: dict[str, dict] = {}
         errors: dict[str, Exception] = {}
         silent = list(servers)
@@ -334,8 +329,7 @@ class TransactionManager:
                     continue
                 reply_port = Port(self.ctx, node=self.node,
                                   name=f"tm-reply:{op}")
-                port.send(Message(op=op, body=body, reply_to=reply_port,
-                                  trace_parent=trace_parent))
+                port.send(Message(op=op, body=body, reply_to=reply_port))
                 posted.append((server, reply_port))
             silent = []
             for server, reply_port in posted:
@@ -600,10 +594,9 @@ class TransactionManager:
         tid: TransactionID = message.body["tid"]
         sender: str = message.body["from"]
         response: str = message.body.get(kind, "")
-        # Zero-duration span with an explicit cross-node parent: the
-        # subordinate's prepare / phase-two span caused this arrival.
+        # Zero-duration span under the subordinate's prepare / phase-two
+        # span that caused this arrival.
         with self.ctx.span("2pc." + kind, self.node.name, "TM", tid=tid,
-                           parent_id=message.trace_parent,
                            **{sender_attr: sender, kind: response}):
             pass
         votes = self._collections.get((kind, tid.toplevel))
@@ -672,7 +665,6 @@ class TransactionManager:
         tid: TransactionID = message.body["tid"]
         coordinator: str = message.body["from"]
         with self.ctx.span("2pc.prepare_req", self.node.name, "TM", tid=tid,
-                           parent_id=message.trace_parent,
                            coordinator=coordinator):
             state = self._states.get(tid)
             if state is not None and state.phase is TxnPhase.ABORTED:
@@ -753,7 +745,6 @@ class TransactionManager:
         tid: TransactionID = message.body["tid"]
         coordinator: str = message.body["from"]
         with self.ctx.span("2pc.commit_req", self.node.name, "TM", tid=tid,
-                           parent_id=message.trace_parent,
                            coordinator=coordinator):
             state = self._states.get(tid)
             if state is not None:
@@ -874,8 +865,7 @@ class TransactionManager:
             self.ctx.tracer.event("2pc.abort", self.node.name, "TM",
                                   tid=tid, reason=reason)
         self.ctx.metrics.counter(self.node.name, "tm.aborts").inc()
-        for child_tid in sorted(state.children, key=lambda t: len(t.path),
-                                reverse=True):
+        for child_tid in sorted(state.children, key=_deepest_first):
             child_state = self._states.get(child_tid)
             if child_state is not None:
                 yield from self._abort_subtree(child_state, [])

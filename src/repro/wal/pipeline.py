@@ -76,7 +76,11 @@ class GroupCommitPipeline:
             epoch = self._epoch
             self.ctx.engine.schedule(
                 self.window_ms, lambda: self._window_expired(epoch))
-        yield waiter
+        # The physical force belongs to no one transaction: each waiter's
+        # wait is a span of its own, under whatever asked for the force.
+        with self.ctx.span("wal.group_wait", self.wal.node_name, "WAL",
+                           target_lsn=target):
+            yield waiter
 
     def _window_expired(self, epoch: int) -> None:
         if epoch != self._epoch:

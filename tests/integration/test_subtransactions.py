@@ -132,6 +132,43 @@ def test_parent_abort_takes_down_live_children(env):
     assert read_later(cluster, app, ref, 1) == 0
 
 
+def test_live_subtransactions_are_walked_in_identifier_order(env):
+    """Committing a subtransaction merges its live children first, and
+    aborting a parent aborts its live children: both walk a *set* of
+    siblings, deepest first and then by identifier -- not in the set's
+    order, which follows the string hash and so differs between
+    interpreter runs."""
+    cluster, app, ref = env
+    tm = cluster.node("n1").tm
+    folded, aborted = [], []
+    fold, abort_subtree = tm._fold, tm._abort_subtree
+
+    def spy_fold(child, into):
+        folded.append(child.tid)
+        yield from fold(child, into)
+
+    def spy_abort_subtree(state, children, reason=""):
+        aborted.append(state.tid)
+        yield from abort_subtree(state, children, reason=reason)
+
+    tm._fold, tm._abort_subtree = spy_fold, spy_abort_subtree
+
+    def body():
+        parent = yield from app.begin_transaction()
+        middle = yield from app.begin_transaction(parent=parent)
+        for _ in range(6):
+            yield from app.begin_transaction(parent=middle)
+        yield from app.end_transaction(middle)
+        for _ in range(6):
+            yield from app.begin_transaction(parent=parent)
+        yield from app.abort_transaction(parent)
+        return parent, middle
+
+    parent, middle = cluster.run_on("n1", body())
+    assert folded == [middle.child(i) for i in range(1, 7)] + [middle]
+    assert aborted == [parent] + [parent.child(i) for i in range(2, 8)]
+
+
 def test_parent_commit_sweeps_up_unended_children(env):
     """When a parent transaction commits, its subtransactions are
     committed as well."""

@@ -8,6 +8,7 @@ from repro.kernel.costs import MEASURED_1985, Phase, Primitive
 from repro.kernel.messages import Message, MessageKind, classify_size
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
+from repro.obs.tracer import Tracer
 from repro.sim import Process
 
 
@@ -122,6 +123,37 @@ def test_sender_node_stamped(ctx):
     port.send(Message(op="hello"))
     message = ctx.engine.run_until(port.receive())
     assert message.sender_node == "alpha"
+
+
+def test_traced_send_stamps_the_senders_context_and_its_payloads(ctx):
+    """A message leaves in the sending process's causal context, and so
+    does a datagram riding inside it; untraced, nothing is stamped."""
+    port = Port(ctx, name="p")
+    sent = []
+
+    def sender():
+        with ctx.span("2pc.prepare", "n", "TM", tid="T1") as span:
+            datagram = Message(op="tm.prepare_req")
+            port.send(Message(op="cm.send_datagram",
+                              body={"payload": datagram}))
+            sent.append((span.span_id, datagram))
+        yield from ()
+
+    Process(ctx.engine, sender())
+    ctx.engine.run()
+    assert port.try_receive().trace_parent == 0
+    assert sent[0][1].trace_parent == 0
+    ctx.tracer = Tracer(ctx.engine)
+    Process(ctx.engine, sender())
+    ctx.engine.run()
+    span_id, datagram = sent[1]
+    assert span_id != 0
+    assert port.try_receive().trace_parent == span_id
+    assert datagram.trace_parent == span_id
+    # From a plain callback there is no context to carry.
+    port.send(Message(op="tick"))
+    ctx.engine.run()
+    assert port.try_receive().trace_parent == 0
 
 
 def test_phase_attribution_follows_meter_phase(ctx):

@@ -28,6 +28,12 @@ SPAN_BEGIN_HOMES = {
                      "every other module reaches through ctx.span()",
 }
 
+#: where a span's parent may be named (``trace_parent=`` or
+#: ``parent_id=``): the kit stamps and adopts the running process's
+#: context, the tracer applies the parent rule; nowhere else picks one
+SPAN_PARENT_HOMES = ("kernel/messages.py", "kernel/ports.py",
+                     "kernel/service.py", "obs/")
+
 #: where a reply port may be constructed, by enclosing function
 REPLY_PORT_HOMES = {
     ("kernel/service.py", "request"):
@@ -58,6 +64,14 @@ def test_spans_are_begun_only_by_the_tracer_and_its_scope():
     strays = [f"{path}:{line}" for path, _, line in sites(r"tracer\.begin\(")
               if path not in SPAN_BEGIN_HOMES]
     assert strays == [], "open spans with ctx.span(...), not tracer.begin"
+
+
+def test_span_parents_are_named_only_by_the_kit_and_the_tracer():
+    strays = [f"{path}:{line}" for path, _, line
+              in sites(r"\b(trace_parent|parent_id)\s*=(?!=)")
+              if not path.startswith(SPAN_PARENT_HOMES)]
+    assert strays == [], ("a span's parent is the running process's "
+                          "context (docs/OBSERVABILITY.md): do not pick one")
 
 
 def test_reply_ports_are_built_only_by_the_kit_and_its_named_exceptions():

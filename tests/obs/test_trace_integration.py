@@ -182,8 +182,8 @@ class TestNoSpanLeftOpen:
         assert open_spans_on_live_nodes(cluster) == []
 
     def test_replicated_chaos_with_write_behind_copies_in_flight(self):
-        """Detached spans are on no node stack; a crash (the home node's
-        or the copy's) and the join must still close every one.
+        """A write-behind copy is a process of its own; a crash (the home
+        node's or the copy's) and the join must still close its spans.
 
         The rolling plan of tests/chaos/test_replication.py with both
         crashes 100 ms earlier: since each tier is one serialising call
@@ -278,10 +278,10 @@ class TestWriteBehindSpans:
 
 
 class TestScatteredServerSpans:
-    """One family, four data-server calls in flight on one node: the
-    Transaction Manager stamps ``trace_parent`` on each, so the
-    ``ds:ds.*`` spans are siblings under the phase that sent them, not
-    a chain picked off the per-(family, node) stack."""
+    """One family, four data-server calls in flight on one node: each is
+    handled by a process of its own that starts in the context its
+    message carried, so the ``ds:ds.*`` spans are siblings under the
+    phase that sent them, not a chain."""
 
     def test_local_debitcredit_servers_are_siblings_under_their_phase(self):
         from repro.core.cluster import TabsCluster
@@ -315,3 +315,68 @@ class TestScatteredServerSpans:
                 assert {span.family for span in siblings} == {parent.family}
                 assert len({span.start_ms for span in siblings}) == 1
         assert open_spans_on_live_nodes(cluster) == []
+
+
+class TestRf2Parentage:
+    """Four clients of an rf=2 DebitCredit cluster: on every node, the
+    families' serialising calls, write-behind copies and the servers'
+    spooling overlap.  Each span still hangs off the process that caused
+    it (docs/OBSERVABILITY.md "Parent rule")."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        import random
+
+        from tests.replication.conftest import build_replicated
+
+        from repro.workloads.debitcredit import (
+            draw_spec,
+            replicated_debitcredit_txn,
+        )
+
+        cluster, topology = build_replicated(seed=31)
+        tracer = cluster.enable_tracing()
+        rng = random.Random(5)
+        committed = []
+
+        def client(index):
+            home = topology.client_home(index)
+            rapp = cluster.replicated_application(topology.node_name(home))
+            for _ in range(15):
+                spec = draw_spec(rng, cluster.config.workload, home)
+                yield from rapp.run_transaction(
+                    lambda tid, spec=spec: replicated_debitcredit_txn(
+                        rapp, topology, spec, tid))
+                committed.append(spec)
+
+        for index in range(4):
+            home = topology.client_home(index)
+            cluster.spawn_on(topology.node_name(home), client(index))
+        cluster.settle(extra_ms=5_000.0)
+        assert len(committed) == 60
+        return cluster, tracer, {span.span_id: span for span in tracer.spans}
+
+    def test_every_spool_hangs_off_the_operation_of_the_server_it_logged(
+            self, run):
+        cluster, tracer, by_id = run
+        spools = [span for span in tracer.spans if span.name == "rm.spool"]
+        assert len(spools) == 600
+        for spool in spools:
+            record = cluster.node(spool.node).rm.wal.record_at(
+                spool.attrs["lsn"])
+            parent = by_id[spool.parent_id]
+            assert parent.name.startswith("ds:"), parent.name
+            assert (parent.node, parent.attrs["server"]) == \
+                (spool.node, record.server)
+        assert [spool for spool in spools
+                if by_id[spool.parent_id].name == "rm.spool"] == []
+
+    def test_every_write_behind_copy_hangs_off_its_family_root(self, run):
+        _, tracer, _ = run
+        roots = {span.family: span.span_id for span in tracer.spans
+                 if span.name == "txn"}
+        copies = [span for span in tracer.spans
+                  if span.name.startswith("rpc:put_")]
+        assert len(copies) == 240
+        assert [copy.name for copy in copies
+                if copy.parent_id != roots[copy.family]] == []

@@ -187,28 +187,43 @@ def test_first_copy_crashing_after_it_executed_never_commits():
     before replying.  The detector is faster than the call's deadline,
     so by the time the client fails over the Transaction Manager has
     aborted the family on the failure notice: the second execution is a
-    zombie's first call at bank1, parked at ``tm.join``, and nothing of
-    either execution is ever committed."""
+    zombie's first call at bank1, refused at ``tm.join`` with
+    ``TransactionAborted``, and nothing of either execution is ever
+    committed.  The refused call leaves nothing behind on bank1."""
     cluster, topology = build_replicated(seed=83)
     keyspace = topology.account_server(0)
     assert cluster.placement.replicas(keyspace) == ("bank0", "bank1")
     before = committed_balance(cluster, "bank1", keyspace, 2)
-    executions, tids = [], []
+    executions, tids, refused = [], [], []
     die_after_executing(cluster, "bank0", keyspace, executions)
     rapp = spied(cluster, "bank1")
+    bank1 = cluster.node("bank1")
+    served = bank1.servers[keyspace].library.requests_served
 
     def body(tid):
         tids.append(tid)
-        yield from add(rapp, keyspace, 2, 500, tid)
-        raise AssertionError("an aborted transaction's call was served")
+        with pytest.raises(TransactionAborted) as error:
+            yield from add(rapp, keyspace, 2, 500, tid)
+        refused.append(error.value)
+        raise error.value
 
-    cluster.spawn_on("bank1", rapp.run_transaction(body))
+    client = cluster.spawn_on("bank1", rapp.run_transaction(body))
     cluster.settle(extra_ms=40_000.0)
     assert executions == [before + 500]
-    assert cluster.node("bank1").tm.aborts_on_failure == 1
+    assert [error.tid for error in refused] == tids
+    with pytest.raises(TransactionAborted):
+        client.result()
+    assert bank1.tm.aborts_on_failure == 1
     assert counter(cluster, "bank1", "replication.read_failover") == 1
-    assert rapp.app.control == []                       # no tm.end
+    assert [op for op, _ in rapp.app.control] == ["abort"]  # no tm.end
+    library = bank1.servers[keyspace].library
+    assert library.requests_served == served
+    assert tids[0] not in library._txns
     assert locks(cluster, "bank1", keyspace).held_keys(tids[0]) == []
+    # Every process the call started on bank1 has ended.
+    assert [process.name for process in bank1.node._processes
+            if process.alive and process.name.endswith(":add_to_balance")
+            ] == []
     assert_old_balance_everywhere(cluster, keyspace, 2, before)
 
 
