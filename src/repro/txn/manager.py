@@ -362,6 +362,7 @@ class TransactionManager:
             # Nothing the client sent on its way is still running when
             # it hears the outcome.
             yield from join_all(message.body.get("copies", ()))
+            yield from self._tell_untold_children(state)
             respond(message, {"committed": False,
                               "reason": state.abort_reason})
             return
@@ -839,6 +840,8 @@ class TransactionManager:
         tid: TransactionID = message.body["tid"]
         state = self._states.get(tid)
         if state is None or state.phase.terminal:
+            if state is not None and state.phase is TxnPhase.ABORTED:
+                yield from self._tell_untold_children(state)
             respond(message, {"aborted": True})
             return
         # The spanning tree is kept per family; an aborting subtransaction
@@ -873,6 +876,7 @@ class TransactionManager:
         awaited = self._live_children(children)
         if awaited:
             collection = self._open_collection("ack", tid, awaited)
+        state.abort_told.update(children)
         for child in children:
             # A down child is still told (datagram semantics: dropped on
             # the floor) but not awaited -- presumed abort means its
@@ -902,6 +906,18 @@ class TransactionManager:
         if parent is not None:
             parent.children.discard(tid)
         self._forget(tid, keep_tombstone=True)
+
+    def _tell_untold_children(self, state: TransactionState):
+        """An aborted family can outgrow its abort: a call in flight at
+        the time (one to a peer declared dead waits out its deadline)
+        fails over or writes behind to nodes the abort never told, each
+        opening a fresh ACTIVE fragment.  Before its tombstone answers
+        the client, tell them (generator)."""
+        children = yield from self._children(state)
+        for child in children:
+            if child not in state.abort_told:
+                self._send_datagram(child, "tm.abort_req", {}, state.tid)
+        state.abort_told.update(children)
 
     def _forget(self, tid: TransactionID, keep_tombstone: bool = False) -> None:
         state = self._states.get(tid)

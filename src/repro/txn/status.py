@@ -75,6 +75,9 @@ class TransactionState:
     aborted_by_failure: bool = False
     #: set mid-prepare when a peer failure demands the vote become abort
     abort_on_prepare: str = ""
+    #: child nodes the abort sent ``tm.abort_req``; the tombstone tells
+    #: the rest of the spanning tree when the client ends or aborts
+    abort_told: set[str] = field(default_factory=set)
 
     def advance(self, phase: TxnPhase) -> None:
         if phase not in _ALLOWED[self.phase]:

@@ -15,6 +15,13 @@ mutated after append (abort processing and recovery relink ``prev_lsn``
 chains), so the duplexed media bytes are an integrity witness for the
 durability path, never decoded back into live objects outside salvage.
 
+A log disk therefore stores only its **damage**.  An intact image is the
+frame its durable record encodes to -- a second copy of what the record
+list already holds -- so an LSN absent from a disk's table reads intact
+there.  Fault injection creates the image it damages (:meth:`rot_media`
+encodes the record as it stands, :meth:`append_torn` half a frame), and
+repair, salvage and truncation walk the damaged LSNs only.
+
 Capacity is bounded (in records) so that log reclamation (Section 3.2.2)
 has something to do: when the log is close to full, the Recovery Manager
 runs a reclamation algorithm that may force pages to disk so old records
@@ -23,38 +30,34 @@ can be truncated.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.errors import LogFull, LogMediaCorruption, WriteAheadLogError
 from repro.wal.codec import encode_record, frame_checksum
 from repro.wal.records import LogRecord
 
+_lsn = attrgetter("lsn")
+
 
 class _MediaEntry:
-    """One record's image on a log disk: frame bytes + stored CRC.
+    """A damaged record image on one log disk: frame bytes + stored CRC.
 
-    ``verified`` caches the CRC check so the hot path (every log read)
-    costs a flag test.  While the two disks agree -- always, until a
-    fault is injected -- both mirror dicts hold the *same* entry (a run
-    retains two images per record; a second object apiece would be the
-    largest single item in the heap a window grows).  Damage therefore
-    never mutates an entry, it replaces the damaged copy's with a new
-    one, and a repair points that copy back at the good one.
+    Entries are never mutated (rot stores a new one), so the two disks
+    may share a torn frame.  Rotting the same byte twice restores the
+    frame, so whether an entry reads intact is the checksum's call.
     """
 
-    __slots__ = ("payload", "checksum", "verified")
+    __slots__ = ("payload", "checksum")
 
-    def __init__(self, payload: bytes, checksum: int,
-                 verified: bool) -> None:
+    def __init__(self, payload: bytes, checksum: int) -> None:
         self.payload = payload
         self.checksum = checksum
-        self.verified = verified
 
     @property
     def ok(self) -> bool:
-        if not self.verified:
-            self.verified = frame_checksum(self.payload) == self.checksum
-        return self.verified
+        return frame_checksum(self.payload) == self.checksum
 
 
 @dataclass
@@ -81,12 +84,11 @@ class LogStore:
             raise WriteAheadLogError("log store needs capacity >= 1")
         self.capacity_records = capacity_records
         self._records: list[LogRecord] = []
-        #: the two mirrored log disks: lsn -> _MediaEntry, per copy
-        self._media: tuple[dict[int, _MediaEntry], dict[int, _MediaEntry]] \
+        #: the two mirrored log disks, damage only: lsn -> damaged image,
+        #: per copy.  A durable LSN absent from a copy reads intact there;
+        #: a torn (never durable) LSN is damaged on both
+        self._damage: tuple[dict[int, _MediaEntry], dict[int, _MediaEntry]] \
             = ({}, {})
-        #: LSNs whose media may be damaged (fault injection adds; reads
-        #: and salvage drain) -- keeps the clean path O(1)
-        self._suspect: set[int] = set()
         #: LSNs below this have been reclaimed
         self.truncated_before = 1
         #: lifetime single-copy repairs (duplexed read path + salvage)
@@ -119,55 +121,56 @@ class LogStore:
         if self.media_observer is not None:
             self.media_observer(kind, count)
 
-    def _write_media(self, record: LogRecord) -> None:
-        frame = encode_record(record)
-        checksum = frame_checksum(frame)
-        entry = _MediaEntry(frame, checksum, verified=True)
-        for copy in self._media:
-            copy[record.lsn] = entry
+    def _durable(self, lsn: int) -> LogRecord | None:
+        index = bisect_left(self._records, lsn, key=_lsn)
+        if index < len(self._records) and self._records[index].lsn == lsn:
+            return self._records[index]
+        return None
 
-    def _repair_suspects(self) -> None:
-        """Duplexed read path: re-verify flagged LSNs, repair from the
-        mirror, escalate when both copies of a durable record are bad.
+    def _damaged_lsns(self) -> list[int]:
+        return sorted(self._damage[0].keys() | self._damage[1].keys())
 
-        Torn frames beyond the durable tail (never acknowledged) stay
-        flagged for :meth:`salvage`; they are not an error to read past.
-        """
-        if not self._suspect:
-            return
-        durable = {record.lsn for record in self._records}
-        remaining: set[int] = set()
-        for lsn in sorted(self._suspect):
-            entries = [copy.get(lsn) for copy in self._media]
-            states = [entry.ok if entry is not None else False
-                      for entry in entries]
-            if all(states):
-                continue
-            if not any(states):
-                if lsn in durable:
-                    raise LogMediaCorruption(
-                        lsn, "both log-disk copies failed their checksums; "
-                             "run salvage (crash recovery) to truncate the "
-                             "tail or accept log loss")
-                remaining.add(lsn)  # torn tail: salvage truncates it
-                continue
-            self._repair_from_mirror(lsn, entries, states)
-        self._suspect = remaining
+    def _intact(self, lsn: int) -> list[bool]:
+        """Per disk: does ``lsn``'s image there pass its checksum?"""
+        return [(entry := copy.get(lsn)) is None or entry.ok
+                for copy in self._damage]
 
-    def _repair_from_mirror(self, lsn: int, entries: list,
-                            states: list[bool]) -> None:
-        """One disk's image of ``lsn`` is bad: point it back at the good
-        disk's (the two share one entry again)."""
-        self._media[states.index(False)][lsn] = entries[states.index(True)]
+    def _restore(self, lsn: int, intact: list[bool]) -> bool:
+        """``lsn`` reads intact on at least one disk: rewrite a failing
+        copy from its mirror, leaving no damage stored.  True iff a copy
+        was repaired."""
+        for copy in self._damage:
+            copy.pop(lsn, None)
+        if all(intact):
+            return False
         self.duplex_repairs += 1
         self._media_event("wal.duplex_repairs")
+        return True
+
+    def _repair_damage(self) -> None:
+        """Duplexed read path: repair single-copy damage from the mirror,
+        escalate when both copies of a durable record are bad.
+
+        Torn frames beyond the durable tail (never acknowledged) stay for
+        :meth:`salvage`; they are not an error to read past.
+        """
+        for lsn in self._damaged_lsns():
+            intact = self._intact(lsn)
+            if any(intact):
+                self._restore(lsn, intact)
+            elif self._durable(lsn) is not None:
+                raise LogMediaCorruption(
+                    lsn, "both log-disk copies failed their checksums; "
+                         "run salvage (crash recovery) to truncate the "
+                         "tail or accept log loss")
 
     # -- writing ----------------------------------------------------------------
 
     def append(self, records: list[LogRecord]) -> None:
         """Durably append ``records`` (already holding their LSNs).
 
-        Every record's checksummed frame is written to both log disks.
+        Every record is encoded to its frame, which both log disks then
+        hold intact -- implicitly, as the absence of damage.
         """
         if len(self._records) + len(records) > self.capacity_records:
             raise LogFull(
@@ -178,7 +181,9 @@ class LogStore:
                 raise WriteAheadLogError(
                     f"append out of order: lsn {record.lsn} after {self.last_lsn}")
             self._records.append(record)
-            self._write_media(record)
+            encode_record(record)
+            for copy in self._damage:
+                copy.pop(record.lsn, None)  # overwrites a torn frame there
             for observer in self.observers:
                 observer(record)
 
@@ -193,37 +198,36 @@ class LogStore:
         log device recovers from a torn force.
         """
         frame = encode_record(record)
-        checksum = frame_checksum(frame)
-        torn = _MediaEntry(frame[:max(1, len(frame) // 2)], checksum,
-                           verified=False)
-        for copy in self._media:
+        torn = _MediaEntry(frame[:max(1, len(frame) // 2)],
+                           frame_checksum(frame))
+        for copy in self._damage:
             copy[record.lsn] = torn
-        self._suspect.add(record.lsn)
 
     def rot_media(self, lsn: int, copy: int = 0,
                   both_copies: bool = False) -> bool:
         """Bit rot on the log disk(s): flip a byte of the stored frame.
 
-        Returns False when no media exists for the LSN.  Rotting a single
-        copy is survivable (duplex repair); rotting both copies of a
-        durable record is real log loss -- chaos plans only do that to
-        the unacknowledged tail.
+        An intact image is first made real: the durable record is encoded
+        as it stands, under that frame's CRC.  Returns False when no
+        media exists for the LSN.  Rotting a single copy is survivable
+        (duplex repair); rotting both copies of a durable record is real
+        log loss -- chaos plans only do that to the unacknowledged tail.
         """
         targets = range(2) if both_copies else (copy,)
         hit = False
         for index in targets:
-            entry = self._media[index].get(lsn)
+            entry = self._damage[index].get(lsn)
             if entry is None:
-                continue
+                record = self._durable(lsn)
+                if record is None:
+                    continue
+                frame = encode_record(record)
+                entry = _MediaEntry(frame, frame_checksum(frame))
             payload = bytearray(entry.payload)
             payload[len(payload) // 2] ^= 0xFF
-            # A new entry for this disk only: the mirror may share the
-            # old one, and rot on one disk must not reach the other.
-            self._media[index][lsn] = _MediaEntry(
-                bytes(payload), entry.checksum, verified=False)
+            self._damage[index][lsn] = _MediaEntry(bytes(payload),
+                                                   entry.checksum)
             hit = True
-        if hit:
-            self._suspect.add(lsn)
         return hit
 
     # -- salvage ----------------------------------------------------------------
@@ -239,39 +243,30 @@ class LogStore:
         intact prefix) and the loss surfaces in the recovery audits.
         """
         report = SalvageReport()
-        all_lsns = sorted(set(self._media[0]) | set(self._media[1]))
-        cut = None
-        for lsn in all_lsns:
-            entries = [copy.get(lsn) for copy in self._media]
-            states = [entry.ok if entry is not None else False
-                      for entry in entries]
-            if all(states):
-                continue
-            if any(states):
-                self._repair_from_mirror(lsn, entries, states)
-                report.repairs += 1
-                continue
-            cut = lsn
-            break
-        if cut is not None:
-            keep = [r for r in self._records if r.lsn < cut]
-            report.truncated_from_lsn = cut
+        for lsn in self._damaged_lsns():
+            intact = self._intact(lsn)
+            if not any(intact):
+                report.truncated_from_lsn = lsn
+                break
+            report.repairs += self._restore(lsn, intact)
+        if report.truncated:
+            keep = [r for r in self._records
+                    if r.lsn < report.truncated_from_lsn]
             report.dropped_records = len(self._records) - len(keep)
             self._records = keep
-            for copy in self._media:
-                for lsn in [lsn for lsn in copy if lsn >= cut]:
-                    del copy[lsn]
             self.salvage_truncations += 1
             self._media_event("wal.salvage_truncations")
-        self._suspect.clear()
+        # Below the cut every damaged image was restored; past it the
+        # media is gone with the records.
+        for copy in self._damage:
+            copy.clear()
         return report
 
     def media_intact(self) -> bool:
         """True iff every record's media verifies on both copies (audits)."""
-        return all(
-            (entry := copy.get(record.lsn)) is not None and entry.ok
-            for record in self._records
-            for copy in self._media)
+        return all(entry.ok for copy in self._damage
+                   for lsn, entry in copy.items()
+                   if self._durable(lsn) is not None)
 
     # -- reading (durable prefix only) ------------------------------------------
 
@@ -281,22 +276,22 @@ class LogStore:
             raise WriteAheadLogError(
                 f"lsn {from_lsn} was reclaimed (log starts at "
                 f"{self.truncated_before})")
-        self._repair_suspects()
+        self._repair_damage()
         return [r for r in self._records if r.lsn >= from_lsn]
 
     def read_backward(self, from_lsn: int | None = None) -> list[LogRecord]:
         """Durable records from ``from_lsn`` (default: the end) backwards."""
-        self._repair_suspects()
+        self._repair_damage()
         records = self._records if from_lsn is None else [
             r for r in self._records if r.lsn <= from_lsn]
         return list(reversed(records))
 
     def record_at(self, lsn: int) -> LogRecord:
-        self._repair_suspects()
-        for record in self._records:
-            if record.lsn == lsn:
-                return record
-        raise WriteAheadLogError(f"no durable record with lsn {lsn}")
+        self._repair_damage()
+        record = self._durable(lsn)
+        if record is None:
+            raise WriteAheadLogError(f"no durable record with lsn {lsn}")
+        return record
 
     def truncate_before(self, lsn: int) -> int:
         """Reclaim records with ``lsn`` strictly below the given point.
@@ -306,9 +301,8 @@ class LogStore:
         keep = [r for r in self._records if r.lsn >= lsn]
         reclaimed = len(self._records) - len(keep)
         self._records = keep
-        for copy in self._media:
+        for copy in self._damage:
             for old in [old for old in copy if old < lsn]:
                 del copy[old]
-        self._suspect = {s for s in self._suspect if s >= lsn}
         self.truncated_before = max(self.truncated_before, lsn)
         return reclaimed

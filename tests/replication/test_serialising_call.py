@@ -25,6 +25,7 @@ from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
 from repro.errors import LockTimeout, TransactionAborted
 from repro.replication import audit_replica_convergence
 from repro.sim import Timeout
+from repro.txn.status import TxnPhase
 from repro.workloads.debitcredit import RowOutOfRange
 
 
@@ -225,6 +226,52 @@ def test_first_copy_crashing_after_it_executed_never_commits():
             if process.alive and process.name.endswith(":add_to_balance")
             ] == []
     assert_old_balance_everywhere(cluster, keyspace, 2, before)
+
+
+def test_an_aborted_family_tells_the_fragments_its_abort_missed():
+    """The same crash with the client homed on a third node, and bank0
+    back before the call's deadline.  The family aborts at bank2 on the
+    failure notice, telling nobody (bank0 is the dead peer).  The call
+    still waits out its deadline, then fails over to bank1 and writes
+    behind to bank0's new incarnation: two fresh ACTIVE fragments, each
+    holding the row.  The tombstone that answers ``tm.end`` must abort
+    them, or their locks are held forever."""
+    cluster = TabsCluster(TabsConfig(
+        seed=83, replication=ReplicationConfig.available_copies(),
+        workload=WorkloadConfig(branches=3, accounts_per_branch=50,
+                                tellers_per_branch=2, locality=1.0)))
+    topology = cluster.build_workload()
+    keyspace = topology.account_server(0)
+    assert cluster.placement.replicas(keyspace) == ("bank0", "bank1")
+    before = committed_balance(cluster, "bank1", keyspace, 2)
+    executions, tids = [], []
+    die_after_executing(cluster, "bank0", keyspace, executions)
+    rapp = spied(cluster, "bank2")
+
+    def restart_bank0():
+        yield Timeout(cluster.engine, 5_000.0)
+        yield from cluster.node("bank0").restart_generator()
+
+    def body(tid):
+        tids.append(tid)
+        reply = yield from add(rapp, keyspace, 2, 500, tid)
+        executions.append(reply["balance"])
+
+    cluster.spawn_on("bank1", restart_bank0())
+    client = cluster.spawn_on("bank2", rapp.run_transaction(body))
+    cluster.settle(extra_ms=60_000.0)
+    with pytest.raises(TransactionAborted, match="peer bank0 failed"):
+        client.result()
+    assert executions == [before + 500, before + 500]
+    assert [op for op, _ in rapp.app.control] == ["end"]
+    for node in ("bank0", "bank1", "bank2"):
+        tabs_node = cluster.node(node)
+        assert tabs_node.tm._states[tids[0]].phase is TxnPhase.ABORTED
+        for name in tabs_node.servers:
+            assert locks(cluster, node, name).held_keys(tids[0]) == []
+    for node in ("bank0", "bank1"):
+        assert committed_balance(cluster, node, keyspace, 2) == before
+    assert audit_replica_convergence(cluster) == []
 
 
 def test_second_execution_after_a_crashed_first_aborts_at_the_join():

@@ -6,6 +6,8 @@ salvage truncation of a torn tail, and the fault-injection surface the
 chaos controller drives.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import LogMediaCorruption
@@ -62,6 +64,21 @@ def test_rot_on_one_disk_never_reaches_its_mirror():
     assert store.duplex_repairs == 2 and store.media_intact()
     store.rot_media(2, copy=0)
     store.rot_media(2, copy=1)
+    with pytest.raises(LogMediaCorruption):
+        store.read_forward()
+
+
+@pytest.mark.parametrize("copy", [0, 1])
+def test_rot_of_a_relinked_record_is_repaired_and_both_copies_raise(copy):
+    """Abort processing relinks ``prev_lsn`` after append, so the image
+    rot damages is the record as it stands, not as it was appended."""
+    store = filled_store()
+    store.record_at(3).prev_lsn = 70_000
+    assert store.rot_media(3, copy=copy)
+    assert not store.media_intact()
+    assert [r.lsn for r in store.read_forward()] == [1, 2, 3, 4]
+    assert store.duplex_repairs == 1 and store.media_intact()
+    assert store.rot_media(3, both_copies=True)
     with pytest.raises(LogMediaCorruption):
         store.read_forward()
 
@@ -128,6 +145,27 @@ def test_torn_append_never_reaches_observers():
 
 
 # -- bookkeeping ---------------------------------------------------------------
+
+
+def test_clean_appends_store_no_media():
+    """An intact image is the absence of damage: clean appends leave the
+    store and the codec holding nothing per record but its list slot."""
+    records = [ValueUpdateRecord(tid="t", old_value=0, new_value=i)
+               for i in range(20_000)]
+    for lsn, record in enumerate(records, start=1):
+        record.lsn = lsn
+    store = LogStore()
+    tracemalloc.start()
+    try:
+        for start in range(0, len(records), 16):
+            store.append(records[start:start + 16])
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    retained = snapshot.filter_traces([
+        tracemalloc.Filter(True, "*/wal/store.py"),
+        tracemalloc.Filter(True, "*/wal/codec.py")]).statistics("filename")
+    assert sum(stat.size for stat in retained) <= 16 * len(records)
 
 
 def test_truncation_reclaims_damaged_media():
