@@ -24,8 +24,8 @@ is where chaos faults land)::
                 to source AND destination; reads still fail over past
                 the barrier to the source
     copy     -- :func:`~repro.replication.catchup.copy_shard`, the loop
-                replica catch-up runs (versioned cells make re-applies
-                no-ops); each applied chunk fires a "copy" hook
+                replica catch-up runs (a cell the destination already
+                holds gets no apply); each chunk fires a "copy" hook
     barrier  -- destination read barrier drops (it is now current:
                 copied prefix + fanned-out live writes)
     commit   -- commit-sequence transaction on the registry, then

@@ -4,14 +4,13 @@ The replicated cluster must be indistinguishable from a single-copy
 one.  The workload-level conservation audits already check the *logical*
 ledger; this module adds the replica-level check: after the run drains
 and every recovering copy has caught up, all replicas of a key-space
-must agree on every cell's *value* (versions may differ in the legacy
-``-1`` case, values may not).
+must hold every cell identically, version and value -- a write has one
+version at every copy it reaches.
 """
 
 from __future__ import annotations
 
 from repro.recovery.audit import AuditViolation
-from repro.replication.server import unpack_cell
 
 
 def replica_cells(tabs_node, server_name: str) -> dict[int, object]:
@@ -36,7 +35,7 @@ def replica_cells(tabs_node, server_name: str) -> dict[int, object]:
 
 
 def audit_replica_convergence(cluster) -> list[AuditViolation]:
-    """Every replica of every key-space agrees on every cell's value."""
+    """Every replica of every key-space holds every cell identically."""
     placement = cluster.placement
     violations: list[AuditViolation] = []
     if placement is None:
@@ -51,7 +50,7 @@ def audit_replica_convergence(cluster) -> list[AuditViolation]:
         for image in images.values():
             offsets.update(image)
         for offset in sorted(offsets):
-            values = {node: unpack_cell(image.get(offset))[1]
+            values = {node: image.get(offset)
                       for node, image in images.items()}
             if len(set(values.values())) > 1:
                 violations.append(AuditViolation(

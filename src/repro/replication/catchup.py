@@ -14,10 +14,19 @@ a *stream of small transactions*, never one big one:
    (``repl_cells`` -- a catalogue read, no data locks);
 2. for each chunk of at most :data:`CHUNK_CELLS` offsets, a *snapshot*
    transaction on the source copies the raw (versioned) values cell by
-   cell under short read locks (each released as soon as the value is
-   copied), followed by one *apply* transaction per cell on the
-   destination only, which write-locks the cell and overwrites it iff
-   the source's version is newer (``repl_apply_batch``).
+   cell without queueing behind active writers (``repl_read_batch``);
+3. a *version read* on the destination, just as lock-free, answers
+   which version of each of those cells it has committed
+   (``repl_versions``);
+4. one *apply* transaction per cell whose snapshot version is strictly
+   newer, on the destination only, which write-locks the cell and
+   overwrites it iff the source's version is still newer
+   (``repl_apply_batch``).
+
+A write has one version at every copy it reaches
+(:mod:`repro.replication.server`), so a copy that missed nothing holds
+every cell at its peer's version and its catch-up opens no apply
+transaction at all: only what is stale is copied.
 
 Chunking matters for liveness, not just politeness: a snapshot that
 read-locked the whole key-space in one transaction would collide with
@@ -30,7 +39,9 @@ chunk.
 Splitting them costs atomicity -- the apply may run long after the
 snapshot -- but versioned cells make that safe: a cell that moved on
 between snapshot and apply has a newer local version and the stale
-snapshot value is skipped, and the commit-time write barrier
+snapshot value is skipped (a destination's committed versions never
+decrease, so neither can a cell the version read left out need the
+snapshot's value later), and the commit-time write barrier
 (:func:`~repro.replication.view.validate_footprint` rule 2) aborts any
 transaction whose write fanned out while this copy was still catching
 up.  What the split *buys* is liveness: a single distributed
@@ -65,6 +76,7 @@ from repro.errors import (
     TransactionAborted,
 )
 from repro.kernel.disk import PAGE_SIZE
+from repro.replication.server import unpack_cell
 from repro.sim import Timeout
 
 #: cells per snapshot/apply chunk: small enough that a chunk only ever
@@ -81,7 +93,8 @@ RETRY_MS = 400.0
 #: the read barrier stays up.
 LOCK_TIMEOUT_MS = 1_500.0
 
-#: RPC bound for the calls to the source (and the destination probe).
+#: RPC bound for the calls to the source (and the destination's version
+#: read and probe).
 #: The default RPC time-out (30 s) outlives a whole fail-over window; a
 #: peer that dies mid-snapshot must fail the chunk quickly so the loop
 #: can notice it is gone and move on.
@@ -161,8 +174,9 @@ def copy_shard(app, keyspace: str, source: str, dest: str, ready,
     write traffic could otherwise thrash forever and pin the read
     barrier up.  Past it: :class:`CopyExhausted`.
 
-    Each further pass of ``passes`` re-lists the source and re-copies
-    (versioned cells make already-current cells cheap no-ops).  With
+    Each further pass of ``passes`` re-lists the source and re-copies;
+    a cell the destination already holds costs no apply transaction,
+    only its share of the chunk's version read.  With
     ``probe`` every pass ends with a listing round trip to ``dest``,
     under the same budget: an empty key-space copies zero chunks, so
     nothing else would notice a remote destination that died.
@@ -191,13 +205,17 @@ def copy_shard(app, keyspace: str, source: str, dest: str, ready,
                     timeout_ms=CALL_TIMEOUT_MS)
                 offsets = listing["offsets"]
             while start < len(offsets):
+                chunk = offsets[start:start + CHUNK_CELLS]
                 snapshot = yield from call_in_transaction(
                     app, keyspace, source, "repl_read_batch",
-                    {"offsets": offsets[start:start + CHUNK_CELLS],
-                     "lock_timeout_ms": LOCK_TIMEOUT_MS},
+                    {"offsets": chunk, "lock_timeout_ms": LOCK_TIMEOUT_MS},
                     timeout_ms=CALL_TIMEOUT_MS)
-                pages += yield from _apply_cells(app, keyspace, dest,
-                                                 snapshot["cells"])
+                held = yield from call_in_transaction(
+                    app, keyspace, dest, "repl_versions",
+                    {"offsets": chunk}, timeout_ms=CALL_TIMEOUT_MS)
+                pages += yield from _apply_cells(
+                    app, keyspace, dest,
+                    _stale(snapshot["cells"], held["versions"]))
                 start += CHUNK_CELLS
                 attempt = 0  # forward progress refreshes the budget
                 chunks += 1
@@ -217,20 +235,26 @@ def copy_shard(app, keyspace: str, source: str, dest: str, ready,
         start = 0
 
 
+def _stale(cells: dict, versions: dict) -> dict:
+    """The snapshot ``cells`` newer than the version the destination
+    reported for them; a cell it left out counts as stale."""
+    return {offset: raw for offset, raw in cells.items()
+            if raw is not None and (offset not in versions
+                                    or unpack_cell(raw)[0] > versions[offset])}
+
+
 def _apply_cells(app, keyspace: str, dest: str, cells: dict):
-    """Versioned conditional merge of one snapshot chunk into ``dest``'s
-    copy (generator; returns distinct pages changed).
+    """Versioned conditional merge of a chunk's stale cells into
+    ``dest``'s copy (generator; returns distinct pages changed).
 
     One cell per transaction, with a priority (head-of-queue) write
     lock: the apply never holds one cell while waiting on another, and
     waits only for a hot cell's *current* holder rather than the whole
-    convoy behind it.  A cell that fails retries with the chunk; cells
-    already merged re-apply as no-ops (the version check).
+    convoy behind it.  A cell that fails retries with the chunk, whose
+    fresh version read leaves out the cells already merged.
     """
     pages: set[int] = set()
     for offset in sorted(cells):
-        if cells[offset] is None:
-            continue
         reply = yield from call_in_transaction(
             app, keyspace, dest, "repl_apply_batch",
             {"cells": {offset: cells[offset]}, "priority": True})

@@ -1,14 +1,17 @@
 """The replica side: versioned cells, read barrier, catch-up operations.
 
 Replicated data servers store *versioned cells*: a plain tuple
-``("v", version, value)`` where the version is the simulated instant the
-write executed.  Versions are codec-safe (the WAL logs them unchanged)
-and monotonic per cell -- the writer holds the cell's write lock from
-the write to commit, so a later write always carries a later instant.
-That monotonicity is what makes catch-up a safe *merge*: a recovering
-replica applies a peer's cell only if the peer's version is newer, so
-merging from a peer that is itself stale (or mid-catch-up) can never
-regress a cell.
+``("v", version, value)``.  A write has one version: the simulated
+instant at which the copy where same-cell writers serialise held the
+cell's write lock, carried in the absolute write every other copy
+stores, so all copies of one write hold the same cell.  Versions are
+codec-safe (the WAL logs them unchanged) and monotonic per cell -- the
+writer holds the cell's write lock from the stamp to commit, so a later
+write always carries a later instant.  That monotonicity is what makes
+catch-up a safe *merge*: a recovering replica applies a peer's cell only
+if the peer's version is newer, so merging from a peer that is itself
+stale (or mid-catch-up) can never regress a cell, and a cell the replica
+already holds at the peer's version needs no apply at all.
 
 :class:`ReplicatedServerMixin` layers three things over a
 :class:`~repro.servers.base.BaseDataServer` subclass:
@@ -24,6 +27,8 @@ regress a cell.
 - ``repl_cells`` / ``repl_read_batch``: enumerate and copy the last
   committed value of each written cell (without queueing behind active
   writers), used by a peer's catch-up snapshot transaction.
+- ``repl_versions``: the destination's committed versions of a chunk,
+  read the same lock-free way, so catch-up applies only stale cells.
 - ``repl_apply_batch``: the versioned conditional merge, applied by the
   recovering node's local transaction under ordinary write locks and
   value logging (an aborted catch-up rolls back like any transaction).
@@ -158,6 +163,25 @@ class ReplicatedServerMixin:
             cells[offset] = value
         return {"cells": cells}
 
+    def op_repl_versions(self, body: dict, tid: TransactionID):
+        """This copy's committed version of each of ``offsets``, so a
+        catch-up chunk can leave out the cells it already holds.
+
+        Read like the snapshot, through ``read_committed``, without a
+        lock.  An offset whose holder is *prepared* is left out of the
+        answer, and the caller applies that cell as if it had not asked.
+        Committed versions never decrease, so a cell reported at the
+        snapshot's version or newer would fail the apply's own version
+        test at any later instant.
+        """
+        versions: dict[int, float] = {}
+        for offset in sorted(body["offsets"]):
+            ok, value = yield from self.library.read_committed(
+                self._offset_oid(offset))
+            if ok:
+                versions[offset] = unpack_cell(value)[0]
+        return {"versions": versions}
+
     def op_repl_apply_batch(self, body: dict, tid: TransactionID):
         """Merge a peer snapshot: write each cell iff the peer's version
         is newer than ours (under ordinary write locks + value logging).
@@ -168,6 +192,8 @@ class ReplicatedServerMixin:
         hot cell would keep the read barrier up for the convoy's
         lifetime (catch-up sends one cell per apply transaction for the
         same reason -- never holding one cell while waiting on another).
+        The version test stays here, under the write lock, whatever the
+        caller filtered on its ``repl_versions`` answer.
         """
         timeout_ms = body.get("lock_timeout_ms")
         priority = bool(body.get("priority"))

@@ -287,7 +287,9 @@ class HistoryServer(BaseDataServer):
 # serialise (``ReplicatedApp.write_all``) -- and its reply names, under
 # ``"copy"``, the absolute ``put`` every other available copy stores.
 # Cells become versioned tuples so a recovering replica's catch-up can
-# merge without regressing fresher local writes.
+# merge without regressing fresher local writes; that copy stamps the
+# version under the cell's lock and the ``put`` carries it, so every
+# copy of one write holds the same cell.
 
 
 class ReplicatedBalanceServer(ReplicatedServerMixin, BalanceServer):
@@ -313,26 +315,34 @@ class ReplicatedBalanceServer(ReplicatedServerMixin, BalanceServer):
 
     def op_add_to_balance(self, body: dict, tid: TransactionID):
         """The read-modify-write, at the copy where same-row contenders
-        serialise: write-lock, add ``amount``, store.  ``"copy"`` is the
-        write the other copies store."""
+        serialise: write-lock, add ``amount``, stamp the version, store.
+        ``"copy"`` is the write the other copies store, version and
+        all."""
         old = yield from self._read_balance(body["row"], tid, WRITE)
-        put = {"row": body["row"], "balance": old + int(body["amount"])}
+        put = {"row": body["row"], "balance": old + int(body["amount"]),
+               "version": self.node.ctx.now}
         reply = yield from self.op_put_balance(put, tid)
         reply["copy"] = ("put_balance", put)
         return reply
 
     def op_put_balance(self, body: dict, tid: TransactionID):
-        """Store an absolute balance (another copy computed the sum)."""
+        """Store an absolute balance at ``body["version"]``.  Without
+        one this is the first copy of a blind write: it stamps the
+        version once it holds the row, and ``"copy"`` names it."""
         oid = self._row_oid(body["row"])
         balance = int(body["balance"])
         lib = self.library
         yield from lib.lock_object(tid, oid, WRITE)
+        reply = {"balance": balance}
+        version = body.get("version")
+        if version is None:
+            version = self.node.ctx.now
+            reply["copy"] = ("put_balance", {**body, "version": version})
         yield from lib.pin_and_buffer(tid, oid)
-        yield from lib.write_object(oid, pack_cell(self.node.ctx.now,
-                                                   balance))
+        yield from lib.write_object(oid, pack_cell(version, balance))
         yield from lib.log_and_unpin(tid, oid)
         self._count_update()
-        return {"balance": balance}
+        return reply
 
 
 class ReplicatedBranchServer(ReplicatedBalanceServer):
@@ -372,10 +382,11 @@ class ReplicatedHistoryServer(ReplicatedServerMixin, HistoryServer):
 
     def op_append(self, body: dict, tid: TransactionID):
         """Append at the copy where one strand's appends serialise:
-        write-lock the cursor, store the row at the slot it names.
-        ``"copy"`` is the write the other copies store."""
+        write-lock the cursor, stamp the version, store the row at the
+        slot the cursor names.  ``"copy"`` is the write the other copies
+        store, version and all."""
         slot = yield from self._read_count(int(body["strand"]), tid, WRITE)
-        put = {**body, "slot": slot}
+        put = {**body, "slot": slot, "version": self.node.ctx.now}
         reply = yield from self.op_put_row(put, tid)
         reply["copy"] = ("put_row", put)
         return reply
@@ -395,27 +406,38 @@ class ReplicatedHistoryServer(ReplicatedServerMixin, HistoryServer):
         _, row = unpack_cell(raw)
         return {"row": list(row) if row is not None else None}
 
-    def _put_cell(self, cell: int, value: object, tid: TransactionID):
+    def _put_cell(self, cell: int, value: object, version: float,
+                  tid: TransactionID):
         oid = self._cell_oid(cell)
         lib = self.library
         yield from lib.lock_object(tid, oid, WRITE)
         yield from lib.pin_and_buffer(tid, oid)
-        yield from lib.write_object(oid, pack_cell(self.node.ctx.now,
-                                                   value))
+        yield from lib.write_object(oid, pack_cell(version, value))
         yield from lib.log_and_unpin(tid, oid)
 
     def op_put_row(self, body: dict, tid: TransactionID):
         """Store the row at ``slot`` and move the strand's cursor past
-        it (``append`` at another copy chose the slot); a slot past the
-        strand's end is the strand-full error."""
+        it, both at ``body["version"]`` (``append`` at another copy chose
+        the slot); a slot past the strand's end is the strand-full
+        error.  Without a version this is the first copy of a blind
+        write: it stamps one once it holds the cursor, and ``"copy"``
+        names it."""
         strand, slot = int(body["strand"]), int(body["slot"])
         row = (int(body["amount"]), int(body["branch"]),
                int(body["teller"]), int(body["account"]))
-        yield from self._put_cell(self._row_cell(strand, slot), row, tid)
-        yield from self._put_cell(1 + strand, slot + 1, tid)
+        row_cell = self._row_cell(strand, slot)
+        reply: dict = {"slot": slot}
+        version = body.get("version")
+        if version is None:
+            yield from self.library.lock_object(
+                tid, self._cell_oid(1 + strand), WRITE)
+            version = self.node.ctx.now
+            reply["copy"] = ("put_row", {**body, "version": version})
+        yield from self._put_cell(row_cell, row, version, tid)
+        yield from self._put_cell(1 + strand, slot + 1, version, tid)
         self.node.ctx.metrics.counter(self.node.name,
                                       "history_server.appends").inc()
-        return {"slot": slot}
+        return reply
 
 
 # -- topology ------------------------------------------------------------------

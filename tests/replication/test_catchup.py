@@ -6,7 +6,11 @@ from tests.replication.conftest import build_replicated
 
 from repro.errors import ReplicaUnavailable
 from repro.replication import audit_replica_convergence
-from repro.workloads.debitcredit import TxnSpec, replicated_debitcredit_txn
+from repro.workloads.debitcredit import (
+    DebitCreditWorkload,
+    TxnSpec,
+    replicated_debitcredit_txn,
+)
 
 
 def counter(cluster, node, name):
@@ -148,4 +152,35 @@ class TestCatchup:
         cluster.run_on("bank0", rapp.run_transaction(body))
         assert counter(cluster, "bank0", "replication.write_all_degraded") \
             == degraded_before
+        assert audit_replica_convergence(cluster) == []
+
+
+class TestOnlyStaleCellsAreCopied:
+    def test_a_restart_that_missed_nothing_applies_nothing(self):
+        """rf=2 DebitCredit traffic, settled, then the copy where the
+        branch-0 key-spaces serialise restarts.  Every copy of every
+        write holds the one version the serialising copy stamped, so
+        catch-up reads each chunk's versions and finds nothing stale: no
+        apply transaction, no page."""
+        cluster, topology = build_replicated(seed=41)
+        driver = DebitCreditWorkload(cluster, topology, seed=41)
+        driver.schedule_traffic(txns=8)
+        driver.run(until_ms=1_000_000.0)
+        cluster.settle()
+        assert driver.stats.outcomes() == {"committed": 8}
+        assert cluster.placement.replicas(topology.branch_server(0)) \
+            == ("bank0", "bank1")
+        tracer = cluster.enable_tracing()
+        cluster.crash_node("bank0")
+        cluster.restart_node("bank0")
+        cluster.settle(extra_ms=5_000.0)
+        names = [span.name for span in tracer.spans]
+        assert names.count("replica.catchup") \
+            == len(cluster.placement.keyspaces_on("bank0"))
+        assert "ds:repl_apply_batch" not in names
+        assert counter(cluster, "bank0", "replica.catchup_pages") == 0
+        assert "ds:repl_versions" in names
+        for keyspace in cluster.placement.keyspaces_on("bank0"):
+            assert cluster.node("bank0").servers[keyspace] \
+                .catchup_pending is False
         assert audit_replica_convergence(cluster) == []

@@ -4,7 +4,7 @@ Replica catch-up and shard migration both run
 :func:`repro.replication.catchup.copy_shard`; the end-to-end suites
 reach its retry paths only when a fault happens to land inside a copy.
 Here every path is walked on purpose: the fake application answers the
-three maintenance operations from a script and fails where told to.
+four maintenance operations from a script and fails where told to.
 """
 
 from types import SimpleNamespace
@@ -40,17 +40,22 @@ class ScriptedRandom:
 
 class ScriptedApp:
     """An ``ApplicationLibrary`` stand-in: a source that has written
-    ``cells`` offsets, and a destination that applies whatever it is
+    ``cells`` offsets, each at version 1.0, and a destination that holds
+    the versions ``held`` names (-1.0, nothing, elsewhere), leaves the
+    ``prepared`` offsets out of its answer and applies whatever it is
     sent.  ``fail(op, node, body)`` may return an exception to raise from
     that call; ``refuse`` lists the ordinals of transactions whose
     commit is refused."""
 
-    def __init__(self, cells=0, fail=None, refuse=()):
+    def __init__(self, cells=0, fail=None, refuse=(), held=None,
+                 prepared=()):
         self.ctx = SimpleNamespace(engine=Engine(), random=ScriptedRandom(),
                                    tracer=None)
         self.offsets = list(range(0, 4 * cells, 4))
         self.fail = fail or (lambda op, node, body: None)
         self.refuse = set(refuse)
+        self.held = held or {}
+        self.prepared = set(prepared)
         self.began = 0
         #: (op, node, body, timeout_ms) of every operation, in order
         self.calls = []
@@ -77,6 +82,10 @@ class ScriptedApp:
         if op == "repl_read_batch":
             return {"cells": {offset: ("v", 1.0, offset)
                               for offset in body["offsets"]}}
+        if op == "repl_versions":
+            return {"versions": {offset: self.held.get(offset, -1.0)
+                                 for offset in body["offsets"]
+                                 if offset not in self.prepared}}
         return {"applied": True}
 
     def end_transaction(self, tid):
@@ -159,12 +168,14 @@ def test_a_failed_chunk_resumes_from_that_chunk_not_the_listing():
                                2 * CHUNK_CELLS]
     assert app.applied() == list(range(cells))
     assert delays == [DRAW * RETRY_MS * 1]
-    # the failed snapshot's own transaction was aborted, nothing else
-    assert [tid for tid, _ in app.aborted] == [3 + CHUNK_CELLS]
+    # the failed snapshot's own transaction was aborted, nothing else:
+    # the listing, chunk 0's snapshot, version read and applies came first
+    assert [tid for tid, _ in app.aborted] == [4 + CHUNK_CELLS]
 
 
 def test_a_failed_apply_takes_its_chunk_again_from_the_snapshot():
-    """Cells already merged re-apply (as no-ops at a real server)."""
+    """Cells already merged are applied again here; at a real server the
+    chunk's fresh version read would leave them out."""
     cell = CHUNK_CELLS + 5
     app = ScriptedApp(2 * CHUNK_CELLS, fail=failing(
         "repl_apply_batch", 1, when=lambda node, body: cell * 4
@@ -246,14 +257,48 @@ def test_an_empty_key_space_still_probes_its_destination():
 def test_calls_to_the_source_are_bounded_and_the_apply_is_not():
     app = ScriptedApp(1)
     copy(app, probe=True)
-    listing, snapshot, apply, probe = app.calls
+    listing, snapshot, versions, apply, probe = app.calls
     assert listing == ("repl_cells", "bank1", {}, CALL_TIMEOUT_MS)
     assert snapshot == ("repl_read_batch", "bank1",
                         {"offsets": [0], "lock_timeout_ms": LOCK_TIMEOUT_MS},
                         CALL_TIMEOUT_MS)
+    assert versions == ("repl_versions", "bank0", {"offsets": [0]},
+                        CALL_TIMEOUT_MS)
     assert apply == ("repl_apply_batch", "bank0",
                      {"cells": {0: ("v", 1.0, 0)}, "priority": True}, None)
     assert probe == ("repl_cells", "bank0", {}, CALL_TIMEOUT_MS)
+
+
+def test_a_cell_held_at_the_snapshots_version_or_newer_gets_no_apply():
+    """Cell 0 is held at the snapshot's version, cell 1 at a newer one,
+    cell 2 at an older one and cell 3 not at all."""
+    app = ScriptedApp(4, held={0: 1.0, 4: 2.0, 8: 0.5})
+    pages, _ = copy(app)
+    assert len(app.ops("repl_versions")) == 1
+    assert app.applied() == [2, 3]
+    assert pages == 1
+
+
+def test_a_cell_left_out_of_the_version_answer_is_applied():
+    """The destination leaves out a cell whose holder is prepared; the
+    apply's own version test, under its lock, decides that one."""
+    app = ScriptedApp(2, held={0: 1.0, 4: 1.0}, prepared={4})
+    copy(app)
+    assert app.applied() == [1]
+
+
+def test_a_failed_version_read_retries_its_chunk_like_a_failed_snapshot():
+    cells = 2 * CHUNK_CELLS
+    app = ScriptedApp(cells, fail=failing("repl_versions", 1,
+                                          CommunicationError, when=chunk(1)))
+    _, delays = copy(app)
+    assert app.snapshots() == [0, CHUNK_CELLS, CHUNK_CELLS]
+    assert {(node, timeout_ms) for _, node, _, timeout_ms
+            in app.ops("repl_versions")} == {("bank0", CALL_TIMEOUT_MS)}
+    assert app.applied() == list(range(cells))
+    assert delays == [DRAW * RETRY_MS * 1]
+    # chunk 1's snapshot committed; its version read was aborted
+    assert [tid for tid, _ in app.aborted] == [5 + CHUNK_CELLS]
 
 
 def test_a_refused_commit_is_a_retryable_failure():

@@ -5,8 +5,8 @@ copies").
 
 What the fail-over must keep: the lock-site order across the read
 barrier, at-most-once execution of an op that is *not* idempotent, the
-slot one copy chose being the slot the other stores, and the blind-write
-path for a reply that names no copy.
+slot one copy chose being the slot the other stores, the blind write
+naming itself as the copy, and one version per write at every copy.
 """
 
 import pytest
@@ -23,7 +23,7 @@ from tests.replication.test_write_behind import (
 from repro.core.cluster import TabsCluster
 from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
 from repro.errors import LockTimeout, TransactionAborted
-from repro.replication import audit_replica_convergence
+from repro.replication import audit_replica_convergence, replica_cells
 from repro.sim import Timeout
 from repro.txn.status import TxnPhase
 from repro.workloads.debitcredit import RowOutOfRange
@@ -468,12 +468,13 @@ def test_a_put_past_the_strand_is_the_error_a_read_past_it_is():
             cluster.run_on("bank0", app.run_transaction(call(op, body)))
 
 
-# -- (e) a reply that names no copy -------------------------------------------
+# -- (e) a blind absolute write ------------------------------------------------
 
 
 def test_a_reply_without_a_copy_fans_the_same_op_out():
-    """The blind absolute write: ``put_balance`` replies no ``"copy"``,
-    so every copy gets ``put_balance`` with the body the caller gave."""
+    """The blind absolute write: the first copy stamps the version and
+    names ``put_balance`` with the body the caller gave, plus that
+    version, as the copy, so every copy gets ``put_balance``."""
     cluster, topology = build_replicated(seed=107)
     tracer = cluster.enable_tracing()
     keyspace = topology.account_server(0)
@@ -494,6 +495,31 @@ def test_a_reply_without_a_copy_fans_the_same_op_out():
                           ("ds:put_balance", "bank1")]
     for node in ("bank0", "bank1"):
         assert committed_balance(cluster, node, keyspace, 6) == 314
+
+
+def test_every_copy_of_a_write_holds_the_same_cell():
+    """An add, an append and a blind put: each write carries the one
+    version the copy that executed it stamped, so the copies' raw cells,
+    version and value, are identical."""
+    cluster, topology = build_replicated(seed=127)
+    accounts = topology.account_server(0)
+    history = topology.history_server(0)
+    rapp = cluster.replicated_application("bank0")
+
+    def body(tid):
+        yield from add(rapp, accounts, 3, 40, tid)
+        yield from append(rapp, history, 1, 40, tid)
+        yield from rapp.write_all(accounts, "put_balance",
+                                  {"row": 7, "balance": 12}, tid)
+
+    cluster.run_on("bank0", rapp.run_transaction(body))
+    cluster.settle()
+    for keyspace, cells in ((accounts, 2), (history, 2)):
+        first, second = (replica_cells(cluster.node(node), keyspace)
+                         for node in ("bank0", "bank1"))
+        assert len(first) == cells
+        assert first == second
+    assert audit_replica_convergence(cluster) == []
 
 
 def test_a_lock_conflict_does_not_shop_for_another_copy():
