@@ -97,7 +97,7 @@ class Port:
         while self._waiters:
             waiter = self._waiters.popleft()
             if not waiter.triggered:
-                waiter.succeed(message)
+                waiter.succeed_last(message)
                 return
         self._queue.append(message)
 

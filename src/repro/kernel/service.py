@@ -90,8 +90,10 @@ def spawn_handler(node: Node, message: Message, body: Generator,
                   name: str) -> None:
     """Run ``body``, the handling of ``message``, in a process of its own
     that starts in the causal context ``message`` carried: its spans
-    parent under the span that sent it (:mod:`repro.obs.tracer`)."""
+    parent under the span that sent it (:mod:`repro.obs.tracer`).  No
+    reference to the process is kept, so nobody can join it."""
     process = node.spawn(body, name=name, defused=True)
+    process.unjoinable = True
     if message.trace_parent:
         process.trace_stack = [message.trace_parent]
 

@@ -3,9 +3,14 @@
 Time is a float measured in *milliseconds* to match the units of the paper's
 Table 5-1 primitive-operation times.  The engine keeps one binary heap of
 ``(time, sequence, callback, args, daemon)`` entries; the sequence number
-makes same-time ordering deterministic (FIFO in schedule order).  That
-``(time, seq)`` pop order is the whole determinism contract -- every golden
-digest and bench baseline rests on it and on nothing else about the queue.
+makes same-time ordering deterministic (FIFO in schedule order).  The
+*relative* ``(time, seq)`` order of the entries that run is the whole
+determinism contract -- every golden digest and bench baseline rests on it
+and on nothing else about the queue.  The sequence values themselves are
+not part of it: a wake-up due next runs inside the entry that caused it
+(:meth:`repro.sim.events.Event.succeed_last`) and a message handler's
+finish queues nothing (``Process.unjoinable``), which shifts later values
+down and swaps no two entries (docs/SIMULATOR.md).
 
 Daemon entries are background housekeeping -- failure-detector probe ticks,
 mainly -- that must never keep the simulation "busy": ``run()``, ``drain()``
@@ -160,7 +165,9 @@ class Engine:
             self._running = False
 
     def step(self) -> bool:
-        """Execute the next scheduled callback.  Returns False when idle."""
+        """Execute the next scheduled callback, and with it the callbacks
+        of a wake-up it causes that is due next.  Returns False when
+        idle."""
         executed = self.events_executed
         self._dispatch(count_daemons=True, once=True)
         return self.events_executed != executed

@@ -3,7 +3,8 @@
 An :class:`Event` moves through three states:
 
 ``pending`` -> ``triggered`` (succeed/fail called, callbacks scheduled)
--> ``processed`` (callbacks have run).
+-> ``processed`` (callbacks have run).  A wake-up due next
+(:meth:`Event.succeed_last`) goes straight from pending to processed.
 
 Processes wait on events by yielding them; see :mod:`repro.sim.process`.
 
@@ -88,6 +89,26 @@ class Event:
         self.engine.schedule_now(self._run_callbacks)
         return self
 
+    def succeed_last(self, value: object = None) -> None:
+        """:meth:`succeed` as the last act of the running queue entry.
+
+        When no other entry is due at this instant, the entry
+        :meth:`succeed` would queue is the next to pop, so the callbacks
+        run here instead, at the same place in the order and without a
+        queue entry of their own.  Callers: a :class:`Timeout` firing and
+        a port delivering to a waiting receiver.
+        """
+        if self._ok is not None:
+            raise SimulationError(f"event {self!r} triggered twice")
+        self._ok = True
+        self._value = value
+        engine = self.engine
+        heap = engine._heap
+        if heap and heap[0][0] <= engine._now:
+            engine.schedule_now(self._run_callbacks)
+        else:
+            self._run_callbacks()
+
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception."""
         if not isinstance(exception, BaseException):
@@ -159,7 +180,7 @@ class Timeout(Event):
         return self._name or f"timeout({self.delay})"
 
     def _fire(self) -> None:
-        self.succeed(self._timeout_value)
+        self.succeed_last(self._timeout_value)
 
 
 class _Condition(Event):

@@ -28,7 +28,8 @@ from repro.sim.events import Event
 class Process(Event):
     """A lightweight simulated process driving a generator."""
 
-    __slots__ = ("_gen", "_alive", "_waiting_on", "defused", "trace_stack")
+    __slots__ = ("_gen", "_alive", "_waiting_on", "defused", "unjoinable",
+                 "trace_stack")
 
     def __init__(self, engine: Engine, generator: Generator,
                  name: str = "") -> None:
@@ -43,6 +44,10 @@ class Process(Event):
         #: Set True to suppress the unhandled-failure crash (e.g. for
         #: processes whose failure is expected and observed elsewhere).
         self.defused = False
+        #: Set True by a spawner that keeps no reference to the process, so
+        #: nobody can join it: a successful finish with no observer then
+        #: queues no entry to run no callbacks.
+        self.unjoinable = False
         #: the causal context this process opens trace spans in: the span
         #: id the message that started it carried (0 for none), then the
         #: spans it has open, innermost last; None until traced
@@ -98,7 +103,12 @@ class Process(Event):
                 target = self._gen.throw(value)
         except StopIteration as stop:
             self._alive = False
-            self.succeed(stop.value)
+            if self.unjoinable and self._callbacks is None:
+                self._ok = True
+                self._value = stop.value
+                self._processed = True
+            else:
+                self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - process body failed
             self._alive = False

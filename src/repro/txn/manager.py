@@ -194,10 +194,10 @@ class TransactionManager:
         if state is None:
             respond_error(message, InvalidTransaction(str(tid)))
             return
-        if state.phase is TxnPhase.ABORTED:
+        if state.aborting:  # an abort has begun, or is over
             # A zombie operation's first call reached its server after the
-            # abort: refused, or its locks would belong to a transaction
-            # nobody will ever end.
+            # abort began: refused, or its locks would belong to a
+            # transaction nobody will ever end.
             respond_error(message, TransactionAborted(tid,
                                                       state.abort_reason))
             return
@@ -863,6 +863,7 @@ class TransactionManager:
             # Already resolved (e.g. a peer-failure abort raced a
             # timeout-driven one): nothing left to undo or release.
             return
+        state.aborting = True
         tid = state.tid
         if self.ctx.tracer is not None:
             self.ctx.tracer.event("2pc.abort", self.node.name, "TM",

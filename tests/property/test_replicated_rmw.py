@@ -20,6 +20,7 @@ holds every committed row and, of the rest, only unknown ones.
 
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -68,21 +69,11 @@ def state_at(cluster, topology, node):
     return cluster.run_on(node, txn())
 
 
-@given(adds=st.lists(
-    st.tuples(st.sampled_from(HOMES),
-              st.integers(min_value=-50, max_value=50).filter(bool),
-              st.floats(min_value=0.0, max_value=1_500.0),   # starts at
-              st.floats(min_value=0.0, max_value=100.0),     # holds for
-              st.booleans()),                                # commits
-    min_size=1, max_size=6),
-    outage=st.sampled_from(["none", "first catching up", "second down",
-                            "first restarts mid-stream"]),
-    barrier_ms=st.floats(min_value=0.0, max_value=3_000.0),
-    crash_ms=st.floats(min_value=0.0, max_value=1_500.0))
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_every_committed_add_is_counted_once_on_every_caught_up_copy(
-        adds, outage, barrier_ms, crash_ms):
+def play(adds, outage, barrier_ms, crash_ms, down_ms=None):
+    """Run one client per add under ``outage`` and settle; return the
+    cluster, its topology and the outcome of each add whose client
+    finished.  ``down_ms`` is how long the first copy stays down when it
+    restarts mid-stream (default: past the failure detector's bound)."""
     cluster = TabsCluster(TabsConfig(
         replication=ReplicationConfig.available_copies(),
         workload=WorkloadConfig(branches=3, accounts_per_branch=10,
@@ -106,14 +97,13 @@ def test_every_committed_add_is_counted_once_on_every_caught_up_copy(
             cluster.node(home).replication.view.observe(
                 engine.now, home, "suspect", "bank1")
     elif outage == "first restarts mid-stream":
-        # Down past the failure detector's bound, then barrier_ms more.
-        # A restart the detector has not noticed yet aborts the families
-        # spanning the first copy on the "restarted" notice while their
-        # calls are still landing, which can leave a lock held forever:
-        # a known hang of the abort path, not of catch-up.
-        config = cluster.config
-        down_ms = (config.suspicion_timeout_ms
-                   + 2 * config.probe_interval_ms + barrier_ms)
+        if down_ms is None:
+            # Down past the failure detector's bound, then barrier_ms
+            # more.  A restart the detector has not noticed yet can leave
+            # a fragment nobody tells (the last test below).
+            config = cluster.config
+            down_ms = (config.suspicion_timeout_ms
+                       + 2 * config.probe_interval_ms + barrier_ms)
         engine.schedule(crash_ms, lambda: cluster.crash_node("bank0"))
         engine.schedule(crash_ms + down_ms,
                         lambda: cluster.node("bank0").node.restart())
@@ -144,6 +134,25 @@ def test_every_committed_add_is_counted_once_on_every_caught_up_copy(
         cluster.restart_node("bank1")
     if outage in ("second down", "first restarts mid-stream"):
         cluster.settle(extra_ms=30_000.0)
+    return cluster, topology, outcomes
+
+
+@given(adds=st.lists(
+    st.tuples(st.sampled_from(HOMES),
+              st.integers(min_value=-50, max_value=50).filter(bool),
+              st.floats(min_value=0.0, max_value=1_500.0),   # starts at
+              st.floats(min_value=0.0, max_value=100.0),     # holds for
+              st.booleans()),                                # commits
+    min_size=1, max_size=6),
+    outage=st.sampled_from(["none", "first catching up", "second down",
+                            "first restarts mid-stream"]),
+    barrier_ms=st.floats(min_value=0.0, max_value=3_000.0),
+    crash_ms=st.floats(min_value=0.0, max_value=1_500.0))
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_every_committed_add_is_counted_once_on_every_caught_up_copy(
+        adds, outage, barrier_ms, crash_ms):
+    cluster, topology, outcomes = play(adds, outage, barrier_ms, crash_ms)
     committed = [add[1] for index, add in enumerate(adds)
                  if outcomes.get(index)]
     unknown = [add[1] for index, add in enumerate(adds)
@@ -156,3 +165,38 @@ def test_every_committed_add_is_counted_once_on_every_caught_up_copy(
         assert Counter(committed) <= Counter(history) \
             <= Counter(committed + unknown), (node, history, outcomes)
     assert audit_replica_convergence(cluster) == []
+
+
+def test_a_join_that_arrives_while_the_abort_runs_is_refused():
+    """The first copy crashes at 609 ms and restarts at once, before the
+    detector notices.  The "restarted" notice aborts the family at bank2
+    while a write-behind ``put_balance`` is still on its way to bank1's
+    ``tellers0``; it joins between the abort's undo and its ``ds.abort``
+    scatter, whose server list is already read.  Accepted, its WRITE
+    lock would outlive the family; refused, nothing is left behind."""
+    cluster, topology, outcomes = play([("bank2", 1, 85.0, 0.0, False)],
+                                       "first restarts mid-stream",
+                                       barrier_ms=0.0, crash_ms=609.0,
+                                       down_ms=0.0)
+    assert outcomes == {0: False}
+    for node in COPIES:
+        assert state_at(cluster, topology, node) == (0, 0, 0, [])
+    assert audit_replica_convergence(cluster) == []
+
+
+def test_an_untold_fragment_at_a_restarted_node_still_holds_its_lock():
+    """Pinned as a hang (ROADMAP item 7, second reproducer): the first
+    copy is down 994 ms from 994 ms.  A write-behind lands at bank0's new
+    incarnation just as the "restarted" notice aborts the family at
+    bank2, and nobody tells the fresh fragment, so its lock on
+    ``branch0`` is never released.  Interrupting a family's operations
+    at its abort (item 9) is the fix; this test then asserts
+    termination."""
+    cluster, topology, outcomes = play([("bank2", 1, 39.0, 0.0, True)],
+                                       "first restarts mid-stream",
+                                       barrier_ms=0.0, crash_ms=994.0,
+                                       down_ms=994.0)
+    assert outcomes == {0: False}
+    with pytest.raises(LockTimeout, match="bank0:branch0"):
+        state_at(cluster, topology, "bank0")
+    assert state_at(cluster, topology, "bank1") == (0, 0, 0, [])
