@@ -31,6 +31,10 @@ traffic is deliberately **uncharged** (no primitive recorded, no CPU
 charged, no ports involved), so the paper's Table 5-1..5-5 accounting is
 untouched by heartbeats.  All scheduling is on the seeded engine, so the
 same ``(seed, plan)`` yields the same detections at the same instants.
+
+A detector builds its ping and its pong once per incarnation epoch and
+sends the same two messages to every peer; one tick's pings, due at one
+instant, arrive in one queue entry (:mod:`repro.comm.network`).
 """
 
 from __future__ import annotations
@@ -84,6 +88,8 @@ class FailureDetector:
         self.failures_detected = 0
         self.false_suspicions = 0
         self._stopped = False
+        #: (epoch, ping, pong): this incarnation's probe messages
+        self._probes: tuple[int, Message, Message] | None = None
         self._schedule_tick()
 
     # -- lifecycle ----------------------------------------------------------
@@ -140,13 +146,20 @@ class FailureDetector:
         # Half the datagram time is wire latency (Table 5-3 accounting);
         # count=False keeps heartbeats out of the paper's primitive tables.
         latency = self.ctx.delay_of(Primitive.DATAGRAM, count=False) / 2
-        message = Message(op=f"fd.{kind}",
-                          body={"service": SERVICE, "kind": kind,
-                                "origin": self.node.name,
-                                "epoch": self.node.epoch},
-                          sender_node=self.node.name)
+        epoch = self.node.epoch
+        probes = self._probes
+        if probes is None or probes[0] != epoch:
+            probes = self._probes = (epoch, self._message("ping", epoch),
+                                     self._message("pong", epoch))
+        message = probes[1] if kind == "ping" else probes[2]
         self.network.deliver_datagram(peer, message, latency,
                                       source=self.node.name, daemon=True)
+
+    def _message(self, kind: str, epoch: int) -> Message:
+        return Message(op=f"fd.{kind}",
+                       body={"service": SERVICE, "kind": kind,
+                             "origin": self.node.name, "epoch": epoch},
+                       sender_node=self.node.name)
 
     # -- inbound probes (dispatched synchronously by the CM) ----------------
 

@@ -18,6 +18,12 @@ Fault injection (driven by :mod:`repro.chaos`):
 - An optional **trace hook** observes every send, arrival, and drop with
   its simulated timestamp; the chaos harness uses it for the determinism
   regression suite.
+
+Heartbeats (daemon datagrams) due at the same instant share one queue
+entry: a daemon datagram joins the run scheduled last when it is due at
+the same instant and no other entry has been scheduled since, so the run
+would have popped back to back anyway.  The entry delivers the run in
+order, and hooks and counters still see every datagram.
 """
 
 from __future__ import annotations
@@ -88,6 +94,12 @@ class Network:
         #: session identifiers, scoped to this network so two cluster runs
         #: in one process produce identical ids (trace reproducibility)
         self._session_seq = 0
+        #: the daemon datagrams of the entry scheduled last, while another
+        #: may still join them: its due instant, and the engine's sequence
+        #: number after it
+        self._daemon_run: list[tuple[str, Message, str]] | None = None
+        self._daemon_due = 0.0
+        self._daemon_seq = 0
 
     def next_session_id(self) -> int:
         self._session_seq += 1
@@ -281,8 +293,7 @@ class Network:
             # fault plan) and cannot be randomly lost -- only partitions
             # and crashed endpoints silence it, which are exactly the
             # failures detection must catch.
-            self.ctx.engine.schedule(latency_ms, self._arrive, daemon=True,
-                                     args=(target, message, source))
+            self._schedule_daemon(latency_ms, (target, message, source))
             return
         if (self.datagram_loss_rate and
                 self.ctx.random.random() < self.datagram_loss_rate):
@@ -313,6 +324,30 @@ class Network:
             # or doubly-routed packet would.
             self.ctx.engine.schedule(latency_ms * (1 + copy), self._arrive,
                                      args=args)
+
+    def _schedule_daemon(self, latency_ms: float,
+                         arrival: tuple[str, Message, str]) -> None:
+        """Queue a daemon datagram, in the run scheduled last if it may
+        join it."""
+        engine = self.ctx.engine
+        due = engine.now + latency_ms
+        run = self._daemon_run
+        if (run is not None and due == self._daemon_due
+                and engine.events_scheduled == self._daemon_seq):
+            run.append(arrival)
+            return
+        run = self._daemon_run = [arrival]
+        self._daemon_due = due
+        engine.schedule(latency_ms, self._arrive_run, daemon=True,
+                        args=(run,))
+        self._daemon_seq = engine.events_scheduled
+
+    def _arrive_run(self, run: list[tuple[str, Message, str]]) -> None:
+        """One entry delivers a run of daemon datagrams in order."""
+        if run is self._daemon_run:
+            self._daemon_run = None
+        for arrival in run:
+            self._arrive(*arrival)
 
     def _arrive(self, target: str, message: Message, source: str) -> None:
         """Datagram arrival: bound-method dispatch, no per-send closure."""

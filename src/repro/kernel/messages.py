@@ -16,7 +16,6 @@ two-phase-commit spanning tree (Section 3.2.4), exactly as in TABS.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -27,9 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Messages strictly smaller than this many bytes are "small contiguous".
 SMALL_MESSAGE_LIMIT = 500
-
-_message_ids = itertools.count(1)
-
 
 class MessageKind(enum.Enum):
     """The local message classes of the cost model."""
@@ -84,8 +80,7 @@ class Message:
     #: (:meth:`repro.obs.tracer.Tracer.context`): the process that handles
     #: the message opens its spans under it.  0 untraced or context-less.
     trace_parent: int = 0
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<Message #{self.msg_id} {self.op!r} {self.kind.value}"
+        return (f"<Message {self.op!r} {self.kind.value}"
                 f"{' tid=' + str(self.tid) if self.tid is not None else ''}>")

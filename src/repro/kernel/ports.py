@@ -27,6 +27,7 @@ from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.node import Node
+    from repro.kernel.service import Service
 
 _port_ids = itertools.count(1)
 
@@ -49,6 +50,10 @@ class Port:
         self._waiters: collections.deque[Event] = collections.deque()
         #: messages dropped because the port was dead (diagnostic)
         self.dropped = 0
+        #: the :class:`~repro.kernel.service.Service` that takes every
+        #: message this port delivers, or None for a port read with
+        #: :meth:`receive`
+        self.service: "Service | None" = None
 
     @property
     def alive(self) -> bool:
@@ -99,7 +104,10 @@ class Port:
             if not waiter.triggered:
                 waiter.succeed_last(message)
                 return
-        self._queue.append(message)
+        if self.service is not None:
+            self.service.deliver(message)
+        else:
+            self._queue.append(message)
 
     def receive(self) -> Event:
         """An event yielding the next message (FIFO among waiters)."""

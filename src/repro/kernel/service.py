@@ -4,10 +4,10 @@ The TABS components are Accent processes that talk only by messages, and
 in TABS that plumbing was generated (Matchmaker stubs), not written per
 component.  This module is the one hand-written copy:
 
-- :class:`Service` is the server side -- receive a message, find its
-  handler, run the handler in a process of its own
-  (:func:`spawn_handler`), which starts in the causal context the message
-  carried;
+- :class:`Service` is the server side -- take each message its port
+  delivers, find its handler and run it in the causal context the
+  message carried: a handler that waits in a process of its own
+  (:func:`spawn_handler`), one that never waits as a single queue entry;
 - :func:`request` is the client side of a local request/reply -- make a
   reply port, send, wait, unmarshal an error.
 
@@ -24,7 +24,7 @@ from typing import Callable, Generator
 from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
-from repro.sim import Event, Process
+from repro.sim import Event
 
 #: ``handler(message)``: a generator function when the handler waits, a
 #: plain function or method when it never does
@@ -38,22 +38,35 @@ def handlers_of(owner: object) -> Callable[[str], Handler | None]:
     return resolve
 
 
-def _run(handler: Handler, message: Message) -> Generator:
-    """Process body for a handler that never waits."""
-    handler(message)
-    return
-    yield  # pragma: no cover - makes this a generator
+class _Context:
+    """The causal context of a handler that runs without a process: the
+    one attribute the tracer reads off ``Engine.active_process``."""
+
+    __slots__ = ("trace_stack",)
+
+    def __init__(self, trace_parent: int) -> None:
+        self.trace_stack = [trace_parent] if trace_parent else None
 
 
 class Service:
-    """One component's request loop over ``port``, run as the node
-    process ``name``.
+    """One component's request loop over ``port``, without a process.
 
-    Every message gets its own process, named ``<prefix>:<op>``, so a
-    handler that waits never holds up the port; a message ``resolve`` has
-    no handler for is dropped, like a bad datagram.  While :attr:`gate`
-    holds an event, received messages wait for it before dispatch
-    (nothing is dropped).
+    The port hands each message over as it is delivered
+    (:meth:`deliver`).  The service then behaves exactly like a process
+    looping on ``port.receive()``: it is either *waiting*, and dispatches
+    a delivery in the delivering entry unless another entry is due at
+    this instant, or *busy* -- a queued wake-up, or a wait on
+    :attr:`gate` -- while later messages wait in the port's queue and
+    are taken one queued entry each.  A queued entry whose port died (a
+    node crash, ``DataServerLibrary.fail``) does nothing.
+
+    A handler that waits runs in a process named ``<prefix>:<op>``, so it
+    never holds up the port; one that never waits runs as the single
+    entry that process's start would have been.  A message ``resolve``
+    has no handler for is dropped, like a bad datagram.  While
+    :attr:`gate` holds an event, messages wait for it before dispatch
+    (nothing is dropped).  ``name`` labels the service's queue entries
+    in the profiler (``Service:<name>``).
     """
 
     def __init__(self, node: Node, port: Port, prefix: str,
@@ -63,27 +76,95 @@ class Service:
         self.port = port
         self.prefix = prefix
         self.resolve = resolve
+        self.name = f"{node.name}:{name}"
         self.gate: Event | None = None
-        self.process: Process = node.spawn(self._loop(), name=name,
-                                           defused=True)
+        self._engine = node.ctx.engine
+        #: a wake-up is queued or a gate wait is pending
+        self._busy = True
+        #: the message a gate wait holds back
+        self._held: Message | None = None
+        port.service = self
+        self._engine.schedule_now(self._take_next)
 
-    def _loop(self) -> Generator:
-        while True:
-            message = yield self.port.receive()
-            if self.gate is not None:
-                yield self.gate
+    # -- the loop's two states ---------------------------------------------
+
+    def deliver(self, message: Message) -> None:
+        """Take ``message`` from the port: ``Port._deliver``'s last act.
+        Waiting, it dispatches at once when no other entry is due at this
+        instant, as :meth:`~repro.sim.events.Event.succeed_last` resumed
+        the loop."""
+        if self._busy:
+            self.port._queue.append(message)
+            return
+        self._busy = True
+        engine = self._engine
+        heap = engine._heap
+        if heap and heap[0][0] <= engine._now:
+            engine.schedule_now(self._take, args=(message,))
+        else:
+            self._got(message)
+
+    def _take(self, message: Message) -> None:
+        if self.port.alive:
+            self._got(message)
+
+    def _take_next(self) -> None:
+        if self.port.alive:
+            self._next()
+
+    def _got(self, message: Message) -> None:
+        gate = self.gate
+        if gate is not None:
+            self._held = message
+            gate.add_callback(self._gate_opened)
+            return
+        self.dispatch(message)
+        self._next()
+
+    def _gate_opened(self, _gate: Event) -> None:
+        message, self._held = self._held, None
+        if message is not None and self.port.alive:
             self.dispatch(message)
+            self._next()
+
+    def _next(self) -> None:
+        queue = self.port._queue
+        if queue:
+            self._engine.schedule_now(self._take, args=(queue.popleft(),))
+        else:
+            self._busy = False
+
+    # -- handlers ----------------------------------------------------------
 
     def dispatch(self, message: Message) -> None:
-        """Run ``message``'s handler in a process of its own."""
+        """Start ``message``'s handler: a process if it waits, else one
+        queue entry."""
         handler = self.resolve(message.op)
         if handler is None:
             return
-        # A generator function's call only builds the generator, so the
-        # body still first runs inside the spawned process.
-        waits = handler.__code__.co_flags & CO_GENERATOR  # type: ignore
-        body = handler(message) if waits else _run(handler, message)
-        spawn_handler(self.node, message, body, f"{self.prefix}:{message.op}")
+        if handler.__code__.co_flags & CO_GENERATOR:  # type: ignore
+            spawn_handler(self.node, message, handler(message),
+                          f"{self.prefix}:{message.op}")
+        else:
+            self._engine.schedule_now(self._handle, args=(handler, message))
+
+    def _handle(self, handler: Handler, message: Message) -> None:
+        """A handler that never waits.  It runs only while the node is up
+        in the port's incarnation, in the context ``message`` carried; an
+        exception it raises is dropped, as its process's would be."""
+        node = self.node
+        if not node.alive or node.epoch != self.port._epoch:
+            return
+        engine = self._engine
+        if node.ctx.tracer is not None:
+            engine.active_process = _Context(  # type: ignore[assignment]
+                message.trace_parent)
+        try:
+            handler(message)
+        except Exception:  # noqa: BLE001 - nobody waits on a handler
+            pass
+        finally:
+            engine.active_process = None
 
 
 def spawn_handler(node: Node, message: Message, body: Generator,

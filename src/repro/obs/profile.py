@@ -37,6 +37,7 @@ Exports (collapsed-stack flamegraph text, pstats dump) live in
 from __future__ import annotations
 
 import time as _time
+from functools import lru_cache
 from typing import Callable
 
 #: markers stripped from closure qualnames so lambdas fold into the
@@ -45,6 +46,7 @@ from typing import Callable
 _LOCALS_MARKER = ".<locals>."
 
 
+@lru_cache(maxsize=4096)
 def _normalize_label(name: str) -> str:
     """Collapse an instance label into a category label.
 
@@ -52,7 +54,9 @@ def _normalize_label(name: str) -> str:
     ``timeout(5.0)`` and ``timeout(80.0)``, and ``n1:driver`` and
     ``n2:driver``.  Strips a parenthesised suffix, then digits, then
     dangling separators -- purely lexical, so the mapping is
-    deterministic and total.
+    deterministic and total.  Memoised: it runs once per profiled entry,
+    after the entry's wall reading, so its cost lands in the share of the
+    wall no handler is booked for.
     """
     label = name.split("(", 1)[0]
     label = "".join(ch for ch in label if not ch.isdigit())

@@ -50,7 +50,6 @@ from repro.locking.modes import (
 )
 from repro.recovery.manager import RecoveryManagerClient
 from repro.rpc.stubs import respond, respond_error
-from repro.sim import Process
 from repro.txn.ids import NULL_TID, TransactionID
 from repro.txn.manager import SERVICE as TM_SERVICE
 from repro.wal.records import OperationRecord, ValueUpdateRecord
@@ -99,7 +98,6 @@ class DataServerLibrary:
         self._dispatch: Callable | None = None
         self._recovery_ops: dict[str, Callable] = {}
         self._operation_modes: dict[str, LockMode] = {}
-        self._loop_process: Process | None = None
         self.requests_served = 0
 
     # -- startup (Table 3-1 "Startup" group) --------------------------------------
@@ -134,21 +132,18 @@ class DataServerLibrary:
         self._dispatch = dispatch
         # Each request is a separate coroutine invocation; switches
         # happen only when the operation waits.
-        self._loop_process = Service(
-            self.node, self.port, self.server_id, lambda op: self._serve,
-            f"ds:{self.server_id}").process
+        Service(self.node, self.port, self.server_id,
+                lambda op: self._serve, f"ds:{self.server_id}")
 
     def fail(self) -> None:
         """Kill this data server process without taking the node down.
 
-        Its port dies, its request loop stops, and its volatile state
-        (lock table, per-transaction records) vanishes; the recoverable
-        segment and the common log are untouched.  Recovery of the single
-        server is driven by :meth:`TabsNode.recover_server`.
+        Its port dies, which stops its request loop, and its volatile
+        state (lock table, per-transaction records) vanishes; the
+        recoverable segment and the common log are untouched.  Recovery of
+        the single server is driven by :meth:`TabsNode.recover_server`.
         """
         self.port.destroy()
-        if self._loop_process is not None:
-            self._loop_process.kill(f"data server {self.server_id} failed")
         self.crash_volatile_state()
 
     def _serve(self, message: Message):

@@ -56,6 +56,9 @@ _T_NONE, _T_FALSE, _T_TRUE, _T_INT, _T_FLOAT = 0, 1, 2, 3, 4
 _T_STR, _T_BYTES, _T_LIST, _T_TUPLE, _T_DICT = 5, 6, 7, 8, 9
 _T_TID, _T_OID = 10, 11
 
+#: a container count or byte length: big-endian u32
+_U32 = struct.Struct(">I").pack
+
 
 # -- value encoding ---------------------------------------------------------------
 
@@ -65,11 +68,45 @@ def _encode_into(out: bytearray, value) -> None:
 
     Accumulator style: the WAL media path encodes every durable record,
     so the encoder appends into one growing buffer instead of allocating
-    an intermediate ``bytes`` per nested value and joining them.
+    an intermediate ``bytes`` per nested value and joining them.  The
+    types a record is made of are told apart by exact ``type()`` first;
+    :func:`_encode_other` takes everything else (``bool``, ``float``,
+    ``bytes``, ``dict``, subclasses) with the same bytes.
     """
-    if value is None:
+    kind = type(value)
+    if kind is int:
+        length = (value.bit_length() + 8) // 8  # room for the sign; >= 1
+        out.append(_T_INT)
+        out.append(length)
+        out += value.to_bytes(length, "big", signed=True)
+    elif kind is str:
+        data = value.encode()
+        out.append(_T_STR)
+        out += _U32(len(data))
+        out += data
+    elif value is None:
         out.append(_T_NONE)
-        return
+    elif kind is tuple or kind is list:
+        out.append(_T_TUPLE if kind is tuple else _T_LIST)
+        out += _U32(len(value))
+        for item in value:
+            _encode_into(out, item)
+    elif kind is TransactionID:
+        out.append(_T_TID)
+        _encode_into(out, value.node)
+        _encode_into(out, value.seq)
+        _encode_into(out, list(value.path))
+    elif kind is ObjectID:
+        out.append(_T_OID)
+        _encode_into(out, value.segment_id)
+        _encode_into(out, value.offset)
+        _encode_into(out, value.length)
+    else:
+        _encode_other(out, value)
+
+
+def _encode_other(out: bytearray, value) -> None:
+    """:func:`_encode_into` for every type it does not match exactly."""
     if value is False:
         out.append(_T_FALSE)
         return
@@ -89,12 +126,12 @@ def _encode_into(out: bytearray, value) -> None:
     if isinstance(value, str):
         data = value.encode()
         out.append(_T_STR)
-        out += struct.pack(">I", len(data))
+        out += _U32(len(data))
         out += data
         return
     if isinstance(value, bytes):
         out.append(_T_BYTES)
-        out += struct.pack(">I", len(value))
+        out += _U32(len(value))
         out += value
         return
     if isinstance(value, TransactionID):
@@ -111,13 +148,13 @@ def _encode_into(out: bytearray, value) -> None:
         return
     if isinstance(value, (list, tuple)):
         out.append(_T_LIST if isinstance(value, list) else _T_TUPLE)
-        out += struct.pack(">I", len(value))
+        out += _U32(len(value))
         for item in value:
             _encode_into(out, item)
         return
     if isinstance(value, dict):
         out.append(_T_DICT)
-        out += struct.pack(">I", len(value))
+        out += _U32(len(value))
         for key, item in value.items():
             _encode_into(out, key)
             _encode_into(out, item)
@@ -227,15 +264,17 @@ def encode_record(record: LogRecord) -> bytes:
     except KeyError:
         raise WalCodecError(
             f"cannot encode record kind {record.kind!r}") from None
-    body = bytearray()
-    _encode_into(body, record.tid)
-    _encode_into(body, record.lsn)
-    _encode_into(body, record.prev_lsn)
+    frame = bytearray(5)  # the u32 length, filled in below, and the tag
+    frame[4] = tag
+    _encode_into(frame, record.tid)
+    _encode_into(frame, record.lsn)
+    _encode_into(frame, record.prev_lsn)
     if record.kind is RecordKind.TXN_STATUS:
-        _encode_into(body, record.status.value)
+        _encode_into(frame, record.status.value)
     for name in _FIELDS[record.kind][1]:
-        _encode_into(body, getattr(record, name))
-    return struct.pack(">I", len(body) + 1) + bytes([tag]) + bytes(body)
+        _encode_into(frame, getattr(record, name))
+    struct.pack_into(">I", frame, 0, len(frame) - 4)
+    return bytes(frame)
 
 
 def decode_record(data: bytes) -> LogRecord:

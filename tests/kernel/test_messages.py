@@ -26,11 +26,6 @@ def test_paper_thresholds():
     assert classify_size(1100) is MessageKind.LARGE  # the average large
 
 
-def test_message_ids_are_unique():
-    ids = {Message(op="x").msg_id for _ in range(100)}
-    assert len(ids) == 100
-
-
 def test_defaults():
     message = Message(op="ping")
     assert message.kind is MessageKind.SMALL

@@ -1,12 +1,16 @@
 """The service kit: dispatch loop, local request/reply, span scope."""
 
+from inspect import CO_GENERATOR
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServerError
 from repro.kernel.context import SimContext
 from repro.kernel.messages import Message
 from repro.kernel.node import Node
-from repro.kernel.service import Service, handlers_of, request
+from repro.kernel.service import Service, handlers_of, request, spawn_handler
 from repro.obs.tracer import NO_SPAN, Tracer
 from repro.rpc.stubs import respond, respond_error
 from repro.sim import Event, Timeout
@@ -83,9 +87,9 @@ class TestDispatch:
         assert [op for op, _, _ in echo.seen] == ["echo.ping", "echo.slow"]
 
     def test_plain_handler_costs_the_same_events_as_return_yield(self):
-        """A plain method runs inside the same per-message process the
-        old ``return; yield`` generator got: same event count, and the
-        handler body runs at the same position in the event order."""
+        """A plain method runs as the one queue entry that starts the
+        process a ``return; yield`` generator gets: same event count, and
+        the handler body runs at the same position in the event order."""
         runs = []
         for component in (Echo, OldStyleEcho):
             ctx, node, echo = make(component)
@@ -109,6 +113,73 @@ class TestDispatch:
         gate.succeed()
         ctx.engine.run()
         assert [op for op, _, _ in echo.seen] == ["echo.ping", "echo.ping"]
+
+
+class TestWakeUps:
+    def test_a_delivery_with_an_entry_due_queues_one_wake_up(self):
+        ctx, node, echo = make()
+        ctx.engine.run()
+        echo.port.send(Message(op="echo.ping", body={"n": 1}), charged=False)
+        seen = []
+        ctx.engine.schedule(0.0, lambda: seen.append(echo.seen[:]))
+        ctx.engine.run()
+        # the no-op ran before the handler: the delivery queued a wake-up
+        assert seen == [[]] and len(echo.seen) == 1
+
+    def test_a_wake_up_whose_port_died_does_nothing(self):
+        ctx, node, echo = make()
+        ctx.engine.run()
+        echo.port.send(Message(op="echo.ping", body={"n": 1}), charged=False)
+        ctx.engine.schedule(0.0, lambda: None)
+        ctx.engine.step()  # the delivery queues its wake-up behind the no-op
+        echo.port.destroy()
+        ctx.engine.run()
+        assert echo.seen == []
+
+
+class TestNeverWaitingHandlers:
+    def test_one_whose_node_crashed_and_restarted_does_not_run(self):
+        ctx, node, echo = make()
+        ctx.engine.run()
+        echo.port.send(Message(op="echo.ping", body={"n": 1}), charged=False)
+        ctx.engine.step()  # delivered and dispatched; the handler is queued
+        node.crash()
+        node.restart()
+        ctx.engine.run()
+        assert echo.seen == []
+
+    def test_it_runs_in_the_context_its_message_carried(self):
+        ctx = traced_context()
+        node = Node(ctx, "n")
+        port = node.create_port("svc")
+        sink = node.create_port("sink")
+
+        def handle(message: Message) -> None:
+            sink.send(Message(op="outside"), charged=False)
+            with ctx.span("handle", "n", "TM"):
+                sink.send(Message(op="inside"), charged=False)
+
+        Service(node, port, "svc", lambda op: handle, "svc-loop")
+
+        def client():
+            with ctx.span("client", "n", "APP"):
+                port.send(Message(op="svc.go"), charged=False)
+                yield Timeout(ctx.engine, 1.0)
+
+        ctx.engine.run_until(node.spawn(client()))
+        client_span, handle_span = ctx.tracer.spans
+        assert handle_span.parent_id == client_span.span_id
+        outside, inside = sink.try_receive(), sink.try_receive()
+        assert outside.trace_parent == client_span.span_id
+        assert inside.trace_parent == handle_span.span_id
+        assert ctx.engine.active_process is None
+
+    def test_one_that_raises_does_not_stop_the_service(self):
+        ctx, node, echo = make()
+        echo._handle_boom = lambda message: 1 / 0
+        echo.port.send(Message(op="echo.boom"))
+        ctx.engine.run()
+        assert ask(ctx, node, echo, "echo.ping", 4) == {"pong": 4}
 
 
 class TestRequest:
@@ -195,3 +266,139 @@ class TestSpanScope:
         (span,) = ctx.tracer.spans
         assert span.end_ms == 3.0
         assert span.attrs == {"truncated": "crash"}
+
+
+# -- the same schedule as a request-loop process -------------------------------
+
+
+def _run(handler, message):
+    handler(message)
+    return
+    yield  # pragma: no cover - makes this a generator
+
+
+class LoopService:
+    """The service kit as it was: a request-loop process that receives
+    from the port and starts a process for every message."""
+
+    def __init__(self, node, port, prefix, resolve, name):
+        self.node, self.port, self.prefix = node, port, prefix
+        self.resolve = resolve
+        self.gate = None
+        self.process = node.spawn(self._loop(), name=name, defused=True)
+
+    def _loop(self):
+        while True:
+            message = yield self.port.receive()
+            if self.gate is not None:
+                yield self.gate
+            handler = self.resolve(message.op)
+            if handler is None:
+                continue
+            waits = handler.__code__.co_flags & CO_GENERATOR
+            body = handler(message) if waits else _run(handler, message)
+            spawn_handler(self.node, message, body,
+                          f"{self.prefix}:{message.op}")
+
+
+class World:
+    """One node running one service, driven by a program of actions."""
+
+    def __init__(self, service_class):
+        self.ctx = SimContext()
+        self.engine = self.ctx.engine
+        self.node = Node(self.ctx, "n")
+        self.service_class = service_class
+        self.trace: list[tuple] = []
+        self.build()
+
+    def build(self):
+        self.port = self.node.create_port("svc")
+        self.service = self.service_class(self.node, self.port, "svc",
+                                          handlers_of(self), "svc-loop")
+
+    def note(self, what, number):
+        self.trace.append((self.engine.now, what, number))
+
+    def _handle_plain(self, message):
+        self.note("plain", message.body["n"])
+
+    def _handle_wait(self, message):
+        yield Timeout(self.engine, 1.0)
+        self.note("wait", message.body["n"])
+
+    def _handle_echo(self, message):
+        number = message.body["n"]
+        self.note("echo", number)
+        self.port.send(Message(op="svc.plain", body={"n": number + 1000}),
+                       charged=False)
+        self.engine.schedule_now(lambda: self.note("echo2", number))
+
+    def _handle_raise(self, message):
+        self.note("raise", message.body["n"])
+        raise ServerError("boom")
+
+    def act(self, number, hops, action):
+        """Run ``action``, first re-queueing it ``hops`` times at this
+        instant so it lands behind entries queued meanwhile."""
+        if hops:
+            self.engine.schedule_now(self.act,
+                                     args=(number, hops - 1, action))
+            return
+        kind = action[0]
+        if kind == "send":
+            self.port.send(Message(op=action[1], body={"n": number}),
+                           charged=action[2])
+        elif kind == "noise":
+            self.note("noise", number)
+            self.engine.schedule_now(lambda: self.note("noise2", number))
+        elif kind == "close":
+            if self.service.gate is None:
+                self.service.gate = Event(self.engine)
+        elif kind == "open":
+            gate, self.service.gate = self.service.gate, None
+            if gate is not None:
+                gate.succeed()
+        elif kind == "crash":
+            self.node.crash()
+        elif kind == "restart":
+            if not self.node.alive:
+                self.node.restart()
+                self.build()
+        elif kind == "fail":  # DataServerLibrary.fail
+            self.port.destroy()
+            loop = getattr(self.service, "process", None)
+            if loop is not None:
+                loop.kill("failed")
+        elif kind == "recover":
+            if self.node.alive and not self.port.alive:
+                self.build()
+
+    def play(self, program):
+        for number, (at, hops, action) in enumerate(program):
+            self.engine.schedule(at, self.act, args=(number, hops, action))
+        self.engine.run()
+        return self.trace, self.engine.now
+
+
+ACTION = st.one_of(
+    st.tuples(st.just("send"),
+              st.sampled_from(["svc.plain", "svc.wait", "svc.echo",
+                               "svc.raise", "svc.unknown"]),
+              st.booleans()),
+    st.sampled_from([("noise",), ("close",), ("open",), ("crash",),
+                     ("restart",), ("fail",), ("recover",)]),
+)
+PROGRAM = st.lists(st.tuples(st.sampled_from([0.0, 1.0, 3.0, 4.0]),
+                             st.integers(0, 2), ACTION),
+                   max_size=14)
+
+
+@given(program=PROGRAM)
+@settings(max_examples=300, deadline=None)
+def test_the_schedule_is_the_request_loop_processs(program):
+    """Same-instant and spread sends, handlers that wait and that never
+    do, the gate, a node crash and restart and a data server's ``fail``:
+    every handler runs at the same time and in the same order as under a
+    request-loop process that spawns a process per message."""
+    assert World(Service).play(program) == World(LoopService).play(program)

@@ -1,9 +1,21 @@
 """CLI tests for ``python -m repro trace`` / ``metrics`` / report routing."""
 
+import hashlib
 import io
 import json
 
+import pytest
+
 from repro.__main__ import main, write_report
+
+#: SHA-256 of ``python -m repro trace <target> --out F``: the simulated
+#: schedule, every span and every datagram event of the run, byte for byte
+PINNED_EXPORTS = {
+    ("chaos", "2026"):
+        "ddfc6273a1012297729d7264cd5de38c7f6dc531da6d82afa38dea8f2e3a5664",
+    ("w1w1", "1985"):
+        "5a58366596e0d2144e14794e71f3f58fb91d94b656244bed6292887c68a134ef",
+}
 
 
 class TestWriteReport:
@@ -50,6 +62,14 @@ class TestTraceCommand:
             assert main(["trace", "r1", "--iterations", "1",
                          "--out", str(path)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("target, seed", sorted(PINNED_EXPORTS))
+    def test_export_matches_its_pinned_digest(self, target, seed, tmp_path,
+                                               capsys):
+        out = tmp_path / "trace.json"
+        assert main(["trace", target, "--seed", seed, "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == PINNED_EXPORTS[(target, seed)]
 
     def test_jsonl_output(self, tmp_path, capsys):
         out = tmp_path / "events.jsonl"

@@ -6,6 +6,8 @@ yields the identical bytes), and every truncation of an encoded record is
 rejected with :class:`WalCodecError` rather than misread.
 """
 
+import enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from repro.wal.codec import (
     decode_records,
     encode_record,
     encode_records,
+    encode_value,
 )
 from repro.wal.records import (
     CheckpointRecord,
@@ -181,3 +184,84 @@ def test_unencodable_value_rejected():
 def test_large_and_negative_ints_roundtrip():
     record = ValueUpdateRecord(old_value=-(2**200), new_value=2**200 + 1)
     assert decode_record(encode_record(record)) == record
+
+
+# -- pinned frames: the wire shape cannot drift ----------------------------------
+
+
+class Level(enum.IntEnum):
+    HIGH = 3
+
+
+class Name(str):
+    pass
+
+
+PIN_TID = TransactionID("n0", 7, (1, 2))
+PIN_OID = ObjectID("accounts0", 96, 8)
+
+#: one record of each kind and its frame, hex
+PINNED_RECORDS = [
+    (ValueUpdateRecord(tid=PIN_TID, lsn=12, prev_lsn=9, server="accounts0",
+                       oid=PIN_OID, old_value=-5, new_value=2**70),
+     "00000051010a05000000026e30030107070000000203010103010203010c0301090500"
+     "0000096163636f756e7473300b05000000096163636f756e7473300301600301080301"
+     "fb0309400000000000000000030100"),
+    (OperationRecord(tid=PIN_TID, lsn=13, prev_lsn=12, server="branch0",
+                     operation="add_balance", redo_args=(PIN_OID, 25),
+                     undo_operation="add_balance", undo_args=(PIN_OID, -25),
+                     oids=(PIN_OID,), compensates_lsn=4),
+     "000000a0020a05000000026e30030107070000000203010103010203010d03010c0500"
+     "0000076272616e636830050000000b6164645f62616c616e636508000000020b050000"
+     "00096163636f756e747330030160030108030119050000000b6164645f62616c616e63"
+     "6508000000020b05000000096163636f756e7473300301600301080301e70800000001"
+     "0b05000000096163636f756e747330030160030108030104"),
+    (TransactionStatusRecord(tid=PIN_TID, lsn=14, prev_lsn=13,
+                             status=TxnStatus.PREPARED,
+                             servers=("accounts0", "branch0"),
+                             coordinator="n1", children=("n2",),
+                             merged_into=TransactionID("n0", 7)),
+     "0000006c030a05000000026e30030107070000000203010103010203010e03010d0500"
+     "0000087072657061726564080000000205000000096163636f756e74733005000000"
+     "076272616e63683005000000026e31080000000105000000026e320a05000000026e30"
+     "0301070700000000"),
+    (CheckpointRecord(lsn=15, dirty_pages={("accounts0", 3): 11},
+                      active_transactions={PIN_TID: "prepared"},
+                      attached_servers={"accounts0": "seg-accounts0"}),
+     "00000073040003010f0301000900000001080000000205000000096163636f756e7473"
+     "3003010303010b09000000010a05000000026e30030107070000000203010103010205"
+     "000000087072657061726564090000000105000000096163636f756e74733005000000"
+     "0d7365672d6163636f756e747330"),
+    (PageDirtyRecord(lsn=16, segment_id="accounts0", page=3),
+     "00000019050003011003010005000000096163636f756e747330030103"),
+    (ServerPrepareRecord(tid=PIN_TID, lsn=17, prev_lsn=14, server="accounts0",
+                         oids=(PIN_OID, ObjectID("accounts0", 104, 8))),
+     "0000005a060a05000000026e30030107070000000203010103010203011103010e0500"
+     "0000096163636f756e74733008000000020b05000000096163636f756e747330030160"
+     "0301080b05000000096163636f756e747330030168030108"),
+]
+
+#: one value per tag the exact-type path leaves to the fallback, hex
+PINNED_VALUES = [
+    (True, "02"),
+    (Level.HIGH, "030103"),
+    (Name("teller"), "050000000674656c6c6572"),
+    (-129, "0302ff7f"),
+    (2**64 + 1, "0309010000000000000001"),
+    ({"rows": [1, (2, "x")], 3: {"k": (None, False)}},
+     "09000000020500000004726f777307000000020301010800000002030102050000000"
+     "178030103090000000105000000016b08000000020001"),
+]
+
+
+@pytest.mark.parametrize("record, frame", PINNED_RECORDS,
+                         ids=[type(r).__name__ for r, _ in PINNED_RECORDS])
+def test_each_record_kind_encodes_to_its_pinned_frame(record, frame):
+    assert encode_record(record).hex() == frame
+    assert decode_record(bytes.fromhex(frame)) == record
+
+
+@pytest.mark.parametrize("value, encoding", PINNED_VALUES,
+                         ids=[type(v).__name__ for v, _ in PINNED_VALUES])
+def test_each_value_tag_encodes_to_its_pinned_bytes(value, encoding):
+    assert encode_value(value).hex() == encoding
