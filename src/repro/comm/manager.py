@@ -34,7 +34,7 @@ from repro.comm.sessions import SessionTable
 from repro.kernel.costs import Primitive
 from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
-from repro.kernel.service import Service, handlers_of, spawn_handler
+from repro.kernel.service import Service, handlers_of, respond, spawn_handler
 from repro.sim import Timeout
 from repro.txn.ids import TransactionID
 
@@ -94,12 +94,10 @@ class CommunicationManager:
         yield self.ctx.cpu("CM", self.ctx.cpu_costs.cm_datagram)
         record = self._trees.get(self._key(message.body["tid"]),
                                  SpanningRecord())
-        message.reply_to.send(Message(
-            op="cm.spanning_info_reply",
-            body={"parent": record.parent,
-                  "children": sorted(record.children),
-                  "child_epochs": dict(record.child_epochs)},
-            kind=MessageKind.POINTER))
+        respond(message, {"parent": record.parent,
+                          "children": sorted(record.children),
+                          "child_epochs": dict(record.child_epochs)},
+                kind=MessageKind.POINTER)
 
     def _handle_broadcast(self, message: Message):
         yield self.ctx.cpu("CM", self.ctx.cpu_costs.cm_datagram)

@@ -38,7 +38,8 @@ class MessageKind(enum.Enum):
     LARGE = "large"
     POINTER = "pointer"
     #: Not individually charged: its cost is folded into a composite
-    #: primitive (e.g. the two halves of a Data Server Call).
+    #: primitive (e.g. the two halves of a Data Server Call), or the
+    #: message never leaves the merged kernel (Section 5.3).
     UNCHARGED = "uncharged"
 
     @property
@@ -72,10 +73,6 @@ class Message:
     #: Communication Manager when the message crosses nodes.
     tid: object = None
     sender_node: str = ""
-    #: True when the reply to this request travels inside the merged
-    #: kernel/TM/RM component and must not be charged as a message
-    #: (Section 5.3's improved-architecture projection).
-    free_reply: bool = False
     #: the sending process's causal context, stamped by the port at send
     #: (:meth:`repro.obs.tracer.Tracer.context`): the process that handles
     #: the message opens its spans under it.  0 untraced or context-less.

@@ -67,13 +67,13 @@ class Port:
         """Messages delivered but not yet received; a dead port has none."""
         return len(self._queue) if self.alive else 0
 
-    def send(self, message: Message, charged: bool = True) -> None:
+    def send(self, message: Message) -> None:
         """Send asynchronously; delivery after the message's primitive time.
 
-        With ``charged=False`` the message is delivered at the current
-        instant and no primitive is recorded -- used by composite primitives
-        (e.g. a Data Server Call) that account for their messages as one
-        unit, exactly as the paper's Table 5-1 does.
+        An ``UNCHARGED`` message is delivered at the current instant and no
+        primitive is recorded -- used by composite primitives (e.g. a Data
+        Server Call) that account for their messages as one unit, exactly
+        as the paper's Table 5-1 does.
         """
         if not self.alive:
             self.dropped += 1
@@ -88,11 +88,8 @@ class Port:
             payload = message.body.get("payload")
             if isinstance(payload, Message):
                 payload.trace_parent = message.trace_parent
-        delay = 0.0
-        if charged:
-            primitive = message.kind.primitive
-            if primitive is not None:
-                delay = self.ctx.delay_of(primitive)
+        primitive = message.kind.primitive
+        delay = 0.0 if primitive is None else self.ctx.delay_of(primitive)
         self.ctx.engine.schedule(delay, self._deliver, args=(message,))
 
     def _deliver(self, message: Message) -> None:
@@ -125,10 +122,6 @@ class Port:
         if self._queue and self.alive:
             return self._queue.popleft()
         return None
-
-    def pending(self) -> int:
-        """Messages queued but not yet received."""
-        return self.queued
 
     def destroy(self) -> None:
         """Kill the port: drop its queue, future sends are discarded."""

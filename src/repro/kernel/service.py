@@ -8,10 +8,13 @@ component.  This module is the one hand-written copy:
   delivers, find its handler and run it in the causal context the
   message carried: a handler that waits in a process of its own
   (:func:`spawn_handler`), one that never waits as a single queue entry;
-- :func:`request` is the client side of a local request/reply -- make a
-  reply port, send, wait, unmarshal an error.
+- the client side of a request/reply -- :func:`post` makes the reply
+  port and sends, :func:`answer` waits (with a deadline if given),
+  :func:`unmarshal` raises what the server marshalled, and
+  :func:`request` is the three in a row;
+- :func:`respond` / :func:`respond_error`, the server side's reply.
 
-Inter-node calls with their time-out and retry live in
+Inter-node calls build their time-out and retry from these in
 :mod:`repro.rpc.stubs`; trace spans open through
 :meth:`repro.kernel.context.SimContext.span`.
 """
@@ -24,7 +27,7 @@ from typing import Callable, Generator
 from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
-from repro.sim import Event
+from repro.sim import AnyOf, Event, Timeout
 
 #: ``handler(message)``: a generator function when the handler waits, a
 #: plain function or method when it never does
@@ -179,20 +182,60 @@ def spawn_handler(node: Node, message: Message, body: Generator,
         process.trace_stack = [message.trace_parent]
 
 
-def request(node: Node, port: Port, op: str, body: dict, *, reply: str,
-            kind: MessageKind = MessageKind.SMALL, charged: bool = True,
-            free_reply: bool = False) -> Generator:
-    """Send ``op`` to a local ``port`` and wait for the reply (generator).
-
-    Returns the reply body; a body the server marshalled an exception into
-    (``respond_error``) raises it here.  ``reply`` names the reply port;
-    ``kind``, ``charged`` and ``free_reply`` are the cost-model knobs of
-    :class:`~repro.kernel.messages.Message` and :meth:`Port.send`.
-    """
+def post(node: Node, port: Port, op: str, body: dict, *, reply: str,
+         kind: MessageKind = MessageKind.SMALL, tid: object = None) -> Port:
+    """Send ``op`` to ``port`` with a fresh reply port named ``reply``
+    (the profiler's label for the wait) and return that port.  ``kind``
+    alone says what the request costs (:meth:`Port.send`)."""
     reply_port = Port(node.ctx, node=node, name=reply)
     port.send(Message(op=op, body=body, reply_to=reply_port, kind=kind,
-                      free_reply=free_reply), charged=charged)
-    response = yield reply_port.receive()
-    if "error" in response.body:
-        raise response.body["error"]
-    return response.body
+                      tid=tid, sender_node=node.name))
+    return reply_port
+
+
+def answer(reply_port: Port, deadline_ms: float | None = None) -> Generator:
+    """Wait for the reply on a :func:`post`'s port (generator): its body,
+    or None when ``deadline_ms`` passes first."""
+    if deadline_ms is None:
+        response = yield reply_port.receive()
+        return response.body
+    engine = reply_port.ctx.engine
+    deadline = Timeout(engine, deadline_ms)
+    which, response = yield AnyOf(engine, [reply_port.receive(), deadline])
+    return None if which else response.body
+
+
+def unmarshal(body: dict) -> dict:
+    """A reply body; one the server marshalled an exception into
+    (:func:`respond_error`) raises it here."""
+    if "error" in body:
+        raise body["error"]
+    return body
+
+
+def request(node: Node, port: Port, op: str, body: dict, *, reply: str,
+            kind: MessageKind = MessageKind.SMALL) -> Generator:
+    """Send ``op`` to a local ``port`` and wait for the reply (generator):
+    :func:`post`, :func:`answer` with no deadline, :func:`unmarshal`."""
+    return unmarshal((yield from answer(
+        post(node, port, op, body, reply=reply, kind=kind))))
+
+
+def respond(message: Message, body: dict | None = None,
+            kind: MessageKind = MessageKind.SMALL) -> None:
+    """Send the reply to ``message``, if it asked for one.  An
+    ``UNCHARGED`` request -- half of a composite primitive, or a message
+    between components merged into the kernel (Section 5.3) -- gets an
+    ``UNCHARGED`` reply."""
+    if message.reply_to is None:
+        return
+    if message.kind is MessageKind.UNCHARGED:
+        kind = MessageKind.UNCHARGED
+    message.reply_to.send(Message(op=message.op + ".reply",
+                                  body=dict(body or {}), kind=kind))
+
+
+def respond_error(message: Message, error: Exception) -> None:
+    """Marshal ``error`` back to the caller; :func:`unmarshal` raises it
+    there."""
+    respond(message, {"error": error})

@@ -25,8 +25,8 @@ from repro.comm.manager import SERVICE as CM_SERVICE
 from repro.comm.network import Network
 from repro.kernel.messages import Message
 from repro.kernel.node import Node
-from repro.kernel.service import Service, handlers_of
-from repro.rpc.stubs import ServiceRef, respond
+from repro.kernel.service import Service, handlers_of, respond
+from repro.rpc.stubs import ServiceRef
 from repro.sim import AnyOf, Event, Timeout
 
 SERVICE = "name_server"

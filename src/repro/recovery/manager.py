@@ -35,13 +35,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import RecoveryError
+from repro.kernel.context import SimContext
 from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
-from repro.kernel.service import Service, handlers_of, request
+from repro.kernel.service import Service, handlers_of, request, respond
 from repro.kernel.vm import PagerClient
 from repro.recovery.operation_recovery import compensation_for
-from repro.rpc.stubs import respond
 from repro.txn.ids import TransactionID
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
@@ -465,6 +465,15 @@ def _oids_of(record: LogRecord):
     return []
 
 
+def _in_kernel(ctx: SimContext,
+               kind: MessageKind = MessageKind.SMALL) -> MessageKind:
+    """``kind``, or ``UNCHARGED`` once the Recovery and Transaction
+    Managers are merged into the kernel (Section 5.3's improved
+    architecture): their conversations with each other and the pager
+    then cost nothing, and a prepare record rides on its server's vote."""
+    return MessageKind.UNCHARGED if ctx.merged_architecture else kind
+
+
 class RmPagerClient(PagerClient):
     """The kernel's three-message WAL conversation, over real messages."""
 
@@ -475,17 +484,11 @@ class RmPagerClient(PagerClient):
     def _rm_port(self) -> Port:
         return self.node.service(SERVICE)
 
-    @property
-    def _charged(self) -> bool:
-        # With the Recovery Manager merged into the kernel, the pager
-        # conversation costs nothing (Section 5.3).
-        return not self.ctx.merged_architecture
-
     def first_modified(self, segment_id: str, page: int):
         self._rm_port().send(Message(
             op="rm.first_modified",
-            body={"segment_id": segment_id, "page": page}),
-            charged=self._charged)
+            body={"segment_id": segment_id, "page": page},
+            kind=_in_kernel(self.ctx)))
         return
         yield  # pragma: no cover
 
@@ -493,15 +496,14 @@ class RmPagerClient(PagerClient):
         body = yield from request(
             self.node, self._rm_port(), "rm.write_permission",
             {"segment_id": segment_id, "page": page, "page_lsn": page_lsn},
-            reply="pager-reply", charged=self._charged,
-            free_reply=not self._charged)
+            reply="pager-reply", kind=_in_kernel(self.ctx))
         return body["sequence_number"]
 
     def page_written(self, segment_id: str, page: int):
         self._rm_port().send(Message(
             op="rm.page_written",
-            body={"segment_id": segment_id, "page": page}),
-            charged=self._charged)
+            body={"segment_id": segment_id, "page": page},
+            kind=_in_kernel(self.ctx)))
         return
         yield  # pragma: no cover
 
@@ -541,19 +543,11 @@ class RecoveryManagerClient:
             op="rm.prepare_record",
             body={"record": ServerPrepareRecord(tid=tid, server=server,
                                                 oids=tuple(oids))},
-            kind=MessageKind.LARGE),
-            charged=not self.ctx.merged_architecture)
-
-    @property
-    def _tm_charged(self) -> bool:
-        # Transaction Manager <-> Recovery Manager messages vanish when
-        # both are merged into the kernel (Section 5.3).
-        return not self.ctx.merged_architecture
+            kind=_in_kernel(self.ctx, MessageKind.LARGE)))
 
     def _tm_request(self, op: str, body: dict, reply: str):
         return request(self.node, self._port(), op, body, reply=reply,
-                       charged=self._tm_charged,
-                       free_reply=not self._tm_charged)
+                       kind=_in_kernel(self.ctx))
 
     def append_status_via_message(self, tid: TransactionID, status: str,
                                   servers: tuple = (), children: tuple = (),
@@ -565,8 +559,8 @@ class RecoveryManagerClient:
             "status-reply")
 
     def note_txn_done(self, tid: TransactionID) -> None:
-        self._port().send(Message(op="rm.txn_done", body={"tid": tid}),
-                          charged=self._tm_charged)
+        self._port().send(Message(op="rm.txn_done", body={"tid": tid},
+                                  kind=_in_kernel(self.ctx)))
 
     def merge_chain_via_message(self, child: TransactionID,
                                 parent: TransactionID):

@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.comm.network import Network
-from repro.errors import ServerError, SessionBroken
+from repro.errors import SessionBroken
 from repro.kernel.costs import Primitive
-from repro.kernel.messages import Message, MessageKind
+from repro.kernel.messages import MessageKind
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
-from repro.sim import AnyOf, Timeout
+from repro.kernel.service import answer, post, unmarshal
+from repro.sim import Timeout
 from repro.txn.ids import TransactionID
 
 #: How long a caller waits for a remote server's response before declaring
@@ -177,56 +178,19 @@ def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
         raise _Retriable(SessionBroken(
             f"node {ref.node_name!r} became unreachable mid-call "
             "(crashed or partitioned away)"))
-    reply_port = Port(ctx, node=client, name=f"rpc-reply:{op}")
+    reply_port = post(client, ref.port, op, dict(body or {}),
+                      reply=f"rpc-reply:{op}", kind=MessageKind.UNCHARGED,
+                      tid=tid)
     try:
-        ref.port.send(Message(op=op, body=dict(body or {}),
-                              reply_to=reply_port, tid=tid,
-                              kind=MessageKind.UNCHARGED,
-                              sender_node=client.name),
-                      charged=False)
-
-        if local:
-            response = yield reply_port.receive()
-        else:
-            deadline = Timeout(ctx.engine, timeout_ms)
-            which, response = yield AnyOf(ctx.engine,
-                                          [reply_port.receive(), deadline])
-            if which == 1:
-                raise SessionBroken(
-                    f"no response from {ref.node_name!r} for {op!r} within "
-                    f"{timeout_ms} ms (node crashed?)")
+        response = yield from answer(reply_port,
+                                     None if local else timeout_ms)
     finally:
         # Deallocate whatever the outcome: a dead reply port silently
         # drops any stale late reply.
         reply_port.destroy()
+    if response is None:
+        raise SessionBroken(
+            f"no response from {ref.node_name!r} for {op!r} within "
+            f"{timeout_ms} ms (node crashed?)")
     yield Timeout(ctx.engine, total_ms / 2)  # response transport
-
-    if "error" in response.body:
-        raise response.body["error"]
-    return response.body
-
-
-def respond(request: Message, body: dict | None = None,
-            kind: MessageKind = MessageKind.SMALL) -> None:
-    """Server-side: send the response for ``request``.
-
-    Responses to RPC operation requests are uncharged (the composite
-    data-server-call primitive covers them); responses to plain messages
-    are charged as small messages, unless the request declared its reply
-    free (merged-architecture intra-kernel conversations).
-    """
-    if request.reply_to is None:
-        return
-    uncharged = (request.kind is MessageKind.UNCHARGED
-                 or request.free_reply)
-    request.reply_to.send(
-        Message(op=request.op + ".reply", body=dict(body or {}),
-                kind=MessageKind.UNCHARGED if uncharged else kind),
-        charged=not uncharged)
-
-
-def respond_error(request: Message, error: Exception) -> None:
-    """Server-side: marshal an exception back to the caller."""
-    if not isinstance(error, Exception):  # pragma: no cover - defensive
-        error = ServerError(repr(error))
-    respond(request, {"error": error})
+    return unmarshal(response)

@@ -38,7 +38,7 @@ from typing import Callable, Hashable
 from repro.errors import ServerError, TransactionAborted
 from repro.kernel.messages import Message
 from repro.kernel.node import Node
-from repro.kernel.service import Service, request
+from repro.kernel.service import Service, request, respond, respond_error
 from repro.kernel.vm import ObjectID, RecoverableSegment
 from repro.locking.manager import LockManager
 from repro.locking.modes import (
@@ -49,7 +49,6 @@ from repro.locking.modes import (
     LockMode,
 )
 from repro.recovery.manager import RecoveryManagerClient
-from repro.rpc.stubs import respond, respond_error
 from repro.txn.ids import NULL_TID, TransactionID
 from repro.txn.manager import SERVICE as TM_SERVICE
 from repro.wal.records import OperationRecord, ValueUpdateRecord
@@ -72,7 +71,6 @@ class TxnLocal:
     #: ends (``buffers`` is drained at LogAndUnPin, this is not)
     pre_images: dict[ObjectID, object] = field(default_factory=dict)
     wrote: bool = False
-    aborted: bool = False
     #: voted "update" in phase one; its writes may commit at any moment
     prepared: bool = False
 
@@ -157,8 +155,7 @@ class DataServerLibrary:
                 return
             try:
                 if tid is not None:
-                    if (tid in self._aborted_tombstones
-                            or self._local(tid).aborted):
+                    if tid in self._aborted_tombstones:
                         raise TransactionAborted(
                             tid, "aborted before this operation arrived")
                     yield from self._ensure_joined(tid)
@@ -345,20 +342,6 @@ class DataServerLibrary:
         local = self._local(tid)
         if oid not in local.buffers:
             raise ServerError(f"log_and_unpin without pin_and_buffer: {oid}")
-        if tid in self._aborted_tombstones:
-            # The transaction aborted between this cycle's pin and its
-            # log: the new value was written but never logged, so the
-            # abort's undo could not see it.  Scrub it back to the
-            # *first* committed pre-image, not this cycle's buffer --
-            # if an earlier cycle of the same transaction logged a
-            # write of this object, the buffer holds that cycle's (now
-            # undone) value and restoring it would resurrect aborted
-            # data on top of the Recovery Manager's undo.
-            buffered = local.buffers.pop(oid)
-            yield from self.node.vm.write_object(
-                oid, local.pre_images.get(oid, buffered))
-            self.node.vm.unpin(oid)
-            self._refuse_zombie(tid)
         yield self.ctx.cpu("DS", self.ctx.cpu_costs.ds_log_format)
         new_value = yield from self.node.vm.read_object(oid)
         record = ValueUpdateRecord(
@@ -508,9 +491,6 @@ class DataServerLibrary:
         local = self._txns.get(tid)
         if local is None:
             respond(message, {"vote": "read_only"})
-            return
-        if local.aborted:
-            respond(message, {"vote": "abort"})
             return
         if local.buffers:
             respond_error(message, ServerError(

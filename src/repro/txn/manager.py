@@ -42,9 +42,17 @@ from repro.errors import InvalidTransaction, TransactionAborted
 from repro.kernel.messages import Message
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
-from repro.kernel.service import Service, handlers_of, request
+from repro.kernel.service import (
+    Service,
+    answer,
+    handlers_of,
+    post,
+    request,
+    respond,
+    respond_error,
+    unmarshal,
+)
 from repro.recovery.manager import SERVICE as RM_SERVICE
-from repro.rpc.stubs import respond, respond_error
 from repro.sim import AnyOf, Event, Timeout, join_all
 from repro.txn.ids import NULL_TID, TidFactory, TransactionID
 from repro.txn.status import TransactionState, TxnPhase
@@ -327,21 +335,18 @@ class TransactionManager:
                     errors[server] = InvalidTransaction(
                         f"no port for server {server!r} under {tid}")
                     continue
-                reply_port = Port(self.ctx, node=self.node,
-                                  name=f"tm-reply:{op}")
-                port.send(Message(op=op, body=body, reply_to=reply_port))
-                posted.append((server, reply_port))
+                posted.append((server, post(self.node, port, op, body,
+                                            reply=f"tm-reply:{op}")))
             silent = []
             for server, reply_port in posted:
-                deadline = Timeout(self.ctx.engine, retry_ms)
-                which, response = yield AnyOf(
-                    self.ctx.engine, [reply_port.receive(), deadline])
-                if which != 0:
+                response = yield from answer(reply_port, retry_ms)
+                if response is None:
                     silent.append(server)
-                elif "error" in response.body:
-                    errors[server] = response.body["error"]
-                else:
-                    replies[server] = response.body
+                    continue
+                try:
+                    replies[server] = unmarshal(response)
+                except Exception as error:  # noqa: BLE001 - what it raised
+                    errors[server] = error
             if not silent:
                 break
         for server in silent:

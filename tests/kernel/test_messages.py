@@ -31,5 +31,4 @@ def test_defaults():
     assert message.kind is MessageKind.SMALL
     assert message.tid is None
     assert message.reply_to is None
-    assert message.free_reply is False
     assert message.sender_node == ""

@@ -52,13 +52,6 @@ def test_uncharged_send_records_nothing(ctx):
     assert not ctx.meter.counts
 
 
-def test_charged_false_overrides_kind(ctx):
-    port = Port(ctx, name="p")
-    port.send(Message(op="x"), charged=False)
-    ctx.engine.run()
-    assert not ctx.meter.counts
-
-
 def test_fifo_ordering(ctx):
     port = Port(ctx, name="p")
     for i in range(5):
@@ -98,7 +91,7 @@ def test_send_to_dead_port_is_dropped(ctx):
     port.send(Message(op="lost"))
     ctx.engine.run()
     assert port.dropped == 1
-    assert port.pending() == 0
+    assert port.queued == 0
 
 
 def test_receive_on_dead_port_raises(ctx):

@@ -1,4 +1,4 @@
-"""The service kit: dispatch loop, local request/reply, span scope."""
+"""The service kit: dispatch loop, request/reply, span scope."""
 
 from inspect import CO_GENERATOR
 
@@ -8,11 +8,20 @@ from hypothesis import strategies as st
 
 from repro.errors import ServerError
 from repro.kernel.context import SimContext
-from repro.kernel.messages import Message
+from repro.kernel.costs import MEASURED_1985, Primitive
+from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
-from repro.kernel.service import Service, handlers_of, request, spawn_handler
+from repro.kernel.service import (
+    Service,
+    answer,
+    handlers_of,
+    post,
+    request,
+    respond,
+    respond_error,
+    spawn_handler,
+)
 from repro.obs.tracer import NO_SPAN, Tracer
-from repro.rpc.stubs import respond, respond_error
 from repro.sim import Event, Timeout
 
 
@@ -119,7 +128,8 @@ class TestWakeUps:
     def test_a_delivery_with_an_entry_due_queues_one_wake_up(self):
         ctx, node, echo = make()
         ctx.engine.run()
-        echo.port.send(Message(op="echo.ping", body={"n": 1}), charged=False)
+        echo.port.send(Message(op="echo.ping", body={"n": 1},
+                               kind=MessageKind.UNCHARGED))
         seen = []
         ctx.engine.schedule(0.0, lambda: seen.append(echo.seen[:]))
         ctx.engine.run()
@@ -129,7 +139,8 @@ class TestWakeUps:
     def test_a_wake_up_whose_port_died_does_nothing(self):
         ctx, node, echo = make()
         ctx.engine.run()
-        echo.port.send(Message(op="echo.ping", body={"n": 1}), charged=False)
+        echo.port.send(Message(op="echo.ping", body={"n": 1},
+                               kind=MessageKind.UNCHARGED))
         ctx.engine.schedule(0.0, lambda: None)
         ctx.engine.step()  # the delivery queues its wake-up behind the no-op
         echo.port.destroy()
@@ -141,7 +152,8 @@ class TestNeverWaitingHandlers:
     def test_one_whose_node_crashed_and_restarted_does_not_run(self):
         ctx, node, echo = make()
         ctx.engine.run()
-        echo.port.send(Message(op="echo.ping", body={"n": 1}), charged=False)
+        echo.port.send(Message(op="echo.ping", body={"n": 1},
+                               kind=MessageKind.UNCHARGED))
         ctx.engine.step()  # delivered and dispatched; the handler is queued
         node.crash()
         node.restart()
@@ -155,15 +167,15 @@ class TestNeverWaitingHandlers:
         sink = node.create_port("sink")
 
         def handle(message: Message) -> None:
-            sink.send(Message(op="outside"), charged=False)
+            sink.send(Message(op="outside", kind=MessageKind.UNCHARGED))
             with ctx.span("handle", "n", "TM"):
-                sink.send(Message(op="inside"), charged=False)
+                sink.send(Message(op="inside", kind=MessageKind.UNCHARGED))
 
         Service(node, port, "svc", lambda op: handle, "svc-loop")
 
         def client():
             with ctx.span("client", "n", "APP"):
-                port.send(Message(op="svc.go"), charged=False)
+                port.send(Message(op="svc.go", kind=MessageKind.UNCHARGED))
                 yield Timeout(ctx.engine, 1.0)
 
         ctx.engine.run_until(node.spawn(client()))
@@ -191,6 +203,32 @@ class TestRequest:
         ctx, node, echo = make()
         with pytest.raises(ServerError, match="no such cell"):
             ask(ctx, node, echo, "echo.fail")
+
+    @pytest.mark.parametrize("kind, small_messages", [
+        (MessageKind.SMALL, 2), (MessageKind.UNCHARGED, 0)])
+    def test_the_reply_costs_what_the_request_costs(self, kind,
+                                                    small_messages):
+        ctx, node, echo = make()
+        ctx.engine.run()
+        started = ctx.engine.now
+        assert ctx.engine.run_until(node.spawn(request(
+            node, echo.port, "echo.ping", {"n": 1}, reply="r",
+            kind=kind))) == {"pong": 1}
+        assert ctx.meter.count(Primitive.SMALL_MESSAGE) == small_messages
+        assert ctx.engine.now - started == small_messages * (
+            MEASURED_1985.time_of(Primitive.SMALL_MESSAGE))
+
+    @pytest.mark.parametrize("deadline_ms, body", [
+        (5.0, None), (8.0, {"pong": 3}), (None, {"pong": 3})])
+    def test_answer_is_the_reply_or_none_past_its_deadline(self,
+                                                           deadline_ms,
+                                                           body):
+        ctx, node, echo = make()
+        ctx.engine.run()
+        reply_port = post(node, echo.port, "echo.slow", {"n": 3}, reply="r",
+                          kind=MessageKind.UNCHARGED)
+        assert ctx.engine.run_until(node.spawn(
+            answer(reply_port, deadline_ms))) == body
 
 
 def traced_context():
@@ -330,8 +368,8 @@ class World:
     def _handle_echo(self, message):
         number = message.body["n"]
         self.note("echo", number)
-        self.port.send(Message(op="svc.plain", body={"n": number + 1000}),
-                       charged=False)
+        self.port.send(Message(op="svc.plain", body={"n": number + 1000},
+                               kind=MessageKind.UNCHARGED))
         self.engine.schedule_now(lambda: self.note("echo2", number))
 
     def _handle_raise(self, message):
@@ -347,8 +385,8 @@ class World:
             return
         kind = action[0]
         if kind == "send":
-            self.port.send(Message(op=action[1], body={"n": number}),
-                           charged=action[2])
+            self.port.send(Message(op=action[1], body={"n": number},
+                                   kind=action[2]))
         elif kind == "noise":
             self.note("noise", number)
             self.engine.schedule_now(lambda: self.note("noise2", number))
@@ -385,7 +423,7 @@ ACTION = st.one_of(
     st.tuples(st.just("send"),
               st.sampled_from(["svc.plain", "svc.wait", "svc.echo",
                                "svc.raise", "svc.unknown"]),
-              st.booleans()),
+              st.sampled_from([MessageKind.SMALL, MessageKind.UNCHARGED])),
     st.sampled_from([("noise",), ("close",), ("open",), ("crash",),
                      ("restart",), ("fail",), ("recover",)]),
 )

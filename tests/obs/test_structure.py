@@ -7,6 +7,7 @@ and the fix is to use the kit (or, with a reason, to add the site below).
 """
 
 import ast
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
@@ -36,15 +37,18 @@ SPAN_PARENT_HOMES = ("kernel/messages.py", "kernel/ports.py",
 
 #: where a reply port may be constructed, by enclosing function
 REPLY_PORT_HOMES = {
-    ("kernel/service.py", "request"):
-        "the kit: local request/reply",
-    ("rpc/stubs.py", "_call_once"):
-        "remote call: the receive races a time-out, and the port is "
-        "destroyed so a late reply is dropped",
-    ("txn/manager.py", "_call_servers"):
-        "scatter/gather with a retry loop against data-server ports that "
-        "recovery may rebind between attempts",
+    ("kernel/service.py", "post"):
+        "the kit: every request/reply -- local, remote (rpc) and the "
+        "Transaction Manager's scatter/gather",
 }
+
+#: what a reply body's error is read by: the kit's unmarshal
+REPLY_ERROR_READ = (r"""["']error["']\s+in\b|\.get\(["']error["']"""
+                    r"""|\[["']error["']\](?!\s*=(?!=))""")
+
+#: managers that only serve their port and make local requests: the kit
+#: is all of the message plumbing they need
+NO_RPC_IMPORTERS = ("txn/manager.py", "recovery/manager.py")
 
 
 def sites(pattern: str):
@@ -82,6 +86,56 @@ def test_reply_ports_are_built_only_by_the_kit_and_its_named_exceptions():
     others = {(path, function)
               for path, function, _ in sites(r"\bPort\(")} - found
     assert others == {("kernel/node.py", "create_port")}
+
+
+def test_the_reply_format_lives_only_in_the_kit():
+    """``respond`` / ``respond_error`` are defined once, in the kit, and
+    nobody imports them from the RPC layer; only the kit's ``unmarshal``
+    reads an error out of a reply body."""
+    defined = [path for path, _, _ in sites(r"^def respond(_error)?\(")]
+    assert defined == ["kernel/service.py"] * 2
+    via_rpc = [f"{path.relative_to(ROOT).as_posix()}:{node.lineno}"
+               for tree in REFERENCE_TREES if tree != "docs"
+               for path in sorted((ROOT / tree).rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "repro.rpc.stubs"
+               and {"respond", "respond_error"} & {
+                   alias.name for alias in node.names}]
+    assert via_rpc == []
+    readers = {(path, function)
+               for path, function, _ in sites(REPLY_ERROR_READ)}
+    assert readers == {("kernel/service.py", "unmarshal")}
+
+
+def test_a_message_kind_is_the_only_cost_knob():
+    """No ``charged`` / ``free_reply`` beside ``MessageKind``."""
+    from repro.kernel.messages import Message
+    from repro.kernel.ports import Port
+    from repro.kernel.service import post, request
+    strays = [f"{path}:{line}"
+              for path, _, line in sites(r"\bcharged\s*=|\bfree_reply\b")]
+    assert strays == []
+    assert list(inspect.signature(Port.send).parameters) == \
+        ["self", "message"]
+    for kit in (post, request):
+        assert not {"charged", "free_reply"} & set(
+            inspect.signature(kit).parameters)
+    assert "free_reply" not in Message.__dataclass_fields__
+
+
+def test_managers_that_only_answer_do_not_import_the_rpc_layer():
+    importers = []
+    for relative in NO_RPC_IMPORTERS:
+        tree = ast.parse((SRC / relative).read_text())
+        importers += [
+            f"{relative}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[:2] == ["repro", "rpc"]
+            or isinstance(node, ast.Import) and any(
+                alias.name.split(".")[:2] == ["repro", "rpc"]
+                for alias in node.names)]
+    assert importers == []
 
 
 def test_every_imported_name_is_used():

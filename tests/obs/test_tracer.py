@@ -3,9 +3,8 @@
 from repro.kernel.context import SimContext
 from repro.kernel.messages import Message
 from repro.kernel.node import Node
-from repro.kernel.service import Service, request
+from repro.kernel.service import Service, request, respond
 from repro.obs.tracer import Tracer, family_of
-from repro.rpc.stubs import respond
 from repro.sim import Timeout
 from repro.txn.ids import TransactionID
 

@@ -11,7 +11,8 @@ from repro.kernel.context import SimContext
 from repro.kernel.costs import MEASURED_1985, Primitive, ZERO_CPU
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
-from repro.rpc.stubs import ServiceRef, call, respond, respond_error
+from repro.kernel.service import respond, respond_error
+from repro.rpc.stubs import ServiceRef, call
 from repro.sim import Process
 from repro.txn.ids import TransactionID
 

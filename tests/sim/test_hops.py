@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.kernel.context import SimContext
-from repro.kernel.messages import Message
+from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
 from repro.kernel.service import spawn_handler
 from repro.sim import Engine, Event, Process, Timeout, join_all
@@ -106,7 +106,7 @@ class TestDelivery:
         seen = []
         receiver(node, port, seen)
         engine.step()  # the receiver waits
-        port.send(Message(op="m"), charged=False)
+        port.send(Message(op="m", kind=MessageKind.UNCHARGED))
         engine.run()
         assert seen == [("m", 0.0, 2)]
 
@@ -115,7 +115,7 @@ class TestDelivery:
         seen = []
         receiver(node, port, seen)
         engine.step()
-        port.send(Message(op="m"), charged=False)
+        port.send(Message(op="m", kind=MessageKind.UNCHARGED))
         engine.schedule(0.0, note(engine, seen, "other"))
         engine.run()
         assert seen == [("other", 0.0, 3), ("m", 0.0, 4)]
@@ -123,7 +123,7 @@ class TestDelivery:
     def test_a_message_that_waits_in_the_queue_is_unchanged(self):
         engine, node, port = self.make()
         seen = []
-        port.send(Message(op="m"), charged=False)
+        port.send(Message(op="m", kind=MessageKind.UNCHARGED))
         engine.run()  # delivered before anyone receives: it queues
         assert port.queued == 1
         receiver(node, port, seen)
@@ -202,10 +202,11 @@ class TestRunUntil:
 
 # -- the same schedule as with every hop kept --------------------------------
 
-#: one process step: sleep (ms), send to a port (index, charged), receive
+#: one process step: sleep (ms), send to a port (index, kind), receive
 STEP = st.one_of(
     st.tuples(st.just("sleep"), st.sampled_from([0.0, 1.0, 2.0])),
-    st.tuples(st.just("send"), st.integers(0, 2), st.booleans()),
+    st.tuples(st.just("send"), st.integers(0, 2),
+              st.sampled_from([MessageKind.SMALL, MessageKind.UNCHARGED])),
     st.tuples(st.just("recv")),
 )
 
@@ -234,9 +235,9 @@ def play(programs, spawn):
             if step[0] == "sleep":
                 yield Timeout(engine, step[1])
             elif step[0] == "send":
-                ports[step[1]].send(Message(op=f"{index}.{number}"),
-                                    charged=step[2])
-                inbox.send(Message(op=f"{index}.{number}"), charged=step[2])
+                ports[step[1]].send(Message(op=f"{index}.{number}",
+                                            kind=step[2]))
+                inbox.send(Message(op=f"{index}.{number}", kind=step[2]))
             else:
                 message = yield ports[index % 3].receive()
                 trace.append((engine.now, index, "got", message.op))

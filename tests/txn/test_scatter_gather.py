@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro import TabsCluster, TabsConfig
 from repro.kernel.ports import Port
+from repro.kernel.service import respond
 from repro.perf.pathmodel import commit_path
 from repro.servers.int_array import IntegerArrayServer
 from repro.sim import Process
@@ -55,6 +56,20 @@ def begin_and_touch(cluster, app, roles, parent=None):
     return cluster.run_on(NODE, body())
 
 
+def vote_abort(server, tid):
+    """Make ``server`` vote abort when ``tid`` prepares, as one whose own
+    check refused the transaction would."""
+    prepare = server._sys_prepare
+
+    def sys_prepare(message):
+        if message.body["tid"] != tid:
+            return (yield from prepare(message))
+        yield server.ctx.cpu("DS", server.ctx.cpu_costs.ds_txn_overhead)
+        respond(message, {"vote": "abort"})
+
+    server._sys_prepare = sys_prepare
+
+
 def cell(cluster, app, index):
     def body(tid):
         ref = yield from app.lookup_one(f"a{index}")
@@ -74,7 +89,7 @@ def served(tracer, op):
 
 @pytest.fixture
 def reply_ports(monkeypatch):
-    """Every port the Transaction Manager module builds, as built."""
+    """Every reply port the service kit builds, as built."""
     made = []
 
     class Recorded(Port):
@@ -82,7 +97,7 @@ def reply_ports(monkeypatch):
             super().__init__(*args, **kwargs)
             made.append(self)
 
-    monkeypatch.setattr("repro.txn.manager.Port", Recorded)
+    monkeypatch.setattr("repro.kernel.service.Port", Recorded)
     return made
 
 
@@ -130,7 +145,7 @@ def test_one_abort_vote_aborts_all_four_and_strands_no_reply(reply_ports):
     tracer = cluster.enable_tracing()
     app = cluster.application(NODE)
     tid = begin_and_touch(cluster, app, ["update"] * 4)
-    library(cluster, 1)._txns[tid].aborted = True
+    vote_abort(library(cluster, 1), tid)
 
     assert cluster.run_on(NODE, app.end_transaction(tid)) is False
     cluster.settle()
@@ -335,7 +350,7 @@ def test_outcome_is_the_combination_rule_and_every_server_ends_lock_free(
     libraries = [library(cluster, index) for index in range(len(roles))]
     for index, role in enumerate(roles):
         if role == "abort":
-            libraries[index]._txns[tid].aborted = True
+            vote_abort(libraries[index], tid)
         elif role == "dead":
             tabs.fail_server(f"a{index}")
 
