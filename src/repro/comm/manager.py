@@ -71,7 +71,8 @@ class CommunicationManager:
         network.register(node, self)
         self.sessions = SessionTable(network, node.name)
         self._trees: dict[TransactionID, SpanningRecord] = {}
-        #: attached by the facility layer when failure detection is enabled
+        #: this node's :class:`~repro.comm.failures.FailureDetector`,
+        #: attached by the facility layer; its probes bypass the manager
         self.failure_detector = None
         Service(node, self.port, "cm", handlers_of(self),
                 "communication-manager")
@@ -120,13 +121,6 @@ class CommunicationManager:
     def deliver_inbound_datagram(self, message: Message) -> None:
         """Called by the network when a datagram arrives for this node."""
         if not self.node.alive:  # pragma: no cover - network already checks
-            return
-        if message.body.get("service") == "failure_detector":
-            # Probes are handled synchronously and uncharged: no spawned
-            # process, no ports, no CPU -- heartbeats must neither perturb
-            # the cost model nor keep the engine from quiescing.
-            if self.failure_detector is not None:
-                self.failure_detector.on_datagram(message)
             return
         spawn_handler(self.node, message, self._forward_inbound(message),
                       "cm:inbound")

@@ -19,11 +19,10 @@ Fault injection (driven by :mod:`repro.chaos`):
   its simulated timestamp; the chaos harness uses it for the determinism
   regression suite.
 
-Heartbeats (daemon datagrams) due at the same instant share one queue
-entry: a daemon datagram joins the run scheduled last when it is due at
-the same instant and no other entry has been scheduled since, so the run
-would have popped back to back anyway.  The entry delivers the run in
-order, and hooks and counters still see every datagram.
+Failure-detector probes are not datagrams here: they travel between the
+detectors over :attr:`Network.heartbeats` (:mod:`repro.comm.failures`),
+which this fabric tells of every change that can end its steady state --
+a registration, a deregistration, a partition, a node crash.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from repro.comm.failures import Heartbeats
 from repro.errors import CommunicationError
 from repro.kernel.context import SimContext
 from repro.kernel.messages import Message
@@ -94,12 +94,8 @@ class Network:
         #: session identifiers, scoped to this network so two cluster runs
         #: in one process produce identical ids (trace reproducibility)
         self._session_seq = 0
-        #: the daemon datagrams of the entry scheduled last, while another
-        #: may still join them: its due instant, and the engine's sequence
-        #: number after it
-        self._daemon_run: list[tuple[str, Message, str]] | None = None
-        self._daemon_due = 0.0
-        self._daemon_seq = 0
+        #: the failure detectors' probe transport
+        self.heartbeats = Heartbeats(self)
 
     def next_session_id(self) -> int:
         self._session_seq += 1
@@ -109,8 +105,11 @@ class Network:
 
     def register(self, node: Node,
                  manager: "CommunicationManager") -> None:
+        self.heartbeats.break_steady()
         self._nodes[node.name] = node
         self._managers[node.name] = manager
+        if self.heartbeats.node_crashed not in node.on_crash:
+            node.on_crash.append(self.heartbeats.node_crashed)
 
     def deregister(self, name: str) -> None:
         """Remove a retired node from the fabric.
@@ -120,6 +119,7 @@ class Network:
         permanent suspect); datagrams addressed to it count as
         undeliverable like any unknown endpoint.
         """
+        self.heartbeats.break_steady()
         self._nodes.pop(name, None)
         self._managers.pop(name, None)
 
@@ -146,6 +146,11 @@ class Network:
     def epoch_of(self, name: str) -> int:
         return self.node(name).epoch
 
+    def incarnation(self, name: str) -> int | None:
+        """The epoch of ``name`` while it is registered and up, else None."""
+        node = self._nodes.get(name)
+        return node.epoch if node is not None and node.alive else None
+
     # -- partitions -------------------------------------------------------------
 
     def partition(self, groups: Sequence[Sequence[str]]) -> None:
@@ -169,6 +174,7 @@ class Network:
             if name not in mapping:
                 mapping[name] = next_id
                 next_id += 1
+        self.heartbeats.break_steady()
         self._partition = mapping
 
     def heal(self) -> None:
@@ -188,9 +194,9 @@ class Network:
         """
         if not self.is_up(target):
             return False
-        return not self._partition_blocks(source, target)
+        return not self.separated(source, target)
 
-    def _partition_blocks(self, source: str, target: str) -> bool:
+    def separated(self, source: str, target: str) -> bool:
         """Does the active partition separate ``source`` from ``target``?"""
         if self._partition is None or not source:
             return False
@@ -267,33 +273,19 @@ class Network:
     # -- datagram transport -----------------------------------------------------
 
     def deliver_datagram(self, target: str, message: Message,
-                         latency_ms: float, source: str = "",
-                         daemon: bool = False) -> None:
+                         latency_ms: float, source: str = "") -> None:
         """Queue a datagram for delivery to ``target``'s Communication
         Manager after ``latency_ms``.  Silently dropped when a partition
         blocks the link, the loss roll fails, or the target is down at
         delivery time -- datagram semantics.  Each category has its own
         counter so failure tests can tell the drop modes apart.
-
-        ``daemon`` marks background housekeeping traffic (failure-detector
-        probes): its in-flight delivery never keeps the engine from
-        quiescing.
         """
         source = source or message.sender_node or ""
         self.datagrams_sent += 1
         self._trace("send", source, target, message.op)
-        if self._partition_blocks(source, target):
+        if self.separated(source, target):
             self.datagrams_blocked += 1
             self._trace("blocked", source, target, message.op)
-            return
-        if daemon:
-            # Background housekeeping traffic (heartbeat probes) is exempt
-            # from the *injected* datagram faults: it consumes no seeded
-            # rolls (so enabling detection never shifts the RNG stream of a
-            # fault plan) and cannot be randomly lost -- only partitions
-            # and crashed endpoints silence it, which are exactly the
-            # failures detection must catch.
-            self._schedule_daemon(latency_ms, (target, message, source))
             return
         if (self.datagram_loss_rate and
                 self.ctx.random.random() < self.datagram_loss_rate):
@@ -324,30 +316,6 @@ class Network:
             # or doubly-routed packet would.
             self.ctx.engine.schedule(latency_ms * (1 + copy), self._arrive,
                                      args=args)
-
-    def _schedule_daemon(self, latency_ms: float,
-                         arrival: tuple[str, Message, str]) -> None:
-        """Queue a daemon datagram, in the run scheduled last if it may
-        join it."""
-        engine = self.ctx.engine
-        due = engine.now + latency_ms
-        run = self._daemon_run
-        if (run is not None and due == self._daemon_due
-                and engine.events_scheduled == self._daemon_seq):
-            run.append(arrival)
-            return
-        run = self._daemon_run = [arrival]
-        self._daemon_due = due
-        engine.schedule(latency_ms, self._arrive_run, daemon=True,
-                        args=(run,))
-        self._daemon_seq = engine.events_scheduled
-
-    def _arrive_run(self, run: list[tuple[str, Message, str]]) -> None:
-        """One entry delivers a run of daemon datagrams in order."""
-        if run is self._daemon_run:
-            self._daemon_run = None
-        for arrival in run:
-            self._arrive(*arrival)
 
     def _arrive(self, target: str, message: Message, source: str) -> None:
         """Datagram arrival: bound-method dispatch, no per-send closure."""

@@ -81,6 +81,11 @@ class TabsCluster:
             tracer = Tracer(self.ctx.engine)
             self.ctx.tracer = tracer
             self.network.add_trace_hook(tracer.network_event)
+            for tabs_node in self.nodes.values():
+                tabs_node.fd_observers.append(tracer.detector_event)
+            self.node_join_hooks.append(
+                lambda tabs_node:
+                tabs_node.fd_observers.append(tracer.detector_event))
         return self.ctx.tracer
 
     def enable_profiling(self):

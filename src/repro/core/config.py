@@ -96,11 +96,6 @@ class ReplicationConfig:
             raise ValueError("replication_factor must be >= 1")
 
     @classmethod
-    def off(cls) -> "ReplicationConfig":
-        """Single-copy placement, byte-identical to the paper's system."""
-        return cls()
-
-    @classmethod
     def available_copies(cls,
                          replication_factor: int = 2) -> "ReplicationConfig":
         """Write-all-available / read-any-available replication."""

@@ -105,6 +105,8 @@ class Service:
         if heap and heap[0][0] <= engine._now:
             engine.schedule_now(self._take, args=(message,))
         else:
+            # the key the queued entry would have had (Engine.running_key)
+            engine._seq = engine.events_scheduled - 0.5
             self._got(message)
 
     def _take(self, message: Message) -> None:

@@ -252,6 +252,13 @@ class Tracer:
             attrs={"source": source, "target": target, "op": op}))
         self._next_id += 1
 
+    def detector_event(self, _time_ms: float, local: str, event: str,
+                       peer: str) -> None:
+        """Subscriber for a node's ``fd_observers``: what its failure
+        detector decided about ``peer`` (``fd.suspect``,
+        ``fd.restart_observed``, ``fd.recovered``)."""
+        self.event("fd." + event.replace("-", "_"), local, "CM", peer=peer)
+
     # -- failure model -------------------------------------------------------
 
     def node_crashed(self, node: str) -> None:

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import RecoveryError
 from repro.kernel.context import SimContext
 from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
@@ -141,14 +140,6 @@ class RecoveryManager:
         self._servers[body["server"]] = ServerAttachment(
             body["server"], body["segment_id"], body["port"])
         respond(message, {"ok": True})
-
-    def attachment(self, server: str) -> ServerAttachment:
-        try:
-            return self._servers[server]
-        except KeyError:
-            raise RecoveryError(
-                f"server {server!r} never attached to the Recovery Manager "
-                f"on {self.node.name!r}") from None
 
     # -- spooling -------------------------------------------------------------------
 

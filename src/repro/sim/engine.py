@@ -12,6 +12,14 @@ not part of it: a wake-up due next runs inside the entry that caused it
 finish queues nothing (``Process.unjoinable``), which shifts later values
 down and swaps no two entries (docs/SIMULATOR.md).
 
+A caller may take a sequence number ahead of its entry
+(:meth:`Engine.reserve`) and queue the entry at that key later
+(:meth:`Engine.push`), as long as the key still lies ahead of the entry
+that is running (:attr:`Engine.running_key`): the entry then runs where
+it would have run had it been queued when the number was taken.  The
+steady heartbeat fabric (:mod:`repro.comm.failures`) queues the probes it
+skipped this way when a fault ends its steady state.
+
 Daemon entries are background housekeeping -- failure-detector probe ticks,
 mainly -- that must never keep the simulation "busy": ``run()``, ``drain()``
 and ``run_until()`` treat the queue as quiescent once only daemon entries
@@ -49,6 +57,8 @@ class Engine:
         #: queued entries that are *not* daemons; quiescence means zero
         self._real = 0
         self._running = False
+        #: the sequence half of :attr:`running_key` (-1 before any entry)
+        self._seq: float = -1
         #: fabric churn accounting -- always on (plain integer bumps), read
         #: by the sim-speed meta-benchmark and the profiler snapshot.  Kept
         #: off the metrics registry so its snapshot (golden-hashed by the
@@ -63,6 +73,10 @@ class Engine:
         #: the disabled path costs one attribute check, mirroring
         #: ``ctx.tracer``
         self.profiler: SimProfiler | None = None
+        #: each called as ``latest(deadline)``: the latest instant, at or
+        #: before ``deadline``, of a daemon entry its owner skipped rather
+        #: than queued (the steady heartbeat fabric's probes), or -inf
+        self.skipped: list[Callable[[float], float]] = []
         #: the process whose generator is running right now, or None while
         #: a plain callback runs; set by :class:`repro.sim.Process`
         self.active_process: Process | None = None
@@ -71,6 +85,45 @@ class Engine:
     def now(self) -> float:
         """Current simulated time in milliseconds."""
         return self._now
+
+    @property
+    def running_key(self) -> tuple[float, float]:
+        """The ``(time, seq)`` key of the code running now.
+
+        Inside an entry it is that entry's key.  A wake-up run in the
+        entry that caused it (:meth:`repro.sim.events.Event.succeed_last`)
+        sorts where its queued entry would have: after every entry queued
+        before it and before every one queued after (``seq - 0.5``).
+        Between runs it is the key of the last entry that ran, or
+        ``(now, +inf)`` once every entry due by ``now`` has run (after
+        ``run(until)``, or a ``drain`` that gave up).  Every entry at a
+        later key has yet to run.
+        """
+        return (self._now, self._seq)
+
+    def reserve(self) -> int:
+        """Take the next sequence number for an entry queued later by
+        :meth:`push`."""
+        seq = self.events_scheduled
+        self.events_scheduled = seq + 1
+        return seq
+
+    def push(self, time: float, seq: int, callback: Callable[..., None],
+             args: tuple = _NO_ARGS) -> None:
+        """Queue a daemon entry at a key taken earlier by :meth:`reserve`.
+
+        The key must lie ahead of :attr:`running_key`: an entry cannot be
+        placed where the queue has already been.
+        """
+        if not (time, seq) > (self._now, self._seq):
+            raise SimulationError(
+                f"cannot push at ({time}, {seq}): the queue is already at "
+                f"({self._now}, {self._seq})")
+        heap = self._heap
+        _heappush(heap, (time, seq, callback, args, True))
+        self.daemon_scheduled += 1
+        if len(heap) > self.heap_high_water:
+            self.heap_high_water = len(heap)
 
     def schedule(self, delay: float, callback: Callable[..., None],
                  daemon: bool = False, args: tuple = _NO_ARGS) -> None:
@@ -142,7 +195,8 @@ class Engine:
                 if heap[0][0] > deadline or (event is not None
                                              and event.processed):
                     break
-                time, _seq, callback, args, daemon = _heappop(heap)
+                time, seq, callback, args, daemon = _heappop(heap)
+                self._seq = seq
                 if daemon:
                     self.daemon_executed += 1
                 else:
@@ -187,6 +241,7 @@ class Engine:
             raise SimulationError(f"until={until} is before now={self._now}")
         self._dispatch(until, count_daemons=True)
         self._now = until
+        self._seq = _INF
 
     def drain(self, max_ms: float) -> bool:
         """Run until the queue quiesces, giving up ``max_ms`` from now.
@@ -195,13 +250,21 @@ class Engine:
         quiescence when some process may never stop (a retry loop waiting
         on a node that never recovers, say): returns True when the queue
         went quiet -- the clock then rests at the last event, not at the
-        deadline -- and False when work remained at the deadline.  Daemon
-        entries alone do not count as remaining work.
+        deadline -- and False when work remained at the deadline, with
+        the clock at the last entry due by then (counting the entries
+        :attr:`skipped` accounts for).  Daemon entries alone do not count
+        as remaining work.
         """
         if max_ms < 0:
             raise SimulationError(f"cannot drain for negative time ({max_ms})")
-        self._dispatch(self._now + max_ms)
-        return not self._real
+        deadline = self._now + max_ms
+        self._dispatch(deadline)
+        if not self._real:
+            return True
+        for latest in self.skipped:
+            self._now = max(self._now, latest(deadline))
+        self._seq = _INF  # every entry due by the deadline has run
+        return False
 
     def run_until(self, event: object) -> object:
         """Run until ``event`` has been processed; return its value.

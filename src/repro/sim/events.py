@@ -107,6 +107,8 @@ class Event:
         if heap and heap[0][0] <= engine._now:
             engine.schedule_now(self._run_callbacks)
         else:
+            # the key the queued entry would have had (Engine.running_key)
+            engine._seq = engine.events_scheduled - 0.5
             self._run_callbacks()
 
     def fail(self, exception: BaseException) -> "Event":

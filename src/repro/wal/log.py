@@ -186,9 +186,6 @@ class WriteAheadLog:
     def read_forward(self, from_lsn: int = 1) -> list[LogRecord]:
         return self.store.read_forward(from_lsn)
 
-    def read_backward(self, from_lsn: int | None = None) -> list[LogRecord]:
-        return self.store.read_backward(from_lsn)
-
     def record_at(self, lsn: int) -> LogRecord:
         """Find a record by LSN in the buffer or the durable store.
 

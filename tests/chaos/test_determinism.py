@@ -56,18 +56,19 @@ def test_same_seed_reproduces_run_exactly():
 # Digests of the canonical (PLAN, seed=2026) run under the default
 # ``pipeline="paper"`` configuration.  A refactor keeps them byte for
 # byte; a deliberate change to default behaviour re-pins them once and
-# says what moved.  Last re-pinned when ``lookup_one`` became a binding
-# (a chaos transfer stops paying two Name Server lookups once its node
-# has resolved the two banks): trace 4c3f21a6... -> 078ee47f..., metrics
-# 47928850... -> d63f6747... (the ``ns.*`` counters are new), final
-# clock 125577.72 -> 125571.72, i.e. 6.0 sim-ms earlier.  The run kept
-# all ten outcomes (5 aborted, 3 unknown, 2 skipped, index for index)
-# and all 12 025 trace entries by kind (11 998 net, 7 crash, 7 restart,
-# 7 txn, 2 fd, 1 each partition / heal / link-fault / link-heal).
+# says what moved.  Last re-pinned when failure-detector probes left the
+# datagram path (docs/SIMULATOR.md "A healthy fabric sends no
+# heartbeats"): trace 078ee47f... -> c1b8b1a2..., metrics d63f6747... ->
+# 5178f38e....  Each new digest equals the old run's with its
+# ``fd.ping``/``fd.pong`` datagram events taken out -- the trace loses
+# its 11 942 probe ``net`` entries (12 025 -> 83: 56 net, 7 crash,
+# 7 restart, 7 txn, 2 fd, 1 each partition / heal / link-fault /
+# link-heal) and the metrics their ``net.*`` counts; the final clock and
+# all ten outcomes (5 aborted, 3 unknown, 2 skipped) are unchanged.
 GOLDEN_TRACE_SHA = \
-    "078ee47fe3b52801b6f410cc93a57d429eaedbdbfd36f1996fb4d20c5162bf3e"
+    "c1b8b1a2ca188a0e7b2ad6743bda802969f8a32f6c17959d72f92dbcede1b625"
 GOLDEN_METRICS_SHA = \
-    "d63f67473370d941c303a439d01d40d06c8fa5c15ecd258ddee4c4de23a6d974"
+    "5178f38e6dd274cebfe57c4bf3b410ad2507a7866c3367cd46d00e24721cb7e1"
 GOLDEN_FINAL_NOW = 125571.71966982371
 
 

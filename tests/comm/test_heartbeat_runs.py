@@ -1,16 +1,16 @@
-"""Heartbeats due at one instant share one queue entry (docs/SIMULATOR.md).
+"""Heartbeat probes travel between detectors, in runs (docs/SIMULATOR.md).
 
-A daemon datagram joins the run of daemon datagrams scheduled last when
-it is due at the same instant and no other entry has been scheduled
-since; one entry then delivers the run in order.  The reference below
-queues one entry per datagram, as the network did before.
+A probe joins the run of probes queued last when it is due at the same
+instant and no other entry has been queued since; one entry then
+delivers the run in order.  Probes are not datagrams: no trace hook and
+no ``net.*`` counter sees them.  Once the fabric is steady a tick is one
+entry and sends nothing.
 """
 
 from repro.comm.failures import FailureDetector
 from repro.comm.manager import CommunicationManager
 from repro.comm.network import Network
 from repro.kernel.context import SimContext
-from repro.kernel.messages import Message
 from repro.kernel.node import Node
 
 INTERVAL = 250.0
@@ -30,93 +30,100 @@ def make_world(names=("a", "b", "c", "d")):
     return ctx, network, nodes, detectors, events
 
 
-def hook_log(ctx, network):
-    """(time, event, source, target, op, entries run so far) per hook."""
+def arrival_log(ctx, network):
+    """(time, [(kind, source, target)], entries run so far) per entry
+    that delivers probes."""
     log = []
-    network.add_trace_hook(
-        lambda time, event, source, target, op: log.append(
-            (time, event, source, target, op, ctx.engine.events_executed)))
+    heartbeats = network.heartbeats
+    deliver = heartbeats.arrive
+
+    def arrive(run):
+        log.append((ctx.now, [(kind, source, target)
+                              for kind, source, _, target, _ in run],
+                    ctx.engine.events_executed))
+        deliver(run)
+
+    heartbeats.arrive = arrive
     return log
-
-
-def per_datagram(self, latency_ms, arrival):
-    self.ctx.engine.schedule(latency_ms, self._arrive, daemon=True,
-                             args=arrival)
-
-
-def probe(origin):
-    return Message(op="fd.ping", body={"service": "failure_detector",
-                                       "kind": "ping", "origin": origin,
-                                       "epoch": 0})
 
 
 def test_one_ticks_pings_arrive_in_one_entry():
     ctx, network, _, _, _ = make_world()
-    log = hook_log(ctx, network)
-    ctx.engine.run(until=2 * INTERVAL)
-    pings = [entry for entry in log
-             if entry[1] == "recv" and entry[4] == "fd.ping"
-             and entry[2] == "a"]
-    assert [entry[3] for entry in pings] == ["b", "c", "d"]
-    assert len({entry[5] for entry in pings}) == 1
+    log = arrival_log(ctx, network)
+    ctx.engine.run(until=INTERVAL + 30.0)  # the first ticks probe
+    pings = [run for _, run, _ in log if run[0][:2] == ("ping", "a")]
+    assert pings == [[("ping", "a", "b"), ("ping", "a", "c"),
+                      ("ping", "a", "d")]]
+    # Answering queues nothing else, so every pong due then joins one run.
+    pongs = [run for _, run, _ in log if run[0][0] == "pong"]
+    assert len(pongs) == 1 and len(pongs[0]) == 12
+    assert pongs[0][:3] == [("pong", "b", "a"), ("pong", "c", "a"),
+                            ("pong", "d", "a")]
 
 
 def test_an_entry_scheduled_between_two_probes_splits_the_run():
-    ctx = SimContext()
-    network = Network(ctx)
-    for name in ("a", "b", "c"):
-        CommunicationManager(Node(ctx, name), network)
-    log = hook_log(ctx, network)
+    ctx, network, _, _, _ = make_world(("a", "b", "c"))
+    log = arrival_log(ctx, network)
     engine = ctx.engine
+    order = []
 
     def send():
-        network.deliver_datagram("b", probe("a"), 1.0, source="a",
-                                 daemon=True)
-        engine.schedule(1.0, lambda: log.append(("between",)))
-        network.deliver_datagram("c", probe("a"), 1.0, source="a",
-                                 daemon=True)
+        network.heartbeats.send("ping", "a", 0, "b", 1.0)
+        engine.schedule(1.0, lambda: order.append("between"))
+        network.heartbeats.send("ping", "a", 0, "c", 1.0)
 
-    engine.schedule(0.0, send)
-    engine.run(until=5.0)
-    arrivals = [entry for entry in log if entry[0] == "between"
-                or entry[1] == "recv"]
-    assert [entry[3] if len(entry) > 1 else entry[0]
-            for entry in arrivals] == ["b", "between", "c"]
-    assert arrivals[0][5] != arrivals[2][5]
+    engine.schedule(10.0, send)
+    engine.run(until=12.0)
+    runs = [run for time, run, _ in log if time == 11.0]
+    assert runs == [[("ping", "a", "b")], [("ping", "a", "c")]]
+    assert order == ["between"]
 
 
-def test_hooks_and_counters_see_what_the_per_datagram_path_shows(
-        monkeypatch):
-    """A crash, a restart and real datagrams at the probes' instants."""
-    def play():
-        ctx, network, nodes, _, events = make_world(("a", "b", "c"))
-        log = hook_log(ctx, network)
+def test_a_steady_tick_is_one_entry_and_sends_nothing():
+    ctx, network, _, detectors, events = make_world()
+    engine = ctx.engine
+    engine.run(until=3 * INTERVAL)
+    assert network.heartbeats.steady
+    log = arrival_log(ctx, network)
+    executed = engine.events_executed
+    engine.run(until=23 * INTERVAL)
+    assert log == []
+    assert engine.events_executed - executed == 4 * 20  # the ticks alone
+    assert events == []
+    assert all(detector.suspects() == [] for detector in detectors.values())
 
-        def chatter():
-            network.deliver_datagram("b", probe("a"), 1.5, source="a")
-            if ctx.now < 3_000.0:
-                ctx.engine.schedule(125.0, chatter)
 
-        def revive():
-            nodes["c"].restart()
-            FailureDetector(CommunicationManager(nodes["c"], network),
-                            probe_interval_ms=INTERVAL)
+def test_trace_hooks_and_net_counters_never_see_a_probe():
+    ctx, network, nodes, _, events = make_world(("a", "b", "c"))
+    hooked = []
+    network.add_trace_hook(lambda *event: hooked.append(event))
+    ctx.engine.schedule(700.0, nodes["c"].crash)
+    ctx.engine.schedule(1_000.0, lambda: network.partition([["a"], ["b"]]))
+    ctx.engine.run(until=4_000.0)
+    assert [event[2] for event in events].count("suspect") >= 2
+    assert hooked == []
+    assert network.datagrams_sent == 0
+    assert not any("net." in key for key
+                   in ctx.metrics.snapshot()["counters"])
 
-        ctx.engine.schedule(0.0, chatter)
-        ctx.engine.schedule(700.0, nodes["c"].crash)
-        ctx.engine.schedule(2_600.0, revive)
-        ctx.engine.run(until=4_000.0)
-        counters = {key: value for key, value
-                    in ctx.metrics.snapshot()["counters"].items()
-                    if "net." in key}
-        return [entry[:5] for entry in log], counters, events
 
-    runs = play()
-    monkeypatch.setattr(Network, "_schedule_daemon", per_datagram)
-    assert play() == runs
-    log, counters, events = runs
-    assert counters and any(entry[1] == "undeliverable" for entry in log)
-    assert [event[2] for event in events].count("suspect") == 2
+def test_a_probe_to_a_crashed_incarnation_is_lost():
+    """Even when the node is back up, in a new epoch, when it lands."""
+    ctx, network, nodes, _, _ = make_world(("a", "b"))
+    heartbeats = network.heartbeats
+    received = []
+    detector = network.manager("b").failure_detector
+    detector.receive = lambda *probe: received.append(probe)
+
+    def send_then_bounce():
+        heartbeats.send("ping", "a", 0, "b", 5.0)
+        nodes["b"].crash()
+        nodes["b"].restart()
+        heartbeats.send("ping", "a", 0, "b", 5.0)
+
+    ctx.engine.schedule(10.0, send_then_bounce)
+    ctx.engine.run(until=20.0)
+    assert received == [("ping", "a", 0)]
 
 
 def test_a_restarted_nodes_probes_carry_its_new_epoch():

@@ -9,12 +9,13 @@ import pytest
 from repro.__main__ import main, write_report
 
 #: SHA-256 of ``python -m repro trace <target> --out F``: the simulated
-#: schedule, every span and every datagram event of the run, byte for byte
+#: schedule, every span, every datagram event and every failure-detector
+#: decision of the run, byte for byte
 PINNED_EXPORTS = {
     ("chaos", "2026"):
-        "ddfc6273a1012297729d7264cd5de38c7f6dc531da6d82afa38dea8f2e3a5664",
+        "a21596b6f7ee2a6dbff80d13123e07336188d223585bdddd58ffb98b9696484c",
     ("w1w1", "1985"):
-        "5a58366596e0d2144e14794e71f3f58fb91d94b656244bed6292887c68a134ef",
+        "77bf22325bbbc02aacba607b55a7b20075d0f0fa6ccd79ef8d09261230338c0b",
 }
 
 

@@ -44,6 +44,36 @@ def traced_chaos_run(seed: int = 2026):
     return cluster, tracer
 
 
+class TestDetectorDecisions:
+    def test_every_detector_decision_is_an_fd_event_on_the_observer(self):
+        """Probes are in no trace; who declared whom dead, and when, is."""
+        plan = FaultPlan.of(
+            CrashAt(300.0, "n1", restart_after_ms=400.0),
+            PartitionAt(1_000.0, (("n0",), ("n1", "n2")),
+                        heal_after_ms=2_500.0))
+        cluster = build_cluster(seed=7)
+        tracer = cluster.enable_tracing()
+        controller = ChaosController(cluster, plan, seed=7)
+        workload = ChaosWorkload(cluster, controller, seed=7)
+        workload.setup()
+        controller.install()
+        workload.schedule_traffic(transfers=2)
+        workload.play(5_000.0)
+        decisions = [(entry[0], entry[2], entry[3].replace("-", "_"),
+                      entry[4]) for entry in controller.trace
+                     if entry[1] == "fd"]
+        events = [(event.time_ms, event.node, event.name[3:],
+                   event.attrs["peer"]) for event in tracer.events
+                  if event.name.startswith("fd.")]
+        assert events == decisions
+        assert {event[2] for event in events} == {
+            "suspect", "restart_observed", "recovered"}
+        assert all(event.component == "CM" for event in tracer.events
+                   if event.name.startswith("fd."))
+        assert not any(event.attrs.get("op", "").startswith("fd.")
+                       for event in tracer.events)
+
+
 class TestByteDeterminism:
     def test_same_seed_chaos_traces_are_byte_identical(self):
         (_, tracer_a) = traced_chaos_run(seed=2026)

@@ -159,6 +159,26 @@ class TestMarkedObjects:
         cluster.run_on("n1", body())
 
 
+class TestUnPinAllObjects:
+    def test_unpin_all_releases_every_pinned_object(self, env):
+        """The paper's ``UnPinAllObjects``: two objects on different pages
+        pinned through the data server, both released by one call."""
+        cluster, server, app = env
+        lib = server.library
+        vm = cluster.node("n1").node.vm
+        oids = [lib.create_object_id(server.base_va, 8),
+                lib.create_object_id(server.base_va + PAGE_SIZE, 8)]
+
+        def body():
+            for oid in oids:
+                yield from lib.pin_object(oid)
+
+        cluster.run_on("n1", body())
+        assert all(vm.is_pinned(oid) for oid in oids)
+        lib.unpin_all()
+        assert not any(vm.is_pinned(oid) for oid in oids)
+
+
 class TestOperationLoggingApi:
     def test_log_operation_requires_registered_appliers(self, env):
         cluster, server, app = env

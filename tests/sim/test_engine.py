@@ -401,3 +401,32 @@ def test_profiler_sees_every_event_whichever_entry_point_drives(driver):
     assert engine.events_executed >= 42  # 40 fanout calls, daemon, succeed
     assert engine.profiler.steps == engine.events_executed
     assert engine.profiler.daemon_steps == engine.daemon_executed == 1
+
+
+def test_an_entry_pushed_at_a_reserved_key_runs_where_it_was_reserved():
+    engine = Engine()
+    order = []
+    keys = {}
+
+    def reserve():
+        keys["held"] = engine.reserve()
+        engine.schedule(5.0, lambda: order.append("queued after"))
+
+    def push():
+        assert engine.running_key[0] == 2.0
+        engine.push(5.0, keys["held"], lambda: order.append("reserved"))
+
+    engine.schedule(1.0, reserve)
+    engine.schedule(2.0, push)
+    engine.run(until=10.0)
+    assert order == ["reserved", "queued after"]
+    assert engine.running_key == (10.0, float("inf"))
+
+
+def test_push_behind_the_running_key_rejected():
+    engine = Engine()
+    held = engine.reserve()
+    engine.schedule(3.0, lambda: None)
+    engine.run(until=3.0)
+    with pytest.raises(SimulationError):
+        engine.push(3.0, held, lambda: None)
