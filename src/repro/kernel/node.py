@@ -13,14 +13,14 @@ them all and no restart brings one back.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator
+from typing import TYPE_CHECKING, Callable, Generator, Hashable
 
 from repro.errors import NodeDown
 from repro.kernel.context import SimContext
 from repro.kernel.disk import Disk
 from repro.kernel.ports import Port
 from repro.kernel.vm import VirtualMemory
-from repro.sim import Process
+from repro.sim import Event, Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.rpc.stubs import ServiceRef
@@ -52,6 +52,14 @@ class Node:
         #: for it; the Name Server library's ``lookup_one`` answers from
         #: here while the reference's port is alive.  Volatile.
         self.bindings: dict[tuple[str, str], ServiceRef] = {}
+        #: transactions whose abort has begun on this node: no operation
+        #: of theirs starts here again, and no server joins them.  Volatile.
+        self.aborted: set[Hashable] = set()
+        #: transaction -> how many of its operations are running here (one
+        #: queued for a lock is not running), and the event an abort
+        #: waits on until none is
+        self._running: dict[Hashable, int] = {}
+        self._idle: dict[Hashable, Event] = {}
         #: total power failures suffered (diagnostic)
         self.crashes = 0
         #: observers notified on crash/restart (fault-injection tracing);
@@ -95,6 +103,22 @@ class Node:
                 f"service {name!r} is not running on node {self.name!r}"
             ) from None
 
+    # -- operations of a transaction ------------------------------------------
+
+    def count_operation(self, tid: Hashable, delta: int) -> None:
+        """An operation of ``tid`` starts (+1) or stops (-1) running here."""
+        running = self._running[tid] = self._running.get(tid, 0) + delta
+        if not running:
+            del self._running[tid]
+            if tid in self._idle:
+                self._idle.pop(tid).succeed()
+
+    def until_idle(self, tid: Hashable):
+        """Wait until no operation of ``tid`` runs here (generator; free
+        when none does)."""
+        while self._running.get(tid, 0) > 0:
+            yield self._idle.setdefault(tid, Event(self.ctx.engine, "idle"))
+
     # -- failure model --------------------------------------------------------
 
     def crash(self) -> None:
@@ -111,6 +135,8 @@ class Node:
         self._processes.clear()
         self.services.clear()
         self.bindings.clear()
+        # (the kills above ended every counted operation)
+        self.aborted.clear()
         self.vm.clear_volatile()
         self.crashes += 1
         self.ctx.metrics.counter(self.name, "node.crashes").inc()

@@ -203,17 +203,6 @@ class LockManager:
                     raise LockTimeout(
                         f"transaction {tid} timed out waiting for {mode} on "
                         f"{key!r} (holders: {list(entry.holders)})")
-                # Granted -- but ``release_all`` may have revoked the grant
-                # between ``_wake`` succeeding the event and this coroutine
-                # resuming (the transaction finished while it was queued,
-                # and a concurrent release let it reach the head first).
-                # Proceeding would read or write with no lock held.
-                current = self._locks.get(key)
-                if current is None or tid not in current.holders:
-                    outcome = "revoked"
-                    raise TransactionAborted(
-                        tid, f"lock on {key!r} revoked: transaction finished "
-                        f"while the request was queued")
             finally:
                 depth.dec()
                 metrics.histogram(self.node_name, "lock.wait_ms").observe(

@@ -10,6 +10,8 @@ Audits provided:
 
 - :func:`audit_atomicity` -- no transaction may be recorded COMMITTED on
   one node and ABORTED on another (or both on the same node).
+- :func:`audit_abort_order` -- no update record of a transaction follows
+  its ABORTED record (an abort's undo walk saw every record it had to).
 - :func:`audit_client_commits` -- every commit reported to an application
   must be backed by a durable COMMITTED record somewhere (no
   committed-then-lost transactions).
@@ -145,6 +147,27 @@ def audit_atomicity(cluster, history: dict | None = None) -> AuditReport:
             report.violations.append(AuditViolation(
                 "atomicity", detail=f"{tid} has split outcomes: {where}"))
     return report
+
+
+def audit_abort_order(tabs_node) -> list[AuditViolation]:
+    """No update record of a transaction follows its ABORTED record.
+
+    The undo walk covers the backward chain as it stands when the walk
+    begins, and the ABORTED record ends it; an update logged after that
+    is an effect the abort never undid.  Read over the surviving log.
+    """
+    aborted: set[TransactionID] = set()
+    violations = []
+    for record in durable_records(tabs_node):
+        if isinstance(record, TransactionStatusRecord):
+            if record.status is TxnStatus.ABORTED:
+                aborted.add(record.tid)
+        elif (isinstance(record, (ValueUpdateRecord, OperationRecord))
+                and record.tid in aborted):
+            violations.append(AuditViolation(
+                "update-after-abort", node=tabs_node.name,
+                detail=f"lsn {record.lsn} follows {record.tid}'s ABORTED"))
+    return violations
 
 
 def audit_client_commits(cluster,

@@ -92,20 +92,6 @@ class RecoveryManager:
         #: dirty recoverable pages and their recovery LSNs
         self._page_rec_lsn: dict[tuple[str, int], int] = {}
         self._servers: dict[str, ServerAttachment] = {}
-        #: transactions this RM has abort-processed; a record spooled for
-        #: one of them arrived *after* the undo walk (a zombie operation
-        #: racing its own abort) and is undone inline at ingestion.
-        #: Entries age out after two checkpoints (see take_checkpoint) --
-        #: a zombie resolves within a few message hops, so nothing for
-        #: the tid can still be in flight a whole checkpoint interval on.
-        self._aborted_tids: set[TransactionID] = set()
-        self._aborted_tids_prior: set[TransactionID] = set()
-        #: per aborted transaction, the committed value the undo walk
-        #: restored for each object; a zombie record for an object the
-        #: walk already undid must restore *this*, not its own old
-        #: value -- for a second write cycle that old value is the
-        #: transaction's first, equally-aborted write
-        self._undone_values: dict[TransactionID, dict] = {}
         #: oldest record the off-line archive still needs
         #: (``Archive.retain_from_lsn``); nothing from it on is reclaimed.
         #: None until the first archive dump.
@@ -156,14 +142,6 @@ class RecoveryManager:
                 for page in oid.pages():
                     self._page_rec_lsn.setdefault((oid.segment_id, page),
                                                   lsn)
-            if record.tid in self._aborted_tids:
-                # A zombie write racing its own abort: the undo walk
-                # already ran, so neutralize the record now -- restore the
-                # old value and log the compensation -- *before* acking
-                # the spool, so the data server's write cycle cannot
-                # complete (and its locks cannot be released) around a
-                # value the abort missed.
-                yield from self._instruct_undo(record, zombie=True)
             respond(message, {"lsn": lsn})
             span.set(lsn=lsn)
         self._maybe_reclaim()
@@ -261,7 +239,6 @@ class RecoveryManager:
 
     def _handle_abort(self, message: Message):
         tid: TransactionID = message.body["tid"]
-        self._aborted_tids.add(tid)
         lsn = self._chains.get(tid, 0)
         while lsn:
             record = self.wal.record_at(lsn)
@@ -272,40 +249,26 @@ class RecoveryManager:
         self._retire(tid)
         respond(message, {"ok": True})
 
-    def _instruct_undo(self, record: LogRecord, zombie: bool = False):
+    def _instruct_undo(self, record: LogRecord):
         """Send one undo instruction to the owning server and await its ack.
 
-        ``zombie`` marks a record spooled *after* the abort's undo walk.
         The walk runs newest-to-oldest, so each step restores its own
         record's old value and the object ends at the oldest (committed)
-        one; a zombie arrives with the walk already done, so if the walk
-        undid this object the committed value it restored wins over the
-        record's own old value (which, for a second write cycle, is the
-        transaction's first -- aborted -- write).
+        one.
         """
-        restore_value = None
+        if (not isinstance(record, (ValueUpdateRecord, OperationRecord))
+                or record.compensates_lsn):
+            # status and page-dirty records carry no effects, and a
+            # compensation record is never itself undone
+            return
         if isinstance(record, ValueUpdateRecord):
-            if record.compensates_lsn:
-                return  # a compensation record is never itself undone
-            undone = self._undone_values.setdefault(record.tid, {})
-            if zombie and record.oid in undone:
-                restore_value = undone[record.oid]
-            else:
-                restore_value = record.old_value
-                undone[record.oid] = restore_value
             op, body = "ds.undo_value", {"oid": record.oid,
-                                         "value": restore_value}
-            server = record.server
-        elif isinstance(record, OperationRecord):
-            if record.compensates_lsn:
-                return  # a compensation record is never itself undone
+                                         "value": record.old_value}
+        else:
             op, body = "ds.undo_operation", {
                 "operation": record.undo_operation,
                 "args": record.undo_args}
-            server = record.server
-        else:
-            return  # status / page-dirty records carry no effects
-        attachment = self._servers.get(server)
+        attachment = self._servers.get(record.server)
         if attachment is None:
             return  # pragma: no cover - server withdrew; nothing to undo
         yield from request(self.node, attachment.port, op, body,
@@ -317,7 +280,7 @@ class RecoveryManager:
             # bound and resurrect the flushed pre-abort value from disk.
             clr = ValueUpdateRecord(
                 tid=record.tid, server=record.server, oid=record.oid,
-                old_value=record.new_value, new_value=restore_value,
+                old_value=record.new_value, new_value=record.old_value,
                 compensates_lsn=record.lsn)
             self._append_chained(clr)
             # Pin the page's recovery LSN back to the original update:
@@ -376,16 +339,6 @@ class RecoveryManager:
         self.wal.append(record)
         yield from self.wal.force()
         self.checkpoints_taken += 1
-        # Age out abort tombstones: a tid that has already survived one
-        # full checkpoint interval can have no zombie record still in
-        # flight (a zombie is one operation racing its own abort --
-        # bounded by a few message hops), so dropping it here keeps the
-        # set from growing without bound over a long run.
-        stale = self._aborted_tids_prior & self._aborted_tids
-        self._aborted_tids -= stale
-        for tid in stale:
-            self._undone_values.pop(tid, None)
-        self._aborted_tids_prior = set(self._aborted_tids)
         return record
 
     def truncation_bound(self) -> int:
@@ -566,8 +519,3 @@ class RecoveryManagerClient:
         return request(self.node, self._port(), "rm.attach",
                        {"server": server, "segment_id": segment_id,
                         "port": port}, reply="attach-reply")
-
-    def checkpoint(self, active_transactions: dict | None = None):
-        return request(self.node, self._port(), "rm.checkpoint",
-                       {"active_transactions": active_transactions or {}},
-                       reply="ckpt-reply")

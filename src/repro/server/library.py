@@ -92,7 +92,6 @@ class DataServerLibrary:
         self.rm = RecoveryManagerClient(node)
         self.segment: RecoverableSegment | None = None
         self._txns: dict[TransactionID, TxnLocal] = {}
-        self._aborted_tombstones: set[TransactionID] = set()
         self._dispatch: Callable | None = None
         self._recovery_ops: dict[str, Callable] = {}
         self._operation_modes: dict[str, LockMode] = {}
@@ -154,20 +153,32 @@ class DataServerLibrary:
                 yield from self._serve_system(message)
                 return
             try:
-                if tid is not None:
-                    if tid in self._aborted_tombstones:
-                        raise TransactionAborted(
-                            tid, "aborted before this operation arrived")
-                    yield from self._ensure_joined(tid)
-                assert self._dispatch is not None, \
-                    "accept_requests not called"
-                result = yield from self._dispatch(message.op, message.body,
-                                                   tid)
+                result = yield from self._operation(
+                    tid, self._serve_operation(tid, message))
                 self.requests_served += 1
                 respond(message, result or {})
             except Exception as error:  # noqa: BLE001 - marshalled to caller
                 self._release_pins_after_failure(tid)
                 respond_error(message, error)
+
+    def _serve_operation(self, tid: TransactionID | None, message: Message):
+        if tid is not None:
+            yield from self._ensure_joined(tid)
+        assert self._dispatch is not None, "accept_requests not called"
+        return (yield from self._dispatch(message.op, message.body, tid))
+
+    def _operation(self, tid: TransactionID | None, body):
+        """Run ``body`` as one operation of ``tid`` on this node
+        (generator): refused once the transaction's abort has begun here,
+        counted as running until it ends, so the abort waits for it."""
+        if tid in self.node.aborted:
+            raise TransactionAborted(tid,
+                                     "aborted before this operation arrived")
+        self.node.count_operation(tid, 1)
+        try:
+            return (yield from body)
+        finally:
+            self.node.count_operation(tid, -1)
 
     def _release_pins_after_failure(self, tid: TransactionID | None) -> None:
         """A failed operation must not leave buffered pins behind."""
@@ -215,18 +226,19 @@ class DataServerLibrary:
                     mode: LockMode = WRITE,
                     timeout_ms: float | None = None,
                     priority: bool = False):
-        """``LockObject``: waits if unavailable; LockTimeout breaks deadlock."""
-        self._refuse_zombie(tid)
-        yield from self.locks.lock(tid, oid, mode, timeout_ms=timeout_ms,
-                                   priority=priority)
+        """``LockObject``: waits if unavailable; LockTimeout breaks deadlock.
 
-    def _refuse_zombie(self, tid: TransactionID) -> None:
-        """Stop an operation whose transaction finished while it was in
-        flight (a *zombie*: its client timed out or its coordinator
-        aborted it mid-operation).  The abort already released locks and
-        undid logged writes, so any further lock, pin, or write from
-        this coroutine would run unprotected and survive the undo."""
-        if tid in self._aborted_tombstones:
+        A request queued for the lock is not a running operation: an
+        abort does not wait for it, and ``ds.abort`` fails it.  One
+        granted after its transaction's abort began stops here.
+        """
+        self.node.count_operation(tid, -1)
+        try:
+            yield from self.locks.lock(tid, oid, mode, timeout_ms=timeout_ms,
+                                       priority=priority)
+        finally:
+            self.node.count_operation(tid, 1)
+        if tid in self.node.aborted:
             raise TransactionAborted(
                 tid, "aborted while this operation was in flight")
 
@@ -296,7 +308,7 @@ class DataServerLibrary:
         self._require_pinned(oid)
         yield from self.node.vm.write_object(oid, value)
 
-    def add_to_object(self, tid: TransactionID, oid: ObjectID, delta: int):
+    def add_to_object(self, oid: ObjectID, delta: int):
         """``obj.ptr := obj.ptr + delta`` on a pinned integer object, with
         no wait between the read and the store; returns the new value.
 
@@ -306,9 +318,6 @@ class DataServerLibrary:
         this coroutine's waits, so there must be none inside the add.
         """
         self._require_pinned(oid)
-        # The pin may have waited for a page fault, and an abort in that
-        # wait released the lock this add relies on.
-        self._refuse_zombie(tid)
         value = yield from self.node.vm.add_to_object(oid, delta)
         return value
 
@@ -326,13 +335,8 @@ class DataServerLibrary:
             raise ServerError(
                 "value logging covers at most one page per object; use "
                 "operation logging for multi-page objects")
-        self._refuse_zombie(tid)
         yield from self.node.vm.pin(oid)
         old_value = yield from self.node.vm.read_object(oid)
-        if tid in self._aborted_tombstones:
-            # Aborted during the pin: back out before buffering.
-            self.node.vm.unpin(oid)
-            self._refuse_zombie(tid)
         local = self._local(tid)
         local.buffers[oid] = old_value
         local.pre_images.setdefault(oid, old_value)
@@ -364,7 +368,7 @@ class DataServerLibrary:
         lock) while objects are pinned; acquiring every lock before any pin
         is the discipline these routines enable (Section 3.1.1).
         """
-        yield from self.locks.lock(tid, oid, mode, timeout_ms=timeout_ms)
+        yield from self.lock_object(tid, oid, mode, timeout_ms=timeout_ms)
         self._local(tid).marked.append((oid, mode))
 
     def pin_and_buffer_marked_objects(self, tid: TransactionID):
@@ -456,7 +460,7 @@ class DataServerLibrary:
         # reach this server and its locks would never be released.
         yield from self._ensure_joined(tid)
         try:
-            result = yield from procedure(tid)
+            result = yield from self._operation(tid, procedure(tid))
         except Exception:
             yield from self._tm_request("tm.abort", {"tid": tid})
             raise
@@ -521,7 +525,6 @@ class DataServerLibrary:
     def _sys_abort(self, message: Message):
         tid: TransactionID = message.body["tid"]
         local = self._txns.pop(tid, None)
-        self._aborted_tombstones.add(tid)
         if local is not None and local.buffers:
             # An operation is still mid write cycle (pinned, possibly
             # written, not yet logged).  Its value never reached the log,
@@ -590,7 +593,6 @@ class DataServerLibrary:
         """Testing hook: model the server's share of a node crash."""
         self.locks.clear()
         self._txns.clear()
-        self._aborted_tombstones.clear()
 
 
 # Re-exported for data-server implementations that need only the names.

@@ -97,7 +97,7 @@ class OperationArrayServer(BaseDataServer):
         yield from lib.lock_object(tid, oid, WRITE)
         yield from lib.pin_object(oid)
         try:
-            value = yield from lib.add_to_object(tid, oid, delta)
+            value = yield from lib.add_to_object(oid, delta)
             yield from lib.log_operation(
                 tid, "add_cell", (cell, delta), "add_cell", (cell, -delta),
                 (oid,))

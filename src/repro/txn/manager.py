@@ -202,9 +202,9 @@ class TransactionManager:
         if state is None:
             respond_error(message, InvalidTransaction(str(tid)))
             return
-        if state.aborting:  # an abort has begun, or is over
-            # A zombie operation's first call reached its server after the
-            # abort began: refused, or its locks would belong to a
+        if tid in self.node.aborted:
+            # An operation admitted before the abort began asks to join
+            # after it: refused, or its locks would belong to a
             # transaction nobody will ever end.
             respond_error(message, TransactionAborted(tid,
                                                       state.abort_reason))
@@ -868,8 +868,10 @@ class TransactionManager:
             # Already resolved (e.g. a peer-failure abort raced a
             # timeout-driven one): nothing left to undo or release.
             return
-        state.aborting = True
         tid = state.tid
+        # The abort mark: no operation of the transaction starts on this
+        # node from here on, and no server joins it.
+        self.node.aborted.add(tid)
         if self.ctx.tracer is not None:
             self.ctx.tracer.event("2pc.abort", self.node.name, "TM",
                                   tid=tid, reason=reason)
@@ -888,8 +890,12 @@ class TransactionManager:
             # the floor) but not awaited -- presumed abort means its
             # recovery resolves the fragment without our help.
             self._send_datagram(child, "tm.abort_req", {}, tid)
-        # The Recovery Manager follows the transaction's backward chain and
+        # Once none of the transaction's operations runs here, every
+        # record it will ever write here is in its backward chain (one
+        # queued for a lock stops at the grant, or fails when ds.abort
+        # releases the locks).  The Recovery Manager follows the chain and
         # instructs servers to undo their effects (Section 3.2.2) ...
+        yield from self.node.until_idle(tid)
         yield from self.rm.abort_via_message(tid)
         # ... then the servers drop the transaction and release its locks.
         # (errors dropped: a dead server has no locks left to release)

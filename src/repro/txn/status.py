@@ -75,10 +75,6 @@ class TransactionState:
     aborted_by_failure: bool = False
     #: set mid-prepare when a peer failure demands the vote become abort
     abort_on_prepare: str = ""
-    #: True from the moment an abort begins (so also once ABORTED); a
-    #: join is refused from then on, since the abort has already read
-    #: the servers it will release
-    aborting: bool = False
     #: child nodes the abort sent ``tm.abort_req``; the tombstone tells
     #: the rest of the spanning tree when the client ends or aborts
     abort_told: set[str] = field(default_factory=set)

@@ -173,7 +173,7 @@ class CommutingBalanceServer(BalanceServer):
         yield from lib.lock_object(tid, oid, INCREMENT)
         yield from lib.pin_object(oid)
         try:
-            yield from lib.add_to_object(tid, oid, amount)
+            yield from lib.add_to_object(oid, amount)
             # Formatting the record costs what it costs the value-logged
             # account tier, so an uncontended update takes as long there
             # as here.

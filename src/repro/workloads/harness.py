@@ -30,6 +30,7 @@ from typing import Iterable
 from repro.recovery.audit import (
     AuditReport,
     AuditViolation,
+    audit_abort_order,
     audit_atomicity,
     audit_client_commits,
     audit_committed_values,
@@ -261,6 +262,8 @@ class SeededWorkload:
         """
         history = self.status_history
         report = audit_atomicity(self.cluster, history=history)
+        for tabs_node in self.cluster.nodes.values():
+            report.extend(audit_abort_order(tabs_node))
         if not quiet:
             report.violations.append(AuditViolation(
                 "no-quiescence",

@@ -9,7 +9,6 @@ transaction can span both, and crash recovery untangles them.
 import pytest
 
 from repro import TabsCluster, TabsConfig
-from repro.errors import WriteAheadLogError
 from repro.servers.int_array import IntegerArrayServer
 from repro.servers.op_array import OperationArrayServer
 from repro.wal.records import OperationRecord, ValueUpdateRecord
@@ -106,69 +105,6 @@ def test_interleaved_records_recover_to_their_own_servers(env):
         return out
 
     assert cluster.run_transaction("n1", verify) == [(5, 7), (6, 8)]
-
-
-def _abort_double_write(cluster, app, values):
-    """Abort a transaction that wrote cell 1 twice (both cycles logged);
-    returns (tid, the cell's oid) after the undo walk restored 0."""
-    def aborted():
-        tid = yield from app.begin_transaction()
-        yield from app.call(values, "set_cell", {"cell": 1, "value": 11},
-                            tid)
-        yield from app.call(values, "set_cell", {"cell": 1, "value": 22},
-                            tid)
-        yield from app.abort_transaction(tid)
-        return tid
-
-    tid = cluster.run_on("n1", aborted())
-    wal = cluster.node("n1").rm.wal
-    records = []
-    for lsn in range(1, wal.last_lsn + 1):
-        try:
-            records.append(wal.record_at(lsn))
-        except WriteAheadLogError:
-            continue  # reclaimed or never durable
-    oid = next(r.oid for r in records
-               if isinstance(r, ValueUpdateRecord) and r.tid == tid
-               and r.new_value == 22)
-    return tid, oid
-
-
-def test_zombie_record_restores_committed_value_not_first_write(env):
-    """A record spooled *after* the abort's undo walk (a zombie write
-    racing its own abort) whose old value is the transaction's own
-    earlier write must be undone to the committed value the walk
-    restored -- not to the transaction's first, equally-aborted write."""
-    from repro.recovery.manager import RecoveryManagerClient
-
-    cluster, app, values, counters = env
-    tabs = cluster.node("n1")
-    tid, oid = _abort_double_write(cluster, app, values)
-    zombie = ValueUpdateRecord(tid=tid, server="values", oid=oid,
-                               old_value=11, new_value=33)
-    client = RecoveryManagerClient(tabs.node)
-    cluster.run_on("n1", client.spool(zombie))
-
-    def read(tid2):
-        reply = yield from app.call(values, "get_cell", {"cell": 1}, tid2)
-        return reply["value"]
-
-    assert cluster.run_transaction("n1", read) == 0
-
-
-def test_abort_tombstones_age_out_after_two_checkpoints(env):
-    """The RM's zombie tombstones must not grow without bound: an entry
-    that has survived one full checkpoint interval can have nothing
-    still in flight and is dropped at the next checkpoint."""
-    cluster, app, values, counters = env
-    tabs = cluster.node("n1")
-    tid, _ = _abort_double_write(cluster, app, values)
-    assert tid in tabs.rm._aborted_tids
-    cluster.run_on("n1", tabs.rm.take_checkpoint({}))
-    assert tid in tabs.rm._aborted_tids  # one interval of grace
-    cluster.run_on("n1", tabs.rm.take_checkpoint({}))
-    assert tid not in tabs.rm._aborted_tids
-    assert tid not in tabs.rm._undone_values
 
 
 def test_records_carry_their_servers_names(env):

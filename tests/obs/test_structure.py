@@ -124,6 +124,20 @@ def test_a_message_kind_is_the_only_cost_knob():
     assert "free_reply" not in Message.__dataclass_fields__
 
 
+def test_one_abort_mark_and_no_zombie_guard():
+    """An abort that has begun is recorded in one place, the node's
+    abort mark, and only ``_abort_subtree`` adds to it.  None of the
+    per-component guards the mark replaced is back."""
+    guards = [f"{path}:{line}" for path, _, line in sites(
+        r"_refuse_zombie|_aborted_tombstones|_aborted_tids|_undone_values"
+        r"|\.aborting\b|\bzombie=")]
+    assert guards == []
+    marks = [(path, function) for path, function, _ in sites(
+        r"\b(node|self)\.aborted(\.(add|update)\(|\s*\|=)")
+        if path != "recovery/analysis.py"]  # RecoveryPlan.aborted
+    assert marks == [("txn/manager.py", "_abort_subtree")]
+
+
 def test_managers_that_only_answer_do_not_import_the_rpc_layer():
     importers = []
     for relative in NO_RPC_IMPORTERS:

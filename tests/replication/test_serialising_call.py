@@ -188,9 +188,9 @@ def test_first_copy_crashing_after_it_executed_never_commits():
     before replying.  The detector is faster than the call's deadline,
     so by the time the client fails over the Transaction Manager has
     aborted the family on the failure notice: the second execution is a
-    zombie's first call at bank1, refused at ``tm.join`` with
-    ``TransactionAborted``, and nothing of either execution is ever
-    committed.  The refused call leaves nothing behind on bank1."""
+    zombie's first call at bank1, refused by bank1's abort mark before
+    the server runs it, with ``TransactionAborted``, and nothing of
+    either execution is ever committed.  The refused call leaves nothing behind on bank1."""
     cluster, topology = build_replicated(seed=83)
     keyspace = topology.account_server(0)
     assert cluster.placement.replicas(keyspace) == ("bank0", "bank1")

@@ -5,10 +5,12 @@ import pytest
 from repro import TabsCluster
 from repro.errors import ServerError
 from repro.kernel.disk import PAGE_SIZE
+from repro.kernel.service import request
 from repro.kernel.vm import ObjectID
 from repro.locking.modes import WRITE
 from repro.servers.base import BaseDataServer
 from repro.txn.ids import TransactionID
+from repro.txn.status import TxnPhase
 from tests.property.conftest import fast_config
 
 
@@ -286,6 +288,63 @@ class TestFailureHandling:
         server.library.port.send(Message(op="ds.bogus", reply_to=reply))
         response = cluster.engine.run_until(reply.receive())
         assert "error" in response.body
+
+
+class TestRarePaths:
+    """Library branches no workload takes, one test each."""
+
+    def test_an_unregistered_recovery_operation_is_refused(self, env):
+        cluster, server, app = env
+        with pytest.raises(ServerError, match="no recovery operation"):
+            cluster.run_on("n1", server.library.recovery_applier("nope", ()))
+
+    def test_execute_transaction_aborts_its_own_transaction_on_failure(
+            self, env):
+        """The procedure counts as an operation of its transaction only
+        while it runs: the abort that follows its failure does not wait
+        for it, and releases what it locked."""
+        cluster, server, app = env
+        lib = server.library
+        oid = lib.create_object_id(server.base_va, 8)
+        ran = []
+
+        def procedure(tid):
+            ran.append(tid)
+            yield from lib.lock_object(tid, oid, WRITE)
+            raise ServerError("procedure exploded")
+
+        with pytest.raises(ServerError, match="exploded"):
+            cluster.run_on("n1", lib.execute_transaction(procedure))
+        (tid,) = ran
+        assert cluster.node("n1").tm.phase_of(tid) is TxnPhase.ABORTED
+        assert not lib.locks.is_locked(oid)
+
+    def test_prepare_of_a_transaction_the_server_never_saw_is_read_only(
+            self, env):
+        cluster, server, app = env
+        tid = TransactionID("n1", 404)
+        reply = cluster.run_on("n1", request(
+            cluster.node("n1").node, server.library.port, "ds.prepare",
+            {"tid": tid}, reply="prepare-reply"))
+        assert reply == {"vote": "read_only"}
+
+    def test_prepare_with_an_object_still_buffered_is_refused(self, env):
+        """Pinned and buffered but never logged: the server cannot vote
+        for a write its log does not hold."""
+        cluster, server, app = env
+        lib = server.library
+        tid = begin(cluster, app)
+        oid = lib.create_object_id(server.base_va, 8)
+
+        def half_cycle():
+            yield from lib.lock_object(tid, oid, WRITE)
+            yield from lib.pin_and_buffer(tid, oid)
+
+        cluster.run_on("n1", half_cycle())
+        with pytest.raises(ServerError, match="still pinned"):
+            cluster.run_on("n1", request(
+                cluster.node("n1").node, lib.port, "ds.prepare",
+                {"tid": tid}, reply="prepare-reply"))
 
 
 class TestSubtransactionTransfer:

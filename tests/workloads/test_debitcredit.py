@@ -5,7 +5,6 @@ import pytest
 from repro.core.cluster import TabsCluster
 from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
 from repro.core.facility import SEGMENT_VA_STRIDE
-from repro.errors import TransactionAborted
 from repro.kernel.costs import ZERO_COST, ZERO_CPU
 from repro.sim import Timeout
 from repro.wal.records import OperationRecord, TransactionStatusRecord
@@ -258,28 +257,24 @@ class TestCommutingRows:
         assert branch.library.locks.waits == 0
         assert self.balance(cluster, app, ref) == 57
 
-    @pytest.mark.parametrize("abort_after_ms, add_ran", [
-        (20.0, False),  # abort lands in the page fault: the add is refused
-        (40.0, True),   # abort lands between the add and its log record
+    @pytest.mark.parametrize("abort_after_ms", [
+        20.0,  # the abort lands in the page fault
+        40.0,  # the abort lands between the add and its log record
     ])
     def test_an_add_aborted_mid_flight_leaves_the_others_amount(
-            self, bank, abort_after_ms, add_ran):
+            self, bank, abort_after_ms):
         """The victim's abort arrives while its operation is in flight
-        and another incrementer holds the row.  Either the add never
-        runs, or its record reaches the Recovery Manager after the undo
-        walk and is neutralised on arrival (compensation logged before
-        the spool is acknowledged); both ways the row ends at the other
-        transaction's amount."""
+        and another incrementer holds the row.  The abort waits for the
+        operation: the add lands, its record joins the transaction's
+        chain, and the undo walk compensates it before the ABORTED
+        record.  The row ends at the other transaction's amount."""
         cluster, app, ref = bank
         started = {}
 
         def victim():
             tid = started["victim"] = yield from app.begin_transaction()
-            try:
-                yield from app.call(ref, "add_to_balance",
-                                    {"row": 1, "amount": 50}, tid)
-            except TransactionAborted:
-                assert not add_ran
+            yield from app.call(ref, "add_to_balance",
+                                {"row": 1, "amount": 50}, tid)
             return (yield from app.end_transaction(tid))
 
         def other():
@@ -309,12 +304,9 @@ class TestCommutingRows:
         (aborted,) = [r.lsn for r in log
                       if isinstance(r, TransactionStatusRecord)
                       and r.tid == started["victim"]]
-        if add_ran:
-            late, compensation = adds
-            assert aborted < late.lsn  # the undo walk never saw it
-            assert compensation.compensates_lsn == late.lsn
-        else:
-            assert adds == []
+        add, compensation = adds
+        assert compensation.compensates_lsn == add.lsn
+        assert add.lsn < compensation.lsn < aborted
 
     def test_two_clients_of_one_branch_overlap(self):
         """Closed-loop clients homed on one branch, different tellers and
