@@ -235,7 +235,8 @@ class TabsConfig:
     #: page frames of physical memory per node ("more than three times" less
     #: than the 5000-page benchmark array on a real Perq)
     vm_capacity_pages: int = 1500
-    log_capacity_records: int = 100_000
+    #: common-log slots per node; reclamation starts at half of them
+    log_capacity_records: int = 8_192
     lock_timeout_ms: float = 10_000.0
     datagram_loss_rate: float = 0.0
     #: proactive failure detection (Section 3.2: the Communication Manager

@@ -13,7 +13,14 @@ with the Recovery Manager:
    not write until the Recovery Manager confirms that all log records for
    the page are on non-volatile storage (and supplies the sequence number
    to stamp into the sector header),
-3. a notice that the page was copied successfully.
+3. a notice that the page was copied successfully, naming the LSN the
+   copy is current through and whether the frame took a store meanwhile.
+
+A write-back writes the image it was granted: the page's contents and
+``page_lsn`` are copied when the write-back starts (the frame is unpinned
+then, so every store in the copy is logged at or below that LSN), and a
+store that lands while the permission or the disk write is awaited keeps
+the frame dirty.
 
 The conversation is abstracted as :class:`PagerClient`; the Recovery
 Manager installs a real implementation, and :class:`NullPagerClient` keeps
@@ -28,6 +35,7 @@ from typing import Iterator
 from repro.errors import KernelError, PageCorruption
 from repro.kernel.context import SimContext
 from repro.kernel.disk import PAGE_SIZE, Disk
+from repro.sim import Event
 
 
 @dataclass(frozen=True, order=True)
@@ -96,8 +104,10 @@ class PagerClient:
         number to stamp into the sector header (generator)."""
         raise NotImplementedError
 
-    def page_written(self, segment_id: str, page: int) -> Iterator:
-        """Message 3: the page reached its recoverable segment."""
+    def page_written(self, segment_id: str, page: int, page_lsn: int,
+                     still_dirty: bool) -> Iterator:
+        """Message 3: the page's image as of ``page_lsn`` reached its
+        recoverable segment; ``still_dirty`` if a store landed since."""
         raise NotImplementedError
 
 
@@ -113,7 +123,8 @@ class NullPagerClient(PagerClient):
         return 0
         yield  # pragma: no cover
 
-    def page_written(self, segment_id: str, page: int) -> Iterator:
+    def page_written(self, segment_id: str, page: int, page_lsn: int,
+                     still_dirty: bool) -> Iterator:
         return
         yield  # pragma: no cover
 
@@ -131,6 +142,14 @@ class Frame:
     page_lsn: int = 0
     #: whether the "first modified" notice was sent this pin epoch
     modify_notified: bool = False
+    #: stores made so far; a write-back compares it to tell whether a
+    #: store landed while it waited
+    stores: int = 0
+    #: a write-back of this frame is in flight
+    writing: bool = False
+    #: made by the first caller to wait for that write-back; succeeds
+    #: when it ends
+    written: Event | None = None
 
     @property
     def key(self) -> tuple[str, int]:
@@ -235,6 +254,10 @@ class VirtualMemory:
         return frame
 
     def _evict_one(self) -> Iterator:
+        """Drop the least recently used unpinned frame, writing it back
+        first if it is dirty.  A victim pinned, stored into or evicted by
+        another fault during the write-back stays; the caller picks
+        again."""
         victim_key = next(
             (key for key in self._lru if self._frames[key].pin_count == 0),
             None)
@@ -245,19 +268,46 @@ class VirtualMemory:
         frame = self._frames[victim_key]
         if frame.dirty:
             yield from self._write_back(frame)
+            if (self._frames.get(victim_key) is not frame or frame.dirty
+                    or frame.pin_count):
+                return
         del self._frames[victim_key]
         del self._lru[victim_key]
         self.evictions += 1
 
     def _write_back(self, frame: Frame) -> Iterator:
-        """Push a dirty page to its segment through the WAL gate."""
-        sequence_number = yield from self.pager_client.write_permission(
-            frame.segment_id, frame.page, frame.page_lsn)
-        yield from self.disk.write_page(
-            frame.segment_id, frame.page, frame.data, sequence_number)
-        frame.dirty = False
-        yield from self.pager_client.page_written(frame.segment_id,
-                                                  frame.page)
+        """Push a dirty page to its segment through the WAL gate.
+
+        The image and its ``page_lsn`` are taken now, while the frame is
+        unpinned; a store made during the waits below is not in them and
+        leaves the frame dirty.  One write-back of a frame runs at a
+        time, so its images reach the disk in the order they were taken:
+        a caller that finds one in flight waits for it, then writes only
+        if the frame is still resident, dirty and unpinned.
+        """
+        while frame.writing:
+            if frame.written is None:
+                frame.written = Event(self.ctx.engine, "written")
+            yield frame.written
+        if (self._frames.get(frame.key) is not frame or not frame.dirty
+                or frame.pin_count):
+            return
+        frame.writing = True
+        try:
+            image, page_lsn, stores = dict(frame.data), frame.page_lsn, \
+                frame.stores
+            sequence_number = yield from self.pager_client.write_permission(
+                frame.segment_id, frame.page, page_lsn)
+            yield from self.disk.write_page(
+                frame.segment_id, frame.page, image, sequence_number)
+            frame.dirty = frame.stores != stores
+            yield from self.pager_client.page_written(
+                frame.segment_id, frame.page, page_lsn, frame.dirty)
+        finally:
+            frame.writing = False
+            written, frame.written = frame.written, None
+            if written is not None:
+                written.succeed()
 
     # -- object access -------------------------------------------------------
 
@@ -278,17 +328,21 @@ class VirtualMemory:
 
         Every wait of a store happens in here, so what the caller does
         with the frame next is atomic with respect to other coroutines.
+        The frames are marked dirty and their stores counted after the
+        last wait, so a write-back that ends during one cannot clean them.
         """
         frames = []
         for page in oid.pages():
             frame = yield from self.ensure_resident(oid.segment_id, page)
             frames.append(frame)
         for frame in frames:
-            frame.dirty = True
             if not frame.modify_notified:
                 frame.modify_notified = True
                 yield from self.pager_client.first_modified(
                     frame.segment_id, frame.page)
+        for frame in frames:
+            frame.dirty = True
+            frame.stores += 1
         return frames[0]
 
     def write_object(self, oid: ObjectID, value: object) -> Iterator:
@@ -355,12 +409,6 @@ class VirtualMemory:
 
     def resident_pages(self) -> list[tuple[str, int]]:
         return list(self._frames)
-
-    def flush_page(self, segment_id: str, page: int) -> Iterator:
-        """Force one dirty page to its segment (log reclamation)."""
-        frame = self._frames.get((segment_id, page))
-        if frame is not None and frame.dirty:
-            yield from self._write_back(frame)
 
     def flush_all(self) -> Iterator:
         """Force every dirty *unpinned* page to non-volatile storage.

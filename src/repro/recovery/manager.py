@@ -12,7 +12,8 @@ Local request port (``recovery_manager`` service):
 ``rm.write_permission``  kernel: may this page go to disk?  forces the log
                          through the page's LSN, replies with the sequence
                          number to stamp
-``rm.page_written``      kernel: the page reached its segment
+``rm.page_written``      kernel: the page's image as of an LSN reached its
+                         segment, and whether the frame is still dirty
 ``rm.append_status``     Transaction Manager status record, forced; reply
                          when it is durable
 ``rm.txn_done``          unforced completion record (read-only commit /
@@ -58,9 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.config import CommitConfig
 
 SERVICE = "recovery_manager"
-
-#: Start reclamation when the store has fewer free slots than this.
-RECLAIM_THRESHOLD_RECORDS = 64
 
 
 @dataclass
@@ -164,8 +162,14 @@ class RecoveryManager:
         self._maybe_reclaim()
 
     def _handle_page_written(self, message: Message) -> None:
-        key = (message.body["segment_id"], message.body["page"])
-        self._page_rec_lsn.pop(key, None)
+        body = message.body
+        key = (body["segment_id"], body["page"])
+        if body["still_dirty"]:
+            # The segment holds every update through ``page_lsn``; a store
+            # made during the write-back is logged after it.
+            self._page_rec_lsn[key] = body["page_lsn"] + 1
+        else:
+            self._page_rec_lsn.pop(key, None)
 
     # -- transaction management records ----------------------------------------------
 
@@ -261,49 +265,62 @@ class RecoveryManager:
             # status and page-dirty records carry no effects, and a
             # compensation record is never itself undone
             return
-        if isinstance(record, ValueUpdateRecord):
-            op, body = "ds.undo_value", {"oid": record.oid,
-                                         "value": record.old_value}
-        else:
-            op, body = "ds.undo_operation", {
-                "operation": record.undo_operation,
-                "args": record.undo_args}
         attachment = self._servers.get(record.server)
         if attachment is None:
             return  # pragma: no cover - server withdrew; nothing to undo
-        yield from request(self.node, attachment.port, op, body,
-                           reply="rm-undo-reply")
-        if isinstance(record, ValueUpdateRecord):
-            # The undo write bypasses the write-ahead gate, so log the
-            # compensation: without it, a checkpoint taken before this
-            # abort lets recovery's backward scan stop at the checkpoint
-            # bound and resurrect the flushed pre-abort value from disk.
-            clr = ValueUpdateRecord(
-                tid=record.tid, server=record.server, oid=record.oid,
-                old_value=record.new_value, new_value=record.old_value,
-                compensates_lsn=record.lsn)
-            self._append_chained(clr)
-            # Pin the page's recovery LSN back to the original update:
-            # until the undone page reaches non-volatile storage, log
-            # reclamation must keep every record (update, compensation,
-            # ABORTED) a post-crash unwind could need.
-            if record.oid:
-                for page in record.oid.pages():
-                    key = (record.oid.segment_id, page)
-                    if self._page_rec_lsn.get(key, record.lsn + 1) \
-                            > record.lsn:
-                        self._page_rec_lsn[key] = record.lsn
         if isinstance(record, OperationRecord):
-            # Log the compensation so recovery never undoes this twice,
-            # and stamp the pages with it: they carry the inverse now, so
-            # a page that reached its segment under the original record's
-            # LSN would have the compensation redone on top of it.
+            yield from self._undo_operation(record, attachment.port)
+            return
+        yield from request(self.node, attachment.port, "ds.undo_value",
+                           {"oid": record.oid, "value": record.old_value},
+                           reply="rm-undo-reply")
+        # The undo write bypasses the write-ahead gate, so log the
+        # compensation: without it, a checkpoint taken before this
+        # abort lets recovery's backward scan stop at the checkpoint
+        # bound and resurrect the flushed pre-abort value from disk.
+        clr = ValueUpdateRecord(
+            tid=record.tid, server=record.server, oid=record.oid,
+            old_value=record.new_value, new_value=record.old_value,
+            compensates_lsn=record.lsn)
+        self._append_chained(clr)
+        # Pin the page's recovery LSN back to the original update:
+        # until the undone page reaches non-volatile storage, log
+        # reclamation must keep every record (update, compensation,
+        # ABORTED) a post-crash unwind could need.
+        if record.oid:
+            for page in record.oid.pages():
+                key = (record.oid.segment_id, page)
+                if self._page_rec_lsn.get(key, record.lsn + 1) \
+                        > record.lsn:
+                    self._page_rec_lsn[key] = record.lsn
+
+    def _undo_operation(self, record: OperationRecord, port: Port):
+        """Have the server invert ``record``, then log the compensation
+        so recovery never undoes this twice, and stamp the pages with it:
+        they carry the inverse now, so a page that reached its segment
+        under the original record's LSN would have the compensation
+        redone on top of it.
+
+        The pages stay pinned from before the inverse is stored until
+        they carry the stamp, so no write-back takes an image holding the
+        inverse under an older sequence number.
+        """
+        for oid in record.oids:
+            yield from self.node.vm.pin(oid)
+        try:
+            yield from request(
+                self.node, port, "ds.undo_operation",
+                {"operation": record.undo_operation,
+                 "args": record.undo_args}, reply="rm-undo-reply")
             clr_lsn = self._append_chained(compensation_for(record))
             for oid in record.oids:
                 self.node.vm.set_page_lsn(oid, clr_lsn)
                 for page in oid.pages():
                     self._page_rec_lsn.setdefault(
                         (oid.segment_id, page), clr_lsn)
+        finally:
+            for oid in record.oids:
+                self.node.vm.unpin(oid)
 
     # -- checkpoints and reclamation -------------------------------------------------------
 
@@ -369,7 +386,8 @@ class RecoveryManager:
         self._maybe_reclaim()
 
     def _maybe_reclaim(self) -> None:
-        if self.wal.store.free_records >= RECLAIM_THRESHOLD_RECORDS:
+        store = self.wal.store
+        if store.free_records * 2 > store.capacity_records:
             return
         if self._reclaiming:
             return
@@ -378,18 +396,19 @@ class RecoveryManager:
 
     def _reclaim(self):
         """Log reclamation (Section 3.2.2): force dirty pages back to their
-        segments so their recovery LSNs stop pinning old log, truncate,
-        and checkpoint.
+        segments so their recovery LSNs stop pinning old log, checkpoint,
+        and truncate.  It starts at half capacity, so the pages' writes
+        and the checkpoint fit while transactions keep appending.
 
-        Truncation happens *before* the checkpoint record is appended --
-        when reclamation fires the store is nearly full, and the checkpoint
-        itself needs room.
+        The checkpoint names every transaction the log still holds records
+        for: the flush may have stolen their uncommitted pages, and
+        recovery's backward scan must reach their records to undo them.
         """
         try:
             self.reclamations += 1
             yield from self.node.vm.flush_all()
-            self.wal.store.truncate_before(self.truncation_bound())
-            yield from self.take_checkpoint({})
+            yield from self.take_checkpoint(
+                dict.fromkeys(self._first_lsn, "active"))
             self.wal.store.truncate_before(self.truncation_bound())
         finally:
             self._reclaiming = False
@@ -443,10 +462,12 @@ class RmPagerClient(PagerClient):
             reply="pager-reply", kind=_in_kernel(self.ctx))
         return body["sequence_number"]
 
-    def page_written(self, segment_id: str, page: int):
+    def page_written(self, segment_id: str, page: int, page_lsn: int,
+                     still_dirty: bool):
         self._rm_port().send(Message(
             op="rm.page_written",
-            body={"segment_id": segment_id, "page": page},
+            body={"segment_id": segment_id, "page": page,
+                  "page_lsn": page_lsn, "still_dirty": still_dirty},
             kind=_in_kernel(self.ctx)))
         return
         yield  # pragma: no cover

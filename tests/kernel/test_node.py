@@ -146,7 +146,7 @@ def test_crash_clears_volatile_memory_but_not_disk(ctx):
 
     def body():
         yield from node.vm.write_object(oid, "dirty")
-        yield from node.vm.flush_page("seg", 0)
+        yield from node.vm.flush_all()
         yield from node.vm.write_object(oid, "volatile-only")
 
     ctx.engine.run_until(Process(ctx.engine, body()))

@@ -241,8 +241,9 @@ class RecordingPager(PagerClient):
         return 777
         yield
 
-    def page_written(self, segment_id, page):
-        self.events.append(("page_written", segment_id, page))
+    def page_written(self, segment_id, page, page_lsn, still_dirty):
+        self.events.append(("page_written", segment_id, page, page_lsn,
+                            still_dirty))
         return
         yield
 
@@ -278,7 +279,7 @@ class TestWalGate:
 
         run(ctx, body())
         assert ("write_permission", "seg", 0, 42) in pager.events
-        assert ("page_written", "seg", 0) in pager.events
+        assert ("page_written", "seg", 0, 42, False) in pager.events
         assert vm.disk.read_sequence_number("seg", 0) == 777
 
     def test_flush_all_forces_every_dirty_page(self, ctx):
@@ -294,6 +295,119 @@ class TestWalGate:
         assert vm.dirty_pages() == []
         assert vm.disk.peek_page("seg", 0) == {0: 1}
         assert vm.disk.peek_page("seg", 1) == {PAGE_SIZE: 2}
+
+
+class SlowGrantPager(RecordingPager):
+    """A pager that takes ``grant_ms`` to grant a write (then 1 ms for
+    every later one) and stamps the page's LSN, as the Recovery Manager
+    does."""
+
+    def __init__(self, ctx, grant_ms=5.0):
+        super().__init__()
+        self.ctx = ctx
+        self.grant_ms = grant_ms
+
+    def write_permission(self, segment_id, page, page_lsn):
+        self.events.append(("write_permission", segment_id, page, page_lsn))
+        delay, self.grant_ms = self.grant_ms, 1.0
+        yield Timeout(self.ctx.engine, delay)
+        return page_lsn
+
+
+def store_during_grant(ctx, vm, oid, value, lsn):
+    """A data server's store into ``oid``, 1 ms from now: pin, write,
+    log at ``lsn``, hold the pin 10 ms, unpin."""
+    def body():
+        yield Timeout(ctx.engine, 1.0)
+        yield from vm.pin(oid)
+        yield from vm.write_object(oid, value)
+        vm.set_page_lsn(oid, lsn)
+        yield Timeout(ctx.engine, 10.0)
+        vm.unpin(oid)
+
+    return Process(ctx.engine, body())
+
+
+class TestWriteBackRacingAStore:
+    def test_disk_gets_the_granted_image_and_the_frame_stays_dirty(
+            self, ctx):
+        vm, _ = make_vm(ctx)
+        vm.pager_client = pager = SlowGrantPager(ctx)
+        oid = ObjectID("seg", 0, 4)
+
+        def before():
+            yield from vm.write_object(oid, "granted")
+            vm.set_page_lsn(oid, 42)
+
+        run(ctx, before())
+        flush = Process(ctx.engine, vm.flush_all())
+        store = store_during_grant(ctx, vm, oid, "later", 50)
+        ctx.engine.run()
+        assert flush.ok and store.ok
+        assert vm.disk.peek_page("seg", 0) == {0: "granted"}
+        assert vm.disk.read_sequence_number("seg", 0) == 42
+        assert pager.events[-1] == ("page_written", "seg", 0, 42, True)
+        assert vm.dirty_pages() == [("seg", 0)]
+        assert vm.frame("seg", 0).data == {0: "later"}
+
+    def test_eviction_keeps_a_victim_pinned_during_its_write(self, ctx):
+        """Page 0 (dirty, least recently used) is the victim of a fault
+        on page 1; while its write waits, a store pins it.  The fault
+        evicts clean page 2 instead, and the holder's unpin is good."""
+        vm, _ = make_vm(ctx, capacity=2)
+        vm.pager_client = SlowGrantPager(ctx)
+        page0, page1, page2 = (ObjectID("seg", n * PAGE_SIZE, 4)
+                               for n in range(3))
+
+        def before():
+            yield from vm.write_object(page0, "old")
+            vm.set_page_lsn(page0, 42)
+            yield from vm.read_object(page2)
+
+        run(ctx, before())
+        fault = Process(ctx.engine, vm.read_object(page1))
+        store = store_during_grant(ctx, vm, page0, "new", 50)
+        ctx.engine.run()
+        assert fault.ok and store.ok
+        assert sorted(vm.resident_pages()) == [("seg", 0), ("seg", 1)]
+        assert vm.dirty_pages() == [("seg", 0)]
+        assert vm.frame("seg", 0).data == {0: "new"}
+        assert vm.disk.peek_page("seg", 0) == {0: "old"}
+        assert vm.evictions == 1
+
+    def test_a_frames_write_backs_land_in_the_order_they_start(self, ctx):
+        """A flush takes page 0's image and waits 20 ms for its grant.  A
+        store lands, and then a fault evicts page 0, whose own write-back
+        would be granted at once.  It waits for the flush's write instead,
+        so the older image never lands over the newer one."""
+        vm, _ = make_vm(ctx, capacity=2)
+        vm.pager_client = SlowGrantPager(ctx, grant_ms=20.0)
+        page0, page1, page2 = (ObjectID("seg", n * PAGE_SIZE, 4)
+                               for n in range(3))
+
+        def before():
+            yield from vm.write_object(page0, "old")
+            vm.set_page_lsn(page0, 42)
+            yield from vm.read_object(page2)
+
+        def store_then_fault():
+            yield Timeout(ctx.engine, 1.0)
+            yield from vm.pin(page0)
+            yield from vm.write_object(page0, "new")
+            vm.set_page_lsn(page0, 50)
+            vm.unpin(page0)
+            yield from vm.read_object(page2)  # page 0 is now LRU
+            yield from vm.read_object(page1)
+
+        run(ctx, before())
+        flush = Process(ctx.engine, vm.flush_all())
+        run(ctx, store_then_fault())
+        ctx.engine.run()
+        assert flush.ok
+        assert vm.frame("seg", 0) is None
+        assert vm.disk.peek_page("seg", 0) == {0: "new"}
+        assert vm.disk.read_sequence_number("seg", 0) == 50
+        assert run(ctx, vm.read_object(page0)) == "new"
 
 
 class SlowNoticePager(NullPagerClient):
