@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.comm.network import Network
 from repro.comm.sessions import SessionTable
+from repro.errors import TransactionAborted
 from repro.kernel.costs import Primitive
 from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
@@ -46,10 +47,10 @@ class SpanningRecord:
     """This node's fragment of one transaction's commit spanning tree."""
 
     parent: str = ""
-    children: set[str] = field(default_factory=set)
-    #: epoch of each child when first contacted -- "a small amount of
+    #: each child and its epoch when first contacted -- "a small amount of
     #: additional information that is used for detecting some types of node
-    #: crashes" (Section 3.2.4)
+    #: crashes" (Section 3.2.4): the family reaches a child in one
+    #: incarnation only
     child_epochs: dict[str, int] = field(default_factory=dict)
     #: notices already sent to the local Transaction Manager
     tm_told_arrival: bool = False
@@ -93,11 +94,10 @@ class CommunicationManager:
 
     def _handle_spanning_info(self, message: Message):
         yield self.ctx.cpu("CM", self.ctx.cpu_costs.cm_datagram)
-        record = self._trees.get(self._key(message.body["tid"]),
+        record = self._trees.get(message.body["tid"].toplevel,
                                  SpanningRecord())
         respond(message, {"parent": record.parent,
-                          "children": sorted(record.children),
-                          "child_epochs": dict(record.child_epochs)},
+                          "children": sorted(record.child_epochs)},
                 kind=MessageKind.POINTER)
 
     def _handle_broadcast(self, message: Message):
@@ -136,19 +136,30 @@ class CommunicationManager:
 
     # -- spanning-tree recording (called from the RPC session path) -----------
 
-    def _key(self, tid: TransactionID) -> TransactionID:
-        return tid.toplevel
-
     def record_outbound(self, tid: TransactionID | None, target: str) -> None:
-        """An inter-node message for ``tid`` is about to leave this node."""
+        """An inter-node message for ``tid`` is about to leave this node.
+
+        Refused with :class:`TransactionAborted` -- where it starts, and
+        for good -- when ``tid`` or an ancestor of it is in this node's
+        abort mark, or when ``target`` is a child the family first reached
+        in an earlier incarnation: the family's work there was lost with
+        it (docs/PROTOCOL.md "Why an abort reaches every fragment once").
+        """
         if tid is None:
             return
-        record = self._trees.setdefault(self._key(tid), SpanningRecord())
-        if target != record.parent and target not in record.children:
-            record.children.add(target)
-            record.child_epochs[target] = (
-                self.network.epoch_of(target)
-                if self.network.is_up(target) else -1)
+        family: TransactionID | None = tid
+        while family is not None:
+            if family in self.node.aborted:
+                raise TransactionAborted(
+                    tid, f"{family} aborted on {self.node.name}")
+            family = family.parent
+        record = self._trees.setdefault(tid.toplevel, SpanningRecord())
+        if target != record.parent:
+            epoch = self.network.epoch_of(target)
+            if record.child_epochs.setdefault(target, epoch) != epoch:
+                raise TransactionAborted(
+                    tid, f"node {target} restarted since the family "
+                    "first called it")
         # The transaction now has sites below this node: the local
         # Transaction Manager must know, whether we are its birth node or
         # an interior node of the spanning tree.
@@ -163,7 +174,7 @@ class CommunicationManager:
         """An inter-node message for ``tid`` just arrived from ``source``."""
         if tid is None:
             return
-        key = self._key(tid)
+        key = tid.toplevel
         is_new = key not in self._trees
         record = self._trees.setdefault(key, SpanningRecord())
         if is_new and tid.toplevel.node != self.node.name:
@@ -213,8 +224,11 @@ class CommunicationManager:
         if tm_port is None:  # pragma: no cover - TM always up in practice
             return
         for key, record in self._trees.items():
-            if peer != record.parent and peer not in record.children:
+            if peer != record.parent and peer not in record.child_epochs:
                 continue
+            if (event == "restarted" and record.child_epochs.get(peer)
+                    == self.network.epoch_of(peer)):
+                continue  # the family first reached the new incarnation
             if peer in record.failure_told:
                 continue  # this family was already told about this peer
             record.failure_told.add(peer)
@@ -222,8 +236,8 @@ class CommunicationManager:
                 op="tm.peer_failed", tid=key,
                 body={"tid": key, "peer": peer, "event": event,
                       "parent": record.parent,
-                      "children": sorted(record.children)}))
+                      "children": sorted(record.child_epochs)}))
 
     def spanning_record(self, tid: TransactionID) -> SpanningRecord:
         """Direct (uncharged) read for recovery and tests."""
-        return self._trees.get(self._key(tid), SpanningRecord())
+        return self._trees.get(tid.toplevel, SpanningRecord())

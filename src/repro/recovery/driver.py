@@ -89,9 +89,16 @@ def in_doubt_footprint(plan: RecoveryPlan, records: list,
     object by two in-doubt families were held together and are re-locked
     together.  Anything listed only in a server's prepare record, or
     updated under two different modes, is held in WRITE.
+
+    An abort a crash cut short left compensations in the log.  A value
+    compensation stays in the chain (the value pass re-applied the
+    prepared write over it, so its original is undone again); an
+    operation compensation and the record it compensates leave it, since
+    redo re-applied both and the pair nets to nothing.  Their locks stay.
     """
     held: dict[TransactionID, dict[str, dict]] = {}
     chains: dict[TransactionID, list[int]] = {}
+    undone: set[int] = set()
     for record in records:
         if not isinstance(record, (ServerPrepareRecord, ValueUpdateRecord,
                                    OperationRecord)):
@@ -109,6 +116,8 @@ def in_doubt_footprint(plan: RecoveryPlan, records: list,
         if isinstance(record, ValueUpdateRecord):
             oids, mode = [record.oid], WRITE
         else:
+            if record.compensates_lsn:
+                undone.update((record.lsn, record.compensates_lsn))
             library = server_libraries.get(record.server)
             oids = record.oids
             mode = (WRITE if library is None
@@ -116,7 +125,8 @@ def in_doubt_footprint(plan: RecoveryPlan, records: list,
         for oid in oids:
             if oid:
                 modes[oid] = mode if modes.get(oid, mode) == mode else WRITE
-    return held, chains
+    return held, {root: [lsn for lsn in chain if lsn not in undone]
+                  for root, chain in chains.items()}
 
 
 def scrub_media(node, archive, segment_ids: list[str]) -> list[tuple]:

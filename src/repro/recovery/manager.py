@@ -218,16 +218,14 @@ class RecoveryManager:
             tid=child, status=TxnStatus.MERGED, merged_into=parent))
         # Splice the child's chain onto the parent's: the parent's next
         # record will point at the child's newest, whose oldest points back
-        # into the parent's existing chain.
+        # into the parent's existing chain.  The child's chain holds the
+        # records of the subtransactions merged into it too.
         child_head = self._chains.pop(child, 0)
         if child_head:
             parent_head = self._chains.get(parent, 0)
             oldest = child_head
-            while True:
-                record = self.wal.record_at(oldest)
-                if record.prev_lsn == 0 or record.tid != child:
-                    break
-                oldest = record.prev_lsn
+            while self.wal.record_at(oldest).prev_lsn:
+                oldest = self.wal.record_at(oldest).prev_lsn
             self.wal.record_at(oldest).prev_lsn = parent_head
             self._chains[parent] = child_head
             self._first_lsn.setdefault(
@@ -246,19 +244,21 @@ class RecoveryManager:
         lsn = self._chains.get(tid, 0)
         while lsn:
             record = self.wal.record_at(lsn)
-            yield from self._instruct_undo(record)
+            yield from self._instruct_undo(record, tid)
             lsn = record.prev_lsn
         self._append_chained(TransactionStatusRecord(
             tid=tid, status=TxnStatus.ABORTED))
         self._retire(tid)
         respond(message, {"ok": True})
 
-    def _instruct_undo(self, record: LogRecord):
+    def _instruct_undo(self, record: LogRecord, tid: TransactionID):
         """Send one undo instruction to the owning server and await its ack.
 
         The walk runs newest-to-oldest, so each step restores its own
         record's old value and the object ends at the oldest (committed)
-        one.
+        one.  The compensation goes on the chain of ``tid``, the
+        transaction the walk aborts: a record a merged subtransaction
+        wrote is compensated under the family member that owns it now.
         """
         if (not isinstance(record, (ValueUpdateRecord, OperationRecord))
                 or record.compensates_lsn):
@@ -269,7 +269,7 @@ class RecoveryManager:
         if attachment is None:
             return  # pragma: no cover - server withdrew; nothing to undo
         if isinstance(record, OperationRecord):
-            yield from self._undo_operation(record, attachment.port)
+            yield from self._undo_operation(record, attachment.port, tid)
             return
         yield from request(self.node, attachment.port, "ds.undo_value",
                            {"oid": record.oid, "value": record.old_value},
@@ -279,7 +279,7 @@ class RecoveryManager:
         # abort lets recovery's backward scan stop at the checkpoint
         # bound and resurrect the flushed pre-abort value from disk.
         clr = ValueUpdateRecord(
-            tid=record.tid, server=record.server, oid=record.oid,
+            tid=tid, server=record.server, oid=record.oid,
             old_value=record.new_value, new_value=record.old_value,
             compensates_lsn=record.lsn)
         self._append_chained(clr)
@@ -294,7 +294,8 @@ class RecoveryManager:
                         > record.lsn:
                     self._page_rec_lsn[key] = record.lsn
 
-    def _undo_operation(self, record: OperationRecord, port: Port):
+    def _undo_operation(self, record: OperationRecord, port: Port,
+                        tid: TransactionID):
         """Have the server invert ``record``, then log the compensation
         so recovery never undoes this twice, and stamp the pages with it:
         they carry the inverse now, so a page that reached its segment
@@ -312,7 +313,7 @@ class RecoveryManager:
                 self.node, port, "ds.undo_operation",
                 {"operation": record.undo_operation,
                  "args": record.undo_args}, reply="rm-undo-reply")
-            clr_lsn = self._append_chained(compensation_for(record))
+            clr_lsn = self._append_chained(compensation_for(record, tid))
             for oid in record.oids:
                 self.node.vm.set_page_lsn(oid, clr_lsn)
                 for page in oid.pages():

@@ -36,6 +36,7 @@ from repro.errors import RecoveryError
 from repro.kernel.disk import Disk
 from repro.kernel.vm import VirtualMemory
 from repro.recovery.analysis import Outcome, RecoveryPlan
+from repro.txn.ids import TransactionID
 from repro.wal.records import OperationRecord
 
 #: A recovery handler: (operation name, args) -> generator applying the
@@ -116,11 +117,12 @@ def run_operation_passes(vm: VirtualMemory, disk: Disk, plan: RecoveryPlan,
     return redone, undone
 
 
-def compensation_for(record: OperationRecord) -> OperationRecord:
-    """The record that says ``record``'s inverse was applied: redone like
-    any operation, never undone, and it takes ``record`` out of every
-    later undo pass."""
+def compensation_for(record: OperationRecord,
+                     tid: TransactionID | None = None) -> OperationRecord:
+    """The record, logged under ``tid`` (default: ``record``'s own), that
+    says ``record``'s inverse was applied: redone like any operation,
+    never undone, and it takes ``record`` out of every later undo pass."""
     return OperationRecord(
-        tid=record.tid, server=record.server,
+        tid=tid or record.tid, server=record.server,
         operation=record.undo_operation, redo_args=record.undo_args,
         oids=record.oids, compensates_lsn=record.lsn)

@@ -102,7 +102,7 @@ class TransactionManager:
         node.register_service(SERVICE, self.port)
         self.tids = TidFactory(node.name, epoch=node.epoch)
         self._states: dict[TransactionID, TransactionState] = {}
-        #: open vote/ack collections keyed by (kind, toplevel tid)
+        #: open vote/ack collections keyed by (kind, tid)
         self._collections: dict[tuple[str, TransactionID], _Votes] = {}
         self.vote_timeout_ms = DEFAULT_VOTE_TIMEOUT_MS
         self.ack_timeout_ms = DEFAULT_ACK_TIMEOUT_MS
@@ -183,8 +183,8 @@ class TransactionManager:
         if parent_tid.is_null:
             tid = self.tids.new_toplevel()
         else:
-            parent = self._state(parent_tid)
-            if parent.phase is not TxnPhase.ACTIVE:
+            parent = self._states.get(parent_tid)
+            if parent is None or parent.phase is not TxnPhase.ACTIVE:
                 respond_error(message, TransactionAborted(
                     parent_tid, "parent is no longer active"))
                 return
@@ -214,16 +214,17 @@ class TransactionManager:
         respond(message, {"ok": True})
 
     def _handle_remote_sites(self, message: Message) -> None:
-        state = self._states.get(message.body["tid"])
+        # One notice per family: it goes on the family's root here, which
+        # every member's abort consults.
+        tid: TransactionID = message.body["tid"]
+        state = self._states.get(tid.toplevel) or self._states.get(tid)
         if state is not None:
             state.has_remote_sites = True
 
     def _handle_remote_arrived(self, message: Message) -> None:
         tid: TransactionID = message.body["tid"]
-        if tid not in self._states:
-            state = TransactionState(tid)
-            state.parent_node = message.body["parent_node"]
-            self._states[tid] = state
+        self._states.setdefault(tid, TransactionState(
+            tid, parent_node=message.body["parent_node"]))
         # Ack back to the Communication Manager (counted small message).
         self.node.service(CM_SERVICE).send(
             Message(op="cm.ack_remote", body={"tid": tid}))
@@ -286,7 +287,6 @@ class TransactionManager:
             raise next(iter(errors.values()))
         yield from self.rm.merge_chain_via_message(child.tid, into.tid)
         into.children.discard(child.tid)
-        into.read_only = into.read_only and child.read_only
         into.has_remote_sites = (into.has_remote_sites
                                  or child.has_remote_sites)
         self._forget(child.tid)
@@ -296,9 +296,12 @@ class TransactionManager:
         itself and ``others`` (the node that asked) -- generator.
 
         An interior node fetches them from the Communication Manager;
-        a transaction with no remote sites below here skips the query.
+        a family with no remote sites below here skips the query.
         """
-        if not state.has_remote_sites:
+        root = (state if state.tid.is_toplevel
+                else self._states.get(state.tid.toplevel))
+        if not (state.has_remote_sites
+                or root is not None and root.has_remote_sites):
             return []
         info = yield from request(
             self.node, self.node.service(CM_SERVICE), "cm.spanning_info",
@@ -367,7 +370,6 @@ class TransactionManager:
             # Nothing the client sent on its way is still running when
             # it hears the outcome.
             yield from join_all(message.body.get("copies", ()))
-            yield from self._tell_untold_children(state)
             respond(message, {"committed": False,
                               "reason": state.abort_reason})
             return
@@ -527,9 +529,9 @@ class TransactionManager:
                          children: list[str]):
         """Prepare local servers and child nodes; combined vote."""
         tid = state.tid
-        if state.phase is TxnPhase.ABORTED:
-            # Aborted under our feet (peer-failure notification) while the
-            # caller was off gathering spanning info.
+        if tid in self.node.aborted:
+            # Its abort began under our feet (a peer-failure notification)
+            # while the caller was off gathering spanning info.
             return "abort"
         state.advance(TxnPhase.PREPARING)
         with self.ctx.span("2pc.prepare", self.node.name, "TM", tid=tid,
@@ -558,8 +560,10 @@ class TransactionManager:
                 elif ("update" in remote_votes.values()
                       and combined != "abort"):
                     combined = "update"
-            if combined != "abort":
-                state.read_only = combined == "read_only"
+            if tid in self.node.aborted:
+                # A peer-failure notice doomed the family meanwhile: nothing
+                # durable is promised yet, so the vote is abort.
+                combined = "abort"
             span.set(vote=combined)
             return combined
 
@@ -575,16 +579,16 @@ class TransactionManager:
                          expected: list[str]) -> _Votes:
         votes = _Votes(expected=set(expected),
                        done=Event(self.ctx.engine, name=f"{kind}:{tid}"))
-        self._collections[(kind, tid.toplevel)] = votes
+        self._collections[(kind, tid)] = votes
         return votes
 
     def _await_collection(self, kind: str, tid: TransactionID,
                           timeout_ms: float):
         """Wait for all expected responses; None on timeout."""
-        votes = self._collections[(kind, tid.toplevel)]
+        votes = self._collections[(kind, tid)]
         deadline = Timeout(self.ctx.engine, timeout_ms)
         which, _ = yield AnyOf(self.ctx.engine, [votes.done, deadline])
-        del self._collections[(kind, tid.toplevel)]
+        del self._collections[(kind, tid)]
         if which == 1 and len(votes.received) < len(votes.expected):
             return None
         return votes.received
@@ -605,7 +609,7 @@ class TransactionManager:
         with self.ctx.span("2pc." + kind, self.node.name, "TM", tid=tid,
                            **{sender_attr: sender, kind: response}):
             pass
-        votes = self._collections.get((kind, tid.toplevel))
+        votes = self._collections.get((kind, tid))
         if votes is not None:
             votes.record(sender, response)
         elif kind == "ack":
@@ -628,19 +632,21 @@ class TransactionManager:
     def _handle_peer_failed(self, message: Message):
         """A peer spanning this family was declared dead or restarted.
 
-        Presumed abort, promptly: abort every still-ACTIVE family fragment
-        at this node (releasing its locks), inject a synthetic abort vote
-        into the family's open vote collection so a coordinator mid-prepare
-        stops waiting immediately, and flag fragments that are mid-prepare
-        so their eventual vote becomes abort.  PREPARED and COMMITTED
-        fragments are never touched -- a prepared subordinate must learn
-        the outcome from its coordinator (possibly via recovery-time
-        outcome queries), and a committed transaction is history.
+        Presumed abort, promptly: the family is doomed here through the
+        abort mark, so a fragment mid-prepare votes abort when its prepare
+        ends and a later ``tm.prepare_req`` votes abort at once; every
+        still-ACTIVE fragment at this node is aborted (releasing its
+        locks); and a synthetic abort vote goes into the family's open
+        vote collection so a coordinator mid-prepare stops waiting
+        immediately.  PREPARED and COMMITTED fragments are never touched
+        -- a prepared subordinate must learn the outcome from its
+        coordinator (possibly via recovery-time outcome queries), and a
+        committed transaction is history.
         """
         tid: TransactionID = message.body["tid"]
         peer: str = message.body["peer"]
         reason = f"peer {peer} {message.body.get('event', 'failed')}"
-        votes = self._collections.get(("vote", tid.toplevel))
+        votes = self._collections.get(("vote", tid))
         if (votes is not None and peer in votes.expected
                 and peer not in votes.received):
             votes.record(peer, "abort")
@@ -653,11 +659,11 @@ class TransactionManager:
                 continue
             if state.phase is TxnPhase.PREPARED:
                 continue  # blocking window: only the coordinator decides
-            state.aborted_by_failure = True
+            self._mark(tid)
             if state.phase is TxnPhase.PREPARING:
-                # The prepare handler owns this state right now; make its
-                # vote come out abort instead of aborting under its feet.
-                state.abort_on_prepare = reason
+                # The prepare handler owns this state right now; it reads
+                # the mark when its prepare ends.
+                state.abort_reason = reason
                 continue
             children = [c for c in message.body.get("children", ())
                         if c not in (peer, self.node.name)]
@@ -672,40 +678,34 @@ class TransactionManager:
         coordinator: str = message.body["from"]
         with self.ctx.span("2pc.prepare_req", self.node.name, "TM", tid=tid,
                            coordinator=coordinator):
-            state = self._states.get(tid)
-            if state is not None and state.phase is TxnPhase.ABORTED:
-                # Already aborted here (e.g. a peer-failure notification
+            if tid in self.node.aborted:
+                # Aborted or doomed here (e.g. a peer-failure notification
                 # beat the coordinator's prepare): the vote must be abort.
                 self._send_datagram(coordinator, "tm.vote",
                                     {"vote": "abort"}, tid)
                 return
-            if state is None:
-                # A fragment aborted on a failure notification leaves a
-                # flagged tombstone: its locks are gone and its effects
-                # undone, so the family must not commit.
-                if any(other.toplevel == tid
-                       and known.phase is TxnPhase.ABORTED
-                       and known.aborted_by_failure
-                       for other, known in self._states.items()):
+            state = self._states.get(tid)
+            if state is not None and state.phase is not TxnPhase.ACTIVE:
+                # A duplicated request (or a second parent in the tree):
+                # the first one's handler votes, and a promise once made
+                # stands -- aborting now would break it.
+                if state.phase is TxnPhase.PREPARED:
                     self._send_datagram(coordinator, "tm.vote",
-                                        {"vote": "abort"}, tid)
-                    return
+                                        {"vote": "update"}, tid)
+                return
+            if state is None:
                 # The top level itself never operated here, but one of its
                 # subtransactions may have (tracked under its own id): give
                 # the family a root to merge into.
-                family_here = any(
-                    other.toplevel == tid and not known.phase.terminal
-                    for other, known in self._states.items())
-                if family_here:
-                    state = TransactionState(tid)
-                    state.parent_node = coordinator
-                    self._states[tid] = state
-                else:
+                if not any(other.toplevel == tid and not known.phase.terminal
+                           for other, known in self._states.items()):
                     # We never saw the transaction (or already forgot a
                     # read-only participation): vote read-only.
                     self._send_datagram(coordinator, "tm.vote",
                                         {"vote": "read_only"}, tid)
                     return
+                state = self._states[tid] = TransactionState(
+                    tid, parent_node=coordinator)
 
             yield self.ctx.cpu("TM", self.ctx.cpu_costs.tm_commit_read)
             yield from self._merge_family_into(tid)
@@ -715,16 +715,6 @@ class TransactionManager:
                 vote = yield from self._prepare_subtree(state, children)
             except Exception:
                 vote = "abort"
-            if state.abort_on_prepare and vote != "abort":
-                # A peer failure arrived while we were preparing: we may
-                # still abort unilaterally (nothing durable was promised
-                # yet).
-                yield from self._abort_subtree(
-                    state, children, reason=state.abort_on_prepare)
-                vote = "abort"
-                self._send_datagram(coordinator, "tm.vote", {"vote": vote},
-                                    tid)
-                return
             if vote == "update":
                 # Sorted, here and in the committed records: recovery
                 # rebuilds ``server_ports`` from this tuple and phase two
@@ -763,12 +753,18 @@ class TransactionManager:
                                 tid)
 
     def _handle_abort_req(self, message: Message):
+        """Abort ``tid``'s fragment here and those of its descendants that
+        operated here under their own identifiers, deepest first."""
         tid: TransactionID = message.body["tid"]
-        state = self._states.get(tid)
-        if state is not None:
-            children = yield from self._children(state,
-                                                 message.body["from"])
-            yield from self._abort_subtree(state, children)
+        members = sorted((other for other in self._states
+                          if other == tid or tid.is_ancestor_of(other)),
+                         key=_deepest_first)
+        for member in members:
+            state = self._states.get(member)
+            if state is not None:
+                children = yield from self._children(state,
+                                                     message.body["from"])
+                yield from self._abort_subtree(state, children)
         self._send_datagram(message.body["from"], "tm.ack",
                             {"ack": "aborted"}, tid)
 
@@ -845,8 +841,6 @@ class TransactionManager:
         tid: TransactionID = message.body["tid"]
         state = self._states.get(tid)
         if state is None or state.phase.terminal:
-            if state is not None and state.phase is TxnPhase.ABORTED:
-                yield from self._tell_untold_children(state)
             respond(message, {"aborted": True})
             return
         # The spanning tree is kept per family; an aborting subtransaction
@@ -862,16 +856,21 @@ class TransactionManager:
         """Undo local effects, release locks, and abort child nodes.
 
         Aborting a subtransaction does not abort its parent (Section 2.1.3);
-        aborting a parent aborts all its live descendants.
+        aborting a parent aborts all its live descendants.  One walk per
+        fragment: an abort that finds the walk begun waits for it to end
+        and returns as it does.
         """
         if state.phase.terminal:
             # Already resolved (e.g. a peer-failure abort raced a
             # timeout-driven one): nothing left to undo or release.
             return
+        if state.walk is not None:
+            yield state.walk
+            return
         tid = state.tid
-        # The abort mark: no operation of the transaction starts on this
-        # node from here on, and no server joins it.
-        self.node.aborted.add(tid)
+        self._mark(tid)
+        state.walk = Event(self.ctx.engine, name=f"abort:{tid}")
+        reason = reason or state.abort_reason
         if self.ctx.tracer is not None:
             self.ctx.tracer.event("2pc.abort", self.node.name, "TM",
                                   tid=tid, reason=reason)
@@ -884,7 +883,6 @@ class TransactionManager:
         awaited = self._live_children(children)
         if awaited:
             collection = self._open_collection("ack", tid, awaited)
-        state.abort_told.update(children)
         for child in children:
             # A down child is still told (datagram semantics: dropped on
             # the floor) but not awaited -- presumed abort means its
@@ -912,24 +910,21 @@ class TransactionManager:
             yield from self._await_collection("ack", tid, timeout_ms)
         if not state.phase.terminal:
             state.advance(TxnPhase.ABORTED)
-        state.abort_reason = reason or state.abort_reason or "aborted"
+        state.abort_reason = reason or "aborted"
+        walk, state.walk = state.walk, None
+        walk.succeed()
         self.aborts += 1
         parent = self._states.get(tid.parent) if tid.parent else None
         if parent is not None:
             parent.children.discard(tid)
         self._forget(tid, keep_tombstone=True)
 
-    def _tell_untold_children(self, state: TransactionState):
-        """An aborted family can outgrow its abort: a call in flight at
-        the time (one to a peer declared dead waits out its deadline)
-        fails over or writes behind to nodes the abort never told, each
-        opening a fresh ACTIVE fragment.  Before its tombstone answers
-        the client, tell them (generator)."""
-        children = yield from self._children(state)
-        for child in children:
-            if child not in state.abort_told:
-                self._send_datagram(child, "tm.abort_req", {}, state.tid)
-        state.abort_told.update(children)
+    def _mark(self, tid: TransactionID) -> None:
+        """The node's abort mark (docs/PROTOCOL.md "Why an abort reaches
+        every fragment once"): from here on no operation of ``tid`` starts
+        on this node, no server joins it, its prepare votes abort, and no
+        call of it or of its descendants leaves the node."""
+        self.node.aborted.add(tid)
 
     def _forget(self, tid: TransactionID, keep_tombstone: bool = False) -> None:
         state = self._states.get(tid)
@@ -951,12 +946,10 @@ class TransactionManager:
                          children: tuple[str, ...] = ()) -> None:
         """Called by the facility after crash recovery for each in-doubt
         transaction found in the log; resolution starts immediately."""
-        state = TransactionState(tid, phase=TxnPhase.PREPARED)
-        state.parent_node = coordinator
-        state.servers = set(servers)
-        state.server_ports = dict(server_ports)
-        state.has_remote_sites = bool(children)
-        self._states[tid] = state
+        state = self._states[tid] = TransactionState(
+            tid, phase=TxnPhase.PREPARED, parent_node=coordinator,
+            servers=set(servers), server_ports=dict(server_ports),
+            has_remote_sites=bool(children))
         self.node.spawn(self._resolve_in_doubt(state),
                         name=f"tm:resolve:{tid}", defused=True)
 
@@ -1026,7 +1019,7 @@ class TransactionManager:
 
     def _handle_outcome_reply(self, message: Message) -> None:
         tid: TransactionID = message.body["tid"]
-        votes = self._collections.get(("outcome", tid.toplevel))
+        votes = self._collections.get(("outcome", tid))
         if votes is not None:
             votes.record(message.body["from"], message.body["outcome"])
 

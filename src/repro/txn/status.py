@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import TransactionError
 from repro.kernel.ports import Port
+from repro.sim import Event
 from repro.txn.ids import TransactionID
 
 
@@ -63,21 +64,13 @@ class TransactionState:
     children: set[TransactionID] = field(default_factory=set)
     #: why the transaction aborted, for diagnostics
     abort_reason: str = ""
-    #: True when every local server voted read-only at prepare time
-    read_only: bool = True
     #: children that have not yet acknowledged phase two; a committed
     #: coordinator keeps its state until this empties (presumed abort
     #: demands that an in-doubt child can still learn the outcome)
     pending_acks: set[str] = field(default_factory=set)
-    #: True when the abort was driven by a peer-failure notification; a
-    #: later prepare request for the family must then vote abort rather
-    #: than be mistaken for a forgotten read-only participation
-    aborted_by_failure: bool = False
-    #: set mid-prepare when a peer failure demands the vote become abort
-    abort_on_prepare: str = ""
-    #: child nodes the abort sent ``tm.abort_req``; the tombstone tells
-    #: the rest of the spanning tree when the client ends or aborts
-    abort_told: set[str] = field(default_factory=set)
+    #: exists only while the abort's undo walk runs; a second abort of
+    #: the fragment waits on it instead of walking again
+    walk: Event | None = None
 
     def advance(self, phase: TxnPhase) -> None:
         if phase not in _ALLOWED[self.phase]:
@@ -85,8 +78,3 @@ class TransactionState:
                 f"transaction {self.tid}: illegal transition "
                 f"{self.phase.value} -> {phase.value}")
         self.phase = phase
-
-    @property
-    def is_root(self) -> bool:
-        """Is this node the commit coordinator for the transaction?"""
-        return self.parent_node == ""

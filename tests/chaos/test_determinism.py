@@ -56,19 +56,21 @@ def test_same_seed_reproduces_run_exactly():
 # Digests of the canonical (PLAN, seed=2026) run under the default
 # ``pipeline="paper"`` configuration.  A refactor keeps them byte for
 # byte; a deliberate change to default behaviour re-pins them once and
-# says what moved.  Last re-pinned when failure-detector probes left the
-# datagram path (docs/SIMULATOR.md "A healthy fabric sends no
-# heartbeats"): trace 078ee47f... -> c1b8b1a2..., metrics d63f6747... ->
-# 5178f38e....  Each new digest equals the old run's with its
-# ``fd.ping``/``fd.pong`` datagram events taken out -- the trace loses
-# its 11 942 probe ``net`` entries (12 025 -> 83: 56 net, 7 crash,
-# 7 restart, 7 txn, 2 fd, 1 each partition / heal / link-fault /
-# link-heal) and the metrics their ``net.*`` counts; the final clock and
-# all ten outcomes (5 aborted, 3 unknown, 2 skipped) are unchanged.
+# says what moved.  Last re-pinned when an abort came to reach every
+# fragment once (docs/PROTOCOL.md "Why an abort reaches every fragment
+# once"): trace c1b8b1a2... -> 7d3ee81d..., metrics 5178f38e... ->
+# f4e7f1c6....  The trace is the old run's minus one ``tm.abort_req``
+# send/blocked pair, n2 -> n0 at 3 557.5 ms: the tombstone of an
+# aborted family no longer re-tells its children (83 -> 81 entries).
+# In the metrics, ``n0/tm.aborts`` and ``n2/tm.aborts`` fall 5 -> 4
+# (the second undo walks of ``n0.2`` and ``n2.2`` at 3 528 ms now wait
+# for the first), ``n2/net.send`` 12 -> 11 and ``n2/net.blocked`` 1 ->
+# gone (that send).  The final clock and all ten outcomes (5 aborted,
+# 3 unknown, 2 skipped) are unchanged.
 GOLDEN_TRACE_SHA = \
-    "c1b8b1a2ca188a0e7b2ad6743bda802969f8a32f6c17959d72f92dbcede1b625"
+    "7d3ee81d80f1afc0402e2aac934835b03f9440ec09899dbb7058888de3a82ef9"
 GOLDEN_METRICS_SHA = \
-    "5178f38e6dd274cebfe57c4bf3b410ad2507a7866c3367cd46d00e24721cb7e1"
+    "f4e7f1c68ccfc567ab8814c0d829cc61c634f6686faef72239f564fff2747030"
 GOLDEN_FINAL_NOW = 125571.71966982371
 
 

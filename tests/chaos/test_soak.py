@@ -92,6 +92,7 @@ def test_soak_replicated_rolling_crashes(seed):
 
 @pytest.mark.parametrize("seed", [
     *range(500, 504),  # the four every lane runs
+    525,  # two aborts of one prepared fragment walked its chain twice
     *(pytest.param(seed, marks=pytest.mark.slow)
       for seed in range(504, 512))])
 def test_soak_debitcredit_overlapping_incrementers(seed):

@@ -5,7 +5,7 @@ import pytest
 from repro.comm.manager import CommunicationManager
 from repro.comm.network import Network
 from repro.comm.sessions import Session, SessionTable
-from repro.errors import CommunicationError, SessionBroken
+from repro.errors import CommunicationError, SessionBroken, TransactionAborted
 from repro.kernel.context import SimContext
 from repro.kernel.costs import ZERO_COST, Primitive, ZERO_CPU
 from repro.kernel.messages import Message
@@ -234,7 +234,7 @@ class TestSpanningTree:
         tid = self.tid()
         managers["a"].record_outbound(tid, "b")
         record = managers["a"].spanning_record(tid)
-        assert record.children == {"b"}
+        assert set(record.child_epochs) == {"b"}
         assert record.parent == ""
 
     def test_inbound_sets_parent_once(self, ctx):
@@ -261,13 +261,40 @@ class TestSpanningTree:
         managers["a"].record_outbound(parent, "b")
         managers["a"].record_outbound(child, "b")
         record = managers["a"].spanning_record(parent)
-        assert record.children == {"b"}
+        assert set(record.child_epochs) == {"b"}
 
     def test_child_epoch_recorded_for_crash_detection(self, ctx):
         network, nodes, managers = make_pair(ctx)
         tid = self.tid()
         managers["a"].record_outbound(tid, "b")
         assert managers["a"].spanning_record(tid).child_epochs == {"b": 0}
+
+    def test_a_family_reaches_a_child_in_one_incarnation(self, ctx):
+        """Section 3.2.4's crash detection: the family's work at "b" died
+        with the incarnation it first reached, so no call of it goes to
+        the next one; another family may."""
+        network, nodes, managers = make_pair(ctx)
+        tid = self.tid()
+        managers["a"].record_outbound(tid, "b")
+        nodes["b"].crash()
+        nodes["b"].restart()
+        with pytest.raises(TransactionAborted, match="b restarted"):
+            managers["a"].record_outbound(tid.child(1), "b")
+        assert managers["a"].spanning_record(tid).child_epochs == {"b": 0}
+        managers["a"].record_outbound(TransactionID("a", 2), "b")
+
+    def test_no_call_leaves_for_a_family_marked_aborted_here(self, ctx):
+        """The mark covers the marked transaction and its descendants,
+        not its parent or siblings."""
+        _, nodes, managers = make_pair(ctx)
+        parent = self.tid()
+        nodes["a"].aborted.add(parent.child(1))
+        for tid in (parent.child(1), parent.child(1).child(2)):
+            with pytest.raises(TransactionAborted, match="aborted on a"):
+                managers["a"].record_outbound(tid, "b")
+        assert managers["a"].spanning_record(parent).child_epochs == {}
+        managers["a"].record_outbound(parent, "b")
+        managers["a"].record_outbound(parent.child(2), "b")
 
     def test_datagram_roundtrip_via_managers(self, ctx):
         """cm.send_datagram delivers to the remote node's named service."""

@@ -125,17 +125,25 @@ def test_a_message_kind_is_the_only_cost_knob():
 
 
 def test_one_abort_mark_and_no_zombie_guard():
-    """An abort that has begun is recorded in one place, the node's
-    abort mark, and only ``_abort_subtree`` adds to it.  None of the
-    per-component guards the mark replaced is back."""
+    """An abort that has begun, or a family a peer failure doomed, is
+    recorded in one place, the node's abort mark, and one helper adds to
+    it.  None of the per-component guards or per-fragment flags the mark
+    replaced is back."""
     guards = [f"{path}:{line}" for path, _, line in sites(
         r"_refuse_zombie|_aborted_tombstones|_aborted_tids|_undone_values"
-        r"|\.aborting\b|\bzombie=")]
+        r"|\.aborting\b|\bzombie=|\babort_told\b|_tell_untold_children"
+        r"|\baborted_by_failure\b|\babort_on_prepare\b|\bis_root\b")]
     assert guards == []
     marks = [(path, function) for path, function, _ in sites(
         r"\b(node|self)\.aborted(\.(add|update)\(|\s*\|=)")
         if path != "recovery/analysis.py"]  # RecoveryPlan.aborted
-    assert marks == [("txn/manager.py", "_abort_subtree")]
+    assert marks == [("txn/manager.py", "_mark")]
+    from repro.txn.status import TransactionState
+    fields = TransactionState.__dataclass_fields__
+    assert not {"read_only", "abort_told", "aborted_by_failure",
+                "abort_on_prepare"} & set(fields)
+    assert not [name for name, spec in fields.items()
+                if spec.type in ("bool", bool) and name != "has_remote_sites"]
 
 
 def test_managers_that_only_answer_do_not_import_the_rpc_layer():

@@ -3,13 +3,18 @@
 The log buffer filling up before anything forces it, and an undo walk
 that meets a compensation record in the chain it follows (a chain
 recovery rebuilt for a prepared transaction whose abort a crash cut
-short holds the compensations that abort had logged).
+short holds the value compensations that abort had logged; an operation
+compensation and the record it compensates are left out of it).
 """
 
 import pytest
 
 from repro import TabsCluster, TabsConfig
+from repro.kernel.messages import Message
 from repro.servers.int_array import IntegerArrayServer
+from repro.servers.op_array import OperationArrayServer
+from repro.sim import Timeout
+from repro.txn.status import TxnPhase
 from repro.wal.records import ValueUpdateRecord
 
 NODE = "n1"
@@ -73,3 +78,61 @@ def test_the_undo_walk_skips_a_compensation_record(cluster):
         reply = yield from app.call(ref, "get_cell", {"cell": 1}, reader)
         return reply["value"]
     assert cluster.run_transaction(NODE, read) == 0
+
+
+def test_a_prepared_abort_cut_short_undoes_each_operation_once():
+    """A subordinate prepared two adds (+5 to cells 1 and 2) under one
+    transaction; the coordinator aborts it, and the subordinate crashes
+    right after its walk logged the first compensation (cell 2's) and
+    forced the log.  Recovery redoes both adds and that compensation and
+    rebuilds the in-doubt chain; the resolved abort then undoes what the
+    walk had not -- cell 1's add -- and not cell 2's a second time."""
+    coordinator, subordinate = "n0", "n1"
+    cluster = TabsCluster(TabsConfig())
+    for name in (coordinator, subordinate):
+        cluster.add_node(name)
+    cluster.add_server(subordinate, OperationArrayServer.factory("ops"))
+    cluster.start()
+    app = cluster.application(coordinator)
+
+    def add(tid):
+        ref = yield from app.lookup_one("ops")
+        for cell in (1, 2):
+            yield from app.call(ref, "add_cell", {"cell": cell, "delta": 5},
+                                tid)
+    tid = cluster.run_on(coordinator, app.begin_transaction())
+    cluster.run_on(coordinator, add(tid))
+    top = cluster.node(coordinator).tm
+    votes = top._open_collection("vote", tid, [subordinate])
+    cluster.node(subordinate).tm.port.send(Message(
+        op="tm.prepare_req", tid=tid,
+        body={"tid": tid, "from": coordinator}))
+    while votes.received != {subordinate: "update"}:
+        assert cluster.engine.step(), "the subordinate never voted"
+    del top._collections[("vote", tid)]
+
+    rm = cluster.node(subordinate).rm
+    undo = rm._undo_operation
+
+    def cut_short(record, port, tid):
+        yield from undo(record, port, tid)
+        yield from rm.wal.force()
+        cluster.engine.schedule(0.0, lambda: cluster.crash_node(subordinate))
+        yield Timeout(cluster.engine, 1_000.0)
+    rm._undo_operation = cut_short
+    cluster.run_on(coordinator, app.abort_transaction(tid))
+    assert not cluster.node(subordinate).node.alive
+    cluster.restart_node(subordinate)
+    cluster.settle()
+
+    assert cluster.node(subordinate).tm.phase_of(tid) is TxnPhase.ABORTED
+
+    def read(reader):
+        ref = yield from app.lookup_one("ops")
+        values = []
+        for cell in (1, 2):
+            reply = yield from app.call(ref, "get_cell", {"cell": cell},
+                                        reader)
+            values.append(reply["value"])
+        return values
+    assert cluster.run_transaction(coordinator, read) == [0, 0]

@@ -228,14 +228,16 @@ def test_first_copy_crashing_after_it_executed_never_commits():
     assert_old_balance_everywhere(cluster, keyspace, 2, before)
 
 
-def test_an_aborted_family_tells_the_fragments_its_abort_missed():
+def test_an_aborted_family_opens_no_fragment_after_its_abort():
     """The same crash with the client homed on a third node, and bank0
     back before the call's deadline.  The family aborts at bank2 on the
     failure notice, telling nobody (bank0 is the dead peer).  The call
-    still waits out its deadline, then fails over to bank1 and writes
-    behind to bank0's new incarnation: two fresh ACTIVE fragments, each
-    holding the row.  The tombstone that answers ``tm.end`` must abort
-    them, or their locks are held forever."""
+    still waits out its deadline; its fail-over to bank1 would open a
+    fresh fragment there, and its write-behind one at bank0's new
+    incarnation.  Neither leaves bank2: the family is in bank2's abort
+    mark, so the fail-over is refused where it starts, with
+    ``TransactionAborted``, and is not retried.  One execution, no
+    fragment at either copy, no lock held."""
     cluster = TabsCluster(TabsConfig(
         seed=83, replication=ReplicationConfig.available_copies(),
         workload=WorkloadConfig(branches=3, accounts_per_branch=50,
@@ -260,14 +262,15 @@ def test_an_aborted_family_tells_the_fragments_its_abort_missed():
     cluster.spawn_on("bank1", restart_bank0())
     client = cluster.spawn_on("bank2", rapp.run_transaction(body))
     cluster.settle(extra_ms=60_000.0)
-    with pytest.raises(TransactionAborted, match="peer bank0 failed"):
+    with pytest.raises(TransactionAborted, match="aborted on bank2"):
         client.result()
-    assert executions == [before + 500, before + 500]
-    assert [op for op, _ in rapp.app.control] == ["end"]
+    assert executions == [before + 500]
+    assert [op for op, _ in rapp.app.control] == ["abort"]
+    assert cluster.node("bank2").tm.phase_of(tids[0]) is TxnPhase.ABORTED
+    for node in ("bank0", "bank1"):
+        assert cluster.node(node).tm.phase_of(tids[0]) is None
     for node in ("bank0", "bank1", "bank2"):
-        tabs_node = cluster.node(node)
-        assert tabs_node.tm._states[tids[0]].phase is TxnPhase.ABORTED
-        for name in tabs_node.servers:
+        for name in cluster.node(node).servers:
             assert locks(cluster, node, name).held_keys(tids[0]) == []
     for node in ("bank0", "bank1"):
         assert committed_balance(cluster, node, keyspace, 2) == before

@@ -54,10 +54,3 @@ def test_terminal_property():
     assert TxnPhase.ABORTED.terminal
     assert not TxnPhase.PREPARED.terminal
     assert not TxnPhase.ACTIVE.terminal
-
-
-def test_root_detection():
-    state = make_state()
-    assert state.is_root
-    state.parent_node = "elsewhere"
-    assert not state.is_root

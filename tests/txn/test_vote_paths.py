@@ -1,11 +1,12 @@
 """The Transaction Manager's rarer commit-protocol turns, one test each.
 
 A subordinate answers ``tm.prepare_req`` early in three cases -- its
-fragment already aborted, a peer failure left a flagged tombstone of the
-family, or it never saw the transaction -- and a peer failure that
+fragment already aborted, a peer failure doomed the family in the node's
+abort mark, or it never saw the transaction -- and a peer failure that
 arrives while it prepares turns its vote to abort.  A coordinator that
 stopped waiting for a child it believed down is completed by that
-child's late acknowledgement (``_stray_ack``).
+child's late acknowledgement (``_stray_ack``).  Two aborts of one
+prepared fragment walk its chain once.
 
 Each test drives the messages the Communication Manager would forward
 into the subordinate's Transaction Manager port, and reads the vote
@@ -16,9 +17,14 @@ import pytest
 
 from repro import TabsCluster, TabsConfig
 from repro.kernel.messages import Message
+from repro.recovery.audit import audit_abort_order, durable_records
 from repro.servers.int_array import IntegerArrayServer
 from repro.txn.status import TxnPhase
-from repro.wal.records import TransactionStatusRecord, TxnStatus
+from repro.wal.records import (
+    TransactionStatusRecord,
+    TxnStatus,
+    ValueUpdateRecord,
+)
 
 COORDINATOR, SUBORDINATE, PEER = "n1", "n2", "n3"
 
@@ -77,11 +83,11 @@ def run_a_while(cluster):
     cluster.engine.run(until=cluster.engine.now + 10_000.0)
 
 
-def set_cell(cluster, app, tid, value):
-    """Write cell 1 of the subordinate's server under ``tid``."""
+def set_cell(cluster, app, tid, value, cell=1):
+    """Write ``cell`` of the subordinate's server under ``tid``."""
     def body():
         ref = yield from app.lookup_one("a0")
-        yield from app.call(ref, "set_cell", {"cell": 1, "value": value},
+        yield from app.call(ref, "set_cell", {"cell": cell, "value": value},
                             tid)
     cluster.run_on(COORDINATOR, body())
 
@@ -186,3 +192,65 @@ def test_a_late_ack_completes_a_coordinator_that_stopped_waiting(cluster):
     assert isinstance(last, TransactionStatusRecord)
     assert (last.tid, last.status) == (tid, TxnStatus.ENDED)
     assert cell(cluster, app) == 5
+
+
+def test_two_aborts_of_a_prepared_fragment_walk_its_chain_once(cluster):
+    """Two ``tm.abort_req`` for one prepared subordinate arrive at one
+    instant (a coordinator's abort and its recovery's answer, say).  The
+    second finds the first one's walk begun: it waits for that walk to
+    end and acknowledges as the first does.  One ABORTED record, one
+    compensation per update, nothing logged after the ABORTED record."""
+    app = cluster.application(COORDINATOR)
+    tid = begin(cluster, app)
+    set_cell(cluster, app, tid, 7, cell=1)
+    set_cell(cluster, app, tid, 8, cell=2)
+    subordinate = tm(cluster, SUBORDINATE)
+    votes = ask_to_prepare(cluster, tid)
+    while votes.received != {SUBORDINATE: "update"}:
+        assert cluster.engine.step(), "the subordinate never voted"
+    assert subordinate.phase_of(tid) is TxnPhase.PREPARED
+
+    acks = tm(cluster, COORDINATOR)._open_collection(
+        "ack", tid, [SUBORDINATE])
+    for _ in range(2):
+        deliver(cluster, SUBORDINATE, "tm.abort_req", tid,
+                **{"from": COORDINATOR})
+    run_a_while(cluster)
+
+    assert acks.received == {SUBORDINATE: "aborted"}
+    assert subordinate.phase_of(tid) is TxnPhase.ABORTED
+    tabs = cluster.node(SUBORDINATE)
+    cluster.run_on(SUBORDINATE, tabs.rm.wal.force())
+    records = [record for record in durable_records(tabs)
+               if record.tid == tid]
+    updates = [record for record in records
+               if isinstance(record, ValueUpdateRecord)]
+    assert [record.compensates_lsn for record in updates] == [
+        0, 0, updates[1].lsn, updates[0].lsn]
+    assert [record.status for record in records
+            if isinstance(record, TransactionStatusRecord)] == [
+        TxnStatus.PREPARED, TxnStatus.ABORTED]
+    assert audit_abort_order(tabs) == []
+    assert tabs.servers["a0"].library.locks.held_keys(tid) == []
+    assert cell(cluster, app) == 0
+
+
+def test_a_duplicated_prepare_request_keeps_the_promise(cluster):
+    """A link that duplicates datagrams hands a prepared subordinate the
+    coordinator's ``tm.prepare_req`` again.  It votes update again and
+    stays PREPARED: aborting on its own now would break the promise its
+    first vote made, and the coordinator may already have committed."""
+    app = cluster.application(COORDINATOR)
+    tid = begin(cluster, app)
+    set_cell(cluster, app, tid, 7)
+    subordinate = tm(cluster, SUBORDINATE)
+    votes = ask_to_prepare(cluster, tid)
+    while votes.received != {SUBORDINATE: "update"}:
+        assert cluster.engine.step(), "the subordinate never voted"
+
+    again = ask_to_prepare(cluster, tid)
+    cluster.engine.run(until=cluster.engine.now + 5_000.0)
+    assert again.received == {SUBORDINATE: "update"}
+    assert subordinate.phase_of(tid) is TxnPhase.PREPARED
+    server = cluster.node(SUBORDINATE).servers["a0"].library
+    assert server.locks.held_keys(tid) != []
