@@ -52,9 +52,13 @@ class Node:
         #: for it; the Name Server library's ``lookup_one`` answers from
         #: here while the reference's port is alive.  Volatile.
         self.bindings: dict[tuple[str, str], ServiceRef] = {}
-        #: transactions whose abort has begun on this node: no operation
-        #: of theirs starts here again, and no server joins them.  Volatile.
-        self.aborted: set[Hashable] = set()
+        #: the abort mark: transaction -> why it aborted, for each whose
+        #: abort has begun on this node or whose family a peer failure
+        #: doomed here.  No operation of theirs starts here again, no
+        #: server joins them, and the Transaction Manager keeps no state
+        #: for them once their walk ends: the reason answers for them.
+        #: Volatile.
+        self.aborted: dict[Hashable, str] = {}
         #: transaction -> how many of its operations are running here (one
         #: queued for a lock is not running), and the event an abort
         #: waits on until none is

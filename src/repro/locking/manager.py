@@ -227,10 +227,19 @@ class LockManager:
 
         Returns the keys that were released.
         """
-        released = []
+        return self._finish(tid, None)
+
+    def _finish(self, tid: Hashable, heir: Hashable | None) -> list[Hashable]:
+        """``tid`` is finished here: the locks it holds go to ``heir``
+        (dropped if None), its queued requests fail, and waiters the
+        change unblocks are granted.  Returns the keys it held."""
+        held = []
         for key, entry in list(self._locks.items()):
-            if entry.holders.pop(tid, None) is not None:
-                released.append(key)
+            modes = entry.holders.pop(tid, None)
+            if modes is not None:
+                held.append(key)
+                if heir is not None:
+                    entry.holders.setdefault(heir, []).extend(modes)
             for waiter in [w for w in entry.queue if w.tid == tid]:
                 entry.queue.remove(waiter)
                 if not waiter.event.triggered:
@@ -240,7 +249,7 @@ class LockManager:
             self._wake(entry)
             if not entry.holders and not entry.queue:
                 del self._locks[key]
-        return released
+        return held
 
     def release(self, tid: Hashable, key: Hashable) -> None:
         """Early release of one lock (used by non-serializable servers)."""
@@ -256,12 +265,12 @@ class LockManager:
         """Move every lock held by ``from_tid`` to ``to_tid``.
 
         Used when a subtransaction commits: its parent inherits the locks,
-        which remain held until the top-level transaction finishes.
+        which remain held until the top-level transaction finishes.  A
+        request the subtransaction still has queued fails as at
+        :meth:`release_all`: granted later, it would be held under a
+        transaction nothing will ever end.
         """
-        for entry in self._locks.values():
-            modes = entry.holders.pop(from_tid, None)
-            if modes is not None:
-                entry.holders.setdefault(to_tid, []).extend(modes)
+        self._finish(from_tid, to_tid)
 
     def _wake(self, entry: _LockEntry) -> None:
         """Grant from the head of the queue while compatible (FIFO)."""

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
-from repro.errors import ServerError, TransactionAborted
+from repro.errors import InvalidTransaction, ServerError, TransactionAborted
 from repro.kernel.messages import Message
 from repro.kernel.node import Node
 from repro.kernel.service import Service, request, respond, respond_error
@@ -206,8 +206,9 @@ class DataServerLibrary:
                 self.node, self.node.service(TM_SERVICE), "tm.join",
                 {"tid": tid, "server": self.server_id, "port": self.port},
                 reply="join-reply")
-        except TransactionAborted:
-            # The family ended first: nothing here will ever abort it.
+        except (TransactionAborted, InvalidTransaction):
+            # The family, or this member of it, ended first: nothing here
+            # will ever end it.
             self._txns.pop(tid, None)
             raise
         local.joined = True

@@ -16,7 +16,6 @@ Local request port (``transaction_manager`` service):
                       active here; ack back to the CM
 ``tm.end``            commit request from the application; reply bool
 ``tm.abort``          abort request; reply
-``tm.query_status``   current phase of a transaction; reply
 ====================  ========================================================
 
 Datagram-borne protocol (arriving via the Communication Manager):
@@ -126,8 +125,6 @@ class TransactionManager:
         #: the measured system's exact waiting behavior.
         self.peer_down_probe: "Callable[[str], bool] | None" = None
         self._commits_since_checkpoint = 0
-        self.commits = 0
-        self.aborts = 0
         #: family aborts driven by peer-failure notifications
         self.aborts_on_failure = 0
         #: the request loop; its gate is the crash-recovery gate: while
@@ -186,28 +183,32 @@ class TransactionManager:
             parent = self._states.get(parent_tid)
             if parent is None or parent.phase is not TxnPhase.ACTIVE:
                 respond_error(message, TransactionAborted(
-                    parent_tid, "parent is no longer active"))
+                    parent_tid, self.node.aborted.get(
+                        parent_tid, "parent is no longer active")))
                 return
             tid = self.tids.new_subtransaction(parent_tid)
-            parent.children.add(tid)
         self._states[tid] = TransactionState(tid)
         respond(message, {"tid": tid})
 
     def _handle_join(self, message: Message) -> None:
         tid: TransactionID = message.body["tid"]
-        state = self._states.get(tid)
-        if state is None and not tid.is_toplevel:
-            # A remote subtransaction operating here: track under its own id.
-            state = self._states[tid] = TransactionState(tid)
-        if state is None:
-            respond_error(message, InvalidTransaction(str(tid)))
-            return
         if tid in self.node.aborted:
             # An operation admitted before the abort began asks to join
             # after it: refused, or its locks would belong to a
             # transaction nobody will ever end.
-            respond_error(message, TransactionAborted(tid,
-                                                      state.abort_reason))
+            respond_error(message, TransactionAborted(
+                tid, self.node.aborted[tid]))
+            return
+        state = self._states.get(tid)
+        if (state is None and not tid.is_toplevel
+                and tid.node != self.node.name):
+            # A remote subtransaction operating here: track under its own
+            # id.  A subtransaction of a family born here was begun here
+            # and has a state until it ends, so without one it has ended:
+            # merged into its parent or aborted.
+            state = self._states[tid] = TransactionState(tid)
+        if state is None:
+            respond_error(message, InvalidTransaction(str(tid)))
             return
         state.servers.add(message.body["server"])
         state.server_ports[message.body["server"]] = message.body["port"]
@@ -223,59 +224,46 @@ class TransactionManager:
 
     def _handle_remote_arrived(self, message: Message) -> None:
         tid: TransactionID = message.body["tid"]
-        self._states.setdefault(tid, TransactionState(
-            tid, parent_node=message.body["parent_node"]))
+        if tid not in self.node.aborted:
+            self._states.setdefault(tid, TransactionState(
+                tid, parent_node=message.body["parent_node"]))
         # Ack back to the Communication Manager (counted small message).
         self.node.service(CM_SERVICE).send(
             Message(op="cm.ack_remote", body={"tid": tid}))
 
-    def _handle_query_status(self, message: Message) -> None:
-        state = self._states.get(message.body["tid"])
-        respond(message, {
-            "phase": state.phase.value if state else "unknown"})
+    # -- the family's members here ---------------------------------------------------
 
-    # -- subtransaction merge ------------------------------------------------------
+    def _members(self, tid: TransactionID) -> list[TransactionID]:
+        """``tid`` and its descendants that have a state on this node,
+        deepest first: a subtransaction begun here, or one that operated
+        here remotely under its own identifier."""
+        return sorted((other for other in self._states
+                       if other == tid or tid.is_ancestor_of(other)),
+                      key=_deepest_first)
 
-    def _merge_child_into_parent(self, child: TransactionID):
-        """Commit a subtransaction: fold its locks, write set, and undo
-        chain into its parent; the real commit happens with the top level."""
-        assert child.parent is not None
-        child_state = self._state(child)
-        parent_state = self._state(child.parent)
-        # Deepest first: live grandchildren merge into the child before the
-        # child merges into the parent.
-        for grandchild in sorted(child_state.children, key=_deepest_first):
-            if grandchild in self._states:
-                yield from self._merge_child_into_parent(grandchild)
-        yield from self._fold(child_state, parent_state)
-
-    def _merge_family_into(self, root_tid: TransactionID):
-        """Fold every live family member into the (top-level) root.
-
-        At the birth node this sweeps up unended subtransactions at
-        commit; at a subordinate it handles subtransactions that operated
-        here remotely -- they were tracked under their own identifiers
-        (the join arrived with the subtransaction's tid) and must merge
-        before the subtree prepares, or their servers and undo chains
-        would be invisible to two-phase commit.
-        """
-        members = sorted(
-            [tid for tid, state in self._states.items()
-             if tid != root_tid and tid.toplevel == root_tid.toplevel
-             and not state.phase.terminal],
-            key=lambda tid: len(tid.path), reverse=True)
-        for member in members:
-            parent_tid = member.parent
-            target = (parent_tid if parent_tid in self._states
-                      and parent_tid != member else root_tid)
-            if target == member:  # pragma: no cover - defensive
+    def _merge_members(self, tid: TransactionID, into: TransactionID):
+        """Fold ``tid``'s members here, deepest first, each into its
+        nearest ancestor with a state here, and last ``tid`` itself into
+        ``into`` (a subtransaction's EndTransaction: its parent) -- or
+        leave ``tid`` as the root when ``into`` is ``tid`` (a top level's
+        commit, a subordinate's prepare).  The permanent commit comes
+        only with the top level's (Section 2.1.3)."""
+        for member in self._members(tid):
+            state = self._states.get(member)
+            if member == into or state is None:
                 continue
-            yield from self._fold(self._states[member], self._states[target])
+            parent = member.parent
+            while parent not in self._states and parent != into:
+                parent = parent.parent
+            yield from self._fold(state, self._state(parent))
 
     def _fold(self, child: TransactionState, into: TransactionState):
-        """Make ``into`` the owner of everything ``child`` did here: each
-        server re-files the locks and write set, the Recovery Manager
-        splices the undo chains, and ``child`` is forgotten."""
+        """Make ``into`` the owner of everything ``child`` did here: once
+        none of ``child``'s operations runs here (as an abort waits), each
+        server re-files the locks and write set and fails the requests
+        still queued, the Recovery Manager splices the undo chains, and
+        ``child`` is forgotten."""
+        yield from self.node.until_idle(child.tid)
         ports = dict(child.server_ports)
         replies, errors = yield from self._call_servers(
             child.tid, list(ports), "ds.subtxn_commit",
@@ -286,7 +274,6 @@ class TransactionManager:
         if errors:
             raise next(iter(errors.values()))
         yield from self.rm.merge_chain_via_message(child.tid, into.tid)
-        into.children.discard(child.tid)
         into.has_remote_sites = (into.has_remote_sites
                                  or child.has_remote_sites)
         self._forget(child.tid)
@@ -361,28 +348,25 @@ class TransactionManager:
 
     def _handle_end(self, message: Message):
         tid: TransactionID = message.body["tid"]
-        try:
-            state = self._state(tid)
-        except InvalidTransaction as error:
-            respond_error(message, error)
-            return
-        if state.phase is TxnPhase.ABORTED:
+        state = self._states.get(tid)
+        if state is None:
+            if tid not in self.node.aborted:
+                respond_error(message, InvalidTransaction(str(tid)))
+                return
             # Nothing the client sent on its way is still running when
             # it hears the outcome.
             yield from join_all(message.body.get("copies", ()))
             respond(message, {"committed": False,
-                              "reason": state.abort_reason})
+                              "reason": self.node.aborted[tid]})
             return
         if not tid.is_toplevel:
-            # EndTransaction on a subtransaction merges it into its parent;
-            # permanence comes only with the top-level commit (Section 2.1.3).
-            yield from self._merge_child_into_parent(tid)
+            yield from self._merge_members(tid, into=tid.parent)
             respond(message, {"committed": True})
             return
         yield self.ctx.cpu("TM", self.ctx.cpu_costs.tm_commit_read)
         yield self.ctx.cpu("other", self.ctx.cpu_costs.tm_dispatch_slop)
         # Live subtransactions commit with their parent.
-        yield from self._merge_family_into(tid)
+        yield from self._merge_members(tid, into=tid)
         children = None
         footprint = message.body.get("replication")
         if footprint is not None:
@@ -391,11 +375,11 @@ class TransactionManager:
             if reason is not None:
                 yield from self._abort_subtree(state, children, reason=reason)
                 respond(message, {"committed": False,
-                                  "reason": state.abort_reason})
+                                  "reason": self.node.aborted[tid]})
                 return
         committed = yield from self._commit_root(state, children)
-        respond(message, {"committed": committed,
-                          "reason": state.abort_reason})
+        respond(message, {"committed": committed, "reason": "" if committed
+                          else self.node.aborted[tid]})
 
     def _settle_replicated(self, state: TransactionState, footprint: dict,
                            copies: list):
@@ -447,7 +431,6 @@ class TransactionManager:
             vote = yield from self._prepare_subtree(state, children)
             if vote == "abort":
                 yield from self._abort_subtree(state, children)
-                self.aborts += 1
                 span.set(outcome="abort")
                 return False
             if vote == "read_only":
@@ -459,7 +442,6 @@ class TransactionManager:
                 # real Perq.
                 yield Timeout(self.ctx.engine,
                               self.ctx.cpu_costs.rm_read_txn)
-                self.commits += 1
                 self._forget(tid)
                 self._maybe_checkpoint()
                 self._observe_commit(started, 1 + len(children), "read")
@@ -481,7 +463,6 @@ class TransactionManager:
                                 name=f"tm:lazy-p2:{tid}", defused=True)
             else:
                 yield from self._finish_phase_two(state, children)
-            self.commits += 1
             self._maybe_checkpoint()
             self._observe_commit(started, 1 + len(children), "write")
             span.set(outcome="committed")
@@ -650,20 +631,16 @@ class TransactionManager:
         if (votes is not None and peer in votes.expected
                 and peer not in votes.received):
             votes.record(peer, "abort")
-        members = sorted(
-            (other for other in self._states if other.toplevel == tid.toplevel),
-            key=lambda t: len(t.path), reverse=True)
-        for member in members:
+        for member in self._members(tid):
             state = self._states.get(member)
             if state is None or state.phase.terminal:
                 continue
             if state.phase is TxnPhase.PREPARED:
                 continue  # blocking window: only the coordinator decides
-            self._mark(tid)
+            self._mark(tid, reason)
             if state.phase is TxnPhase.PREPARING:
                 # The prepare handler owns this state right now; it reads
-                # the mark when its prepare ends.
-                state.abort_reason = reason
+                # the mark, and its reason, when its prepare ends.
                 continue
             children = [c for c in message.body.get("children", ())
                         if c not in (peer, self.node.name)]
@@ -697,8 +674,7 @@ class TransactionManager:
                 # The top level itself never operated here, but one of its
                 # subtransactions may have (tracked under its own id): give
                 # the family a root to merge into.
-                if not any(other.toplevel == tid and not known.phase.terminal
-                           for other, known in self._states.items()):
+                if not self._members(tid):
                     # We never saw the transaction (or already forgot a
                     # read-only participation): vote read-only.
                     self._send_datagram(coordinator, "tm.vote",
@@ -708,7 +684,7 @@ class TransactionManager:
                     tid, parent_node=coordinator)
 
             yield self.ctx.cpu("TM", self.ctx.cpu_costs.tm_commit_read)
-            yield from self._merge_family_into(tid)
+            yield from self._merge_members(tid, into=tid)
             yield self.ctx.cpu("other", self.ctx.cpu_costs.tm_dispatch_slop)
             children = yield from self._children(state, coordinator)
             try:
@@ -756,10 +732,7 @@ class TransactionManager:
         """Abort ``tid``'s fragment here and those of its descendants that
         operated here under their own identifiers, deepest first."""
         tid: TransactionID = message.body["tid"]
-        members = sorted((other for other in self._states
-                          if other == tid or tid.is_ancestor_of(other)),
-                         key=_deepest_first)
-        for member in members:
+        for member in self._members(tid):
             state = self._states.get(member)
             if state is not None:
                 children = yield from self._children(state,
@@ -868,17 +841,19 @@ class TransactionManager:
             yield state.walk
             return
         tid = state.tid
-        self._mark(tid)
+        # A reason the mark already holds: a peer-failure notice doomed
+        # the family while this fragment was preparing.
+        reason = reason or self.node.aborted.get(tid, "")
+        self._mark(tid, reason or "aborted")
         state.walk = Event(self.ctx.engine, name=f"abort:{tid}")
-        reason = reason or state.abort_reason
         if self.ctx.tracer is not None:
             self.ctx.tracer.event("2pc.abort", self.node.name, "TM",
                                   tid=tid, reason=reason)
         self.ctx.metrics.counter(self.node.name, "tm.aborts").inc()
-        for child_tid in sorted(state.children, key=_deepest_first):
-            child_state = self._states.get(child_tid)
-            if child_state is not None:
-                yield from self._abort_subtree(child_state, [])
+        for member in self._members(tid):
+            member_state = self._states.get(member)
+            if member != tid and member_state is not None:
+                yield from self._abort_subtree(member_state, [])
         collection = None
         awaited = self._live_children(children)
         if awaited:
@@ -910,33 +885,27 @@ class TransactionManager:
             yield from self._await_collection("ack", tid, timeout_ms)
         if not state.phase.terminal:
             state.advance(TxnPhase.ABORTED)
-        state.abort_reason = reason or "aborted"
+        # From here the mark alone answers for the fragment, with the
+        # walk's reason (presumed abort: no state means not committed).
+        self._mark(tid, reason or "aborted")
         walk, state.walk = state.walk, None
         walk.succeed()
-        self.aborts += 1
-        parent = self._states.get(tid.parent) if tid.parent else None
-        if parent is not None:
-            parent.children.discard(tid)
-        self._forget(tid, keep_tombstone=True)
+        self._forget(tid)
 
-    def _mark(self, tid: TransactionID) -> None:
+    def _mark(self, tid: TransactionID, reason: str) -> None:
         """The node's abort mark (docs/PROTOCOL.md "Why an abort reaches
         every fragment once"): from here on no operation of ``tid`` starts
-        on this node, no server joins it, its prepare votes abort, and no
-        call of it or of its descendants leaves the node."""
-        self.node.aborted.add(tid)
+        on this node, no server joins it, its prepare votes abort, no call
+        of it or of its descendants leaves the node, and ``reason`` is the
+        answer to an EndTransaction or a join."""
+        self.node.aborted[tid] = reason
 
-    def _forget(self, tid: TransactionID, keep_tombstone: bool = False) -> None:
-        state = self._states.get(tid)
-        if state is None:
-            return
-        # A protocol step still holding the state finds no server to call.
-        state.server_ports.clear()
-        if not keep_tombstone:
-            # An aborted state is kept so late arrivals (ops,
-            # EndTransaction) get TransactionIsAborted rather than
-            # InvalidTransaction.
-            del self._states[tid]
+    def _forget(self, tid: TransactionID) -> None:
+        state = self._states.pop(tid, None)
+        if state is not None:
+            # A protocol step still holding the state finds no server to
+            # call.
+            state.server_ports.clear()
 
     # -- recovery resolution ------------------------------------------------------------
 

@@ -60,10 +60,6 @@ class TransactionState:
     has_remote_sites: bool = False
     #: node that shipped this transaction here (empty at the root/birth node)
     parent_node: str = ""
-    #: live subtransactions begun at this node
-    children: set[TransactionID] = field(default_factory=set)
-    #: why the transaction aborted, for diagnostics
-    abort_reason: str = ""
     #: children that have not yet acknowledged phase two; a committed
     #: coordinator keeps its state until this empties (presumed abort
     #: demands that an in-doubt child can still learn the outcome)

@@ -77,7 +77,6 @@ def test_run_transaction_commits_and_returns(cluster):
 
 def test_run_transaction_aborts_on_exception(cluster):
     app = cluster.application("n1")
-    tm = cluster.node("n1").tm
 
     def body(tid):
         raise ValueError("user code failed")
@@ -85,7 +84,7 @@ def test_run_transaction_aborts_on_exception(cluster):
 
     with pytest.raises(ValueError):
         cluster.run_transaction("n1", body)
-    assert tm.aborts >= 1
+    assert cluster.metrics.counter("n1", "tm.aborts").value >= 1
 
 
 def test_run_transaction_retries_aborts(cluster):

@@ -288,7 +288,7 @@ class TestSpanningTree:
         not its parent or siblings."""
         _, nodes, managers = make_pair(ctx)
         parent = self.tid()
-        nodes["a"].aborted.add(parent.child(1))
+        nodes["a"].aborted[parent.child(1)] = "aborted"
         for tid in (parent.child(1), parent.child(1).child(2)):
             with pytest.raises(TransactionAborted, match="aborted on a"):
                 managers["a"].record_outbound(tid, "b")

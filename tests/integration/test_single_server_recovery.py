@@ -69,7 +69,6 @@ def test_other_servers_unaffected(cluster):
 
 def test_in_flight_transaction_at_failed_server_is_aborted(cluster):
     app = cluster.application("n1")
-    tm = cluster.node("n1").tm
 
     def in_flight():
         tid = yield from app.begin_transaction()
@@ -83,7 +82,7 @@ def test_in_flight_transaction_at_failed_server_is_aborted(cluster):
     cluster.node("n1").fail_server("victim")
     recover(cluster)
     # The recovery aborted the transaction and undid its buffered write.
-    assert tm.aborts >= 1
+    assert cluster.metrics.counter("n1", "tm.aborts").value >= 1
     assert get_value(cluster, app, "victim", 1) == 0
     process.kill("test over")
 

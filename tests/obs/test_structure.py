@@ -127,21 +127,33 @@ def test_a_message_kind_is_the_only_cost_knob():
 def test_one_abort_mark_and_no_zombie_guard():
     """An abort that has begun, or a family a peer failure doomed, is
     recorded in one place, the node's abort mark, and one helper adds to
-    it.  None of the per-component guards or per-fragment flags the mark
-    replaced is back."""
+    it.  The mark, with its reason, answers for an aborted fragment: the
+    Transaction Manager keeps no tombstone, and one walk lists a
+    family's members.  None of the per-component guards, per-fragment
+    flags or second merge paths the mark replaced is back."""
     guards = [f"{path}:{line}" for path, _, line in sites(
         r"_refuse_zombie|_aborted_tombstones|_aborted_tids|_undone_values"
         r"|\.aborting\b|\bzombie=|\babort_told\b|_tell_untold_children"
-        r"|\baborted_by_failure\b|\babort_on_prepare\b|\bis_root\b")]
+        r"|\baborted_by_failure\b|\babort_on_prepare\b|\bis_root\b"
+        r"|\bkeep_tombstone\b|_merge_child_into_parent|_merge_family_into"
+        r"|_handle_query_status|tm\.query_status|\babort_reason\b")]
     assert guards == []
     marks = [(path, function) for path, function, _ in sites(
-        r"\b(node|self)\.aborted(\.(add|update)\(|\s*\|=)")
+        r"\b(node|self)\.aborted(\[[^]]*\]\s*=(?!=)"
+        r"|\.(add|update|setdefault)\(|\s*\|=)")
         if path != "recovery/analysis.py"]  # RecoveryPlan.aborted
     assert marks == [("txn/manager.py", "_mark")]
+    from repro.txn.manager import TransactionManager
     from repro.txn.status import TransactionState
     fields = TransactionState.__dataclass_fields__
     assert not {"read_only", "abort_told", "aborted_by_failure",
-                "abort_on_prepare"} & set(fields)
+                "abort_on_prepare", "children", "abort_reason"} & set(fields)
+    tm = TransactionManager.__init__.__code__.co_names
+    assert not {"aborts", "commits"} & set(tm)
+    scans = [(path, function) for path, function, _ in sites(
+        r"is_ancestor_of\(|key=_deepest_first|\.toplevel ==")
+        if path == "txn/manager.py"]
+    assert scans == [("txn/manager.py", "_members")] * 2
     assert not [name for name, spec in fields.items()
                 if spec.type in ("bool", bool) and name != "has_remote_sites"]
 

@@ -23,6 +23,7 @@ storage soak runs ``--hypothesis-profile=soak`` (``conftest.py``).
 
 from dataclasses import dataclass, field
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -34,6 +35,7 @@ from hypothesis.stateful import (
 )
 
 from repro import TabsCluster, TabsConfig
+from repro.errors import InvalidTransaction
 from repro.recovery.audit import audit_abort_order, watch_terminal_statuses
 from repro.servers.op_array import OperationArrayServer
 from repro.sim import Process
@@ -181,12 +183,9 @@ class CommitProtocolModel(RuleBasedStateMachine):
 
     @rule(txn=consumes(txns))
     def end(self, txn):
-        # The client ends a transaction only once every call of its
-        # family has returned (a call still queued for a lock when its
-        # subtransaction is merged outlives the commit: ROADMAP item 12).
-        if not txn.idle or any(
-                other.step is not None and other.step.alive
-                for other in self.all if other.top is txn.top):
+        # Calls of the family's other members may still be outstanding:
+        # the commit waits for a running one and fails a queued one.
+        if not txn.idle:
             return
         app = self.cluster.application(txn.home)
 
@@ -334,7 +333,8 @@ TestCommitProtocolModel.settings = settings(
 
 # Shrunk examples, pinned.  The first three failed at the parent of the
 # change that added this model, the next two while it was being
-# written; the last is a defect still open.
+# written; the last two held a lock for good until a commit merged its
+# members as an abort ends them.
 
 
 def test_a_subtransaction_aborted_with_its_parent_is_undone_once():
@@ -409,24 +409,53 @@ def test_members_aborted_at_once_keep_their_own_ack_collections():
     state.teardown()
 
 
-def test_an_add_queued_behind_its_parent_outlives_the_commit():
-    """Pinned as a defect (ROADMAP item 12): a subtransaction's add waits
-    for the WRITE lock its parent holds, and the client ends the parent
-    meanwhile.  The commit merges the subtransaction and releases the
-    parent's locks; the queued add is then granted under a subtransaction
-    nobody will ever end, and its lock is held for good.  The model's
-    clients do not end a family with a call outstanding."""
+def test_an_add_queued_behind_its_parent_fails_at_the_commit():
+    """A subtransaction's add waits for the WRITE lock its parent holds,
+    and the client ends the parent meanwhile.  The commit merges the
+    subtransaction once none of its operations runs, and the merge fails
+    the add still queued, as an abort's ``ds.abort`` does.  Before, the
+    add was granted after the commit released the parent's locks, under
+    a subtransaction nobody would ever end, and held its lock for good."""
     state = CommitProtocolModel()
     top = state.begin_top(home="n0")
     sub = state.begin_sub(parent=top)
     state.add(cell=1, delta=1, node="n0", txn=top)
-    state.add(cell=1, delta=1, node="n0", txn=sub)
+    state.add(cell=1, delta=2, node="n0", txn=sub)
     assert sub.step.alive
+    state.end(txn=top)
+    state.settle()
+    assert top.status == "committed"
+    assert sub.adds == []
     cluster = state.cluster
-    app = cluster.application("n0")
-    assert cluster.run_on("n0", app.end_transaction(top.tid)) is True
-    cluster.settle()
-    assert sub.adds == [("ops0", 1, 1)]
     assert cluster.node("n0").tm.phase_of(sub.tid) is None
     locks = cluster.node("n0").servers["ops0"].library.locks
-    assert locks.held_keys(sub.tid) != []
+    assert locks.held_keys(sub.tid) == []
+    assert state.cells()["ops0", 1] == 1
+
+
+def test_an_operation_of_a_merged_subtransaction_opens_no_fragment():
+    """The client ends the top level, which merges its subtransaction,
+    then calls again under the subtransaction's identifier.  The join is
+    refused: a subtransaction of a family born at the node has a state
+    there until it ends.  Before, the join opened a fresh fragment that
+    nobody would ever end, and its lock was held for good."""
+    state = CommitProtocolModel()
+    top = state.begin_top(home="n0")
+    sub = state.begin_sub(parent=top)
+    state.add(cell=1, delta=1, node="n0", txn=sub)
+    state.end(txn=top)
+    assert top.status == "committed"
+    cluster = state.cluster
+    app = cluster.application("n0")
+
+    def late_add():
+        ref = yield from app.lookup_one("ops0", node_name="n0")
+        yield from app.call(ref, "add_cell", {"cell": 2, "delta": 5},
+                            sub.tid)
+    with pytest.raises(InvalidTransaction):
+        cluster.run_on("n0", late_add())
+    assert cluster.node("n0").tm.phase_of(sub.tid) is None
+    locks = cluster.node("n0").servers["ops0"].library.locks
+    assert locks.held_keys(sub.tid) == []
+    state.settle()
+    assert state.cells()["ops0", 2] == 0

@@ -14,7 +14,6 @@ from repro.kernel.messages import Message
 from repro.servers.int_array import IntegerArrayServer
 from repro.servers.op_array import OperationArrayServer
 from repro.sim import Timeout
-from repro.txn.status import TxnPhase
 from repro.wal.records import ValueUpdateRecord
 
 NODE = "n1"
@@ -125,7 +124,8 @@ def test_a_prepared_abort_cut_short_undoes_each_operation_once():
     cluster.restart_node(subordinate)
     cluster.settle()
 
-    assert cluster.node(subordinate).tm.phase_of(tid) is TxnPhase.ABORTED
+    assert cluster.node(subordinate).tm.phase_of(tid) is None
+    assert tid in cluster.node(subordinate).node.aborted
 
     def read(reader):
         ref = yield from app.lookup_one("ops")

@@ -10,7 +10,6 @@ from repro.kernel.vm import ObjectID
 from repro.locking.modes import WRITE
 from repro.servers.base import BaseDataServer
 from repro.txn.ids import TransactionID
-from repro.txn.status import TxnPhase
 from tests.property.conftest import fast_config
 
 
@@ -316,7 +315,8 @@ class TestRarePaths:
         with pytest.raises(ServerError, match="exploded"):
             cluster.run_on("n1", lib.execute_transaction(procedure))
         (tid,) = ran
-        assert cluster.node("n1").tm.phase_of(tid) is TxnPhase.ABORTED
+        assert cluster.node("n1").tm.phase_of(tid) is None
+        assert tid in cluster.node("n1").node.aborted
         assert not lib.locks.is_locked(oid)
 
     def test_prepare_of_a_transaction_the_server_never_saw_is_read_only(

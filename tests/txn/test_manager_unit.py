@@ -26,18 +26,15 @@ def request(cluster, tm, op, body):
     return cluster.engine.run_until(reply.receive()).body
 
 
-def test_query_status_of_unknown_transaction(env):
+def test_phase_of_unknown_transaction(env):
     cluster, tm, app = env
-    body = request(cluster, tm, "tm.query_status",
-                   {"tid": TransactionID("n1", 999)})
-    assert body["phase"] == "unknown"
+    assert tm.phase_of(TransactionID("n1", 999)) is None
 
 
-def test_query_status_of_active_transaction(env):
+def test_phase_of_active_transaction(env):
     cluster, tm, app = env
     tid = cluster.run_on("n1", app.begin_transaction())
-    body = request(cluster, tm, "tm.query_status", {"tid": tid})
-    assert body["phase"] == "active"
+    assert tm.phase_of(tid) is TxnPhase.ACTIVE
 
 
 def test_join_of_unknown_toplevel_rejected(env):
@@ -70,8 +67,9 @@ def test_outcome_query_for_unknown_transaction_presumes_abort(env):
                                "from": "n1"}))
     cluster.settle()
     # The reply datagram loops back to our own TM (from == n1); nothing to
-    # assert beyond it not crashing, but the commit counter is unchanged.
-    assert tm.commits == 0
+    # assert beyond it not crashing, but no commit is counted.
+    assert [name for node, name in cluster.metrics.counters()
+            if node == "n1" and name.startswith("commit.")] == []
 
 
 def test_abort_unknown_transaction_is_acknowledged(env):

@@ -60,9 +60,9 @@ def test_a_fold_a_server_refuses_raises_and_keeps_the_child(cluster):
     library._sys_subtxn_commit = refuse
     tm = cluster.node(NODE).tm
     with pytest.raises(ServerError, match="child's locks"):
-        cluster.run_on(NODE, tm._merge_child_into_parent(child))
+        cluster.run_on(NODE, tm._merge_members(child, into=top))
     assert tm.phase_of(child) is TxnPhase.ACTIVE
-    assert child in tm._states[top].children
+    assert tm._members(top) == [child, top]
 
 
 def test_forgetting_an_unknown_transaction_changes_nothing(cluster):

@@ -18,7 +18,6 @@ from repro.kernel.service import respond
 from repro.perf.pathmodel import commit_path
 from repro.servers.int_array import IntegerArrayServer
 from repro.sim import Process
-from repro.txn.status import TxnPhase
 from tests.property.conftest import fast_config
 
 NODE = "n1"
@@ -149,7 +148,10 @@ def test_one_abort_vote_aborts_all_four_and_strands_no_reply(reply_ports):
 
     assert cluster.run_on(NODE, app.end_transaction(tid)) is False
     cluster.settle()
-    assert cluster.node(NODE).tm.phase_of(tid) is TxnPhase.ABORTED
+    assert cluster.node(NODE).tm.phase_of(tid) is None
+    assert tid in cluster.node(NODE).node.aborted
+    # A refused commit is one abort.
+    assert cluster.metrics.counter(NODE, "tm.aborts").value == 1
     # The vote was combined after all four answered, so no reply was
     # left behind on a port nobody will read ...
     assert sorted(served(tracer, "ds.prepare")) == ["a0", "a1", "a2", "a3"]
@@ -221,7 +223,8 @@ def test_server_failed_mid_prepare_and_recovered_aborts_everywhere(
 
     assert cluster.engine.run_until(ending) is False
     cluster.settle()
-    assert tabs.tm.phase_of(tid) is TxnPhase.ABORTED
+    assert tabs.tm.phase_of(tid) is None
+    assert tid in tabs.node.aborted
     prepares = served(tracer, "ds.prepare")
     assert {name: len(spans) for name, spans in prepares.items()} == {
         "a0": 1, "a1": 1, "a3": 1}
@@ -357,8 +360,8 @@ def test_outcome_is_the_combination_rule_and_every_server_ends_lock_free(
     committed = cluster.run_on(NODE, app.end_transaction(tid))
     cluster.settle()
     assert committed is not ("abort" in roles or "dead" in roles)
-    assert tabs.tm.phase_of(tid) is (None if committed
-                                     else TxnPhase.ABORTED)
+    assert tabs.tm.phase_of(tid) is None
+    assert (tid in tabs.node.aborted) is not committed
     for index, role in enumerate(roles):
         assert libraries[index].locks.held_keys(tid) == []
         assert libraries[index].locks.wait_graph() == []

@@ -43,6 +43,12 @@ def tm(cluster, name):
     return cluster.node(name).tm
 
 
+def mark(cluster, name):
+    """Node ``name``'s abort mark: tid -> why it aborted.  An aborted
+    fragment has no Transaction Manager state; the mark answers for it."""
+    return cluster.node(name).node.aborted
+
+
 def deliver(cluster, name, op, tid, **body):
     """Put ``op`` for ``tid`` into node ``name``'s Transaction Manager
     port, as the Communication Manager forwards a datagram."""
@@ -114,16 +120,19 @@ def test_an_aborted_fragment_votes_abort(cluster):
     set_cell(cluster, app, tid, 7)
     peer_failed(cluster, tid)
     cluster.settle()
-    assert tm(cluster, SUBORDINATE).phase_of(tid) is TxnPhase.ABORTED
+    assert tm(cluster, SUBORDINATE).phase_of(tid) is None
+    assert mark(cluster, SUBORDINATE)[tid] == f"peer {PEER} failed"
 
     assert early_vote(cluster, tid) == {SUBORDINATE: "abort"}
-    assert tm(cluster, SUBORDINATE).phase_of(tid) is TxnPhase.ABORTED
+    assert tm(cluster, SUBORDINATE).phase_of(tid) is None
+    assert mark(cluster, SUBORDINATE)[tid] == f"peer {PEER} failed"
 
 
 def test_a_tombstone_a_peer_failure_flagged_votes_abort(cluster):
     """Only a subtransaction operated here, tracked under its own id; a
-    peer failure aborted it.  The top level has no state here, and its
-    prepare must not be answered read-only."""
+    peer failure aborted it.  Neither has a state here now, but the
+    mark holds both, and the top level's prepare must not be answered
+    read-only."""
     app = cluster.application(COORDINATOR)
     tid = begin(cluster, app)
     sub = begin(cluster, app, parent=tid)
@@ -133,7 +142,9 @@ def test_a_tombstone_a_peer_failure_flagged_votes_abort(cluster):
     assert subordinate.phase_of(tid) is None
     peer_failed(cluster, tid)
     cluster.settle()
-    assert subordinate.phase_of(sub) is TxnPhase.ABORTED
+    assert subordinate.phase_of(sub) is None
+    assert mark(cluster, SUBORDINATE)[sub] == f"peer {PEER} failed"
+    assert tid in mark(cluster, SUBORDINATE)
 
     assert early_vote(cluster, tid) == {SUBORDINATE: "abort"}
     assert subordinate.phase_of(tid) is None
@@ -165,8 +176,8 @@ def test_a_peer_failure_while_preparing_turns_the_vote_to_abort(cluster):
     run_a_while(cluster)
 
     assert votes.received == {SUBORDINATE: "abort"}
-    assert subordinate.phase_of(tid) is TxnPhase.ABORTED
-    assert subordinate._states[tid].abort_reason == f"peer {PEER} failed"
+    assert subordinate.phase_of(tid) is None
+    assert mark(cluster, SUBORDINATE)[tid] == f"peer {PEER} failed"
     assert server.locks.held_keys(tid) == []
     assert cell(cluster, app) == before
 
@@ -218,7 +229,8 @@ def test_two_aborts_of_a_prepared_fragment_walk_its_chain_once(cluster):
     run_a_while(cluster)
 
     assert acks.received == {SUBORDINATE: "aborted"}
-    assert subordinate.phase_of(tid) is TxnPhase.ABORTED
+    assert subordinate.phase_of(tid) is None
+    assert tid in mark(cluster, SUBORDINATE)
     tabs = cluster.node(SUBORDINATE)
     cluster.run_on(SUBORDINATE, tabs.rm.wal.force())
     records = [record for record in durable_records(tabs)
