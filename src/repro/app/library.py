@@ -28,7 +28,6 @@ from repro.kernel.service import request
 from repro.nameserver.library import NameServerLibrary
 from repro.rpc import stubs
 from repro.rpc.stubs import ServiceRef
-from repro.sim import Timeout
 from repro.txn.ids import NULL_TID, TransactionID
 from repro.txn.manager import SERVICE as TM_SERVICE
 
@@ -177,9 +176,7 @@ def run_transaction(app, body_fn: Callable, retries: int = 0,
             yield from app.abort_transaction(tid, reason=repr(error))
             if isinstance(error, retryable) and attempt < retries:
                 attempt += 1
-                yield Timeout(app.ctx.engine,
-                              app.ctx.random.uniform(0.0,
-                                                     backoff_ms * attempt))
+                yield app.ctx.random.uniform(0.0, backoff_ms * attempt)
                 continue
             raise
         if committed:

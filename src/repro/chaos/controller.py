@@ -31,7 +31,7 @@ from repro.chaos.plan import (
 )
 from repro.errors import TabsError
 from repro.recovery.audit import watch_terminal_statuses
-from repro.sim import Process, Timeout
+from repro.sim import Process
 from repro.wal.records import TransactionStatusRecord, TxnStatus
 
 
@@ -371,9 +371,9 @@ class ChaosController:
         """
         armed_at = self.engine.now
         if action.arm_after_ms:
-            yield Timeout(self.engine, action.arm_after_ms)
+            yield action.arm_after_ms
         while True:
-            yield Timeout(self.engine, action.poll_ms)
+            yield action.poll_ms
             if (action.disarm_after_ms
                     and self.engine.now - armed_at > action.disarm_after_ms):
                 self.record("watch-disarmed", action.crash_node)

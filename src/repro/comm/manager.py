@@ -36,7 +36,6 @@ from repro.kernel.costs import Primitive
 from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
 from repro.kernel.service import Service, handlers_of, respond, spawn_handler
-from repro.sim import Timeout
 from repro.txn.ids import TransactionID
 
 SERVICE = "communication_manager"
@@ -89,7 +88,7 @@ class CommunicationManager:
         # wire latency that overlaps with the sender's next work.  This is
         # exactly the paper's one-half-datagram accounting (Table 5-3).
         time_ms = self.ctx.delay_of(Primitive.DATAGRAM)
-        yield Timeout(self.ctx.engine, time_ms / 2)
+        yield time_ms / 2
         self.network.deliver_datagram(target, payload, time_ms / 2)
 
     def _handle_spanning_info(self, message: Message):
@@ -104,7 +103,7 @@ class CommunicationManager:
         yield self.ctx.cpu("CM", self.ctx.cpu_costs.cm_datagram)
         payload: Message = message.body["payload"]
         time_ms = self.ctx.delay_of(Primitive.DATAGRAM)
-        yield Timeout(self.ctx.engine, time_ms / 2)
+        yield time_ms / 2
         self.network.broadcast_datagram(
             self.node.name,
             lambda _target: Message(op=payload.op, body=dict(payload.body),

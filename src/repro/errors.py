@@ -19,17 +19,6 @@ class SimulationError(TabsError):
     """The discrete-event simulation was driven incorrectly."""
 
 
-class Interrupt(TabsError):
-    """Raised inside a process that another process interrupted.
-
-    ``cause`` carries the value passed to :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class ProcessKilled(TabsError):
     """A simulated process was killed (e.g. its node crashed)."""
 

@@ -19,7 +19,7 @@ from repro.kernel.costs import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NO_SPAN, SpanScope, Tracer
-from repro.sim import Engine, Timeout
+from repro.sim import Engine
 
 
 class SimContext:
@@ -50,9 +50,6 @@ class SimContext:
         #: every LockManager built against this context registers here so
         #: the profiler can snapshot cluster-wide wait-for graphs
         self.lock_managers: list = []
-        #: cached ``cpu:<component>`` timeout labels (one small string per
-        #: distinct component instead of an f-string per charge)
-        self._cpu_labels: dict[str, str] = {}
         #: Section 5.3's "Improved TABS Architecture": the Recovery Manager
         #: and Transaction Manager are merged with the Accent kernel, which
         #: eliminates message passing among those three components and lets
@@ -79,8 +76,9 @@ class SimContext:
             return NO_SPAN
         return tracer.span(name, node, component, **where)
 
-    def charge(self, primitive: Primitive, fraction: float = 1.0) -> Timeout:
-        """Record a primitive execution and return its latency as an event.
+    def charge(self, primitive: Primitive, fraction: float = 1.0) -> float:
+        """Record a primitive execution and return its latency, for the
+        running process to sleep (``yield ctx.charge(...)``).
 
         ``fraction`` supports the paper's half-datagram accounting: the
         sender of a datagram is busy for half the datagram time while the
@@ -88,7 +86,7 @@ class SimContext:
         """
         time_ms = self.profile.time_of(primitive) * fraction
         self.meter.record(primitive, time_ms, fraction)
-        return Timeout(self.engine, time_ms, name=primitive.value)
+        return time_ms
 
     def delay_of(self, primitive: Primitive, fraction: float = 1.0,
                  count: bool = True) -> float:
@@ -98,10 +96,8 @@ class SimContext:
             self.meter.record(primitive, time_ms, fraction)
         return time_ms
 
-    def cpu(self, component: str, time_ms: float) -> Timeout:
-        """CPU work by a named component: records and returns its latency."""
+    def cpu(self, component: str, time_ms: float) -> float:
+        """CPU work by a named component: records and returns its latency,
+        for the running process to sleep (``yield ctx.cpu(...)``)."""
         self.meter.record_cpu(component, time_ms)
-        label = self._cpu_labels.get(component)
-        if label is None:
-            label = self._cpu_labels[component] = f"cpu:{component}"
-        return Timeout(self.engine, time_ms, name=label)
+        return time_ms

@@ -46,7 +46,6 @@ from typing import Callable, Iterator
 from repro.errors import PageCorruption
 from repro.kernel.context import SimContext
 from repro.kernel.costs import Primitive
-from repro.sim import Timeout
 
 #: Bytes per page/sector (Section 5.1: "Pages are 512 bytes").
 PAGE_SIZE = 512
@@ -125,12 +124,11 @@ class Disk:
         #: meter still reflects the paper's primitive accounting.
         self.latency_factor = 1.0
 
-    def _io_latency(self, primitive: Primitive) -> Iterator[Timeout]:
+    def _io_latency(self, primitive: Primitive) -> Iterator[float]:
         yield self.ctx.charge(primitive)
         if self.latency_factor > 1.0:
-            extra = (self.ctx.profile.time_of(primitive)
-                     * (self.latency_factor - 1.0))
-            yield Timeout(self.ctx.engine, extra, name="disk-latency-spike")
+            yield (self.ctx.profile.time_of(primitive)
+                   * (self.latency_factor - 1.0))
 
     # -- verification -----------------------------------------------------------
 
@@ -166,7 +164,7 @@ class Disk:
         """Every sector carrying data or metadata (sorted; audits)."""
         return sorted(set(self._pages) | set(self._checksums))
 
-    def read_page(self, segment_id: str, page: int) -> Iterator[Timeout]:
+    def read_page(self, segment_id: str, page: int) -> Iterator[float]:
         """Read one page (generator; yields the I/O latency).
 
         Verifies the sector's payload checksum: a mismatch counts a
@@ -194,7 +192,7 @@ class Disk:
 
     def write_page(self, segment_id: str, page: int,
                    data: dict[int, object],
-                   sequence_number: int | None = None) -> Iterator[Timeout]:
+                   sequence_number: int | None = None) -> Iterator[float]:
         """Write one page and, atomically, its header metadata.
 
         The sector header -- sequence number and payload checksum -- is

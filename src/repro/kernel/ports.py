@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from repro.errors import InvalidPort
 from repro.kernel.context import SimContext
 from repro.kernel.messages import Message
-from repro.sim import Event
+from repro.sim import PARKED, Event, Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.node import Node
@@ -43,11 +43,12 @@ class Port:
         self._epoch = node.epoch if node is not None else 0
         self.port_id = next(_port_ids)
         self.name = name or f"port-{self.port_id}"
-        #: receive-event label, computed once -- receive() is hot
-        self._recv_name = "recv:" + self.name
         self.dead = False
         self._queue: collections.deque[Message] = collections.deque()
-        self._waiters: collections.deque[Event] = collections.deque()
+        #: receivers in arrival order: ``(process, token)`` for one parked
+        #: by :meth:`wait`, ``(event, 0)`` for a :meth:`receive`
+        self._waiters: collections.deque[tuple[Event, int]] = \
+            collections.deque()
         #: messages dropped because the port was dead (diagnostic)
         self.dropped = 0
         #: the :class:`~repro.kernel.service.Service` that takes every
@@ -96,26 +97,45 @@ class Port:
         if not self.alive:
             self.dropped += 1
             return
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if not waiter.triggered:
+        if self._waiters:
+            # The first receiver takes it, even one whose wait is stale
+            # (killed, or its deadline won): that wake-up does nothing.
+            waiter, token = self._waiters.popleft()
+            if token:
+                waiter.wake_last(token, message)  # type: ignore[attr-defined]
+            else:
                 waiter.succeed_last(message)
-                return
+            return
         if self.service is not None:
             self.service.deliver(message)
         else:
             self._queue.append(message)
 
     def receive(self) -> Event:
-        """An event yielding the next message (FIFO among waiters)."""
+        """An event yielding the next message (FIFO among waiters), for a
+        caller that needs one; a process waits with :meth:`wait`."""
         if not self.alive:
             raise InvalidPort(f"receive on dead port {self.name!r}")
-        event = Event(self.ctx.engine, name=self._recv_name)
+        event = Event(self.ctx.engine, name="recv:" + self.name)
         if self._queue:
             event.succeed(self._queue.popleft())
         else:
-            self._waiters.append(event)
+            self._waiters.append((event, 0))
         return event
+
+    def wait(self, deadline_ms: float | None = None) -> object:
+        """Park the running process for the next message, FIFO among
+        waiters, and return what it yields: it resumes with the message,
+        or with None once ``deadline_ms`` has passed first."""
+        if not self.alive:
+            raise InvalidPort(f"receive on dead port {self.name!r}")
+        process: Process = self.ctx.engine.active_process  # type: ignore
+        token = process.park(deadline_ms)
+        if self._queue:
+            process.wake(token, self._queue.popleft())
+        else:
+            self._waiters.append((process, token))
+        return PARKED
 
     def try_receive(self) -> Message | None:
         """Dequeue a message if one is waiting; never blocks."""

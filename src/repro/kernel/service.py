@@ -27,7 +27,7 @@ from typing import Callable, Generator
 from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
-from repro.sim import AnyOf, Event, Timeout
+from repro.sim import Event
 
 #: ``handler(message)``: a generator function when the handler waits, a
 #: plain function or method when it never does
@@ -187,8 +187,9 @@ def spawn_handler(node: Node, message: Message, body: Generator,
 def post(node: Node, port: Port, op: str, body: dict, *, reply: str,
          kind: MessageKind = MessageKind.SMALL, tid: object = None) -> Port:
     """Send ``op`` to ``port`` with a fresh reply port named ``reply``
-    (the profiler's label for the wait) and return that port.  ``kind``
-    alone says what the request costs (:meth:`Port.send`)."""
+    (the profiler's label for the reply's delivery) and return that
+    port.  ``kind`` alone says what the request costs
+    (:meth:`Port.send`)."""
     reply_port = Port(node.ctx, node=node, name=reply)
     port.send(Message(op=op, body=body, reply_to=reply_port, kind=kind,
                       tid=tid, sender_node=node.name))
@@ -198,13 +199,8 @@ def post(node: Node, port: Port, op: str, body: dict, *, reply: str,
 def answer(reply_port: Port, deadline_ms: float | None = None) -> Generator:
     """Wait for the reply on a :func:`post`'s port (generator): its body,
     or None when ``deadline_ms`` passes first."""
-    if deadline_ms is None:
-        response = yield reply_port.receive()
-        return response.body
-    engine = reply_port.ctx.engine
-    deadline = Timeout(engine, deadline_ms)
-    which, response = yield AnyOf(engine, [reply_port.receive(), deadline])
-    return None if which else response.body
+    response = yield reply_port.wait(deadline_ms)
+    return None if response is None else response.body
 
 
 def unmarshal(body: dict) -> dict:

@@ -17,7 +17,7 @@ from typing import Hashable, Iterator
 from repro.errors import LockTimeout, TabsError, TransactionAborted
 from repro.kernel.context import SimContext
 from repro.locking.modes import CompatibilityMatrix, LockMode, READ_WRITE_PROTOCOL
-from repro.sim import AnyOf, Event, Timeout
+from repro.sim import PARKED, Process
 
 #: Default lock wait bound, milliseconds.  "Time-outs ... are explicitly set
 #: by system users"; benchmarks never wait, so the default only matters for
@@ -29,7 +29,11 @@ DEFAULT_LOCK_TIMEOUT_MS = 10_000.0
 class _Waiter:
     tid: Hashable
     mode: LockMode
-    event: Event
+    #: the waiting process and its park token
+    process: Process
+    token: int
+    #: granted, or failed because its transaction finished
+    triggered: bool = False
 
 
 @dataclass
@@ -180,22 +184,19 @@ class LockManager:
         depth.inc()
         started = self.ctx.now
         entry = self._locks[key]
-        waiter = _Waiter(tid, mode, Event(self.ctx.engine,
-                                          name=f"lock:{key}"))
+        process: Process = self.ctx.engine.active_process  # type: ignore
+        waiter = _Waiter(tid, mode, process, process.park(
+            self.default_timeout_ms if timeout_ms is None else timeout_ms))
         if priority:
             entry.queue.appendleft(waiter)
         else:
             entry.queue.append(waiter)
-        deadline = Timeout(
-            self.ctx.engine,
-            self.default_timeout_ms if timeout_ms is None else timeout_ms)
         outcome = "granted"
         with self.ctx.span("lock.wait", self.node_name, "LOCK", tid=tid,
                            key=lambda: str(key), mode=mode.name) as span:
             try:
-                which, _value = yield AnyOf(self.ctx.engine,
-                                            [waiter.event, deadline])
-                if which == 1 and not waiter.event.triggered:
+                granted = yield PARKED
+                if granted is None and not waiter.triggered:
                     entry.queue.remove(waiter)
                     self.timeouts += 1
                     metrics.counter(self.node_name, "lock.timeouts").inc()
@@ -242,10 +243,11 @@ class LockManager:
                     entry.holders.setdefault(heir, []).extend(modes)
             for waiter in [w for w in entry.queue if w.tid == tid]:
                 entry.queue.remove(waiter)
-                if not waiter.event.triggered:
-                    waiter.event.fail(TransactionAborted(
+                if not waiter.triggered:
+                    waiter.triggered = True
+                    waiter.process.wake(waiter.token, TransactionAborted(
                         tid, f"lock request on {key!r} cancelled: "
-                        f"transaction finished while queued"))
+                        f"transaction finished while queued"), ok=False)
             self._wake(entry)
             if not entry.holders and not entry.queue:
                 del self._locks[key]
@@ -276,14 +278,15 @@ class LockManager:
         """Grant from the head of the queue while compatible (FIFO)."""
         while entry.queue:
             waiter = entry.queue[0]
-            if waiter.event.triggered:
+            if waiter.triggered:
                 entry.queue.popleft()  # stale: its transaction timed out
                 continue
             if not self._grantable(entry, waiter.tid, waiter.mode):
                 break
             entry.queue.popleft()
             self._grant(entry, waiter.tid, waiter.mode)
-            waiter.event.succeed()
+            waiter.triggered = True
+            waiter.process.wake(waiter.token, True)
 
     # -- crash ------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from repro.kernel.messages import Message
 from repro.kernel.node import Node
 from repro.kernel.service import Service, handlers_of, respond
 from repro.rpc.stubs import ServiceRef
-from repro.sim import AnyOf, Event, Timeout
+from repro.sim import PARKED, Process
 
 SERVICE = "name_server"
 
@@ -48,7 +48,10 @@ class _PendingLookup:
     #: only references on this node count ("" = any node)
     node_name: str = ""
     collected: list[ServiceRef] = field(default_factory=list)
-    done: Event | None = None
+    #: the broadcasting process and its park token
+    waiter: tuple[Process, int] | None = None
+    #: ``wanted`` references have arrived
+    done: bool = False
 
 
 class NameServer:
@@ -118,9 +121,7 @@ class NameServer:
         (on ``node_name``, if given) or the deadline."""
         lookup_id = next(_lookup_ids)
         pending = _PendingLookup(name=name, wanted=wanted,
-                                 node_name=node_name,
-                                 done=Event(self.ctx.engine,
-                                            name=f"lookup:{name}"))
+                                 node_name=node_name)
         self._pending[lookup_id] = pending
         self.broadcasts += 1
         self.ctx.metrics.counter(self.node.name, "ns.broadcasts").inc()
@@ -130,8 +131,9 @@ class NameServer:
                                 "origin": self.node.name})
         self.node.service(CM_SERVICE).send(
             Message(op="cm.broadcast", body={"payload": payload}))
-        deadline = Timeout(self.ctx.engine, max_wait_ms)
-        yield AnyOf(self.ctx.engine, [pending.done, deadline])
+        process: Process = self.ctx.engine.active_process  # type: ignore
+        pending.waiter = (process, process.park(max_wait_ms))
+        yield PARKED
         del self._pending[lookup_id]
         return pending.collected
 
@@ -158,6 +160,7 @@ class NameServer:
         pending.collected.extend(
             ref for ref in message.body["refs"]
             if not pending.node_name or ref.node_name == pending.node_name)
-        if (len(pending.collected) >= pending.wanted
-                and not pending.done.triggered):
-            pending.done.succeed()
+        if len(pending.collected) >= pending.wanted and not pending.done:
+            pending.done = True
+            process, token = pending.waiter  # type: ignore[misc]
+            process.wake(token, True)

@@ -182,7 +182,7 @@ def collapsed_stacks(profiler) -> str:
     One line per handler category -- ``sim;Type;label value`` -- where
     the value is cumulative wall time in integer microseconds, the input
     ``flamegraph.pl`` and speedscope both accept.  Category segments
-    (``Timeout:datagram``) become stack frames under a common ``sim``
+    (``Process:client``) become stack frames under a common ``sim``
     root.
     """
     lines = []

@@ -18,7 +18,7 @@ Three layers:
 - **Event-loop accounting** -- :meth:`SimProfiler.run_step` wraps every
   callback the :class:`~repro.sim.engine.Engine` pops, attributing wall
   time and counts to a *handler category* derived from the callback's
-  owner (``Process:client``, ``Timeout:datagram``) or its closure's
+  owner (``Process:client``, ``Port:rpc-reply:set_cell``) or its closure's
   qualname (``Network._arrival``).  Label normalisation strips instance
   digits so two same-shape runs produce the same category set.
 - **Contention telemetry** -- :meth:`SimProfiler.record_lock_wait` feeds
@@ -68,7 +68,7 @@ def handler_category(callback: Callable[[], None]) -> str:
 
     Bound methods are attributed to their owner -- for simulation events
     that is the event type plus its normalised name label
-    (``Timeout:datagram``, ``Process:client``, ``Event:lock``).  Plain
+    (``Process:client``, ``Port:rpc-reply:set_cell``, ``Event:abort``).  Plain
     functions and lambdas are attributed to the enclosing function of
     their qualname (``Network._arrival``, ``Timeout.__init__``).
     """

@@ -34,7 +34,6 @@ from typing import Callable
 from repro.core.cluster import TabsCluster
 from repro.core.config import CommitConfig, TabsConfig
 from repro.servers.int_array import IntegerArrayServer
-from repro.sim import Timeout
 
 
 @dataclass
@@ -108,7 +107,7 @@ def run_closed_loop(cluster: TabsCluster, clients: int, duration_ms: float,
 
     def sentinel():
         # Keeps time advancing even if every client blocks on a lock.
-        yield Timeout(engine, duration_ms)
+        yield duration_ms
 
     cluster.spawn_on(min(cluster.nodes), sentinel(), name="sentinel")
     for process in workers:

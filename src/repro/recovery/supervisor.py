@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.sim import Process, Timeout
+from repro.sim import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.facility import TabsNode
@@ -96,8 +96,7 @@ class RecoverySupervisor:
         if key in self._repairing:
             # Another coroutine is repairing this page; wait it out.
             while key in self._repairing:
-                yield Timeout(self.ctx.engine, 0.1,
-                              name=f"media-repair-wait:{segment_id}:{page}")
+                yield 0.1
             return self.repair_outcomes.get(key) == "repaired"
         self._repairing.add(key)
         node = self.tabs_node.node

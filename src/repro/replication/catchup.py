@@ -77,7 +77,6 @@ from repro.errors import (
 )
 from repro.kernel.disk import PAGE_SIZE
 from repro.replication.server import unpack_cell
-from repro.sim import Timeout
 
 #: cells per snapshot/apply chunk: small enough that a chunk only ever
 #: waits on a handful of concurrent writers
@@ -193,8 +192,7 @@ def copy_shard(app, keyspace: str, source: str, dest: str, ready,
                 raise CopyExhausted(
                     f"copy of {keyspace!r} from {source!r} to {dest!r} "
                     f"failed {attempt} times in a row")
-            yield Timeout(ctx.engine,
-                          ctx.random.uniform(0.5, 1.0) * RETRY_MS * attempt)
+            yield ctx.random.uniform(0.5, 1.0) * RETRY_MS * attempt
         if not ready():
             attempt += 1
             continue

@@ -24,7 +24,6 @@ from repro.kernel.messages import MessageKind
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
 from repro.kernel.service import answer, post, unmarshal
-from repro.sim import Timeout
 from repro.txn.ids import TransactionID
 
 #: How long a caller waits for a remote server's response before declaring
@@ -112,7 +111,7 @@ def call(network: Network, client: Node, ref: ServiceRef, op: str,
                 # Deterministic jitter: the seeded RNG spreads retriers
                 # without breaking trace reproducibility.
                 backoff *= 0.5 + ctx.random.random()
-                yield Timeout(ctx.engine, backoff)
+                yield backoff
                 if failure.stale_ref:
                     fresh = yield from _re_resolve(client, ref)
                     if fresh is not None:
@@ -171,7 +170,7 @@ def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
         network.manager(ref.node_name).record_inbound(tid, client.name)
         ctx.meter.record_cpu("CM", ctx.cpu_costs.cm_session_msg)
 
-    yield Timeout(ctx.engine, total_ms / 2)  # request transport + dispatch
+    yield total_ms / 2  # request transport + dispatch
     if not local and not network.reachable(client.name, ref.node_name):
         # Still pre-dispatch: the request never reached the peer, so a
         # retry cannot double-execute it.
@@ -192,5 +191,5 @@ def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
         raise SessionBroken(
             f"no response from {ref.node_name!r} for {op!r} within "
             f"{timeout_ms} ms (node crashed?)")
-    yield Timeout(ctx.engine, total_ms / 2)  # response transport
+    yield total_ms / 2  # response transport
     return unmarshal(response)

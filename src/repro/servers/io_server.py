@@ -37,7 +37,7 @@ from repro.errors import ServerError
 from repro.kernel.disk import PAGE_SIZE
 from repro.locking.modes import WRITE
 from repro.servers.base import BaseDataServer
-from repro.sim import AnyOf, Event, Timeout
+from repro.sim import PARKED, Process
 from repro.txn.ids import TransactionID
 
 #: per-area layout, one page per area:
@@ -181,9 +181,9 @@ class IOServer(BaseDataServer):
             str(body["data"]))
         readers = self._readers.get(area)
         while readers and self._keyboard[area]:
-            waiter = readers.popleft()
-            if not waiter.triggered:
-                waiter.succeed(self._keyboard[area].popleft())
+            # A reader whose deadline won still takes its line.
+            process, token = readers.popleft()
+            process.wake(token, self._keyboard[area].popleft())
         return {}
         yield  # pragma: no cover
 
@@ -195,12 +195,12 @@ class IOServer(BaseDataServer):
         if buffered:
             text = buffered.popleft()
         else:
-            waiter = Event(self.ctx_engine, name=f"kbd:{area}")
-            self._readers.setdefault(area, collections.deque()).append(waiter)
-            deadline = Timeout(self.ctx_engine,
-                               float(body.get("max_wait_ms", 60_000.0)))
-            which, text = yield AnyOf(self.ctx_engine, [waiter, deadline])
-            if which == 1:
+            process: Process = self.ctx_engine.active_process  # type: ignore
+            token = process.park(float(body.get("max_wait_ms", 60_000.0)))
+            self._readers.setdefault(area, collections.deque()).append(
+                (process, token))
+            text = yield PARKED
+            if text is None:
                 raise ServerError(f"area {area}: no input arrived")
         yield from self._append_line(area, slot, text, boxed=True)
         return {"data": text}

@@ -8,9 +8,13 @@ makes same-time ordering deterministic (FIFO in schedule order).  The
 determinism contract -- every golden digest and bench baseline rests on it
 and on nothing else about the queue.  The sequence values themselves are
 not part of it: a wake-up due next runs inside the entry that caused it
-(:meth:`repro.sim.events.Event.succeed_last`) and a message handler's
-finish queues nothing (``Process.unjoinable``), which shifts later values
-down and swaps no two entries (docs/SIMULATOR.md).
+(:meth:`repro.sim.events.Event.succeed_last`), a wait with one waiter
+resumes its process from the entry that ends it and allocates no event
+-- a race against a deadline still takes the hop of its own the race
+took, unless a reply due next ends it (:meth:`repro.sim.Process.park`)
+-- and a message handler's finish queues nothing
+(``Process.unjoinable``); each shifts later values down and swaps no two
+entries (docs/SIMULATOR.md).
 
 A caller may take a sequence number ahead of its entry
 (:meth:`Engine.reserve`) and queue the entry at that key later

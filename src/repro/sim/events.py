@@ -6,9 +6,10 @@ An :class:`Event` moves through three states:
 -> ``processed`` (callbacks have run).  A wake-up due next
 (:meth:`Event.succeed_last`) goes straight from pending to processed.
 
-Processes wait on events by yielding them; see :mod:`repro.sim.process`.
+Processes wait on events by yielding them; a wait with one waiter -- a
+sleep, a reply, a lock -- needs none (see :mod:`repro.sim.process`).
 
-These are the hottest allocations in the simulator, so the classes are
+Events are allocated on hot paths, so the classes are
 slotted, the observer list is allocated lazily (most events are waited on
 by at most one observer, many by none), and default names are computed
 lazily (the f-string only materialises when a profiler or repr asks).
@@ -16,7 +17,6 @@ lazily (the f-string only materialises when a profiler or repr asks).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -96,7 +96,8 @@ class Event:
         :meth:`succeed` would queue is the next to pop, so the callbacks
         run here instead, at the same place in the order and without a
         queue entry of their own.  Callers: a :class:`Timeout` firing and
-        a port delivering to a waiting receiver.
+        a port delivering to a waiting ``receive()``; a process's own
+        waits follow the same rule (:meth:`repro.sim.Process.wake_last`).
         """
         if self._ok is not None:
             raise SimulationError(f"event {self!r} triggered twice")
@@ -164,7 +165,11 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that succeeds after a fixed simulated delay."""
+    """An event that succeeds after a fixed simulated delay.
+
+    A process that only sleeps yields the delay instead
+    (:mod:`repro.sim.process`); this is for a caller that needs the event.
+    """
 
     __slots__ = ("delay", "_timeout_value")
 
@@ -183,71 +188,3 @@ class Timeout(Event):
 
     def _fire(self) -> None:
         self.succeed_last(self._timeout_value)
-
-
-class _Condition(Event):
-    """Base for AnyOf/AllOf composite events."""
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, engine: Engine, events: list[Event], name: str) -> None:
-        super().__init__(engine, name)
-        self._events = list(events)
-        self._remaining = len(self._events)
-        if not self._events:
-            self.succeed([])
-            return
-        # Each child's position is fixed at registration: looking the event
-        # up later (list.index) would report the *first* slot when the same
-        # Event object appears twice in the list.
-        for index, event in enumerate(self._events):
-            event.add_callback(partial(self._on_child, index))
-
-    def _on_child(self, index: int, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Succeeds when the first child event is processed.
-
-    The value is the ``(index, value)`` of the first event to complete.  If
-    that event failed, this condition fails with the same exception.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, engine: Engine, events: list[Event]) -> None:
-        super().__init__(engine, events, "any_of")
-
-    def _on_child(self, index: int, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed((index, event._value))
-        else:
-            assert isinstance(event._value, BaseException)
-            self.fail(event._value)
-
-
-class AllOf(_Condition):
-    """Succeeds when every child event has been processed.
-
-    The value is the list of child values in constructor order.  The first
-    child failure fails the condition immediately.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, engine: Engine, events: list[Event]) -> None:
-        super().__init__(engine, events, "all_of")
-
-    def _on_child(self, index: int, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            assert isinstance(event._value, BaseException)
-            self.fail(event._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([e._value for e in self._events])

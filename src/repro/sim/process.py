@@ -1,35 +1,53 @@
 """Generator-based lightweight processes.
 
-A process wraps a Python generator.  The generator *yields* events to
-suspend; when the event triggers, the generator is resumed with the event's
-value (or the event's exception is thrown into it).  A process is itself an
-:class:`Event` that succeeds with the generator's return value, so processes
-can wait on each other.
+A process wraps a Python generator.  The generator *yields* to suspend,
+in one of three ways:
 
-Two forms of asynchronous termination exist, mirroring what the TABS
-substrate needs:
+- an :class:`Event` -- resumed with the event's value once it is
+  processed (or the event's exception is thrown into it);
+- a number -- a sleep: resumed after that many simulated milliseconds
+  (``yield ctx.cpu(...)``, ``yield RETRY_MS``);
+- :data:`PARKED` -- a wait the process arranged itself with
+  :meth:`Process.park`: whoever ends it resumes the process directly
+  (:meth:`Process.end`, :meth:`Process.wake`, :meth:`Process.wake_last`),
+  or the deadline does, with None.
 
-- :meth:`Process.interrupt` throws :class:`repro.errors.Interrupt` into the
-  generator at its current suspension point (nothing in the system calls
-  it yet: lock and call time-outs race a :class:`Timeout` instead).
-- :meth:`Process.kill` destroys the process without resuming it (used when a
-  node crashes: its processes simply cease to exist).
+A sleep or a park is a wait with one waiter, so it allocates no event:
+the queue entry that ends it resumes the process (docs/SIMULATOR.md "A
+wait with one waiter needs no event").  A process is itself an
+:class:`Event` that succeeds with the generator's return value, so
+processes can wait on each other.
+
+:meth:`Process.kill` destroys the process without resuming it (used
+when a node crashes: its processes simply cease to exist).
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from repro.errors import Interrupt, ProcessKilled, SimulationError
+from repro.errors import ProcessKilled, SimulationError
 from repro.sim.engine import Engine
 from repro.sim.events import Event
+
+
+class _Parked:
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "PARKED"
+
+
+#: what a process yields after :meth:`Process.park`: its wake-up is
+#: already arranged
+PARKED = _Parked()
 
 
 class Process(Event):
     """A lightweight simulated process driving a generator."""
 
-    __slots__ = ("_gen", "_alive", "_waiting_on", "defused", "unjoinable",
-                 "trace_stack")
+    __slots__ = ("_gen", "_alive", "_token", "_hop", "defused",
+                 "unjoinable", "trace_stack")
 
     def __init__(self, engine: Engine, generator: Generator,
                  name: str = "") -> None:
@@ -40,7 +58,13 @@ class Process(Event):
                 "forget to call the generator function?")
         self._gen = generator
         self._alive = True
-        self._waiting_on: Event | None = None
+        #: the current park's token; ending the wait or killing the
+        #: process moves it on, which makes every wake-up still in
+        #: flight for that wait stale
+        self._token = 0
+        #: the current park has a deadline, so ending it takes the hop
+        #: a race between the awaited event and a timeout took
+        self._hop = False
         #: Set True to suppress the unhandled-failure crash (e.g. for
         #: processes whose failure is expected and observed elsewhere).
         self.defused = False
@@ -53,7 +77,7 @@ class Process(Event):
         #: spans it has open, innermost last; None until traced
         #: (:mod:`repro.obs.tracer`)
         self.trace_stack: list[int] | None = None
-        engine.schedule_now(self._advance, args=("send", None))
+        engine.schedule_now(self._advance)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -62,41 +86,109 @@ class Process(Event):
         """True while the generator can still run."""
         return self._alive
 
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
-        if not self._alive:
-            return
-        self._detach_wait()
-        self.engine.schedule_now(self._advance,
-                                 args=("throw", Interrupt(cause)))
-
     def kill(self, reason: str = "killed") -> None:
         """Destroy the process without resuming it (node crash semantics)."""
         if not self._alive:
             return
         self._alive = False
-        self._detach_wait()
+        self._token += 1
         self._gen.close()
         self.defused = True
         if not self.triggered:
             self.fail(ProcessKilled(reason))
 
-    # -- internals ----------------------------------------------------------
+    # -- waits with one waiter ----------------------------------------------
 
-    def _detach_wait(self) -> None:
-        # Wake-ups compare the firing event against ``_waiting_on`` by
-        # identity, so clearing it makes any in-flight wake-up stale even
-        # if the event already scheduled its callbacks.
-        self._waiting_on = None
+    def park(self, deadline_ms: float | None = None) -> int:
+        """Begin a wait the caller hands to whoever will end it, and
+        return its token; the process then yields :data:`PARKED`.
 
-    def _advance(self, mode: str, value: object) -> None:
+        The wait ends with the first of an :meth:`end` / :meth:`wake` /
+        :meth:`wake_last` under the token and, with ``deadline_ms``, the
+        deadline, which resumes the process with None.  Parking schedules
+        only the deadline, so the token counts parks, not queue entries.
+        """
+        token = self._token = self._token + 1
+        if deadline_ms is None:
+            self._hop = False
+        else:
+            self._hop = True
+            self.engine.schedule(deadline_ms, self._expire, args=(token,))
+        return token
+
+    def wake(self, token: int, value: object = None, ok: bool = True) -> None:
+        """End the wait ``token`` with ``value`` (an exception to raise
+        when not ``ok``) in a queue entry of its own, where the awaited
+        event's :meth:`~Event.succeed` / :meth:`~Event.fail` would have
+        run its callbacks.  A stale token queues nothing."""
+        if token == self._token:
+            self.engine.schedule_now(self.end, args=(token, value, ok))
+
+    def wake_last(self, token: int, value: object) -> None:
+        """:meth:`wake` as the last act of the running queue entry
+        (:meth:`~Event.succeed_last`): when nothing else is due at this
+        instant, the process resumes here -- with a deadline too, as the
+        hop it would have queued would have been the next entry."""
+        if token != self._token:
+            return
+        engine = self.engine
+        heap = engine._heap
+        if heap and heap[0][0] <= engine._now:
+            engine.schedule_now(self.end, args=(token, value, True))
+        else:
+            # the key the queued entry would have had (Engine.running_key)
+            engine._seq = engine.events_scheduled - 0.5
+            self._token = token + 1
+            self._advance(value)
+
+    def end(self, token: int, value: object = None, ok: bool = True) -> None:
+        """End the wait ``token`` in the running entry, as the awaited
+        event's callbacks would run here.  With a deadline the process
+        resumes in an entry of its own: the hop the race's winner took.
+        A stale token does nothing."""
+        if token != self._token:
+            return
+        self._token = token + 1
+        if self._hop:
+            self.engine.schedule_now(self._advance, args=(value, ok))
+        else:
+            self._advance(value, ok)
+
+    def _expire(self, token: int) -> None:
+        """The deadline: a timeout firing (:meth:`~Event.succeed_last`)
+        whose callbacks end the wait -- unless the wait already ended."""
+        if token != self._token:
+            return
+        engine = self.engine
+        heap = engine._heap
+        if heap and heap[0][0] <= engine._now:
+            engine.schedule_now(self.end, args=(token, None, True))
+        else:
+            engine._seq = engine.events_scheduled - 0.5
+            self.end(token, None, True)
+
+    def _slept(self) -> None:
+        """A sleep's end, a timeout firing with this process as its one
+        waiter."""
         if not self._alive:
             return
-        self._waiting_on = None
+        engine = self.engine
+        heap = engine._heap
+        if heap and heap[0][0] <= engine._now:
+            engine.schedule_now(self._advance)
+        else:
+            engine._seq = engine.events_scheduled - 0.5
+            self._advance()
+
+    # -- internals ----------------------------------------------------------
+
+    def _advance(self, value: object = None, ok: bool = True) -> None:
+        if not self._alive:
+            return
         engine = self.engine
         engine.active_process = self
         try:
-            if mode == "send":
+            if ok:
                 target = self._gen.send(value)
             else:
                 assert isinstance(value, BaseException)
@@ -116,23 +208,21 @@ class Process(Event):
             return
         finally:
             engine.active_process = None
-        if not isinstance(target, Event):
+        cls = target.__class__
+        if (cls is float or cls is int) and target >= 0:
+            engine.schedule(target, self._slept)
+        elif target is PARKED:
+            pass
+        elif isinstance(target, Event):
+            target.add_callback(self._on_event)
+        else:
             self._alive = False
             self.fail(SimulationError(
                 f"process {self.name!r} yielded {target!r}, which is not an "
-                "Event"))
-            return
-        self._waiting_on = target
-        target.add_callback(self._on_event)
+                "Event, a delay or PARKED"))
 
     def _on_event(self, event: Event) -> None:
-        if not self._alive or event is not self._waiting_on:
-            return  # stale wake-up: we were interrupted or killed meanwhile
-        if event._ok:
-            self._advance("send", event._value)
-        else:
-            assert isinstance(event._value, BaseException)
-            self._advance("throw", event._value)
+        self._advance(event._value, event._ok)
 
     def _run_callbacks(self) -> None:
         had_observers = bool(self._callbacks)

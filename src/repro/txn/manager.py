@@ -52,7 +52,7 @@ from repro.kernel.service import (
     unmarshal,
 )
 from repro.recovery.manager import SERVICE as RM_SERVICE
-from repro.sim import AnyOf, Event, Timeout, join_all
+from repro.sim import PARKED, Engine, Event, Process, join_all
 from repro.txn.ids import NULL_TID, TidFactory, TransactionID
 from repro.txn.status import TransactionState, TxnPhase
 
@@ -78,15 +78,41 @@ def _deepest_first(tid: TransactionID) -> tuple:
 
 @dataclass
 class _Votes:
-    expected: set[str] = field(default_factory=set)
+    engine: Engine
+    expected: set[str]
     received: dict[str, str] = field(default_factory=dict)
-    done: Event | None = None
+    #: the awaiting process and its park token, once it awaits
+    waiter: tuple[Process, int] | None = None
+    #: every expected response has arrived ...
+    complete: bool = False
+    #: ... and the entry that hands the news over has run
+    settled: bool = False
 
     def record(self, sender: str, response: str) -> None:
-        """Note one response; the last expected one completes ``done``."""
+        """Note one response; the last expected one ends the wait, in an
+        entry of its own (which runs before the wait begins, or not)."""
         self.received[sender] = response
-        if set(self.received) >= self.expected and not self.done.triggered:
-            self.done.succeed()
+        if not self.complete and set(self.received) >= self.expected:
+            self.complete = True
+            self.engine.schedule_now(self._settle)
+
+    def _settle(self) -> None:
+        self.settled = True
+        if self.waiter is not None:
+            process, token = self.waiter
+            process.end(token, True)
+
+    def wait(self, timeout_ms: float) -> object:
+        """Park the running process until the collection is complete,
+        and return what it yields: it resumes with True, or with None
+        once ``timeout_ms`` has passed first."""
+        process: Process = self.engine.active_process  # type: ignore
+        token = process.park(timeout_ms)
+        if self.settled:
+            process.wake(token, True)
+        else:
+            self.waiter = (process, token)
+        return PARKED
 
 
 class TransactionManager:
@@ -360,7 +386,12 @@ class TransactionManager:
                               "reason": self.node.aborted[tid]})
             return
         if not tid.is_toplevel:
-            yield from self._merge_members(tid, into=tid.parent)
+            try:
+                yield from self._merge_members(tid, into=tid.parent)
+            except Exception as error:  # noqa: BLE001 - a server refused
+                # The child stays ACTIVE for its caller to abort.
+                respond_error(message, error)
+                return
             respond(message, {"committed": True})
             return
         yield self.ctx.cpu("TM", self.ctx.cpu_costs.tm_commit_read)
@@ -440,8 +471,7 @@ class TransactionManager:
                 # Single-CPU serialization: the Recovery Manager's
                 # bookkeeping delays the application's next request on a
                 # real Perq.
-                yield Timeout(self.ctx.engine,
-                              self.ctx.cpu_costs.rm_read_txn)
+                yield self.ctx.cpu_costs.rm_read_txn
                 self._forget(tid)
                 self._maybe_checkpoint()
                 self._observe_commit(started, 1 + len(children), "read")
@@ -558,8 +588,7 @@ class TransactionManager:
 
     def _open_collection(self, kind: str, tid: TransactionID,
                          expected: list[str]) -> _Votes:
-        votes = _Votes(expected=set(expected),
-                       done=Event(self.ctx.engine, name=f"{kind}:{tid}"))
+        votes = _Votes(self.ctx.engine, set(expected))
         self._collections[(kind, tid)] = votes
         return votes
 
@@ -567,10 +596,9 @@ class TransactionManager:
                           timeout_ms: float):
         """Wait for all expected responses; None on timeout."""
         votes = self._collections[(kind, tid)]
-        deadline = Timeout(self.ctx.engine, timeout_ms)
-        which, _ = yield AnyOf(self.ctx.engine, [votes.done, deadline])
+        complete = yield votes.wait(timeout_ms)
         del self._collections[(kind, tid)]
-        if which == 1 and len(votes.received) < len(votes.expected):
+        if complete is None and len(votes.received) < len(votes.expected):
             return None
         return votes.received
 
@@ -936,7 +964,7 @@ class TransactionManager:
     def _watch_prepared(self, state: TransactionState):
         """Self-inquiry for a subordinate stuck in PREPARED: after the
         inquiry delay, ask the coordinator for the outcome directly."""
-        yield Timeout(self.ctx.engine, self.prepared_inquiry_ms)
+        yield self.prepared_inquiry_ms
         current = self._states.get(state.tid)
         if current is state and state.phase is TxnPhase.PREPARED:
             yield from self._resolve_in_doubt(state)

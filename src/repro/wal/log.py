@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.errors import WriteAheadLogError
 from repro.kernel.context import SimContext
 from repro.kernel.costs import Primitive
-from repro.sim import Timeout
 from repro.wal.pipeline import GroupCommitPipeline
 from repro.wal.records import LogRecord
 from repro.wal.store import LogStore
@@ -157,9 +156,7 @@ class WriteAheadLog:
                 time_ms = self.ctx.delay_of(Primitive.STABLE_STORAGE_WRITE)
                 begin = max(self.ctx.now, self._device_free_at)
                 self._device_free_at = begin + time_ms
-                yield Timeout(self.ctx.engine,
-                              self._device_free_at - self.ctx.now,
-                              name=Primitive.STABLE_STORAGE_WRITE.value)
+                yield self._device_free_at - self.ctx.now
             else:
                 yield self.ctx.charge(Primitive.STABLE_STORAGE_WRITE)
             # Recompute after the I/O wait: a concurrent force may have

@@ -4,15 +4,20 @@ import pytest
 
 from repro.kernel.context import SimContext
 from repro.kernel.costs import ACHIEVABLE_1985, MEASURED_1985, Phase, Primitive
+from repro.sim import Process
 
 
 def test_charge_records_and_delays():
     ctx = SimContext()
     ctx.meter.phase = Phase.PRE_COMMIT
-    timeout = ctx.charge(Primitive.DATAGRAM)
-    assert timeout.delay == 25.0
+    delay = ctx.charge(Primitive.DATAGRAM)
+    assert delay == 25.0
     assert ctx.meter.count(Primitive.DATAGRAM, Phase.PRE_COMMIT) == 1
-    ctx.engine.run()
+
+    def body():
+        yield ctx.charge(Primitive.DATAGRAM)
+
+    ctx.engine.run_until(Process(ctx.engine, body()))
     assert ctx.engine.now == 25.0
 
 
@@ -20,8 +25,7 @@ def test_fractional_charge():
     """The half-datagram of the parallel prepare send."""
     ctx = SimContext()
     ctx.meter.phase = Phase.COMMIT
-    timeout = ctx.charge(Primitive.DATAGRAM, fraction=0.5)
-    assert timeout.delay == 12.5
+    assert ctx.charge(Primitive.DATAGRAM, fraction=0.5) == 12.5
     assert ctx.meter.count(Primitive.DATAGRAM) == pytest.approx(0.5)
 
 
@@ -38,11 +42,18 @@ def test_cpu_charge_accrues_to_component():
     ctx.cpu("RM", 5.0)
     assert ctx.meter.total_cpu(("TM",)) == 36.0
     assert ctx.meter.total_cpu() == 41.0
-    # Each charge is an event; created concurrently they overlap, so the
-    # clock advances to the longest (a process serializes them by
-    # yielding one at a time).
+
+    # Each charge is a delay the process that yields it sleeps;
+    # concurrent processes overlap, so the clock advances to the longest
+    # (a process serializes its charges by yielding one at a time).
+    def body(component, time_ms):
+        yield ctx.cpu(component, time_ms)
+
+    for component, time_ms in (("TM", 12.0), ("TM", 24.0), ("RM", 5.0)):
+        Process(ctx.engine, body(component, time_ms))
     ctx.engine.run()
     assert ctx.engine.now == 24.0
+    assert ctx.meter.total_cpu() == 82.0
 
 
 def test_profile_swap_changes_prices():

@@ -158,6 +158,19 @@ def test_one_abort_mark_and_no_zombie_guard():
                 if spec.type in ("bool", bool) and name != "has_remote_sites"]
 
 
+def test_a_wait_with_one_waiter_builds_no_event():
+    """A sleep yields its delay and a reply, lock, vote, lookup or
+    keyboard wait parks its process (docs/SIMULATOR.md "A wait with one
+    waiter needs no event"): no ``Timeout`` is yielded and no race is
+    built, and the interrupt that could cut a wait short stays gone."""
+    found = [f"{path}:{line}" for path, _, line in sites(
+        r"yield Timeout\(|\bAnyOf\b|\bAllOf\b|\b_Condition\b"
+        r"|\.interrupt\(|\bInterrupt\b|_cpu_labels")]
+    assert found == []
+    timeouts = {path for path, _, _ in sites(r"\bTimeout\(")}
+    assert timeouts == {"sim/events.py"}
+
+
 def test_managers_that_only_answer_do_not_import_the_rpc_layer():
     importers = []
     for relative in NO_RPC_IMPORTERS:

@@ -23,7 +23,7 @@ from repro.replication.catchup import (
     copy_shard,
 )
 from repro.replication.runtime import PREPARED_INQUIRY_MS
-from repro.sim import Engine, Timeout
+from repro.sim import Engine
 
 #: what the scripted random source answers to ``uniform(0.5, 1.0)``
 DRAW = 0.75
@@ -114,13 +114,13 @@ class ScriptedApp:
 
 def drive(generator):
     """Run a simulation generator with nobody else in the world; returns
-    ``(its value, the delays of the time-outs it slept on)``."""
+    ``(its value, the delays it slept)``."""
     delays = []
     try:
         while True:
-            event = next(generator)
-            assert isinstance(event, Timeout)
-            delays.append(event.delay)
+            delay = next(generator)
+            assert isinstance(delay, float)  # a sleep, not an event
+            delays.append(delay)
     except StopIteration as stop:
         return stop.value, delays
 

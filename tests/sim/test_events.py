@@ -1,9 +1,9 @@
-"""Unit tests for events, timeouts, and composite conditions."""
+"""Unit tests for events and timeouts."""
 
 import pytest
 
 from repro.errors import SimulationError, TabsError
-from repro.sim import AllOf, AnyOf, Engine, Event, Timeout
+from repro.sim import Engine, Event, Timeout
 
 
 def test_event_lifecycle():
@@ -73,51 +73,6 @@ def test_timeout_fires_at_deadline():
     engine.run()
     assert engine.now == 7.5
     assert timeout.result() == "done"
-
-
-def test_any_of_yields_first_completion():
-    engine = Engine()
-    slow = Timeout(engine, 10.0, "slow")
-    fast = Timeout(engine, 3.0, "fast")
-    condition = AnyOf(engine, [slow, fast])
-    engine.run(until=4.0)
-    assert condition.result() == (1, "fast")
-
-
-def test_any_of_propagates_failure():
-    engine = Engine()
-    bad = Event(engine)
-    condition = AnyOf(engine, [bad, Timeout(engine, 100.0)])
-    bad.fail(TabsError("bad"))
-    engine.run(until=1.0)
-    with pytest.raises(TabsError):
-        condition.result()
-
-
-def test_all_of_collects_values_in_order():
-    engine = Engine()
-    first = Timeout(engine, 9.0, "a")
-    second = Timeout(engine, 1.0, "b")
-    condition = AllOf(engine, [first, second])
-    engine.run()
-    assert condition.result() == ["a", "b"]
-
-
-def test_all_of_empty_succeeds_immediately():
-    engine = Engine()
-    condition = AllOf(engine, [])
-    engine.run()
-    assert condition.result() == []
-
-
-def test_all_of_fails_on_first_child_failure():
-    engine = Engine()
-    bad = Event(engine)
-    condition = AllOf(engine, [bad, Timeout(engine, 5.0)])
-    bad.fail(TabsError("child failed"))
-    engine.run()
-    with pytest.raises(TabsError, match="child failed"):
-        condition.result()
 
 
 def test_run_until_event():

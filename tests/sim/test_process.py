@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import Interrupt, ProcessKilled, SimulationError, TabsError
-from repro.sim import Engine, Process, Timeout
+from repro.errors import ProcessKilled, SimulationError, TabsError
+from repro.sim import PARKED, Engine, Process, Timeout, join_all
 
 
 def test_process_runs_and_returns_value():
@@ -104,50 +104,13 @@ def test_yielding_non_event_fails_process():
     engine = Engine()
 
     def body():
-        yield 42
+        yield "42"
 
     process = Process(engine, body())
     process.defused = True
     engine.run()
     with pytest.raises(SimulationError):
         process.result()
-
-
-def test_interrupt_is_catchable():
-    engine = Engine()
-
-    def body():
-        try:
-            yield Timeout(engine, 100.0)
-        except Interrupt as interrupt:
-            return ("interrupted", interrupt.cause)
-
-    process = Process(engine, body())
-    engine.run(until=1.0)
-    process.interrupt(cause="deadline")
-    assert engine.run_until(process) == ("interrupted", "deadline")
-    assert engine.now < 100.0
-
-
-def test_interrupted_wait_does_not_deliver_stale_wakeup():
-    engine = Engine()
-    wakeups = []
-
-    def body():
-        short = Timeout(engine, 2.0, "short")
-        try:
-            wakeups.append((yield short))
-        except Interrupt:
-            pass
-        wakeups.append((yield Timeout(engine, 5.0, "second")))
-
-    process = Process(engine, body())
-    engine.run(until=1.0)
-    process.interrupt()
-    engine.run_until(process)
-    # The 2.0 timeout fired while we were already waiting on the second one;
-    # its stale wake-up must not be delivered as the second value.
-    assert wakeups == ["second"]
 
 
 def test_kill_destroys_process_without_resuming():
@@ -184,21 +147,137 @@ def test_kill_is_idempotent():
     assert not process.alive
 
 
-def test_interrupt_after_death_is_noop():
-    engine = Engine()
-
-    def body():
-        yield Timeout(engine, 1.0)
-        return "done"
-
-    process = Process(engine, body())
-    engine.run()
-    process.interrupt()
-    engine.run()
-    assert process.result() == "done"
-
-
 def test_process_requires_generator():
     engine = Engine()
     with pytest.raises(SimulationError):
         Process(engine, lambda: None)  # type: ignore[arg-type]
+
+
+def test_yielding_a_delay_sleeps_that_long():
+    engine = Engine()
+
+    def body():
+        yield 2.5
+        yield 4
+        return engine.now
+
+    assert engine.run_until(Process(engine, body())) == 6.5
+
+
+def test_yielding_a_negative_delay_fails_process():
+    engine = Engine()
+
+    def body():
+        yield -1.0
+
+    process = Process(engine, body())
+    process.defused = True
+    engine.run()
+    with pytest.raises(SimulationError):
+        process.result()
+
+
+def parked(engine, seen, deadline_ms=None):
+    """A process that parks once (with ``deadline_ms``) and notes what
+    resumed it and when; returns the process and its first token."""
+    tokens = []
+
+    def body():
+        tokens.append(process.park(deadline_ms))
+        seen.append(((yield PARKED), engine.now))
+
+    process = Process(engine, body())
+    engine.step()
+    return process, tokens[0]
+
+
+def test_a_deadline_wait_resumes_with_the_first_of_wake_and_deadline():
+    engine = Engine()
+    seen = []
+    early, token = parked(engine, seen, deadline_ms=10.0)
+    engine.schedule(3.0, lambda: early.wake(token, "fast"))
+    late, late_token = parked(engine, seen, deadline_ms=4.0)
+    engine.schedule(9.0, lambda: late.wake(late_token, "slow"))
+    engine.run()
+    # the first wins; the loser (a deadline, a late wake) is stale
+    assert seen == [("fast", 3.0), (None, 4.0)]
+    assert not early.alive and not late.alive
+
+
+def test_a_wait_woken_with_an_error_raises_it():
+    engine = Engine()
+    caught = []
+
+    def body():
+        token = process.park(100.0)
+        engine.schedule(1.0, lambda: process.wake(
+            token, TabsError("bad"), ok=False))
+        try:
+            yield PARKED
+        except TabsError as error:
+            caught.append((str(error), engine.now))
+
+    process = Process(engine, body())
+    engine.run()
+    assert caught == [("bad", 1.0)]
+
+
+def test_a_killed_parked_process_ignores_its_wake_up():
+    engine = Engine()
+    seen = []
+    process, token = parked(engine, seen, deadline_ms=5.0)
+    process.kill("node crash")
+    process.wake(token, "late")
+    process.wake_last(token, "later")
+    executed = engine.events_executed
+    engine.run()
+    assert seen == []
+    # the deadline still pops (quiescence and the clock keep it), but a
+    # stale wake-up queues nothing
+    assert engine.now == 5.0
+    assert engine.events_executed == executed + 2  # deadline, kill's failure
+
+
+def test_join_all_waits_for_every_process():
+    engine = Engine()
+
+    def child(delay):
+        yield delay
+
+    def parent():
+        children = [Process(engine, child(9.0)), Process(engine, child(1.0))]
+        failed = yield from join_all(children)
+        return failed, engine.now, [c.result() for c in children]
+
+    assert engine.run_until(Process(engine, parent())) == (
+        None, 9.0, [None, None])
+
+
+def test_join_all_of_no_process_returns_at_once():
+    engine = Engine()
+
+    def parent():
+        failed = yield from join_all([])
+        yield 0.0
+        return failed, engine.now
+
+    assert engine.run_until(Process(engine, parent())) == (None, 0.0)
+
+
+def test_join_all_names_the_first_failure_in_order():
+    engine = Engine()
+
+    def child(delay, message):
+        yield delay
+        raise TabsError(message)
+
+    def parent():
+        children = [Process(engine, child(5.0, "late")),
+                    Process(engine, child(1.0, "early"))]
+        for process in children:
+            process.defused = True  # "early" fails before anyone joins it
+        failed = yield from join_all(children)
+        return failed[0] is children[0], str(failed[1]), engine.now
+
+    # the first failure in the order given, after every one has finished
+    assert engine.run_until(Process(engine, parent())) == (True, "late", 5.0)

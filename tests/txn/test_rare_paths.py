@@ -1,7 +1,8 @@
 """Transaction Manager branches no workload takes, one test each.
 
 A data server's error reply to a scatter, a subtransaction whose fold
-fails at a server, forgetting a transaction already forgotten, and an
+fails at a server (and its ``tm.end``, which answers the client with the
+server's error), forgetting a transaction already forgotten, and an
 in-doubt transaction whose outcome arrives through phase two while its
 own inquiry is answered.
 """
@@ -63,6 +64,37 @@ def test_a_fold_a_server_refuses_raises_and_keeps_the_child(cluster):
         cluster.run_on(NODE, tm._merge_members(child, into=top))
     assert tm.phase_of(child) is TxnPhase.ACTIVE
     assert tm._members(top) == [child, top]
+
+
+def test_a_subtransaction_end_a_server_refuses_answers_the_client(cluster):
+    """``tm.end`` of a subtransaction whose fold a server refuses answers
+    with the server's error; the child stays ACTIVE until the caller
+    aborts it."""
+    top = touch(cluster)
+    child = touch(cluster, parent=top, cell=2)
+    library = cluster.node(NODE).servers["a0"].library
+
+    def refuse(message):
+        respond_error(message, ServerError("cannot take the child's locks"))
+    library._sys_subtxn_commit = refuse
+    app = cluster.application(NODE)
+    tm = cluster.node(NODE).tm
+    errors = []
+
+    def client():
+        try:
+            yield from app.end_transaction(child)
+        except ServerError as error:
+            errors.append(str(error))
+            assert tm.phase_of(child) is TxnPhase.ACTIVE
+            yield from app.abort_transaction(child)
+
+    process = cluster.spawn_on(NODE, client(), name="client")
+    assert cluster.engine.drain(60_000.0)
+    assert not process.alive
+    assert errors == ["cannot take the child's locks"]
+    assert tm.phase_of(child) is None and child in cluster.node(NODE).node.aborted
+    assert tm.phase_of(top) is TxnPhase.ACTIVE
 
 
 def test_forgetting_an_unknown_transaction_changes_nothing(cluster):
