@@ -6,8 +6,8 @@ The chaos harness has three layers:
   (:class:`FaultPlan`) built from timed actions (crash, restart,
   partition, link faults, disk slowdowns, storage corruption: torn
   writes, bit rot, lost writes, log-sector rot) and log-triggered
-  crashes (:class:`CrashWhenLogged`, for hitting exact commit-protocol
-  windows);
+  crashes (:class:`CrashWhenLogged`, which fires the instant a record
+  opening an exact commit-protocol window turns durable);
 - :mod:`repro.chaos.controller` -- :class:`ChaosController` installs a
   plan onto a live cluster, records a deterministic event trace, and
   provides repair/quiescence helpers;

@@ -1,9 +1,10 @@
 """The chaos controller: installs a fault plan onto a live cluster.
 
-The controller schedules every timed action on the cluster's engine, spawns
-watcher processes for log-triggered crashes, restarts crashed nodes (full
-crash recovery) where the plan says so, and records everything it does --
-plus, optionally, every network event -- into a deterministic event trace.
+The controller schedules every timed action on the cluster's engine, arms
+log-triggered crashes on the log stores' durable-record observers, restarts
+crashed nodes (full crash recovery) where the plan says so, and records
+everything it does -- plus, optionally, every network event -- into a
+deterministic event trace.
 Re-running the same ``(seed, plan)`` against the same cluster construction
 reproduces the trace bit for bit, which the determinism regression suite
 asserts.
@@ -32,7 +33,7 @@ from repro.chaos.plan import (
 from repro.errors import TabsError
 from repro.recovery.audit import watch_terminal_statuses
 from repro.sim import Process
-from repro.wal.records import TransactionStatusRecord, TxnStatus
+from repro.wal.records import TransactionStatusRecord
 
 
 class ChaosController:
@@ -49,7 +50,8 @@ class ChaosController:
         #: log truncation, for the post-run audits: {node: {tid: {status}}}
         self.status_history = watch_terminal_statuses(cluster)
         self._installed = False
-        self._watchers: list[Process] = []
+        #: armed log triggers not yet fired: hook -> its action
+        self._log_triggers: dict = {}
         if trace_network:
             cluster.network.add_trace_hook(self._network_event)
         for name, tabs_node in cluster.nodes.items():
@@ -70,6 +72,10 @@ class ChaosController:
         tabs_node.node.disk.on_corruption.append(
             lambda segment_id, page, node=name:
             self.record("corruption", node, segment_id, page))
+        # So does the log store, whose observers see each record the
+        # instant it turns durable.
+        tabs_node.log_store.observers.append(
+            lambda record, node=name: self._logged(node, record))
 
     # -- trace -------------------------------------------------------------------
 
@@ -148,9 +154,7 @@ class ChaosController:
             self.engine.schedule(action.at_ms,
                                  lambda a=action: self._log_rot(a))
         elif isinstance(action, CrashWhenLogged):
-            watcher = Process(self.engine, self._watch(action),
-                              name=f"chaos:watch:{action.crash_node}")
-            self._watchers.append(watcher)
+            self._arm_log_trigger(action)
         elif isinstance(action, CrashOnGroupForce):
             self._arm_group_force_crash(action)
         elif isinstance(action, MigrationFault):
@@ -361,58 +365,49 @@ class ChaosController:
 
         manager.phase_hooks.append(hook)
 
-    def _watch(self, action: CrashWhenLogged):
-        """Poll durable logs until the trigger condition holds, then crash.
+    def _arm_log_trigger(self, action: CrashWhenLogged) -> None:
+        """Crash ``action.crash_node`` the instant the durable logs reach
+        the action's protocol point, via the log stores' observers.
 
-        The ``seen``/``not_seen`` conditions are matched against a single
-        transaction family: the trigger fires when some transaction has
-        reached every ``seen`` point without reaching any ``not_seen``
-        point -- which is what "crash mid-prepare" means.
+        Only records that turn durable after install count: ``points``
+        holds each family's durable ``(node, status)`` points from then
+        on, and the trigger fires when a family holds every ``seen`` point
+        and no ``not_seen`` one.  One-shot.  The observer runs inside the
+        forcing process's append, so the crash is *scheduled* at delay
+        zero -- the same instant, after the forcing entry -- for the
+        reason :meth:`_arm_migration_fault` gives.
         """
-        armed_at = self.engine.now
-        if action.arm_after_ms:
-            yield action.arm_after_ms
-        while True:
-            yield action.poll_ms
-            if (action.disarm_after_ms
-                    and self.engine.now - armed_at > action.disarm_after_ms):
-                self.record("watch-disarmed", action.crash_node)
+        seen, not_seen = set(action.seen), set(action.not_seen)
+        points: dict = {}  # family -> {(node, status)}
+        first: dict = {}  # family -> first tid logged at seen[0]
+
+        def hook(node_name: str, record: TransactionStatusRecord) -> None:
+            point = (node_name, record.status.value)
+            if point not in seen and point not in not_seen:
                 return
-            tid = self._trigger_tid(action)
-            if tid is not None:
-                self.record("trigger", action.crash_node, str(tid),
-                            ";".join(f"{n}:{s}" for n, s in action.seen))
-                self._crash(action.crash_node, action.restart_after_ms)
+            family = record.tid.toplevel
+            reached = points.setdefault(family, set())
+            reached.add(point)
+            if point == action.seen[0]:
+                first.setdefault(family, record.tid)
+            if reached & not_seen or not seen <= reached:
                 return
+            del self._log_triggers[hook]
+            self.record("trigger", action.crash_node, str(first[family]),
+                        ";".join(f"{n}:{s}" for n, s in action.seen))
+            self.engine.schedule(0.0, lambda: self._crash(
+                action.crash_node, action.restart_after_ms))
 
-    def _trigger_tid(self, action: CrashWhenLogged):
-        """A transaction satisfying all of seen and none of not_seen."""
-        first_node, first_status = action.seen[0]
-        for tid in self._tids_logged(first_node, first_status):
-            if (all(self._tid_logged(node, status, tid)
-                    for node, status in action.seen[1:])
-                    and not any(self._tid_logged(node, status, tid)
-                                for node, status in action.not_seen)):
-                return tid
-        return None
+        self._log_triggers[hook] = action
 
-    def _tids_logged(self, node_name: str, status_name: str) -> list:
-        """Transactions with this durable status at the node (log order)."""
-        status = TxnStatus(status_name)
-        store = self.cluster.node(node_name).log_store
-        return [record.tid
-                for record in store.read_forward(store.truncated_before)
-                if isinstance(record, TransactionStatusRecord)
-                and record.status is status and record.tid is not None]
-
-    def _tid_logged(self, node_name: str, status_name: str, tid) -> bool:
-        """Does the node durably record this status for tid's family?"""
-        status = TxnStatus(status_name)
-        store = self.cluster.node(node_name).log_store
-        return any(isinstance(record, TransactionStatusRecord)
-                   and record.status is status and record.tid is not None
-                   and record.tid.toplevel == tid.toplevel
-                   for record in store.read_forward(store.truncated_before))
+    def _logged(self, node_name: str, record) -> None:
+        """Log-store observer: offer a durable status record to every
+        armed log trigger."""
+        if (self._log_triggers
+                and isinstance(record, TransactionStatusRecord)
+                and record.tid is not None):
+            for hook in tuple(self._log_triggers):
+                hook(node_name, record)
 
     # -- repair / quiescence ----------------------------------------------------------
 
@@ -424,10 +419,9 @@ class ChaosController:
         """
         self._heal()
         self.network.clear_all_link_faults()
-        for watcher in self._watchers:
-            if watcher.alive:
-                watcher.kill("chaos repair: watcher disarmed")
-                self.record("watch-disarmed", watcher.name)
+        for action in self._log_triggers.values():
+            self.record("watch-disarmed", action.crash_node)
+        self._log_triggers.clear()
         restarts = []
         for name, tabs_node in self.cluster.nodes.items():
             if tabs_node.retired:

@@ -139,11 +139,12 @@ class LogSectorRotAt:
 class CrashWhenLogged:
     """Crash ``crash_node`` when the durable logs reach a protocol point.
 
-    The conditions are matched per transaction family: the trigger fires
-    as soon as *some* transaction has a durable record for every ``seen``
-    pair (``(node, status)``, status being a :class:`TxnStatus` value name
+    The conditions are matched per transaction family, over the records
+    that turn durable after the plan is installed: the trigger fires the
+    instant *some* family has a durable record for every ``seen`` pair
+    (``(node, status)``, status being a :class:`TxnStatus` value name
     such as ``"prepared"``) while having none for any ``not_seen`` pair.
-    Examples:
+    One-shot.  Examples:
 
     - participant crash **mid-prepare**: ``seen=(("p", "prepared"),)``,
       ``not_seen=(("c", "committed"),)``;
@@ -151,19 +152,14 @@ class CrashWhenLogged:
       ``seen=(("p", "prepared"), ("c", "committed"))``,
       ``not_seen=(("p", "committed"),)``;
     - coordinator crash **mid-commit** (phase two not yet acknowledged):
-      ``seen=(("c", "committed"),)``, ``not_seen=(("p", "committed"),)``.
+      ``seen=(("c", "committed"), ("p", "prepared"))``,
+      ``not_seen=(("p", "committed"),)``.
     """
 
     crash_node: str
     seen: tuple[tuple[str, str], ...]
     not_seen: tuple[tuple[str, str], ...] = ()
     restart_after_ms: float | None = None
-    #: watcher polling grain in simulated ms
-    poll_ms: float = 0.5
-    #: do not arm the watcher before this instant
-    arm_after_ms: float = 0.0
-    #: give up watching after this instant (0 = never)
-    disarm_after_ms: float = 0.0
 
 
 @dataclass(frozen=True)

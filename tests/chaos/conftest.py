@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from repro.chaos import ChaosController, ChaosWorkload, FaultPlan
 from repro.chaos.workload import build_cluster
+from repro.wal.records import TransactionStatusRecord
 
 
 @dataclass
@@ -69,3 +70,50 @@ def run_scenario(plan: FaultPlan, seed: int, node_count: int = 3,
                               spacing_ms=spacing_ms)
     quiet, report = workload.play(run_ms)
     return ScenarioRun(cluster, controller, workload, report, quiet)
+
+
+class DurableWitness:
+    """A test-side observer on every node's log store: each status record
+    that turns durable, as ``(instant, node, record)``.
+
+    Pass it as ``instrument`` so it is wired before any traffic; it then
+    tells, independently of the controller, the instant a log trigger's
+    boundary was reached.
+    """
+
+    def __init__(self) -> None:
+        self.records: list[tuple] = []
+
+    def __call__(self, cluster) -> None:
+        for name, tabs_node in cluster.nodes.items():
+            tabs_node.log_store.observers.append(
+                lambda record, node=name: self._note(cluster, node, record))
+
+    def _note(self, cluster, node: str, record) -> None:
+        if (isinstance(record, TransactionStatusRecord)
+                and record.tid is not None):
+            self.records.append((cluster.engine.now, node, record))
+
+    def _first(self, point: tuple, family) -> float:
+        return min(instant for instant, node, record in self.records
+                   if (node, record.status.value) == point
+                   and record.tid.toplevel == family)
+
+    def assert_fired_at_boundary(self, trace: list, action) -> str:
+        """``action`` (a :class:`CrashWhenLogged`) fired exactly once, and
+        its ``trigger`` and ``crash`` entries carry the instant its family
+        first held every ``seen`` point.  Returns the reported tid."""
+        __tracebackhide__ = True
+        triggers = [entry for entry in trace if entry[1] == "trigger"]
+        assert len(triggers) == 1, f"trigger fired {len(triggers)} times"
+        at, _, crash_node, tid, _ = triggers[0]
+        family = next(record.tid.toplevel
+                      for _, node, record in self.records
+                      if str(record.tid) == tid
+                      and (node, record.status.value) == action.seen[0])
+        boundary = max(self._first(point, family) for point in action.seen)
+        crash = next(entry for entry in trace
+                     if entry[1] == "crash" and entry[2] == crash_node
+                     and entry[0] >= at)
+        assert at == crash[0] == boundary, (at, crash[0], boundary)
+        return tid

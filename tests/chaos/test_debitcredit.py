@@ -15,6 +15,7 @@ from repro.core.cluster import TabsCluster
 from repro.core.config import TabsConfig, WorkloadConfig
 from repro.workloads import DebitCreditWorkload, debitcredit_txn
 from repro.workloads.debitcredit import TxnSpec
+from tests.chaos.conftest import DurableWitness
 
 #: two branches on two nodes, account traffic frequently remote so 2PC
 #: crosses nodes; small partitions keep the audits cheap
@@ -24,10 +25,12 @@ WORKLOAD = WorkloadConfig(branches=2, accounts_per_branch=200,
 
 def run_debitcredit_chaos(plan: FaultPlan, seed: int, txns: int = 16,
                           run_ms: float = 20_000.0,
-                          spacing_ms: float = 400.0):
+                          spacing_ms: float = 400.0, instrument=None):
     config = TabsConfig(seed=seed, workload=WORKLOAD)
     cluster = TabsCluster(config)
     topology = cluster.build_workload()
+    if instrument is not None:
+        instrument(cluster)
     controller = ChaosController(cluster, plan, seed=seed)
     controller.install()
     driver = DebitCreditWorkload(cluster, topology, controller=controller,
@@ -69,14 +72,23 @@ MID_PREPARE_PLAN = FaultPlan.of(
 
 
 @pytest.fixture(scope="module")
-def mid_prepare_run():
-    return run_debitcredit_chaos(MID_PREPARE_PLAN, seed=2306)
+def mid_prepare_witness():
+    return DurableWitness()
 
 
-def test_hot_branch_crash_mid_prepare_conserves_money(mid_prepare_run):
+@pytest.fixture(scope="module")
+def mid_prepare_run(mid_prepare_witness):
+    return run_debitcredit_chaos(MID_PREPARE_PLAN, seed=2306,
+                                 instrument=mid_prepare_witness)
+
+
+def test_hot_branch_crash_mid_prepare_conserves_money(mid_prepare_run,
+                                                      mid_prepare_witness):
     driver, controller, report = mid_prepare_run
     crashes = [e for e in controller.trace if e[1] == "crash"]
     assert crashes, "the mid-prepare trigger never fired"
+    mid_prepare_witness.assert_fired_at_boundary(
+        controller.trace, MID_PREPARE_PLAN.actions[0])
     assert report.ok, report.violations
 
 

@@ -106,8 +106,10 @@ def test_crash_inside_force_window_commits_none():
     fired = [event for event in controller.trace
              if event[1] == "group-force-crash"]
     assert len(fired) == 1, "crash trigger never fired"
-    _, _, _, batch_size, _ = fired[0]
+    at, _, _, batch_size, _ = fired[0]
     assert batch_size >= 2, "crash hit a singleton batch"
+    # The crash lands at the hook's own instant, not a poll later.
+    assert (at, "crash", "n0") in {event[:3] for event in controller.trace}
 
     assert_per_txn_atomicity(values)
     # The crash fired before the stable write: none of the window's

@@ -19,6 +19,7 @@ from repro.chaos import (
 from repro.core.cluster import TabsCluster
 from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
 from repro.workloads import DebitCreditWorkload
+from tests.chaos.conftest import DurableWitness
 
 #: two branches on two nodes, rf=2: every key-space has a copy on both
 #: nodes, so writes fan out and 2PC crosses nodes on every transaction
@@ -27,11 +28,13 @@ WORKLOAD = WorkloadConfig(branches=2, accounts_per_branch=200,
 
 
 def run_replicated_chaos(plan: FaultPlan, seed: int, txns: int = 24,
-                         run_ms: float = 24_000.0):
+                         run_ms: float = 24_000.0, instrument=None):
     config = TabsConfig(seed=seed, workload=WORKLOAD,
                         replication=ReplicationConfig.available_copies())
     cluster = TabsCluster(config)
     topology = cluster.build_workload()
+    if instrument is not None:
+        instrument(cluster)
     controller = ChaosController(cluster, plan, seed=seed)
     controller.install()
     driver = DebitCreditWorkload(cluster, topology, controller=controller,
@@ -53,18 +56,26 @@ MID_2PC_PLAN = FaultPlan.of(
 
 
 @pytest.fixture(scope="module")
-def mid_2pc_run():
+def mid_2pc_witness():
+    return DurableWitness()
+
+
+@pytest.fixture(scope="module")
+def mid_2pc_run(mid_2pc_witness):
     # Traffic extends well past the restart: the commits that prove
     # liveness come once the in-doubt locks resolve (PREPARED_INQUIRY_MS)
     # and the crashed replica is back in the write set.
     return run_replicated_chaos(MID_2PC_PLAN, seed=2306, txns=48,
-                                run_ms=28_000.0)
+                                run_ms=28_000.0, instrument=mid_2pc_witness)
 
 
-def test_replica_crash_mid_2pc_keeps_invariants(mid_2pc_run):
+def test_replica_crash_mid_2pc_keeps_invariants(mid_2pc_run,
+                                                mid_2pc_witness):
     driver, controller, report = mid_2pc_run
     assert [e for e in controller.trace if e[1] == "crash"], \
         "the mid-2PC trigger never fired"
+    mid_2pc_witness.assert_fired_at_boundary(controller.trace,
+                                             MID_2PC_PLAN.actions[0])
     assert report.ok, report.violations
 
 

@@ -10,54 +10,78 @@ seed)`` pair.
 """
 
 from repro.chaos import (
+    ChaosController,
     CrashAt,
     CrashWhenLogged,
     DiskSlowdown,
     FaultPlan,
     LinkFaultWindow,
     PartitionAt,
+    build_cluster,
     random_plan,
 )
-from tests.chaos.conftest import run_scenario
+from tests.chaos.conftest import DurableWitness, run_scenario
 
 
 def test_participant_crash_mid_prepare():
     """n1 dies the instant it has durably voted (PREPARED logged) but has
     not yet learned the outcome: the classic in-doubt participant."""
-    plan = FaultPlan.of(CrashWhenLogged(
+    trigger = CrashWhenLogged(
         crash_node="n1",
         seen=(("n1", "prepared"),),
         not_seen=(("n1", "committed"), ("n1", "aborted")),
-        restart_after_ms=700.0))
-    run = run_scenario(plan, seed=101)
+        restart_after_ms=700.0)
+    witness = DurableWitness()
+    run = run_scenario(FaultPlan.of(trigger), seed=101, instrument=witness)
     assert run.events("trigger"), "the prepare window was never hit"
+    witness.assert_fired_at_boundary(run.controller.trace, trigger)
     run.assert_clean()
 
 
 def test_coordinator_crash_mid_commit():
-    """n0 dies right after forcing its COMMITTED record, before driving
-    phase two: participants block in doubt until n0 recovers and answers
-    their outcome queries."""
-    plan = FaultPlan.of(CrashWhenLogged(
-        crash_node="n0",
-        seen=(("n0", "committed"),),
-        restart_after_ms=900.0))
-    run = run_scenario(plan, seed=202)
+    """The coordinator dies right after forcing its COMMITTED record,
+    before phase two reaches a prepared participant: the participant
+    blocks in doubt until the coordinator recovers and answers its
+    outcome query.  At this seed the one cross-node family that commits
+    in the window is coordinated by n2 with n1 participating."""
+    trigger = CrashWhenLogged(
+        crash_node="n2",
+        seen=(("n2", "committed"), ("n1", "prepared")),
+        not_seen=(("n1", "committed"),),
+        restart_after_ms=900.0)
+    witness = DurableWitness()
+    run = run_scenario(FaultPlan.of(trigger), seed=202, instrument=witness)
     assert run.events("trigger"), "the commit window was never hit"
+    tid = witness.assert_fired_at_boundary(run.controller.trace, trigger)
+    traffic = {str(record.tid) for record in run.workload.stats.records}
+    assert tid in traffic, f"{tid} is a setup transaction"
     run.assert_clean()
 
 
 def test_participant_crash_in_doubt_window():
     """n1 prepared, the coordinator committed, n1 has not heard: n1's
     recovery must re-acquire the write locks and resolve to commit."""
-    plan = FaultPlan.of(CrashWhenLogged(
+    trigger = CrashWhenLogged(
         crash_node="n1",
         seen=(("n1", "prepared"), ("n0", "committed")),
         not_seen=(("n1", "committed"),),
-        restart_after_ms=600.0,
-        disarm_after_ms=5_000.0))
-    run = run_scenario(plan, seed=303)
+        restart_after_ms=600.0)
+    witness = DurableWitness()
+    run = run_scenario(FaultPlan.of(trigger), seed=303, instrument=witness)
+    witness.assert_fired_at_boundary(run.controller.trace, trigger)
     run.assert_clean()
+
+
+def test_unmatched_trigger_leaves_the_simulation_quiet():
+    """An armed trigger is an observer, not a process: with no traffic
+    nothing is scheduled, so the engine drains at once."""
+    cluster = build_cluster(3)
+    controller = ChaosController(cluster, FaultPlan.of(CrashWhenLogged(
+        crash_node="n1", seen=(("n1", "prepared"),))))
+    controller.install()
+    armed_at = cluster.engine.now
+    assert controller.quiesce(max_ms=60_000)
+    assert cluster.engine.now == armed_at
 
 
 def test_partition_then_heal():
@@ -154,14 +178,17 @@ def test_queue_survives_crash_of_its_node():
 
 def test_combined_mayhem():
     """Crash + partition + duplication + disk spike, overlapping."""
+    trigger = CrashWhenLogged(crash_node="n1", seen=(("n1", "prepared"),),
+                              restart_after_ms=600.0)
     plan = FaultPlan.of(
         DiskSlowdown(100.0, 2_000.0, "n0", factor=4.0),
-        CrashWhenLogged(crash_node="n1", seen=(("n1", "prepared"),),
-                        restart_after_ms=600.0),
+        trigger,
         PartitionAt(1_200.0, (("n0", "n1"), ("n2",)), heal_after_ms=700.0),
         LinkFaultWindow(2_200.0, 3_800.0, "n0", "n2", loss=0.3,
                         duplicate=0.3))
-    run = run_scenario(plan, seed=444)
+    witness = DurableWitness()
+    run = run_scenario(plan, seed=444, instrument=witness)
+    witness.assert_fired_at_boundary(run.controller.trace, trigger)
     run.assert_clean()
 
 

@@ -171,6 +171,23 @@ def test_a_wait_with_one_waiter_builds_no_event():
     assert timeouts == {"sim/events.py"}
 
 
+def test_a_log_trigger_is_an_observer_not_a_poller():
+    """``CrashWhenLogged`` fires from the log stores' durable-record
+    observers (docs/CHAOS.md "Triggered actions"): the chaos controller
+    starts no process and reads no log to decide a trigger -- only
+    ``_log_rot`` reads one, to pick a record to rot -- and the action
+    carries no polling or arming knob."""
+    from repro.chaos import CrashWhenLogged
+    readers = [(path, function) for path, function, _
+               in sites(r"read_forward") if path == "chaos/controller.py"]
+    processes = [f"{path}:{line}" for path, _, line in sites(r"\bProcess\(")
+                 if path == "chaos/controller.py"]
+    assert processes == []
+    assert readers == [("chaos/controller.py", "_log_rot")]
+    assert list(CrashWhenLogged.__dataclass_fields__) == [
+        "crash_node", "seen", "not_seen", "restart_after_ms"]
+
+
 def test_managers_that_only_answer_do_not_import_the_rpc_layer():
     importers = []
     for relative in NO_RPC_IMPORTERS:

@@ -85,6 +85,10 @@ class TestDestinationCrash:
         keyspace = topology.account_server(1)
         assert cluster.placement.replicas(keyspace) == ("bank1", "bank2")
         assert report.violations == []
+        # The crash lands at the phase boundary's own instant.
+        trace = workload.controller.trace
+        (fault,) = [e for e in trace if e[1] == "migration-fault"]
+        assert (fault[0], "crash", "bank2") in {e[:3] for e in trace}
 
     def test_crash_after_commit_is_an_ordinary_replica_failure(self):
         """Past the commit point the shard is re-homed; the dead copy
