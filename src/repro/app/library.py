@@ -121,12 +121,6 @@ class ApplicationLibrary:
                                            body, tid, timeout_ms=timeout_ms)
         return result
 
-    def lookup(self, name: str, node_name: str = "", desired: int = 1):
-        """Name Server lookup (generator returning ServiceRef list)."""
-        refs = yield from self.names.lookup(name, node_name=node_name,
-                                            desired=desired)
-        return refs
-
     def lookup_one(self, name: str, node_name: str = ""):
         """Bind to a server (generator returning one ServiceRef).
 

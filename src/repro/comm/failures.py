@@ -208,8 +208,6 @@ class FailureDetector:
         #: "suspect", "restart-observed", "recovered"
         self.observers = observers if observers is not None else []
         self.peers: dict[str, PeerHealth] = {}
-        self.failures_detected = 0
-        self.false_suspicions = 0
         self._stopped = False
         #: half the datagram time is wire latency (Table 5-3 accounting);
         #: count=False keeps heartbeats out of the paper's primitive tables
@@ -398,7 +396,6 @@ class FailureDetector:
 
     def _suspect(self, peer: str, health: PeerHealth) -> None:
         health.suspected = True
-        self.failures_detected += 1
         self.ctx.meter.bump("failures_detected")
         self._notify("suspect", peer)
         self.cm.peer_failed(peer)
@@ -421,7 +418,6 @@ class FailureDetector:
             self.cm.peer_restarted(peer)
         elif health.suspected:
             health.suspected = False
-            self.false_suspicions += 1
             self.ctx.meter.bump("false_suspicions")
             self._notify("recovered", peer)
             self.cm.peer_recovered(peer)

@@ -90,6 +90,11 @@ class Node:
         processes.append(process)
         return process
 
+    def live_processes(self) -> list[Process]:
+        """The processes this node spawned that have not finished, in
+        spawn order."""
+        return [process for process in self._processes if process.alive]
+
     def create_port(self, name: str = "") -> Port:
         if not self.alive:
             raise NodeDown(f"cannot create port on crashed node {self.name!r}")

@@ -63,12 +63,6 @@ class Span:
     def open(self) -> bool:
         return self.end_ms is None
 
-    def duration_ms(self, fallback_end: float | None = None) -> float:
-        end = self.end_ms if self.end_ms is not None else fallback_end
-        if end is None:
-            return 0.0
-        return max(0.0, end - self.start_ms)
-
 
 @dataclass
 class TraceEvent:

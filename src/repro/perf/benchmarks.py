@@ -116,10 +116,6 @@ class BenchmarkResult:
     #: primitive time per transaction (the predicted-by-primitives sum)
     primitive_time_ms: float = 0.0
 
-    def count(self, primitive: Primitive) -> float:
-        return (self.precommit_counts.get(primitive, 0.0)
-                + self.commit_counts.get(primitive, 0.0))
-
 
 class _Paginator:
     """Chooses the cell each operation touches, per the paging mode."""

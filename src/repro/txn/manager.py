@@ -22,6 +22,12 @@ Datagram-borne protocol (arriving via the Communication Manager):
 ``tm.prepare_req`` / ``tm.vote`` / ``tm.commit_req`` / ``tm.abort_req`` /
 ``tm.ack`` / ``tm.outcome_query`` / ``tm.outcome_reply``.
 
+What ``tm.join``, ``tm.prepare_req``, ``tm.commit_req``, ``tm.abort_req``
+/ ``tm.abort``, ``tm.peer_failed``, ``tm.outcome_query`` and ``tm.end`` do
+is docs/PROTOCOL.md's table, held here as :data:`TABLE`: the message's
+handler looks up the tid's row at this node once
+(:meth:`TransactionManager.row`) and runs that row's cell.
+
 Commit of an update subtree follows presumed-abort conventions: a
 subordinate forces a PREPARED record before voting and a COMMITTED record
 before acknowledging; the coordinator forces its COMMITTED record before
@@ -51,6 +57,7 @@ from repro.kernel.service import (
     respond_error,
     unmarshal,
 )
+from repro.obs.tracer import NO_SPAN
 from repro.recovery.manager import SERVICE as RM_SERVICE
 from repro.sim import PARKED, Engine, Event, Process, join_all
 from repro.txn.ids import NULL_TID, TidFactory, TransactionID
@@ -67,6 +74,48 @@ DEFAULT_VOTE_TIMEOUT_MS = 60_000.0
 DEFAULT_ACK_TIMEOUT_MS = 10_000.0
 #: Retry interval while resolving an in-doubt (prepared) transaction.
 RESOLVE_RETRY_MS = 5_000.0
+
+
+#: the rows of docs/PROTOCOL.md's table that are not a phase: no state
+#: and not marked; marked (with no state, or in a column the mark
+#: outranks the phase in); an abort's walk running
+NO_STATE, MARKED, WALK = "no state", "marked", "walk running"
+#: the rows that are a fragment's phase, by its name
+ACTIVE, PREPARING, PREPARED, COMMITTED = (
+    "ACTIVE", "PREPARING", "PREPARED", "COMMITTED")
+#: the columns in which the abort mark outranks the fragment's phase
+MARK_FIRST = frozenset({"tm.join", "tm.prepare_req"})
+
+#: docs/PROTOCOL.md's table, column by column: the action each row's cell
+#: runs (a :class:`TransactionManager` method taking the row's state, if
+#: any, and the message).  A row a column lacks is the table's ``--``:
+#: the message is dropped.  ``tm.abort``, ``tm.abort_req`` and
+#: ``tm.peer_failed`` run their cell once per member of the tid here.
+TABLE: dict[str, dict[str, str]] = {
+    "tm.join": {NO_STATE: "_join_foreign", MARKED: "_refuse_join",
+                ACTIVE: "_join", PREPARING: "_join", PREPARED: "_join",
+                COMMITTED: "_join"},
+    "tm.prepare_req": {NO_STATE: "_prepare_unseen", MARKED: "_vote_abort",
+                       ACTIVE: "_prepare", PREPARING: "_ignore",
+                       PREPARED: "_vote_update", COMMITTED: "_ignore"},
+    "tm.commit_req": {NO_STATE: "_ack_commit", MARKED: "_ack_commit",
+                      ACTIVE: "_commit", PREPARED: "_commit",
+                      COMMITTED: "_ack_commit"},
+    "tm.abort_req": {NO_STATE: "_ignore", MARKED: "_ignore", ACTIVE: "_walk",
+                     PREPARING: "_walk", PREPARED: "_walk", WALK: "_walk",
+                     COMMITTED: "_ignore"},
+    "tm.peer_failed": {NO_STATE: "_ignore", MARKED: "_ignore",
+                       ACTIVE: "_doom_and_walk", PREPARING: "_doom",
+                       PREPARED: "_ignore", WALK: "_doom_and_walk",
+                       COMMITTED: "_ignore"},
+    "tm.outcome_query": {NO_STATE: "_tell_outcome", MARKED: "_tell_outcome",
+                         ACTIVE: "_ignore", PREPARING: "_ignore",
+                         PREPARED: "_ignore", WALK: "_ignore",
+                         COMMITTED: "_tell_outcome"},
+    "tm.end": {NO_STATE: "_end_unknown", MARKED: "_end_aborted",
+               ACTIVE: "_end", WALK: "_end"},
+}
+TABLE["tm.abort"] = TABLE["tm.abort_req"]
 
 
 def _deepest_first(tid: TransactionID) -> tuple:
@@ -151,8 +200,6 @@ class TransactionManager:
         #: the measured system's exact waiting behavior.
         self.peer_down_probe: "Callable[[str], bool] | None" = None
         self._commits_since_checkpoint = 0
-        #: family aborts driven by peer-failure notifications
-        self.aborts_on_failure = 0
         #: the request loop; its gate is the crash-recovery gate: while
         #: set, inbound messages wait in the port queue so protocol traffic
         #: cannot race log replay
@@ -189,6 +236,11 @@ class TransactionManager:
                 f"transaction {tid} is unknown on node "
                 f"{self.node.name!r}") from None
 
+    def _answer(self, message: Message, op: str, **body) -> None:
+        """Send ``op`` about ``message``'s tid to the node it came from."""
+        self._send_datagram(message.body["from"], op, body,
+                            message.body["tid"])
+
     def _send_datagram(self, target: str, op: str, body: dict,
                        tid: TransactionID) -> None:
         payload = Message(op=op, tid=tid,
@@ -206,8 +258,7 @@ class TransactionManager:
         if parent_tid.is_null:
             tid = self.tids.new_toplevel()
         else:
-            parent = self._states.get(parent_tid)
-            if parent is None or parent.phase is not TxnPhase.ACTIVE:
+            if self.row(parent_tid, message.op)[0] != ACTIVE:
                 respond_error(message, TransactionAborted(
                     parent_tid, self.node.aborted.get(
                         parent_tid, "parent is no longer active")))
@@ -216,29 +267,29 @@ class TransactionManager:
         self._states[tid] = TransactionState(tid)
         respond(message, {"tid": tid})
 
-    def _handle_join(self, message: Message) -> None:
-        tid: TransactionID = message.body["tid"]
-        if tid in self.node.aborted:
-            # An operation admitted before the abort began asks to join
-            # after it: refused, or its locks would belong to a
-            # transaction nobody will ever end.
-            respond_error(message, TransactionAborted(
-                tid, self.node.aborted[tid]))
-            return
-        state = self._states.get(tid)
-        if (state is None and not tid.is_toplevel
-                and tid.node != self.node.name):
-            # A remote subtransaction operating here: track under its own
-            # id.  A subtransaction of a family born here was begun here
-            # and has a state until it ends, so without one it has ended:
-            # merged into its parent or aborted.
-            state = self._states[tid] = TransactionState(tid)
-        if state is None:
-            respond_error(message, InvalidTransaction(str(tid)))
-            return
+    def _join(self, state, message: Message) -> None:
         state.servers.add(message.body["server"])
         state.server_ports[message.body["server"]] = message.body["port"]
         respond(message, {"ok": True})
+
+    def _join_foreign(self, state, message: Message) -> None:
+        """A remote subtransaction operating here: tracked under its own
+        id.  A subtransaction of a family born here was begun here and
+        has a state until it ends, so without one it has ended: merged
+        into its parent or aborted."""
+        tid: TransactionID = message.body["tid"]
+        if tid.is_toplevel or tid.node == self.node.name:
+            respond_error(message, InvalidTransaction(str(tid)))
+            return
+        state = self._states[tid] = TransactionState(tid)
+        self._join(state, message)
+
+    def _refuse_join(self, state, message: Message) -> None:
+        """An operation admitted before the abort began asks to join after
+        it: refused, or its locks would belong to a transaction nobody
+        will ever end."""
+        tid: TransactionID = message.body["tid"]
+        respond_error(message, TransactionAborted(tid, self.node.aborted[tid]))
 
     def _handle_remote_sites(self, message: Message) -> None:
         # One notice per family: it goes on the family's root here, which
@@ -250,12 +301,82 @@ class TransactionManager:
 
     def _handle_remote_arrived(self, message: Message) -> None:
         tid: TransactionID = message.body["tid"]
-        if tid not in self.node.aborted:
-            self._states.setdefault(tid, TransactionState(
-                tid, parent_node=message.body["parent_node"]))
+        if self.row(tid, message.op)[0] == NO_STATE:
+            self._states[tid] = TransactionState(
+                tid, parent_node=message.body["parent_node"])
         # Ack back to the Communication Manager (counted small message).
         self.node.service(CM_SERVICE).send(
             Message(op="cm.ack_remote", body={"tid": tid}))
+
+    # -- docs/PROTOCOL.md's table ---------------------------------------------------
+
+    def row(self, tid: TransactionID,
+            column: str) -> tuple[str, TransactionState | None]:
+        """``tid``'s row of the table at this node, and its state if it
+        has one.  The abort mark outranks the phase only in the
+        :data:`MARK_FIRST` columns; elsewhere a marked fragment with a
+        state is in its phase's row, or in the walk's while one runs."""
+        state = self._states.get(tid)
+        if tid in self.node.aborted and (state is None
+                                         or column in MARK_FIRST):
+            return MARKED, state
+        if state is None:
+            return NO_STATE, None
+        if state.walk is not None:
+            return WALK, state
+        return state.phase.name, state
+
+    def _cell(self, tid: TransactionID, message: Message):
+        """Run ``message``'s cell for ``tid``'s row: what the action
+        returns, the generator of a cell that waits (None for one that
+        never does, and for the table's ``--``)."""
+        row, state = self.row(tid, message.op)
+        action = TABLE[message.op].get(row)
+        return None if action is None else getattr(self, action)(
+            state, message)
+
+    def _dispatch_now(self, message: Message) -> None:
+        """The handler of a column whose cells never wait."""
+        self._cell(message.body["tid"], message)
+
+    def _dispatch(self, message: Message):
+        """The handler of a column whose cells may wait; the subordinate's
+        two requests run in a span."""
+        tid: TransactionID = message.body["tid"]
+        with (NO_SPAN if message.op == "tm.end" else self.ctx.span(
+                "2pc." + message.op[3:], self.node.name, "TM", tid=tid,
+                coordinator=message.body["from"])):
+            step = self._cell(tid, message)
+            if step is not None:
+                yield from step
+
+    def _abort_members(self, message: Message):
+        """The handler of ``tm.abort``, ``tm.abort_req`` and
+        ``tm.peer_failed``: each member of the tid here gets its own row's
+        cell, deepest first, and then the sender its answer."""
+        tid: TransactionID = message.body["tid"]
+        if message.op == "tm.peer_failed":
+            # A coordinator mid-prepare stops waiting for the dead peer.
+            peer = message.body["peer"]
+            votes = self._collections.get(("vote", tid))
+            if (votes is not None and peer in votes.expected
+                    and peer not in votes.received):
+                votes.record(peer, "abort")
+        for member in self._members(tid):
+            step = self._cell(member, message)
+            if step is not None:
+                yield from step
+        if message.op == "tm.abort":
+            respond(message, {"aborted": True})
+        elif message.op == "tm.abort_req":
+            self._answer(message, "tm.ack", ack="aborted")
+
+    _handle_join = _handle_outcome_query = _dispatch_now
+    _handle_prepare_req = _handle_commit_req = _handle_end = _dispatch
+    _handle_abort = _handle_abort_req = _handle_peer_failed = _abort_members
+
+    def _ignore(self, state, message: Message) -> None:
+        """The cells where a message changes nothing."""
 
     # -- the family's members here ---------------------------------------------------
 
@@ -372,19 +493,21 @@ class TransactionManager:
 
     # -- commit: application entry point --------------------------------------------
 
-    def _handle_end(self, message: Message):
-        tid: TransactionID = message.body["tid"]
-        state = self._states.get(tid)
-        if state is None:
-            if tid not in self.node.aborted:
-                respond_error(message, InvalidTransaction(str(tid)))
-                return
-            # Nothing the client sent on its way is still running when
-            # it hears the outcome.
-            yield from join_all(message.body.get("copies", ()))
-            respond(message, {"committed": False,
-                              "reason": self.node.aborted[tid]})
-            return
+    def _end_unknown(self, state, message: Message) -> None:
+        respond_error(message, InvalidTransaction(str(message.body["tid"])))
+
+    def _end_aborted(self, state, message: Message):
+        """Nothing the client sent on its way is still running when it
+        hears the outcome."""
+        yield from join_all(message.body.get("copies", ()))
+        self._reply_end(message, False)
+
+    def _reply_end(self, message: Message, committed: bool) -> None:
+        respond(message, {"committed": committed, "reason": "" if committed
+                          else self.node.aborted[message.body["tid"]]})
+
+    def _end(self, state, message: Message):
+        tid = state.tid
         if not tid.is_toplevel:
             try:
                 yield from self._merge_members(tid, into=tid.parent)
@@ -398,19 +521,17 @@ class TransactionManager:
         yield self.ctx.cpu("other", self.ctx.cpu_costs.tm_dispatch_slop)
         # Live subtransactions commit with their parent.
         yield from self._merge_members(tid, into=tid)
-        children = None
+        children, reason = None, None
         footprint = message.body.get("replication")
         if footprint is not None:
             children, reason = yield from self._settle_replicated(
                 state, footprint, message.body["copies"])
-            if reason is not None:
-                yield from self._abort_subtree(state, children, reason=reason)
-                respond(message, {"committed": False,
-                                  "reason": self.node.aborted[tid]})
-                return
-        committed = yield from self._commit_root(state, children)
-        respond(message, {"committed": committed, "reason": "" if committed
-                          else self.node.aborted[tid]})
+        if reason is None:
+            committed = yield from self._commit_root(state, children)
+        else:
+            yield from self._abort_subtree(state, children, reason=reason)
+            committed = False
+        self._reply_end(message, committed)
 
     def _settle_replicated(self, state: TransactionState, footprint: dict,
                            copies: list):
@@ -453,7 +574,7 @@ class TransactionManager:
         if state.phase.terminal:
             # A peer-failure notification aborted the family between the
             # client's EndTransaction and here.
-            return state.phase is TxnPhase.COMMITTED
+            return False
         started = self.ctx.now
         with self.ctx.span("2pc.commit", self.node.name, "TM",
                            tid=tid) as span:
@@ -638,136 +759,99 @@ class TransactionManager:
 
     # -- peer-failure notifications (from the Communication Manager) --------------
 
-    def _handle_peer_failed(self, message: Message):
-        """A peer spanning this family was declared dead or restarted.
-
-        Presumed abort, promptly: the family is doomed here through the
+    def _doom(self, state, message: Message) -> None:
+        """A peer spanning this family was declared dead or restarted:
+        presumed abort, promptly.  The family is doomed here through the
         abort mark, so a fragment mid-prepare votes abort when its prepare
-        ends and a later ``tm.prepare_req`` votes abort at once; every
-        still-ACTIVE fragment at this node is aborted (releasing its
-        locks); and a synthetic abort vote goes into the family's open
-        vote collection so a coordinator mid-prepare stops waiting
-        immediately.  PREPARED and COMMITTED fragments are never touched
-        -- a prepared subordinate must learn the outcome from its
-        coordinator (possibly via recovery-time outcome queries), and a
-        committed transaction is history.
-        """
-        tid: TransactionID = message.body["tid"]
-        peer: str = message.body["peer"]
-        reason = f"peer {peer} {message.body.get('event', 'failed')}"
-        votes = self._collections.get(("vote", tid))
-        if (votes is not None and peer in votes.expected
-                and peer not in votes.received):
-            votes.record(peer, "abort")
-        for member in self._members(tid):
-            state = self._states.get(member)
-            if state is None or state.phase.terminal:
-                continue
-            if state.phase is TxnPhase.PREPARED:
-                continue  # blocking window: only the coordinator decides
-            self._mark(tid, reason)
-            if state.phase is TxnPhase.PREPARING:
-                # The prepare handler owns this state right now; it reads
-                # the mark, and its reason, when its prepare ends.
-                continue
-            children = [c for c in message.body.get("children", ())
-                        if c not in (peer, self.node.name)]
-            self.aborts_on_failure += 1
-            self.ctx.meter.bump("aborts_on_failure")
-            yield from self._abort_subtree(state, children, reason=reason)
+        ends and a later ``tm.prepare_req`` votes abort at once.  PREPARED
+        and COMMITTED fragments are never touched: a prepared subordinate
+        must learn the outcome from its coordinator (possibly via
+        recovery-time outcome queries), and a committed transaction is
+        history."""
+        self._mark(message.body["tid"], self._peer_failure(message))
+
+    def _doom_and_walk(self, state, message: Message):
+        """:meth:`_doom`, and abort the ACTIVE fragment (releasing its
+        locks), telling the family's children but the failed peer."""
+        self._doom(state, message)
+        children = [c for c in message.body.get("children", ())
+                    if c not in (message.body["peer"], self.node.name)]
+        self.ctx.meter.bump("aborts_on_failure")
+        yield from self._abort_subtree(state, children,
+                                       reason=self._peer_failure(message))
+
+    @staticmethod
+    def _peer_failure(message: Message) -> str:
+        return f"peer {message.body['peer']} " \
+               f"{message.body.get('event', 'failed')}"
 
     # -- subordinate side ---------------------------------------------------------------
 
-    def _handle_prepare_req(self, message: Message):
+    def _vote_abort(self, state, message: Message) -> None:
+        """Aborted or doomed here (e.g. a peer-failure notification beat
+        the coordinator's prepare): the vote must be abort."""
+        self._answer(message, "tm.vote", vote="abort")
+
+    def _vote_update(self, state, message: Message) -> None:
+        """A duplicated request (or a second parent in the tree): a
+        promise once made stands -- aborting now would break it."""
+        self._answer(message, "tm.vote", vote="update")
+
+    def _prepare_unseen(self, state, message: Message):
+        """The top level itself never operated here, but one of its
+        subtransactions may have (tracked under its own id): give the
+        family a root to merge into.  With none, the transaction was never
+        seen here (or a read-only participation already forgotten): vote
+        read-only."""
         tid: TransactionID = message.body["tid"]
+        if self._members(tid):
+            state = self._states[tid] = TransactionState(
+                tid, parent_node=message.body["from"])
+            return self._prepare(state, message)
+        self._answer(message, "tm.vote", vote="read_only")
+
+    def _prepare(self, state, message: Message):
+        tid = state.tid
         coordinator: str = message.body["from"]
-        with self.ctx.span("2pc.prepare_req", self.node.name, "TM", tid=tid,
-                           coordinator=coordinator):
-            if tid in self.node.aborted:
-                # Aborted or doomed here (e.g. a peer-failure notification
-                # beat the coordinator's prepare): the vote must be abort.
-                self._send_datagram(coordinator, "tm.vote",
-                                    {"vote": "abort"}, tid)
-                return
-            state = self._states.get(tid)
-            if state is not None and state.phase is not TxnPhase.ACTIVE:
-                # A duplicated request (or a second parent in the tree):
-                # the first one's handler votes, and a promise once made
-                # stands -- aborting now would break it.
-                if state.phase is TxnPhase.PREPARED:
-                    self._send_datagram(coordinator, "tm.vote",
-                                        {"vote": "update"}, tid)
-                return
-            if state is None:
-                # The top level itself never operated here, but one of its
-                # subtransactions may have (tracked under its own id): give
-                # the family a root to merge into.
-                if not self._members(tid):
-                    # We never saw the transaction (or already forgot a
-                    # read-only participation): vote read-only.
-                    self._send_datagram(coordinator, "tm.vote",
-                                        {"vote": "read_only"}, tid)
-                    return
-                state = self._states[tid] = TransactionState(
-                    tid, parent_node=coordinator)
+        yield self.ctx.cpu("TM", self.ctx.cpu_costs.tm_commit_read)
+        yield from self._merge_members(tid, into=tid)
+        yield self.ctx.cpu("other", self.ctx.cpu_costs.tm_dispatch_slop)
+        children = yield from self._children(state, coordinator)
+        try:
+            vote = yield from self._prepare_subtree(state, children)
+        except Exception:
+            vote = "abort"
+        if vote == "update":
+            # Sorted, here and in the committed records: recovery
+            # rebuilds ``server_ports`` from this tuple and phase two
+            # releases locks in its order, which must not be a set's
+            # (string hashes change from one process to the next).
+            yield from self.rm.append_status_via_message(
+                tid, "prepared", servers=tuple(sorted(state.servers)),
+                children=tuple(children), coordinator=coordinator)
+            state.advance(TxnPhase.PREPARED)
+            # Watchdog: if the outcome never arrives (lost datagram,
+            # coordinator hiccup), inquire rather than block forever.
+            self.node.spawn(self._watch_prepared(state),
+                            name=f"tm:watch:{tid}", defused=True)
+        elif vote == "read_only":
+            # Read-only optimization: locks are already released
+            # (servers release at prepare); drop out of phase two
+            # entirely.
+            self._forget(tid)
+        else:
+            yield from self._abort_subtree(state, children)
+        self._answer(message, "tm.vote", vote=vote)
 
-            yield self.ctx.cpu("TM", self.ctx.cpu_costs.tm_commit_read)
-            yield from self._merge_members(tid, into=tid)
-            yield self.ctx.cpu("other", self.ctx.cpu_costs.tm_dispatch_slop)
-            children = yield from self._children(state, coordinator)
-            try:
-                vote = yield from self._prepare_subtree(state, children)
-            except Exception:
-                vote = "abort"
-            if vote == "update":
-                # Sorted, here and in the committed records: recovery
-                # rebuilds ``server_ports`` from this tuple and phase two
-                # releases locks in its order, which must not be a set's
-                # (string hashes change from one process to the next).
-                yield from self.rm.append_status_via_message(
-                    tid, "prepared", servers=tuple(sorted(state.servers)),
-                    children=tuple(children), coordinator=coordinator)
-                state.advance(TxnPhase.PREPARED)
-                # Watchdog: if the outcome never arrives (lost datagram,
-                # coordinator hiccup), inquire rather than block forever.
-                self.node.spawn(self._watch_prepared(state),
-                                name=f"tm:watch:{tid}", defused=True)
-            elif vote == "read_only":
-                # Read-only optimization: locks are already released
-                # (servers release at prepare); drop out of phase two
-                # entirely.
-                self._forget(tid)
-            else:
-                yield from self._abort_subtree(state, children)
-            self._send_datagram(coordinator, "tm.vote", {"vote": vote}, tid)
+    def _commit(self, state, message: Message):
+        yield self.ctx.cpu("TM", self.ctx.cpu_costs.tm_commit_write_extra)
+        yield from self._finish_prepared(state, commit=True)
+        self._ack_commit(state, message)
 
-    def _handle_commit_req(self, message: Message):
-        tid: TransactionID = message.body["tid"]
-        coordinator: str = message.body["from"]
-        with self.ctx.span("2pc.commit_req", self.node.name, "TM", tid=tid,
-                           coordinator=coordinator):
-            state = self._states.get(tid)
-            if state is not None:
-                yield self.ctx.cpu("TM",
-                                   self.ctx.cpu_costs.tm_commit_write_extra)
-                yield from self._finish_prepared(state, commit=True)
-            # Ack even for unknown transactions: we may have committed and
-            # forgotten already, and commit_req datagrams can be retried.
-            self._send_datagram(coordinator, "tm.ack", {"ack": "committed"},
-                                tid)
-
-    def _handle_abort_req(self, message: Message):
-        """Abort ``tid``'s fragment here and those of its descendants that
-        operated here under their own identifiers, deepest first."""
-        tid: TransactionID = message.body["tid"]
-        for member in self._members(tid):
-            state = self._states.get(member)
-            if state is not None:
-                children = yield from self._children(state,
-                                                     message.body["from"])
-                yield from self._abort_subtree(state, children)
-        self._send_datagram(message.body["from"], "tm.ack",
-                            {"ack": "aborted"}, tid)
+    def _ack_commit(self, state, message: Message) -> None:
+        """Ack even for unknown transactions: we may have committed and
+        forgotten already, and commit_req datagrams can be retried."""
+        self._answer(message, "tm.ack", ack="committed")
 
     def _finish_prepared(self, state: TransactionState, commit: bool):
         """Phase two at a prepared subordinate (also used after recovery)."""
@@ -838,28 +922,24 @@ class TransactionManager:
 
     # -- abort ---------------------------------------------------------------------------
 
-    def _handle_abort(self, message: Message):
-        tid: TransactionID = message.body["tid"]
-        state = self._states.get(tid)
-        if state is None or state.phase.terminal:
-            respond(message, {"aborted": True})
-            return
-        # The spanning tree is kept per family; an aborting subtransaction
-        # ships its own tid to the same children, and nodes that never
-        # served it simply acknowledge.
-        children = yield from self._children(state)
+    def _walk(self, state, message: Message):
+        """Abort one member of the tid.  The spanning tree is kept per
+        family; an aborting subtransaction ships its own tid to the same
+        children, and nodes that never served it simply acknowledge."""
+        children = yield from self._children(state, message.body.get("from"))
         yield from self._abort_subtree(state, children,
                                        reason=message.body.get("reason", ""))
-        respond(message, {"aborted": True})
 
     def _abort_subtree(self, state: TransactionState, children: list[str],
                        reason: str = ""):
         """Undo local effects, release locks, and abort child nodes.
 
         Aborting a subtransaction does not abort its parent (Section 2.1.3);
-        aborting a parent aborts all its live descendants.  One walk per
-        fragment: an abort that finds the walk begun waits for it to end
-        and returns as it does.
+        aborting a parent aborts all its live descendants: an abort request
+        walks each member of the tid here (:meth:`_abort_members`), and a
+        commit or prepare that aborts has folded them into ``state``
+        first.  One walk per fragment: an abort that finds the walk begun
+        waits for it to end and returns as it does.
         """
         if state.phase.terminal:
             # Already resolved (e.g. a peer-failure abort raced a
@@ -878,10 +958,6 @@ class TransactionManager:
             self.ctx.tracer.event("2pc.abort", self.node.name, "TM",
                                   tid=tid, reason=reason)
         self.ctx.metrics.counter(self.node.name, "tm.aborts").inc()
-        for member in self._members(tid):
-            member_state = self._states.get(member)
-            if member != tid and member_state is not None:
-                yield from self._abort_subtree(member_state, [])
         collection = None
         awaited = self._live_children(children)
         if awaited:
@@ -965,9 +1041,13 @@ class TransactionManager:
         """Self-inquiry for a subordinate stuck in PREPARED: after the
         inquiry delay, ask the coordinator for the outcome directly."""
         yield self.prepared_inquiry_ms
-        current = self._states.get(state.tid)
-        if current is state and state.phase is TxnPhase.PREPARED:
-            yield from self._resolve_in_doubt(state)
+        yield from self._resolve_in_doubt(state)
+
+    def _in_doubt(self, state: TransactionState) -> bool:
+        """``state`` is still the tid's here, and still PREPARED: no
+        outcome has arrived through the normal channel."""
+        return (self._states.get(state.tid) is state
+                and state.phase is TxnPhase.PREPARED)
 
     def _resolve_in_doubt(self, state: TransactionState):
         """Blocking resolution: ask the coordinator until it answers.
@@ -977,20 +1057,13 @@ class TransactionManager:
         mode the paper acknowledges for its choice of protocol.
         """
         tid = state.tid
-        while True:
-            if (self._states.get(tid) is not state
-                    or state.phase is not TxnPhase.PREPARED):
-                return  # the outcome arrived through the normal channel
-            collection = self._open_collection("outcome", tid,
-                                               [state.parent_node])
+        while self._in_doubt(state):
+            self._open_collection("outcome", tid, [state.parent_node])
             self._send_datagram(state.parent_node, "tm.outcome_query", {},
                                 tid)
             replies = yield from self._await_collection(
                 "outcome", tid, RESOLVE_RETRY_MS)
-            if replies:
-                if (self._states.get(tid) is not state
-                        or state.phase is not TxnPhase.PREPARED):
-                    return  # resolved through the normal channel meanwhile
+            if replies and self._in_doubt(state):
                 outcome = replies[state.parent_node]
                 yield from self._finish_prepared(
                     state, commit=(outcome == "committed"))
@@ -1000,19 +1073,12 @@ class TransactionManager:
                                     {"ack": outcome}, tid)
                 return
 
-    def _handle_outcome_query(self, message: Message) -> None:
-        tid: TransactionID = message.body["tid"]
-        state = self._states.get(tid)
-        if state is not None and state.phase is TxnPhase.COMMITTED:
-            outcome = "committed"
-        elif state is not None and state.phase in (TxnPhase.PREPARED,
-                                                   TxnPhase.PREPARING,
-                                                   TxnPhase.ACTIVE):
-            return  # not decided yet; the subordinate will ask again
-        else:
-            outcome = "aborted"  # presumed abort: no state means no commit
-        self._send_datagram(message.body["from"], "tm.outcome_reply",
-                            {"outcome": outcome}, tid)
+    def _tell_outcome(self, state, message: Message) -> None:
+        """A COMMITTED fragment answers "committed"; no state means no
+        commit (presumed abort).  An undecided one does not answer: the
+        subordinate will ask again."""
+        self._answer(message, "tm.outcome_reply",
+                     outcome="aborted" if state is None else "committed")
 
     def _handle_outcome_reply(self, message: Message) -> None:
         tid: TransactionID = message.body["tid"]
@@ -1030,7 +1096,7 @@ class TransactionManager:
                 state.server_ports[server] = port
 
     def transactions_with_server(self, server: str) -> list[TransactionID]:
-        """Non-terminal, non-prepared transactions this server joined.
+        """ACTIVE and PREPARING transactions this server joined.
 
         These lost their server-side state (locks, buffered write sets)
         when the server process died and must be aborted; prepared
@@ -1038,8 +1104,7 @@ class TransactionManager:
         """
         return [tid for tid, state in self._states.items()
                 if server in state.servers
-                and not state.phase.terminal
-                and state.phase is not TxnPhase.PREPARED]
+                and state.phase in (TxnPhase.ACTIVE, TxnPhase.PREPARING)]
 
     # -- introspection -------------------------------------------------------------------
 

@@ -49,7 +49,6 @@ class TestHealthy:
         ctx.engine.run(until=10 * SUSPICION)
         assert detectors["a"].suspects() == []
         assert detectors["b"].suspects() == []
-        assert detectors["a"].failures_detected == 0
         assert events["a"] == [] and events["b"] == []
 
     def test_peer_epochs_learned_from_probes(self, ctx):
@@ -75,17 +74,17 @@ class TestCrashDetection:
         ctx.engine.schedule(1_000.0, nodes["b"].crash)
         ctx.engine.run(until=1_000.0 + DETECTION_BOUND)
         assert detectors["a"].suspects() == ["b"]
-        assert detectors["a"].failures_detected == 1
         assert ctx.meter.counter("failures_detected") == 1
         (when, event, peer), = events["a"]
         assert event == "suspect" and peer == "b"
         assert when <= 1_000.0 + DETECTION_BOUND
 
     def test_dead_peer_is_suspected_only_once(self, ctx):
-        _, nodes, detectors, _ = make_world(ctx)
+        _, nodes, _, events = make_world(ctx)
         ctx.engine.schedule(1_000.0, nodes["b"].crash)
         ctx.engine.run(until=10_000.0)
-        assert detectors["a"].failures_detected == 1
+        assert [event for _, event, _ in events["a"]] == ["suspect"]
+        assert ctx.meter.counter("failures_detected") == 1
 
     def test_suspicion_breaks_the_session_proactively(self, ctx):
         network, nodes, _, _ = make_world(ctx)
@@ -118,20 +117,19 @@ class TestFalseSuspicion:
         ctx.engine.schedule(100.0, lambda: network.partition([["a"], ["b"]]))
         ctx.engine.schedule(2_100.0, network.heal)
         ctx.engine.run(until=4_000.0)
-        assert detectors["a"].false_suspicions == 1
         assert detectors["a"].suspects() == []
-        assert ctx.meter.counter("false_suspicions") >= 1
+        assert ctx.meter.counter("false_suspicions") == 2  # a and b
         kinds = [event for _, event, _ in events["a"]]
         assert kinds.count("suspect") == 1
         assert kinds.count("recovered") == 1
 
     def test_short_partition_causes_no_suspicion(self, ctx):
         """A blip shorter than the suspicion timeout passes unnoticed."""
-        network, _, detectors, events = make_world(ctx)
+        network, _, _, events = make_world(ctx)
         ctx.engine.schedule(100.0, lambda: network.partition([["a"], ["b"]]))
         ctx.engine.schedule(1_000.0, network.heal)  # 900 ms < 1500 ms
         ctx.engine.run(until=4_000.0)
-        assert detectors["a"].failures_detected == 0
+        assert ctx.meter.counter("failures_detected") == 0
         assert events["a"] == []
 
 

@@ -162,10 +162,9 @@ class World:
         beliefs = {}
         for name in self.up():
             detector = self.network.manager(name).failure_detector
-            beliefs[name] = (
-                {peer: (health.last_heard, health.epoch, health.suspected)
-                 for peer, health in detector.peers.items()},
-                detector.failures_detected, detector.false_suspicions)
+            beliefs[name] = {
+                peer: (health.last_heard, health.epoch, health.suspected)
+                for peer, health in detector.peers.items()}
         return beliefs
 
 

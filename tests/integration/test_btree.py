@@ -132,6 +132,47 @@ def test_deletes_force_merges(env):
     assert [key for key, _ in entries] == keys[-3:]
 
 
+def test_an_underflow_borrows_from_a_left_sibling_with_keys_to_spare(env):
+    """Nine ascending inserts split the root leaf into 4 + 5 keys; two
+    more land on the left.  Deleting two keys on the right leaves it one
+    short of half full while the left has two to spare: the right leaf
+    takes the left's last key and the separator follows it."""
+    cluster, app, ref = env
+    tree = cluster.node("n1").servers["dirs"]
+    borrowed = []
+    borrow = tree._borrow_from_left
+
+    def spy(node, index, child, left, *pages):
+        borrowed.append((list(left["keys"]), list(child["keys"])))
+        borrow(node, index, child, left, *pages)
+    tree._borrow_from_left = spy
+    keys = [f"k{i:02d}" for i in range(MAX_KEYS + 1)] + ["k00a", "k00b"]
+
+    def fill(tid):
+        for key in keys:
+            yield from call(app, ref, tid, "insert", key=key, value=key)
+
+    cluster.run_transaction("n1", fill)
+
+    def shrink(tid):
+        for key in ("k07", "k08"):
+            yield from call(app, ref, tid, "delete", key=key)
+        result = yield from call(app, ref, tid, "scan")
+        return result["entries"]
+
+    entries = cluster.run_transaction("n1", shrink)
+    assert borrowed == [(["k00", "k00a", "k00b", "k01", "k02", "k03"],
+                         ["k04", "k05", "k06"])]
+    remaining = sorted(set(keys) - {"k07", "k08"})
+    assert [key for key, _ in entries] == remaining
+
+    def find(tid):
+        result = yield from call(app, ref, tid, "lookup", key="k03")
+        return result["value"]
+
+    assert cluster.run_transaction("n1", find) == "k03"
+
+
 def test_range_scan(env):
     cluster, app, ref = env
 

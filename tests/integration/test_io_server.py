@@ -176,3 +176,58 @@ def test_multiple_areas_are_independent(cluster):
     cluster.run_transaction("n1", write(area2, "two"))
     assert render(cluster, app, ref, area1) == ["  one"]
     assert render(cluster, app, ref, area2) == ["  two"]
+
+
+def test_a_read_parked_before_its_input_is_woken_by_the_feed(env):
+    """ReadLineFromArea with nothing typed yet waits for the keyboard;
+    the input fed meanwhile is the line it returns and echoes boxed."""
+    cluster, app, ref, area = env
+
+    def reader(tid):
+        result = yield from app.call(ref, "read_line_from_area",
+                                     {"area": area}, tid)
+        return result["data"]
+
+    read = cluster.spawn_on("n1", app.run_transaction(reader))
+    cluster.engine.run(until=cluster.engine.now + 2_000.0)
+    assert read.alive  # parked: no input yet
+
+    def feed(tid):
+        yield from app.call(ref, "feed_input",
+                            {"area": area, "data": "42"}, tid)
+
+    cluster.run_transaction("n1", feed)
+    cluster.engine.run_until(read)
+    assert read.result() == "42"
+    assert any("[42]" in line for line in render(cluster, app, ref, area))
+
+
+def test_a_read_with_no_input_gives_up_at_its_deadline(env):
+    cluster, app, ref, area = env
+    from repro.errors import ServerError
+
+    def reader(tid):
+        yield from app.call(ref, "read_line_from_area",
+                            {"area": area, "max_wait_ms": 500.0}, tid)
+
+    started = cluster.engine.now
+    with pytest.raises(ServerError, match="no input arrived"):
+        cluster.run_transaction("n1", reader)
+    assert cluster.engine.now - started >= 500.0
+
+
+def test_destroying_an_area_empties_it(env):
+    cluster, app, ref, area = env
+
+    def write(tid):
+        yield from app.call(ref, "write_to_area",
+                            {"area": area, "data": "gone soon"}, tid)
+
+    cluster.run_transaction("n1", write)
+    assert render(cluster, app, ref, area) == ["  gone soon"]
+
+    def destroy(tid):
+        yield from app.call(ref, "destroy_io_area", {"area": area}, tid)
+
+    cluster.run_transaction("n1", destroy)
+    assert render(cluster, app, ref, area) == []

@@ -134,9 +134,9 @@ def test_parent_abort_takes_down_live_children(env):
 
 def test_live_subtransactions_are_walked_in_identifier_order(env):
     """Committing a subtransaction merges its live children first, and
-    aborting a parent aborts its live children: both walk a *set* of
-    siblings, deepest first and then by identifier -- not in the set's
-    order, which follows the string hash and so differs between
+    aborting a parent aborts its live children first: both walk a *set*
+    of siblings, deepest first and then by identifier -- not in the
+    set's order, which follows the string hash and so differs between
     interpreter runs."""
     cluster, app, ref = env
     tm = cluster.node("n1").tm
@@ -166,7 +166,7 @@ def test_live_subtransactions_are_walked_in_identifier_order(env):
 
     parent, middle = cluster.run_on("n1", body())
     assert folded == [middle.child(i) for i in range(1, 7)] + [middle]
-    assert aborted == [parent] + [parent.child(i) for i in range(2, 8)]
+    assert aborted == [parent.child(i) for i in range(2, 8)] + [parent]
 
 
 def test_parent_commit_sweeps_up_unended_children(env):

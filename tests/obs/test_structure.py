@@ -158,6 +158,52 @@ def test_one_abort_mark_and_no_zombie_guard():
                 if spec.type in ("bool", bool) and name != "has_remote_sites"]
 
 
+def protocol_table() -> dict[str, dict[str, str]]:
+    """docs/PROTOCOL.md's fragment table: message -> row -> the method
+    its cell names; a ``--`` cell is left out."""
+    lines = (ROOT / "docs" / "PROTOCOL.md").read_text().splitlines()
+    start = next(number for number, line in enumerate(lines)
+                 if line.startswith("| row \\ message |"))
+    header = [cell.strip() for cell in lines[start].strip("|").split("|")]
+    table: dict[str, dict[str, str]] = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        row, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+        assert len(cells) == len(header) - 1, f"ragged row {row!r}"
+        for column, cell in zip(header[1:], cells):
+            named = re.match(r"`(_\w+)`", cell)
+            assert named or cell.startswith("--"), f"{row} x {column}"
+            for op in re.findall(r"`(tm\.\w+)`", column):
+                if named:
+                    table.setdefault(op, {})[row] = named.group(1)
+                else:
+                    table.setdefault(op, {})
+    return table
+
+
+def test_the_transaction_managers_dispatch_is_docs_protocol_table():
+    """Each cell of docs/PROTOCOL.md's table names the method the
+    Transaction Manager's ``TABLE`` runs for that row and message, or is
+    ``--`` where ``TABLE`` has no cell; the rows are the ones its row
+    lookup returns, and each column's handler is the dispatch."""
+    from repro.txn import manager
+    from repro.txn.manager import TABLE, TransactionManager
+
+    assert protocol_table() == TABLE
+    rows = {manager.NO_STATE, manager.MARKED, manager.WALK, manager.ACTIVE,
+            manager.PREPARING, manager.PREPARED, manager.COMMITTED}
+    for op, cells in TABLE.items():
+        assert set(cells) <= rows, op
+        for action in cells.values():
+            assert callable(getattr(TransactionManager, action)), action
+        handler = getattr(TransactionManager, "_handle_" + op[3:])
+        assert handler in (TransactionManager._dispatch,
+                           TransactionManager._dispatch_now,
+                           TransactionManager._abort_members), op
+    assert manager.MARK_FIRST < set(TABLE)
+
+
 def test_a_wait_with_one_waiter_builds_no_event():
     """A sleep yields its delay and a reply, lock, vote, lookup or
     keyboard wait parks its process (docs/SIMULATOR.md "A wait with one

@@ -17,10 +17,19 @@ drains the simulation and checks four invariants:
    its call returned, its family's top level is logged committed, and
    no subtransaction between them aborted.
 
+After the settle, no process may be left alive on a live node: at
+quiescence one would wait for good.
+
 The example budget comes from the active Hypothesis profile; CI's
 storage soak runs ``--hypothesis-profile=soak`` (``conftest.py``).
+Every run of this module counts the cells of docs/PROTOCOL.md's table
+its messages reach (``tests/protocol_cells.py``) and writes the counts
+to ``commit-protocol-cells.json`` under pytest's base temporary
+directory (``--basetemp``); ``tests/txn/test_protocol_table.py`` reaches
+every cell deterministically.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import pytest
@@ -39,12 +48,29 @@ from repro.errors import InvalidTransaction
 from repro.recovery.audit import audit_abort_order, watch_terminal_statuses
 from repro.servers.op_array import OperationArrayServer
 from repro.sim import Process
+from repro.txn.manager import TABLE
+from tests.protocol_cells import cells_reached
 
 NODES = ("n0", "n1", "n2")
 CELLS = (1, 2)
 #: simulated time one client step may take before the model moves on
 #: (a call waiting for a lock keeps running in the background)
 STEP_MS = 400.0
+
+
+@pytest.fixture(scope="module", autouse=True)
+def cell_report(tmp_path_factory):
+    """Count the table cells this module's runs reach, and report them."""
+    with cells_reached() as reached:
+        yield reached
+    cells = [{"row": row, "message": column, "reached": reached[row, column]}
+             for column, rows in TABLE.items() if column != "tm.abort"
+             for row in rows]
+    report = tmp_path_factory.getbasetemp() / "commit-protocol-cells.json"
+    report.write_text(json.dumps({
+        "cells": cells,
+        "reached": sum(1 for cell in cells if cell["reached"]),
+        "of": len(cells)}, indent=1) + "\n")
 
 
 def server_of(node: str) -> str:
@@ -249,6 +275,13 @@ class CommitProtocolModel(RuleBasedStateMachine):
         parked = [txn.tid for txn in self.all
                   if txn.step is not None and txn.step.alive]
         assert parked == [], f"client steps never ended: {parked}"
+        # Quiescent: nothing is due but the detectors' heartbeats, so a
+        # process still alive waits for something that will never come.
+        stuck = [(name, process.name, process.trace_stack)
+                 for name, tabs_node in self.cluster.nodes.items()
+                 if tabs_node.node.alive
+                 for process in tabs_node.node.live_processes()]
+        assert stuck == [], f"processes parked at quiescence: {stuck}"
         self.check()
 
     def teardown(self):

@@ -248,7 +248,7 @@ def test_a_failure_notice_during_the_join_is_one_abort_and_no_prepare():
     assert seen["done"] and seen["done"][0] <= seen["answered"]
     assert released_at == []
     assert counter(cluster, "bank0", "tm.aborts") == aborts + 1
-    assert cluster.node("bank0").tm.aborts_on_failure == 1
+    assert cluster.meter.counter("aborts_on_failure") == 1
     assert spans(tracer, tid, "2pc.prepare") == []
     assert spans(tracer, tid, "2pc.prepare_req") == []
     cluster.settle()
@@ -275,7 +275,7 @@ def test_a_family_aborted_before_tm_end_still_answers_after_its_copies():
         seen["done"] = finished_at(cluster, copy)
         cluster.engine.schedule(60.0, lambda: cluster.crash_node("bank1"))
         yield Timeout(cluster.engine, 5_000.0)
-        assert cluster.node("bank0").tm.aborts_on_failure == 1
+        assert cluster.meter.counter("aborts_on_failure") == 1
         assert copy.alive
         committed = yield from rapp.end_transaction(tid)
         seen["answered"] = cluster.engine.now

@@ -213,7 +213,7 @@ def test_first_copy_crashing_after_it_executed_never_commits():
     assert [error.tid for error in refused] == tids
     with pytest.raises(TransactionAborted):
         client.result()
-    assert bank1.tm.aborts_on_failure == 1
+    assert cluster.meter.counter("aborts_on_failure") == 1
     assert counter(cluster, "bank1", "replication.read_failover") == 1
     assert [op for op, _ in rapp.app.control] == ["abort"]  # no tm.end
     library = bank1.servers[keyspace].library
@@ -307,7 +307,7 @@ def test_second_execution_after_a_crashed_first_aborts_at_the_join():
                        match="write-behind:.*@bank0 failed: LookupFailed"):
         cluster.run_on("bank1", rapp.run_transaction(body))
     assert executions == [before + 500, before + 500]
-    assert cluster.node("bank1").tm.aborts_on_failure == 0
+    assert cluster.meter.counter("aborts_on_failure") == 0
     assert [op for op, _ in rapp.app.control] == ["end"]     # no tm.abort
     assert rapp._behind == {} and rapp._footprints == {}
     assert locks(cluster, "bank1", keyspace).held_keys(tids[0]) == []
