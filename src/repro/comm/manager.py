@@ -236,7 +236,3 @@ class CommunicationManager:
                 body={"tid": key, "peer": peer, "event": event,
                       "parent": record.parent,
                       "children": sorted(record.child_epochs)}))
-
-    def spanning_record(self, tid: TransactionID) -> SpanningRecord:
-        """Direct (uncharged) read for recovery and tests."""
-        return self._trees.get(tid.toplevel, SpanningRecord())

@@ -95,10 +95,3 @@ class SessionTable:
             self.network.ctx.metrics.counter(
                 self.local, "sessions.broken").inc()
 
-    def active_peers(self) -> list[str]:
-        return [remote for remote, session in self._sessions.items()
-                if session.usable]
-
-    def clear(self) -> None:
-        """Volatile: a crash forgets every session."""
-        self._sessions.clear()

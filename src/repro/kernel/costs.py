@@ -19,7 +19,7 @@ This module defines:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class Primitive(enum.Enum):
@@ -63,12 +63,6 @@ class CostProfile:
 
     def time_of(self, primitive: Primitive) -> float:
         return self.times[primitive]
-
-    def scaled(self, factor: float, name: str = "") -> "CostProfile":
-        """A profile with every time multiplied by ``factor`` (sweeps)."""
-        return CostProfile(
-            name=name or f"{self.name}*{factor}",
-            times={p: t * factor for p, t in self.times.items()})
 
 
 #: Table 5-1: primitive times measured on a Perq T2 (milliseconds).
@@ -147,12 +141,6 @@ class CpuCosts:
     # path and calibrated so the two-node benchmarks land near Table 5-4.
     cm_session_msg: float = 18.0
     cm_datagram: float = 14.0
-
-    def scaled(self, factor: float) -> "CpuCosts":
-        """All CPU costs multiplied by ``factor`` (faster/slower CPU)."""
-        values = {name: getattr(self, name) * factor
-                  for name in self.__dataclass_fields__}
-        return replace(self, **values)
 
 
 #: CPU costs with everything free, for logic-only tests.

@@ -137,12 +137,6 @@ class Port:
             self._waiters.append((process, token))
         return PARKED
 
-    def try_receive(self) -> Message | None:
-        """Dequeue a message if one is waiting; never blocks."""
-        if self._queue and self.alive:
-            return self._queue.popleft()
-        return None
-
     def destroy(self) -> None:
         """Kill the port: drop its queue, future sends are discarded."""
         self.dead = True

@@ -275,10 +275,3 @@ class Tracer:
 
     def family_root(self, tid) -> int:
         return self._family_roots.get(family_of(tid), 0)
-
-    def spans_of_family(self, tid) -> list[Span]:
-        family = family_of(tid)
-        return [span for span in self.spans if span.family == family]
-
-    def span_children(self, span_id: int) -> list[Span]:
-        return [span for span in self.spans if span.parent_id == span_id]

@@ -56,25 +56,3 @@ class PlacementEpoch:
             raise TabsError(f"no placement for key-space {keyspace!r}")
         assignments[keyspace] = tuple(replicas)
         return self.successor(assignments)
-
-    def with_replica_added(self, keyspace: str, node: str
-                           ) -> "PlacementEpoch":
-        """Successor with ``node`` appended to ``keyspace``'s replicas
-        (the migration *extend* step: writes start fanning to it)."""
-        replicas = self.placement.replicas(keyspace)
-        if node in replicas:
-            raise TabsError(f"{node!r} already replicates {keyspace!r}")
-        return self.with_replicas(keyspace, replicas + (node,))
-
-    def with_replica_removed(self, keyspace: str, node: str
-                             ) -> "PlacementEpoch":
-        """Successor with ``node`` dropped from ``keyspace``'s replicas
-        (the migration *shrink* step; refuses to drop the last copy)."""
-        replicas = self.placement.replicas(keyspace)
-        if node not in replicas:
-            raise TabsError(f"{node!r} does not replicate {keyspace!r}")
-        if len(replicas) == 1:
-            raise TabsError(f"refusing to drop the last copy of "
-                            f"{keyspace!r}")
-        return self.with_replicas(
-            keyspace, tuple(n for n in replicas if n != node))

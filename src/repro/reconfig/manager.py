@@ -68,12 +68,11 @@ class ReconfigManager:
         #: deterministic reconfiguration trace:
         #: (time_ms, phase, keyspace, source, dest, epoch)
         self.events: list[tuple] = []
+        # A placement is built by building a workload, which starts the
+        # cluster, so the registry always comes up live.
         if REGISTRY_SERVER not in originator_tabs._server_factories:
-            factory = ReconfigRegistryServer.factory(REGISTRY_SERVER)
-            if cluster._started:
-                cluster.add_server_live(originator, factory)
-            else:
-                originator_tabs.add_server(factory)
+            cluster.add_server_live(
+                originator, ReconfigRegistryServer.factory(REGISTRY_SERVER))
         # Durable resume: after every crash recovery of the originator,
         # consult the registry for a migration the crash cut short.
         originator_tabs.recovery_hooks.append(self.resolve_pending)
@@ -125,8 +124,7 @@ class ReconfigManager:
         to it.
         """
         tabs_node = self.cluster.add_node(name)
-        if self.cluster._started:
-            self.cluster.settle()
+        self.cluster.settle()
         self.cluster.metrics.counter(self.originator,
                                      "reconfig.nodes_joined").inc()
         return tabs_node

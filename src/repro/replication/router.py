@@ -57,10 +57,9 @@ class ReplicatedApp:
         if cluster.placement is None:
             raise ReplicaUnavailable(
                 "cluster has no placement map (replication not built)")
+        # A placement exists only with replication on, and then every
+        # node runs a replication runtime.
         tabs_node = cluster.node(node_name)
-        if tabs_node.replication is None:
-            raise ReplicaUnavailable(
-                f"node {node_name!r} runs without a replication runtime")
         self.cluster = cluster
         self.node_name = node_name
         self.app = cluster.application(node_name)
@@ -92,11 +91,7 @@ class ReplicatedApp:
         commit by the epoch rule anyway -- this avoids the pointless
         abort storm).
         """
-        placement = self._runtime.placement
-        if placement is None:  # pragma: no cover - guarded in __init__
-            raise ReplicaUnavailable(
-                f"node {self.node_name!r} has no placement installed")
-        return placement
+        return self._runtime.placement
 
     # -- transaction control ----------------------------------------------------
 

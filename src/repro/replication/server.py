@@ -201,8 +201,6 @@ class ReplicatedServerMixin:
         pages: set[int] = set()
         for offset in sorted(body["cells"]):
             peer_raw = body["cells"][offset]
-            if peer_raw is None:
-                continue
             oid = self._offset_oid(offset)
             yield from self.library.lock_object(tid, oid, WRITE,
                                                 timeout_ms=timeout_ms,

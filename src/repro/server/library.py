@@ -169,11 +169,16 @@ class DataServerLibrary:
 
     def _operation(self, tid: TransactionID | None, body):
         """Run ``body`` as one operation of ``tid`` on this node
-        (generator): refused once the transaction's abort has begun here,
-        counted as running until it ends, so the abort waits for it."""
+        (generator): refused once the transaction's abort has begun here
+        or this server has voted for it, counted as running until it
+        ends, so the abort waits for it."""
         if tid in self.node.aborted:
             raise TransactionAborted(tid,
                                      "aborted before this operation arrived")
+        local = self._txns.get(tid)
+        if local is not None and local.prepared:
+            raise TransactionAborted(tid,
+                                     "voted before this operation arrived")
         self.node.count_operation(tid, 1)
         try:
             return (yield from body)

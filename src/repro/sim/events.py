@@ -151,12 +151,6 @@ class Event:
             else:
                 callbacks.append(callback)
 
-    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Stop observing; no-op if the callbacks already ran."""
-        callbacks = self._callbacks
-        if callbacks is not None and callback in callbacks:
-            callbacks.remove(callback)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "processed" if self._processed else (
             "triggered" if self.triggered else "pending")

@@ -93,8 +93,8 @@ MARK_FIRST = frozenset({"tm.join", "tm.prepare_req"})
 #: ``tm.peer_failed`` run their cell once per member of the tid here.
 TABLE: dict[str, dict[str, str]] = {
     "tm.join": {NO_STATE: "_join_foreign", MARKED: "_refuse_join",
-                ACTIVE: "_join", PREPARING: "_join", PREPARED: "_join",
-                COMMITTED: "_join"},
+                ACTIVE: "_join", PREPARING: "_refuse_join",
+                PREPARED: "_refuse_join", COMMITTED: "_refuse_join"},
     "tm.prepare_req": {NO_STATE: "_prepare_unseen", MARKED: "_vote_abort",
                        ACTIVE: "_prepare", PREPARING: "_ignore",
                        PREPARED: "_vote_update", COMMITTED: "_ignore"},
@@ -285,11 +285,13 @@ class TransactionManager:
         self._join(state, message)
 
     def _refuse_join(self, state, message: Message) -> None:
-        """An operation admitted before the abort began asks to join after
-        it: refused, or its locks would belong to a transaction nobody
-        will ever end."""
+        """An operation asks to join a fragment whose abort began, or that
+        has begun to vote, after it was admitted: refused, or its locks
+        would belong to a fragment nobody will ever end, or its updates
+        would miss the prepare records the vote rests on."""
         tid: TransactionID = message.body["tid"]
-        respond_error(message, TransactionAborted(tid, self.node.aborted[tid]))
+        respond_error(message, TransactionAborted(tid, self.node.aborted.get(
+            tid, "the fragment has voted")))
 
     def _handle_remote_sites(self, message: Message) -> None:
         # One notice per family: it goes on the family's root here, which

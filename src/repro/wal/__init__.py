@@ -13,12 +13,7 @@ storage.  All objects on a node share one common log.
 - :mod:`repro.wal.log` -- the buffered write-ahead log with force semantics.
 """
 
-from repro.wal.codec import (
-    decode_record,
-    decode_records,
-    encode_record,
-    encode_records,
-)
+from repro.wal.codec import decode_record, encode_record, frame_checksum
 from repro.wal.log import WriteAheadLog
 from repro.wal.records import (
     CheckpointRecord,
@@ -37,5 +32,5 @@ __all__ = [
     "WriteAheadLog", "LogStore", "LogRecord", "RecordKind",
     "ValueUpdateRecord", "OperationRecord", "TransactionStatusRecord",
     "CheckpointRecord", "PageDirtyRecord", "ServerPrepareRecord", "TxnStatus",
-    "encode_record", "decode_record", "encode_records", "decode_records",
+    "encode_record", "decode_record", "frame_checksum",
 ]

@@ -14,10 +14,10 @@ is self-describing.  Integers are length-prefixed big-endian
 two's-complement (Python ints are unbounded); containers are count-
 prefixed.  All multi-byte scalars are big-endian.
 
-Stable storage adds a checksum layer: the duplexed log
-(:mod:`repro.wal.store`) persists each record as a *checksummed frame* --
-the framed record followed by a CRC-32 of it -- so torn or rotted log
-sectors are detected rather than misread.  CRC-32 detects every
+Stable storage adds a checksum: a damaged image on a log disk
+(:mod:`repro.wal.store`) is a frame kept beside the CRC-32
+(:func:`frame_checksum`) of the frame it should be, so torn or rotted
+log sectors are detected rather than misread.  CRC-32 detects every
 single-bit error, which the property suite proves exhaustively.
 """
 
@@ -306,58 +306,6 @@ def decode_record(data: bytes) -> LogRecord:
     return record
 
 
-def encode_records(records: list[LogRecord]) -> bytes:
-    """Concatenate framed records (the on-disk log image)."""
-    return b"".join(encode_record(record) for record in records)
-
-
-def decode_records(data: bytes) -> list[LogRecord]:
-    """Split a concatenation of framed records back apart."""
-    records = []
-    pos = 0
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise WalCodecError("truncated frame header at end of buffer")
-        (length,) = struct.unpack(">I", data[pos:pos + 4])
-        end = pos + 4 + length
-        if end > len(data):
-            raise WalCodecError(
-                f"truncated record at offset {pos}: frame says {length} "
-                f"bytes, only {len(data) - pos - 4} remain")
-        records.append(decode_record(data[pos:end]))
-        pos = end
-    return records
-
-
-# -- checksummed frames (stable-storage layer) ----------------------------------
-
-#: trailing CRC-32 width of a checksummed frame
-CHECKSUM_BYTES = 4
-
-
 def frame_checksum(frame: bytes) -> int:
     """CRC-32 over an encoded record frame (detects all single-bit errors)."""
     return zlib.crc32(frame) & 0xFFFF_FFFF
-
-
-def encode_record_checksummed(record: LogRecord) -> bytes:
-    """Serialize one record with its trailing CRC-32 (the log-disk form)."""
-    frame = encode_record(record)
-    return frame + struct.pack(">I", frame_checksum(frame))
-
-
-def verify_checksummed_frame(data: bytes) -> bool:
-    """True iff the trailing CRC-32 matches the frame it covers."""
-    if len(data) < CHECKSUM_BYTES + 5:  # u32 length + kind tag minimum
-        return False
-    frame, stored = data[:-CHECKSUM_BYTES], data[-CHECKSUM_BYTES:]
-    return frame_checksum(frame) == struct.unpack(">I", stored)[0]
-
-
-def decode_record_checksummed(data: bytes) -> LogRecord:
-    """Verify the CRC-32, then decode; corrupt frames never decode."""
-    if not verify_checksummed_frame(data):
-        raise WalCodecError(
-            "checksummed frame failed CRC-32 verification (corrupt or "
-            "truncated log sector)")
-    return decode_record(data[:-CHECKSUM_BYTES])

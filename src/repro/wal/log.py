@@ -98,10 +98,6 @@ class WriteAheadLog:
         """LSN up to which records are durable."""
         return self.store.last_lsn
 
-    @property
-    def buffered_count(self) -> int:
-        return len(self._buffer)
-
     # -- writing ---------------------------------------------------------------
 
     def append(self, record: LogRecord) -> int:
@@ -222,12 +218,3 @@ class WriteAheadLog:
         record = min(self._buffer, key=lambda r: r.lsn)
         self.store.append_torn(record)
         return record.lsn
-
-    @classmethod
-    def after_restart(cls, ctx: SimContext, store: LogStore,
-                      buffer_capacity: int = 512,
-                      commit: "CommitConfig | None" = None
-                      ) -> "WriteAheadLog":
-        """A fresh log over a surviving store, continuing its LSN sequence."""
-        return cls(ctx, store=store, buffer_capacity=buffer_capacity,
-                   commit=commit)

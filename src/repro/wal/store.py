@@ -2,9 +2,9 @@
 
 An append-only sequence of records with bounded capacity.  On the paper's
 Perqs the log lived on the single (non-stable) disk; following Gray's
-stable-storage recipe we duplex it: every record is encoded to its
-checksummed wire frame (:mod:`repro.wal.codec`) and written to **two**
-mirrored log disks.  A read that finds one copy failing its CRC repairs it
+stable-storage recipe we duplex it: every record is encoded to its wire
+frame (:mod:`repro.wal.codec`), checked by a CRC-32, on **two** mirrored
+log disks.  A read that finds one copy failing its CRC repairs it
 from the good copy; a record unreadable on *both* copies is real log
 damage, survivable only at the unwritten tail (a torn force during power
 failure), where :meth:`salvage` truncates the log to its last intact
@@ -278,13 +278,6 @@ class LogStore:
                 f"{self.truncated_before})")
         self._repair_damage()
         return [r for r in self._records if r.lsn >= from_lsn]
-
-    def read_backward(self, from_lsn: int | None = None) -> list[LogRecord]:
-        """Durable records from ``from_lsn`` (default: the end) backwards."""
-        self._repair_damage()
-        records = self._records if from_lsn is None else [
-            r for r in self._records if r.lsn <= from_lsn]
-        return list(reversed(records))
 
     def record_at(self, lsn: int) -> LogRecord:
         self._repair_damage()

@@ -464,10 +464,6 @@ class DebitCreditTopology:
     def node_name(self, branch: int) -> str:
         return f"bank{branch // self.branches_per_node}"
 
-    def branches_on(self, node: str) -> list[int]:
-        return [b for b in range(self.branches)
-                if self.node_name(b) == node]
-
     def client_home(self, client: int) -> int:
         """Home branch for closed-loop client ``client``.
 

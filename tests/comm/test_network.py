@@ -10,6 +10,7 @@ from repro.kernel.context import SimContext
 from repro.kernel.costs import ZERO_COST, Primitive, ZERO_CPU
 from repro.kernel.messages import Message
 from repro.kernel.node import Node
+from repro.kernel.service import request
 from repro.txn.ids import TransactionID
 
 
@@ -26,6 +27,15 @@ def make_pair(ctx, loss=0.0):
         manager = CommunicationManager(node, network)
         nodes[name], managers[name] = node, manager
     return network, nodes, managers
+
+
+def spanning_info(manager, tid):
+    """What ``manager`` answers the Transaction Manager's
+    ``cm.spanning_info`` query for ``tid``: ``{"parent", "children"}``."""
+    node = manager.node
+    return node.ctx.engine.run_until(node.spawn(request(
+        node, manager.port, "cm.spanning_info", {"tid": tid},
+        reply="spanning-info")))
 
 
 class TestNetwork:
@@ -233,17 +243,15 @@ class TestSpanningTree:
         _, _, managers = make_pair(ctx)
         tid = self.tid()
         managers["a"].record_outbound(tid, "b")
-        record = managers["a"].spanning_record(tid)
-        assert set(record.child_epochs) == {"b"}
-        assert record.parent == ""
+        assert spanning_info(managers["a"], tid) == {"parent": "",
+                                                     "children": ["b"]}
 
     def test_inbound_sets_parent_once(self, ctx):
         _, _, managers = make_pair(ctx)
         tid = self.tid("a")
         managers["b"].record_inbound(tid, "a")
         managers["b"].record_inbound(tid, "a")
-        record = managers["b"].spanning_record(tid)
-        assert record.parent == "a"
+        assert spanning_info(managers["b"], tid)["parent"] == "a"
 
     def test_birth_node_never_gets_a_parent(self, ctx):
         """A callback to the transaction's birth node must not make the
@@ -252,7 +260,7 @@ class TestSpanningTree:
         tid = self.tid("a")
         managers["a"].record_outbound(tid, "b")
         managers["a"].record_inbound(tid, "b")  # b calls back into a
-        assert managers["a"].spanning_record(tid).parent == ""
+        assert spanning_info(managers["a"], tid)["parent"] == ""
 
     def test_subtransactions_share_the_family_tree(self, ctx):
         _, _, managers = make_pair(ctx)
@@ -260,14 +268,16 @@ class TestSpanningTree:
         child = parent.child(1)
         managers["a"].record_outbound(parent, "b")
         managers["a"].record_outbound(child, "b")
-        record = managers["a"].spanning_record(parent)
-        assert set(record.child_epochs) == {"b"}
+        assert spanning_info(managers["a"], parent)["children"] == ["b"]
 
     def test_child_epoch_recorded_for_crash_detection(self, ctx):
+        """The child's epoch is kept when the family first reaches it, so
+        later calls to the same incarnation pass."""
         network, nodes, managers = make_pair(ctx)
         tid = self.tid()
         managers["a"].record_outbound(tid, "b")
-        assert managers["a"].spanning_record(tid).child_epochs == {"b": 0}
+        managers["a"].record_outbound(tid.child(1), "b")
+        assert spanning_info(managers["a"], tid)["children"] == ["b"]
 
     def test_a_family_reaches_a_child_in_one_incarnation(self, ctx):
         """Section 3.2.4's crash detection: the family's work at "b" died
@@ -280,7 +290,7 @@ class TestSpanningTree:
         nodes["b"].restart()
         with pytest.raises(TransactionAborted, match="b restarted"):
             managers["a"].record_outbound(tid.child(1), "b")
-        assert managers["a"].spanning_record(tid).child_epochs == {"b": 0}
+        assert spanning_info(managers["a"], tid)["children"] == ["b"]
         managers["a"].record_outbound(TransactionID("a", 2), "b")
 
     def test_no_call_leaves_for_a_family_marked_aborted_here(self, ctx):
@@ -292,7 +302,7 @@ class TestSpanningTree:
         for tid in (parent.child(1), parent.child(1).child(2)):
             with pytest.raises(TransactionAborted, match="aborted on a"):
                 managers["a"].record_outbound(tid, "b")
-        assert managers["a"].spanning_record(parent).child_epochs == {}
+        assert spanning_info(managers["a"], parent)["children"] == []
         managers["a"].record_outbound(parent, "b")
         managers["a"].record_outbound(parent.child(2), "b")
 

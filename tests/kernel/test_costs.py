@@ -44,12 +44,6 @@ def test_every_profile_covers_every_primitive():
         assert set(profile.times) == set(Primitive)
 
 
-def test_profile_scaling():
-    half = MEASURED_1985.scaled(0.5)
-    assert half.time_of(Primitive.DATAGRAM) == 12.5
-    assert "0.5" in half.name
-
-
 def test_cpu_costs_calibration_sums():
     """The calibrated splits must reproduce the Section 5.2 aggregates."""
     cpu = CpuCosts()
@@ -62,12 +56,6 @@ def test_cpu_costs_calibration_sums():
                   cpu.rm_commit_write_extra + cpu.tm_commit_write_extra)
     assert read_tabs == 41.0
     assert write_tabs == 83.0
-
-
-def test_cpu_costs_scaled():
-    cpu = CpuCosts().scaled(0.5)
-    assert cpu.tm_begin == 6.0
-    assert cpu.rm_read_txn == 2.5
 
 
 def test_meter_counts_per_phase():

@@ -76,15 +76,6 @@ def test_receive_blocks_until_message(ctx):
     assert ctx.engine.run_until(event).op == "late"
 
 
-def test_try_receive(ctx):
-    port = Port(ctx, name="p")
-    assert port.try_receive() is None
-    port.send(Message(op="x"))
-    ctx.engine.run()
-    assert port.try_receive().op == "x"
-    assert port.try_receive() is None
-
-
 def test_send_to_dead_port_is_dropped(ctx):
     port = Port(ctx, name="p")
     port.destroy()
@@ -134,19 +125,19 @@ def test_traced_send_stamps_the_senders_context_and_its_payloads(ctx):
 
     Process(ctx.engine, sender())
     ctx.engine.run()
-    assert port.try_receive().trace_parent == 0
+    assert port.receive().result().trace_parent == 0
     assert sent[0][1].trace_parent == 0
     ctx.tracer = Tracer(ctx.engine)
     Process(ctx.engine, sender())
     ctx.engine.run()
     span_id, datagram = sent[1]
     assert span_id != 0
-    assert port.try_receive().trace_parent == span_id
+    assert port.receive().result().trace_parent == span_id
     assert datagram.trace_parent == span_id
     # From a plain callback there is no context to carry.
     port.send(Message(op="tick"))
     ctx.engine.run()
-    assert port.try_receive().trace_parent == 0
+    assert port.receive().result().trace_parent == 0
 
 
 def test_phase_attribution_follows_meter_phase(ctx):

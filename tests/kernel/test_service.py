@@ -181,7 +181,7 @@ class TestNeverWaitingHandlers:
         ctx.engine.run_until(node.spawn(client()))
         client_span, handle_span = ctx.tracer.spans
         assert handle_span.parent_id == client_span.span_id
-        outside, inside = sink.try_receive(), sink.try_receive()
+        outside, inside = sink.receive().result(), sink.receive().result()
         assert outside.trace_parent == client_span.span_id
         assert inside.trace_parent == handle_span.span_id
         assert ctx.engine.active_process is None

@@ -50,6 +50,38 @@ class TestExistingCommands:
         assert main(["paths"]) == 0
         assert "Longest-path commit counts" in capsys.readouterr().out
 
+    def test_primitives_prints_table_5_1(self, capsys):
+        assert main(["primitives"]) == 0
+        out = capsys.readouterr().out
+        assert "Stable Storage Write" in out
+        assert "79.0   79.0" in out
+
+    def test_benchmark_prints_the_rows_asked_for(self, capsys):
+        assert main(["benchmark", "r1", "--iterations", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "Table 5-4" in out
+        assert "1 Local Read, No Paging" in out
+        assert "1 Local Write" not in out
+
+    def test_sweep_prints_one_row_per_cell(self, capsys):
+        assert main(["sweep", "throughput", "--counts", "1,2",
+                     "--duration-ms", "1000"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cells"] == 2
+        assert [row["concurrency"] for row in payload["rows"]] == [1, 2]
+        assert all(row["committed"] > 0 for row in payload["rows"])
+
+    def test_sweep_writes_the_same_document_to_a_file(self, tmp_path,
+                                                       capsys):
+        argv = ["sweep", "debitcredit", "--counts", "1",
+                "--duration-ms", "1000"]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        out = tmp_path / "sweep.json"
+        assert main(argv + ["--json", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 1 cells to {out}\n"
+        assert json.loads(out.read_text()) == printed
+
 
 class TestTraceCommand:
     def test_writes_valid_chrome_json(self, tmp_path, capsys):

@@ -307,6 +307,6 @@ class TestFailureAndEvents:
         root = tracer.begin_root("T1", "a")
         child = tracer.begin("inner", "a", "DS", tid="T1")
         assert tracer.family_root("T1") == root
-        assert [s.span_id for s in tracer.spans_of_family("T1")] == \
-            [root, child]
-        assert [s.span_id for s in tracer.span_children(root)] == [child]
+        assert tracer.family_root("T2") == 0
+        assert [s.parent_id for s in tracer.spans] == [0, root]
+        assert child != root

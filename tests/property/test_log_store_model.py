@@ -151,11 +151,12 @@ class MirrorLogStore:
         self._repair_suspects()
         return [r for r in self.records if r.lsn >= from_lsn]
 
-    def read_backward(self, from_lsn=None):
+    def record_at(self, lsn):
         self._repair_suspects()
-        records = self.records if from_lsn is None else [
-            r for r in self.records if r.lsn <= from_lsn]
-        return list(reversed(records))
+        for record in self.records:
+            if record.lsn == lsn:
+                return record
+        raise WriteAheadLogError(f"no durable record with lsn {lsn}")
 
     def truncate_before(self, lsn):
         keep = [r for r in self.records if r.lsn >= lsn]
@@ -243,10 +244,10 @@ class LogStoreModel(RuleBasedStateMachine):
         lsn = max(1, self.stores[0].last_lsn - back)
         self.both(lambda store: lsns(store.read_forward(lsn)))
 
-    @rule(back=st.one_of(st.none(), st.integers(0, 4)))
-    def read_backward(self, back):
-        lsn = None if back is None else self.stores[0].last_lsn - back
-        self.both(lambda store: lsns(store.read_backward(lsn)))
+    @rule(back=st.integers(0, 4))
+    def record_at(self, back):
+        lsn = self.stores[0].last_lsn - back
+        self.both(lambda store: store.record_at(lsn).lsn)
 
     @rule()
     def salvage(self):

@@ -1,26 +1,24 @@
 """Property tests for the storage-integrity checksums.
 
 The detection guarantee both repair layers rest on: CRC-32 catches every
-single-bit error.  Exhaustively flip each bit of a checksummed log frame
-and the codec must reject it; decay any stored value of a disk page and
-the next read must raise :class:`PageCorruption` rather than serve the
-corrupt data.
+single-bit error.  Exhaustively flip each bit of a record's frame, or of
+the CRC kept beside it, in the image a log disk holds (the store's
+``_MediaEntry``) and the image must read damaged; decay any stored value
+of a disk page and the next read must raise :class:`PageCorruption`
+rather than serve the corrupt data.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PageCorruption, WalCodecError
+from repro.errors import PageCorruption
 from repro.kernel.context import SimContext
 from repro.kernel.costs import ZERO_COST
 from repro.kernel.disk import Disk, checksum_page
 from repro.sim import Process
-from repro.wal.codec import (
-    decode_record_checksummed,
-    encode_record_checksummed,
-    verify_checksummed_frame,
-)
+from repro.wal.codec import decode_record, encode_record, frame_checksum
+from repro.wal.store import _MediaEntry
 from tests.wal.test_record_codec import records, values
 
 #: offset -> value maps as servers lay them out on a page
@@ -34,31 +32,36 @@ page_data = st.dictionaries(st.integers(0, 64), values,
 @settings(max_examples=60)
 @given(records)
 def test_checksummed_roundtrip(record):
-    framed = encode_record_checksummed(record)
-    assert verify_checksummed_frame(framed)
-    assert decode_record_checksummed(framed) == record
+    frame = encode_record(record)
+    entry = _MediaEntry(frame, frame_checksum(frame))
+    assert entry.ok
+    assert decode_record(entry.payload) == record
 
 
 @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 @given(records)
 def test_every_single_bit_flip_in_a_log_frame_is_detected(record):
-    framed = bytearray(encode_record_checksummed(record))
-    for index in range(len(framed)):
+    frame = bytearray(encode_record(record))
+    checksum = frame_checksum(frame)
+    for index in range(len(frame)):
         for bit in range(8):
-            framed[index] ^= 1 << bit
-            corrupt = bytes(framed)
-            framed[index] ^= 1 << bit
-            assert not verify_checksummed_frame(corrupt)
-            with pytest.raises(WalCodecError):
-                decode_record_checksummed(corrupt)
+            frame[index] ^= 1 << bit
+            corrupt = bytes(frame)
+            frame[index] ^= 1 << bit
+            assert not _MediaEntry(corrupt, checksum).ok
+    for bit in range(32):
+        assert not _MediaEntry(bytes(frame), checksum ^ 1 << bit).ok
 
 
 @settings(max_examples=60)
 @given(records)
 def test_every_truncation_of_a_checksummed_frame_is_detected(record):
-    framed = encode_record_checksummed(record)
-    for cut in range(len(framed)):
-        assert not verify_checksummed_frame(framed[:cut])
+    """A torn force keeps a prefix of the frame under the whole frame's
+    CRC (``LogStore.append_torn``); no prefix reads intact."""
+    frame = encode_record(record)
+    checksum = frame_checksum(frame)
+    for cut in range(len(frame)):
+        assert not _MediaEntry(frame[:cut], checksum).ok
 
 
 # -- disk pages ---------------------------------------------------------------------

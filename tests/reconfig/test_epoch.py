@@ -34,26 +34,30 @@ class TestPlacementEpoch:
         with pytest.raises(TabsError):
             PlacementEpoch(0, MAP).with_replicas("zz", ("n0",))
 
-    def test_with_replica_added_is_the_extend_step(self):
-        succ = PlacementEpoch(0, MAP).with_replica_added("a", "n2")
-        assert succ.replicas("a") == ("n0", "n1", "n2")
+    def placements_at(self, phase_name):
+        """Migrate ``accounts1`` from bank0 to a joined bank2; the key-
+        space's replicas when ``phase_name`` fires and at the end."""
+        cluster, topology, manager = build_reconfig(seed=61)
+        keyspace = topology.account_server(1)
+        manager.join("bank2")
+        seen = []
+        manager.phase_hooks.append(
+            lambda phase, info: phase == phase_name and seen.append(
+                (cluster.placement_epoch,
+                 cluster.placement.replicas(keyspace))))
+        assert manager.run_migration(keyspace, "bank0", "bank2") is True
+        return seen, cluster.placement.replicas(keyspace)
 
-    def test_with_replica_added_rejects_an_existing_copy(self):
-        with pytest.raises(TabsError):
-            PlacementEpoch(0, MAP).with_replica_added("a", "n1")
+    def test_with_replica_added_is_the_extend_step(self):
+        """Extend: the destination is appended, so writes fan to it."""
+        seen, _ = self.placements_at("extend")
+        assert seen == [(1, ("bank1", "bank0", "bank2"))]
 
     def test_with_replica_removed_is_the_shrink_step(self):
-        succ = PlacementEpoch(0, MAP).with_replica_removed("a", "n0")
-        assert succ.replicas("a") == ("n1",)
-
-    def test_with_replica_removed_refuses_the_last_copy(self):
-        epoch = PlacementEpoch(0, PlacementMap({"a": ("n0",)}))
-        with pytest.raises(TabsError):
-            epoch.with_replica_removed("a", "n0")
-
-    def test_with_replica_removed_requires_an_existing_copy(self):
-        with pytest.raises(TabsError):
-            PlacementEpoch(0, MAP).with_replica_removed("a", "n2")
+        """Shrink: the destination takes the source's place."""
+        seen, final = self.placements_at("commit")
+        assert seen == [(2, ("bank1", "bank2"))]
+        assert final == ("bank1", "bank2")
 
 
 class TestInstallEpoch:
@@ -89,4 +93,18 @@ class TestInstallEpoch:
         cluster = TabsCluster(config)
         cluster.build_workload()
         with pytest.raises(TabsError):
+            ReconfigManager(cluster, "bank0")
+
+    def test_manager_requires_a_placement_map(self):
+        from repro.core.cluster import TabsCluster
+        from repro.core.config import (ReconfigConfig, ReplicationConfig,
+                                       TabsConfig)
+        from repro.reconfig import ReconfigManager
+
+        cluster = TabsCluster(TabsConfig(
+            replication=ReplicationConfig.available_copies(2),
+            reconfig=ReconfigConfig.online()))
+        cluster.add_node("bank0")
+        cluster.start()
+        with pytest.raises(TabsError, match="placement map"):
             ReconfigManager(cluster, "bank0")

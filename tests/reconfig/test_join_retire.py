@@ -54,6 +54,31 @@ class TestRetire:
         assert cluster.node("bank1").retired is False
         assert cluster.node("bank1").node.alive
 
+    def test_a_failed_drain_leaves_the_node_in_service_until_it_heals(self):
+        """bank2, the only destination, is cut off: the first shard's
+        copy exhausts its budget and rolls back, and the retirement is
+        aborted.  Healed, the drain succeeds, and the shard that rolled
+        back re-migrates onto the copy it left orphaned on bank2."""
+        cluster, topology, manager = build_reconfig(seed=61)
+        manager.join("bank2")
+        cluster.network.partition([["bank0", "bank1"], ["bank2"]])
+        with pytest.raises(TabsError, match="retirement aborted"):
+            manager.retire("bank1")
+        assert cluster.node("bank1").retired is False
+        assert cluster.node("bank1").node.alive
+        assert counter(cluster, "bank0",
+                       "reconfig.migrations_rolled_back") == 1
+        orphaned = [keyspace for keyspace
+                    in cluster.node("bank2")._server_factories
+                    if keyspace in cluster.placement.keyspaces_on("bank1")]
+        assert len(orphaned) == 1
+        cluster.network.heal()
+        cluster.settle(extra_ms=5_000.0)
+        manager.retire("bank1")
+        assert cluster.placement.keyspaces_on("bank1") == []
+        assert orphaned[0] in cluster.placement.keyspaces_on("bank2")
+        assert commit_one(cluster, topology, "bank0")
+
     def test_retired_node_cannot_be_retired_again(self):
         cluster, topology, manager = build_reconfig(seed=53)
         manager.join("bank2")

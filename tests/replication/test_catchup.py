@@ -4,6 +4,7 @@ import pytest
 
 from tests.replication.conftest import build_replicated
 
+from repro.core.config import ReplicationConfig
 from repro.errors import ReplicaUnavailable
 from repro.replication import audit_replica_convergence
 from repro.workloads.debitcredit import (
@@ -183,4 +184,54 @@ class TestOnlyStaleCellsAreCopied:
         for keyspace in cluster.placement.keyspaces_on("bank0"):
             assert cluster.node("bank0").servers[keyspace] \
                 .catchup_pending is False
+        assert audit_replica_convergence(cluster) == []
+
+
+class TestNoPeerReachable:
+    def test_a_peer_down_past_the_budget_is_skipped_and_the_copy_serves_itself(
+            self):
+        """bank1 restarts while bank0, the only other copy of every
+        key-space, is down: each catch-up spends its retry budget on
+        bank0, skips it, and serves the recovered local state."""
+        cluster, topology = build_replicated(seed=43)
+        cluster.crash_node("bank1")
+        cluster.crash_node("bank0")
+        cluster.restart_node("bank1")
+        cluster.settle(extra_ms=5_000.0)
+        hosted = cluster.placement.keyspaces_on("bank1")
+        assert counter(cluster, "bank1",
+                       "replication.catchup_skipped_peer") == len(hosted)
+        assert counter(cluster, "bank1",
+                       "replication.catchup_selfserve") == len(hosted)
+        for keyspace in hosted:
+            assert cluster.node("bank1").servers[keyspace] \
+                .catchup_pending is False
+
+
+class TestConvergenceAudit:
+    def test_two_copies_of_one_cell_that_differ_are_reported(self):
+        """A balance stored at bank1's copy alone, outside the router."""
+        cluster, topology = build_replicated(seed=47)
+        keyspace = topology.account_server(0)
+        app = cluster.application("bank1")
+
+        def stray_put():
+            tid = yield from app.begin_transaction()
+            ref = yield from app.lookup_one(keyspace, node_name="bank1")
+            yield from app.call(ref, "put_balance",
+                                {"row": 3, "balance": 999}, tid)
+            assert (yield from app.end_transaction(tid))
+
+        assert audit_replica_convergence(cluster) == []
+        cluster.run_on("bank1", stray_put())
+        violations = audit_replica_convergence(cluster)
+        assert [v.kind for v in violations] == ["replica-divergence"]
+        assert repr(keyspace) in violations[0].detail
+        assert "'bank0': None" in violations[0].detail
+
+    def test_a_key_space_with_one_copy_has_nothing_to_compare(self):
+        cluster, topology = build_replicated(
+            seed=47, replication=ReplicationConfig.available_copies(1))
+        assert cluster.placement.replicas(topology.account_server(0)) \
+            == ("bank0",)
         assert audit_replica_convergence(cluster) == []

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.errors import TabsError
+from repro import TabsCluster, TabsConfig
+from repro.core.config import ReplicationConfig
+from repro.errors import ReplicaUnavailable, TabsError
 from repro.replication import PlacementMap
 
 
@@ -60,3 +62,28 @@ class TestRingPlacement:
     def test_no_nodes_rejected(self):
         with pytest.raises(TabsError):
             PlacementMap.ring(["a"], [], 1)
+
+
+class TestWithoutAPlacement:
+    """Replication on, but no workload built: no key-space is placed."""
+
+    def cluster(self):
+        cluster = TabsCluster(TabsConfig(
+            replication=ReplicationConfig.available_copies()))
+        for name in ("n0", "n1"):
+            cluster.add_node(name)
+        cluster.start()
+        return cluster
+
+    def test_no_router_routes_without_a_map(self):
+        cluster = self.cluster()
+        with pytest.raises(ReplicaUnavailable, match="no placement map"):
+            cluster.replicated_application("n0")
+
+    def test_a_failure_seen_without_a_map_sets_no_copy_gauge(self):
+        cluster = self.cluster()
+        cluster.crash_node("n1")
+        cluster.settle(extra_ms=5_000.0)
+        assert not cluster.node("n0").replication.view.available("n1")
+        assert not [name for name in cluster.metrics.snapshot()["gauges"]
+                    if "available_copies" in name]

@@ -15,6 +15,7 @@ from repro.kernel.service import respond, respond_error
 from repro.rpc.stubs import ServiceRef, call
 from repro.sim import Process
 from repro.txn.ids import TransactionID
+from tests.comm.test_network import spanning_info
 
 
 @pytest.fixture
@@ -76,8 +77,8 @@ def test_remote_call_records_spanning_tree(world):
     ref = ServiceRef("b", port, epoch=0)
     tid = TransactionID("a", 1)
     run(ctx, call(network, nodes["a"], ref, "op", {}, tid=tid))
-    assert set(network.manager("a").spanning_record(tid).child_epochs) == {"b"}
-    assert network.manager("b").spanning_record(tid).parent == "a"
+    assert spanning_info(network.manager("a"), tid)["children"] == ["b"]
+    assert spanning_info(network.manager("b"), tid)["parent"] == "a"
 
 
 def test_server_exception_marshalled_back(world):
@@ -220,8 +221,7 @@ def test_timed_out_calls_leave_no_reply_port_behind(world):
         with pytest.raises(SessionBroken):
             run(ctx, call(network, nodes["a"], ref, "op", {},
                           timeout_ms=200.0))
-    while silent.try_receive() is not None:
-        pass  # each unanswered request holds its reply_to
+    silent.destroy()  # each unanswered request holds its reply_to
     gc.collect()
     assert [port for port in gc.get_objects()
             if isinstance(port, Port) and port.node is nodes["a"]

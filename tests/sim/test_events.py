@@ -55,18 +55,6 @@ def test_callback_after_processed_still_fires():
     assert seen == ["v"]
 
 
-def test_remove_callback():
-    engine = Engine()
-    event = Event(engine)
-    seen = []
-    callback = lambda e: seen.append(1)  # noqa: E731
-    event.add_callback(callback)
-    event.remove_callback(callback)
-    event.succeed()
-    engine.run()
-    assert seen == []
-
-
 def test_timeout_fires_at_deadline():
     engine = Engine()
     timeout = Timeout(engine, 7.5, value="done")

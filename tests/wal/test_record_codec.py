@@ -15,13 +15,7 @@ from hypothesis import strategies as st
 from repro.errors import WalCodecError
 from repro.kernel.vm import ObjectID
 from repro.txn.ids import TransactionID
-from repro.wal.codec import (
-    decode_record,
-    decode_records,
-    encode_record,
-    encode_records,
-    encode_value,
-)
+from repro.wal.codec import decode_record, encode_record, encode_value
 from repro.wal.records import (
     CheckpointRecord,
     OperationRecord,
@@ -128,29 +122,6 @@ def test_every_truncation_is_rejected(record):
 def test_trailing_garbage_is_rejected(record, garbage):
     with pytest.raises(WalCodecError):
         decode_record(encode_record(record) + garbage)
-
-
-@settings(max_examples=50)
-@given(st.lists(records, max_size=5))
-def test_stream_roundtrip(batch):
-    assert decode_records(encode_records(batch)) == batch
-
-
-@settings(max_examples=50)
-@given(st.lists(records, min_size=1, max_size=3), st.data())
-def test_truncated_stream_is_rejected(batch, data):
-    encoded = encode_records(batch)
-    # A cut at a frame boundary is a legal, shorter stream; any other cut
-    # must be detected as truncation.
-    boundaries = set()
-    pos = 0
-    for record in batch:
-        pos += len(encode_record(record))
-        boundaries.add(pos)
-    cut = data.draw(st.integers(1, len(encoded) - 1)
-                    .filter(lambda c: c not in boundaries), label="cut")
-    with pytest.raises(WalCodecError):
-        decode_records(encoded[:cut])
 
 
 # -- explicit corner cases -----------------------------------------------------------

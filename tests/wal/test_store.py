@@ -92,7 +92,7 @@ def test_repair_is_lazy_and_one_shot():
     store = filled_store()
     store.rot_media(3, copy=1)
     store.read_forward()
-    store.read_backward()
+    store.record_at(3)
     assert store.duplex_repairs == 1
 
 

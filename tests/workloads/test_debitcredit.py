@@ -70,7 +70,7 @@ class TestTopology:
         assert topology.node_names == ["bank0", "bank1", "bank2"]
         assert topology.node_name(0) == topology.node_name(1) == "bank0"
         assert topology.node_name(5) == "bank2"
-        assert topology.branches_on("bank1") == [2, 3]
+        assert [topology.node_name(b) for b in (2, 3)] == ["bank1"] * 2
 
     def test_client_home_deals_nodes_first(self):
         topology = DebitCreditTopology(branches=6, branches_per_node=2)
