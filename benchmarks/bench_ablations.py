@@ -25,6 +25,7 @@ from repro.locking.deadlock import DeadlockDetector
 from repro.servers.int_array import IntegerArrayServer
 from repro.servers.op_array import OperationArrayServer
 from repro.sim import Timeout
+from repro.wal import encode_record
 from repro.wal.records import OperationRecord, ValueUpdateRecord
 
 
@@ -62,7 +63,7 @@ def run_logging_workload(use_operation_logging: bool, transactions: int = 20):
     recovery_records = [r for r in durable
                         if isinstance(r, (ValueUpdateRecord,
                                           OperationRecord))]
-    log_bytes = sum(r.size_bytes() for r in recovery_records)
+    log_bytes = sum(len(encode_record(r)) for r in recovery_records)
 
     crash_started = cluster.engine.now
     cluster.crash_node("n1")
@@ -119,7 +120,7 @@ def run_region_workload(use_operation_logging: bool, transactions: int = 10,
     return {
         "elapsed_ms": elapsed,
         "records_per_txn": len(recovery_records) / transactions,
-        "log_bytes_per_txn": sum(r.size_bytes()
+        "log_bytes_per_txn": sum(len(encode_record(r))
                                  for r in recovery_records) / transactions,
     }
 

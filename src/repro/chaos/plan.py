@@ -231,9 +231,6 @@ class FaultPlan:
     def __iter__(self):
         return iter(self.actions)
 
-    def __len__(self) -> int:
-        return len(self.actions)
-
     @classmethod
     def of(cls, *actions: FaultAction) -> "FaultPlan":
         return cls(tuple(actions))

@@ -43,11 +43,11 @@ its next probe lands.  Then a probe can only move
 ``PeerHealth.last_heard`` forward, so a tick only records its instant,
 takes the sequence number its ping run would have had, and reschedules
 itself.  A *break* -- a node crash, :meth:`Network.register`,
-:meth:`Network.deregister`, :meth:`Network.partition` or :meth:`stop` --
-first makes the skipped probes real: a ping run still ahead of the
-running entry is queued at exactly its reserved key, one already behind
-it is folded into ``last_heard`` and its pongs still in flight are queued
-at their due instant.  Then the explicit protocol runs until the steady
+:meth:`Network.deregister` or :meth:`Network.partition` -- first makes
+the skipped probes real: a ping run still ahead of the running entry is
+queued at exactly its reserved key, one already behind it is folded into
+``last_heard`` and its pongs still in flight are queued at their due
+instant.  Then the explicit protocol runs until the steady
 condition holds again at a tick.  docs/SIMULATOR.md gives the argument
 for why no simulated number moves.
 """
@@ -57,6 +57,7 @@ from __future__ import annotations
 from math import inf
 from typing import TYPE_CHECKING, Callable
 
+from repro.errors import CommunicationError
 from repro.kernel.costs import Primitive
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -208,7 +209,6 @@ class FailureDetector:
         #: "suspect", "restart-observed", "recovered"
         self.observers = observers if observers is not None else []
         self.peers: dict[str, PeerHealth] = {}
-        self._stopped = False
         #: half the datagram time is wire latency (Table 5-3 accounting);
         #: count=False keeps heartbeats out of the paper's primitive tables
         self._latency = self.ctx.delay_of(Primitive.DATAGRAM, count=False) / 2
@@ -225,12 +225,6 @@ class FailureDetector:
         self.network.heartbeats.break_steady()
         self._schedule_tick()
 
-    # -- lifecycle ----------------------------------------------------------
-
-    def stop(self) -> None:
-        self.network.heartbeats.break_steady()
-        self._stopped = True
-
     @property
     def _stale(self) -> bool:
         """True once this detector no longer speaks for its node.
@@ -239,11 +233,11 @@ class FailureDetector:
         Manager (with a fresh detector); the old detector's pending tick
         must then fall silent instead of double-probing.
         """
-        if self._stopped or not self.node.alive:
+        if not self.node.alive:
             return True
         try:
             return self.network.manager(self.node.name) is not self.cm
-        except Exception:  # pragma: no cover - node vanished from registry
+        except CommunicationError:  # the node left the registry
             return True
 
     # -- the probe loop -----------------------------------------------------
@@ -294,9 +288,9 @@ class FailureDetector:
                                      peer, self._latency)
 
     def receive(self, kind: str, origin: str, epoch: int) -> None:
-        """A probe from ``origin``'s detector arrived."""
-        if self._stale:
-            return
+        """A probe from ``origin``'s detector arrived (at the detector of
+        the Communication Manager registered for this node, which is up:
+        :meth:`Heartbeats.arrive`)."""
         if self.steady and origin not in self.peers:
             # A straggler from a node that left the fabric adds a peer,
             # which only an explicit tick forgets again.
@@ -317,7 +311,7 @@ class FailureDetector:
         holds every one of ``names`` at its current epoch, suspects none,
         and no tick can suspect one before the probes of the next tick
         land; else None."""
-        if self._stopped or len(self.peers) != len(names) - 1:
+        if len(self.peers) != len(names) - 1:
             return None
         heard = inf
         for peer in names:

@@ -118,9 +118,8 @@ class CommunicationManager:
     # -- inbound datagrams -----------------------------------------------------
 
     def deliver_inbound_datagram(self, message: Message) -> None:
-        """Called by the network when a datagram arrives for this node."""
-        if not self.node.alive:  # pragma: no cover - network already checks
-            return
+        """Called by the network when a datagram arrives for this node
+        (which :meth:`Network._arrive` has found up)."""
         spawn_handler(self.node, message, self._forward_inbound(message),
                       "cm:inbound")
 

@@ -231,13 +231,6 @@ class TabsCluster:
         return ApplicationLibrary(self.node(node_name).node, self.network,
                                   measured=measured)
 
-    def replicated_application(self, node_name: str):
-        """A :class:`~repro.replication.router.ReplicatedApp` homed on
-        ``node_name`` (requires a placement map)."""
-        from repro.replication.router import ReplicatedApp
-
-        return ReplicatedApp(self, node_name)
-
     def run_transaction(self, node_name: str, body_fn: Callable,
                         measured: bool = False, retries: int = 0):
         """Begin/run/commit ``body_fn(tid)`` on a node; returns its result."""

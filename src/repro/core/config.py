@@ -209,20 +209,6 @@ class WorkloadConfig:
                     f"{what} per branch exceed one recoverable segment "
                     f"({SEGMENT_VA_STRIDE // 4} cells)")
 
-    @property
-    def total_accounts(self) -> int:
-        return self.branches * self.accounts_per_branch
-
-    @property
-    def nodes(self) -> int:
-        """Cluster nodes needed to host every branch."""
-        return -(-self.branches // self.branches_per_node)
-
-    @classmethod
-    def millions(cls) -> "WorkloadConfig":
-        """Four branches x one million sparse accounts each."""
-        return cls(branches=4, accounts_per_branch=1_000_000)
-
 
 @dataclass(frozen=True)
 class TabsConfig:

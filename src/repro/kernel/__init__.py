@@ -26,7 +26,7 @@ from repro.kernel.costs import (
     Primitive,
 )
 from repro.kernel.disk import PAGE_SIZE, Disk
-from repro.kernel.messages import Message, MessageKind, classify_size
+from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
 from repro.kernel.vm import ObjectID, RecoverableSegment, VirtualMemory
@@ -34,6 +34,6 @@ from repro.kernel.vm import ObjectID, RecoverableSegment, VirtualMemory
 __all__ = [
     "ACHIEVABLE_1985", "MEASURED_1985", "ZERO_COST", "CostMeter",
     "CostProfile", "CpuCosts", "Phase", "Primitive", "PAGE_SIZE", "Disk",
-    "Message", "MessageKind", "classify_size", "Node", "Port", "ObjectID",
+    "Message", "MessageKind", "Node", "Port", "ObjectID",
     "RecoverableSegment", "VirtualMemory",
 ]

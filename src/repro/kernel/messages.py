@@ -8,8 +8,9 @@ cost model distinguishes three local message classes (Section 5.1):
 - *large contiguous* -- about 1100 bytes on average,
 - *pointer* -- a pointer to data transferred by copy-on-write remapping.
 
-:func:`classify_size` applies the paper's thresholds.  A message may also
-carry a transaction identifier; Communication Managers scan it to build the
+Every send names its :class:`MessageKind`, and the kind alone sets the
+charge: no byte size is estimated.  A message may also carry a
+transaction identifier; Communication Managers scan it to build the
 two-phase-commit spanning tree (Section 3.2.4), exactly as in TABS.
 """
 
@@ -24,8 +25,6 @@ from repro.kernel.costs import Primitive
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.ports import Port
 
-#: Messages strictly smaller than this many bytes are "small contiguous".
-SMALL_MESSAGE_LIMIT = 500
 
 class MessageKind(enum.Enum):
     """The local message classes of the cost model."""
@@ -52,13 +51,6 @@ _KIND_TO_PRIMITIVE = {
     MessageKind.LARGE: Primitive.LARGE_MESSAGE,
     MessageKind.POINTER: Primitive.POINTER_MESSAGE,
 }
-
-
-def classify_size(size_bytes: int) -> MessageKind:
-    """Classify a contiguous message by its byte size (paper thresholds)."""
-    if size_bytes < SMALL_MESSAGE_LIMIT:
-        return MessageKind.SMALL
-    return MessageKind.LARGE
 
 
 @dataclass(slots=True)

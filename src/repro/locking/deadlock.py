@@ -30,9 +30,6 @@ class DeadlockDetector:
         self._managers: list[LockManager] = list(managers)
         self.detections = 0
 
-    def attach(self, manager: LockManager) -> None:
-        self._managers.append(manager)
-
     def wait_for_graph(self) -> dict[Hashable, set[Hashable]]:
         """Edges ``waiter -> holders`` across all attached managers."""
         graph: dict[Hashable, set[Hashable]] = {}

@@ -36,7 +36,7 @@ class PlacementEpoch:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"PlacementEpoch({self.epoch}, "
-                f"{len(self.placement)} key-spaces)")
+                f"{len(self.placement.keyspaces())} key-spaces)")
 
     def replicas(self, keyspace: str) -> tuple[str, ...]:
         return self.placement.replicas(keyspace)

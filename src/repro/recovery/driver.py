@@ -223,12 +223,12 @@ def recover_node(rm: RecoveryManager, tm: TransactionManager,
                 rm._chains[tid] = previous
                 rm._first_lsn[tid] = lsns[0]
             # Re-acquire its locks so the in-doubt data stays restricted
-            # (two-phase commit's blocking window).
+            # (two-phase commit's blocking window).  A restart rebuilds
+            # every server the node has ever run, so each server the
+            # record names has a library.
             server_ports = {}
             for server in status_record.servers:
-                library = server_libraries.get(server)
-                if library is None:
-                    continue
+                library = server_libraries[server]
                 library.relock_prepared(tid,
                                         held.get(tid, {}).get(server, {}))
                 server_ports[server] = library.port

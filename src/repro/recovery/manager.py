@@ -136,7 +136,9 @@ class RecoveryManager:
             # path (10 ms per record in the Section 5.2 accounting).
             yield self.ctx.cpu("RM", self.ctx.cpu_costs.rm_spool_record)
             lsn = self._append_chained(record)
-            for oid in _oids_of(record):
+            # the data server library spools value and operation records
+            for oid in (record.oids if isinstance(record, OperationRecord)
+                        else (record.oid,)):
                 for page in oid.pages():
                     self._page_rec_lsn.setdefault((oid.segment_id, page),
                                                   lsn)
@@ -419,14 +421,6 @@ class RecoveryManager:
     def crash(self) -> None:
         """Volatile state gone; the durable store survives in the caller."""
         self.wal.crash()
-
-
-def _oids_of(record: LogRecord):
-    if isinstance(record, ValueUpdateRecord) and record.oid is not None:
-        return [record.oid]
-    if isinstance(record, OperationRecord):
-        return list(record.oids)
-    return []
 
 
 def _in_kernel(ctx: SimContext,

@@ -245,17 +245,18 @@ def _apply_cells(app, keyspace: str, dest: str, cells: dict):
     """Versioned conditional merge of a chunk's stale cells into
     ``dest``'s copy (generator; returns distinct pages changed).
 
-    One cell per transaction, with a priority (head-of-queue) write
-    lock: the apply never holds one cell while waiting on another, and
-    waits only for a hot cell's *current* holder rather than the whole
-    convoy behind it.  A cell that fails retries with the chunk, whose
+    One cell per transaction, and ``repl_apply_batch`` always takes its
+    write lock with priority (at the head of the cell's queue): the
+    apply never holds one cell while waiting on another, and waits only
+    for a hot cell's *current* holder rather than the whole convoy
+    behind it.  A cell that fails retries with the chunk, whose
     fresh version read leaves out the cells already merged.
     """
     pages: set[int] = set()
     for offset in sorted(cells):
         reply = yield from call_in_transaction(
             app, keyspace, dest, "repl_apply_batch",
-            {"cells": {offset: cells[offset]}, "priority": True})
+            {"cells": {offset: cells[offset]}})
         if reply["applied"]:
             pages.add(offset // PAGE_SIZE)
     return len(pages)

@@ -39,9 +39,6 @@ class PlacementMap:
     def __contains__(self, keyspace: str) -> bool:
         return keyspace in self._assignments
 
-    def __len__(self) -> int:
-        return len(self._assignments)
-
     def replicas(self, keyspace: str) -> tuple[str, ...]:
         """The ordered replica nodes of ``keyspace`` (anchor first)."""
         try:

@@ -33,16 +33,7 @@ a since-failed copy abort at commit too.
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.app.library import run_transaction
-from repro.errors import (
-    CommunicationError,
-    LockTimeout,
-    LookupFailed,
-    ReplicaUnavailable,
-    TransactionAborted,
-)
+from repro.errors import CommunicationError, LookupFailed, ReplicaUnavailable
 from repro.sim import Process, join_all
 from repro.txn.ids import TransactionID
 
@@ -136,15 +127,6 @@ class ReplicatedApp:
         # the copies answered no longer matters.
         yield from self._join_behind(tid)
         yield from self.app.abort_transaction(tid, reason=reason)
-
-    def run_transaction(self, body_fn: Callable, retries: int = 0,
-                        backoff_ms: float = 200.0):
-        """Begin, run ``body_fn(tid)``, commit; jittered retries on abort
-        (generator): :func:`repro.app.library.run_transaction` over the
-        routed bracket, with a refusing copy retryable too."""
-        return run_transaction(
-            self, body_fn, retries, backoff_ms,
-            retryable=(TransactionAborted, LockTimeout, ReplicaUnavailable))
 
     # -- routed operations ------------------------------------------------------
 

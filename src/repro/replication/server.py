@@ -186,25 +186,22 @@ class ReplicatedServerMixin:
         """Merge a peer snapshot: write each cell iff the peer's version
         is newer than ours (under ordinary write locks + value logging).
 
-        The caller sets ``priority`` so the merge's write locks queue at
-        the head of each cell's wait queue: catch-up applies hold a cell
-        for one read-compare-write, and waiting a full convoy's turn per
-        hot cell would keep the read barrier up for the convoy's
-        lifetime (catch-up sends one cell per apply transaction for the
-        same reason -- never holding one cell while waiting on another).
+        The merge's write locks queue at the head of each cell's wait
+        queue (``priority``): a catch-up apply holds a cell for one
+        read-compare-write, and waiting a full convoy's turn per hot
+        cell would keep the read barrier up for the convoy's lifetime
+        (catch-up sends one cell per apply transaction for the same
+        reason -- never holding one cell while waiting on another).
         The version test stays here, under the write lock, whatever the
         caller filtered on its ``repl_versions`` answer.
         """
-        timeout_ms = body.get("lock_timeout_ms")
-        priority = bool(body.get("priority"))
         applied = 0
         pages: set[int] = set()
         for offset in sorted(body["cells"]):
             peer_raw = body["cells"][offset]
             oid = self._offset_oid(offset)
             yield from self.library.lock_object(tid, oid, WRITE,
-                                                timeout_ms=timeout_ms,
-                                                priority=priority)
+                                                priority=True)
             local_raw = yield from self.library.read_object(oid)
             peer_version, _ = unpack_cell(peer_raw)
             local_version, _ = unpack_cell(local_raw)

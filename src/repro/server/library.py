@@ -263,9 +263,6 @@ class DataServerLibrary:
     def unpin_object(self, oid: ObjectID) -> None:
         self.node.vm.unpin(oid)
 
-    def unpin_all(self) -> None:
-        self.node.vm.unpin_all()
-
     # -- object access ---------------------------------------------------------------------
 
     def read_object(self, oid: ObjectID):

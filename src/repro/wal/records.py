@@ -10,9 +10,6 @@ Three families of records appear in the common log:
   these back to the Transaction Manager (Section 3.2.2);
 - **checkpoint records**, listing the pages in volatile storage and the
   status of active transactions (Section 2.1.3).
-
-Records estimate their byte size so the messages that carry them are charged
-at the correct primitive (small versus large contiguous message).
 """
 
 from __future__ import annotations
@@ -60,32 +57,6 @@ class LogRecord:
     prev_lsn: int = 0
     kind: RecordKind = field(init=False, default=None)  # type: ignore[assignment]
 
-    def size_bytes(self) -> int:
-        """Estimated wire size, for message-cost classification."""
-        return 64
-
-
-def _estimate_size(value: object) -> int:
-    """Crude but deterministic payload size estimate."""
-    if value is None:
-        return 4
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return 4
-    if isinstance(value, float):
-        return 8
-    if isinstance(value, str):
-        return len(value.encode())
-    if isinstance(value, bytes):
-        return len(value)
-    if isinstance(value, (list, tuple)):
-        return 8 + sum(_estimate_size(v) for v in value)
-    if isinstance(value, dict):
-        return 8 + sum(_estimate_size(k) + _estimate_size(v)
-                       for k, v in value.items())
-    return 32
-
 
 @dataclass(slots=True)
 class ValueUpdateRecord(LogRecord):
@@ -113,12 +84,6 @@ class ValueUpdateRecord(LogRecord):
     def __post_init__(self) -> None:
         self.kind = RecordKind.VALUE_UPDATE
 
-    def size_bytes(self) -> int:
-        # Header + object id + both values.  The paper reports ~1100 bytes
-        # as the average large-message size carrying these records.
-        return (64 + _estimate_size(self.old_value)
-                + _estimate_size(self.new_value))
-
 
 @dataclass(slots=True)
 class OperationRecord(LogRecord):
@@ -145,10 +110,6 @@ class OperationRecord(LogRecord):
 
     def __post_init__(self) -> None:
         self.kind = RecordKind.OPERATION
-
-    def size_bytes(self) -> int:
-        return (96 + _estimate_size(list(self.redo_args))
-                + _estimate_size(list(self.undo_args)))
 
 
 @dataclass(slots=True)
@@ -188,9 +149,6 @@ class PageDirtyRecord(LogRecord):
     def __post_init__(self) -> None:
         self.kind = RecordKind.PAGE_DIRTY
 
-    def size_bytes(self) -> int:
-        return 24
-
 
 @dataclass(slots=True)
 class ServerPrepareRecord(LogRecord):
@@ -205,9 +163,6 @@ class ServerPrepareRecord(LogRecord):
 
     def __post_init__(self) -> None:
         self.kind = RecordKind.SERVER_PREPARE
-
-    def size_bytes(self) -> int:
-        return 64 + 24 * len(self.oids)
 
 
 @dataclass(slots=True)
@@ -230,7 +185,3 @@ class CheckpointRecord(LogRecord):
 
     def __post_init__(self) -> None:
         self.kind = RecordKind.CHECKPOINT
-
-    def size_bytes(self) -> int:
-        return 64 + 16 * len(self.dirty_pages) + 24 * len(
-            self.active_transactions)

@@ -196,6 +196,6 @@ def test_random_plan_smoke():
     """A seeded random fault schedule (the soak's little sibling)."""
     plan = random_plan(seed=31, nodes=["n0", "n1", "n2"],
                        duration_ms=4_000.0, episodes=3)
-    assert len(plan) > 0
+    assert plan.actions
     run = run_scenario(plan, seed=31)
     run.assert_clean()

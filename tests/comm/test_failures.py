@@ -145,9 +145,19 @@ class TestStaleness:
         assert old.peers == {}  # never ticked after being superseded
         assert fresh.peers["b"].epoch == 0
 
+    def test_a_detector_whose_node_left_the_registry_falls_silent(self, ctx):
+        """A node deregistered while up is neither probed nor probing."""
+        network, _, detectors, events = make_world(ctx)
+        network.deregister("b")
+        ctx.engine.run(until=DETECTION_BOUND + INTERVAL)
+        assert detectors["b"].peers == {}  # never ticked after it left
+        assert detectors["a"].peers == {} and events["a"] == []
+
     def test_stopped_detector_neither_probes_nor_answers(self, ctx):
-        _, _, detectors, _ = make_world(ctx)
-        detectors["b"].stop()
+        """A Communication Manager registered for b without a detector
+        stops b's old one."""
+        network, nodes, detectors, _ = make_world(ctx)
+        CommunicationManager(nodes["b"], network)
         ctx.engine.run(until=DETECTION_BOUND + INTERVAL)
         assert detectors["b"].peers == {}
         # b went mute, so a (correctly, from its vantage) suspects it.

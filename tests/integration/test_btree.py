@@ -1,9 +1,11 @@
 """End-to-end tests for the B-tree server (Section 4.4)."""
 
+import random
+
 import pytest
 
 from repro import TabsCluster, TabsConfig
-from repro.servers.btree import MAX_KEYS, BTreeServer
+from repro.servers.btree import MAX_KEYS, META_PAGE, BTreeServer
 
 
 @pytest.fixture
@@ -171,6 +173,82 @@ def test_an_underflow_borrows_from_a_left_sibling_with_keys_to_spare(env):
         return result["value"]
 
     assert cluster.run_transaction("n1", find) == "k03"
+
+
+def levels(cluster) -> int:
+    """The height of the ``users`` tree, root to leaf."""
+    tree = cluster.node("n1").servers["dirs"]
+
+    def read(page):
+        node = yield from tree.library.read_object(tree._page_oid(page))
+        return node
+
+    def walk():
+        meta = yield from read(META_PAGE)
+        node = yield from read(meta["directories"]["users"])
+        height = 1
+        while not node["leaf"]:
+            node = yield from read(node["children"][0])
+            height += 1
+        return height
+
+    return cluster.run_on("n1", walk())
+
+
+def test_a_three_level_tree_shrinks_back_to_one_leaf(env):
+    """Interior nodes split on the way up, and borrow and merge on the way
+    down: every lookup and scan agrees with a dict throughout."""
+    cluster, app, ref = env
+    rng = random.Random(7)
+    keys = [f"k{i:03d}" for i in range(160)]
+    rng.shuffle(keys)
+    model = {}
+
+    def agrees():
+        def body(tid):
+            found = {}
+            for key in model:
+                result = yield from call(app, ref, tid, "lookup", key=key)
+                found[key] = result["value"]
+            whole = yield from call(app, ref, tid, "scan")
+            part = yield from call(app, ref, tid, "scan",
+                                   lo="k040", hi="k119")
+            return found, whole["entries"], part["entries"]
+
+        found, whole, part = cluster.run_transaction("n1", body)
+        assert found == model
+        assert [tuple(entry) for entry in whole] == sorted(model.items())
+        assert [tuple(entry) for entry in part] == sorted(
+            (key, value) for key, value in model.items()
+            if "k040" <= key <= "k119")
+
+    for start in range(0, len(keys), 20):
+        batch = keys[start:start + 20]
+
+        def fill(tid, batch=batch):
+            for key in batch:
+                yield from call(app, ref, tid, "insert", key=key,
+                                value=key.upper())
+
+        cluster.run_transaction("n1", fill)
+        model.update((key, key.upper()) for key in batch)
+        agrees()
+    assert levels(cluster) >= 3
+
+    rng.shuffle(keys)
+    for start in range(0, len(keys) - 3, 20):
+        batch = keys[start:start + 20][:len(keys) - 3 - start]
+
+        def drain(tid, batch=batch):
+            for key in batch:
+                yield from call(app, ref, tid, "delete", key=key)
+
+        cluster.run_transaction("n1", drain)
+        for key in batch:
+            del model[key]
+        agrees()
+    assert len(model) == 3
+    assert levels(cluster) == 1
 
 
 def test_range_scan(env):

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import InvalidPort
 from repro.kernel.context import SimContext
 from repro.kernel.costs import MEASURED_1985, Phase, Primitive
-from repro.kernel.messages import Message, MessageKind, classify_size
+from repro.kernel.messages import Message, MessageKind
 from repro.kernel.node import Node
 from repro.kernel.ports import Port
 from repro.obs.tracer import Tracer
@@ -15,13 +15,6 @@ from repro.sim import Process
 @pytest.fixture
 def ctx():
     return SimContext()
-
-
-def test_classify_size_thresholds():
-    assert classify_size(0) is MessageKind.SMALL
-    assert classify_size(499) is MessageKind.SMALL
-    assert classify_size(500) is MessageKind.LARGE
-    assert classify_size(1100) is MessageKind.LARGE
 
 
 def test_send_receive_roundtrip_charges_small_message(ctx):

@@ -84,12 +84,3 @@ def test_breaking_cycle_by_aborting_victim(ctx):
     locks.release_all(victim)
     ctx.engine.run_until(p1)  # t1's wait is granted once t2 is gone
     assert detector.find_cycle() is None
-
-
-def test_attach_adds_manager(ctx):
-    detector = DeadlockDetector()
-    locks = LockManager(ctx)
-    detector.attach(locks)
-    hold(ctx, locks, "t1", "a")
-    wait_on(ctx, locks, "t2", "a")
-    assert detector.wait_for_graph() == {"t2": {"t1"}}

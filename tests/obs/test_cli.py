@@ -71,6 +71,12 @@ class TestExistingCommands:
         assert [row["concurrency"] for row in payload["rows"]] == [1, 2]
         assert all(row["committed"] > 0 for row in payload["rows"])
 
+    def test_sweep_chaos_audits_one_soak_per_seed(self, capsys):
+        assert main(["sweep", "chaos", "--seeds", "41"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["rows"]
+        assert row["kind"] == "chaos_soak" and row["seed"] == 41
+        assert row["ok"] is True and row["violations"] == []
+
     def test_sweep_writes_the_same_document_to_a_file(self, tmp_path,
                                                        capsys):
         argv = ["sweep", "debitcredit", "--counts", "1",

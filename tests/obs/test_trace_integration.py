@@ -15,6 +15,7 @@ Three contracts from the observability work:
 
 import pytest
 
+from repro.app.library import run_transaction
 from repro.chaos import (
     ChaosController,
     ChaosWorkload,
@@ -26,6 +27,7 @@ from repro.chaos.workload import build_cluster
 from repro.core.config import TabsConfig
 from repro.obs import chrome_trace_json, jsonl_events
 from repro.perf.benchmarks import BENCHMARKS_BY_KEY, run_benchmark
+from repro.replication.router import ReplicatedApp
 
 CHAOS_PLAN = FaultPlan.of(
     CrashAt(300.0, "n1", restart_after_ms=400.0),
@@ -269,10 +271,10 @@ class TestWriteBehindSpans:
 
         cluster, topology = build_replicated(seed=41)
         tracer = cluster.enable_tracing()
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
         spec = TxnSpec(home_branch=0, teller=1, account_branch=0, account=1,
                        amount=5)
-        cluster.run_on("bank0", rapp.run_transaction(
+        cluster.run_on("bank0", run_transaction(rapp,
             lambda tid: replicated_debitcredit_txn(rapp, topology, spec,
                                                    tid)))
         cluster.settle()
@@ -371,10 +373,10 @@ class TestRf2Parentage:
 
         def client(index):
             home = topology.client_home(index)
-            rapp = cluster.replicated_application(topology.node_name(home))
+            rapp = ReplicatedApp(cluster, topology.node_name(home))
             for _ in range(15):
                 spec = draw_spec(rng, cluster.config.workload, home)
-                yield from rapp.run_transaction(
+                yield from run_transaction(rapp,
                     lambda tid, spec=spec: replicated_debitcredit_txn(
                         rapp, topology, spec, tid))
                 committed.append(spec)

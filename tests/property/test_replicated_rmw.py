@@ -33,6 +33,7 @@ from repro.errors import (
     TransactionAborted,
 )
 from repro.replication import audit_replica_convergence
+from repro.replication.router import ReplicatedApp
 from repro.sim import Timeout
 from repro.workloads.debitcredit import TxnSpec, replicated_debitcredit_txn
 
@@ -109,7 +110,7 @@ def play(adds, outage, barrier_ms, crash_ms, down_ms=None):
     outcomes = {}  # add -> committed; a client its node killed has none
 
     def client(index, home, amount, start_ms, hold_ms, commits):
-        rapp = cluster.replicated_application(home)
+        rapp = ReplicatedApp(cluster, home)
         spec = TxnSpec(home_branch=0, teller=1, account_branch=0, account=1,
                        amount=amount)
         yield Timeout(engine, start_ms)

@@ -1,4 +1,5 @@
-"""Reached or gone: every function under ``src/repro`` is called.
+"""Reached or gone: every function under ``src/repro`` is called by the
+program.
 
 A pytest plugin.  Load it with ``-p tests.reachability`` over the suite
 and the paper benchmarks in one session::
@@ -6,13 +7,19 @@ and the paper benchmarks in one session::
     PYTHONPATH=src python -m pytest -p tests.reachability \\
         tests benchmarks --ignore=benchmarks/tabsbench
 
-It records every code object the session calls (``sys.setprofile`` and
-``threading.setprofile``), lists every ``def`` under ``src/repro`` with
-``ast`` and fails the session on a function that was never called,
-unless :data:`ALLOWED` names it with a reason, and on an allowlisted
-function that was called, so the list cannot go stale.  It writes
-``reachability.json`` (called, never called, the allowlist) to the
-directory pytest runs in.
+It records every code object under ``src/repro`` that the session calls
+from the program (``sys.setprofile`` and ``threading.setprofile``): a
+call counts only when the calling frame's code lies under
+``src/repro``, ``benchmarks/`` or ``examples/``.  A caller in generated
+code (file ``<string>``, such as a dataclass's ``__init__``) counts as
+that frame's own caller.  A function only a test calls has no user.
+
+It lists every ``def`` under ``src/repro`` with ``ast`` and fails the
+session on a function no program call reached, unless :data:`ALLOWED`
+names it with a reason, and on an allowlisted function that a program
+call reached, so the list cannot go stale.  It writes
+``reachability.json`` (reached, called only from tests, never called,
+the allowlist) to the directory pytest runs in.
 
 A word count (``tests/obs/test_structure.py``) cannot see a method whose
 name is a common word; a call can.  A function only a subprocess or a
@@ -27,9 +34,12 @@ import sys
 import threading
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
+#: a call from code under one of these counts; SRC comes first
+PROGRAM = (SRC, ROOT / "benchmarks", ROOT / "examples")
 
-#: functions no session call reaches, by ``<path under src/repro>::<qualname>``
+#: functions no program call reaches, by ``<path under src/repro>::<qualname>``
 ALLOWED = {
     "perf/runner.py::_run_indexed":
         "runs in a pool worker process, which the profile hook does not "
@@ -45,16 +55,43 @@ ALLOWED = {
     "replication/server.py::ReplicatedServerMixin.serialising_oid":
         "the hook's default for a server without a read-modify-write op; "
         "both replicated DebitCredit servers override it",
-    **{f"wal/records.py::{record}.size_bytes":
-       "an estimate only benchmarks/bench_ablations.py sums, over value "
-       "and operation records; replacing the estimates moves "
-       "benchmarks/results/ablation_logging.txt"
-       for record in ("LogRecord", "PageDirtyRecord",
-                      "ServerPrepareRecord")},
+    "__main__.py::main":
+        "an entry point: ``python -m repro`` calls it; tests call it "
+        "with an argv",
+    **{name: "a test oracle: tests read the program's state through it"
+       for name in ("comm/failures.py::FailureDetector.suspects",
+                    "kernel/node.py::Node.live_processes",
+                    "locking/manager.py::LockManager.held_keys",
+                    "obs/profile.py::SimProfiler.snapshot",
+                    "perf/model.py::paper_predicted_time",
+                    "perf/pathmodel.py::PathCounts.time",
+                    "txn/manager.py::TransactionManager.phase_of")},
+    **{name: "a paper or harness mechanism only tests drive"
+       for name in ("chaos/workload.py::ChaosWorkload.schedule_archive_dumps",
+                    "core/facility.py::TabsNode.fail_server",
+                    "core/facility.py::TabsNode.media_failure",
+                    "core/facility.py::TabsNode.media_recover_generator",
+                    "kernel/disk.py::Disk.arm_misdirected_write",
+                    "kernel/vm.py::VirtualMemory.unpin_all",
+                    "nameserver/library.py::NameServerLibrary.deregister",
+                    "reconfig/manager.py::ReconfigManager.retire",
+                    "server/library.py::"
+                    "DataServerLibrary.convert_object_id_to_va",
+                    "servers/replicated_dir.py::ReplicatedDirectory.delete",
+                    "workloads/harness.py::"
+                    "SeededWorkload.crash_and_recover_all")},
+    **{name: "called by frozen tabsbench (benchmarks/tabsbench), which "
+             "the session does not run"
+       for name in ("core/config.py::ReconfigConfig.off",
+                    "kernel/costs.py::CostMeter.count",
+                    "reconfig/epoch.py::PlacementEpoch.replicas",
+                    "sim/engine.py::Engine.step",
+                    "wal/codec.py::decode_record")},
     **{name: "read by a person (a failure message, a debugger), never by "
              "the program"
        for name in ("errors.py::LogMediaCorruption.__str__",
                     "errors.py::PageCorruption.__str__",
+                    "errors.py::TransactionAborted.__str__",
                     "kernel/messages.py::Message.__repr__",
                     "kernel/node.py::Node.__repr__",
                     "kernel/ports.py::Port.__repr__",
@@ -95,15 +132,37 @@ def definitions() -> dict[tuple[str, int], str]:
 
 class Reachability:
     def __init__(self) -> None:
-        #: (file, first line) of every code object called: a set of code
-        #: objects would do, but equal code in two files compares equal
+        #: (file, first line) of every ``src/repro`` code object called,
+        #: and of those a program call reached: a set of code objects
+        #: would do, but equal code in two files compares equal
         self.called: set = set()
-        self.never = self.stale = self.unknown = []
+        self.reached: set = set()
+        #: file name -> index into PROGRAM of the tree it lies in, or -1
+        self.tree: dict[str, int] = {}
+        self.never = self.only_tests = self.stale = self.unknown = []
+
+    def _tree(self, filename: str) -> int:
+        tree = self.tree.get(filename)
+        if tree is None:
+            path = Path(filename).resolve()
+            tree = next((i for i, root in enumerate(PROGRAM)
+                         if path.is_relative_to(root)), -1)
+            self.tree[filename] = tree
+        return tree
 
     def _profile(self, frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            self.called.add((code.co_filename, code.co_firstlineno))
+        if event != "call":
+            return
+        code = frame.f_code
+        key = (code.co_filename, code.co_firstlineno)
+        if key in self.reached or self._tree(code.co_filename) != 0:
+            return
+        self.called.add(key)
+        caller = frame.f_back
+        while caller is not None and caller.f_code.co_filename == "<string>":
+            caller = caller.f_back
+        if caller is not None and self._tree(caller.f_code.co_filename) >= 0:
+            self.reached.add(key)
 
     def start(self) -> None:
         threading.setprofile(self._profile)
@@ -112,20 +171,25 @@ class Reachability:
     def pytest_sessionfinish(self, session):
         sys.setprofile(None)
         threading.setprofile(None)
-        paths = {name: str(Path(name).resolve()) for name, _ in self.called}
-        called = {(paths[name], line) for name, line in self.called}
         names = definitions()
-        reached = {name for key, name in names.items() if key in called}
+
+        def of(keys):
+            keys = {(str(Path(name).resolve()), line) for name, line in keys}
+            return {name for key, name in names.items() if key in keys}
+
+        reached, called = of(self.reached), of(self.called)
         unreached = set(names.values()) - reached
-        self.never = sorted(unreached - set(ALLOWED))
+        self.never = sorted(unreached - called - set(ALLOWED))
+        self.only_tests = sorted(unreached & called - set(ALLOWED))
         self.stale = sorted(set(ALLOWED) & reached)
         self.unknown = sorted(set(ALLOWED) - set(names.values()))
         Path(REPORT).write_text(json.dumps({
-            "called": sorted(reached),
-            "never_called": sorted(unreached),
+            "reached": sorted(reached),
+            "called_only_from_tests": sorted(unreached & called),
+            "never_called": sorted(unreached - called),
             "allowed": ALLOWED,
         }, indent=1) + "\n")
-        if self.never or self.stale or self.unknown:
+        if self.never or self.only_tests or self.stale or self.unknown:
             session.exitstatus = 1
 
     def pytest_terminal_summary(self, terminalreporter):
@@ -133,7 +197,10 @@ class Reachability:
         for title, names in (
                 ("never called: test it through the program's path, or "
                  "delete it", self.never),
-                ("called, yet on the allowlist: take it off", self.stale),
+                ("called only from tests: give it a caller in the program, "
+                 "or delete it", self.only_tests),
+                ("reached from the program, yet on the allowlist: take it "
+                 "off", self.stale),
                 ("on the allowlist, but not defined", self.unknown)):
             if names:
                 terminalreporter.section(f"reachability -- {title}")

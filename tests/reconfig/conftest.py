@@ -1,9 +1,12 @@
 """Shared builder for a reconfigurable replicated DebitCredit cluster."""
 
+from repro.app.library import run_transaction
 from repro.core.cluster import TabsCluster
 from repro.core.config import (ReconfigConfig, ReplicationConfig, TabsConfig,
                                WorkloadConfig)
+from repro.errors import LockTimeout, ReplicaUnavailable, TransactionAborted
 from repro.reconfig import ReconfigManager
+from repro.replication.router import ReplicatedApp
 
 #: two branches on two nodes, rf=2, tiny partitions: every key-space has
 #: a copy on each node and the audits stay cheap
@@ -47,7 +50,7 @@ def commit_one(cluster, topology, home_node: str, branch: int = 0) -> bool:
     from repro.workloads.debitcredit import (TxnSpec,
                                              replicated_debitcredit_txn)
 
-    rapp = cluster.replicated_application(home_node)
+    rapp = ReplicatedApp(cluster, home_node)
     spec = TxnSpec(home_branch=branch, teller=1, account_branch=branch,
                    account=2, amount=7)
 
@@ -55,7 +58,9 @@ def commit_one(cluster, topology, home_node: str, branch: int = 0) -> bool:
         yield from replicated_debitcredit_txn(rapp, topology, spec, tid)
 
     try:
-        cluster.run_on(home_node, rapp.run_transaction(body, retries=2))
+        cluster.run_on(home_node, run_transaction(
+            rapp, body, retries=2,
+            retryable=(TransactionAborted, LockTimeout, ReplicaUnavailable)))
     except Exception:
         return False
     return True

@@ -25,7 +25,7 @@ class TestRandomPlanReconfigWeight:
                            crash_weight=0, partition_weight=0,
                            link_weight=0, disk_weight=0,
                            reconfig_weight=1, placement=PLACEMENT)
-        assert len(plan) == 12
+        assert len(plan.actions) == 12
         for action in plan:
             assert isinstance(action, MigrationFault)
             assert action.phase in PHASES

@@ -12,6 +12,7 @@ history is operation-logged.
 import pytest
 
 from repro.core.cluster import TabsCluster
+from repro.errors import PageCorruption
 from repro.servers.int_array import IntegerArrayServer
 from repro.servers.op_array import OperationArrayServer
 from repro.sim import Process
@@ -203,3 +204,112 @@ def test_operation_logged_page_escalates_to_full_recovery():
     assert tabs_node.node.alive
     assert tabs_node.node.disk.verify_page(seg, 0)
     assert cluster.run_transaction("n1", read) == 8
+
+
+def rot_and_evict(cluster, name="arr", salt=7):
+    """Rot page 0 of ``name``'s segment and drop every cached page, so
+    the next read faults the rotten page in."""
+    cluster.settle()
+    tabs_node = cluster.node("n1")
+    tabs_node.node.vm.clear_volatile()
+    assert tabs_node.node.disk.rot_page(data_segment(cluster, name), 0,
+                                        salt=salt)
+    return tabs_node.supervisor
+
+
+def test_two_readers_of_one_corrupt_page_share_one_repair(cluster):
+    set_cell(cluster, 1, 10)
+    set_cell(cluster, 2, 20)
+    dump_archive(cluster)
+    supervisor = rot_and_evict(cluster)
+
+    def reader(cell):
+        def body(tid):
+            app = cluster.application("n1")
+            ref = yield from app.lookup_one("arr")
+            reply = yield from app.call(ref, "get_cell", {"cell": cell}, tid)
+            return reply["value"]
+        return cluster.application("n1").run_transaction(body)
+
+    first = cluster.spawn_on("n1", reader(1))
+    second = cluster.spawn_on("n1", reader(2))
+    cluster.settle()
+    assert (first.result(), second.result()) == (10, 20)
+    assert supervisor.page_repairs == 1
+
+
+def test_a_durable_compensation_record_replays_in_a_page_repair(cluster):
+    """An abort's compensation record reaches the disk with the next
+    commit's force; the repair replays it (the restored value) and keeps
+    unwinding beneath it."""
+    set_cell(cluster, 1, 10)
+    dump_archive(cluster)
+    app = cluster.application("n1")
+
+    def update_then_abort():
+        tid = yield from app.begin_transaction()
+        ref = yield from app.lookup_one("arr")
+        yield from app.call(ref, "set_cell", {"cell": 1, "value": 999}, tid)
+        yield from app.abort_transaction(tid, reason="test")
+
+    cluster.run_on("n1", update_then_abort())
+    set_cell(cluster, 2, 5)  # forces the log past the compensation
+    supervisor = rot_and_evict(cluster)
+    assert (get_cell(cluster, 1), get_cell(cluster, 2)) == (10, 5)
+    assert supervisor.page_repairs == 1
+
+
+def test_a_repair_passes_over_operation_records_of_other_pages():
+    cluster = TabsCluster(fast_config())
+    cluster.add_node("n1")
+    cluster.add_server("n1", IntegerArrayServer.factory("arr"))
+    cluster.add_server("n1", OperationArrayServer.factory("ops"))
+    cluster.start()
+    set_cell(cluster, 1, 10)
+    dump_archive(cluster)
+
+    def add(tid):
+        app = cluster.application("n1")
+        ref = yield from app.lookup_one("ops")
+        yield from app.call(ref, "add_cell", {"cell": 1, "delta": 4}, tid)
+
+    cluster.run_transaction("n1", add)
+    set_cell(cluster, 1, 25)
+    supervisor = rot_and_evict(cluster)
+    assert get_cell(cluster, 1) == 25
+    assert supervisor.repair_outcomes[(data_segment(cluster), 0)] == \
+        "repaired"
+
+
+def test_no_archive_and_a_truncated_log_leave_a_page_unrepairable():
+    """Without an archived base, a roll-forward must start at LSN 1; once
+    reclamation has truncated the log the read fails instead of
+    fabricating history."""
+    cluster = TabsCluster(fast_config(log_capacity_records=64))
+    cluster.add_node("n1")
+    cluster.add_server("n1", IntegerArrayServer.factory("arr"))
+    cluster.start()
+    for value in range(40):
+        set_cell(cluster, 1, value)
+    assert cluster.node("n1").rm.wal.store.truncated_before > 1
+    supervisor = rot_and_evict(cluster)
+    with pytest.raises(PageCorruption):
+        get_cell(cluster, 1)
+    assert supervisor.repair_outcomes[(data_segment(cluster), 0)] == \
+        "unrepairable"
+    assert cluster.metrics.counter("n1", "media.repair_failures").value == 1
+
+
+def test_a_restart_wipes_a_corrupt_page_without_an_archive(cluster):
+    """With no archive the scrub rebuilds a corrupt page from an empty
+    base, and the replay from LSN 1 restores every committed value."""
+    set_cell(cluster, 1, 10)
+    set_cell(cluster, 2, 20)
+    tabs_node = cluster.node("n1")
+    cluster.run_on("n1", tabs_node.node.vm.flush_all())
+    rot_and_evict(cluster)
+    tabs_node.crash()
+    tabs_node.node.restart()
+    cluster.settle()
+    assert tabs_node.node.disk.verify_page(data_segment(cluster), 0)
+    assert (get_cell(cluster, 1), get_cell(cluster, 2)) == (10, 20)

@@ -2,6 +2,8 @@
 
 from tests.replication.conftest import build_replicated
 
+from repro.app.library import run_transaction
+from repro.replication.router import ReplicatedApp
 from repro.workloads.debitcredit import replicated_debitcredit_txn
 from repro.workloads.debitcredit import TxnSpec
 
@@ -17,7 +19,7 @@ class TestReadFailover:
         over to the local copy."""
         cluster, topology = build_replicated(seed=11)
         cluster.crash_node("bank1")
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
         keyspace = topology.account_server(1)
         assert cluster.placement.replicas(keyspace)[0] == "bank1"
 
@@ -40,7 +42,7 @@ class TestReadFailover:
         cluster.crash_node("bank1")
         view = cluster.node("bank0").replication.view
         view.observe(0.0, "bank0", "suspect", "bank1")
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
 
         def txn():
             tid = yield from rapp.begin_transaction()
@@ -60,14 +62,14 @@ class TestDegradedWrites:
         cluster.crash_node("bank1")
         view = cluster.node("bank0").replication.view
         view.observe(0.0, "bank0", "suspect", "bank1")
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
         spec = TxnSpec(home_branch=0, teller=1, account_branch=0,
                        account=3, amount=10)
 
         def body(tid):
             yield from replicated_debitcredit_txn(rapp, topology, spec, tid)
 
-        cluster.run_on("bank0", rapp.run_transaction(body))
+        cluster.run_on("bank0", run_transaction(rapp, body))
         assert counter(cluster, "bank0",
                        "replication.write_all_degraded") >= 1
         assert counter(cluster, "bank0",
@@ -77,7 +79,7 @@ class TestDegradedWrites:
         """The surviving copy carries the new value; the dead copy keeps
         the old one until catch-up (audited in test_catchup)."""
         cluster, topology = build_replicated(seed=19)
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
         keyspace = topology.branch_server(0)
 
         def read_balance():
@@ -96,6 +98,6 @@ class TestDegradedWrites:
             yield from rapp.write_all(keyspace, "add_to_balance",
                                       {"row": 1, "amount": 100}, tid)
 
-        cluster.run_on("bank0", rapp.run_transaction(update))
+        cluster.run_on("bank0", run_transaction(rapp, update))
         after = cluster.run_on("bank0", read_balance())
         assert after == before + 100

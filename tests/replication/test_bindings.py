@@ -5,7 +5,9 @@ binding table is what stops that from reaching the Name Server."""
 from tests.reconfig.conftest import build_reconfig, counter
 from tests.replication.conftest import build_replicated
 
+from repro.app.library import run_transaction
 from repro.replication import audit_replica_convergence
+from repro.replication.router import ReplicatedApp
 from repro.workloads.debitcredit import TxnSpec, replicated_debitcredit_txn
 
 
@@ -17,12 +19,12 @@ def broadcasts(cluster):
 def run_txn(cluster, topology, home, spec):
     # A new application object per transaction, as the open-loop
     # workloads build them: nothing is carried over on the caller's side.
-    rapp = cluster.replicated_application(home)
+    rapp = ReplicatedApp(cluster, home)
 
     def body(tid):
         yield from replicated_debitcredit_txn(rapp, topology, spec, tid)
 
-    cluster.run_on(home, rapp.run_transaction(body))
+    cluster.run_on(home, run_transaction(rapp, body))
 
 
 def test_second_transaction_on_a_warm_node_broadcasts_nothing():

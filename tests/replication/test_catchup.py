@@ -4,9 +4,11 @@ import pytest
 
 from tests.replication.conftest import build_replicated
 
+from repro.app.library import run_transaction
 from repro.core.config import ReplicationConfig
 from repro.errors import ReplicaUnavailable
 from repro.replication import audit_replica_convergence
+from repro.replication.router import ReplicatedApp
 from repro.workloads.debitcredit import (
     DebitCreditWorkload,
     TxnSpec,
@@ -42,7 +44,7 @@ class TestReadBarrier:
         cluster, topology = build_replicated(seed=29)
         keyspace = topology.account_server(1)
         cluster.node("bank1").servers[keyspace].catchup_pending = True
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
 
         def txn():
             tid = yield from rapp.begin_transaction()
@@ -61,13 +63,13 @@ class TestReadBarrier:
         merge from each other."""
         cluster, topology = build_replicated(seed=31)
         keyspace = topology.account_server(1)
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
 
         def seed_write(tid):
             yield from rapp.write_all(keyspace, "add_to_balance",
                                       {"row": 1, "amount": 1}, tid)
 
-        cluster.run_on("bank0", rapp.run_transaction(seed_write))
+        cluster.run_on("bank0", run_transaction(rapp, seed_write))
         cluster.node("bank1").servers[keyspace].catchup_pending = True
         app = cluster.application("bank0")
 
@@ -87,12 +89,12 @@ def recovered_cluster():
     """Commit; crash bank1; commit degraded; restart bank1 (running
     catch-up); return everything the assertions need."""
     cluster, topology = build_replicated(seed=37)
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
 
     def run_txn(spec):
         def body(tid):
             yield from replicated_debitcredit_txn(rapp, topology, spec, tid)
-        cluster.run_on("bank0", rapp.run_transaction(body))
+        cluster.run_on("bank0", run_transaction(rapp, body))
 
     run_txn(TxnSpec(home_branch=0, teller=1, account_branch=0,
                     account=1, amount=25))
@@ -141,7 +143,7 @@ class TestCatchup:
 
     def test_full_replica_writes_resume(self, recovered_cluster):
         cluster, topology = recovered_cluster
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
         degraded_before = counter(cluster, "bank0",
                                   "replication.write_all_degraded")
         spec = TxnSpec(home_branch=0, teller=1, account_branch=0,
@@ -150,7 +152,7 @@ class TestCatchup:
         def body(tid):
             yield from replicated_debitcredit_txn(rapp, topology, spec, tid)
 
-        cluster.run_on("bank0", rapp.run_transaction(body))
+        cluster.run_on("bank0", run_transaction(rapp, body))
         assert counter(cluster, "bank0", "replication.write_all_degraded") \
             == degraded_before
         assert audit_replica_convergence(cluster) == []

@@ -265,7 +265,7 @@ def test_calls_to_the_source_are_bounded_and_the_apply_is_not():
     assert versions == ("repl_versions", "bank0", {"offsets": [0]},
                         CALL_TIMEOUT_MS)
     assert apply == ("repl_apply_batch", "bank0",
-                     {"cells": {0: ("v", 1.0, 0)}, "priority": True}, None)
+                     {"cells": {0: ("v", 1.0, 0)}}, None)
     assert probe == ("repl_cells", "bank0", {}, CALL_TIMEOUT_MS)
 
 

@@ -27,10 +27,12 @@ from tests.replication.test_write_behind import (
     put,
 )
 
+from repro.app.library import run_transaction
 from repro.core.cluster import TabsCluster
 from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
 from repro.errors import ServerError, TransactionAborted
 from repro.replication import audit_replica_convergence
+from repro.replication.router import ReplicatedApp
 from repro.sim import Timeout
 
 
@@ -84,7 +86,7 @@ def test_nothing_is_prepared_at_a_copy_before_its_reply():
     tracer = cluster.enable_tracing()
     keyspace = topology.account_server(0)
     released_at = hold_row_at(cluster, "bank1", keyspace, 5, 2_000.0)
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     seen = {}
 
     def txn():
@@ -127,7 +129,7 @@ def test_a_copy_the_data_server_fails_aborts_the_family_naming_it():
         raise ServerError("the copy's disk is full")
 
     replace_op(cluster, "bank1", keyspace, "put_balance", store_then_fail)
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     validation = counter(cluster, "bank0", "replication.validation_abort")
     tids = []
 
@@ -138,7 +140,7 @@ def test_a_copy_the_data_server_fails_aborts_the_family_naming_it():
     with pytest.raises(TransactionAborted,
                        match=rf"write-behind:.*:{keyspace}@bank1 failed: "
                              r"ServerError\(\"the copy's disk is full"):
-        cluster.run_on("bank0", rapp.run_transaction(body))
+        cluster.run_on("bank0", run_transaction(rapp, body))
     (tid,) = tids
     assert "ServerError" in rapp.refusal
     assert counter(cluster, "bank0", "replication.validation_abort") \
@@ -178,14 +180,14 @@ def test_a_node_the_first_answer_missed_is_asked_for_again_and_prepared():
     cluster.network.set_link_fault("bank1", "bank0", reorder=1.0,
                                    reorder_delay_ms=300.0, both_ways=False)
     asked = spanning_queries(cluster, "bank0")
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     tids = []
 
     def body(tid):
         tids.append(tid)
         yield from read_then_write(rapp, topology, 555)(tid)
 
-    cluster.run_on("bank0", rapp.run_transaction(body))
+    cluster.run_on("bank0", run_transaction(rapp, body))
     (tid,) = tids
     assert [family for _, family in asked] == [str(tid)] * 2
     assert len(spans(tracer, tid, "2pc.prepare_req", "bank1")) == 1
@@ -197,11 +199,11 @@ def test_a_node_the_first_answer_missed_is_asked_for_again_and_prepared():
 
 def test_the_common_case_asks_for_the_children_once():
     cluster, topology = build_three(seed=149)
-    rapp = cluster.replicated_application("bank0")
-    cluster.run_on("bank0", rapp.run_transaction(
+    rapp = ReplicatedApp(cluster, "bank0")
+    cluster.run_on("bank0", run_transaction(rapp,
         read_then_write(rapp, topology, 1)))          # binds every copy
     asked = spanning_queries(cluster, "bank0")
-    cluster.run_on("bank0", rapp.run_transaction(
+    cluster.run_on("bank0", run_transaction(rapp,
         read_then_write(rapp, topology, 2)))
     assert len(asked) == 1
     cluster.settle()
@@ -223,7 +225,7 @@ def test_a_failure_notice_during_the_join_is_one_abort_and_no_prepare():
     tracer = cluster.enable_tracing()
     keyspace = topology.account_server(0)
     released_at = hold_row_at(cluster, "bank1", keyspace, 3, 4_000.0)
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     aborts = counter(cluster, "bank0", "tm.aborts")
     seen = {}
 
@@ -263,8 +265,8 @@ def test_a_family_aborted_before_tm_end_still_answers_after_its_copies():
     deadline), so nothing of the transaction runs on behind it."""
     cluster, topology = build_replicated(seed=163)
     keyspace = topology.account_server(0)
-    rapp = cluster.replicated_application("bank0")
-    cluster.run_on("bank0", rapp.run_transaction(      # binds bank1's copy
+    rapp = ReplicatedApp(cluster, "bank0")
+    cluster.run_on("bank0", run_transaction(rapp,       # binds bank1's copy
         lambda tid: put(rapp, keyspace, 2, 10, tid)))
     seen = {}
 

@@ -17,8 +17,10 @@ transaction is housekeeping.
 from tests.reconfig.conftest import counter
 from tests.replication.conftest import build_replicated
 
+from repro.app.library import run_transaction
 from repro.kernel.costs import Primitive
 from repro.perf.pathmodel import commit_path
+from repro.replication.router import ReplicatedApp
 from repro.workloads.debitcredit import TxnSpec, replicated_debitcredit_txn
 
 
@@ -76,13 +78,13 @@ class TestCatchupWaitHistogram:
         recovering node logs exactly one barrier window, in simulated
         ms, with ordered percentiles for the latency report."""
         cluster, topology = build_replicated(seed=59)
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
 
         def run_txn(spec):
             def body(tid):
                 yield from replicated_debitcredit_txn(rapp, topology,
                                                       spec, tid)
-            cluster.run_on("bank0", rapp.run_transaction(body))
+            cluster.run_on("bank0", run_transaction(rapp, body))
 
         run_txn(TxnSpec(home_branch=0, teller=1, account_branch=0,
                         account=1, amount=25))
@@ -105,14 +107,14 @@ class TestCatchupWaitHistogram:
         """No recovery, no barrier: the histogram stays absent so the
         metrics snapshot of an unreplicated-path run is unchanged."""
         cluster, topology = build_replicated(seed=61)
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
         spec = TxnSpec(home_branch=0, teller=1, account_branch=0,
                        account=3, amount=10)
 
         def body(tid):
             yield from replicated_debitcredit_txn(rapp, topology, spec, tid)
 
-        cluster.run_on("bank0", rapp.run_transaction(body))
+        cluster.run_on("bank0", run_transaction(rapp, body))
         snapshot = cluster.metrics.snapshot()
         assert not any("catchup_wait" in name
                        for name in snapshot["histograms"])
@@ -126,12 +128,12 @@ class TestWhoseForcesTheyAre:
         above that per commit is other transactions' -- aborted attempts,
         three-node commits, maintenance -- not this one's."""
         cluster, topology = build_replicated(seed=41)
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
         spec = TxnSpec(home_branch=0, teller=1, account_branch=0,
                        account=1, amount=5)
 
         def run():
-            cluster.run_on("bank0", rapp.run_transaction(
+            cluster.run_on("bank0", run_transaction(rapp,
                 lambda tid: replicated_debitcredit_txn(rapp, topology, spec,
                                                        tid)))
             cluster.settle()
@@ -158,10 +160,10 @@ class TestWhoseForcesTheyAre:
         ``kind="maintenance"``, the workload's carry nothing."""
         cluster, topology = build_replicated(seed=67)
         tracer = cluster.enable_tracing()
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
 
         def run_txn(spec):
-            cluster.run_on("bank0", rapp.run_transaction(
+            cluster.run_on("bank0", run_transaction(rapp,
                 lambda tid: replicated_debitcredit_txn(rapp, topology, spec,
                                                        tid)))
 

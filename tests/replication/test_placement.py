@@ -6,6 +6,7 @@ from repro import TabsCluster, TabsConfig
 from repro.core.config import ReplicationConfig
 from repro.errors import ReplicaUnavailable, TabsError
 from repro.replication import PlacementMap
+from repro.replication.router import ReplicatedApp
 
 
 class TestPlacementMap:
@@ -14,7 +15,7 @@ class TestPlacementMap:
         assert placement.replicas("a") == ("n0", "n1")
         assert placement.replicas("b") == ("n1",)
         assert "a" in placement and "c" not in placement
-        assert len(placement) == 2
+        assert placement.keyspaces() == ["a", "b"]
 
     def test_unknown_keyspace_raises(self):
         placement = PlacementMap({"a": ("n0",)})
@@ -78,7 +79,7 @@ class TestWithoutAPlacement:
     def test_no_router_routes_without_a_map(self):
         cluster = self.cluster()
         with pytest.raises(ReplicaUnavailable, match="no placement map"):
-            cluster.replicated_application("n0")
+            ReplicatedApp(cluster, "n0")
 
     def test_a_failure_seen_without_a_map_sets_no_copy_gauge(self):
         cluster = self.cluster()

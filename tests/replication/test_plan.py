@@ -64,7 +64,7 @@ class TestRandomPlanReplicationWeight:
                            crash_weight=0, partition_weight=0,
                            link_weight=0, disk_weight=0,
                            replication_weight=1, placement=PLACEMENT)
-        assert len(plan) == 12
+        assert len(plan.actions) == 12
         for action in plan:
             assert isinstance(action, (CrashAt, PartitionAt))
             if isinstance(action, CrashAt):

@@ -20,10 +20,12 @@ from tests.replication.test_write_behind import (
     spied,
 )
 
+from repro.app.library import run_transaction
 from repro.core.cluster import TabsCluster
 from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
 from repro.errors import LockTimeout, TransactionAborted
 from repro.replication import audit_replica_convergence, replica_cells
+from repro.replication.router import ReplicatedApp
 from repro.sim import Timeout
 from repro.workloads.debitcredit import RowOutOfRange
 
@@ -54,7 +56,7 @@ def test_a_catching_up_first_copy_locks_refuses_and_stores_the_copy():
     before = committed_balance(cluster, "bank0", keyspace, 3)
     first = cluster.node("bank0").servers[keyspace]
     first.catchup_pending = True
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     failovers = counter(cluster, "bank0", "replication.read_failover")
     updates = {node: counter(cluster, node, "account_server.updates")
                for node in ("bank0", "bank1")}
@@ -70,7 +72,7 @@ def test_a_catching_up_first_copy_locks_refuses_and_stores_the_copy():
         (copy,) = copy_processes(cluster, "bank0", tid)
         assert copy.name.endswith(f"{keyspace}@bank0")
 
-    cluster.run_on("bank0", rapp.run_transaction(body))
+    cluster.run_on("bank0", run_transaction(rapp, body))
     assert counter(cluster, "bank0", "replication.read_failover") \
         == failovers + 1
     # One execution, one absolute put: each copy was written once.
@@ -99,7 +101,7 @@ def test_contenders_either_side_of_the_barrier_serialise_at_the_first_copy():
     executed_at, committed, committed_at = {}, {}, {}
 
     def contender(name, start_ms, amount):
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
         yield Timeout(cluster.engine, start_ms)
         tid = yield from rapp.begin_transaction()
         reply = yield from add(rapp, keyspace, 5, amount, tid)
@@ -136,7 +138,7 @@ def test_a_copy_suspected_during_the_walk_is_not_written_behind():
     keyspace = topology.account_server(1)
     assert cluster.placement.replicas(keyspace) == ("bank1", "bank0")
     before = committed_balance(cluster, "bank0", keyspace, 4)
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     view = cluster.node("bank0").replication.view
     degraded = counter(cluster, "bank0", "replication.write_all_degraded")
     cluster.crash_node("bank1")
@@ -150,7 +152,7 @@ def test_a_copy_suspected_during_the_walk_is_not_written_behind():
         assert reply == {"balance": before + 6}
         assert copy_processes(cluster, "bank0", tid) == []
 
-    cluster.run_on("bank0", rapp.run_transaction(body))
+    cluster.run_on("bank0", run_transaction(rapp, body))
     assert counter(cluster, "bank0", "replication.write_all_degraded") \
         == degraded + 1
     assert committed_balance(cluster, "bank0", keyspace, 4) == before + 6
@@ -207,7 +209,7 @@ def test_first_copy_crashing_after_it_executed_never_commits():
         refused.append(error.value)
         raise error.value
 
-    client = cluster.spawn_on("bank1", rapp.run_transaction(body))
+    client = cluster.spawn_on("bank1", run_transaction(rapp, body))
     cluster.settle(extra_ms=40_000.0)
     assert executions == [before + 500]
     assert [error.tid for error in refused] == tids
@@ -259,7 +261,7 @@ def test_an_aborted_family_opens_no_fragment_after_its_abort():
         executions.append(reply["balance"])
 
     cluster.spawn_on("bank1", restart_bank0())
-    client = cluster.spawn_on("bank2", rapp.run_transaction(body))
+    client = cluster.spawn_on("bank2", run_transaction(rapp, body))
     cluster.settle(extra_ms=60_000.0)
     with pytest.raises(TransactionAborted, match="aborted on bank2"):
         client.result()
@@ -305,7 +307,7 @@ def test_second_execution_after_a_crashed_first_aborts_at_the_join():
     # the dead copy's binding is gone
     with pytest.raises(TransactionAborted,
                        match="write-behind:.*@bank0 failed: LookupFailed"):
-        cluster.run_on("bank1", rapp.run_transaction(body))
+        cluster.run_on("bank1", run_transaction(rapp, body))
     assert executions == [before + 500, before + 500]
     assert cluster.meter.counter("aborts_on_failure") == 0
     assert [op for op, _ in rapp.app.control] == ["end"]     # no tm.abort
@@ -339,7 +341,7 @@ def test_first_copy_whose_reply_is_lost_counts_the_add_once():
         reply = yield from add(rapp, keyspace, 2, 500, tid)
         executions.append(("bank1", reply["balance"]))
 
-    cluster.run_on("bank1", rapp.run_transaction(body))
+    cluster.run_on("bank1", run_transaction(rapp, body))
     assert executions == [("bank0", before + 500), ("bank1", before + 500)]
     assert counter(cluster, "bank1", "replication.read_failover") \
         == failovers + 1
@@ -394,14 +396,14 @@ def test_the_slot_the_serialising_copy_chose_is_the_slot_the_other_stores():
     cluster, topology = build_short_strands(seed=97)
     keyspace = topology.history_server(0)
     assert cluster.placement.replicas(keyspace) == ("bank0", "bank1")
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     slots = []
 
     def one(amount):
         def body(tid):
             reply = yield from append(rapp, keyspace, 1, amount, tid)
             slots.append(reply)
-        cluster.run_on("bank0", rapp.run_transaction(body))
+        cluster.run_on("bank0", run_transaction(rapp, body))
 
     one(10)
     # The second slot is chosen at bank1: bank0 refuses from behind its
@@ -421,9 +423,9 @@ def test_the_slot_the_serialising_copy_chose_is_the_slot_the_other_stores():
 def test_a_full_strand_refuses_at_the_serialising_copy_and_writes_nothing():
     cluster, topology = build_short_strands(seed=101)
     keyspace = topology.history_server(0)
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     for amount in (1, 2):
-        cluster.run_on("bank0", rapp.run_transaction(
+        cluster.run_on("bank0", run_transaction(rapp,
             lambda tid, amount=amount: append(rapp, keyspace, 0, amount,
                                               tid)))
     cluster.settle()
@@ -439,7 +441,7 @@ def test_a_full_strand_refuses_at_the_serialising_copy_and_writes_nothing():
             assert copy_processes(cluster, "bank0", tid) == []
 
     with pytest.raises(RowOutOfRange, match="slot 2 of strand 0"):
-        cluster.run_on("bank0", rapp.run_transaction(overflow))
+        cluster.run_on("bank0", run_transaction(rapp, overflow))
     cluster.settle()
     assert other.requests_served == served
     for node in ("bank0", "bank1"):
@@ -480,7 +482,7 @@ def test_a_reply_without_a_copy_fans_the_same_op_out():
     cluster, topology = build_replicated(seed=107)
     tracer = cluster.enable_tracing()
     keyspace = topology.account_server(0)
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
 
     def body(tid):
         reply = yield from rapp.write_all(keyspace, "put_balance",
@@ -488,7 +490,7 @@ def test_a_reply_without_a_copy_fans_the_same_op_out():
         assert reply == {"balance": 314}
         assert len(copy_processes(cluster, "bank0", tid)) == 1
 
-    cluster.run_on("bank0", rapp.run_transaction(body))
+    cluster.run_on("bank0", run_transaction(rapp, body))
     cluster.settle()
     operations = sorted((span.name, span.node) for span in tracer.spans
                         if span.name.startswith("ds:")
@@ -506,7 +508,7 @@ def test_every_copy_of_a_write_holds_the_same_cell():
     cluster, topology = build_replicated(seed=127)
     accounts = topology.account_server(0)
     history = topology.history_server(0)
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
 
     def body(tid):
         yield from add(rapp, accounts, 3, 40, tid)
@@ -514,7 +516,7 @@ def test_every_copy_of_a_write_holds_the_same_cell():
         yield from rapp.write_all(accounts, "put_balance",
                                   {"row": 7, "balance": 12}, tid)
 
-    cluster.run_on("bank0", rapp.run_transaction(body))
+    cluster.run_on("bank0", run_transaction(rapp, body))
     cluster.settle()
     for keyspace, cells in ((accounts, 2), (history, 2)):
         first, second = (replica_cells(cluster.node(node), keyspace)
@@ -529,8 +531,8 @@ def test_a_lock_conflict_does_not_shop_for_another_copy():
     "held" is the serialisation working."""
     cluster, topology = build_replicated(seed=109)
     keyspace = topology.account_server(0)
-    holder = cluster.replicated_application("bank0")
-    waiter = cluster.replicated_application("bank0")
+    holder = ReplicatedApp(cluster, "bank0")
+    waiter = ReplicatedApp(cluster, "bank0")
     failovers = counter(cluster, "bank0", "replication.read_failover")
 
     def txn():

@@ -11,7 +11,9 @@ refuses the commit.
 
 from tests.replication.conftest import build_replicated
 
+from repro.app.library import run_transaction
 from repro.replication import AvailabilityView, PlacementMap, validate_footprint
+from repro.replication.router import ReplicatedApp
 
 
 def make_view(down=(), counts=None):
@@ -96,7 +98,7 @@ class TestValidateFootprint:
 def flap_transaction(cluster, topology, events):
     """One replicated account update with detector ``events`` injected
     between the write fan-out and the commit attempt."""
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     view = cluster.node("bank0").replication.view
 
     def txn():
@@ -116,7 +118,7 @@ def read_flap_transaction(cluster, topology, events):
     """A read-only transaction whose single read is served by bank1
     (branch 1's key-spaces anchor there), with detector ``events``
     injected between the read and the commit attempt."""
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     view = cluster.node("bank0").replication.view
     keyspace = topology.account_server(1)
     assert cluster.placement.replicas(keyspace)[0] == "bank1"
@@ -149,14 +151,14 @@ class TestCommitTimeValidation:
         assert validation_aborts(cluster) == 1
         # The flap is history: a fresh transaction records the new fail
         # count and commits.
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
 
         def retry(tid):
             yield from rapp.write_all(topology.account_server(0),
                                       "add_to_balance",
                                       {"row": 1, "amount": 7}, tid)
 
-        cluster.run_on("bank0", rapp.run_transaction(retry))
+        cluster.run_on("bank0", run_transaction(rapp, retry))
         assert validation_aborts(cluster) == 1
 
     def test_full_flap_failed_recovered_failed_aborts(self):

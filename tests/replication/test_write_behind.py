@@ -14,9 +14,11 @@ import pytest
 from tests.reconfig.conftest import counter
 from tests.replication.conftest import build_replicated
 
+from repro.app.library import run_transaction
 from repro.chaos import ChaosController, FaultPlan, LinkFaultWindow
 from repro.errors import CommunicationError, TransactionAborted
 from repro.replication import audit_replica_convergence
+from repro.replication.router import ReplicatedApp
 from repro.sim import Timeout
 from repro.workloads.debitcredit import TxnSpec, replicated_debitcredit_txn
 
@@ -48,7 +50,7 @@ class SpyApp:
 
 
 def spied(cluster, home):
-    rapp = cluster.replicated_application(home)
+    rapp = ReplicatedApp(cluster, home)
     rapp.app = SpyApp(rapp.app)
     return rapp
 
@@ -109,9 +111,9 @@ def test_overlap_is_real_and_bounded():
                    amount=5)
 
     def run():
-        rapp = cluster.replicated_application("bank0")
+        rapp = ReplicatedApp(cluster, "bank0")
         started = cluster.engine.now
-        cluster.run_on("bank0", rapp.run_transaction(
+        cluster.run_on("bank0", run_transaction(rapp,
             lambda tid: replicated_debitcredit_txn(rapp, topology, spec,
                                                    tid)))
         return cluster.engine.now - started
@@ -133,7 +135,7 @@ def test_two_writes_of_one_cell_land_in_issue_order_on_every_copy():
         0.0, 60_000.0, "bank0", "bank1", reorder=0.9,
         reorder_delay_ms=400.0)), seed=43)
     controller.install()
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     keyspace = topology.account_server(0)
     assert cluster.placement.replicas(keyspace) == ("bank0", "bank1")
 
@@ -141,7 +143,7 @@ def test_two_writes_of_one_cell_land_in_issue_order_on_every_copy():
         yield from put(rapp, keyspace, 7, 111, tid)
         yield from put(rapp, keyspace, 7, 222, tid)
 
-    cluster.run_on("bank0", rapp.run_transaction(body))
+    cluster.run_on("bank0", run_transaction(rapp, body))
     cluster.settle()
     assert committed_balance(cluster, "bank0", keyspace, 7) == 222
     assert committed_balance(cluster, "bank1", keyspace, 7) == 222
@@ -171,7 +173,7 @@ def test_a_later_copy_never_overtakes_an_earlier_one_to_the_same_server():
     """The copy of row 7 is parked on a foreign lock at bank1; the copy
     of row 8, free to go, still waits its turn behind it."""
     cluster, topology = build_replicated(seed=45)
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     keyspace = topology.account_server(0)
     released_at = hold_row_at(cluster, "bank1", keyspace, 7, 2_000.0)
 
@@ -186,7 +188,7 @@ def test_a_later_copy_never_overtakes_an_earlier_one_to_the_same_server():
         yield first
         assert second.alive
 
-    cluster.run_on("bank0", rapp.run_transaction(body))
+    cluster.run_on("bank0", run_transaction(rapp, body))
     cluster.settle()
     assert committed_balance(cluster, "bank1", keyspace, 7) == 111
     assert committed_balance(cluster, "bank1", keyspace, 8) == 222
@@ -208,7 +210,7 @@ def test_a_copy_that_dies_mid_call_aborts_the_transaction():
     before = committed_balance(cluster, "bank0", keyspace, 3)
     # Bind bank1's copy first, so the copy below is a call in flight and
     # not a name lookup.
-    cluster.run_on("bank0", rapp.run_transaction(
+    cluster.run_on("bank0", run_transaction(rapp,
         lambda tid: put(rapp, keyspace, 3, before, tid)))
     rapp.app.control.clear()
     validation = counter(cluster, "bank0", "replication.validation_abort")
@@ -224,7 +226,7 @@ def test_a_copy_that_dies_mid_call_aborts_the_transaction():
         cluster.crash_node("bank1")
 
     with pytest.raises(TransactionAborted, match="peer bank1 failed"):
-        cluster.run_on("bank0", rapp.run_transaction(body))
+        cluster.run_on("bank0", run_transaction(rapp, body))
     (tid,) = tids
     assert [op for op, _ in rapp.app.control] == ["end"]     # no tm.abort
     (copy,) = rapp.app.control[0][1]["copies"]
@@ -275,7 +277,7 @@ def test_abort_returns_only_after_every_copy_has_finished():
 
 def test_read_your_writes_when_the_view_changes_between_write_and_read():
     cluster, topology = build_replicated(seed=59)
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     keyspace = topology.account_server(1)
     assert cluster.placement.replicas(keyspace) == ("bank1", "bank0")
     before = committed_balance(cluster, "bank0", keyspace, 2)
@@ -300,7 +302,7 @@ def test_read_your_writes_when_the_view_changes_between_write_and_read():
 
 def test_home_node_crash_takes_the_copy_processes_with_it():
     cluster, topology = build_replicated(seed=61)
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     keyspace = topology.account_server(0)
     before = committed_balance(cluster, "bank0", keyspace, 4)
     seen = {}
@@ -336,7 +338,7 @@ def test_single_target_spawns_nothing():
     cluster.crash_node("bank1")
     cluster.node("bank0").replication.view.observe(0.0, "bank0", "suspect",
                                                    "bank1")
-    rapp = cluster.replicated_application("bank0")
+    rapp = ReplicatedApp(cluster, "bank0")
     keyspace = topology.account_server(0)
     degraded = counter(cluster, "bank0", "replication.write_all_degraded")
 
@@ -345,7 +347,7 @@ def test_single_target_spawns_nothing():
         assert copy_processes(cluster, "bank0", tid) == []
         assert rapp._behind == {}
 
-    cluster.run_on("bank0", rapp.run_transaction(body))
+    cluster.run_on("bank0", run_transaction(rapp, body))
     assert counter(cluster, "bank0", "replication.write_all_degraded") \
         == degraded + 1
     assert committed_balance(cluster, "bank0", keyspace, 6) == 123

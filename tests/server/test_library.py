@@ -163,7 +163,8 @@ class TestMarkedObjects:
 class TestUnPinAllObjects:
     def test_unpin_all_releases_every_pinned_object(self, env):
         """The paper's ``UnPinAllObjects``: two objects on different pages
-        pinned through the data server, both released by one call."""
+        pinned through the data server, both released by one kernel
+        call."""
         cluster, server, app = env
         lib = server.library
         vm = cluster.node("n1").node.vm
@@ -176,7 +177,7 @@ class TestUnPinAllObjects:
 
         cluster.run_on("n1", body())
         assert all(vm.is_pinned(oid) for oid in oids)
-        lib.unpin_all()
+        vm.unpin_all()
         assert not any(vm.is_pinned(oid) for oid in oids)
 
 

@@ -1,6 +1,5 @@
 """Tests for log record types."""
 
-from repro.kernel.messages import MessageKind, classify_size
 from repro.kernel.vm import ObjectID
 from repro.wal.records import (
     CheckpointRecord,
@@ -21,18 +20,6 @@ def test_value_record_kind_and_fields():
                                old_value=1, new_value=2)
     assert record.kind is RecordKind.VALUE_UPDATE
     assert record.old_value == 1 and record.new_value == 2
-
-
-def test_value_record_with_page_sized_values_is_large_message():
-    """Old+new page images push the carrying message into the large class."""
-    page_image = bytes(480)
-    record = ValueUpdateRecord(old_value=page_image, new_value=page_image)
-    assert classify_size(record.size_bytes()) is MessageKind.LARGE
-
-
-def test_small_value_record_is_still_nontrivial():
-    record = ValueUpdateRecord(old_value=1, new_value=2)
-    assert record.size_bytes() >= 64
 
 
 def test_operation_record_carries_inverse():
@@ -59,7 +46,8 @@ def test_checkpoint_record_contents():
         active_transactions={"t1": "active"},
         attached_servers={"array": "seg"})
     assert record.kind is RecordKind.CHECKPOINT
-    assert record.size_bytes() > 64
+    assert record.dirty_pages[("seg", 3)] == 12
+    assert record.active_transactions == {"t1": "active"}
 
 
 def test_lsn_defaults_to_unassigned():

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.app.library import run_transaction
 from repro.core.cluster import TabsCluster
 from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
 from repro.core.facility import SEGMENT_VA_STRIDE
 from repro.kernel.costs import ZERO_COST, ZERO_CPU
+from repro.replication.router import ReplicatedApp
 from repro.sim import Timeout
 from repro.wal.records import OperationRecord, TransactionStatusRecord
 from repro.workloads import (
@@ -54,13 +56,9 @@ class TestWorkloadConfig:
                            history_slots_per_teller=SEGMENT_VA_STRIDE)
 
     def test_node_count_is_ceil_division(self):
-        assert WorkloadConfig(branches=8, branches_per_node=3).nodes == 3
-        assert WorkloadConfig(branches=8, branches_per_node=8).nodes == 1
-        assert WorkloadConfig(branches=2).nodes == 2
-
-    def test_millions_preset_spans_millions_of_accounts(self):
-        preset = WorkloadConfig.millions()
-        assert preset.total_accounts >= 4_000_000
+        assert DebitCreditTopology(branches=8, branches_per_node=3).nodes == 3
+        assert DebitCreditTopology(branches=8, branches_per_node=8).nodes == 1
+        assert DebitCreditTopology(branches=2, branches_per_node=1).nodes == 2
 
 
 class TestTopology:
@@ -398,14 +396,14 @@ class TestConservationOracle:
         driver = clean_run
         cluster = driver.cluster
         if driver.replicated:
-            rapp = cluster.replicated_application("bank0")
+            rapp = ReplicatedApp(cluster, "bank0")
 
             def stray(tid):
                 yield from rapp.write_all(
                     "tellers0", "add_to_balance", {"row": 1, "amount": 7},
                     tid)
 
-            cluster.run_on("bank0", rapp.run_transaction(stray))
+            cluster.run_on("bank0", run_transaction(rapp, stray))
         else:
             def stray(tid):
                 app = cluster.application("bank0")
