@@ -6,14 +6,17 @@ Commands:
 - ``primitives`` -- measure and print Table 5-1 against the paper
 - ``benchmark [keys...]`` -- run Table 5-4 rows (default: a quick subset)
 - ``paths`` -- print the longest-path commit analysis (Table 5-3 method)
-- ``trace <target>`` -- run a benchmark or the canned chaos scenario with
-  the flight recorder on; emit Chrome trace-event JSON (load it at
-  https://ui.perfetto.dev) and optionally compact JSONL
+- ``trace <target>`` -- run a benchmark, the canned chaos scenario or a
+  short DebitCredit run with the flight recorder on; emit Chrome
+  trace-event JSON (load it at https://ui.perfetto.dev) and optionally
+  compact JSONL
 - ``metrics <target>`` -- run a target and print its per-node counters,
   gauges, and latency histograms
-- ``profile <target>`` -- run a target under the wall-clock self-profiler;
-  print the hot-handler table, fabric churn, and the events/sec meter, and
-  optionally write a collapsed-stack flamegraph and a pstats dump
+- ``profile <target>`` -- run a target under the wall-clock self-profiler
+  (and the tracer, whose spans name the components wall is booked to);
+  print the events/sec meter, fabric churn, the wall by span component
+  and the hot-handler table, and optionally write a collapsed-stack
+  flamegraph and a pstats dump
 
 The heavier artifacts (all fourteen benchmarks under three configurations,
 ablations, throughput) live in ``pytest benchmarks/``.
@@ -38,8 +41,9 @@ from repro.perf.report import (
 )
 from repro.servers.int_array import IntegerArrayServer
 
-#: the extra trace/metrics target beyond the benchmark keys
+#: the extra trace/metrics/profile targets beyond the benchmark keys
 CHAOS_TARGET = "chaos"
+DEBITCREDIT_TARGET = "debitcredit"
 
 
 def write_report(text: str, stream=None) -> None:
@@ -131,11 +135,36 @@ def _run_chaos_target(seed: int, traced: bool,
     return cluster
 
 
+def _run_debitcredit_target(seed: int, traced: bool,
+                            profiled: bool = False) -> TabsCluster:
+    """A short seeded DebitCredit run: 40 transactions over two branch
+    nodes, 30 % of them debiting a remote account (two-phase commit)."""
+    from repro.core.config import WorkloadConfig
+    from repro.workloads import DebitCreditWorkload
+
+    cluster = TabsCluster(TabsConfig(seed=seed, workload=WorkloadConfig(
+        branches=2, accounts_per_branch=300, tellers_per_branch=4,
+        locality=0.7)))
+    if traced:
+        cluster.enable_tracing()
+    if profiled:
+        cluster.enable_profiling()
+    workload = DebitCreditWorkload(cluster, cluster.build_workload(),
+                                   seed=seed)
+    workload.schedule_traffic(txns=40, spacing_ms=40.0)
+    workload.run(60_000.0)
+    cluster.settle()
+    return cluster
+
+
 def _run_target(target: str, seed: int, iterations: int,
                 traced: bool, profiled: bool = False) -> TabsCluster:
-    """Run ``target`` (a benchmark key or ``chaos``); return its cluster."""
+    """Run ``target`` (a benchmark key, ``chaos`` or ``debitcredit``);
+    return its cluster."""
     if target == CHAOS_TARGET:
         return _run_chaos_target(seed, traced, profiled)
+    if target == DEBITCREDIT_TARGET:
+        return _run_debitcredit_target(seed, traced, profiled)
     spec = BENCHMARKS_BY_KEY[target]
     captured: list[TabsCluster] = []
 
@@ -193,7 +222,7 @@ def cmd_profile(args) -> int:
     from repro.obs import collapsed_stacks, render_profile, write_pstats
 
     cluster = _run_target(args.target, args.seed, args.iterations,
-                          traced=False, profiled=True)
+                          traced=True, profiled=True)
     profiler = cluster.ctx.profiler
     write_report(render_profile(profiler, top=args.top))
     if args.flame:
@@ -248,11 +277,13 @@ def cmd_sweep(args) -> int:
 def _add_target_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "target",
-        choices=sorted(BENCHMARKS_BY_KEY) + [CHAOS_TARGET],
-        help="benchmark key (e.g. w1w1) or 'chaos' (canned fault scenario)")
+        choices=sorted(BENCHMARKS_BY_KEY) + [CHAOS_TARGET,
+                                             DEBITCREDIT_TARGET],
+        help="benchmark key (e.g. w1w1), 'chaos' (canned fault scenario) "
+             "or 'debitcredit' (40 DebitCredit transactions, some 2PC)")
     parser.add_argument("--seed", type=int, default=1985)
     parser.add_argument("--iterations", type=int, default=3,
-                        help="benchmark iterations (ignored for chaos)")
+                        help="benchmark iterations (benchmark keys only)")
 
 
 def main(argv: list[str] | None = None) -> int:

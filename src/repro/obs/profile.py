@@ -13,7 +13,7 @@ schedules no events, draws no randomness, and touches no metric the
 golden digests hash -- so a profiled run replays the unprofiled event
 sequence byte for byte (the determinism suite asserts it).
 
-Three layers:
+Four layers:
 
 - **Event-loop accounting** -- :meth:`SimProfiler.run_step` wraps every
   callback the :class:`~repro.sim.engine.Engine` pops, attributing wall
@@ -21,6 +21,22 @@ Three layers:
   owner (``Process:client``, ``Port:rpc-reply:set_cell``) or its closure's
   qualname (``Network._arrival``).  Label normalisation strips instance
   digits so two same-shape runs produce the same category set.
+- **Span-booked wall** -- :meth:`SimProfiler.resume` reads the clock
+  around each process resumption (``Process._advance``) and books it to
+  the Figure 3-1 component of the innermost span on the process's
+  ``trace_stack`` as the resumption starts -- its own innermost open
+  span, else the span the message that started it carried -- in the
+  tracer's vocabulary (``WAL``, ``RM``, ``TM``, ``DS``, ``LOCK``,
+  ``RPC``, ...; :data:`NO_SPAN` when there is none, as in an untraced
+  run).  A resumption nested in another (a wake-up run in
+  the waker's entry) is booked to its own span, not its waker's.
+  Everything else inside the dispatch loop -- popping entries, callbacks
+  that run outside any process (a datagram's arrival, a handler that
+  never waits), the profiler's own bookkeeping -- is booked to
+  :data:`SIM`, measured between the readings, not inferred.  The
+  components of a window therefore sum to the wall its ``run`` calls
+  took, less only the loop's entry and exit around the first and last
+  reading (``tests/obs/test_profile.py`` bounds it).
 - **Contention telemetry** -- :meth:`SimProfiler.record_lock_wait` feeds
   a per-``(node, key)`` heatmap of cumulative *simulated* lock wait (the
   hottest keys are what a lock-splitting optimisation must attack
@@ -31,7 +47,8 @@ Three layers:
 
 Exports (collapsed-stack flamegraph text, pstats dump) live in
 :mod:`repro.obs.export`; the ``profile`` CLI subcommand renders the
-``--top N`` hot-handler table through ``write_report``.
+``--top N`` hot-handler table and the span-booked component table
+through ``write_report``.
 """
 
 from __future__ import annotations
@@ -44,6 +61,10 @@ from typing import Callable
 #: function that created them (``Process.__init__.<locals>.<lambda>``
 #: profiles as ``Process.__init__``)
 _LOCALS_MARKER = ".<locals>."
+#: the component booked the dispatch loop's own wall
+SIM = "sim"
+#: the component booked a resumption whose process has no open span
+NO_SPAN = "(no span)"
 
 
 @lru_cache(maxsize=4096)
@@ -104,6 +125,15 @@ class SimProfiler:
         self.handlers: dict[str, list] = {}
         #: (node, lock key repr) -> [wait count, cumulative simulated ms]
         self.lock_waits: dict[tuple[str, str], list] = {}
+        #: span component (or :data:`SIM`) -> cumulative wall seconds
+        self.components: dict[str, float] = {}
+        #: the process whose resumption is being timed, or None
+        self.running = None
+        #: the component the wall since ``_mark`` is booked to
+        self._bucket = SIM
+        #: the last clock reading inside the running dispatch, or None
+        #: between dispatches
+        self._mark: float | None = None
         self.steps = 0
         self.daemon_steps = 0
         self._wall_first: float | None = None
@@ -123,10 +153,15 @@ class SimProfiler:
         if self._wall_first is None:
             self._wall_first = start
             self._sim_first = now
+        if self._mark is not None:
+            self._book(SIM, start - self._mark)
+        self._mark = start
         try:
             callback(*args)
         finally:
             end = self._clock()
+            self._book(SIM, end - self._mark)
+            self._mark = end
             self._wall_last = end
             self._sim_last = now
             self.steps += 1
@@ -138,6 +173,58 @@ class SimProfiler:
                 stat = self.handlers[category] = [0, 0.0]
             stat[0] += 1
             stat[1] += end - start
+
+    # -- span-booked wall ---------------------------------------------------------
+
+    def _book(self, component: str, seconds: float) -> None:
+        components = self.components
+        components[component] = components.get(component, 0.0) + seconds
+
+    def _component(self, process) -> str:
+        stack = process.trace_stack
+        tracer = self.ctx.tracer
+        if stack and stack[-1] and tracer is not None:
+            return tracer.component_of(stack[-1])
+        return NO_SPAN
+
+    def resume(self, process, value: object, ok: bool) -> None:
+        """Run one resumption of ``process`` under the clock and book its
+        wall to the component of the span it runs in (called by
+        ``Process._advance``, which this calls back to do the work;
+        exceptions propagate unchanged)."""
+        start = self._clock()
+        mark, outer, bucket = self._mark, self.running, self._bucket
+        if mark is not None:
+            self._book(bucket, start - mark)
+        self._mark = start
+        self.running = process
+        self._bucket = self._component(process)
+        try:
+            process._advance(value, ok)
+        finally:
+            end = self._clock()
+            self._book(self._bucket, end - self._mark)
+            # outside a dispatch (a test resuming by hand) nothing else
+            # is booked until the next entry
+            self._mark = end if mark is not None else None
+            self.running = outer
+            self._bucket = bucket
+
+    def idle(self) -> None:
+        """The dispatch loop returned (called by the engine): book its
+        tail since the last entry, and nothing until the next one."""
+        if self._mark is not None:
+            self._book(SIM, self._clock() - self._mark)
+            self._mark = None
+
+    def component_wall(self) -> list[dict]:
+        """Span components (and :data:`SIM`) by cumulative wall time."""
+        total = sum(self.components.values())
+        return [{"component": component, "wall_s": wall_s,
+                 "share": wall_s / total if total > 0 else 0.0}
+                for component, wall_s in sorted(
+                    self.components.items(),
+                    key=lambda item: (-item[1], item[0]))]
 
     # -- contention telemetry ----------------------------------------------------
 
@@ -257,13 +344,15 @@ class SimProfiler:
             "engine": self.engine_counters(),
             "network": self.network_counters(),
             "meter": self.meter(),
+            "components": dict(sorted(self.components.items())),
             "lock_contention": self.hottest_lock_keys(),
             "wait_for": self.wait_for_graph(),
         }
 
 
 def render_profile(profiler: SimProfiler, top: int = 10) -> str:
-    """The ``profile`` CLI report: meter, churn, hot handlers, heatmap."""
+    """The ``profile`` CLI report: meter, churn, span components, hot
+    handlers, heatmap."""
     from repro.perf.report import render_table
 
     meter = profiler.meter()
@@ -281,6 +370,15 @@ def render_profile(profiler: SimProfiler, top: int = 10) -> str:
     churn_rows.extend([name, str(value)] for name, value in network.items())
     sections.append(render_table("Fabric churn", ["counter", "value"],
                                  churn_rows))
+    components = profiler.component_wall()
+    if components:
+        rows = [[c["component"], f"{c['wall_s'] * 1000.0:.2f}",
+                 f"{c['share']:.1%}"]
+                for c in components]
+        sections.append(render_table(
+            "Wall by span component (process resumptions; sim: the "
+            "dispatch loop between them)",
+            ["component", "wall ms", "share"], rows))
     handlers = profiler.hot_handlers(top)
     if handlers:
         rows = [[h["category"], str(h["count"]),

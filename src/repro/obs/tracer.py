@@ -213,6 +213,10 @@ class Tracer:
         self._family_roots.setdefault(family, span_id)
         return span_id
 
+    def component_of(self, span_id: int) -> str:
+        """The Figure 3-1 component of span ``span_id`` (open or not)."""
+        return self._by_id[span_id].component
+
     def annotate(self, span_id: int, **attrs) -> None:
         """Add attributes to a span that is still open (else ignored)."""
         if span_id in self._open:

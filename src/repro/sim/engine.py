@@ -73,8 +73,9 @@ class Engine:
         self.events_executed = 0
         self.daemon_executed = 0
         self.heap_high_water = 0
-        #: wall-clock profiler or None; the dispatch loop guards on it so
-        #: the disabled path costs one attribute check, mirroring
+        #: wall-clock profiler or None; the dispatch loop and
+        #: ``Process._advance`` guard on it so the disabled path costs one
+        #: attribute check per entry and per resumption, mirroring
         #: ``ctx.tracer``
         self.profiler: SimProfiler | None = None
         #: each called as ``latest(deadline)``: the latest instant, at or
@@ -221,6 +222,8 @@ class Engine:
                     break
         finally:
             self._running = False
+            if self.profiler is not None:
+                self.profiler.idle()
 
     def step(self) -> bool:
         """Execute the next scheduled callback, and with it the callbacks

@@ -186,6 +186,9 @@ class Process(Event):
         if not self._alive:
             return
         engine = self.engine
+        if engine.profiler is not None and engine.profiler.running is not self:
+            # times this resumption, then calls back here to run it
+            return engine.profiler.resume(self, value, ok)
         engine.active_process = self
         try:
             if ok:

@@ -2,8 +2,8 @@
 
 An append-only sequence of records with bounded capacity.  On the paper's
 Perqs the log lived on the single (non-stable) disk; following Gray's
-stable-storage recipe we duplex it: every record is encoded to its wire
-frame (:mod:`repro.wal.codec`), checked by a CRC-32, on **two** mirrored
+stable-storage recipe we duplex it: a record's wire frame
+(:mod:`repro.wal.codec`), checked by a CRC-32, lies on **two** mirrored
 log disks.  A read that finds one copy failing its CRC repairs it
 from the good copy; a record unreadable on *both* copies is real log
 damage, survivable only at the unwritten tail (a torn force during power
@@ -18,9 +18,12 @@ durability path, never decoded back into live objects outside salvage.
 A log disk therefore stores only its **damage**.  An intact image is the
 frame its durable record encodes to -- a second copy of what the record
 list already holds -- so an LSN absent from a disk's table reads intact
-there.  Fault injection creates the image it damages (:meth:`rot_media`
-encodes the record as it stands, :meth:`append_torn` half a frame), and
-repair, salvage and truncation walk the damaged LSNs only.
+there.  Nothing is encoded on the durable path: fault injection creates
+the image it damages (:meth:`rot_media` encodes the record as it stands,
+:meth:`append_torn` half a frame), and repair, salvage and truncation
+walk the damaged LSNs only.  That every durable record has a wire form
+is a test's business: the suite round-trips each record through the
+codec the instant it turns durable (``tests/conftest.py``).
 
 Capacity is bounded (in records) so that log reclamation (Section 3.2.2)
 has something to do: when the log is close to full, the Recovery Manager
@@ -169,20 +172,22 @@ class LogStore:
     def append(self, records: list[LogRecord]) -> None:
         """Durably append ``records`` (already holding their LSNs).
 
-        Every record is encoded to its frame, which both log disks then
-        hold intact -- implicitly, as the absence of damage.
+        Both log disks then hold each record intact -- implicitly, as the
+        absence of damage -- so nothing is encoded here.  A damage table
+        is touched only when it holds an entry: the append overwrites a
+        torn frame a power failure left at the same LSN.
         """
         if len(self._records) + len(records) > self.capacity_records:
             raise LogFull(
                 f"log store full ({len(self._records)}/{self.capacity_records} "
                 "records); reclamation failed to make room")
+        damaged = [copy for copy in self._damage if copy]
         for record in records:
             if record.lsn <= self.last_lsn:
                 raise WriteAheadLogError(
                     f"append out of order: lsn {record.lsn} after {self.last_lsn}")
             self._records.append(record)
-            encode_record(record)
-            for copy in self._damage:
+            for copy in damaged:
                 copy.pop(record.lsn, None)  # overwrites a torn frame there
             for observer in self.observers:
                 observer(record)

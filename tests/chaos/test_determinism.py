@@ -100,14 +100,17 @@ def test_profiled_run_matches_goldens_byte_for_byte():
     must reproduce the *same* golden digests as the unprofiled run: the
     profiler reads the wall clock but feeds nothing back into simulated
     state, so the event trace, the metrics dump, and the final clock are
-    untouched down to the byte.
+    untouched down to the byte.  The tracer is on too, so every process
+    resumption is timed and booked to a span component.
     """
     from repro.obs import metrics_json
 
+    def instrument(cluster):
+        cluster.enable_tracing()
+        cluster.enable_profiling()
+
     run = run_scenario(PLAN, seed=2026, transfers=10, run_ms=4_000.0,
-                       trace_network=True,
-                       instrument=lambda cluster:
-                       cluster.enable_profiling())
+                       trace_network=True, instrument=instrument)
     trace_sha = hashlib.sha256(
         repr(run.controller.trace).encode()).hexdigest()
     metrics_sha = hashlib.sha256(json.dumps(
@@ -121,6 +124,7 @@ def test_profiled_run_matches_goldens_byte_for_byte():
     profiler = run.cluster.ctx.profiler
     assert 0 < profiler.steps <= run.cluster.engine.events_executed
     assert profiler.handlers, "profiler attributed no handler categories"
+    assert {"WAL", "TM", "sim"} <= set(profiler.components)
 
 
 def test_different_seed_diverges():

@@ -15,12 +15,15 @@ from repro.__main__ import main, write_report
 #: -> 293 events -- two second-walk ``2pc.abort`` events, one
 #: ``ds:ds.abort`` span of a second walk, and the tombstone's re-told
 #: ``tm.abort_req`` (``net.send`` + ``net.blocked``) are gone, and the
-#: span ids after them shift down
+#: span ids after them shift down.  debitcredit-7 was pinned when the
+#: target was added.
 PINNED_EXPORTS = {
     ("chaos", "2026"):
         "5a3adf5efacd59efaaae35ba00b7c47f27e2aa80a5da42372f96f4af3856b45b",
     ("w1w1", "1985"):
         "77bf22325bbbc02aacba607b55a7b20075d0f0fa6ccd79ef8d09261230338c0b",
+    ("debitcredit", "7"):
+        "917e5f251ec9a0d03ad23602b2062b8b555633276806096274209465333e0ae0",
 }
 
 
@@ -182,6 +185,23 @@ class TestProfileCommand:
                      "--pstats", str(dump)]) == 0
         stats = pstats.Stats(str(dump), stream=io.StringIO())
         assert stats.total_calls > 0
+
+    def test_debitcredit_target_books_wall_to_span_components(self, capsys):
+        assert main(["profile", "debitcredit", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        table = out.split("Wall by span component", 1)[1].split("\n\n")[0]
+        rows = {line.split()[0] for line in table.splitlines()[3:]}
+        assert {"WAL", "TM", "DS", "sim"} <= rows
+
+    def test_debitcredit_target_meters_and_traces(self, tmp_path, capsys):
+        assert main(["metrics", "debitcredit", "--seed", "7"]) == 0
+        assert "wal.forces" in capsys.readouterr().out
+        out = tmp_path / "dc.json"
+        assert main(["trace", "debitcredit", "--seed", "7",
+                     "--out", str(out)]) == 0
+        names = {event["name"] for event
+                 in json.loads(out.read_text())["traceEvents"]}
+        assert "wal.force" in names and "2pc.prepare" in names
 
     def test_chaos_target_profiles(self, capsys):
         assert main(["profile", "chaos", "--seed", "7"]) == 0

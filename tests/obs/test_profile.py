@@ -18,6 +18,9 @@ The contracts, in the order the zero-feedback invariant demands them:
 import io
 import marshal
 import pstats
+import time
+
+import pytest
 
 from repro.core.config import TabsConfig
 from repro.kernel.context import SimContext
@@ -25,6 +28,7 @@ from repro.locking.manager import LockManager
 from repro.locking.modes import WRITE
 from repro.obs import (
     SimProfiler,
+    Tracer,
     collapsed_stacks,
     handler_category,
     metrics_json,
@@ -34,7 +38,8 @@ from repro.obs import (
 )
 from repro.perf.benchmarks import BENCHMARKS_BY_KEY, run_benchmark
 from repro.perf.throughput import run_throughput
-from repro.sim import Process, Timeout
+from repro.obs.profile import NO_SPAN, SIM
+from repro.sim import PARKED, Process, Timeout
 
 
 def _plain_handler():
@@ -111,10 +116,13 @@ class TestAccounting:
 
     def test_wall_time_accumulates_under_fake_clock(self):
         _, profiler = self.run_profiled()
-        # Each step reads the clock twice (1 ms apart), so every event
-        # is charged exactly 1 ms of "wall" time.
-        for count, wall_s in profiler.handlers.values():
-            assert abs(wall_s - count * 0.001) < 1e-9
+        # Each step reads the clock twice, and twice more for each process
+        # resumption it runs: the driver's start and its two wake-ups
+        # each cost 2 ms more than a plain entry's 1 ms.
+        resumed = {"Process:driver": 1, "Timeout:datagram": 2}
+        for category, (count, wall_s) in profiler.handlers.items():
+            expected = count * 0.001 + resumed.get(category, 0) * 0.002
+            assert abs(wall_s - expected) < 1e-9, category
         assert profiler.wall_seconds() > 0
         assert profiler.events_per_wall_second() > 0
 
@@ -151,6 +159,121 @@ class TestAccounting:
             raise AssertionError("exception was swallowed")
         # The failing step was still accounted.
         assert profiler.steps == 1
+
+
+class TestSpanBookedWall:
+    """Wall booked per process resumption to its innermost open span's
+    component, and the dispatch loop's own wall to ``sim``."""
+
+    def test_no_reading_is_left_out_under_fake_clock(self):
+        """Between the first reading of the run and the last, every
+        millisecond of the fake clock is booked to exactly one
+        component: the readings tile the dispatch."""
+        ctx = SimContext()
+        clock = FakeClock()
+        profiler = SimProfiler(ctx, clock=clock)
+        ctx.engine.profiler = profiler
+
+        def body():
+            yield 10.0
+            yield Timeout(ctx.engine, 10.0)
+
+        ctx.engine.run_until(Process(ctx.engine, body(), name="driver"))
+        assert set(profiler.components) == {SIM, NO_SPAN}
+        assert profiler.components[NO_SPAN] == pytest.approx(0.003)
+        assert sum(profiler.components.values()) == \
+            pytest.approx((clock.reads - 1) * 0.001)
+
+    def test_a_resumption_is_booked_to_its_innermost_span(self):
+        ctx = SimContext()
+        ctx.tracer = Tracer(ctx.engine)
+        profiler = SimProfiler(ctx, clock=FakeClock())
+        ctx.engine.profiler = profiler
+
+        def forcer():
+            with ctx.span("wal.force", "n0", "WAL"):
+                yield 5.0  # resumed inside the span: WAL
+            with ctx.span("lock.wait", "n0", "LOCK"):
+                yield 5.0  # resumed inside the span: LOCK
+
+        ctx.engine.run_until(Process(ctx.engine, forcer(), name="force"))
+        # the first resumption ran before any span was open
+        assert profiler.components[NO_SPAN] == pytest.approx(0.001)
+        assert profiler.components["WAL"] == pytest.approx(0.001)
+        assert profiler.components["LOCK"] == pytest.approx(0.001)
+
+    def test_a_nested_resumption_is_booked_to_its_own_span(self):
+        """A wake-up run inline in the waker's resumption
+        (``Process.wake_last``) is its own span's, not the waker's."""
+        ctx = SimContext()
+        ctx.tracer = Tracer(ctx.engine)
+        profiler = SimProfiler(ctx, clock=FakeClock())
+        ctx.engine.profiler = profiler
+        tokens = []
+
+        def sleeper():
+            with ctx.span("lock.wait", "n0", "LOCK"):
+                tokens.append(ctx.engine.active_process.park())
+                yield PARKED
+
+        def waker(other):
+            with ctx.span("wal.force", "n0", "WAL"):
+                yield 5.0
+                other.wake_last(tokens[0], None)
+
+        other = Process(ctx.engine, sleeper(), name="sleeper")
+        ctx.engine.run_until(Process(ctx.engine, waker(other),
+                                     name="waker"))
+        assert other.processed
+        # Both starts ran before any span was open: 1 ms each.  At t=5
+        # the waker's resumption reads the clock at its start, at the
+        # nested one's start and end, and at its own end: 1 ms before
+        # and 1 ms after the nested one are WAL's, the 1 ms between is
+        # LOCK's.
+        assert profiler.components["LOCK"] == pytest.approx(0.001)
+        assert profiler.components["WAL"] == pytest.approx(0.002)
+        assert profiler.components[NO_SPAN] == pytest.approx(0.002)
+
+    def test_components_sum_to_the_window_wall(self):
+        """On a real run, the components booked over a window sum to the
+        wall its ``run`` calls took, less at most the loop's entry and
+        exit around the first and last reading of each call: a few
+        microseconds, bounded here by 1 ms per call."""
+        from repro.core.cluster import TabsCluster
+        from repro.core.config import WorkloadConfig
+        from repro.workloads import DebitCreditWorkload
+
+        cluster = TabsCluster(TabsConfig(seed=7, workload=WorkloadConfig(
+            branches=2, accounts_per_branch=300, tellers_per_branch=4,
+            locality=0.7)))
+        cluster.enable_tracing()
+        profiler = cluster.enable_profiling()
+        DebitCreditWorkload(cluster, cluster.build_workload(),
+                            seed=7).schedule_traffic(txns=40, spacing_ms=40.0)
+        engine = cluster.engine
+        before = sum(profiler.components.values())
+        window = 0.0
+        calls = 20
+        for _ in range(calls):
+            started = time.perf_counter()
+            engine.run(until=engine.now + 100.0)
+            window += time.perf_counter() - started
+        booked = sum(profiler.components.values()) - before
+        assert booked <= window
+        assert window - booked <= calls * 0.001
+        assert profiler.components["WAL"] > 0
+
+    def test_an_unprofiled_resumption_reads_no_clock(self):
+        """Without a profiler, ``Process._advance`` costs one attribute
+        check more: nothing is booked anywhere."""
+        ctx = SimContext()
+
+        def body():
+            yield 1.0
+
+        process = Process(ctx.engine, body())
+        ctx.engine.run_until(process)
+        assert ctx.engine.profiler is None and process.processed
 
 
 class TestContentionTelemetry:
@@ -297,6 +420,7 @@ class TestExporters:
         assert "Simulator speed meter" in report
         assert "Fabric churn" in report
         assert "Hot handlers" in report
+        assert "Wall by span component" in report
         assert "events_scheduled" in report
         assert "datagrams_sent" in report
 

@@ -14,6 +14,14 @@ call counts only when the calling frame's code lies under
 code (file ``<string>``, such as a dataclass's ``__init__``) counts as
 that frame's own caller.  A function only a test calls has no user.
 
+A generator function run as a process is first resumed by the engine
+(``Process._advance``), which says nothing of who wanted it run.  It
+counts when the frame that created its process does: the caller of
+``Process(...)``, followed up through every frame that only passed the
+generator on as an argument (``Node.spawn``, ``TabsCluster.run_on``,
+``spawn_handler``).  A generator a test builds and hands to
+``cluster.run_on`` is the test's.
+
 It lists every ``def`` under ``src/repro`` with ``ast`` and fails the
 session on a function no program call reached, unless :data:`ALLOWED`
 names it with a reason, and on an allowlisted function that a program
@@ -32,10 +40,14 @@ import ast
 import json
 import sys
 import threading
+from inspect import CO_GENERATOR
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
+#: the module whose ``Process.__init__`` names a process's creator, and
+#: whose ``Process._advance`` resumes a generator on the engine's behalf
+PROCESS = str(SRC / "sim" / "process.py")
 #: a call from code under one of these counts; SRC comes first
 PROGRAM = (SRC, ROOT / "benchmarks", ROOT / "examples")
 
@@ -69,6 +81,7 @@ ALLOWED = {
     **{name: "a paper or harness mechanism only tests drive"
        for name in ("chaos/workload.py::ChaosWorkload.schedule_archive_dumps",
                     "core/facility.py::TabsNode.fail_server",
+                    "core/facility.py::TabsNode.recover_server_generator",
                     "core/facility.py::TabsNode.media_failure",
                     "core/facility.py::TabsNode.media_recover_generator",
                     "kernel/disk.py::Disk.arm_misdirected_write",
@@ -150,10 +163,31 @@ class Reachability:
             self.tree[filename] = tree
         return tree
 
+    def _spawned(self, frame) -> None:
+        """``frame`` is a ``Process.__init__`` call: the generator it
+        drives is reached when its creator is the program's."""
+        generator = frame.f_locals.get("generator")
+        code = getattr(generator, "gi_code", None)
+        if code is None:
+            return
+        key = (code.co_filename, code.co_firstlineno)
+        if key in self.reached or self._tree(code.co_filename) != 0:
+            return
+        self.called.add(key)
+        creator = frame
+        while creator is not None and _passes_on(creator, generator):
+            creator = creator.f_back
+        while creator is not None and creator.f_code.co_filename == "<string>":
+            creator = creator.f_back
+        if creator is not None and self._tree(creator.f_code.co_filename) >= 0:
+            self.reached.add(key)
+
     def _profile(self, frame, event, arg):
         if event != "call":
             return
         code = frame.f_code
+        if code.co_filename == PROCESS and code.co_name == "__init__":
+            self._spawned(frame)
         key = (code.co_filename, code.co_firstlineno)
         if key in self.reached or self._tree(code.co_filename) != 0:
             return
@@ -161,8 +195,13 @@ class Reachability:
         caller = frame.f_back
         while caller is not None and caller.f_code.co_filename == "<string>":
             caller = caller.f_back
-        if caller is not None and self._tree(caller.f_code.co_filename) >= 0:
-            self.reached.add(key)
+        if caller is None or self._tree(caller.f_code.co_filename) < 0:
+            return
+        if (code.co_flags & CO_GENERATOR
+                and caller.f_code.co_filename == PROCESS
+                and caller.f_code.co_name == "_advance"):
+            return  # the engine resuming a process: see _spawned
+        self.reached.add(key)
 
     def start(self) -> None:
         threading.setprofile(self._profile)
@@ -206,6 +245,14 @@ class Reachability:
                 terminalreporter.section(f"reachability -- {title}")
                 for name in names:
                     write(name)
+
+
+def _passes_on(frame, generator) -> bool:
+    """Does ``frame`` hold ``generator`` as one of its arguments?"""
+    code = frame.f_code
+    names = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+    local = frame.f_locals
+    return any(local.get(name) is generator for name in names)
 
 
 _HOOK = Reachability()

@@ -42,6 +42,12 @@ class TestLogStore:
         with pytest.raises(WriteAheadLogError):
             store.append([second])
 
+    def test_capacity_below_one_rejected(self, ctx):
+        with pytest.raises(WriteAheadLogError):
+            LogStore(capacity_records=0)
+        with pytest.raises(WriteAheadLogError):
+            WriteAheadLog(ctx, buffer_capacity=0)
+
     def test_capacity_enforced(self):
         store = LogStore(capacity_records=2)
         records = [make_record() for _ in range(3)]
@@ -150,6 +156,11 @@ class TestWriteAheadLog:
         log.crash()
         fresh = WriteAheadLog(ctx, store=log.store)
         assert fresh.append(make_record()) == 6
+        # The empty store reports nothing durable, yet forcing a
+        # reclaimed LSN is free: no buffered record lies at or below it.
+        before = ctx.engine.now
+        run(ctx, fresh.force(up_to_lsn=3))
+        assert (ctx.engine.now, fresh.forces) == (before, 0)
 
     def test_buffer_full_hook_fires(self, ctx):
         log = WriteAheadLog(ctx, buffer_capacity=2)

@@ -7,6 +7,7 @@ rejected with :class:`WalCodecError` rather than misread.
 """
 
 import enum
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from repro.txn.ids import TransactionID
 from repro.wal.codec import decode_record, encode_record, encode_value
 from repro.wal.records import (
     CheckpointRecord,
+    LogRecord,
     OperationRecord,
     PageDirtyRecord,
     ServerPrepareRecord,
@@ -25,6 +27,12 @@ from repro.wal.records import (
     TxnStatus,
     ValueUpdateRecord,
 )
+
+
+class Pair(NamedTuple):
+    left: int
+    right: int
+
 
 # -- strategies ---------------------------------------------------------------------
 
@@ -144,12 +152,20 @@ def test_unknown_value_tag_rejected():
 def test_empty_buffer_rejected():
     with pytest.raises(WalCodecError):
         decode_record(b"")
+    with pytest.raises(WalCodecError):  # a frame whose length is zero
+        decode_record(b"\0\0\0\0")
 
 
 def test_unencodable_value_rejected():
-    record = ValueUpdateRecord(old_value=object())
+    # a named tuple is a tuple subclass: no record holds one
+    for value in (object(), Pair(1, 2)):
+        with pytest.raises(WalCodecError):
+            encode_record(ValueUpdateRecord(old_value=value))
+
+
+def test_record_of_unknown_kind_rejected():
     with pytest.raises(WalCodecError):
-        encode_record(record)
+        encode_record(LogRecord())
 
 
 def test_large_and_negative_ints_roundtrip():

@@ -123,6 +123,20 @@ def test_salvage_truncates_at_torn_tail():
     assert [r.lsn for r in store.read_forward()] == [1, 2]
 
 
+def test_an_append_overwrites_a_torn_frame_at_its_lsn():
+    """A torn force left half a frame at LSN 3 on both disks.  An append
+    of LSN 3 with no salvage in between overwrites it there: the record
+    reads intact, and a later salvage keeps it."""
+    store = filled_store(count=2)
+    store.append_torn(torn_record(3))
+    assert store.last_lsn == 2
+    store.append([torn_record(3)])
+    assert store.media_intact()
+    assert [r.lsn for r in store.read_forward()] == [1, 2, 3]
+    assert not store.salvage().truncated
+    assert len(store) == 3
+
+
 def test_salvage_drops_durable_records_past_both_copy_damage():
     """Both-copies loss below the durable tail: the log must still end at
     an intact prefix, so acknowledged records are dropped (the loss then
@@ -142,6 +156,17 @@ def test_torn_append_never_reaches_observers():
     store.append_torn(torn_record(2))
     assert seen == []
     assert store.last_lsn == 1
+
+
+def test_rot_undone_by_a_second_rot_needs_no_repair():
+    """Rotting the same byte twice restores the frame: the read finds it
+    intact, drops the entry and counts no repair."""
+    store = filled_store()
+    store.rot_media(2, copy=0)
+    store.rot_media(2, copy=0)
+    assert [r.lsn for r in store.read_forward()] == [1, 2, 3, 4]
+    assert store.duplex_repairs == 0
+    assert store._damage == ({}, {})
 
 
 # -- bookkeeping ---------------------------------------------------------------
