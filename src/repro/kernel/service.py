@@ -93,21 +93,14 @@ class Service:
 
     def deliver(self, message: Message) -> None:
         """Take ``message`` from the port: ``Port._deliver``'s last act.
-        Waiting, it dispatches at once when no other entry is due at this
-        instant, as :meth:`~repro.sim.events.Event.succeed_last` resumed
-        the loop."""
+        Waiting, it dispatches as the resumption of a loop blocked in
+        ``receive()`` would run: in this entry when that is the next to
+        pop (:meth:`~repro.sim.engine.Engine.run_due_next`)."""
         if self._busy:
             self.port._queue.append(message)
             return
         self._busy = True
-        engine = self._engine
-        heap = engine._heap
-        if heap and heap[0][0] <= engine._now:
-            engine.schedule_now(self._take, args=(message,))
-        else:
-            # the key the queued entry would have had (Engine.running_key)
-            engine._seq = engine.events_scheduled - 0.5
-            self._got(message)
+        self._engine.run_due_next(self._got, (message,), self._take)
 
     def _take(self, message: Message) -> None:
         if self.port.alive:
@@ -155,15 +148,25 @@ class Service:
 
     def _handle(self, handler: Handler, message: Message) -> None:
         """A handler that never waits.  It runs only while the node is up
-        in the port's incarnation, in the context ``message`` carried; an
-        exception it raises is dropped, as its process's would be."""
+        in the port's incarnation, in the context ``message`` carried,
+        timed like a process's resumption when a profiler is attached."""
         node = self.node
         if not node.alive or node.epoch != self.port._epoch:
             return
+        context = (None if node.ctx.tracer is None
+                   else _Context(message.trace_parent))
+        profiler = self._engine.profiler
+        if profiler is None:
+            self._run(context, handler, message)
+        else:
+            profiler.resume(context, self._run, (context, handler, message))
+
+    def _run(self, context: _Context | None, handler: Handler,
+             message: Message) -> None:
+        """Run ``handler`` in ``context``; an exception it raises is
+        dropped, as its process's would be."""
         engine = self._engine
-        if node.ctx.tracer is not None:
-            engine.active_process = _Context(  # type: ignore[assignment]
-                message.trace_parent)
+        engine.active_process = context  # type: ignore[assignment]
         try:
             handler(message)
         except Exception:  # noqa: BLE001 - nobody waits on a handler

@@ -28,7 +28,6 @@ class DeadlockDetector:
 
     def __init__(self, managers: Iterable[LockManager] = ()) -> None:
         self._managers: list[LockManager] = list(managers)
-        self.detections = 0
 
     def wait_for_graph(self) -> dict[Hashable, set[Hashable]]:
         """Edges ``waiter -> holders`` across all attached managers."""
@@ -67,7 +66,6 @@ class DeadlockDetector:
                         while walker != child:
                             walker = parent[walker]
                             cycle.append(walker)
-                        self.detections += 1
                         return list(reversed(cycle[1:]))
                     if colour.get(child, BLACK) == WHITE:
                         colour[child] = GREY

@@ -22,18 +22,19 @@ Four layers:
   qualname (``Network._arrival``).  Label normalisation strips instance
   digits so two same-shape runs produce the same category set.
 - **Span-booked wall** -- :meth:`SimProfiler.resume` reads the clock
-  around each process resumption (``Process._advance``) and books it to
-  the Figure 3-1 component of the innermost span on the process's
-  ``trace_stack`` as the resumption starts -- its own innermost open
-  span, else the span the message that started it carried -- in the
-  tracer's vocabulary (``WAL``, ``RM``, ``TM``, ``DS``, ``LOCK``,
-  ``RPC``, ...; :data:`NO_SPAN` when there is none, as in an untraced
-  run).  A resumption nested in another (a wake-up run in
-  the waker's entry) is booked to its own span, not its waker's.
-  Everything else inside the dispatch loop -- popping entries, callbacks
-  that run outside any process (a datagram's arrival, a handler that
-  never waits), the profiler's own bookkeeping -- is booked to
-  :data:`SIM`, measured between the readings, not inferred.  The
+  around each entry into a causal context -- a process resumption
+  (``Process._advance``) or a handler that never waits
+  (``Service._handle``) -- and books it to the Figure 3-1 component of
+  the innermost span on the context's ``trace_stack`` as the entry
+  starts -- a process's own innermost open span, else the span the
+  message that started it carried -- in the tracer's vocabulary
+  (``WAL``, ``RM``, ``TM``, ``DS``, ``LOCK``, ``RPC``, ...;
+  :data:`NO_SPAN` when there is none, as in an untraced run).  An entry
+  nested in another (a wake-up run in the waker's entry) is booked to
+  its own span, not its waker's.  Everything else inside the dispatch
+  loop -- popping entries, a datagram's arrival, a port's delivery up
+  to the entry it causes, the profiler's own bookkeeping -- is booked
+  to :data:`SIM`, measured between the readings, not inferred.  The
   components of a window therefore sum to the wall its ``run`` calls
   took, less only the loop's entry and exit around the first and last
   reading (``tests/obs/test_profile.py`` bounds it).
@@ -127,7 +128,7 @@ class SimProfiler:
         self.lock_waits: dict[tuple[str, str], list] = {}
         #: span component (or :data:`SIM`) -> cumulative wall seconds
         self.components: dict[str, float] = {}
-        #: the process whose resumption is being timed, or None
+        #: the causal context whose entry is being timed, or None
         self.running = None
         #: the component the wall since ``_mark`` is booked to
         self._bucket = SIM
@@ -180,27 +181,29 @@ class SimProfiler:
         components = self.components
         components[component] = components.get(component, 0.0) + seconds
 
-    def _component(self, process) -> str:
-        stack = process.trace_stack
+    def _component(self, context) -> str:
+        stack = None if context is None else context.trace_stack
         tracer = self.ctx.tracer
         if stack and stack[-1] and tracer is not None:
             return tracer.component_of(stack[-1])
         return NO_SPAN
 
-    def resume(self, process, value: object, ok: bool) -> None:
-        """Run one resumption of ``process`` under the clock and book its
-        wall to the component of the span it runs in (called by
-        ``Process._advance``, which this calls back to do the work;
-        exceptions propagate unchanged)."""
+    def resume(self, context, run: Callable[..., None], args: tuple) -> None:
+        """Run ``run(*args)``, code entering the causal context
+        ``context`` -- a process's resumption (``Process._advance``), a
+        handler that never waits (``Service._handle``; None in an
+        untraced run) -- under the clock, and book its wall to the
+        component of the span it runs in (exceptions propagate
+        unchanged)."""
         start = self._clock()
         mark, outer, bucket = self._mark, self.running, self._bucket
         if mark is not None:
             self._book(bucket, start - mark)
         self._mark = start
-        self.running = process
-        self._bucket = self._component(process)
+        self.running = context
+        self._bucket = self._component(context)
         try:
-            process._advance(value, ok)
+            run(*args)
         finally:
             end = self._clock()
             self._book(self._bucket, end - self._mark)
@@ -376,8 +379,8 @@ def render_profile(profiler: SimProfiler, top: int = 10) -> str:
                  f"{c['share']:.1%}"]
                 for c in components]
         sections.append(render_table(
-            "Wall by span component (process resumptions; sim: the "
-            "dispatch loop between them)",
+            "Wall by span component (process resumptions and handlers; "
+            "sim: the dispatch loop between them)",
             ["component", "wall ms", "share"], rows))
     handlers = profiler.hot_handlers(top)
     if handlers:

@@ -35,7 +35,11 @@ from repro.locking.modes import WRITE
 from repro.recovery.analysis import RecoveryPlan, analyze
 from repro.recovery.manager import RecoveryManager
 from repro.recovery.operation_recovery import run_operation_passes
-from repro.recovery.value_recovery import run_value_pass
+from repro.recovery.value_recovery import (
+    DECIDED,
+    restored_value,
+    run_value_pass,
+)
 from repro.txn.ids import TransactionID
 from repro.txn.manager import TransactionManager
 from repro.wal.records import (
@@ -283,8 +287,6 @@ def repair_page(rm: RecoveryManager, archive, disk, segment_id: str,
     - ``"unrepairable"`` -- the log no longer reaches back to the base
       image's position (no archive and a truncated log).
     """
-    from repro.recovery.analysis import analyze
-
     store = rm.wal.store
     base_data: dict[int, object] = {}
     base_header = 0
@@ -305,10 +307,8 @@ def repair_page(rm: RecoveryManager, archive, disk, segment_id: str,
     image = dict(base_data)
     header = base_header
     decided: dict = {}
-    # Backward latest-wins over the roll-forward window, page-locally --
-    # the same decision procedure as the value pass (committed/prepared
-    # redo wins; losers unwind to their oldest old value; compensation
-    # records replay and keep unwinding beneath).
+    # Backward latest-wins over the roll-forward window, page-locally:
+    # the value pass's decision (``restored_value``).
     for record in reversed(records):
         if isinstance(record, OperationRecord):
             if any(oid is not None and oid.segment_id == segment_id
@@ -320,21 +320,10 @@ def repair_page(rm: RecoveryManager, archive, disk, segment_id: str,
                 or record.oid.segment_id != segment_id
                 or page not in record.oid.pages()):
             continue
-        oid = record.oid
         header = max(header, record.lsn)
-        if decided.get(oid) == "winner":
-            continue
-        if record.compensates_lsn:
-            image[oid.offset] = record.new_value
-            decided[oid] = "loser"
-            continue
-        outcome = plan.resolve(record.tid)
-        if outcome.winner:
-            image[oid.offset] = record.new_value
-            decided[oid] = "winner"
-        else:
-            image[oid.offset] = record.old_value
-            decided[oid] = "loser"
+        value = restored_value(record, plan, decided)
+        if value is not DECIDED:
+            image[record.oid.offset] = value
     yield from disk.write_page(segment_id, page, image,
                                sequence_number=header)
     return "repaired"

@@ -19,6 +19,38 @@ from repro.recovery.analysis import RecoveryPlan
 from repro.wal.records import ValueUpdateRecord
 
 
+#: :func:`restored_value`'s answer for an object a newer winner decided
+DECIDED = object()
+
+
+def restored_value(record: ValueUpdateRecord, plan: RecoveryPlan,
+                   decided: dict) -> object:
+    """Latest wins: the value a backward scan restores for ``record``'s
+    object, the scan having met ``decided`` (``{oid: "winner" |
+    "loser"}``, updated here) on its newer records -- or
+    :data:`DECIDED` when a newer winner fixed the object already."""
+    oid = record.oid
+    if decided.get(oid) == "winner":
+        return DECIDED
+    if record.compensates_lsn:
+        # An abort's compensation: replay the restored value and keep
+        # scanning, so older losers of other transactions still unwind
+        # beneath it.
+        decided[oid] = "loser"
+        return record.new_value
+    if plan.resolve(record.tid).winner:
+        # The newest winner value is final -- whether it is the newest
+        # record overall, or an older committed record reached while
+        # unwinding a loser that overwrote it.
+        decided[oid] = "winner"
+        return record.new_value
+    # A loser that wrote the object several times must be unwound all
+    # the way to its *oldest* old value: each successively older loser
+    # record's old value is applied in turn.
+    decided[oid] = "loser"
+    return record.old_value
+
+
 def run_value_pass(vm: VirtualMemory, plan: RecoveryPlan,
                    bound: int | None = None):
     """Apply the backward pass into the page cache (generator).
@@ -39,29 +71,9 @@ def run_value_pass(vm: VirtualMemory, plan: RecoveryPlan,
             break
         if not isinstance(record, ValueUpdateRecord) or record.oid is None:
             continue
-        state = decided.get(record.oid)
-        if state == "winner":
+        value = restored_value(record, plan, decided)
+        if value is DECIDED:
             continue
-        if record.compensates_lsn:
-            # An abort's compensation: replay the restored value and keep
-            # scanning, so older losers of other transactions still
-            # unwind beneath it.
-            yield from vm.write_object(record.oid, record.new_value)
-            decided[record.oid] = "loser"
-            vm.set_page_lsn(record.oid, record.lsn)
-            continue
-        outcome = plan.resolve(record.tid)
-        if outcome.winner:
-            # The newest winner value is final -- whether it is the newest
-            # record overall, or an older committed record we reached while
-            # unwinding a loser that overwrote it.
-            yield from vm.write_object(record.oid, record.new_value)
-            decided[record.oid] = "winner"
-        else:
-            # A loser that wrote the object several times must be unwound
-            # all the way to its *oldest* old value: keep applying the old
-            # value of each successively older loser record.
-            yield from vm.write_object(record.oid, record.old_value)
-            decided[record.oid] = "loser"
+        yield from vm.write_object(record.oid, value)
         vm.set_page_lsn(record.oid, record.lsn)
     return decided

@@ -8,13 +8,11 @@ makes same-time ordering deterministic (FIFO in schedule order).  The
 determinism contract -- every golden digest and bench baseline rests on it
 and on nothing else about the queue.  The sequence values themselves are
 not part of it: a wake-up due next runs inside the entry that caused it
-(:meth:`repro.sim.events.Event.succeed_last`), a wait with one waiter
-resumes its process from the entry that ends it and allocates no event
--- a race against a deadline still takes the hop of its own the race
-took, unless a reply due next ends it (:meth:`repro.sim.Process.park`)
--- and a message handler's finish queues nothing
-(``Process.unjoinable``); each shifts later values down and swaps no two
-entries (docs/SIMULATOR.md).
+(:meth:`Engine.run_due_next`, the one place that rule lives), a wait with
+one waiter resumes its process from the entry that ends it and allocates
+no event (:meth:`repro.sim.Process.park`), and a message handler's finish
+queues nothing (``Process.unjoinable``); each shifts later values down
+and swaps no two entries (docs/SIMULATOR.md).
 
 A caller may take a sequence number ahead of its entry
 (:meth:`Engine.reserve`) and queue the entry at that key later
@@ -73,17 +71,19 @@ class Engine:
         self.events_executed = 0
         self.daemon_executed = 0
         self.heap_high_water = 0
-        #: wall-clock profiler or None; the dispatch loop and
-        #: ``Process._advance`` guard on it so the disabled path costs one
-        #: attribute check per entry and per resumption, mirroring
+        #: wall-clock profiler or None; the dispatch loop and each entry
+        #: into a causal context (``Process._advance``,
+        #: ``Service._handle``) guard on it, so the disabled path costs
+        #: one attribute check per entry and per resumption, mirroring
         #: ``ctx.tracer``
         self.profiler: SimProfiler | None = None
         #: each called as ``latest(deadline)``: the latest instant, at or
         #: before ``deadline``, of a daemon entry its owner skipped rather
         #: than queued (the steady heartbeat fabric's probes), or -inf
         self.skipped: list[Callable[[float], float]] = []
-        #: the process whose generator is running right now, or None while
-        #: a plain callback runs; set by :class:`repro.sim.Process`
+        #: the causal context running right now -- a process resuming,
+        #: or a never-waiting handler's (:mod:`repro.kernel.service`) --
+        #: or None while a plain callback runs
         self.active_process: Process | None = None
 
     @property
@@ -96,9 +96,9 @@ class Engine:
         """The ``(time, seq)`` key of the code running now.
 
         Inside an entry it is that entry's key.  A wake-up run in the
-        entry that caused it (:meth:`repro.sim.events.Event.succeed_last`)
-        sorts where its queued entry would have: after every entry queued
-        before it and before every one queued after (``seq - 0.5``).
+        entry that caused it (:meth:`run_due_next`) sorts where its
+        queued entry would have: after every entry queued before it and
+        before every one queued after (``seq - 0.5``).
         Between runs it is the key of the last entry that ran, or
         ``(now, +inf)`` once every entry due by ``now`` has run (after
         ``run(until)``, or a ``drain`` that gave up).  Every entry at a
@@ -171,6 +171,34 @@ class Engine:
         self._real += 1
         if len(heap) > self.heap_high_water:
             self.heap_high_water = len(heap)
+
+    def run_due_next(self, callback: Callable[..., None],
+                     args: tuple = _NO_ARGS,
+                     queued: Callable[..., None] | None = None) -> None:
+        """A wake-up as the running entry's last act: run ``callback`` here
+        when its entry would be the next to pop, else queue it.
+
+        This is the one place the due-next rule lives.  When no other
+        entry is due at this instant (the queue is empty, or its front
+        entry is later than ``now``), the entry :meth:`schedule_now` would
+        queue is the next to pop, so ``callback(*args)`` runs in place,
+        under the key that entry would have had: after every entry queued
+        before it and before every one queued after (:attr:`running_key`,
+        ``events_scheduled - 0.5``).  Otherwise ``queued`` (default:
+        ``callback``) is queued with ``args``: the form a wake-up takes
+        from the queue where that differs, as a hop of its own
+        (:meth:`repro.sim.Process.wake_last`) or a check that its port
+        survived (``Service.deliver``).
+        """
+        heap = self._heap
+        if heap and heap[0][0] <= self._now:
+            self.schedule_now(callback if queued is None else queued, args)
+            return
+        self._seq = self.events_scheduled - 0.5
+        if args:
+            callback(*args)
+        else:
+            callback()
 
     def _dispatch(self, deadline: float = _INF, count_daemons: bool = False,
                   event: Event | None = None, once: bool = False) -> None:

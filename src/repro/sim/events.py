@@ -77,11 +77,8 @@ class Event:
     # -- triggering -------------------------------------------------------
 
     def succeed(self, value: object = None) -> "Event":
-        """Trigger the event successfully with ``value``.
-
-        Inlines :meth:`_trigger`: every completed wait in the simulation
-        funnels through here.
-        """
+        """Trigger the event successfully with ``value``: its callbacks
+        run in a queue entry of their own."""
         if self._ok is not None:
             raise SimulationError(f"event {self!r} triggered twice")
         self._ok = True
@@ -92,39 +89,29 @@ class Event:
     def succeed_last(self, value: object = None) -> None:
         """:meth:`succeed` as the last act of the running queue entry.
 
-        When no other entry is due at this instant, the entry
-        :meth:`succeed` would queue is the next to pop, so the callbacks
-        run here instead, at the same place in the order and without a
-        queue entry of their own.  Callers: a :class:`Timeout` firing and
-        a port delivering to a waiting ``receive()``; a process's own
-        waits follow the same rule (:meth:`repro.sim.Process.wake_last`).
+        The callbacks run where :meth:`succeed` would have queued them,
+        in this entry when that is the next to pop
+        (:meth:`~repro.sim.engine.Engine.run_due_next`).  Callers: a
+        :class:`Timeout` firing and a port delivering to a waiting
+        ``receive()``; a process's own waits follow the same rule
+        (:meth:`repro.sim.Process.wake_last`).
         """
         if self._ok is not None:
             raise SimulationError(f"event {self!r} triggered twice")
         self._ok = True
         self._value = value
-        engine = self.engine
-        heap = engine._heap
-        if heap and heap[0][0] <= engine._now:
-            engine.schedule_now(self._run_callbacks)
-        else:
-            # the key the queued entry would have had (Engine.running_key)
-            engine._seq = engine.events_scheduled - 0.5
-            self._run_callbacks()
+        self.engine.run_due_next(self._run_callbacks)
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception."""
         if not isinstance(exception, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exception!r}")
-        self._trigger(False, exception)
-        return self
-
-    def _trigger(self, ok: bool, value: object) -> None:
         if self._ok is not None:
             raise SimulationError(f"event {self!r} triggered twice")
-        self._ok = ok
-        self._value = value
+        self._ok = False
+        self._value = exception
         self.engine.schedule_now(self._run_callbacks)
+        return self
 
     def _run_callbacks(self) -> None:
         callbacks = self._callbacks

@@ -126,20 +126,13 @@ class Process(Event):
 
     def wake_last(self, token: int, value: object) -> None:
         """:meth:`wake` as the last act of the running queue entry
-        (:meth:`~Event.succeed_last`): when nothing else is due at this
-        instant, the process resumes here -- with a deadline too, as the
-        hop it would have queued would have been the next entry."""
-        if token != self._token:
-            return
-        engine = self.engine
-        heap = engine._heap
-        if heap and heap[0][0] <= engine._now:
-            engine.schedule_now(self.end, args=(token, value, True))
-        else:
-            # the key the queued entry would have had (Engine.running_key)
-            engine._seq = engine.events_scheduled - 0.5
-            self._token = token + 1
-            self._advance(value)
+        (:meth:`~Event.succeed_last`).  Run in place
+        (:meth:`~repro.sim.engine.Engine.run_due_next`), the process
+        resumes here even with a deadline, as the hop :meth:`end` would
+        queue would have been the next entry too; queued, it is
+        :meth:`end`."""
+        if token == self._token:
+            self.engine.run_due_next(self._resume, (token, value), self.end)
 
     def end(self, token: int, value: object = None, ok: bool = True) -> None:
         """End the wait ``token`` in the running entry, as the awaited
@@ -154,31 +147,22 @@ class Process(Event):
         else:
             self._advance(value, ok)
 
+    def _resume(self, token: int, value: object) -> None:
+        """:meth:`end` without the hop: :meth:`wake_last` in place."""
+        self._token = token + 1
+        self._advance(value)
+
     def _expire(self, token: int) -> None:
         """The deadline: a timeout firing (:meth:`~Event.succeed_last`)
         whose callbacks end the wait -- unless the wait already ended."""
-        if token != self._token:
-            return
-        engine = self.engine
-        heap = engine._heap
-        if heap and heap[0][0] <= engine._now:
-            engine.schedule_now(self.end, args=(token, None, True))
-        else:
-            engine._seq = engine.events_scheduled - 0.5
-            self.end(token, None, True)
+        if token == self._token:
+            self.engine.run_due_next(self.end, (token,))
 
     def _slept(self) -> None:
         """A sleep's end, a timeout firing with this process as its one
         waiter."""
-        if not self._alive:
-            return
-        engine = self.engine
-        heap = engine._heap
-        if heap and heap[0][0] <= engine._now:
-            engine.schedule_now(self._advance)
-        else:
-            engine._seq = engine.events_scheduled - 0.5
-            self._advance()
+        if self._alive:
+            self.engine.run_due_next(self._advance)
 
     # -- internals ----------------------------------------------------------
 
@@ -188,7 +172,7 @@ class Process(Event):
         engine = self.engine
         if engine.profiler is not None and engine.profiler.running is not self:
             # times this resumption, then calls back here to run it
-            return engine.profiler.resume(self, value, ok)
+            return engine.profiler.resume(self, self._advance, (value, ok))
         engine.active_process = self
         try:
             if ok:

@@ -72,6 +72,8 @@ SERVICE = "transaction_manager"
 DEFAULT_VOTE_TIMEOUT_MS = 60_000.0
 #: How long phase two waits for an acknowledgement before retrying.
 DEFAULT_ACK_TIMEOUT_MS = 10_000.0
+#: How many times phase two re-sends to children still silent.
+MAX_ACK_RETRIES = 3
 #: Retry interval while resolving an in-doubt (prepared) transaction.
 RESOLVE_RETRY_MS = 5_000.0
 
@@ -180,7 +182,6 @@ class TransactionManager:
         self._collections: dict[tuple[str, TransactionID], _Votes] = {}
         self.vote_timeout_ms = DEFAULT_VOTE_TIMEOUT_MS
         self.ack_timeout_ms = DEFAULT_ACK_TIMEOUT_MS
-        self.max_ack_retries = 3
         #: how long a prepared subordinate waits before inquiring
         self.prepared_inquiry_ms = 30_000.0
         #: "checkpoints are performed at intervals determined by the
@@ -559,7 +560,7 @@ class TransactionManager:
         if failed is not None:
             copy, error = failed
             return children, f"{copy.name} failed: {error!r}"
-        if state.phase.terminal or self.replication_validator is None:
+        if state.phase.terminal:
             return children, None
         reason = self.replication_validator(footprint)
         if reason is not None:
@@ -903,7 +904,7 @@ class TransactionManager:
                 state.pending_acks -= set(acks or {})
             retries = 0
             while (awaited and state.pending_acks
-                   and retries < self.max_ack_retries):
+                   and retries < MAX_ACK_RETRIES):
                 retries += 1
                 awaited = self._live_children(sorted(state.pending_acks))
                 if not awaited:

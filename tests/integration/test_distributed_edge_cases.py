@@ -56,6 +56,28 @@ class TestRemoteSubtransactions:
         assert read_cell(cluster, "n0", "arr1", 1) == 11
         assert read_cell(cluster, "n0", "arr0", 1) == 22
 
+    def test_a_remote_grandchild_merges_past_a_parent_absent_there(self):
+        """Only the grandchild operated on the remote node, so its parent
+        has no state there: the subordinate's prepare folds it into the
+        nearest ancestor it holds, the family's root."""
+        cluster = make_cluster(2)
+        app = cluster.application("n0")
+
+        def body():
+            parent = yield from app.begin_transaction()
+            child = yield from app.begin_transaction(parent=parent)
+            grandchild = yield from app.begin_transaction(parent=child)
+            remote = yield from app.lookup_one("arr1")
+            yield from set_cell(app, remote, grandchild, 4, 44)
+            yield from app.end_transaction(grandchild)
+            yield from app.end_transaction(child)
+            return (yield from app.end_transaction(parent))
+
+        assert cluster.run_on("n0", body()) is True
+        cluster.settle()
+        assert read_cell(cluster, "n0", "arr1", 4) == 44
+        assert cluster.node("n1").tm.active_transactions() == {}
+
     def test_remote_subtransaction_survives_subordinate_crash(self):
         cluster = make_cluster(2)
         app = cluster.application("n0")

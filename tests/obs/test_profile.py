@@ -24,6 +24,9 @@ import pytest
 
 from repro.core.config import TabsConfig
 from repro.kernel.context import SimContext
+from repro.kernel.messages import Message
+from repro.kernel.node import Node
+from repro.kernel.service import Service, handlers_of
 from repro.locking.manager import LockManager
 from repro.locking.modes import WRITE
 from repro.obs import (
@@ -233,6 +236,49 @@ class TestSpanBookedWall:
         assert profiler.components["LOCK"] == pytest.approx(0.001)
         assert profiler.components["WAL"] == pytest.approx(0.002)
         assert profiler.components[NO_SPAN] == pytest.approx(0.002)
+
+    @pytest.mark.parametrize("traced", [True, False])
+    def test_a_handler_that_never_waits_is_booked_to_its_message(
+            self, traced):
+        """A never-waiting handler runs in no process, in the context its
+        message carried; its wall goes to that span's component (to
+        ``(no span)`` untraced), not to ``sim``, and the readings still
+        tile the dispatch."""
+        ctx = SimContext()
+        if traced:
+            ctx.tracer = Tracer(ctx.engine)
+        clock = FakeClock()
+        profiler = SimProfiler(ctx, clock=clock)
+        ctx.engine.profiler = profiler
+        node = Node(ctx, "n0")
+        port = node.create_port("svc")
+        handled = []
+
+        class Owner:
+            def _handle_note(self, message):
+                handled.append(message.trace_parent)
+
+        Service(node, port, "svc", handlers_of(Owner()), "svc")
+
+        def sender():
+            with ctx.span("wal.force", "n0", "WAL"):
+                port.send(Message(op="svc.note"))
+            yield 1.0
+
+        Process(ctx.engine, sender(), name="sender")
+        ctx.engine.run()
+        assert len(handled) == 1
+        # 1 ms each: the handler, and the sender's two resumptions, which
+        # both ran outside its span
+        if traced:
+            assert handled[0] and profiler.components["WAL"] == \
+                pytest.approx(0.001)
+            assert profiler.components[NO_SPAN] == pytest.approx(0.002)
+        else:
+            assert "WAL" not in profiler.components
+            assert profiler.components[NO_SPAN] == pytest.approx(0.003)
+        assert sum(profiler.components.values()) == \
+            pytest.approx((clock.reads - 1) * 0.001)
 
     def test_components_sum_to_the_window_wall(self):
         """On a real run, the components booked over a window sum to the

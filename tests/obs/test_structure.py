@@ -217,6 +217,26 @@ def test_a_wait_with_one_waiter_builds_no_event():
     assert timeouts == {"sim/events.py"}
 
 
+def test_the_due_next_rule_lives_in_the_engine():
+    """A wake-up due next runs in the entry that caused it
+    (docs/SIMULATOR.md): ``Engine.run_due_next`` is the one place that
+    decides it, each wake-up that follows the rule calls it, and no
+    other module reads the engine's queue or clock or moves its running
+    key."""
+    from repro.kernel.service import Service
+    from repro.sim import Event, Process
+    strays = [f"{path}:{line}" for path, _, line in sites(
+        r"\._heap\b|\._now\b|engine\._seq\s*=(?!=)")
+        if path != "sim/engine.py"]
+    assert strays == []
+    rule = [(path, function) for path, function, _
+            in sites(r"heap\[0\]\[0\] <= ")]
+    assert rule == [("sim/engine.py", "run_due_next")]
+    for wake_up in (Event.succeed_last, Process.wake_last, Process._expire,
+                    Process._slept, Service.deliver):
+        assert ".run_due_next(" in inspect.getsource(wake_up), wake_up
+
+
 def test_a_log_trigger_is_an_observer_not_a_poller():
     """``CrashWhenLogged`` fires from the log stores' durable-record
     observers (docs/CHAOS.md "Triggered actions"): the chaos controller

@@ -8,6 +8,7 @@ from repro.kernel.disk import PAGE_SIZE
 from repro.kernel.service import request
 from repro.kernel.vm import ObjectID
 from repro.locking.modes import WRITE
+from repro.server.library import DataServerLibrary
 from repro.servers.base import BaseDataServer
 from repro.txn.ids import TransactionID
 from tests.property.conftest import fast_config
@@ -292,6 +293,12 @@ class TestFailureHandling:
 
 class TestRarePaths:
     """Library branches no workload takes, one test each."""
+
+    def test_recover_server_needs_the_segment_mapped_first(self, env):
+        cluster, server, app = env
+        library = DataServerLibrary(server.node, "unmapped")
+        with pytest.raises(ServerError, match="read_permanent_data"):
+            next(library.recover_server())
 
     def test_an_unregistered_recovery_operation_is_refused(self, env):
         cluster, server, app = env

@@ -430,3 +430,88 @@ def test_push_behind_the_running_key_rejected():
     engine.run(until=3.0)
     with pytest.raises(SimulationError):
         engine.push(3.0, held, lambda: None)
+
+
+def test_run_until_needs_an_event():
+    with pytest.raises(SimulationError, match="needs an Event"):
+        Engine().run_until(5.0)
+
+
+# -- the due-next rule ----------------------------------------------------------
+
+def wake_from(engine, at, seen, later=None):
+    """Schedule an entry at ``at`` whose last act is ``run_due_next``,
+    then entries at the instants ``later``; the callback notes the
+    running key and the entries run so far."""
+    def callback(tag):
+        seen.append((tag, engine.running_key, engine.events_scheduled,
+                     engine.events_executed))
+
+    engine.schedule(at, engine.run_due_next, args=(callback, ("woken",)))
+    for instant in later or ():
+        engine.schedule(instant, seen.append, args=(("entry", instant),))
+
+
+@pytest.mark.parametrize("later", [(), (2.0,)],
+                         ids=["empty queue", "front entry later"])
+def test_a_wake_up_due_next_runs_in_the_entry_that_caused_it(later):
+    engine = Engine()
+    seen = []
+    wake_from(engine, 1.0, seen, later)
+    engine.run()
+    (tag, key, scheduled, executed) = seen[0]
+    assert tag == "woken"
+    assert executed == 1  # inside the entry at t=1, not one of its own
+    assert key == (1.0, scheduled - 0.5)
+    assert engine.events_executed == 1 + len(later)
+
+
+def test_a_wake_up_is_queued_behind_an_entry_due_at_this_instant():
+    engine = Engine()
+    seen = []
+    wake_from(engine, 1.0, seen, later=(1.0,))
+    engine.run()
+    assert [entry[0] for entry in seen] == ["entry", "woken"]
+    _, key, _, executed = seen[1]
+    assert executed == 3  # an entry of its own, after the due one
+    assert key == (1.0, 2)
+
+
+def test_the_queued_form_runs_only_from_the_queue():
+    engine = Engine()
+    ran = []
+    for due in (False, True):
+        engine.schedule(1.0, engine.run_due_next, args=(
+            ran.append, ("in place",), lambda tag: ran.append("queued")))
+        if due:
+            engine.schedule(1.0, lambda: None)
+        engine.run()
+    assert ran == ["in place", "queued"]
+
+
+def test_a_chain_of_inline_wake_ups_keeps_the_queued_order():
+    """Wake-ups that wake the next one run in place, one inside the
+    other, until one finds an entry due at its instant: the order of
+    every callback is the one an engine that queues every wake-up
+    gives, with fewer entries run."""
+    def program(engine, wake):
+        order = []
+
+        def step(n):
+            order.append((n, engine.now))
+            if n == 2:
+                engine.schedule_now(order.append, args=(("queued by 2",
+                                                         engine.now),))
+            if n < 5:
+                wake(step, (n + 1,))
+
+        engine.schedule(1.0, wake, args=(step, (0,)))
+        engine.schedule(3.0, order.append, args=(("later entry", 3.0),))
+        engine.run()
+        return order
+
+    inline = Engine()
+    queued = Engine()
+    assert program(inline, inline.run_due_next) == \
+        program(queued, queued.schedule_now)
+    assert inline.events_executed < queued.events_executed

@@ -22,12 +22,17 @@ def test_event_cannot_trigger_twice():
     event = Event(engine).succeed(1)
     with pytest.raises(SimulationError):
         event.succeed(2)
+    with pytest.raises(SimulationError, match="triggered twice"):
+        event.fail(TabsError("late"))
+    assert event.ok
 
 
 def test_result_before_trigger_rejected():
     engine = Engine()
     with pytest.raises(SimulationError):
         Event(engine).result()
+    with pytest.raises(SimulationError, match="not been triggered"):
+        Event(engine).ok
 
 
 def test_failed_event_reraises():

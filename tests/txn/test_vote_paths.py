@@ -266,3 +266,25 @@ def test_a_duplicated_prepare_request_keeps_the_promise(cluster):
     assert subordinate.phase_of(tid) is TxnPhase.PREPARED
     server = cluster.node(SUBORDINATE).servers["a0"].library
     assert server.locks.held_keys(tid) != []
+
+
+def test_a_collection_complete_before_its_wait_answers_at_once(cluster):
+    """Every response can arrive, and the entry that settles the
+    collection run, before the coordinator begins to wait (it was still
+    calling its own data servers): the wait then ends in an entry of its
+    own with every response, long before its deadline."""
+    coordinator = tm(cluster, COORDINATOR)
+    tid = begin(cluster, cluster.application(COORDINATOR))
+    votes = coordinator._open_collection("vote", tid, [SUBORDINATE])
+    votes.record(SUBORDINATE, "update")
+    cluster.settle()
+    assert votes.settled
+    started = cluster.engine.now
+
+    def collector():
+        return (yield from coordinator._await_collection(
+            "vote", tid, 1_000.0))
+
+    assert cluster.run_on(COORDINATOR, collector()) == \
+        {SUBORDINATE: "update"}
+    assert cluster.engine.now == started
