@@ -210,8 +210,8 @@ class FailureDetector:
         self.observers = observers if observers is not None else []
         self.peers: dict[str, PeerHealth] = {}
         #: half the datagram time is wire latency (Table 5-3 accounting);
-        #: count=False keeps heartbeats out of the paper's primitive tables
-        self._latency = self.ctx.delay_of(Primitive.DATAGRAM, count=False) / 2
+        #: uncharged, so heartbeats stay out of the paper's primitive tables
+        self._latency = self.ctx.profile.time_of(Primitive.DATAGRAM) / 2
         #: True while this detector is a member of the steady fabric
         self.steady = False
         #: while steady: every peer was heard at or after this instant

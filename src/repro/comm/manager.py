@@ -87,7 +87,7 @@ class CommunicationManager:
         # The sender is busy for half the datagram time; the other half is
         # wire latency that overlaps with the sender's next work.  This is
         # exactly the paper's one-half-datagram accounting (Table 5-3).
-        time_ms = self.ctx.delay_of(Primitive.DATAGRAM)
+        time_ms = self.ctx.charge(Primitive.DATAGRAM)
         yield time_ms / 2
         self.network.deliver_datagram(target, payload, time_ms / 2)
 
@@ -102,7 +102,7 @@ class CommunicationManager:
     def _handle_broadcast(self, message: Message):
         yield self.ctx.cpu("CM", self.ctx.cpu_costs.cm_datagram)
         payload: Message = message.body["payload"]
-        time_ms = self.ctx.delay_of(Primitive.DATAGRAM)
+        time_ms = self.ctx.charge(Primitive.DATAGRAM)
         yield time_ms / 2
         self.network.broadcast_datagram(
             self.node.name,

@@ -75,7 +75,6 @@ class TabsNode:
         #: deregistered from the network, and repair/finale sweeps must
         #: not restart it
         self.retired = False
-        self._pending_media_restore: list[str] | None = None
         #: available-copies replication runtime; like ``fd_observers`` it
         #: survives rebuilds (the availability view is knowledge about
         #: peers, not volatile local state).  None when replication is off.
@@ -153,29 +152,15 @@ class TabsNode:
         self._server_factories[server.name] = factory
         self.servers[server.name] = server
 
-    def setup_generator(self, media_restore_segments: list[str] | None = None):
-        """Bring every server up: map, attach, recover, serve (generator).
-
-        With ``media_restore_segments``, archived page images are restored
-        first and the value pass replays from the archive position (media
-        recovery).
-        """
+    def setup_generator(self):
+        """Bring every server up: map, attach, recover, serve (generator)."""
         for server in self.servers.values():
             yield from server.setup()
-        media_bound = None
-        if media_restore_segments:
-            self.archive.restore(self.node.disk, media_restore_segments)
-            # Roll forward over the whole retained log: the archived
-            # image may hold uncommitted values stolen by the dump's
-            # flush, whose undo records sit below ``archive_lsn``.
-            media_bound = self.rm.wal.store.truncated_before
         report = yield from recover_node(
             self.rm, self.tm,
             {name: server.library for name, server in self.servers.items()},
-            media_bound=media_bound,
-            archive=self.archive,
-            segment_ids=[server.segment_id
-                         for server in self.servers.values()])
+            self.archive,
+            [server.segment_id for server in self.servers.values()])
         self.last_recovery = report
         for server in self.servers.values():
             yield from server.on_recovered()
@@ -204,14 +189,15 @@ class TabsNode:
         yield from self.rm.wal.force()
         self.crash()
 
-    def restart_generator(self, media_restore_segments: list[str] | None = None):
+    def restart_generator(self):
         """Restart + crash recovery (generator).  Run it on the engine.
 
         Thin wrapper: powering the node on fires the
         :class:`RecoverySupervisor`, which drives the recovery itself;
         this generator merely awaits that process and returns its report.
+        After :meth:`media_failure` this is media recovery: the scrub
+        rebuilds every destroyed page.
         """
-        self._pending_media_restore = media_restore_segments
         self.node.restart()
         report = yield self.supervisor.recovery_process
         return report
@@ -222,8 +208,6 @@ class TabsNode:
         Spawned by the :class:`RecoverySupervisor` the moment the kernel
         node restarts; assumes the node itself is already powered on.
         """
-        media_restore_segments = self._pending_media_restore
-        self._pending_media_restore = None
         self._build()
         if not self.archive.empty:
             self.rm.media_retention_lsn = self.archive.retain_from_lsn
@@ -235,8 +219,7 @@ class TabsNode:
             # requests: log replay restores durable state, not the
             # writes peers committed while this node was down.
             self.replication.mark_catchup_pending()
-        report = yield from self.setup_generator(
-            media_restore_segments=media_restore_segments)
+        report = yield from self.setup_generator()
         if self.replication is not None:
             self.replication.spawn_catchup()
         for index, hook in enumerate(self.recovery_hooks):
@@ -268,16 +251,12 @@ class TabsNode:
 
     def media_failure(self, segment_ids: list[str]) -> int:
         """A disk failure destroys the named segments (node must be down:
-        losing the disk takes the system with it).  Returns pages lost."""
+        losing the disk takes the system with it).  Returns pages lost;
+        the next restart's scrub rebuilds them (``page_base``)."""
         if self.node.alive:
             raise TabsError("crash the node before failing its disk")
         return sum(self.node.disk.wipe_segment(segment_id)
                    for segment_id in segment_ids)
-
-    def media_recover_generator(self, segment_ids: list[str]):
-        """Restart with media recovery: restore the archive, then roll
-        the log forward from the archive position."""
-        return self.restart_generator(media_restore_segments=segment_ids)
 
     # -- single-server recovery (the Section 7 extension) ----------------------------------
 

@@ -76,24 +76,11 @@ class SimContext:
             return NO_SPAN
         return tracer.span(name, node, component, **where)
 
-    def charge(self, primitive: Primitive, fraction: float = 1.0) -> float:
+    def charge(self, primitive: Primitive) -> float:
         """Record a primitive execution and return its latency, for the
-        running process to sleep (``yield ctx.charge(...)``).
-
-        ``fraction`` supports the paper's half-datagram accounting: the
-        sender of a datagram is busy for half the datagram time while the
-        other half is network latency that overlaps with other work.
-        """
-        time_ms = self.profile.time_of(primitive) * fraction
-        self.meter.record(primitive, time_ms, fraction)
-        return time_ms
-
-    def delay_of(self, primitive: Primitive, fraction: float = 1.0,
-                 count: bool = True) -> float:
-        """The latency of a primitive; optionally record it in the meter."""
-        time_ms = self.profile.time_of(primitive) * fraction
-        if count:
-            self.meter.record(primitive, time_ms, fraction)
+        running process to sleep (``yield ctx.charge(...)``)."""
+        time_ms = self.profile.time_of(primitive)
+        self.meter.record(primitive, time_ms)
         return time_ms
 
     def cpu(self, component: str, time_ms: float) -> float:

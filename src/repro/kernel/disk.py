@@ -56,6 +56,9 @@ MAX_SEQUENCE_NUMBER = (1 << SEQUENCE_NUMBER_BITS) - 1
 
 PageKey = tuple[str, int]
 
+#: the checksum a destroyed sector reads back: no CRC-32 matches it
+DESTROYED = -1
+
 
 def checksum_page(segment_id: str, page: int,
                   data: dict[int, object]) -> int:
@@ -328,28 +331,32 @@ class Disk:
     def wipe_segment(self, segment_id: str) -> int:
         """Media failure: the segment's pages (and headers) are destroyed.
 
-        Returns the number of pages lost.  The paper excludes disk failure
-        from its scope; this hook supports the media-recovery extension
-        its Conclusions ask for.
+        Every destroyed sector is left failing its checksum, so the next
+        recovery's scrub rebuilds it like any corrupt page.  Returns the
+        number of pages lost.  The paper excludes disk failure from its
+        scope; this hook supports the media-recovery extension its
+        Conclusions ask for.
         """
         lost = [key for key in self._pages if key[0] == segment_id]
         for key in lost:
             del self._pages[key]
-        for table in (self._headers, self._checksums):
-            for key in [key for key in table if key[0] == segment_id]:
-                del table[key]
-        self._verified = {key for key in self._verified
-                          if key[0] != segment_id}
+        for key in [key for key in self._headers if key[0] == segment_id]:
+            del self._headers[key]
+        for key in lost + [key for key in self._checksums
+                           if key[0] == segment_id]:
+            self._checksums[key] = DESTROYED
+            self._verified.discard(key)
         self._last_read.pop(segment_id, None)
         return len(lost)
 
     def restore_segment(self, segment_id: str, pages: dict[int, dict],
                         headers: dict[int, int]) -> None:
-        """Install archived pages (media recovery's first step).
+        """Install trusted page images (the recovery scrub's rebuilt
+        bases, :func:`repro.recovery.driver.page_base`).
 
-        Restored sectors get freshly computed checksums: the archive is
-        trusted media, and a restore overwrites whatever corruption was
-        on the sector before.
+        Restored sectors get freshly computed checksums: the base is
+        trusted, and a restore overwrites whatever corruption was on the
+        sector before.
         """
         for page, data in pages.items():
             key = (segment_id, page)

@@ -90,7 +90,7 @@ class Port:
             if isinstance(payload, Message):
                 payload.trace_parent = message.trace_parent
         primitive = message.kind.primitive
-        delay = 0.0 if primitive is None else self.ctx.delay_of(primitive)
+        delay = 0.0 if primitive is None else self.ctx.charge(primitive)
         self.ctx.engine.schedule(delay, self._deliver, args=(message,))
 
     def _deliver(self, message: Message) -> None:

@@ -234,7 +234,7 @@ class VirtualMemory:
                 data = yield from self.disk.read_page(segment_id, page)
             except PageCorruption:
                 # Graceful degradation: let the media repairer rebuild the
-                # page (archived base + log roll-forward), then retry the
+                # page (its base + log roll-forward), then retry the
                 # read once.  A second failure -- or no repairer -- means
                 # the corruption propagates to the faulting operation.
                 if self.media_repairer is None:

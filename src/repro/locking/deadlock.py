@@ -30,20 +30,23 @@ class DeadlockDetector:
         self._managers: list[LockManager] = list(managers)
 
     def wait_for_graph(self) -> dict[Hashable, set[Hashable]]:
-        """Edges ``waiter -> holders`` across all attached managers."""
+        """Edges ``waiter -> holders`` across all attached managers.
+
+        Waiters enter in lock-table order (:meth:`LockManager.wait_graph`),
+        so the search's roots, and the cycle it finds first, do not depend
+        on how transaction ids hash.
+        """
         graph: dict[Hashable, set[Hashable]] = {}
         for manager in self._managers:
-            waiters = {waiter.tid
-                       for entry in manager._locks.values()
-                       for waiter in entry.queue}
-            for tid in waiters:
-                graph.setdefault(tid, set()).update(manager.waiting_for(tid))
+            for _key, waiter, holders in manager.wait_graph():
+                graph.setdefault(waiter.tid, set()).update(
+                    holder for holder in holders if holder != waiter.tid)
         return graph
 
     def find_cycle(self) -> list[Hashable] | None:
         """One cycle of waiting transactions, or None.
 
-        Iterative DFS with colouring; deterministic given dict ordering.
+        Iterative DFS with colouring, roots in lock-table order.
         """
         graph = self.wait_for_graph()
         WHITE, GREY, BLACK = 0, 1, 2

@@ -97,34 +97,15 @@ class LockManager:
                 return tid
         return None
 
-    def wait_graph(self) -> list[dict]:
-        """Every queued request as a wait-for edge (profiler snapshot).
-
-        Deterministic: lock keys iterate in insertion order and holders
-        render sorted.
+    def wait_graph(self) -> list[tuple[Hashable, _Waiter, list[Hashable]]]:
+        """Every queued request as a raw wait-for edge ``(key, waiter,
+        holders)``, in lock-table order: lock keys in insertion order,
+        each queue front to back.  The profiler renders it; the deadlock
+        detector builds its graph from it.
         """
-        edges: list[dict] = []
-        for key, entry in self._locks.items():
-            for waiter in entry.queue:
-                edges.append({
-                    "node": self.node_name,
-                    "key": str(key),
-                    "waiter": str(waiter.tid),
-                    "mode": waiter.mode.name,
-                    "holders": sorted(str(holder)
-                                      for holder in entry.holders),
-                })
-        return edges
-
-    def waiting_for(self, tid: Hashable) -> set[Hashable]:
-        """Transactions that ``tid`` is currently queued behind (for the
-        optional deadlock detector)."""
-        blockers: set[Hashable] = set()
-        for entry in self._locks.values():
-            for waiter in entry.queue:
-                if waiter.tid == tid:
-                    blockers.update(h for h in entry.holders if h != tid)
-        return blockers
+        return [(key, waiter, list(entry.holders))
+                for key, entry in self._locks.items()
+                for waiter in entry.queue]
 
     # -- acquisition -------------------------------------------------------------
 

@@ -257,10 +257,13 @@ class SimProfiler:
         of crashed-and-rebuilt nodes are covered too (their cleared
         tables simply contribute no edges).
         """
-        edges: list[dict] = []
-        for manager in self.ctx.lock_managers:
-            edges.extend(manager.wait_graph())
-        return edges
+        return [{"node": manager.node_name,
+                 "key": str(key),
+                 "waiter": str(waiter.tid),
+                 "mode": waiter.mode.name,
+                 "holders": sorted(str(holder) for holder in holders)}
+                for manager in self.ctx.lock_managers
+                for key, waiter, holders in manager.wait_graph()]
 
     # -- the meter ---------------------------------------------------------------
 

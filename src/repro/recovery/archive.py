@@ -8,9 +8,10 @@ media recovery as needed work; this module supplies it.
 
 An :class:`Archive` holds page images of every attached segment as of the
 dump, plus the log position (``archive_lsn``) up to which the dump is
-complete.  Media recovery after a disk failure restores the archived
-pages, then replays the log *from the archive position* -- not from the
-last checkpoint, whose bound assumes the non-volatile image survived.
+complete.  A page lost to a disk failure (or rotted) is rebuilt from its
+archived image, rolled forward over the retained log -- not from the last
+checkpoint, whose bound assumes the non-volatile image survived (see
+:func:`repro.recovery.driver.page_base`).
 Log reclamation respects the archive: records from ``retain_from_lsn`` on
 must be retained or the archive could never be rolled forward.  That is
 everything newer than ``archive_lsn`` *and* the whole history of every
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import RecoveryError
 from repro.kernel.disk import Disk
 
 
@@ -63,19 +63,7 @@ class Archive:
                                 else min(retain_from_lsn, flushed_lsn + 1))
         self.dumps_taken += 1
 
-    def restore(self, disk: Disk, segment_ids: list[str]) -> None:
-        """Write archived images back onto a (new) disk."""
-        if self.empty:
-            raise RecoveryError(
-                "media recovery impossible: no archive dump was ever taken")
-        for segment_id in segment_ids:
-            if segment_id not in self.pages:
-                raise RecoveryError(
-                    f"segment {segment_id!r} is not in the archive")
-            disk.restore_segment(segment_id, self.pages[segment_id],
-                                 self.headers.get(segment_id, {}))
-
-    # -- single-page media repair -----------------------------------------------
+    # -- page bases -------------------------------------------------------------
 
     def covers(self, segment_id: str) -> bool:
         """Is the segment in the archive at all?"""
@@ -83,8 +71,8 @@ class Archive:
 
     def page_image(self, segment_id: str,
                    page: int) -> tuple[dict[int, object], int]:
-        """One archived page's (data, header) -- the base image that
-        single-page repair rolls forward from ``archive_lsn``.
+        """One archived page's (data, header) -- the base image a repair
+        rolls forward.
 
         A page absent from an archived segment was first written *after*
         the dump; its base image is empty and its whole history lies in
@@ -93,9 +81,3 @@ class Archive:
         data = dict(self.pages.get(segment_id, {}).get(page, {}))
         header = self.headers.get(segment_id, {}).get(page, 0)
         return data, header
-
-    def restore_page(self, disk: Disk, segment_id: str, page: int) -> None:
-        """Install one archived page image (cost-free, like
-        :meth:`restore`; crash-recovery scrubs use it before replay)."""
-        data, header = self.page_image(segment_id, page)
-        disk.restore_segment(segment_id, {page: data}, {page: header})

@@ -7,8 +7,9 @@ servers re-map their segments and re-attach, and then this driver runs:
    single-copy damage, and truncates the tail at the first record
    unreadable on both copies (a torn force) -- before any record is
    trusted.  Then a **media scrub** checks every attached page's payload
-   checksum and restores corrupt pages from the archive so replay reads
-   clean bases.
+   checksum and rebuilds each corrupt page from its :func:`page_base`, so
+   replay reads clean bases.  A lost segment is such a scrub: its
+   destroyed sectors all fail their checksums.
 1. **Analysis** over the durable log.
 2. **Value pass** (backward) restoring value-logged objects.
 3. **Operation passes** (redo history, undo losers) for operation-logged
@@ -22,8 +23,8 @@ servers re-map their segments and re-attach, and then this driver runs:
 5. **Clean point**: flush every recovered page, checkpoint, truncate.
 
 :func:`repair_page` is the *live* half of media recovery: single-page
-repair (archived base image + log roll-forward) for a running node that
-trips :class:`~repro.errors.PageCorruption`, driven by the
+repair (the same :func:`page_base` + log roll-forward) for a running node
+that trips :class:`~repro.errors.PageCorruption`, driven by the
 :class:`~repro.recovery.supervisor.RecoverySupervisor`.
 """
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import RecoveryError
 from repro.locking.modes import WRITE
 from repro.recovery.analysis import RecoveryPlan, analyze
 from repro.recovery.manager import RecoveryManager
@@ -63,7 +65,7 @@ class RecoveryReport:
     log_duplex_repairs: int = 0
     #: durable records dropped by the salvage tail truncation
     log_records_salvaged: int = 0
-    #: corrupt data pages restored from the archive by the media scrub
+    #: corrupt data pages rebuilt from their base by the media scrub
     pages_scrubbed: int = 0
 
 
@@ -133,38 +135,60 @@ def in_doubt_footprint(plan: RecoveryPlan, records: list,
                   for root, chain in chains.items()}
 
 
-def scrub_media(node, archive, segment_ids: list[str]) -> list[tuple]:
-    """Restore every corrupt page of the named segments from the archive.
+def page_base(archive, store, segment_id: str, page: int):
+    """The image a corrupt page is rebuilt from, as ``(data, header)``,
+    or None when no base is exact -- the one repair rule, shared by the
+    restart scrub, live repair and a lost segment.
 
-    Cost-free, like :meth:`Archive.restore` (the scrub's page reads are
-    folded into recovery's replay I/O).  A corrupt page outside archive
-    coverage is wiped to an empty base -- exact only when the log still
-    reaches back to LSN 1, which the caller's replay bound accounts for.
-    Returns the ``(segment_id, page)`` keys scrubbed.
+    An archive dump covering the segment gives its archived image.
+    Without one, an empty base is exact while the log still holds every
+    update record the node ever appended; once reclamation has dropped
+    one, an empty base plus a partial roll-forward would fabricate
+    history.  Either base is rolled forward over the whole retained log,
+    not just past ``archive_lsn``: the dump's flush may steal uncommitted
+    values into the archive, and their undo records sit below
+    ``archive_lsn`` (``Archive.retain_from_lsn`` keeps them until the
+    next dump).
+    """
+    if archive.covers(segment_id):
+        return archive.page_image(segment_id, page)
+    if store.updates_reclaimed:
+        return None
+    return {}, 0
+
+
+def scrub_media(node, archive, store, segment_ids: list[str]) -> list[tuple]:
+    """Rebuild every corrupt page of the named segments from its
+    :func:`page_base` (cost-free: the scrub's page reads are folded into
+    recovery's replay I/O).  Replay then rolls each base forward.
+
+    Raises :class:`RecoveryError` for a page with no exact base.  Returns
+    the ``(segment_id, page)`` keys scrubbed.
     """
     scrubbed = []
     for segment_id in segment_ids:
         for page in node.disk.corrupt_pages(segment_id):
-            if archive is not None and not archive.empty:
-                archive.restore_page(node.disk, segment_id, page)
-            else:
-                node.disk.restore_segment(segment_id, {page: {}}, {page: 0})
+            base = page_base(archive, store, segment_id, page)
+            if base is None:
+                raise RecoveryError(
+                    f"page {page} of {segment_id!r} is corrupt, no archive "
+                    "dump covers it and the log has reclaimed updates")
+            data, header = base
+            node.disk.restore_segment(segment_id, {page: data},
+                                      {page: header})
             scrubbed.append((segment_id, page))
     return scrubbed
 
 
 def recover_node(rm: RecoveryManager, tm: TransactionManager,
-                 server_libraries: dict, media_bound: int | None = None,
-                 archive=None, segment_ids: list[str] | None = None):
+                 server_libraries: dict, archive, segment_ids: list[str]):
     """Run full crash recovery for one node (generator).
 
     ``server_libraries`` maps server name to its
     :class:`~repro.server.library.DataServerLibrary` (already attached).
-    ``media_bound`` (media recovery) forces the value pass to replay from
-    the archive position instead of the checkpoint bound.  ``archive`` and
-    ``segment_ids`` enable the storage-integrity front end: log salvage
-    plus a page-checksum scrub that restores corrupt pages from the
-    archive before replay trusts the disk image.
+    ``archive`` and ``segment_ids`` drive the storage-integrity front end:
+    log salvage plus a page-checksum scrub (:func:`scrub_media`) before
+    replay trusts the disk image.
     Returns a :class:`RecoveryReport`.
     """
     node = rm.node
@@ -174,36 +198,25 @@ def recover_node(rm: RecoveryManager, tm: TransactionManager,
                   epoch=node.epoch) as span:
 
         # -- storage integrity: salvage the log, scrub the data pages -------------
-        salvage = rm.wal.store.salvage()
+        store = rm.wal.store
+        salvage = store.salvage()
         report.log_duplex_repairs = salvage.repairs
         report.log_records_salvaged = salvage.dropped_records
-        scrubbed = scrub_media(node, archive, segment_ids or [])
+        scrubbed = scrub_media(node, archive, store, segment_ids)
         report.pages_scrubbed = len(scrubbed)
-        if scrubbed:
-            for _ in scrubbed:
-                ctx.metrics.counter(node.name, "disk.corruption_detected").inc()
-                ctx.metrics.counter(node.name, "media.page_repairs").inc()
-            # The scrubbed bases are archive images (or empty): replay must
-            # roll forward over the whole retained log, not just past the
-            # archive position -- the dump's flush steals uncommitted dirty
-            # pages into the archive, and the undo records of those in-flight
-            # transactions sit *below* ``archive_lsn``.  The archive pins
-            # the first record of every transaction that was in flight at
-            # its dump (``Archive.retain_from_lsn``) until the next dump --
-            # past the transaction's own resolution, which is when ordinary
-            # retention lets go -- so ``truncated_before`` always reaches
-            # back far enough.
-            scrub_bound = rm.wal.store.truncated_before
-            media_bound = (scrub_bound if media_bound is None
-                           else min(media_bound, scrub_bound))
+        for _ in scrubbed:
+            ctx.metrics.counter(node.name, "disk.corruption_detected").inc()
+            ctx.metrics.counter(node.name, "media.page_repairs").inc()
+        # A scrubbed base rolls forward over the whole retained log
+        # (``page_base``), not from the checkpoint bound.
+        bound = store.truncated_before if scrubbed else None
 
-        records = rm.wal.read_forward(rm.wal.store.truncated_before)
+        records = rm.wal.read_forward(store.truncated_before)
         plan = analyze(records)
         report.log_records_scanned = len(records)
 
         # -- restore object state ------------------------------------------------
-        decided = yield from run_value_pass(node.vm, plan,
-                                            bound=media_bound)
+        decided = yield from run_value_pass(node.vm, plan, bound=bound)
         report.values_restored = len(decided)
         appliers = {name: library.recovery_applier
                     for name, library in server_libraries.items()}
@@ -250,7 +263,7 @@ def recover_node(rm: RecoveryManager, tm: TransactionManager,
         # -- clean point --------------------------------------------------------------
         yield from node.vm.flush_all()
         yield from rm.take_checkpoint(tm.active_transactions())
-        rm.wal.store.truncate_before(rm.truncation_bound())
+        store.truncate_before(rm.truncation_bound())
         ctx.metrics.counter(node.name, "recovery.replays").inc()
         ctx.metrics.histogram(node.name, "recovery.records_scanned").observe(
             report.log_records_scanned)
@@ -274,38 +287,26 @@ def repair_page(rm: RecoveryManager, archive, disk, segment_id: str,
                 page: int):
     """Repair one corrupt page on a *running* node (generator).
 
-    Restores the archived base image and rolls it forward from
-    ``archive_lsn`` using the durable log, mirroring the value pass's
-    latest-wins semantics page-locally; the repaired image (with a fresh
-    checksum) is written back through one charged page write.  Returns:
+    Rolls the page's :func:`page_base` forward over the retained log,
+    mirroring the value pass's latest-wins semantics page-locally; the
+    repaired image (with a fresh checksum) is written back through one
+    charged page write.  Returns:
 
     - ``"repaired"`` -- the page verifies again;
     - ``"escalate"`` -- an operation-logged record touches the page in the
       roll-forward window; single-page value replay cannot reconstruct it,
       so the caller must fall back to full node recovery (whose scrub +
       three-pass algorithm handles operation logging);
-    - ``"unrepairable"`` -- the log no longer reaches back to the base
-      image's position (no archive and a truncated log).
+    - ``"unrepairable"`` -- the page has no exact base (:func:`page_base`).
     """
     store = rm.wal.store
-    base_data: dict[int, object] = {}
-    base_header = 0
-    if archive is not None and not archive.empty and \
-            archive.covers(segment_id):
-        base_data, base_header = archive.page_image(segment_id, page)
-    elif store.truncated_before > 1:
-        # No archived base and the log no longer reaches LSN 1: an empty
-        # base plus a partial roll-forward would fabricate history.
+    base = page_base(archive, store, segment_id, page)
+    if base is None:
         return "unrepairable"
-    # Roll forward over the whole retained log, not just past the archive
-    # position: the archived base may hold uncommitted values stolen by
-    # the dump's flush, whose undo records sit below ``archive_lsn``
-    # (``Archive.retain_from_lsn`` keeps them until the next dump).
+    image, header = base
     records = store.read_forward(store.truncated_before)
     plan = analyze(records)
 
-    image = dict(base_data)
-    header = base_header
     decided: dict = {}
     # Backward latest-wins over the roll-forward window, page-locally:
     # the value pass's decision (``restored_value``).

@@ -20,7 +20,7 @@ node, which is what "unattended self-healing" means.
 The supervisor is also the facility's *media repairer*: it installs
 itself as the virtual-memory layer's ``media_repairer`` hook, so a data
 server tripping :class:`~repro.errors.PageCorruption` on a page fault
-gets the page repaired in place (archived base + log roll-forward, see
+gets the page repaired in place (its base + log roll-forward, see
 :func:`repro.recovery.driver.repair_page`) and its read retried --
 graceful degradation instead of a crashed node.  Repairs of the same
 page are deduplicated across concurrent readers, and a page that
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.sim import Process
+from repro.sim import Event, Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.facility import TabsNode
@@ -55,8 +55,9 @@ class RecoverySupervisor:
         #: so callers may yield it to await completion and read the
         #: RecoveryReport it returns
         self.recovery_process: Process | None = None
-        #: pages with a repair in flight (dedupes concurrent readers)
-        self._repairing: set = set()
+        #: pages with a repair in flight (dedupes concurrent readers) ->
+        #: the Event a second reader made to wait for its outcome, if any
+        self._repairing: dict = {}
         #: last outcome per repaired page ("repaired"/"escalate"/...)
         self.repair_outcomes: dict = {}
         tabs_node.node.on_restart.append(self._on_restart)
@@ -94,11 +95,12 @@ class RecoverySupervisor:
 
         key = (segment_id, page)
         if key in self._repairing:
-            # Another coroutine is repairing this page; wait it out.
-            while key in self._repairing:
-                yield 0.1
-            return self.repair_outcomes.get(key) == "repaired"
-        self._repairing.add(key)
+            # Another coroutine is repairing this page; wait for its outcome.
+            if self._repairing[key] is None:
+                self._repairing[key] = Event(self.ctx.engine, "repair-outcome")
+            status = yield self._repairing[key]
+            return status == "repaired"
+        self._repairing[key] = None
         node = self.tabs_node.node
         status = "failed"
         with self.ctx.span("media.page_repair", node.name, "RECOVERY",
@@ -108,9 +110,11 @@ class RecoverySupervisor:
                     self.tabs_node.rm, self.tabs_node.archive, node.disk,
                     segment_id, page)
             finally:
-                self._repairing.discard(key)
+                outcome = self._repairing.pop(key)
                 self.repair_outcomes[key] = status
                 span.set(status=status)
+                if outcome is not None:
+                    outcome.succeed(status)
         if status == "repaired":
             self.page_repairs += 1
             self.ctx.metrics.counter(node.name, "media.page_repairs").inc()

@@ -59,9 +59,9 @@ def run_value_pass(vm: VirtualMemory, plan: RecoveryPlan,
     are left dirty with their ``page_lsn`` set to the deciding record's
     LSN, so the normal write-ahead gate pushes them to disk afterwards.
 
-    ``bound`` overrides the checkpoint-derived scan bound; media recovery
-    passes the archive position, since the checkpoint bound assumes a
-    surviving non-volatile image.
+    ``bound`` overrides the checkpoint-derived scan bound; a media scrub
+    passes the start of the retained log, since the checkpoint bound
+    assumes a surviving non-volatile image.
     """
     if bound is None:
         bound = plan.scan_bound()

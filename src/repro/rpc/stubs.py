@@ -148,7 +148,7 @@ def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
     ctx = client.ctx
     local = ref.node_name == client.name
     if local:
-        total_ms = ctx.delay_of(Primitive.DATA_SERVER_CALL)
+        total_ms = ctx.charge(Primitive.DATA_SERVER_CALL)
     else:
         cm_local = network.manager(client.name)
         try:
@@ -159,7 +159,7 @@ def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
             raise _Retriable(SessionBroken(
                 f"server reference on {ref.node_name!r} is stale: the node "
                 "restarted; look the name up again"), stale_ref=True)
-        total_ms = ctx.delay_of(Primitive.INTER_NODE_DATA_SERVER_CALL)
+        total_ms = ctx.charge(Primitive.INTER_NODE_DATA_SERVER_CALL)
         # Both Communication Managers scan the tid (spanning tree) and burn
         # CPU shepherding the session messages.  That CPU is *inside* the
         # measured 89 ms inter-node-call primitive -- the paper notes that

@@ -149,7 +149,7 @@ class WriteAheadLog:
             if self.serial_log_device:
                 # The log disk does one force at a time: queue FIFO behind
                 # the in-flight force, then hold the device for the write.
-                time_ms = self.ctx.delay_of(Primitive.STABLE_STORAGE_WRITE)
+                time_ms = self.ctx.charge(Primitive.STABLE_STORAGE_WRITE)
                 begin = max(self.ctx.now, self._device_free_at)
                 self._device_free_at = begin + time_ms
                 yield self._device_free_at - self.ctx.now

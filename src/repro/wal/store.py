@@ -39,7 +39,7 @@ from operator import attrgetter
 
 from repro.errors import LogFull, LogMediaCorruption, WriteAheadLogError
 from repro.wal.codec import encode_record, frame_checksum
-from repro.wal.records import LogRecord
+from repro.wal.records import LogRecord, OperationRecord, ValueUpdateRecord
 
 _lsn = attrgetter("lsn")
 
@@ -94,6 +94,9 @@ class LogStore:
             = ({}, {})
         #: LSNs below this have been reclaimed
         self.truncated_before = 1
+        #: has reclamation dropped an update record?  Until it does, the
+        #: log rebuilds any page from an empty base (``page_base``)
+        self.updates_reclaimed = False
         #: lifetime single-copy repairs (duplexed read path + salvage)
         self.duplex_repairs = 0
         #: lifetime salvage tail truncations
@@ -298,6 +301,9 @@ class LogStore:
         """
         keep = [r for r in self._records if r.lsn >= lsn]
         reclaimed = len(self._records) - len(keep)
+        self.updates_reclaimed = self.updates_reclaimed or any(
+            isinstance(r, (ValueUpdateRecord, OperationRecord))
+            for r in self._records[:reclaimed])
         self._records = keep
         for copy in self._damage:
             for old in [old for old in copy if old < lsn]:

@@ -1,7 +1,5 @@
 """Unit tests for the simulation context's cost accounting."""
 
-import pytest
-
 from repro.kernel.context import SimContext
 from repro.kernel.costs import ACHIEVABLE_1985, MEASURED_1985, Phase, Primitive
 from repro.sim import Process
@@ -19,20 +17,6 @@ def test_charge_records_and_delays():
 
     ctx.engine.run_until(Process(ctx.engine, body()))
     assert ctx.engine.now == 25.0
-
-
-def test_fractional_charge():
-    """The half-datagram of the parallel prepare send."""
-    ctx = SimContext()
-    ctx.meter.phase = Phase.COMMIT
-    assert ctx.charge(Primitive.DATAGRAM, fraction=0.5) == 12.5
-    assert ctx.meter.count(Primitive.DATAGRAM) == pytest.approx(0.5)
-
-
-def test_delay_of_without_counting():
-    ctx = SimContext()
-    assert ctx.delay_of(Primitive.SMALL_MESSAGE, count=False) == 3.0
-    assert not ctx.meter.counts
 
 
 def test_cpu_charge_accrues_to_component():
@@ -59,10 +43,8 @@ def test_cpu_charge_accrues_to_component():
 def test_profile_swap_changes_prices():
     measured = SimContext(profile=MEASURED_1985)
     achievable = SimContext(profile=ACHIEVABLE_1985)
-    assert measured.delay_of(Primitive.STABLE_STORAGE_WRITE,
-                             count=False) == 79.0
-    assert achievable.delay_of(Primitive.STABLE_STORAGE_WRITE,
-                               count=False) == 32.0
+    assert measured.charge(Primitive.STABLE_STORAGE_WRITE) == 79.0
+    assert achievable.charge(Primitive.STABLE_STORAGE_WRITE) == 32.0
 
 
 def test_seeded_random_is_deterministic():

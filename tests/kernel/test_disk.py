@@ -233,10 +233,20 @@ def test_restore_segment_installs_trusted_checksums(ctx):
     assert disk.read_sequence_number("seg", 0) == 7
 
 
-def test_wipe_segment_removes_corruption_with_the_data(ctx):
+def test_wipe_segment_leaves_every_destroyed_sector_failing(ctx):
+    """A lost segment is corruption the recovery scrub finds: every
+    destroyed sector, rotten or not, fails its checksum until rebuilt."""
     disk = Disk(ctx)
     run(ctx, disk.write_page("seg", 0, {0: 1}))
+    run(ctx, disk.write_page("seg", 1, {}))
+    run(ctx, disk.write_page("other", 0, {0: 2}))
     disk.rot_page("seg", 0)
-    assert disk.wipe_segment("seg") == 1
-    assert disk.verify_page("seg", 0)
-    assert disk.page_keys() == []
+    assert disk.wipe_segment("seg") == 2
+    assert disk.peek_page("seg", 0) == {}
+    assert disk.read_sequence_number("seg", 0) == 0
+    assert disk.corrupt_pages("seg") == [0, 1]
+    assert disk.corrupt_pages("other") == []
+    with pytest.raises(PageCorruption):
+        run(ctx, disk.read_page("seg", 1))
+    disk.restore_segment("seg", {1: {}}, {1: 0})
+    assert disk.corrupt_pages("seg") == [0]

@@ -83,7 +83,6 @@ ALLOWED = {
                     "core/facility.py::TabsNode.fail_server",
                     "core/facility.py::TabsNode.recover_server_generator",
                     "core/facility.py::TabsNode.media_failure",
-                    "core/facility.py::TabsNode.media_recover_generator",
                     "kernel/disk.py::Disk.arm_misdirected_write",
                     "kernel/vm.py::VirtualMemory.unpin_all",
                     "nameserver/library.py::NameServerLibrary.deregister",

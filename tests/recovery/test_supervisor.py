@@ -9,10 +9,12 @@ faults on the same page and escalation to a full restart when the page's
 history is operation-logged.
 """
 
+import itertools
+
 import pytest
 
 from repro.core.cluster import TabsCluster
-from repro.errors import PageCorruption
+from repro.errors import PageCorruption, RecoveryError
 from repro.servers.int_array import IntegerArrayServer
 from repro.servers.op_array import OperationArrayServer
 from repro.sim import Process
@@ -302,7 +304,8 @@ def test_no_archive_and_a_truncated_log_leave_a_page_unrepairable():
 
 def test_a_restart_wipes_a_corrupt_page_without_an_archive(cluster):
     """With no archive the scrub rebuilds a corrupt page from an empty
-    base, and the replay from LSN 1 restores every committed value."""
+    base.  The log starts at LSN 2, but only the start checkpoint was
+    reclaimed, so the replay over it restores every committed value."""
     set_cell(cluster, 1, 10)
     set_cell(cluster, 2, 20)
     tabs_node = cluster.node("n1")
@@ -313,3 +316,73 @@ def test_a_restart_wipes_a_corrupt_page_without_an_archive(cluster):
     cluster.settle()
     assert tabs_node.node.disk.verify_page(data_segment(cluster), 0)
     assert (get_cell(cluster, 1), get_cell(cluster, 2)) == (10, 20)
+
+
+def test_a_restart_refuses_a_corrupt_page_whose_update_was_reclaimed(
+        cluster):
+    """No archive, and a clean point reclaimed the committed update: the
+    scrub has no exact base and recovery fails instead of reading 0."""
+    set_cell(cluster, 1, 100)
+    cluster.crash_node("n1")
+    cluster.restart_node("n1")  # the clean point reclaims the update
+    rot_and_evict(cluster)
+    cluster.crash_node("n1")
+    with pytest.raises(RecoveryError, match="no archive dump"):
+        cluster.restart_node("n1")
+
+
+def test_live_repair_rebuilds_from_empty_while_the_log_holds_every_update(
+        cluster):
+    """The state a restart rebuilds exactly (only the start checkpoint
+    reclaimed) is repaired live the same way, not refused."""
+    set_cell(cluster, 1, 10)
+    set_cell(cluster, 2, 20)
+    tabs_node = cluster.node("n1")
+    cluster.run_on("n1", tabs_node.node.vm.flush_all())
+    assert tabs_node.rm.wal.store.truncated_before > 1
+    supervisor = rot_and_evict(cluster)
+    assert (get_cell(cluster, 1), get_cell(cluster, 2)) == (10, 20)
+    assert supervisor.repair_outcomes[(data_segment(cluster), 0)] == \
+        "repaired"
+
+
+# -- one repair rule, whichever path meets the page -----------------------------
+
+
+def outcome(dump: bool, clean_point: bool, live: bool):
+    """Rot the page holding cell 1 and read it back along one path --
+    live repair or the restart scrub: ``("repaired", value)`` or
+    ``("refused", None)``."""
+    cluster = TabsCluster(fast_config())
+    cluster.add_node("n1")
+    cluster.add_server("n1", IntegerArrayServer.factory("arr"))
+    cluster.start()
+    tabs_node = cluster.node("n1")
+    set_cell(cluster, 1, 10)
+    if dump:
+        dump_archive(cluster)
+    set_cell(cluster, 1, 25)
+    if clean_point:
+        cluster.crash_node("n1")
+        cluster.restart_node("n1")
+    cluster.run_on("n1", tabs_node.node.vm.flush_all())
+    rot_and_evict(cluster, salt=11)
+    try:
+        if not live:
+            cluster.crash_node("n1")
+            cluster.restart_node("n1")
+        return "repaired", get_cell(cluster, 1)
+    except (PageCorruption, RecoveryError):
+        return "refused", None
+
+
+def test_live_repair_and_the_restart_scrub_agree():
+    """Both paths take the page's base from ``page_base``: over dump / no
+    dump and clean point / none they agree on verdict and value."""
+    cases = list(itertools.product((False, True), repeat=2))
+    expected = {(dump, clean_point): ("refused", None)
+                if clean_point and not dump else ("repaired", 25)
+                for dump, clean_point in cases}
+    for live in (True, False):
+        assert {(dump, clean_point): outcome(dump, clean_point, live)
+                for dump, clean_point in cases} == expected

@@ -11,7 +11,11 @@ import tracemalloc
 import pytest
 
 from repro.errors import LogMediaCorruption
-from repro.wal.records import ValueUpdateRecord
+from repro.wal.records import (
+    CheckpointRecord,
+    PageDirtyRecord,
+    ValueUpdateRecord,
+)
 from repro.wal.store import LogStore
 
 
@@ -201,6 +205,19 @@ def test_truncation_reclaims_damaged_media():
     assert store.media_intact()
     assert [r.lsn for r in store.read_forward(3)] == [3, 4]
     assert store.duplex_repairs == 0
+
+
+def test_truncation_records_the_first_reclaimed_update():
+    store = LogStore()
+    store.append([CheckpointRecord(lsn=1), PageDirtyRecord(lsn=2),
+                  ValueUpdateRecord(tid="t", lsn=3),
+                  CheckpointRecord(lsn=4)])
+    store.truncate_before(3)  # a checkpoint and a dirty-page note
+    assert not store.updates_reclaimed
+    store.truncate_before(4)
+    assert store.updates_reclaimed
+    store.truncate_before(5)  # stays set
+    assert store.updates_reclaimed
 
 
 def test_media_observer_sees_repair_and_salvage_events():
