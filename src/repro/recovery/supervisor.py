@@ -74,11 +74,25 @@ class RecoverySupervisor:
         self.self_recoveries += 1
         self.ctx.meter.bump("self_recoveries")
         self._install_repairer()
-        process = Process(self.ctx.engine,
-                          self.tabs_node.recovery_generator(),
+        process = Process(self.ctx.engine, self._recover(node.epoch),
                           name=f"recovery-supervisor:{node.name}")
         process.defused = True
         self.recovery_process = process
+
+    def _recover(self, epoch: int):
+        """The node's recovery (generator returning its report).  One
+        that raises powers the node back off, still raising: up with its
+        servers never started and its Transaction Manager's gate shut,
+        the node would take every transaction that reached it into a
+        wait nothing ends."""
+        try:
+            report = yield from self.tabs_node.recovery_generator()
+        except Exception:
+            node = self.tabs_node.node
+            if node.alive and node.epoch == epoch:
+                self.tabs_node.crash()
+            raise
+        return report
 
     # -- live media repair -------------------------------------------------------
 

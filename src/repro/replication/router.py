@@ -15,11 +15,13 @@
   updating the same cell serialize at one site; its reply names the
   absolute write the other copies store.  Those are *write-behind*:
   home-node processes, FIFO per replica server, that overlap the
-  transaction's next operations.  ``tm.abort`` is sent once they have
-  all finished; ``tm.end`` carries the ones still running to the
-  coordinator -- the home node's Transaction Manager -- which joins
-  them just before it prepares (docs/REPLICATION.md "Write-behind
-  copies").
+  transaction's next operations; one whose target crashed before any
+  call of the transaction reached it skips the target once the
+  failure detector confirms the crash (a degraded write too).
+  ``tm.abort`` is sent once they have all finished; ``tm.end`` carries
+  the ones still running to the coordinator -- the home node's
+  Transaction Manager -- which joins them just before it prepares
+  (docs/REPLICATION.md "Write-behind copies").
 
 The router records a *footprint* per transaction -- which nodes
 received writes, which nodes served plain reads (each with the failure
@@ -60,12 +62,18 @@ class ReplicatedApp:
         self._node = tabs_node.node
         self._runtime = tabs_node.replication
         self.view = tabs_node.replication.view
+        #: the failure detector's worst-case detection latency
+        #: (docs/CHAOS.md "Failure model"): how long a copy that found no
+        #: trace of its target waits for the detector to confirm the crash
+        self._detect_within_ms = (tabs_node.config.suspicion_timeout_ms
+                                  + 2 * tabs_node.config.probe_interval_ms)
         #: stamp transactions with the placement epoch they route under
         #: (commit-time rule 3); off by default so replication-only
         #: message bodies stay byte-identical to PR 7
         self._stamp_epoch = tabs_node.config.reconfig.enabled
         #: tid -> {"written": {node: fail_count},
-        #:         "read": {node: fail_count}, "keyspaces": {ks: set}}
+        #:         "read": {node: fail_count}, "keyspaces": {ks: set},
+        #:         "dispatched": {node a call of it was handed to}}
         self._footprints: dict[TransactionID, dict] = {}
         #: tid -> [(node, key-space, process)] in issue order: the
         #: transaction's write-behind copies, finished or not
@@ -134,7 +142,8 @@ class ReplicatedApp:
         return self.ctx.metrics.counter(self.node_name, name)
 
     def _new_footprint(self) -> dict:
-        footprint: dict = {"written": {}, "read": {}, "keyspaces": {}}
+        footprint: dict = {"written": {}, "read": {}, "keyspaces": {},
+                           "dispatched": set()}
         if self._stamp_epoch:
             # The epoch at first touch is the one the transaction routed
             # under; commit-time rule 3 aborts it if a migration moved
@@ -195,6 +204,7 @@ class ReplicatedApp:
             try:
                 ref = yield from self.app.lookup_one(keyspace,
                                                      node_name=node)
+                self._footprint(tid)["dispatched"].add(node)
                 reply = yield from self.app.call(ref, op, body, tid)
             except _FAILOVER_ERRORS as error:
                 self._counter("replication.read_failover").inc()
@@ -245,8 +255,14 @@ class ReplicatedApp:
         the commit (a copy the walk passed over and the view still lists
         is written behind like the rest: catching up, it stores the
         value; dead, it fails the join).  Per the available-copies rule
-        the transaction must abort anyway, and commit-time validation
-        backstops the case where the failure is only noticed later.
+        the transaction must abort when a node a call of it reached
+        fails: its part there died with the node.  A write-behind copy
+        to a node that no call of the transaction ever reached lost
+        nothing there, so once the detector confirms that node's crash
+        the copy skips it -- a degraded write, the one a copy issued
+        after the suspicion would have made (:meth:`_copy_behind`).
+        Commit-time validation backstops the case where the failure is
+        only noticed later.
         """
         first, reply = yield from self._first_to_answer(keyspace, op, body,
                                                         tid)
@@ -262,6 +278,7 @@ class ReplicatedApp:
         if 1 + len(behind) < len(self.placement.replicas(keyspace)):
             self._counter("replication.write_all_degraded").inc()
         copies = self._behind.setdefault(tid, []) if behind else []
+        dispatched = self._footprint(tid)["dispatched"]
         for node in behind:
             # Footprint at issue: commit-time rules 1 and 2 see every
             # copy the transaction tried to write, with the failure
@@ -272,24 +289,54 @@ class ReplicatedApp:
                              if (at, space) == (node, keyspace)), None)
             copies.append((node, keyspace, self._node.spawn(
                 self._copy_behind(previous, keyspace, node, op, dict(body),
-                                  tid),
+                                  tid, dispatched, self.view.fail_count(node)),
                 name=f"write-behind:{tid}:{keyspace}@{node}",
                 defused=True)))
         return reply
 
     def _copy_behind(self, previous: Process | None, keyspace: str,
-                     node: str, op: str, body: dict, tid: TransactionID):
-        """One write-behind copy (generator; a home-node process).
+                     node: str, op: str, body: dict, tid: TransactionID,
+                     dispatched: set[str], fail_count: int):
+        """One write-behind copy (generator; a home-node process returning
+        None, or ``node`` if the copy skipped it).
 
         ``previous`` is this transaction's preceding copy to the same
         replica server: waiting for it keeps two writes of one cell in
         issue order at the copy whatever the link does, and its failure
-        is this copy's too -- the transaction is lost either way.
+        is this copy's too -- the transaction is lost either way.  If it
+        skipped the node, so does this copy.
+
+        A copy whose target's name cannot be found skips the target --
+        a degraded write, as if issued once the detector had spoken --
+        when two things hold: no call of the transaction was ever
+        handed to that node (``dispatched``: nothing of it can be there
+        to lose, so rule 1 has nothing to protect), and the detector
+        confirms the node failed since ``fail_count``, the count at
+        issue, within its own detection bound.  Otherwise it fails as
+        before.  The coordinator drops a skipped node from the footprint
+        it validates; rule 2 still aborts the transaction if the node
+        is back before it commits.
         """
         if previous is not None:
-            yield previous
-        ref = yield from self.app.lookup_one(keyspace, node_name=node)
+            skipped = yield previous
+            if skipped is not None:
+                self._counter("replication.write_all_degraded").inc()
+                return skipped
+        try:
+            ref = yield from self.app.lookup_one(keyspace, node_name=node)
+        except LookupFailed:
+            if node in dispatched:
+                raise
+            confirmed = yield from self.view.failure_confirmed(
+                self.ctx.engine.active_process, node, fail_count,
+                self._detect_within_ms)
+            if not confirmed:
+                raise
+            self._counter("replication.write_all_degraded").inc()
+            return node
+        dispatched.add(node)
         yield from self.app.call(ref, op, body, tid)
+        return None
 
     def _join_behind(self, tid: TransactionID, node: str | None = None):
         """Wait for the transaction's write-behind copies -- those to

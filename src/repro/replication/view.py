@@ -23,9 +23,15 @@ counts recorded at access time against the current view: any difference
 means the touched replica's volatile CC state may be gone, so the
 transaction aborts rather than commit around a write a replica silently
 dropped -- or around a read whose lock no longer protects it.
+
+A process can also wait on the view for a peer's failure to be
+confirmed (:meth:`AvailabilityView.failure_confirmed`): the detector
+event that bumps the fail count ends the wait, so nothing polls.
 """
 
 from __future__ import annotations
+
+from repro.sim import PARKED
 
 
 class AvailabilityView:
@@ -35,6 +41,8 @@ class AvailabilityView:
         self.local_node = local_node
         self._down: set[str] = set()
         self._fail_counts: dict[str, int] = {}
+        #: peer -> [(process, park token)] waiting for its failure
+        self._awaiting: dict[str, list] = {}
 
     # -- failure-detector observer ------------------------------------------------
 
@@ -43,12 +51,12 @@ class AvailabilityView:
         """``fd_observers`` hook (see FailureDetector)."""
         if event == "suspect":
             self._down.add(peer)
-            self._fail_counts[peer] = self._fail_counts.get(peer, 0) + 1
-        elif event == "restart-observed":
+        elif event in ("restart-observed", "recovered"):
             self._down.discard(peer)
+        if event in ("suspect", "restart-observed"):
             self._fail_counts[peer] = self._fail_counts.get(peer, 0) + 1
-        elif event == "recovered":
-            self._down.discard(peer)
+            for process, token in self._awaiting.pop(peer, ()):
+                process.end(token, True)
 
     # -- queries --------------------------------------------------------------------
 
@@ -65,6 +73,30 @@ class AvailabilityView:
         order."""
         return [node for node in placement.replicas(keyspace)
                 if self.available(node)]
+
+    # -- waiting for a failure ------------------------------------------------------
+
+    def failure_confirmed(self, process, peer: str, fail_count: int,
+                          within_ms: float):
+        """Has the detector reported ``peer`` failed since its fail count
+        was ``fail_count``?  If not yet, ``process`` -- the running one
+        -- parks until a ``"suspect"`` or ``"restart-observed"`` for
+        ``peer`` ends the wait, for at most ``within_ms`` (generator
+        returning the answer)."""
+        if self.fail_count(peer) != fail_count:
+            return True
+        waiter = (process, process.park(within_ms))
+        waiters = self._awaiting.setdefault(peer, [])
+        waiters.append(waiter)
+        try:
+            confirmed = yield PARKED
+        finally:
+            # Timed out (or killed with its node): leave no entry behind.
+            if self._awaiting.get(peer) is waiters:
+                waiters.remove(waiter)
+                if not waiters:
+                    del self._awaiting[peer]
+        return confirmed is True
 
 
 def validate_footprint(view: AvailabilityView, placement,

@@ -545,14 +545,29 @@ class TransactionManager:
         The spanning tree is asked for while ``copies`` -- the client's
         write-behind copies still running, processes of this node -- are
         in flight, then they are joined: the first failure in issue order
-        aborts the transaction.  A copy's first message may leave after
-        that answer, so a footprint node missing from it means asking
-        again.  Then available-copies validation: a site failure erased
-        its in-memory CC state, so a write that touched a since-failed
-        replica cannot be trusted -- abort before prepare fans out.
+        aborts the transaction.  A copy that skipped its node (one that
+        failed before anything of the transaction reached it) returns the
+        node, which leaves the footprint: the write is degraded, not
+        lost.  A copy's first message may leave after that answer, so a
+        footprint node missing from it means asking again.  Then
+        available-copies validation: a site failure erased its in-memory
+        CC state, so a write that touched a since-failed replica cannot
+        be trusted -- abort before prepare fans out.
         """
         children = yield from self._children(state)
         failed = yield from join_all(copies)
+        skipped = set() if failed else {copy.result() for copy in copies}
+        skipped.discard(None)
+        if skipped:
+            footprint = dict(
+                footprint,
+                written={node: count for node, count
+                         in footprint["written"].items()
+                         if node not in skipped},
+                keyspaces={keyspace: [node for node in nodes
+                                      if node not in skipped]
+                           for keyspace, nodes
+                           in footprint["keyspaces"].items()})
         touched = (set(footprint["written"]) | set(footprint["read"])) \
             - {self.node.name}
         if not touched <= set(children):

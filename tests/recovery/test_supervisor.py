@@ -14,7 +14,7 @@ import itertools
 import pytest
 
 from repro.core.cluster import TabsCluster
-from repro.errors import PageCorruption, RecoveryError
+from repro.errors import NodeDown, PageCorruption, RecoveryError
 from repro.servers.int_array import IntegerArrayServer
 from repro.servers.op_array import OperationArrayServer
 from repro.sim import Process
@@ -321,7 +321,9 @@ def test_a_restart_wipes_a_corrupt_page_without_an_archive(cluster):
 def test_a_restart_refuses_a_corrupt_page_whose_update_was_reclaimed(
         cluster):
     """No archive, and a clean point reclaimed the committed update: the
-    scrub has no exact base and recovery fails instead of reading 0."""
+    scrub has no exact base and recovery fails instead of reading 0.
+    The node goes back down rather than sit half up, so a transaction
+    sent to it fails at once instead of waiting forever."""
     set_cell(cluster, 1, 100)
     cluster.crash_node("n1")
     cluster.restart_node("n1")  # the clean point reclaims the update
@@ -329,6 +331,11 @@ def test_a_restart_refuses_a_corrupt_page_whose_update_was_reclaimed(
     cluster.crash_node("n1")
     with pytest.raises(RecoveryError, match="no archive dump"):
         cluster.restart_node("n1")
+    assert not cluster.node("n1").node.alive
+    refused_at = cluster.engine.now
+    with pytest.raises(NodeDown):
+        get_cell(cluster, 1)
+    assert cluster.engine.now == refused_at
 
 
 def test_live_repair_rebuilds_from_empty_while_the_log_holds_every_update(
