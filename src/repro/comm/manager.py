@@ -18,11 +18,13 @@ Inbound datagrams are forwarded to the local service named in the payload
 (``transaction_manager``, ``name_server``, ...) as small local messages.
 
 The spanning-tree duty (Section 3.2.4): the Communication Manager scans the
-transaction identifier of every inter-node message.  It records the node's
-parent (the first remote node to invoke an operation here on behalf of the
-transaction), whether the transaction was initiated remotely, and the list
-of the node's children; and it tells the local Transaction Manager -- once
-per transaction -- that remote sites are involved.
+transaction identifier of every inter-node request as it is posted.  It
+records the node's parent (the first remote node to invoke an operation
+here on behalf of the transaction), whether the transaction was initiated
+remotely, and the list of the node's children; and it tells the local
+Transaction Manager -- once per transaction -- that remote sites are
+involved.  A request that was never posted enters no tree, so the tree is
+the one record of which nodes a family reached (:meth:`reached`).
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ class CommunicationManager:
     # -- spanning-tree recording (called from the RPC session path) -----------
 
     def record_outbound(self, tid: TransactionID | None, target: str) -> None:
-        """An inter-node message for ``tid`` is about to leave this node.
+        """An inter-node request for ``tid`` is being posted to ``target``.
 
         Refused with :class:`TransactionAborted` -- where it starts, and
         for good -- when ``tid`` or an ancestor of it is in this node's
@@ -169,7 +171,8 @@ class CommunicationManager:
                                      body={"tid": tid}))
 
     def record_inbound(self, tid: TransactionID | None, source: str) -> None:
-        """An inter-node message for ``tid`` just arrived from ``source``."""
+        """An inter-node request for ``tid`` was posted here from
+        ``source``."""
         if tid is None:
             return
         key = tid.toplevel
@@ -188,6 +191,12 @@ class CommunicationManager:
                     op="tm.remote_arrived", tid=tid,
                     body={"tid": tid, "parent_node": record.parent,
                           "reply_service": SERVICE}))
+
+    def reached(self, tid: TransactionID, node: str) -> bool:
+        """Whether this node posted a request of ``tid``'s family to
+        ``node``."""
+        return node in self._trees.get(tid.toplevel,
+                                       SpanningRecord()).child_epochs
 
     def _tm_port(self):
         try:

@@ -63,6 +63,16 @@ class SessionBroken(CommunicationError):
     """A session peer crashed or became unreachable."""
 
 
+class NotPosted(SessionBroken):
+    """No attempt of an RPC posted its request: nothing of it reached the
+    target, so retrying cannot execute it twice.  ``stale_ref`` says the
+    target restarted since the reference was minted."""
+
+    def __init__(self, message: str, stale_ref: bool = False) -> None:
+        super().__init__(message)
+        self.stale_ref = stale_ref
+
+
 class LookupFailed(TabsError):
     """The Name Server could not resolve a name anywhere on the network."""
 

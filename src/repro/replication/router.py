@@ -15,9 +15,9 @@
   updating the same cell serialize at one site; its reply names the
   absolute write the other copies store.  Those are *write-behind*:
   home-node processes, FIFO per replica server, that overlap the
-  transaction's next operations; one whose target crashed before any
-  call of the transaction reached it skips the target once the
-  failure detector confirms the crash (a degraded write too).
+  transaction's next operations; one that found its target gone
+  before any request of the transaction reached it skips the target
+  once the failure detector confirms the crash (a degraded write too).
   ``tm.abort`` is sent once they have all finished; ``tm.end`` carries
   the ones still running to the coordinator -- the home node's
   Transaction Manager -- which joins them just before it prepares
@@ -35,7 +35,8 @@ a since-failed copy abort at commit too.
 
 from __future__ import annotations
 
-from repro.errors import CommunicationError, LookupFailed, ReplicaUnavailable
+from repro.errors import (CommunicationError, LookupFailed, NotPosted,
+                          ReplicaUnavailable)
 from repro.sim import Process, join_all
 from repro.txn.ids import TransactionID
 
@@ -58,8 +59,9 @@ class ReplicatedApp:
         self.app = cluster.application(node_name)
         self.ctx = self.app.ctx
         #: write-behind copies are processes of the home node, so a
-        #: home-node crash kills them with the client
-        self._node = tabs_node.node
+        #: home-node crash kills them with the client; its Communication
+        #: Manager (rebuilt on restart) holds the family's spanning tree
+        self._home = tabs_node
         self._runtime = tabs_node.replication
         self.view = tabs_node.replication.view
         #: the failure detector's worst-case detection latency
@@ -72,8 +74,7 @@ class ReplicatedApp:
         #: message bodies stay byte-identical to PR 7
         self._stamp_epoch = tabs_node.config.reconfig.enabled
         #: tid -> {"written": {node: fail_count},
-        #:         "read": {node: fail_count}, "keyspaces": {ks: set},
-        #:         "dispatched": {node a call of it was handed to}}
+        #:         "read": {node: fail_count}, "keyspaces": {ks: set}}
         self._footprints: dict[TransactionID, dict] = {}
         #: tid -> [(node, key-space, process)] in issue order: the
         #: transaction's write-behind copies, finished or not
@@ -142,8 +143,7 @@ class ReplicatedApp:
         return self.ctx.metrics.counter(self.node_name, name)
 
     def _new_footprint(self) -> dict:
-        footprint: dict = {"written": {}, "read": {}, "keyspaces": {},
-                           "dispatched": set()}
+        footprint: dict = {"written": {}, "read": {}, "keyspaces": {}}
         if self._stamp_epoch:
             # The epoch at first touch is the one the transaction routed
             # under; commit-time rule 3 aborts it if a migration moved
@@ -204,7 +204,6 @@ class ReplicatedApp:
             try:
                 ref = yield from self.app.lookup_one(keyspace,
                                                      node_name=node)
-                self._footprint(tid)["dispatched"].add(node)
                 reply = yield from self.app.call(ref, op, body, tid)
             except _FAILOVER_ERRORS as error:
                 self._counter("replication.read_failover").inc()
@@ -255,12 +254,12 @@ class ReplicatedApp:
         the commit (a copy the walk passed over and the view still lists
         is written behind like the rest: catching up, it stores the
         value; dead, it fails the join).  Per the available-copies rule
-        the transaction must abort when a node a call of it reached
+        the transaction must abort when a node a request of it reached
         fails: its part there died with the node.  A write-behind copy
-        to a node that no call of the transaction ever reached lost
-        nothing there, so once the detector confirms that node's crash
-        the copy skips it -- a degraded write, the one a copy issued
-        after the suspicion would have made (:meth:`_copy_behind`).
+        to a node the family's spanning tree does not list lost nothing
+        there, so once the detector confirms that node's crash the copy
+        skips it -- a degraded write, the one a copy sent after the
+        suspicion would have made (:meth:`_copy_behind`).
         Commit-time validation backstops the case where the failure is
         only noticed later.
         """
@@ -278,7 +277,6 @@ class ReplicatedApp:
         if 1 + len(behind) < len(self.placement.replicas(keyspace)):
             self._counter("replication.write_all_degraded").inc()
         copies = self._behind.setdefault(tid, []) if behind else []
-        dispatched = self._footprint(tid)["dispatched"]
         for node in behind:
             # Footprint at issue: commit-time rules 1 and 2 see every
             # copy the transaction tried to write, with the failure
@@ -287,16 +285,16 @@ class ReplicatedApp:
             written.add(node)
             previous = next((copy for at, space, copy in reversed(copies)
                              if (at, space) == (node, keyspace)), None)
-            copies.append((node, keyspace, self._node.spawn(
+            copies.append((node, keyspace, self._home.node.spawn(
                 self._copy_behind(previous, keyspace, node, op, dict(body),
-                                  tid, dispatched, self.view.fail_count(node)),
+                                  tid, self.view.fail_count(node)),
                 name=f"write-behind:{tid}:{keyspace}@{node}",
                 defused=True)))
         return reply
 
     def _copy_behind(self, previous: Process | None, keyspace: str,
                      node: str, op: str, body: dict, tid: TransactionID,
-                     dispatched: set[str], fail_count: int):
+                     fail_count: int):
         """One write-behind copy (generator; a home-node process returning
         None, or ``node`` if the copy skipped it).
 
@@ -306,16 +304,17 @@ class ReplicatedApp:
         is this copy's too -- the transaction is lost either way.  If it
         skipped the node, so does this copy.
 
-        A copy whose target's name cannot be found skips the target --
-        a degraded write, as if issued once the detector had spoken --
-        when two things hold: no call of the transaction was ever
-        handed to that node (``dispatched``: nothing of it can be there
-        to lose, so rule 1 has nothing to protect), and the detector
-        confirms the node failed since ``fail_count``, the count at
-        issue, within its own detection bound.  Otherwise it fails as
-        before.  The coordinator drops a skipped node from the footprint
-        it validates; rule 2 still aborts the transaction if the node
-        is back before it commits.
+        A copy whose name lookup fails, or whose call posted nothing
+        (:class:`~repro.errors.NotPosted`), skips the target -- a
+        degraded write, as if sent once the detector had spoken --
+        when two things hold: the family's spanning tree on the home
+        node does not list the target (nothing of the family can be
+        there to lose, so rule 1 has nothing to protect), and the
+        detector confirms the node failed since ``fail_count``, the
+        count when the copy was spawned, within its own detection
+        bound.  Otherwise it raises the error.  The coordinator drops a
+        skipped node from the footprint it validates; rule 2 still
+        aborts the transaction if the node is back before it commits.
         """
         if previous is not None:
             skipped = yield previous
@@ -324,8 +323,9 @@ class ReplicatedApp:
                 return skipped
         try:
             ref = yield from self.app.lookup_one(keyspace, node_name=node)
-        except LookupFailed:
-            if node in dispatched:
+            yield from self.app.call(ref, op, body, tid)
+        except (LookupFailed, NotPosted):
+            if self._home.cm.reached(tid, node):
                 raise
             confirmed = yield from self.view.failure_confirmed(
                 self.ctx.engine.active_process, node, fail_count,
@@ -334,8 +334,6 @@ class ReplicatedApp:
                 raise
             self._counter("replication.write_all_degraded").inc()
             return node
-        dispatched.add(node)
-        yield from self.app.call(ref, op, body, tid)
         return None
 
     def _join_behind(self, tid: TransactionID, node: str | None = None):

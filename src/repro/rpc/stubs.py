@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.comm.network import Network
-from repro.errors import SessionBroken
+from repro.errors import LookupFailed, NotPosted, SessionBroken
 from repro.kernel.costs import Primitive
 from repro.kernel.messages import MessageKind
 from repro.kernel.node import Node
@@ -31,9 +31,9 @@ from repro.txn.ids import TransactionID
 #: unwound by lock time-outs instead).
 DEFAULT_RPC_TIMEOUT_MS = 30_000.0
 
-#: Retry policy for failures that happen *before* the request is handed to
-#: the server (at-most-once: a request that may have been dispatched is
-#: never retried).  Backoff is capped exponential with deterministic jitter
+#: Retry policy for failures that happen *before* the request is posted
+#: (at-most-once: a request that may have reached the server is never
+#: retried).  Backoff is capped exponential with deterministic jitter
 #: drawn from the cluster's seeded RNG.
 DEFAULT_CALL_RETRIES = 3
 RETRY_BACKOFF_BASE_MS = 50.0
@@ -61,15 +61,6 @@ class ServiceRef:
     name: str = field(default="", compare=False)
 
 
-class _Retriable(Exception):
-    """Internal: a call attempt failed before the request was dispatched."""
-
-    def __init__(self, error: Exception, stale_ref: bool = False) -> None:
-        super().__init__(str(error))
-        self.error = error
-        self.stale_ref = stale_ref
-
-
 def call(network: Network, client: Node, ref: ServiceRef, op: str,
          body: dict | None = None, tid: TransactionID | None = None,
          timeout_ms: float = DEFAULT_RPC_TIMEOUT_MS,
@@ -80,13 +71,15 @@ def call(network: Network, client: Node, ref: ServiceRef, op: str,
     a remote target is unreachable or fails to respond, and re-raises any
     exception the server marshalled into its response.
 
-    Failures that occur *before* the request reaches the server -- session
+    Failures that occur *before* the request is posted -- session
     establishment, a stale reference after a peer restart, unreachability
-    detected pre-dispatch -- are retried up to ``retries`` times with
-    capped exponential backoff and deterministic jitter; a stale reference
-    is re-resolved through the Name Server between attempts.  A timeout
-    after dispatch is never retried: the request may have executed, and
-    the session's at-most-once guarantee must hold.
+    found when posting -- are retried up to ``retries`` times with capped
+    exponential backoff and deterministic jitter; a stale reference is
+    re-resolved through the Name Server between attempts.  When they run
+    out, the last attempt's :class:`NotPosted` is raised: nothing of the
+    call reached the target.  A timeout after the post is never retried:
+    the request may have executed, and the session's at-most-once
+    guarantee must hold.
     """
     ctx = client.ctx
     attempt = 0
@@ -99,11 +92,11 @@ def call(network: Network, client: Node, ref: ServiceRef, op: str,
                 result = yield from _call_once(network, client, ref, op, body,
                                                tid, timeout_ms)
                 return result
-            except _Retriable as failure:
+            except NotPosted as failure:
                 attempt += 1
                 span.set(attempts=attempt + 1)
                 if attempt > retries:
-                    raise failure.error
+                    raise
                 ctx.meter.bump("rpc_retries")
                 ctx.metrics.counter(client.name, "rpc.retries").inc()
                 backoff = min(RETRY_BACKOFF_CAP_MS,
@@ -113,9 +106,7 @@ def call(network: Network, client: Node, ref: ServiceRef, op: str,
                 backoff *= 0.5 + ctx.random.random()
                 yield backoff
                 if failure.stale_ref:
-                    fresh = yield from _re_resolve(client, ref)
-                    if fresh is not None:
-                        ref = fresh
+                    ref = yield from _re_resolve(client, ref)
 
 
 def _re_resolve(client: Node, ref: ServiceRef):
@@ -127,19 +118,19 @@ def _re_resolve(client: Node, ref: ServiceRef):
     later one -- and the node's next ``lookup_one`` -- is answered from
     ``Node.bindings``: one re-resolve per restarted peer, not one per call.
 
-    Returns None when the reference carries no name or the lookup fails;
-    the caller then retries with the old reference and surfaces the
-    original error when attempts run out.
+    Returns ``ref`` itself when it carries no name or no node holds the
+    name; the caller then retries with the old reference and surfaces
+    the error when attempts run out.
     """
     if not ref.name:
-        return None
+        return ref
     # Local import: the nameserver library itself depends on ServiceRef.
     from repro.nameserver.library import NameServerLibrary
     try:
         return (yield from NameServerLibrary(client).lookup_one(
             ref.name, node_name=ref.node_name))
-    except Exception:
-        return None
+    except LookupFailed:
+        return ref
 
 
 def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
@@ -154,29 +145,29 @@ def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
         try:
             cm_local.sessions.session_to(ref.node_name).next_sequence()
         except SessionBroken as error:
-            raise _Retriable(error) from None
+            raise NotPosted(str(error)) from None
         if network.epoch_of(ref.node_name) != ref.epoch:
-            raise _Retriable(SessionBroken(
+            raise NotPosted(
                 f"server reference on {ref.node_name!r} is stale: the node "
-                "restarted; look the name up again"), stale_ref=True)
+                "restarted; look the name up again", stale_ref=True)
         total_ms = ctx.charge(Primitive.INTER_NODE_DATA_SERVER_CALL)
-        # Both Communication Managers scan the tid (spanning tree) and burn
-        # CPU shepherding the session messages.  That CPU is *inside* the
-        # measured 89 ms inter-node-call primitive -- the paper notes that
-        # communication time is counted in both the primitive sum and the
-        # TABS process time -- so it is recorded without extending latency.
+
+    yield total_ms / 2  # request transport + dispatch
+    if not local:
+        if not network.reachable(client.name, ref.node_name):
+            raise NotPosted(
+                f"node {ref.node_name!r} became unreachable mid-call "
+                "(crashed or partitioned away)")
+        # Posted: both Communication Managers scan the tid (spanning tree)
+        # and burn CPU shepherding the session messages.  That CPU is
+        # *inside* the measured 89 ms inter-node-call primitive -- the
+        # paper notes that communication time is counted in both the
+        # primitive sum and the TABS process time -- so it is recorded
+        # without extending latency.
         cm_local.record_outbound(tid, ref.node_name)
         ctx.meter.record_cpu("CM", ctx.cpu_costs.cm_session_msg)
         network.manager(ref.node_name).record_inbound(tid, client.name)
         ctx.meter.record_cpu("CM", ctx.cpu_costs.cm_session_msg)
-
-    yield total_ms / 2  # request transport + dispatch
-    if not local and not network.reachable(client.name, ref.node_name):
-        # Still pre-dispatch: the request never reached the peer, so a
-        # retry cannot double-execute it.
-        raise _Retriable(SessionBroken(
-            f"node {ref.node_name!r} became unreachable mid-call "
-            "(crashed or partitioned away)"))
     reply_port = post(client, ref.port, op, dict(body or {}),
                       reply=f"rpc-reply:{op}", kind=MessageKind.UNCHARGED,
                       tid=tid)

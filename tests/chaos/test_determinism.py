@@ -56,21 +56,19 @@ def test_same_seed_reproduces_run_exactly():
 # Digests of the canonical (PLAN, seed=2026) run under the default
 # ``pipeline="paper"`` configuration.  A refactor keeps them byte for
 # byte; a deliberate change to default behaviour re-pins them once and
-# says what moved.  Last re-pinned when an abort came to reach every
-# fragment once (docs/PROTOCOL.md "Why an abort reaches every fragment
-# once"): trace c1b8b1a2... -> 7d3ee81d..., metrics 5178f38e... ->
-# f4e7f1c6....  The trace is the old run's minus one ``tm.abort_req``
-# send/blocked pair, n2 -> n0 at 3 557.5 ms: the tombstone of an
-# aborted family no longer re-tells its children (83 -> 81 entries).
-# In the metrics, ``n0/tm.aborts`` and ``n2/tm.aborts`` fall 5 -> 4
-# (the second undo walks of ``n0.2`` and ``n2.2`` at 3 528 ms now wait
-# for the first), ``n2/net.send`` 12 -> 11 and ``n2/net.blocked`` 1 ->
-# gone (that send).  The final clock and all ten outcomes (5 aborted,
-# 3 unknown, 2 skipped) are unchanged.
+# says what moved.  Last re-pinned when the spanning tree came to be
+# written as a request is posted (docs/PROTOCOL.md "Remote
+# operation"): metrics f4e7f1c6... -> 48540296...; the trace did not move.
+# ``n2/tm.aborts`` falls 4 -> 3.  At 2 852.6 ms n1's call of ``n1.2``
+# to n2 found n2 unreachable before posting; it used to enter n2 in the
+# family's tree anyway, so n1's restart at 3 525 ms had n2 walk ``n1.2``
+# as a peer failure ("peer n1 restarted").  Every other remote-sites
+# notice now leaves half a call (44.5 ms) later.  The final clock and
+# all ten outcomes are unchanged.
 GOLDEN_TRACE_SHA = \
     "7d3ee81d80f1afc0402e2aac934835b03f9440ec09899dbb7058888de3a82ef9"
 GOLDEN_METRICS_SHA = \
-    "f4e7f1c68ccfc567ab8814c0d829cc61c634f6686faef72239f564fff2747030"
+    "48540296d9401d61579071fd32a32840fabe8c5dec28c548825ff61c8c107f8f"
 GOLDEN_FINAL_NOW = 125571.71966982371
 
 

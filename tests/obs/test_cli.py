@@ -10,16 +10,17 @@ from repro.__main__ import main, write_report
 
 #: SHA-256 of ``python -m repro trace <target> --out F``: the simulated
 #: schedule, every span, every datagram event and every failure-detector
-#: decision of the run, byte for byte.  chaos-2026 last moved (a21596b6...
-#: -> 5a3adf5e...) when an abort came to reach every fragment once: 298
-#: -> 293 events -- two second-walk ``2pc.abort`` events, one
-#: ``ds:ds.abort`` span of a second walk, and the tombstone's re-told
-#: ``tm.abort_req`` (``net.send`` + ``net.blocked``) are gone, and the
-#: span ids after them shift down.  debitcredit-7 was pinned when the
-#: target was added.
+#: decision of the run, byte for byte.  chaos-2026 last moved (5a3adf5e...
+#: -> 089d0a2c...) when the spanning tree came to be written as a request
+#: is posted: 293 -> 292 events -- n2's ``2pc.abort`` of ``n1.2`` at
+#: 3 528 ms ("peer n1 restarted") is gone, since n1's call never posted
+#: to n2; two ``rpc:set_cell`` spans end ``error=NotPosted`` and two
+#: abort reasons read ``NotPosted(...)`` where they read
+#: ``SessionBroken``; the event ids after 3 528 ms shift down.
+#: debitcredit-7 was pinned when the target was added.
 PINNED_EXPORTS = {
     ("chaos", "2026"):
-        "5a3adf5efacd59efaaae35ba00b7c47f27e2aa80a5da42372f96f4af3856b45b",
+        "089d0a2c252983935b50f52ea5beddaa8ee7cc3eefd0729ca709d27af2655cc0",
     ("w1w1", "1985"):
         "77bf22325bbbc02aacba607b55a7b20075d0f0fa6ccd79ef8d09261230338c0b",
     ("debitcredit", "7"):

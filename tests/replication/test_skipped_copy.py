@@ -161,3 +161,76 @@ def test_a_copy_queued_behind_a_skipped_one_skips_without_waiting_again():
     assert degraded(cluster) == counted + 2
     assert committed_balance(cluster, "bank0", keyspace, 6) == 600
     assert committed_balance(cluster, "bank0", keyspace, 7) == 700
+
+
+def bind_copy(cluster, rapp, keyspace, row):
+    """Write ``row`` once so the home node holds a binding for bank1's
+    copy: a later copy's lookup is answered at once and its call starts."""
+    balance = committed_balance(cluster, "bank0", keyspace, row)
+    cluster.run_on("bank0", run_transaction(rapp,
+        lambda tid: put(rapp, keyspace, row, balance, tid)))
+    return balance
+
+
+def test_a_copy_whose_call_never_posted_is_a_degraded_write():
+    """bank1 crashes inside the copy's request leg, before the post: the
+    call fails ``NotPosted``, the family's spanning tree does not list
+    bank1, so the copy waits for the suspicion and skips it."""
+    cluster, topology = build_replicated(seed=113)
+    rapp = spied(cluster, "bank0")
+    keyspace = topology.account_server(0)
+    before = bind_copy(cluster, rapp, keyspace, 8)
+    home = cluster.node("bank0")
+    counted = degraded(cluster)
+
+    def body(tid):
+        yield from put(rapp, keyspace, 8, before + 80, tid)
+        (copy,) = copy_processes(cluster, "bank0", tid)
+        yield Timeout(cluster.engine, 10.0)
+        cluster.crash_node("bank1")
+        assert (yield copy) == "bank1"
+        assert not home.cm.reached(tid, "bank1")
+
+    cluster.run_on("bank0", run_transaction(rapp, body))
+    assert degraded(cluster) == counted + 1
+    assert home.replication.view._awaiting == {}
+    assert rapp._behind == {} and rapp._footprints == {}
+    assert committed_balance(cluster, "bank0", keyspace, 8) == before + 80
+
+
+def test_a_copy_to_a_node_the_family_reached_still_refuses():
+    """Rule 1: an earlier copy of the transaction reached bank1, so when
+    a later copy's call to bank1 never posts, the family's work there
+    died with the node -- the copy fails at once, without waiting for
+    the detector, and the commit is refused."""
+    cluster, topology = build_replicated(seed=127)
+    rapp = spied(cluster, "bank0")
+    keyspace = topology.account_server(0)
+    before = bind_copy(cluster, rapp, keyspace, 9)
+    home = cluster.node("bank0")
+    counted = degraded(cluster)
+    waits = []
+    confirm = home.replication.view.failure_confirmed
+
+    def counted_wait(process, peer, fail_count, within_ms):
+        waits.append(peer)
+        return (yield from confirm(process, peer, fail_count, within_ms))
+
+    home.replication.view.failure_confirmed = counted_wait
+
+    def body(tid):
+        yield from put(rapp, keyspace, 9, before + 90, tid)
+        (first,) = copy_processes(cluster, "bank0", tid)
+        assert (yield first) is None
+        assert home.cm.reached(tid, "bank1")
+        yield from put(rapp, keyspace, 10, 100, tid)
+        yield Timeout(cluster.engine, 10.0)
+        cluster.crash_node("bank1")
+
+    with pytest.raises(TransactionAborted,
+                       match=f"write-behind:.*{keyspace}@bank1 failed: "
+                             "NotPosted"):
+        cluster.run_on("bank0", run_transaction(rapp, body))
+    assert waits == [] and degraded(cluster) == counted
+    assert rapp._behind == {} and rapp._footprints == {}
+    assert committed_balance(cluster, "bank0", keyspace, 9) == before

@@ -6,7 +6,7 @@ import pytest
 
 from repro.comm.manager import CommunicationManager
 from repro.comm.network import Network
-from repro.errors import ServerError, SessionBroken
+from repro.errors import NotPosted, ServerError, SessionBroken
 from repro.kernel.context import SimContext
 from repro.kernel.costs import MEASURED_1985, Primitive, ZERO_CPU
 from repro.kernel.node import Node
@@ -79,6 +79,43 @@ def test_remote_call_records_spanning_tree(world):
     run(ctx, call(network, nodes["a"], ref, "op", {}, tid=tid))
     assert spanning_info(network.manager("a"), tid)["children"] == ["b"]
     assert spanning_info(network.manager("b"), tid)["parent"] == "a"
+
+
+def test_a_call_that_never_posts_enters_no_spanning_tree(world):
+    """The target becomes unreachable inside the request leg, after the
+    session check: nothing was posted, so the call raises ``NotPosted``
+    once its retries run out and neither node's tree names the other."""
+    ctx, network, nodes = world
+    port = echo_server(nodes["b"])
+    ref = ServiceRef("b", port, epoch=0)
+    tid = TransactionID("a", 1)
+    ctx.engine.schedule(10.0, lambda: network.partition([["a"], ["b"]]))
+    with pytest.raises(NotPosted) as caught:
+        run(ctx, call(network, nodes["a"], ref, "op", {}, tid=tid))
+    assert not caught.value.stale_ref
+    # Only the first attempt got past the session check.
+    assert ctx.meter.count(Primitive.INTER_NODE_DATA_SERVER_CALL) == 1
+    network.heal()
+    assert spanning_info(network.manager("a"), tid)["children"] == []
+    assert spanning_info(network.manager("b"), tid)["parent"] == ""
+    assert not network.manager("a").reached(tid, "b")
+
+
+def test_a_timeout_after_the_post_keeps_the_child_in_the_tree(world):
+    """The request was posted and never answered: the time-out is a
+    ``SessionBroken`` but not ``NotPosted`` -- the request may have run
+    -- and both trees record the call."""
+    ctx, network, nodes = world
+    silent = nodes["b"].create_port("silent")
+    ref = ServiceRef("b", silent, epoch=0)
+    tid = TransactionID("a", 1)
+    with pytest.raises(SessionBroken, match="no response") as caught:
+        run(ctx, call(network, nodes["a"], ref, "op", {}, tid=tid,
+                      timeout_ms=300.0))
+    assert not isinstance(caught.value, NotPosted)
+    assert spanning_info(network.manager("a"), tid)["children"] == ["b"]
+    assert spanning_info(network.manager("b"), tid)["parent"] == "a"
+    assert network.manager("a").reached(tid, "b")
 
 
 def test_server_exception_marshalled_back(world):
@@ -258,6 +295,43 @@ def test_stale_reference_re_resolved_after_server_restart():
 
     assert cluster.run_transaction("n0", after) == 7
     assert cluster.meter.counter("rpc_retries") >= 1
+
+
+def test_a_stale_reference_whose_name_is_gone_is_not_posted():
+    """The serving node restarted without the server: each retry's
+    re-resolve finds no holder of the name and keeps the stale
+    reference, so the call raises ``NotPosted`` with ``stale_ref`` once
+    its retries run out."""
+    from repro import TabsCluster, TabsConfig
+    from repro.rpc.stubs import DEFAULT_CALL_RETRIES
+    from repro.servers.int_array import IntegerArrayServer
+
+    cluster = TabsCluster(TabsConfig())
+    cluster.add_node("n0")
+    cluster.add_node("n1")
+    cluster.add_server("n1", IntegerArrayServer.factory("arr"))
+    cluster.start()
+    app = cluster.application("n0")
+
+    def bind(tid):
+        ref = yield from app.lookup_one("arr", node_name="n1")
+        return ref
+
+    stale_ref = cluster.run_transaction("n0", bind)
+    cluster.crash_node("n1")
+    cluster.restart_node("n1")
+    cluster.node("n1").fail_server("arr")
+    lookups = cluster.metrics.counter("n0", "ns.lookups")
+    asked = lookups.value
+
+    def through_the_stale_copy(tid):
+        yield from app.call(stale_ref, "get_cell", {"cell": 1}, tid)
+
+    with pytest.raises(NotPosted, match="stale") as caught:
+        cluster.run_transaction("n0", through_the_stale_copy)
+    assert caught.value.stale_ref
+    assert cluster.meter.counter("rpc_retries") == DEFAULT_CALL_RETRIES
+    assert lookups.value == asked + DEFAULT_CALL_RETRIES
 
 
 def test_re_resolved_reference_becomes_the_nodes_binding():
