@@ -143,25 +143,20 @@ class TransactionalFileSystemServer(BTreeServer):
         return result
 
     def op_mkdir(self, body: dict, tid: TransactionID):
-        path = normalize(body["path"])
-
-        def build(overlay):
-            yield from self._require(overlay, parent_of(path), "dir")
-            yield from self._set_entry(
-                overlay, path, {"kind": "dir", "pages": [], "size": 0},
-                create=True)
-            return {}
-
-        result = yield from self._mutate(tid, build)
-        return result
+        return self._new_entry(body, tid, "dir")
 
     def op_create(self, body: dict, tid: TransactionID):
+        return self._new_entry(body, tid, "file")
+
+    def _new_entry(self, body: dict, tid: TransactionID, kind: str):
+        """An empty entry of ``kind`` at the path, inside an existing
+        directory (generator)."""
         path = normalize(body["path"])
 
         def build(overlay):
             yield from self._require(overlay, parent_of(path), "dir")
             yield from self._set_entry(
-                overlay, path, {"kind": "file", "pages": [], "size": 0},
+                overlay, path, {"kind": kind, "pages": [], "size": 0},
                 create=True)
             return {}
 

@@ -29,12 +29,13 @@ handler looks up the tid's row at this node once
 (:meth:`TransactionManager.row`) and runs that row's cell.
 
 Commit of an update subtree follows presumed-abort conventions: a
-subordinate forces a PREPARED record before voting and a COMMITTED record
-before acknowledging; the coordinator forces its COMMITTED record before
-phase two and appends an unforced end record once all acknowledgements are
-in; an in-doubt subordinate that finds no coordinator state learns
-"aborted".  Read-only participants vote read-only, release their locks at
-prepare time, and drop out of phase two.
+subordinate forces a PREPARED record before voting; every fragment, root
+or subordinate, forces its COMMITTED record before its phase two (a
+subordinate's, before it acknowledges) and appends an unforced end record
+once all its children have acknowledged; an in-doubt subordinate that
+finds no coordinator state learns "aborted".  Read-only participants
+vote read-only, release their locks at prepare time, and drop out of
+phase two.
 """
 
 from __future__ import annotations
@@ -432,9 +433,13 @@ class TransactionManager:
         """This node's children in ``state``'s commit spanning tree, minus
         itself and ``others`` (the node that asked) -- generator.
 
-        An interior node fetches them from the Communication Manager;
-        a family with no remote sites below here skips the query.
+        A PREPARED fragment's are the ones it prepared, which its PREPARED
+        record keeps across a restart that erases the tree.  Otherwise an
+        interior node fetches them from the Communication Manager; a
+        family with no remote sites below here skips the query.
         """
+        if state.phase is TxnPhase.PREPARED:
+            return list(state.prepared_children)
         root = (state if state.tid.is_toplevel
                 else self._states.get(state.tid.toplevel))
         if not (state.has_remote_sites
@@ -618,12 +623,9 @@ class TransactionManager:
                 return True
 
             # Update transaction: force the commit record, then phase two.
-            yield from self.rm.append_status_via_message(
-                tid, "committed", servers=tuple(sorted(state.servers)),
-                children=tuple(children))
+            yield from self._commit_point(state, children)
             yield self.ctx.cpu("TM",
                                self.ctx.cpu_costs.tm_commit_write_extra)
-            state.advance(TxnPhase.COMMITTED)
             if self.ctx.merged_architecture:
                 # Improved architecture: phase two overlaps succeeding
                 # transactions; the application's reply does not wait for
@@ -647,19 +649,26 @@ class TransactionManager:
             self.node.name, f"commit.{protocol}_ms").observe(
             self.ctx.now - started)
 
+    def _commit_point(self, state: TransactionState, children: list[str]):
+        """Force the fragment's COMMITTED record; from the instant it is
+        durable the fragment is COMMITTED, at the root and at a
+        subordinate alike (generator)."""
+        yield from self.rm.append_status_via_message(
+            state.tid, "committed", servers=tuple(sorted(state.servers)),
+            children=tuple(children))
+        state.advance(TxnPhase.COMMITTED)
+
     def _finish_phase_two(self, state: TransactionState,
                           children: list[str]):
-        tid = state.tid
+        """Phase two of a committed fragment, root or subordinate.  A
+        child that stays silent keeps the state, so its recovery can
+        learn the outcome; its stray ack ends the fragment."""
         yield from self._phase_two(state, children, "commit")
-        if state.pending_acks:
-            # A child is unreachable: keep the committed state so its
-            # recovery can learn the outcome.  A stray ack completes us.
-            return
-        if children:
-            # The unforced end record stops recovery from re-driving phase
-            # two; a purely local commit needs none.
-            self.rm.note_txn_done(tid)
-        self._forget(tid)
+        if children or state.parent_node:
+            self._end_if_acked(state)
+        else:
+            # A purely local commit needs no end record.
+            self._forget(state.tid)
 
     def _maybe_checkpoint(self) -> None:
         """TM-driven periodic checkpoints, counted in commits."""
@@ -768,12 +777,17 @@ class TransactionManager:
         """A late phase-two ack from a child that crashed mid-protocol and
         resolved the transaction through its own recovery."""
         state = self._states.get(tid)
-        if state is None or not state.pending_acks:
-            return
-        state.pending_acks.discard(child)
+        if state is not None and child in state.pending_acks:
+            state.pending_acks.discard(child)
+            self._end_if_acked(state)
+
+    def _end_if_acked(self, state: TransactionState) -> None:
+        """Once every child of a committed fragment has acked, the unforced
+        end record stops recovery from re-driving phase two, and the
+        fragment is forgotten."""
         if not state.pending_acks:
-            self.rm.note_txn_done(tid)
-            self._forget(tid)
+            self.rm.note_txn_done(state.tid)
+            self._forget(state.tid)
 
     # -- peer-failure notifications (from the Communication Manager) --------------
 
@@ -848,6 +862,7 @@ class TransactionManager:
                 tid, "prepared", servers=tuple(sorted(state.servers)),
                 children=tuple(children), coordinator=coordinator)
             state.advance(TxnPhase.PREPARED)
+            state.prepared_children = tuple(children)
             # Watchdog: if the outcome never arrives (lost datagram,
             # coordinator hiccup), inquire rather than block forever.
             self.node.spawn(self._watch_prepared(state),
@@ -872,21 +887,16 @@ class TransactionManager:
         self._answer(message, "tm.ack", ack="committed")
 
     def _finish_prepared(self, state: TransactionState, commit: bool):
-        """Phase two at a prepared subordinate (also used after recovery)."""
-        tid = state.tid
-        children = yield from self._children(state, state.parent_node)
+        """Phase two at a prepared subordinate (also used after recovery):
+        it coordinates the children it prepared as its own coordinator
+        does.  The COMMITTED record is forced before the ack (presumed
+        abort: once we ack, the coordinator may forget the outcome)."""
+        children = list(state.prepared_children)
         if not commit:
             yield from self._abort_subtree(state, children)
             return
-        # Force our COMMITTED record before acknowledging (presumed
-        # abort: once we ack, the coordinator may forget the outcome).
-        yield from self.rm.append_status_via_message(
-            tid, "committed", servers=tuple(sorted(state.servers)),
-            children=tuple(children))
-        state.advance(TxnPhase.COMMITTED)
-        yield from self._phase_two(state, children, "commit")
-        self.rm.note_txn_done(tid)
-        self._forget(tid)
+        yield from self._commit_point(state, children)
+        yield from self._finish_phase_two(state, children)
 
     # -- phase two ----------------------------------------------------------------------
 
@@ -1040,7 +1050,7 @@ class TransactionManager:
         state = self._states[tid] = TransactionState(
             tid, phase=TxnPhase.PREPARED, parent_node=coordinator,
             servers=set(servers), server_ports=dict(server_ports),
-            has_remote_sites=bool(children))
+            prepared_children=children)
         self.node.spawn(self._resolve_in_doubt(state),
                         name=f"tm:resolve:{tid}", defused=True)
 

@@ -60,6 +60,9 @@ class TransactionState:
     has_remote_sites: bool = False
     #: node that shipped this transaction here (empty at the root/birth node)
     parent_node: str = ""
+    #: the children a subordinate prepared, as its PREPARED record names
+    #: them: the ones its phase two (or abort) goes to
+    prepared_children: tuple[str, ...] = ()
     #: children that have not yet acknowledged phase two; a committed
     #: coordinator keeps its state until this empties (presumed abort
     #: demands that an in-doubt child can still learn the outcome)

@@ -204,6 +204,28 @@ def test_the_transaction_managers_dispatch_is_docs_protocol_table():
     assert manager.MARK_FIRST < set(TABLE)
 
 
+def test_one_way_to_finish_a_commit():
+    """The root and a prepared subordinate finish a decided commit the
+    same way: one helper forces the COMMITTED record, and one runs
+    phase two's commit (docs/PROTOCOL.md "Commit: distributed")."""
+    callers: dict[str, list[str]] = {"_phase_two": [],
+                                     "append_status_via_message": []}
+    for path in sorted(SRC.rglob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for call in ast.walk(function):
+                if (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr in callers
+                        and any(isinstance(arg, ast.Constant)
+                                and arg.value in ("commit", "committed")
+                                for arg in call.args)):
+                    callers[call.func.attr].append(function.name)
+    assert callers == {"_phase_two": ["_finish_phase_two"],
+                       "append_status_via_message": ["_commit_point"]}
+
+
 def test_a_wait_with_one_waiter_builds_no_event():
     """A sleep yields its delay and a reply, lock, vote, lookup or
     keyboard wait parks its process (docs/SIMULATOR.md "A wait with one
